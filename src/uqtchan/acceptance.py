@@ -127,11 +127,12 @@ def criterion_nonunital_uqt_families() -> tuple[bool, str]:
                 ch = families.uqt_nonunital_rank3(theta, phi, t)
                 want_rank = 3
             rep = channels.report(ch)
-            prof = states.profile(rep.choi)
+            cs = rep.choi
+            prof = states.profile(cs)
             worst["abs_t"] = max(worst["abs_t"], float(np.max(np.abs(prof.spectrum.abs_t - t))))
             worst["delta"] = max(worst["delta"], prof.delta)
             worst["f"] = max(worst["f"], abs(prof.f_max - (1.0 + t) / 2.0))
-            dec = linalg.hermitian_eig(rep.choi.rho)
+            dec = cs.eig
             strict = all(dec.eigenvalues[i] > dec.eigenvalues[i + 1]
                          for i in range(want_rank - 1))
             if rep.unital or rep.choi_rank != want_rank or not strict or not prof.uqt:
@@ -193,10 +194,8 @@ def _pauli_grid_has_uqt(c: float, n_grid: int = 200) -> bool:
     # conjugated states (I x sigma_i) rho (I x sigma_i): channel output is
     # their p-weighted mix, so the correlation data is linear in the weights
     t_parts = []
-    det_parts = []
     for sig in linalg.PAULIS:
-        op = np.kron(linalg.I2, sig)
-        t_parts.append(states.from_density(op @ psi.rho @ op.conj().T).hs.t_mat)
+        t_parts.append(channels.apply_to_bob(psi, channels.validate([sig])).hs.t_mat)
     t_parts = np.array(t_parts)
 
     grids = []

@@ -1,11 +1,11 @@
 """Qubit channels as Kraus operator lists: validation, application, Choi state.
 
-A channel is accepted iff its Kraus operators satisfy the completeness
-condition sum_i K_i^dag K_i = I and its Choi state is positive semidefinite.
-The Choi state here is the normalized (trace-1) two-qubit state obtained by
-sending the second half of the first Bell state through the channel; with
-that convention a trace-preserving channel always has Alice marginal I/2,
-and a unital channel additionally has Bob marginal I/2.
+A channel is accepted iff its Kraus operators are finite, satisfy the
+completeness condition sum_i K_i^dag K_i = I and its Choi state is positive
+semidefinite. The Choi state here is the normalized (trace-1) two-qubit
+state obtained by sending the second half of the first Bell state through
+the channel; with that convention a trace-preserving channel always has
+Alice marginal I/2, and a unital channel additionally has Bob marginal I/2.
 """
 
 from __future__ import annotations
@@ -19,28 +19,31 @@ from . import linalg, states
 from .linalg import I2, dagger
 from .states import TwoQubitState
 
-#: residual tolerance for completeness, unitality, and Choi positivity
+#: residual tolerance for unitality (Choi positivity uses states.PSD_TOL)
 EPS_CPTP = 1e-9
+#: completeness tolerance: half the trace tolerance, so that the Choi matrix
+#: of every accepted Kraus list passes from_density's trace check
+EPS_COMPLETE = states.TRACE_TOL / 2.0
 MAX_KRAUS = 8
 
 
 class ChannelValidationError(ValueError):
     """Raised when a Kraus list does not describe a CPTP qubit channel."""
 
-    def __init__(self, message: str, residual: float | None = None,
-                 min_eigenvalue: float | None = None):
+    def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-        self.min_eigenvalue = min_eigenvalue
 
 
 @dataclass(frozen=True)
 class QubitChannel:
-    """Validated qubit channel. Construct via validate()."""
+    """Validated qubit channel. Construct via validate(), which also sets the
+    Choi rank; derive re-labelled copies with dataclasses.replace."""
 
     kraus: tuple[np.ndarray, ...]
     name: str = "channel"
     params: dict = field(default_factory=dict)
+    choi_rank: int = field(kw_only=True)  # not the Choi state: callers may hold many channels
 
     def __repr__(self):  # params may hold arrays; keep repr short
         return f"QubitChannel(name={self.name!r}, kraus={len(self.kraus)}, params={self.params!r})"
@@ -52,6 +55,8 @@ def _freeze_kraus(kraus_list) -> tuple[np.ndarray, ...]:
         a = np.asarray(k, dtype=complex)
         if a.shape != (2, 2):
             raise ChannelValidationError(f"Kraus operator has shape {a.shape}, expected (2, 2)")
+        if not np.all(np.isfinite(a)):
+            raise ChannelValidationError("Kraus operator has non-finite entries")
         a = a.copy()
         a.setflags(write=False)
         ops.append(a)
@@ -72,15 +77,21 @@ def unitality_residual(kraus) -> float:
     return float(np.max(np.abs(acc - I2)))
 
 
+_PHI1 = np.outer(states.BELL_KETS[0], states.BELL_KETS[0].conj())
+_PHI1.setflags(write=False)
+
+
+def _bob_action(rho: np.ndarray, kraus) -> np.ndarray:
+    """sum_i (I x K_i) rho (I x K_i)^dag for a 4x4 rho, as one contraction
+    over the (2,2,2,2) reshape of rho and the (k,2,2) Kraus stack."""
+    ks = np.asarray(kraus, dtype=complex)
+    out = np.einsum("kbe,aecf,kdf->abcd", ks, rho.reshape(2, 2, 2, 2), ks.conj())
+    return out.reshape(4, 4)
+
+
 def choi_matrix(kraus) -> np.ndarray:
     """Trace-1 Choi matrix sum_i (I x K_i) |Phi_1><Phi_1| (I x K_i)^dag."""
-    phi = states.BELL_KETS[0]
-    rho = np.outer(phi, phi.conj())
-    out = np.zeros((4, 4), dtype=complex)
-    for k in kraus:
-        op = np.kron(I2, k)
-        out += op @ rho @ dagger(op)
-    return out
+    return _bob_action(_PHI1, kraus)
 
 
 def validate(kraus_list, name: str = "channel", params: dict | None = None) -> QubitChannel:
@@ -93,14 +104,15 @@ def validate(kraus_list, name: str = "channel", params: dict | None = None) -> Q
     if not 1 <= len(ops) <= MAX_KRAUS:
         raise ChannelValidationError(f"expected 1..{MAX_KRAUS} Kraus operators, got {len(ops)}")
     res = completeness_residual(ops)
-    if res > EPS_CPTP:
+    if res > EPS_COMPLETE:
         raise ChannelValidationError(
             f"completeness violated: ||sum K^dag K - I||_max = {res:.3e}", residual=res)
-    min_eig = float(linalg.hermitian_eig(choi_matrix(ops)).eigenvalues[-1])
-    if min_eig < -EPS_CPTP:
-        raise ChannelValidationError(
-            f"Choi matrix not PSD: min eigenvalue {min_eig:.3e}", min_eigenvalue=min_eig)
-    return QubitChannel(kraus=ops, name=name, params=dict(params or {}))
+    try:
+        cs = states.from_density(choi_matrix(ops))
+    except ValueError as exc:
+        raise ChannelValidationError(f"Choi matrix rejected: {exc}") from exc
+    return QubitChannel(kraus=ops, name=name, params=dict(params or {}),
+                        choi_rank=cs.eig.rank())
 
 
 def apply(ch: QubitChannel, x) -> np.ndarray:
@@ -114,12 +126,7 @@ def apply(ch: QubitChannel, x) -> np.ndarray:
 
 def apply_to_bob(state: TwoQubitState, ch: QubitChannel) -> TwoQubitState:
     """Send the second qubit (Bob's half) through the channel."""
-    rho = state.rho
-    out = np.zeros((4, 4), dtype=complex)
-    for k in ch.kraus:
-        op = np.kron(I2, k)
-        out += op @ rho @ dagger(op)
-    return states.from_density(out)
+    return states.from_density(_bob_action(state.rho, ch.kraus))
 
 
 def choi(ch: QubitChannel) -> TwoQubitState:
@@ -131,19 +138,24 @@ def choi(ch: QubitChannel) -> TwoQubitState:
 class ChannelReport:
     unital: bool
     choi_rank: int
-    choi: TwoQubitState
     trace_preserving_residual: float
     unitality_residual: float
+    channel: QubitChannel
+
+    @property
+    def choi(self) -> TwoQubitState:
+        """Choi state of the channel, built when read (sweeps never read it)."""
+        return choi(self.channel)
 
 
 def report(ch: QubitChannel) -> ChannelReport:
-    cs = choi(ch)
+    unitality = unitality_residual(ch.kraus)
     return ChannelReport(
-        unital=bool(unitality_residual(ch.kraus) <= EPS_CPTP),
-        choi_rank=int(linalg.numeric_rank(cs.rho)),
-        choi=cs,
+        unital=bool(unitality <= EPS_CPTP),
+        choi_rank=ch.choi_rank,
         trace_preserving_residual=completeness_residual(ch.kraus),
-        unitality_residual=unitality_residual(ch.kraus),
+        unitality_residual=unitality,
+        channel=ch,
     )
 
 
@@ -175,7 +187,7 @@ def kraus_from_choi(choi_rho, rank: int | None = None) -> list[np.ndarray]:
     """
     dec = linalg.hermitian_eig(choi_rho)
     if rank is None:
-        rank = linalg.numeric_rank(choi_rho)
+        rank = dec.rank()
     ops = []
     for i in range(max(rank, 1)):
         q = max(float(dec.eigenvalues[i]), 0.0)
@@ -186,8 +198,7 @@ def kraus_from_choi(choi_rho, rank: int | None = None) -> list[np.ndarray]:
 
 def orthogonalize(ch: QubitChannel) -> QubitChannel:
     """Minimal orthogonal Kraus representation (size = Choi rank)."""
-    cm = choi_matrix(ch.kraus)
-    ops = kraus_from_choi(cm, rank=linalg.numeric_rank(cm))
+    ops = kraus_from_choi(choi_matrix(ch.kraus), rank=ch.choi_rank)
     return validate(ops, name=ch.name, params=ch.params)
 
 

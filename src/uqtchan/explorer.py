@@ -10,6 +10,7 @@ byte for a given spec and seed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,23 +38,34 @@ class SweepSpecError(ValueError):
 def parse_initial(text: str) -> TwoQubitState:
     """Initial-state selector: bell1..bell4 or pure:<a> with 1/2 <= a < 1."""
     text = text.strip()
-    if text.startswith("bell"):
-        return states.bell_state(int(text[4:]))
-    if text.startswith("pure:"):
-        return states.pure_state(float(text.split(":", 1)[1]))
+    try:
+        if text.startswith("bell"):
+            return states.bell_state(int(text[4:]))
+        if text.startswith("pure:"):
+            return states.pure_state(float(text.split(":", 1)[1]))
+    except ValueError as exc:
+        raise SweepSpecError(f"invalid initial state {text!r}: {exc}") from exc
     raise SweepSpecError(f"unknown initial state {text!r}; use bell1..bell4 or pure:<a>")
 
 
-def evaluate_point(family_id: str, params: dict, initial: str = "bell1"
+def _resolve_initial(initial: str) -> str | TwoQubitState:
+    """Parse a selector once; "matched" depends on each point's channel."""
+    return initial if initial == "matched" else parse_initial(initial)
+
+
+def evaluate_point(family_id: str, params: dict, initial: str | TwoQubitState = "bell1"
                    ) -> tuple[QubitChannel, TwoQubitState, TeleportProfile]:
-    """Build the channel, apply it, and profile the final state.
+    """Build the channel, apply it to `initial` (a selector or a built
+    state), and profile the final state.
 
     For the matched-concurrence families the input is |Psi_a> with
     concurrence equal to the channel's concurrence parameter whenever the
     initial selector is "matched" (their natural scenario).
     """
     ch = families.noise_channel(family_id, **params)
-    if initial == "matched":
+    if isinstance(initial, TwoQubitState):
+        state = initial
+    elif initial == "matched":
         if family_id not in families.MATCHED_CONCURRENCE_PARAM:
             raise SweepSpecError(f"initial='matched' is only defined for "
                                  f"{families.MATCHED_CONCURRENCE_IDS}, not {family_id!r}")
@@ -95,7 +107,10 @@ class Axis:
             raise SweepSpecError(f"axis {self.param!r}: step must be > 0")
         if self.start > self.stop:
             raise SweepSpecError(f"axis {self.param!r}: start must be <= stop")
-        return int(np.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        span = (self.stop - self.start) / self.step + 1e-9
+        if not all(math.isfinite(x) for x in (self.start, self.stop, self.step, span)):
+            raise SweepSpecError(f"axis {self.param!r}: non-finite start, stop, step or count")
+        return math.floor(span) + 1
 
     def values(self) -> list[float]:
         return [self.start + i * self.step for i in range(self.count())]
@@ -156,9 +171,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Every ORACLE_EVERY-th valid row is re-verified against the protocol
     simulation and flagged in `oracle_checked`.
     """
-    total = int(np.prod([ax.count() for ax in spec.axes])) if spec.axes else 1
+    total = math.prod(ax.count() for ax in spec.axes)
     if total > MAX_GRID_ROWS:
         raise SweepSpecError(f"grid of {total} rows exceeds the cap of {MAX_GRID_ROWS}")
+    initial = _resolve_initial(spec.initial)
     axis_values = [ax.values() for ax in spec.axes]
 
     header = tuple(["family"] + [f"param:{ax.param}" for ax in spec.axes]
@@ -170,7 +186,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         params.update({ax.param: v for ax, v in zip(spec.axes, combo)})
         prefix = [spec.family.family_id] + [v for v in combo]
         try:
-            ch, final, prof = evaluate_point(spec.family.family_id, params, spec.initial)
+            ch, final, prof = evaluate_point(spec.family.family_id, params, initial)
         except (ValueError, ChannelValidationError) as exc:
             rows.append(tuple(prefix + [None] * len(spec.outputs) + [str(exc)]))
             continue
@@ -230,6 +246,7 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
     fixed = dict(fixed or {})
     if initial is None:
         initial = ("matched" if family_id in families.MATCHED_CONCURRENCE_IDS else "bell1")
+    initial = _resolve_initial(initial)
 
     def point_params(x: float) -> dict:
         params = dict(fixed)

@@ -10,7 +10,7 @@ mixing probability p(t) in the channel's params.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -79,10 +79,8 @@ def lambda_u4(p: float) -> QubitChannel:
     w = lambda_u4_weights(p)
     if w[3] < 0.0:
         raise ChannelValidationError(
-            f"no CPTP map for p < 1/2: Choi weight {w[3]:.6g} is negative",
-            min_eigenvalue=w[3])
-    ch = pauli_mixture(*w, name="lambda_u4")
-    return QubitChannel(kraus=ch.kraus, name=ch.name, params={"p": p})
+            f"no CPTP map for p < 1/2: Choi weight {w[3]:.6g} is negative")
+    return replace(pauli_mixture(*w, name="lambda_u4"), params={"p": p})
 
 
 def uqt_unital_for_pure(c: float, p0: float) -> QubitChannel:
@@ -101,8 +99,7 @@ def uqt_unital_for_pure(c: float, p0: float) -> QubitChannel:
     p12 = (1.0 + (1.0 - 2.0 * p0) * c) / (4.0 + 2.0 * c)
     p3 = 1.0 - p0 - 2.0 * p12
     ch = pauli_mixture(p0, p12, p12, max(p3, 0.0), name="uqt_unital_for_pure")
-    return QubitChannel(kraus=ch.kraus, name=ch.name,
-                        params={"c": c, "p0": p0, "p1": p12, "p2": p12, "p3": p3})
+    return replace(ch, params={"c": c, "p0": p0, "p1": p12, "p2": p12, "p3": p3})
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +512,9 @@ def _sample_pauli(rng: np.random.Generator) -> dict:
     return {"p0": float(w[0]), "p1": float(w[1]), "p2": float(w[2]), "p3": float(w[3])}
 
 
-_TIME = ParamSpec("t", 0.0, None, sample_high=2.0)
+# Sampling ranges keep every rank-2 draw's second Choi eigenvalue >= 1e-6 x the
+# first, far above linalg.RANK_TOL, so no draw can round to Choi rank 1.
+_TIME = ParamSpec("t", 0.0, None, sample_low=0.1, sample_high=2.0)
 
 
 FAMILIES: dict[str, Family] = {}
@@ -627,7 +626,7 @@ _register(Family(
     _build_oun_m, "Ornstein-Uhlenbeck noise, dephasing form with p(t) = exp(-G t / 2)",
     expected_unital=True, expected_rank=2))
 _register(Family(
-    "unruh", (ParamSpec("r", 0.0, np.pi / 4.0, low_open=True),), _build_unruh,
+    "unruh", (ParamSpec("r", 0.0, np.pi / 4.0, low_open=True, sample_low=0.01),), _build_unruh,
     "Unruh channel {diag(cos r, 1), sin r lower shift}; non-unital",
     expected_unital=False, expected_rank=2))
 _register(Family(
@@ -646,10 +645,10 @@ _register(Family(
                          "p": float(rng.uniform(0.01, 0.49))}))
 _register(Family(
     "adc_nm",
-    (ParamSpec("R", 0.0, None, low_open=True, sample_high=2.0),
-     ParamSpec("gamma", 0.0, None, low_open=True, sample_high=2.0),
+    (ParamSpec("R", 0.0, None, low_open=True, sample_low=0.05, sample_high=2.0),
+     ParamSpec("gamma", 0.0, None, low_open=True, sample_low=0.05, sample_high=2.0),
      ParamSpec("omega0", 0.0, None, low_open=True, sample_high=3.0),
-     ParamSpec("g", 0.0, None, low_open=True, sample_high=2.0), _TIME),
+     ParamSpec("g", 0.0, None, low_open=True, sample_low=0.05, sample_high=2.0), _TIME),
     _build_adc_nm,
     "non-Markovian amplitude damping, p(t) = 1 - exp(-2 R gamma / "
     "(omega0 coth(g omega0 t / 2) + 1)); constants accepted as any positive reals",
@@ -663,17 +662,17 @@ _register(Family(
     expected_unital=True, expected_rank=2))
 _register(Family(
     "oun_nm",
-    (ParamSpec("G", 0.0, None, low_open=True, sample_high=2.0),
-     ParamSpec("g", 0.0, None, low_open=True, sample_high=2.0), _TIME),
+    (ParamSpec("G", 0.0, None, low_open=True, sample_low=0.05, sample_high=2.0),
+     ParamSpec("g", 0.0, None, low_open=True, sample_low=0.05, sample_high=2.0), _TIME),
     _build_oun_nm,
     "non-Markovian Ornstein-Uhlenbeck noise, "
     "p(t) = exp(-G ((exp(-g t) - 1)/g + t)/2)",
     expected_unital=True, expected_rank=2))
 _register(Family(
     "rtn_nm",
-    (ParamSpec("g", 0.0, None, low_open=True, sample_high=1.0),
+    (ParamSpec("g", 0.0, None, low_open=True, sample_low=0.05, sample_high=1.0),
      ParamSpec("omega", 0.0, None, low_open=True, sample_low=0.1, sample_high=2.0),
-     ParamSpec("t", 0.0, None, sample_high=0.5)),
+     ParamSpec("t", 0.0, None, sample_low=0.05, sample_high=0.5)),
     _build_rtn_nm,
     "random telegraph noise, p(t) = exp(-g t)(cos(g w t) + sin(g w t)/w); "
     "rejected when the oscillatory law leaves [0, 1]",
@@ -733,10 +732,6 @@ def noise_channel(family_id: str, **params) -> QubitChannel:
         if spec.low is not None or spec.high is not None:
             spec.check(resolved[spec.name], family_id)
     return fam.build(**resolved)
-
-
-def build(spec: FamilySpec) -> QubitChannel:
-    return noise_channel(spec.family_id, **spec.params)
 
 
 def list_families() -> list[dict]:

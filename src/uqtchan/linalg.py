@@ -1,10 +1,10 @@
 """Dense complex linear algebra for one- and two-qubit operators.
 
 Everything operates on plain numpy arrays of shape (2, 2) or (4, 4).
-The Hermitian eigensolver is a cyclic complex Jacobi iteration: at these
-sizes it is fast, dependency-free, and lets us pin eigenvector phases and
-degenerate-cluster ordering exactly, which keeps Kraus reconstructions
-downstream snapshot-stable.
+The Hermitian eigensolver is LAPACK's (np.linalg.eigh) followed by a pass
+that pins eigenvector phases and picks a basis of every degenerate
+eigenspace from the eigenspace alone, so Kraus reconstructions downstream do
+not depend on rounding or on the LAPACK build.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ EPS_HERM = 1e-10
 EPS_EIG = 1e-10
 RANK_TOL = 1e-9
 
-_OFF_DIAG_TOL = 1e-14
-_MAX_SWEEPS = 60
 _CLUSTER_TOL = 1e-11
+#: shortest projected basis vector kept by _eigenspace_basis; any value below
+#: 1/sqrt(4) finds a full basis, since the squared lengths sum to its dimension
+_SPAN_TOL = 0.1
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -82,6 +83,13 @@ class EigenDecomp:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def rank(self, tol: float = RANK_TOL) -> int:
+        """Eigenvalue count above tol * (largest eigenvalue); 0 for the zero matrix."""
+        lmax = float(self.eigenvalues[0])
+        if lmax <= tol:
+            return 0
+        return int(np.sum(self.eigenvalues > tol * lmax))
+
 
 def _phase_fix(v: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero(np.abs(v) > 1e-8)
@@ -91,77 +99,48 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     return v * (pivot.conjugate() / abs(pivot))
 
 
-def _lex_key(v: np.ndarray) -> tuple:
-    out = []
-    for z in v:
-        out.append(round(float(z.real), 10))
-        out.append(round(float(z.imag), 10))
-    return tuple(out)
+def _eigenspace_basis(q: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span of q that depends on the span
+    only: the computational basis vectors projected onto it, orthonormalized
+    by Gram-Schmidt in index order."""
+    basis = []
+    for col in (q @ q.conj().T).T:
+        v = col - sum(np.vdot(b, col) * b for b in basis)
+        norm = np.linalg.norm(v)
+        if norm > _SPAN_TOL:
+            basis.append(v / norm)
+    return np.column_stack(basis)
 
 
 def hermitian_eig(m) -> EigenDecomp:
-    """Eigendecomposition of a Hermitian 2x2 or 4x4 matrix via cyclic Jacobi.
+    """Eigendecomposition of a Hermitian 2x2 or 4x4 matrix.
 
-    Sweeps run until the off-diagonal Frobenius norm drops below 1e-14
-    (relative to the matrix scale). Degenerate clusters are re-orthonormalized
-    by modified Gram-Schmidt and ordered by a lexicographic comparison of the
-    phase-fixed eigenvectors, so the output is deterministic.
+    Rejects non-finite entries and non-Hermitian input with ValueError.
+    Eigenvalues within 1e-11 (relative to the matrix scale) of the first
+    of their run form a degenerate cluster, whose eigenvectors are replaced
+    by the eigenspace-only basis of `_eigenspace_basis`, so the output is
+    deterministic.
     """
     a = _as_square(m)
-    if herm_residual(a) > EPS_HERM:
-        raise ValueError(
-            f"matrix is not Hermitian within {EPS_HERM:g} "
-            f"(residual {herm_residual(a):.3e})"
-        )
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    res = herm_residual(a)
+    if res > EPS_HERM:
+        raise ValueError(f"matrix is not Hermitian within {EPS_HERM:g} (residual {res:.3e})")
     a = (a + a.conj().T) / 2.0
+    vals, vecs = np.linalg.eigh(a)
+    vals = vals[::-1].copy()
+    vecs = vecs[:, ::-1].copy()
     n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.sqrt(np.sum(np.abs(a) ** 2))))
+    scale = max(1.0, float(np.linalg.norm(a)))
 
-    for _ in range(_MAX_SWEEPS):
-        off = np.sqrt(2.0 * sum(abs(a[p, q]) ** 2 for p in range(n - 1) for q in range(p + 1, n)))
-        if off <= _OFF_DIAG_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                h = abs(apq)
-                if h <= 1e-300:
-                    continue
-                w = apq.conjugate() / h  # phase that makes the pivot real
-                theta = (a[q, q].real - a[p, p].real) / (2.0 * h)
-                sgn = 1.0 if theta >= 0.0 else -1.0
-                t = sgn / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                j = np.eye(n, dtype=complex)
-                j[p, p] = c
-                j[p, q] = s
-                j[q, p] = -s * w
-                j[q, q] = c * w
-                a = j.conj().T @ a @ j
-                v = v @ j
-
-    vals = np.diag(a).real.copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
-
-    # Deterministic handling of (near-)degenerate clusters.
     start = 0
     while start < n:
         stop = start + 1
         while stop < n and vals[start] - vals[stop] <= _CLUSTER_TOL * scale:
             stop += 1
         if stop - start > 1:
-            cols = [_phase_fix(vecs[:, k].copy()) for k in range(start, stop)]
-            cols.sort(key=_lex_key, reverse=True)
-            for i in range(len(cols)):
-                for jx in range(i):
-                    cols[i] = cols[i] - np.vdot(cols[jx], cols[i]) * cols[jx]
-                cols[i] = cols[i] / np.sqrt(np.vdot(cols[i], cols[i]).real)
-            for i, k in enumerate(range(start, stop)):
-                vecs[:, k] = cols[i]
+            vecs[:, start:stop] = _eigenspace_basis(vecs[:, start:stop])
         start = stop
 
     for k in range(n):
@@ -179,12 +158,5 @@ def is_psd(m, tol: float = RANK_TOL) -> bool:
 
 
 def numeric_rank(m, tol: float = RANK_TOL) -> int:
-    """Eigenvalue count above tol * (largest eigenvalue) for Hermitian PSD input.
-
-    Returns 0 for the zero matrix.
-    """
-    dec = hermitian_eig(m)
-    lmax = float(dec.eigenvalues[0])
-    if lmax <= tol:
-        return 0
-    return int(np.sum(dec.eigenvalues > tol * lmax))
+    """EigenDecomp.rank of a Hermitian PSD matrix (0 for the zero matrix)."""
+    return hermitian_eig(m).rank(tol)

@@ -55,6 +55,7 @@ class HSDecomposition:
 class TwoQubitState:
     rho: np.ndarray  # (4,4) complex density matrix, trace 1
     hs: HSDecomposition
+    eig: linalg.EigenDecomp  # spectrum of rho, computed once by from_density
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,12 @@ def hs_recompose(hs: HSDecomposition) -> np.ndarray:
 
 
 def from_density(m) -> TwoQubitState:
-    """Validate a 4x4 density matrix and attach its Pauli decomposition."""
+    """Validate a 4x4 density matrix; attach its Pauli and eigen decompositions."""
     rho = np.asarray(m, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix has non-finite entries")
     res = linalg.herm_residual(rho)
     if res > EPS_HERM:
         raise ValueError(f"density matrix not Hermitian (residual {res:.3e})")
@@ -121,11 +124,12 @@ def from_density(m) -> TwoQubitState:
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr!r} differs from 1 beyond {TRACE_TOL:g}")
     rho = (rho + rho.conj().T) / (2.0 * tr)
-    min_eig = float(linalg.hermitian_eig(rho).eigenvalues[-1])
+    eig = linalg.hermitian_eig(rho)
+    min_eig = float(eig.eigenvalues[-1])
     if min_eig < -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     rho.setflags(write=False)
-    return TwoQubitState(rho=rho, hs=_hs_decompose(rho))
+    return TwoQubitState(rho=rho, hs=_hs_decompose(rho), eig=eig)
 
 
 def from_ket(psi) -> TwoQubitState:
@@ -168,7 +172,7 @@ def concurrence(state: TwoQubitState) -> float:
     Computed as the singular values of sqrt(rho) (sy x sy) sqrt(rho)^T, which
     carry the same spectrum without the precision loss of a non-Hermitian
     eigenvalue problem (rank-deficient states stay accurate to ~1e-14)."""
-    dec = linalg.hermitian_eig(state.rho)
+    dec = state.eig
     root = (dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))) \
         @ dec.eigenvectors.conj().T
     lam = np.linalg.svd(root @ _YY @ root.T, compute_uv=False)

@@ -49,6 +49,31 @@ def test_validate_rejects_incomplete():
     assert exc.value.residual > 0.1
 
 
+def test_validate_rejects_nan():
+    k = dephasing_kraus(0.3)
+    k[1] = k[1].copy()
+    k[1][0, 1] = np.nan
+    with pytest.raises(ChannelValidationError, match="non-finite"):
+        validate(k)
+
+
+def test_completeness_tolerance_matches_trace_tolerance():
+    # a residual the Choi state's trace check would reject is rejected by
+    # validate; one inside it validates and every downstream call works
+    with pytest.raises(ChannelValidationError, match="completeness"):
+        validate([np.sqrt(1 + 8e-10) * I2])
+    ch = validate([np.sqrt(1 + 4e-11) * I2])
+    rep = report(ch)
+    assert rep.choi_rank == 1 and rep.unital
+    assert states.profile(apply_to_bob(states.bell_state(1), ch)).uqt
+
+
+def test_validate_keeps_choi_rank():
+    ch = families.gadc(0.3, 0.2)
+    assert ch.choi_rank == report(ch).choi_rank == choi(ch).eig.rank() == 4
+    assert report(ch).choi.rho.tobytes() == choi(ch).rho.tobytes()
+
+
 def test_validate_rejects_empty_and_oversized():
     with pytest.raises(ChannelValidationError):
         validate([])

@@ -40,6 +40,25 @@ def test_analyze_missing_file_exit_2(capsys):
     assert main(["analyze", "/nonexistent/channel.json"]) == 2
 
 
+def test_analyze_nan_channel_exit_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(
+        {"name": "nan", "kraus": [[[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}))
+    assert main(["analyze", str(path)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("excess,code", [(8e-10, 2), (8e-11, 2), (4e-11, 0)])
+def test_analyze_completeness_at_trace_tolerance(tmp_path, capsys, excess, code):
+    # sqrt(1 + excess) I has completeness residual `excess`: above half the
+    # Choi trace tolerance (5e-11) it is rejected, below it analyzes
+    r = float(np.sqrt(1.0 + excess))
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(
+        {"name": "scaled", "kraus": [[[r, 0.0], [0.0, 0.0], [0.0, 0.0], [r, 0.0]]]}))
+    assert main(["analyze", str(path)]) == code
+
+
 def test_sweep_csv_deterministic(tmp_path, capsys):
     spec = {"family": {"id": "dephasing"},
             "axes": [{"param": "p", "start": 0.1, "stop": 0.9, "step": 0.2}]}
@@ -59,6 +78,42 @@ def test_sweep_bad_spec_exit_3(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"axes": []}))
     assert main(["sweep", str(spec_path)]) == 3
+
+
+@pytest.mark.parametrize("initial", ["bell9", "pure:1.5", "ghz"])
+def test_sweep_bad_initial_exit_3(tmp_path, capsys, initial):
+    spec = {"family": {"id": "dephasing"}, "initial": initial,
+            "axes": [{"param": "p", "start": 0.1, "stop": 0.9, "step": 0.2}]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["sweep", str(spec_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "initial state" in captured.err
+
+
+@pytest.mark.parametrize("axis", [
+    {"start": 0.1, "stop": float("inf"), "step": 0.2},
+    {"start": float("nan"), "stop": 0.9, "step": 0.2},
+    {"start": 0.1, "stop": 0.9, "step": float("nan")},
+    {"start": -1e308, "stop": 1e308, "step": 1e-300},
+])
+def test_sweep_non_finite_axis_exit_3(tmp_path, capsys, axis):
+    spec = {"family": {"id": "dephasing"}, "axes": [dict(axis, param="p")]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))  # json writes Infinity / NaN tokens
+    assert main(["sweep", str(spec_path)]) == 3
+    assert "axis 'p'" in capsys.readouterr().err
+
+
+def test_sweep_grid_cap_counts_exactly(tmp_path, capsys):
+    # 2**32 x 2**32 points: the row count must not wrap around to 0
+    axis = {"start": 0.0, "stop": float(2**32 - 1), "step": 1.0}
+    spec = {"family": {"id": "gadc"},
+            "axes": [dict(axis, param="gamma"), dict(axis, param="N")]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["sweep", str(spec_path)]) == 3
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 def test_threshold_werner(capsys):

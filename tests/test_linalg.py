@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from uqtchan import linalg
 from uqtchan.linalg import I2, I4, SX, SZ
 
-from conftest import random_density
+from conftest import random_density, random_unitary
 
 finite = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -166,6 +166,29 @@ def test_eig_deterministic(rng):
     d2 = linalg.hermitian_eig(m)
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
     assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+
+
+@pytest.mark.parametrize("spectrum", [(0.4, 0.4, 0.15, 0.05), (0.1, 0.3, 0.3, 0.3)])
+def test_eig_degenerate_basis_depends_on_eigenspace_only(rng, spectrum):
+    # one matrix built from two orthonormal bases that differ only inside its
+    # 2- or 3-fold eigenspace gives the same eigenvectors
+    u = random_unitary(rng, 4)
+    idx = [i for i, x in enumerate(spectrum) if spectrum.count(x) > 1]
+    mix = np.eye(4, dtype=complex)
+    mix[np.ix_(idx, idx)] = random_unitary(rng, len(idx))
+    v = u @ mix
+    d1 = linalg.hermitian_eig((u * spectrum) @ u.conj().T)
+    d2 = linalg.hermitian_eig((v * spectrum) @ v.conj().T)
+    assert np.max(np.abs(d1.eigenvalues - d2.eigenvalues)) < 1e-12
+    assert np.max(np.abs(d1.eigenvectors - d2.eigenvectors)) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eig_rejects_non_finite(bad):
+    m = np.eye(4, dtype=complex)
+    m[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.hermitian_eig(m)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,13 @@ def test_from_density_rejects_non_hermitian():
         from_density(m)
 
 
+def test_from_density_rejects_nan():
+    m = np.diag([0.25] * 4).astype(complex)
+    m[0, 1] = m[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        from_density(m)
+
+
 def test_recompose_round_trip(rng):
     for _ in range(20):
         rho = random_density(rng)
