@@ -178,22 +178,27 @@ def rotate_kraus(ch: QubitChannel, w) -> QubitChannel:
     return validate(mixed, name=ch.name, params=ch.params)
 
 
-def kraus_from_choi(choi_rho, rank: int | None = None) -> list[np.ndarray]:
-    """Rebuild Kraus operators from a trace-1 Choi matrix.
+def kraus_from_eigenpairs(eigenvalues, eigenvectors, rank: int) -> np.ndarray:
+    """Kraus operators, shape (rank, 2, 2), from the leading `rank` eigenpairs
+    of a trace-1 Choi matrix (eigenvalues descending, eigenvectors as columns).
 
-    Each Choi eigenpair (q, chi) with chi = sum_mn a_mn |mn> contributes the
-    operator sqrt(2 q) * [a_mn]^T, and the resulting operators are mutually
-    orthogonal with Tr(K_i^dag K_j) = 2 q_i delta_ij.
+    Each pair (q, chi) with chi = sum_mn a_mn |mn> contributes the operator
+    sqrt(2 max(q, 0)) * [a_mn]^T; the operators are mutually orthogonal with
+    Tr(K_i^dag K_j) = 2 q_i delta_ij.
     """
+    q = np.clip(np.asarray(eigenvalues, dtype=float)[:rank], 0.0, None)
+    amps = np.asarray(eigenvectors)[:, :rank].T.reshape(rank, 2, 2)
+    return np.sqrt(2.0 * q)[:, None, None] * amps.transpose(0, 2, 1)
+
+
+def kraus_from_choi(choi_rho, rank: int | None = None) -> list[np.ndarray]:
+    """Rebuild Kraus operators from a trace-1 Choi matrix by
+    kraus_from_eigenpairs on its decomposition; rank defaults to the Choi
+    rank (at least one operator is returned)."""
     dec = linalg.hermitian_eig(choi_rho)
     if rank is None:
         rank = dec.rank()
-    ops = []
-    for i in range(max(rank, 1)):
-        q = max(float(dec.eigenvalues[i]), 0.0)
-        amp = dec.eigenvectors[:, i].reshape(2, 2)
-        ops.append(np.sqrt(2.0 * q) * amp.T)
-    return ops
+    return list(kraus_from_eigenpairs(dec.eigenvalues, dec.eigenvectors, max(rank, 1)))
 
 
 def orthogonalize(ch: QubitChannel) -> QubitChannel:

@@ -282,28 +282,54 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
 # Randomized UQT search
 # ---------------------------------------------------------------------------
 
-def random_nonunital_channel(rng: np.random.Generator, rank: int,
-                             max_iters: int = 200) -> QubitChannel | None:
-    """Haar-ish random channel with a rank-r Choi state and non-trivial Bob
-    marginal, built by alternating projections between the PSD cone (rank
-    clipped) and the trace-preservation affine set Tr_2(X) = I/2."""
+#: samples of one search drawn, projected and evaluated together; a
+#: constant, so the stack, and the memory, stay the same size for any budget
+SEARCH_BLOCK = 128
+_MAX_ITERS = 200
+_HALF_I2 = np.eye(2) / 2.0
+
+
+def _random_start(rng: np.random.Generator, rank: int) -> np.ndarray:
+    """Trace-1 PSD 4x4 matrix of rank `rank` from a complex Gaussian draw."""
     g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     x = g @ g.conj().T
-    x /= np.trace(x).real
-    target = np.eye(2) / 2.0
+    return x / np.trace(x).real
+
+
+def _project_block(x: np.ndarray, ranks, max_iters: int) -> list:
+    """Alternating projections for a (B, 4, 4) stack of starting matrices
+    with target Choi ranks `ranks`: the trace-preservation affine set
+    Tr_2(X) = I/2, then the PSD cone with the spectrum clipped to the rank.
+
+    Every iteration decomposes the whole stack in one hermitian_eig call,
+    and members that have converged leave the stack. Returns, per member,
+    the (eigenvalues, eigenvectors) of its last iteration, eigenvalues
+    clipped to its rank, or None if it did not converge within max_iters.
+    """
+    out = [None] * len(x)
+    live = np.arange(len(x))
+    past_rank = np.arange(4)[None, :] >= np.asarray(ranks)[:, None]
     for _ in range(max_iters):
-        marg = linalg.partial_trace(x, keep=1)
-        x = x + np.kron((target - marg) / 2.0, np.eye(2))
+        if live.size == 0:
+            break
+        x = x + np.kron((_HALF_I2 - linalg.partial_trace(x, keep=1)) / 2.0, np.eye(2))
         dec = linalg.hermitian_eig(x)
         vals = np.clip(dec.eigenvalues, 0.0, None)
-        vals[rank:] = 0.0
-        x = (dec.eigenvectors * vals) @ dec.eigenvectors.conj().T
-        marg_res = float(np.max(np.abs(linalg.partial_trace(x, keep=1) - target)))
-        if marg_res <= 1e-10 and dec.eigenvalues[-1] >= -1e-10:
-            break
-    else:
-        return None
-    kraus = channels.kraus_from_choi(x, rank=rank)
+        vals[past_rank] = 0.0
+        vecs = dec.eigenvectors
+        x = (vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2).conj()
+        marg_res = np.max(np.abs(linalg.partial_trace(x, keep=1) - _HALF_I2), axis=(1, 2))
+        done = (marg_res <= 1e-10) & (dec.eigenvalues[:, -1] >= -1e-10)
+        for j in np.flatnonzero(done):
+            out[live[j]] = (vals[j], vecs[j])
+        live, x, past_rank = live[~done], x[~done], past_rank[~done]
+    return out
+
+
+def _channel_from_projection(eigenpairs, rank: int) -> QubitChannel | None:
+    """The channel whose Choi matrix the projections converged to, or None
+    for a degenerate or effectively unital sample."""
+    kraus = channels.kraus_from_eigenpairs(*eigenpairs, rank)
     # the projections stop at 1e-10; restore exact trace preservation with
     # the standard right-correction K_i -> K_i S^{-1/2}, S = sum K^dag K
     s_mat = sum(k.conj().T @ k for k in kraus)
@@ -312,12 +338,24 @@ def random_nonunital_channel(rng: np.random.Generator, rank: int,
         return None  # degenerate sample, not correctable
     inv_root = (dec.eigenvectors / np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.conj().T
     try:
-        ch = channels.validate([k @ inv_root for k in kraus], name=f"random_rank{rank}")
+        ch = channels.validate(kraus @ inv_root, name=f"random_rank{rank}")
     except ChannelValidationError:
         return None
     if channels.unitality_residual(ch.kraus) < 1e-6:
         return None  # effectively unital, not a candidate
     return ch
+
+
+def random_nonunital_channel(rng: np.random.Generator, rank: int,
+                             max_iters: int = _MAX_ITERS) -> QubitChannel | None:
+    """Haar-ish random channel with a rank-r Choi state and non-trivial Bob
+    marginal, built by alternating projections between the PSD cone (rank
+    clipped) and the trace-preservation affine set Tr_2(X) = I/2.
+
+    One candidate of the block projection search_uqt runs; None if the
+    projections do not converge or the sample is degenerate or unital."""
+    (eigenpairs,) = _project_block(_random_start(rng, rank)[None], [rank], max_iters)
+    return None if eigenpairs is None else _channel_from_projection(eigenpairs, rank)
 
 
 @dataclass(frozen=True)
@@ -339,54 +377,73 @@ class SearchReport:
         }
 
 
+def _sample_rng(seed: int, i: int) -> np.random.Generator:
+    """Philox stream of search sample i."""
+    return np.random.Generator(np.random.Philox(key=(int(seed) ^ int(i)) & ((1 << 128) - 1)))
+
+
 def search_uqt(concurrence: float, budget: int, seed: int = 0,
                max_hits: int = 20) -> SearchReport:
     """Sample non-unital channels against |Psi_a> with the given concurrence.
 
     Candidates mix random rank-3/4 Choi states (with non-trivial Bob
     marginal) and the parametric non-unital families. Deterministic for a
-    given seed: sample i uses an independent Philox stream keyed seed XOR i.
+    given seed: sample i draws its kind and arguments from its own Philox
+    stream (`_sample_rng`). Samples go in blocks of SEARCH_BLOCK: the random
+    candidates of a block are projected as one stack, then the block is
+    evaluated in sample order.
     """
     if not 0.0 < concurrence < 1.0:
         raise SweepSpecError(f"concurrence must lie in (0, 1), got {concurrence!r}")
     state = states.pure_state_from_concurrence(concurrence)
+    tilde_p2_max = families.lambda_tilde_p2_max(concurrence)
     hits: list[dict] = []
     frontier: list[dict] = []
 
-    def describe(ch: QubitChannel, prof: TeleportProfile) -> dict:
+    def describe(ch: QubitChannel) -> dict:
+        prof = states.profile(channels.apply_to_bob(state, ch))
         return {
             "channel": ch.name, "params": {k: float(v) for k, v in ch.params.items()},
             "f_max": prof.f_max, "delta": prof.delta, "uqt": prof.uqt,
         }
 
-    for i in range(budget):
-        key = (int(seed) ^ int(i)) & ((1 << 128) - 1)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        kind = int(rng.integers(0, 4))
-        ch = None
-        if kind in (0, 1):
-            ch = random_nonunital_channel(rng, rank=3 if kind == 0 else 4)
-        elif kind == 2:
-            hi = families.lambda_tilde_p2_max(concurrence)
-            p2 = float(rng.uniform(1e-6, hi * (1.0 - 1e-9)))
-            ch = families.lambda_tilde_nu(concurrence, p2)
-        else:
-            ch = families.lambda_star_nu(concurrence)
-        if ch is None:
-            continue
-        final = channels.apply_to_bob(state, ch)
-        prof = states.profile(final)
-        entry = describe(ch, prof)
-        if prof.uqt:
-            if len(hits) < max_hits:
-                hits.append(entry)
-        elif prof.formula_valid:
-            dominated = any(e["delta"] <= entry["delta"] and e["f_max"] >= entry["f_max"]
-                            for e in frontier)
-            if not dominated:
-                frontier = [e for e in frontier
-                            if not (entry["delta"] <= e["delta"] and entry["f_max"] >= e["f_max"])]
-                frontier.append(entry)
+    # lambda_star_nu(C) is deterministic: built and profiled once per call
+    star = describe(families.lambda_star_nu(concurrence))
+
+    for first in range(0, budget, SEARCH_BLOCK):
+        picks = []  # per sample: (rank, start) of a random candidate, or an entry
+        for i in range(first, min(first + SEARCH_BLOCK, budget)):
+            rng = _sample_rng(seed, i)
+            kind = int(rng.integers(0, 4))
+            if kind in (0, 1):
+                rank = 3 if kind == 0 else 4
+                picks.append((rank, _random_start(rng, rank)))
+            elif kind == 2:
+                p2 = float(rng.uniform(1e-6, tilde_p2_max * (1.0 - 1e-9)))
+                picks.append(describe(families.lambda_tilde_nu(concurrence, p2)))
+            else:
+                picks.append(star)
+        randoms = [p for p in picks if isinstance(p, tuple)]
+        projected = iter(_project_block(np.array([x for _, x in randoms]),
+                                        [r for r, _ in randoms], _MAX_ITERS))
+        for entry in picks:
+            if isinstance(entry, tuple):
+                eigenpairs = next(projected)
+                ch = None if eigenpairs is None else _channel_from_projection(eigenpairs, entry[0])
+                if ch is None:
+                    continue
+                entry = describe(ch)
+            if entry["uqt"]:
+                if len(hits) < max_hits:
+                    hits.append(entry)
+            elif entry["f_max"] is not None:  # the closed forms apply
+                dominated = any(e["delta"] <= entry["delta"] and e["f_max"] >= entry["f_max"]
+                                for e in frontier)
+                if not dominated:
+                    frontier = [e for e in frontier
+                                if not (entry["delta"] <= e["delta"]
+                                        and entry["f_max"] >= e["f_max"])]
+                    frontier.append(entry)
     frontier.sort(key=lambda e: (e["delta"], -e["f_max"]))
     return SearchReport(concurrence=concurrence, budget=budget, seed=seed,
                         hits=tuple(hits), frontier=tuple(frontier[:10]))

@@ -1,10 +1,11 @@
 """Dense complex linear algebra for one- and two-qubit operators.
 
-Everything operates on plain numpy arrays of shape (2, 2) or (4, 4).
-The Hermitian eigensolver is LAPACK's (np.linalg.eigh) followed by a pass
-that pins eigenvector phases and picks a basis of every degenerate
-eigenspace from the eigenspace alone, so Kraus reconstructions downstream do
-not depend on rounding or on the LAPACK build.
+Everything operates on plain numpy arrays of shape (2, 2) or (4, 4); the
+Hermitian eigensolver also takes a stack of them, shape (..., n, n).
+It is LAPACK's (np.linalg.eigh) followed by a pass that pins eigenvector
+phases and picks a basis of every degenerate eigenspace from the eigenspace
+alone, so Kraus reconstructions downstream do not depend on rounding or on
+the LAPACK build.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ for _m in PAULIS + (I4,):
     _m.setflags(write=False)
 
 
-def _as_square(m, dims=(2, 4)) -> np.ndarray:
+def _as_square(m, dims=(2, 4), stack: bool = False) -> np.ndarray:
+    """m as a complex square matrix, or with stack=True a stack (..., n, n)."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] not in dims:
-        raise ValueError(f"expected dimension in {dims}, got {a.shape[0]}")
+    if a.shape[-1] not in dims:
+        raise ValueError(f"expected dimension in {dims}, got {a.shape[-1]}")
     return a
 
 
@@ -46,10 +48,16 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
+def _conj_t(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix of a stack."""
+    return np.swapaxes(a, -1, -2).conj()
+
+
 def herm_residual(m: np.ndarray) -> float:
-    """Max-entry deviation from Hermiticity, ||M - M^dag||_max."""
+    """Max-entry deviation from Hermiticity, ||M - M^dag||_max, over a
+    matrix or a whole stack."""
     a = np.asarray(m)
-    return float(np.max(np.abs(a - a.conj().T)))
+    return float(np.max(np.abs(a - _conj_t(a))))
 
 
 def tensor(a, b) -> np.ndarray:
@@ -60,15 +68,17 @@ def tensor(a, b) -> np.ndarray:
 
 
 def partial_trace(m, keep: int) -> np.ndarray:
-    """Trace a 4x4 two-qubit operator down to one qubit.
+    """Trace a 4x4 two-qubit operator, or each operator of a stack
+    (..., 4, 4), down to one qubit.
 
     keep=1 keeps the first (leftmost) tensor factor, keep=2 the second.
     """
-    a = _as_square(m, dims=(4,)).reshape(2, 2, 2, 2)
+    a = _as_square(m, dims=(4,), stack=True)
+    a = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
     if keep == 1:
-        return np.einsum("ikjk->ij", a)
+        return np.einsum("...ikjk->...ij", a)
     if keep == 2:
-        return np.einsum("kikj->ij", a)
+        return np.einsum("...kikj->...ij", a)
     raise ValueError(f"keep must be 1 or 2, got {keep}")
 
 
@@ -78,25 +88,30 @@ class EigenDecomp:
 
     Eigenvectors are the columns of `eigenvectors`, orthonormal, with the
     first non-negligible component of each phase-fixed to be real positive.
+    For a stack the arrays carry the stack axes in front: eigenvalues
+    (..., n), eigenvectors (..., n, n).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def rank(self, tol: float = RANK_TOL) -> int:
-        """Eigenvalue count above tol * (largest eigenvalue); 0 for the zero matrix."""
+        """Eigenvalue count above tol * (largest eigenvalue); 0 for the zero
+        matrix. Defined for the decomposition of a single matrix."""
         lmax = float(self.eigenvalues[0])
         if lmax <= tol:
             return 0
         return int(np.sum(self.eigenvalues > tol * lmax))
 
 
-def _phase_fix(v: np.ndarray) -> np.ndarray:
-    idx = np.flatnonzero(np.abs(v) > 1e-8)
-    if idx.size == 0:
-        return v
-    pivot = v[idx[0]]
-    return v * (pivot.conjugate() / abs(pivot))
+def _phase_fix(vecs: np.ndarray) -> np.ndarray:
+    """Rotate each column of a (B, n, n) stack so that its first component
+    above 1e-8 in magnitude is real positive. The columns are unit vectors
+    of length <= 4, so each has a component of at least 1/2."""
+    b, n, _ = vecs.shape
+    first = np.argmax(np.abs(vecs) > 1e-8, axis=1)
+    pivot = vecs[np.arange(b)[:, None], first, np.arange(n)][:, None, :]
+    return vecs * (pivot.conj() / np.abs(pivot))
 
 
 def _eigenspace_basis(q: np.ndarray) -> np.ndarray:
@@ -112,40 +127,55 @@ def _eigenspace_basis(q: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def hermitian_eig(m) -> EigenDecomp:
-    """Eigendecomposition of a Hermitian 2x2 or 4x4 matrix.
-
-    Rejects non-finite entries and non-Hermitian input with ValueError.
-    Eigenvalues within 1e-11 (relative to the matrix scale) of the first
-    of their run form a degenerate cluster, whose eigenvectors are replaced
-    by the eigenspace-only basis of `_eigenspace_basis`, so the output is
-    deterministic.
-    """
-    a = _as_square(m)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    res = herm_residual(a)
-    if res > EPS_HERM:
-        raise ValueError(f"matrix is not Hermitian within {EPS_HERM:g} (residual {res:.3e})")
-    a = (a + a.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(a)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    n = a.shape[0]
-    scale = max(1.0, float(np.linalg.norm(a)))
-
+def _fix_clusters(vals: np.ndarray, vecs: np.ndarray, tol: float) -> None:
+    """Replace, in place, the eigenvectors of every run of eigenvalues within
+    tol of the first of the run by the eigenspace-only basis."""
+    n = vals.shape[0]
     start = 0
     while start < n:
         stop = start + 1
-        while stop < n and vals[start] - vals[stop] <= _CLUSTER_TOL * scale:
+        while stop < n and vals[start] - vals[stop] <= tol:
             stop += 1
         if stop - start > 1:
             vecs[:, start:stop] = _eigenspace_basis(vecs[:, start:stop])
         start = stop
 
-    for k in range(n):
-        vecs[:, k] = _phase_fix(vecs[:, k])
 
+def hermitian_eig(m) -> EigenDecomp:
+    """Eigendecomposition of a Hermitian 2x2 or 4x4 matrix, or of every
+    matrix of a stack (..., n, n) in one LAPACK call.
+
+    Rejects non-finite entries and non-Hermitian input with ValueError; for
+    a stack, one bad member rejects the whole stack. Eigenvalues within
+    1e-11 (relative to the matrix scale) of the first of their run form a
+    degenerate cluster, whose eigenvectors are replaced by the
+    eigenspace-only basis of `_eigenspace_basis`, so the output is
+    deterministic. A matrix gets the same decomposition alone as inside a
+    stack.
+    """
+    a = _as_square(m, stack=True)
+    shape = a.shape
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    res = herm_residual(a)
+    if res > EPS_HERM:
+        raise ValueError(f"matrix is not Hermitian within {EPS_HERM:g} (residual {res:.3e})")
+    a = ((a + _conj_t(a)) / 2.0).reshape(-1, shape[-1], shape[-1])
+    vals, vecs = np.linalg.eigh(a)
+    vals = vals[:, ::-1].copy()
+    vecs = vecs[:, :, ::-1].copy()
+
+    # the matrix scale is the Frobenius norm, sqrt(sum of squared
+    # eigenvalues); only matrices with two adjacent eigenvalues within the
+    # cluster tolerance have a cluster, the rest skip the Python loop
+    tol = _CLUSTER_TOL * np.maximum(1.0, np.sqrt((vals * vals).sum(axis=1)))
+    close = ((vals[:, :-1] - vals[:, 1:]) <= tol[:, None]).any(axis=1)
+    if close.any():
+        for i in np.flatnonzero(close):
+            _fix_clusters(vals[i], vecs[i], float(tol[i]))
+
+    vals = vals.reshape(shape[:-1])
+    vecs = _phase_fix(vecs).reshape(shape)
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return EigenDecomp(eigenvalues=vals, eigenvectors=vecs)

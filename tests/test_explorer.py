@@ -165,6 +165,55 @@ def test_random_nonunital_channel_properties():
     assert channels.completeness_residual(ch.kraus) < 1e-9
 
 
+def _starts(n, seed=21):
+    """n starting points, one Philox stream each; even members rank 4, odd rank 3."""
+    ranks = [4 if j % 2 == 0 else 3 for j in range(n)]
+    starts = [explorer._random_start(np.random.Generator(np.random.Philox(key=seed + j)), r)
+              for j, r in enumerate(ranks)]
+    return np.array(starts), ranks
+
+
+def _same_eigenpairs(a, b):
+    return (a is None) == (b is None) and (a is None or all(
+        np.max(np.abs(x - y)) <= 1e-12 for x, y in zip(a, b)))
+
+
+def test_block_projection_matches_one_candidate_calls():
+    starts, ranks = _starts(12)
+    for max_iters in (1, 200):
+        block = explorer._project_block(starts, ranks, max_iters)
+        for x, r, pairs in zip(starts, ranks, block):
+            assert _same_eigenpairs(pairs, explorer._project_block(x[None], [r], max_iters)[0])
+        converged = sum(pairs is not None for pairs in block)
+        # members converge at different iterations: some at the first, all by 200
+        assert 0 < converged < 12 if max_iters == 1 else converged == 12
+
+
+def test_block_member_out_of_iterations_gives_none_alone():
+    starts, ranks = _starts(12)
+    short = explorer._project_block(starts, ranks, 5)
+    full = explorer._project_block(starts, ranks, 200)
+    assert any(pairs is None for pairs in short) and any(pairs is not None for pairs in short)
+    for s, f in zip(short, full):
+        assert s is None or _same_eigenpairs(s, f)
+    rng = np.random.Generator(np.random.Philox(key=22))
+    assert random_nonunital_channel(rng, rank=3, max_iters=5) is None
+
+
+def test_search_blocks_match_one_sample_blocks(monkeypatch):
+    budget = 2 * explorer.SEARCH_BLOCK + 30
+    blocked = search_uqt(0.45, budget=budget, seed=4).to_jsonable()
+    monkeypatch.setattr(explorer, "SEARCH_BLOCK", 1)
+    single = search_uqt(0.45, budget=budget, seed=4).to_jsonable()
+    assert len(blocked["hits"]) > 0 and len(blocked["frontier"]) > 0
+    for key in ("hits", "frontier"):
+        assert [e["channel"] for e in blocked[key]] == [e["channel"] for e in single[key]]
+        for a, b in zip(blocked[key], single[key]):
+            assert a["uqt"] == b["uqt"] and a["params"] == pytest.approx(b["params"], abs=1e-12)
+            assert a["f_max"] == pytest.approx(b["f_max"], abs=1e-12)
+            assert a["delta"] == pytest.approx(b["delta"], abs=1e-12)
+
+
 def test_search_uqt_finds_hits_above_both_thresholds():
     rep = search_uqt(0.6, budget=200, seed=11)
     assert len(rep.hits) > 0

@@ -191,6 +191,50 @@ def test_eig_rejects_non_finite(bad):
         linalg.hermitian_eig(m)
 
 
+def _spectrum_stack(rng):
+    """4x4 Hermitian matrices with simple, 2-fold, 3-fold and rank-1 spectra."""
+    spectra = [(0.5, 0.3, 0.15, 0.05), (0.4, 0.4, 0.15, 0.05), (0.1, 0.3, 0.3, 0.3),
+               (1.0, 0.0, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25), (2.0, -1.0, 0.5, -3.0)]
+    mats = []
+    for spectrum in spectra * 3:
+        u = random_unitary(rng, 4)
+        mats.append((u * spectrum) @ u.conj().T)
+    return np.array(mats)
+
+
+def test_eig_stack_matches_single_calls(rng):
+    stack = _spectrum_stack(rng).reshape(3, 6, 4, 4)
+    dec = linalg.hermitian_eig(stack)
+    assert dec.eigenvalues.shape == (3, 6, 4) and dec.eigenvectors.shape == (3, 6, 4, 4)
+    for idx in np.ndindex(3, 6):
+        single = linalg.hermitian_eig(stack[idx])
+        assert np.max(np.abs(dec.eigenvalues[idx] - single.eigenvalues)) <= 1e-14
+        assert np.max(np.abs(dec.eigenvectors[idx] - single.eigenvectors)) <= 1e-14
+    pauli_stack = np.array([SX, SZ, I2])
+    for m, d in zip(pauli_stack, linalg.hermitian_eig(pauli_stack).eigenvectors):
+        assert np.array_equal(d, linalg.hermitian_eig(m).eigenvectors)
+
+
+@pytest.mark.parametrize("defect,match", [("nan", "non-finite"), ("skew", "Hermitian")])
+def test_eig_stack_rejects_one_bad_member(rng, defect, match):
+    stack = _spectrum_stack(rng)
+    if defect == "nan":
+        stack[2, 1, 1] = np.nan
+    else:
+        stack[2, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match=match):
+        linalg.hermitian_eig(stack)
+
+
+def test_partial_trace_stack(rng):
+    stack = np.array([random_density(rng, 4) for _ in range(5)])
+    for keep in (1, 2):
+        out = linalg.partial_trace(stack, keep=keep)
+        assert out.shape == (5, 2, 2)
+        for m, o in zip(stack, out):
+            assert np.array_equal(o, linalg.partial_trace(m, keep=keep))
+
+
 # ---------------------------------------------------------------------------
 # is_psd / numeric_rank
 # ---------------------------------------------------------------------------
