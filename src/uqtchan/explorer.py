@@ -2,9 +2,11 @@
 search for UQT-producing non-unital channels, and report emission.
 
 Grid rows and search samples are independent; results are assembled in
-deterministic (lexicographic / sample-index) order, and per-sample random
-streams are derived as seed XOR index, so reports are reproducible byte for
-byte for a given spec and seed.
+deterministic (lexicographic / sample-index) order, and sample i of a search
+draws from its own Philox stream keyed on the pair (seed mod 2**64, i), so
+reports are reproducible byte for byte for a given spec and seed and
+different seeds give independent streams. The search projects the random
+candidates of SEARCH_BLOCK consecutive samples as one stack.
 """
 
 from __future__ import annotations
@@ -378,8 +380,9 @@ class SearchReport:
 
 
 def _sample_rng(seed: int, i: int) -> np.random.Generator:
-    """Philox stream of search sample i."""
-    return np.random.Generator(np.random.Philox(key=(int(seed) ^ int(i)) & ((1 << 128) - 1)))
+    """Philox stream of search sample i, keyed on the pair (seed mod 2**64, i)
+    so that no two (seed, sample) pairs share a stream."""
+    return np.random.Generator(np.random.Philox(key=(int(seed) % 2**64) << 64 | int(i)))
 
 
 def search_uqt(concurrence: float, budget: int, seed: int = 0,
@@ -389,9 +392,10 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0,
     Candidates mix random rank-3/4 Choi states (with non-trivial Bob
     marginal) and the parametric non-unital families. Deterministic for a
     given seed: sample i draws its kind and arguments from its own Philox
-    stream (`_sample_rng`). Samples go in blocks of SEARCH_BLOCK: the random
-    candidates of a block are projected as one stack, then the block is
-    evaluated in sample order.
+    stream, keyed on (seed mod 2**64, i). Samples go in blocks of
+    SEARCH_BLOCK: the random candidates of a block are projected as one
+    stack, then the block is evaluated in sample order. Each distinct hit is
+    reported once (the deterministic lambda_star_nu candidate recurs).
     """
     if not 0.0 < concurrence < 1.0:
         raise SweepSpecError(f"concurrence must lie in (0, 1), got {concurrence!r}")
@@ -434,7 +438,7 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0,
                     continue
                 entry = describe(ch)
             if entry["uqt"]:
-                if len(hits) < max_hits:
+                if len(hits) < max_hits and entry not in hits:
                     hits.append(entry)
             elif entry["f_max"] is not None:  # the closed forms apply
                 dominated = any(e["delta"] <= entry["delta"] and e["f_max"] >= entry["f_max"]

@@ -235,6 +235,21 @@ def test_search_uqt_no_hits_at_low_concurrence():
     assert deltas == sorted(deltas)
 
 
+def test_search_uqt_seeds_give_independent_streams():
+    # a key mixing seed and index, such as seed XOR i, gives seeds 0 and 1
+    # the same streams in swapped pairs
+    a = search_uqt(0.45, budget=60, seed=0).to_jsonable()
+    b = search_uqt(0.45, budget=60, seed=1).to_jsonable()
+    assert (a["hits"], a["frontier"]) != (b["hits"], b["frontier"])
+
+
+def test_search_uqt_reports_each_hit_once():
+    rep = search_uqt(0.45, budget=200, seed=11)
+    names = [h["channel"] for h in rep.hits]
+    assert names.count("lambda_star_nu") == 1
+    assert all(a != b for i, a in enumerate(rep.hits) for b in rep.hits[i + 1:])
+
+
 def test_search_uqt_deterministic():
     a = search_uqt(0.45, budget=60, seed=3)
     b = search_uqt(0.45, budget=60, seed=3)
