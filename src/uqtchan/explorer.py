@@ -50,9 +50,18 @@ def parse_initial(text: str) -> TwoQubitState:
     raise SweepSpecError(f"unknown initial state {text!r}; use bell1..bell4 or pure:<a>")
 
 
-def _resolve_initial(initial: str) -> str | TwoQubitState:
+def _check_matched(family_id: str) -> None:
+    if family_id not in families.MATCHED_CONCURRENCE_PARAM:
+        raise SweepSpecError(f"initial='matched' is only defined for "
+                             f"{families.MATCHED_CONCURRENCE_IDS}, not {family_id!r}")
+
+
+def _resolve_initial(initial: str, family_id: str) -> str | TwoQubitState:
     """Parse a selector once; "matched" depends on each point's channel."""
-    return initial if initial == "matched" else parse_initial(initial)
+    if initial != "matched":
+        return parse_initial(initial)
+    _check_matched(family_id)
+    return initial
 
 
 def evaluate_point(family_id: str, params: dict, initial: str | TwoQubitState = "bell1"
@@ -68,9 +77,7 @@ def evaluate_point(family_id: str, params: dict, initial: str | TwoQubitState = 
     if isinstance(initial, TwoQubitState):
         state = initial
     elif initial == "matched":
-        if family_id not in families.MATCHED_CONCURRENCE_PARAM:
-            raise SweepSpecError(f"initial='matched' is only defined for "
-                                 f"{families.MATCHED_CONCURRENCE_IDS}, not {family_id!r}")
+        _check_matched(family_id)
         c = ch.params[families.MATCHED_CONCURRENCE_PARAM[family_id]]
         state = states.pure_state_from_concurrence(float(c))
     else:
@@ -170,13 +177,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Out-of-range grid points produce a row with empty value columns and the
     failure reason in the trailing `error` column; the sweep continues.
+    Errors of the spec as a whole (grid size, unknown family, initial state
+    or a "matched" input the family does not define) raise SweepSpecError
+    before the first row.
     Every ORACLE_EVERY-th valid row is re-verified against the protocol
     simulation and flagged in `oracle_checked`.
     """
     total = math.prod(ax.count() for ax in spec.axes)
     if total > MAX_GRID_ROWS:
         raise SweepSpecError(f"grid of {total} rows exceeds the cap of {MAX_GRID_ROWS}")
-    initial = _resolve_initial(spec.initial)
+    family_id = spec.family.family_id
+    try:
+        families.get_family(family_id)
+    except ValueError as exc:
+        raise SweepSpecError(str(exc)) from exc
+    initial = _resolve_initial(spec.initial, family_id)
     axis_values = [ax.values() for ax in spec.axes]
 
     header = tuple(["family"] + [f"param:{ax.param}" for ax in spec.axes]
@@ -186,9 +201,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for idx, combo in enumerate(itertools.product(*axis_values) if axis_values else [()]):
         params = dict(spec.family.params)
         params.update({ax.param: v for ax, v in zip(spec.axes, combo)})
-        prefix = [spec.family.family_id] + [v for v in combo]
+        prefix = [family_id] + [v for v in combo]
         try:
-            ch, final, prof = evaluate_point(spec.family.family_id, params, initial)
+            ch, final, prof = evaluate_point(family_id, params, initial)
         except (ValueError, ChannelValidationError) as exc:
             rows.append(tuple(prefix + [None] * len(spec.outputs) + [str(exc)]))
             continue
@@ -248,7 +263,7 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
     fixed = dict(fixed or {})
     if initial is None:
         initial = ("matched" if family_id in families.MATCHED_CONCURRENCE_IDS else "bell1")
-    initial = _resolve_initial(initial)
+    initial = _resolve_initial(initial, family_id)
 
     def point_params(x: float) -> dict:
         params = dict(fixed)

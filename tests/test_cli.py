@@ -91,6 +91,20 @@ def test_sweep_bad_initial_exit_3(tmp_path, capsys, initial):
     assert captured.out == "" and "initial state" in captured.err
 
 
+@pytest.mark.parametrize("family,initial,message", [
+    ("nope", "bell1", "unknown family"),
+    ("gadc", "matched", "initial='matched'"),
+])
+def test_sweep_spec_level_error_exit_3(tmp_path, capsys, family, initial, message):
+    spec = {"family": {"id": family, "params": {"N": 0.5}}, "initial": initial,
+            "axes": [{"param": "gamma", "start": 0.1, "stop": 0.9, "step": 0.2}]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["sweep", str(spec_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 @pytest.mark.parametrize("axis", [
     {"start": 0.1, "stop": float("inf"), "step": 0.2},
     {"start": float("nan"), "stop": 0.9, "step": 0.2},
