@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import I2, PAULIS, SX, SZ, dagger
-from .states import BELL_KETS, TwoQubitState, from_density
+from .states import BELL_KETS, TwoQubitState, from_density, nonzero_magnitudes
 
 #: corrections for Bell outcomes 1..4: the Pauli m_k with |Phi_k> = (m_k x I)|Phi_1>
 CORRECTIONS = (I2, SX, SZ @ SX, SZ)
@@ -206,7 +206,7 @@ def canonicalize(state: TwoQubitState) -> tuple[TwoQubitState, tuple[np.ndarray,
     u_svd, sigma, vt_svd = np.linalg.svd(t)
     det_a = round(float(np.linalg.det(u_svd)))
     det_b = round(float(np.linalg.det(vt_svd)))
-    nonzero = sigma > 1e-14 * max(1.0, float(sigma[0]))
+    nonzero = nonzero_magnitudes(sigma)
     # sign(det T) taken from the exact orthogonal-factor parities, which stays
     # correct when det T underflows; zero singular directions mean det T = 0
     eps = _canonical_signs(float(det_a * det_b) if bool(np.all(nonzero)) else 0.0)

@@ -24,6 +24,9 @@ PSD_TOL = 1e-9
 EPS_CLS = 1e-9
 #: tolerance for the all-|t_ii|-equal universality test
 EPS_UQT = 1e-9
+#: a correlation magnitude at most this times max(1, largest) is zero, so
+#: det T is exactly 0 and not the rounding noise around it
+ZERO_CORR = 1e-14
 
 # kron(sigma_i, sigma_j) for all 16 Pauli pairs, indexed [i, j].
 _PP = np.array([[np.kron(si, sj) for sj in PAULIS] for si in PAULIS])
@@ -179,7 +182,16 @@ def concurrence(state: TwoQubitState) -> float:
     return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
 
 
+def nonzero_magnitudes(abs_t: np.ndarray) -> np.ndarray:
+    """Mask of the correlation magnitudes (sorted descending) that are not
+    zero: above ZERO_CORR * max(1, largest)."""
+    return abs_t > ZERO_CORR * max(1.0, float(abs_t[0]))
+
+
 def correlation_spectrum(state: TwoQubitState) -> CorrelationSpectrum:
+    """Correlation magnitudes and det T; det T is exactly 0.0 when the
+    smallest magnitude is zero by `nonzero_magnitudes`, so its sign, and
+    with it `formula_valid`, does not follow rounding."""
     t = state.hs.t_mat
     det_t = float(np.linalg.det(t))
     if np.max(np.abs(t - t.T)) <= 1e-10:
@@ -192,6 +204,8 @@ def correlation_spectrum(state: TwoQubitState) -> CorrelationSpectrum:
         abs_t = np.linalg.svd(t, compute_uv=False)
         signs = None
     abs_t = np.asarray(abs_t, dtype=float)
+    if not nonzero_magnitudes(abs_t)[-1]:
+        det_t = 0.0
     abs_t.setflags(write=False)
     return CorrelationSpectrum(abs_t=abs_t, det_t=det_t, signs=signs)
 

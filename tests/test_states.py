@@ -266,6 +266,40 @@ def test_profile_pure_fidelity_law(rng):
         assert prof.useful and not prof.universal
 
 
+def _invariance_states():
+    bells = [bell_state(k).rho for k in (1, 2, 3, 4)]
+    up = np.diag([1.0, 0.0]).astype(complex)
+    return {
+        "bell": bells[0],
+        "dephased-bell-half": 0.5 * bells[0] + 0.5 * bells[3],  # T = diag(0, 0, 1)
+        "werner-0.8": 0.8 * bells[0] + 0.05 * I4,
+        "bell-mixture-rank2": 0.7 * bells[0] + 0.3 * bells[1],
+        "product": np.kron(up, np.eye(2) / 2),  # T = 0
+        "pure-product": np.kron(up, up),
+        "random": random_density(np.random.default_rng(3)),
+    }
+
+
+INVARIANCE_STATES = _invariance_states()
+
+
+@given(st.sampled_from(sorted(INVARIANCE_STATES)), st.integers(0, 2**32 - 1))
+def test_profile_and_concurrence_invariant_under_local_unitaries(name, seed):
+    # det T = 0 states included: their formula validity must not follow the
+    # rounding sign of det T
+    rho = INVARIANCE_STATES[name]
+    rng = np.random.default_rng(seed)
+    u = np.kron(random_unitary(rng), random_unitary(rng))
+    before = from_density(rho)
+    after = from_density(u @ rho @ u.conj().T)
+    p0, p1 = profile(before), profile(after)
+    verdicts = ("useful", "universal", "uqt", "formula_valid")
+    assert [getattr(p0, v) for v in verdicts] == [getattr(p1, v) for v in verdicts]
+    if p0.formula_valid:
+        assert abs(p0.f_max - p1.f_max) <= 1e-12 and abs(p0.delta - p1.delta) <= 1e-12
+    assert abs(concurrence(before) - concurrence(after)) <= 1e-12
+
+
 def test_profile_delta_range(rng):
     for _ in range(30):
         prof = profile(from_density(random_density(rng)))
