@@ -130,14 +130,17 @@ def fidelity_on_bloch(shared: TwoQubitState, bloch: np.ndarray) -> np.ndarray:
 
 
 def numeric_moments(shared: TwoQubitState, quad: QuadratureSpec | None = None) -> NumericMoments:
-    """First and second Haar moments of the protocol fidelity, and their spread."""
+    """First and second Haar moments of the protocol fidelity, and their spread.
+
+    The spread is the root of the centered moment, not of second - mean**2,
+    which cancels to ~1e-8 noise when the true spread is zero."""
     quad = quad or QuadratureSpec()
     weights, bloch = quad.nodes()
     f = fidelity_on_bloch(shared, bloch)
     mean = float(weights @ f)
     second = float(weights @ (f * f))
     return NumericMoments(mean_f=mean, second_f=second,
-                          delta=float(np.sqrt(max(second - mean * mean, 0.0))))
+                          delta=float(np.sqrt(weights @ (f - mean) ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uqtchan import oracle, states
+from uqtchan import channels, families, oracle, states
 from uqtchan.linalg import I2, SX, SY, SZ
 from uqtchan.oracle import (
     QuadratureSpec,
@@ -114,6 +114,15 @@ def test_moments_dephased_bell():
     mom = numeric_moments(from_density(rho))
     assert mom.mean_f == pytest.approx(5 / 6, abs=1e-6)
     assert mom.delta == pytest.approx(1 / (6 * S5), abs=1e-6)
+
+
+def test_moments_zero_spread_without_cancellation():
+    # sqrt(second - mean**2) cancels to 2.1e-8 here; the closed form is 9e-17
+    final = channels.apply_to_bob(bell_state(1), families.uqt_nonunital_rank4(0.1, 0.05, 0.05, 0.5))
+    canonical, _ = oracle.canonicalize(final)
+    mom = numeric_moments(canonical)
+    assert mom.delta == pytest.approx(profile(final).delta, abs=1e-12)
+    assert mom.second_f == pytest.approx(mom.mean_f ** 2, abs=1e-12)
 
 
 def test_quadrature_converged_at_defaults(rng):
