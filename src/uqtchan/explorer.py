@@ -334,7 +334,7 @@ def _project_block(x: np.ndarray, ranks, max_iters: int) -> list:
         vals = np.clip(dec.eigenvalues, 0.0, None)
         vals[past_rank] = 0.0
         vecs = dec.eigenvectors
-        x = (vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2).conj()
+        x = (vecs * vals[:, None, :]) @ linalg.dagger(vecs)
         marg_res = np.max(np.abs(linalg.partial_trace(x, keep=1) - _HALF_I2), axis=(1, 2))
         done = (marg_res <= 1e-10) & (dec.eigenvalues[:, -1] >= -1e-10)
         for j in np.flatnonzero(done):

@@ -44,20 +44,15 @@ def _as_square(m, dims=(2, 4), stack: bool = False) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
-def _conj_t(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix or of every matrix of a stack."""
-    return np.swapaxes(a, -1, -2).conj()
+    """Conjugate transpose of a matrix, or of every matrix of a stack."""
+    return np.swapaxes(np.asarray(m), -1, -2).conj()
 
 
 def herm_residual(m: np.ndarray) -> float:
     """Max-entry deviation from Hermiticity, ||M - M^dag||_max, over a
     matrix or a whole stack."""
     a = np.asarray(m)
-    return float(np.max(np.abs(a - _conj_t(a))))
+    return float(np.max(np.abs(a - dagger(a))))
 
 
 def tensor(a, b) -> np.ndarray:
@@ -160,7 +155,7 @@ def hermitian_eig(m) -> EigenDecomp:
     res = herm_residual(a)
     if res > EPS_HERM:
         raise ValueError(f"matrix is not Hermitian within {EPS_HERM:g} (residual {res:.3e})")
-    a = ((a + _conj_t(a)) / 2.0).reshape(-1, shape[-1], shape[-1])
+    a = ((a + dagger(a)) / 2.0).reshape(-1, shape[-1], shape[-1])
     vals, vecs = np.linalg.eigh(a)
     vals = vals[:, ::-1].copy()
     vecs = vecs[:, :, ::-1].copy()
@@ -170,9 +165,8 @@ def hermitian_eig(m) -> EigenDecomp:
     # cluster tolerance have a cluster, the rest skip the Python loop
     tol = _CLUSTER_TOL * np.maximum(1.0, np.sqrt((vals * vals).sum(axis=1)))
     close = ((vals[:, :-1] - vals[:, 1:]) <= tol[:, None]).any(axis=1)
-    if close.any():
-        for i in np.flatnonzero(close):
-            _fix_clusters(vals[i], vecs[i], float(tol[i]))
+    for i in np.flatnonzero(close):
+        _fix_clusters(vals[i], vecs[i], float(tol[i]))
 
     vals = vals.reshape(shape[:-1])
     vecs = _phase_fix(vecs).reshape(shape)
