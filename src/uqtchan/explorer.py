@@ -344,8 +344,11 @@ def _project_block(x: np.ndarray, ranks, max_iters: int) -> list:
 
 
 def _channel_from_projection(eigenpairs, rank: int) -> QubitChannel | None:
-    """The channel whose Choi matrix the projections converged to, or None
-    for a degenerate or effectively unital sample."""
+    """The channel whose Choi matrix the projections converged to; None if
+    they did not converge (eigenpairs None) or the sample is degenerate or
+    effectively unital."""
+    if eigenpairs is None:
+        return None
     kraus = channels.kraus_from_eigenpairs(*eigenpairs, rank)
     # the projections stop at 1e-10; restore exact trace preservation with
     # the standard right-correction K_i -> K_i S^{-1/2}, S = sum K^dag K
@@ -372,7 +375,7 @@ def random_nonunital_channel(rng: np.random.Generator, rank: int,
     One candidate of the block projection search_uqt runs; None if the
     projections do not converge or the sample is degenerate or unital."""
     (eigenpairs,) = _project_block(_random_start(rng, rank)[None], [rank], max_iters)
-    return None if eigenpairs is None else _channel_from_projection(eigenpairs, rank)
+    return _channel_from_projection(eigenpairs, rank)
 
 
 @dataclass(frozen=True)
@@ -447,8 +450,7 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0,
                                         [r for r, _ in randoms], _MAX_ITERS))
         for entry in picks:
             if isinstance(entry, tuple):
-                eigenpairs = next(projected)
-                ch = None if eigenpairs is None else _channel_from_projection(eigenpairs, entry[0])
+                ch = _channel_from_projection(next(projected), entry[0])
                 if ch is None:
                     continue
                 entry = describe(ch)

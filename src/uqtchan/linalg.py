@@ -45,7 +45,7 @@ def _as_square(m, dims=(2, 4), stack: bool = False) -> np.ndarray:
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of every matrix of a stack."""
-    return np.swapaxes(np.asarray(m), -1, -2).conj()
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def herm_residual(m: np.ndarray) -> float:
