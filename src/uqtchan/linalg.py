@@ -52,7 +52,7 @@ def herm_residual(m: np.ndarray) -> float:
     """Max-entry deviation from Hermiticity, ||M - M^dag||_max, over a
     matrix or a whole stack."""
     a = np.asarray(m)
-    return float(np.max(np.abs(a - dagger(a))))
+    return float(np.abs(a - dagger(a)).max())
 
 
 def tensor(a, b) -> np.ndarray:
@@ -165,7 +165,7 @@ def hermitian_eig(m) -> EigenDecomp:
     # cluster tolerance have a cluster, the rest skip the Python loop
     tol = _CLUSTER_TOL * np.maximum(1.0, np.sqrt((vals * vals).sum(axis=1)))
     close = ((vals[:, :-1] - vals[:, 1:]) <= tol[:, None]).any(axis=1)
-    for i in np.flatnonzero(close):
+    for i in close.nonzero()[0]:
         _fix_clusters(vals[i], vecs[i], float(tol[i]))
 
     vals = vals.reshape(shape[:-1])
