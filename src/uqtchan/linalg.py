@@ -145,8 +145,8 @@ def hermitian_eig(m) -> EigenDecomp:
     1e-11 (relative to the matrix scale) of the first of their run form a
     degenerate cluster, whose eigenvectors are replaced by the
     eigenspace-only basis of `_eigenspace_basis`, so the output is
-    deterministic. A matrix gets the same decomposition alone as inside a
-    stack.
+    deterministic. A matrix gets the same decomposition, to rounding, alone
+    as inside a stack.
     """
     a = _as_square(m, stack=True)
     shape = a.shape
