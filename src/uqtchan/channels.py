@@ -1,7 +1,9 @@
-"""Qubit channels as Kraus operator lists: validation, application, Choi state.
+"""Qubit channels as Kraus operator stacks: validation, application, Choi state.
 
-A channel is accepted iff its Kraus operators are finite, satisfy the
-completeness condition sum_i K_i^dag K_i = I and its Choi state is positive
+A channel holds its Kraus operators as one read-only complex array of shape
+(k, 2, 2), and every operation acts on that stack as a whole. A channel is
+accepted iff its 1..8 Kraus operators are finite, satisfy the completeness
+condition S = sum_i K_i^dag K_i = I and its Choi state is positive
 semidefinite. The Choi state here is the normalized (trace-1) two-qubit
 state obtained by sending the second half of the first Bell state through
 the channel; with that convention a trace-preserving channel always has
@@ -40,7 +42,7 @@ class QubitChannel:
     """Validated qubit channel. Construct via validate(), which also sets the
     Choi rank; derive re-labelled copies with dataclasses.replace."""
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray  # (k, 2, 2) complex, read-only
     name: str = "channel"
     params: dict = field(default_factory=dict)
     choi_rank: int = field(kw_only=True)  # not the Choi state: callers may hold many channels
@@ -49,53 +51,54 @@ class QubitChannel:
         return f"QubitChannel(name={self.name!r}, kraus={len(self.kraus)}, params={self.params!r})"
 
 
-def _freeze_kraus(kraus_list) -> tuple[np.ndarray, ...]:
-    ops = []
-    for k in kraus_list:
-        a = np.asarray(k, dtype=complex)
-        if a.shape != (2, 2):
-            raise ChannelValidationError(f"Kraus operator has shape {a.shape}, expected (2, 2)")
-        if not np.all(np.isfinite(a)):
-            raise ChannelValidationError("Kraus operator has non-finite entries")
-        a = a.copy()
-        a.setflags(write=False)
-        ops.append(a)
-    return tuple(ops)
+def _freeze_kraus(kraus_list) -> np.ndarray:
+    """One read-only C-ordered copy of the operators, shape (k, 2, 2)."""
+    try:
+        ops = np.array(kraus_list, dtype=complex, order="C")
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        raise ChannelValidationError(f"Kraus operators are not 2x2 matrices: {exc}") from exc
+    if ops.shape != (0,) and (ops.ndim != 3 or ops.shape[1:] != (2, 2)):
+        raise ChannelValidationError(f"Kraus operators have shape {ops.shape}, expected (k, 2, 2)")
+    if not np.isfinite(ops).all():
+        raise ChannelValidationError("Kraus operator has non-finite entries")
+    ops.setflags(write=False)
+    return ops
+
+
+def completeness_sum(kraus) -> np.ndarray:
+    """S = sum_i K_i^dag K_i of a Kraus stack; S = I for a channel."""
+    ks = np.asarray(kraus, dtype=complex)
+    return (dagger(ks) @ ks).sum(axis=0)
 
 
 def completeness_residual(kraus) -> float:
-    acc = np.zeros((2, 2), dtype=complex)
-    for k in kraus:
-        acc += dagger(k) @ k
-    return float(np.max(np.abs(acc - I2)))
+    return float(np.max(np.abs(completeness_sum(kraus) - I2)))
 
 
 def unitality_residual(kraus) -> float:
-    acc = np.zeros((2, 2), dtype=complex)
-    for k in kraus:
-        acc += k @ dagger(k)
-    return float(np.max(np.abs(acc - I2)))
+    ks = np.asarray(kraus, dtype=complex)
+    return float(np.max(np.abs((ks @ dagger(ks)).sum(axis=0) - I2)))
 
 
 _PHI1 = np.outer(states.BELL_KETS[0], states.BELL_KETS[0].conj())
 _PHI1.setflags(write=False)
 
 
-def _bob_action(rho: np.ndarray, kraus) -> np.ndarray:
+def _bob_action(rho: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """sum_i (I x K_i) rho (I x K_i)^dag for a 4x4 rho, as one contraction
     over the (2,2,2,2) reshape of rho and the (k,2,2) Kraus stack."""
-    ks = np.asarray(kraus, dtype=complex)
     out = np.einsum("kbe,aecf,kdf->abcd", ks, rho.reshape(2, 2, 2, 2), ks.conj())
     return out.reshape(4, 4)
 
 
 def choi_matrix(kraus) -> np.ndarray:
     """Trace-1 Choi matrix sum_i (I x K_i) |Phi_1><Phi_1| (I x K_i)^dag."""
-    return _bob_action(_PHI1, kraus)
+    return _bob_action(_PHI1, np.asarray(kraus, dtype=complex))
 
 
 def validate(kraus_list, name: str = "channel", params: dict | None = None) -> QubitChannel:
-    """Accept a Kraus list as a channel, or raise ChannelValidationError.
+    """Accept Kraus operators (a list of 2x2 matrices or a (k, 2, 2) array)
+    as a channel, or raise ChannelValidationError.
 
     Up to 8 operators are accepted (over-complete input is fine);
     orthogonalize() reduces any channel to its minimal set.
@@ -117,11 +120,7 @@ def validate(kraus_list, name: str = "channel", params: dict | None = None) -> Q
 
 def apply(ch: QubitChannel, x) -> np.ndarray:
     """Apply the channel to a single-qubit operator: sum_i K_i x K_i^dag."""
-    xm = np.asarray(x, dtype=complex)
-    out = np.zeros((2, 2), dtype=complex)
-    for k in ch.kraus:
-        out += k @ xm @ dagger(k)
-    return out
+    return (ch.kraus @ np.asarray(x, dtype=complex) @ dagger(ch.kraus)).sum(axis=0)
 
 
 def apply_to_bob(state: TwoQubitState, ch: QubitChannel) -> TwoQubitState:
@@ -138,9 +137,13 @@ def choi(ch: QubitChannel) -> TwoQubitState:
 class ChannelReport:
     unital: bool
     choi_rank: int
-    trace_preserving_residual: float
     unitality_residual: float
     channel: QubitChannel
+
+    @property
+    def trace_preserving_residual(self) -> float:
+        """||S - I||_max, computed when read; validate() has bounded it."""
+        return completeness_residual(self.channel.kraus)
 
     @property
     def choi(self) -> TwoQubitState:
@@ -153,7 +156,6 @@ def report(ch: QubitChannel) -> ChannelReport:
     return ChannelReport(
         unital=bool(unitality <= EPS_CPTP),
         choi_rank=ch.choi_rank,
-        trace_preserving_residual=completeness_residual(ch.kraus),
         unitality_residual=unitality,
         channel=ch,
     )
@@ -173,8 +175,7 @@ def rotate_kraus(ch: QubitChannel, w) -> QubitChannel:
         raise ValueError(f"mixing matrix dim {m} smaller than Kraus count {len(ch.kraus)}")
     if np.max(np.abs(wm.conj().T @ wm - np.eye(m))) > 1e-10:
         raise ValueError("mixing matrix is not unitary")
-    ops = list(ch.kraus) + [np.zeros((2, 2), dtype=complex)] * (m - len(ch.kraus))
-    mixed = [sum(wm[i, j] * ops[j] for j in range(m)) for i in range(m)]
+    mixed = np.einsum("ij,jab->iab", wm[:, :len(ch.kraus)], ch.kraus)
     return validate(mixed, name=ch.name, params=ch.params)
 
 
@@ -191,14 +192,14 @@ def kraus_from_eigenpairs(eigenvalues, eigenvectors, rank: int) -> np.ndarray:
     return np.sqrt(2.0 * q)[:, None, None] * amps.transpose(0, 2, 1)
 
 
-def kraus_from_choi(choi_rho, rank: int | None = None) -> list[np.ndarray]:
-    """Rebuild Kraus operators from a trace-1 Choi matrix by
-    kraus_from_eigenpairs on its decomposition; rank defaults to the Choi
-    rank (at least one operator is returned)."""
+def kraus_from_choi(choi_rho, rank: int | None = None) -> np.ndarray:
+    """Rebuild Kraus operators, shape (rank, 2, 2), from a trace-1 Choi
+    matrix by kraus_from_eigenpairs on its decomposition; rank defaults to
+    the Choi rank (at least one operator is returned)."""
     dec = linalg.hermitian_eig(choi_rho)
     if rank is None:
         rank = dec.rank()
-    return list(kraus_from_eigenpairs(dec.eigenvalues, dec.eigenvectors, max(rank, 1)))
+    return kraus_from_eigenpairs(dec.eigenvalues, dec.eigenvectors, max(rank, 1))
 
 
 def orthogonalize(ch: QubitChannel) -> QubitChannel:

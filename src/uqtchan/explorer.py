@@ -352,8 +352,7 @@ def _channel_from_projection(eigenpairs, rank: int) -> QubitChannel | None:
     kraus = channels.kraus_from_eigenpairs(*eigenpairs, rank)
     # the projections stop at 1e-10; restore exact trace preservation with
     # the standard right-correction K_i -> K_i S^{-1/2}, S = sum K^dag K
-    s_mat = sum(k.conj().T @ k for k in kraus)
-    dec = linalg.hermitian_eig(s_mat)
+    dec = linalg.hermitian_eig(channels.completeness_sum(kraus))
     if dec.eigenvalues[-1] < 1e-6:
         return None  # degenerate sample, not correctable
     inv_root = (dec.eigenvectors / np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.conj().T

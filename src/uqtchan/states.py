@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import EPS_HERM, PAULIS
+from .linalg import PAULIS
 
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -114,25 +114,25 @@ def hs_recompose(hs: HSDecomposition) -> np.ndarray:
 
 
 def from_density(m) -> TwoQubitState:
-    """Validate a 4x4 density matrix; attach its Pauli and eigen decompositions."""
+    """Validate a 4x4 density matrix; attach its Pauli and eigen decompositions.
+
+    hermitian_eig rejects non-finite and non-Hermitian input; the stored rho
+    is the Hermitian part scaled to trace 1, its spectrum scaled with it."""
     rho = np.asarray(m, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("density matrix has non-finite entries")
-    res = linalg.herm_residual(rho)
-    if res > EPS_HERM:
-        raise ValueError(f"density matrix not Hermitian (residual {res:.3e})")
+    eig = linalg.hermitian_eig(rho)
     tr = complex(np.trace(rho)).real
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr!r} differs from 1 beyond {TRACE_TOL:g}")
+    vals = eig.eigenvalues / tr
+    if vals[-1] < -PSD_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {vals[-1]:.3e}")
+    vals.setflags(write=False)
     rho = (rho + rho.conj().T) / (2.0 * tr)
-    eig = linalg.hermitian_eig(rho)
-    min_eig = float(eig.eigenvalues[-1])
-    if min_eig < -PSD_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     rho.setflags(write=False)
-    return TwoQubitState(rho=rho, hs=_hs_decompose(rho), eig=eig)
+    return TwoQubitState(rho=rho, hs=_hs_decompose(rho),
+                         eig=linalg.EigenDecomp(vals, eig.eigenvectors))
 
 
 def from_ket(psi) -> TwoQubitState:

@@ -93,6 +93,27 @@ def test_kraus_immutable():
         ch.kraus[0][0, 0] = 5.0
 
 
+@pytest.mark.parametrize("bad", [[I2, np.eye(3)], [np.ones(3)], I2, [[["a", 0], [0, 1]]]],
+                         ids=["ragged", "length-3 vector", "bare 2x2", "non-numeric"])
+def test_validate_rejects_mis_shaped(bad):
+    with pytest.raises(ChannelValidationError):
+        validate(bad)
+
+
+def _is_kraus_stack(kraus):
+    return (isinstance(kraus, np.ndarray) and kraus.dtype == complex and kraus.ndim == 3
+            and kraus.shape[1:] == (2, 2) and not kraus.flags.writeable)
+
+
+def test_kraus_is_one_read_only_stack(rng):
+    ch = validate(dephasing_kraus(0.3))
+    rebuilt = channels.kraus_from_choi(channels.choi_matrix(ch.kraus))
+    assert isinstance(rebuilt, np.ndarray) and rebuilt.shape == (2, 2, 2)
+    for c in (ch, orthogonalize(families.gadc(0.5, 0.7)), rotate_kraus(ch, random_unitary(rng, 3)),
+              validate(rebuilt)):
+        assert _is_kraus_stack(c.kraus), c
+
+
 # ---------------------------------------------------------------------------
 # apply
 # ---------------------------------------------------------------------------

@@ -450,6 +450,8 @@ def test_family_random_draws_validate(family_id):
     for _ in range(200):
         params = fam.sample_params(rng)
         ch = fam.build(**params)
+        assert ch.kraus.dtype == complex and ch.kraus.shape[1:] == (2, 2)
+        assert not ch.kraus.flags.writeable
         assert channels.completeness_residual(ch.kraus) <= channels.EPS_CPTP
         rep = channels.report(ch)
         if fam.expected_unital is not None:

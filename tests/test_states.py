@@ -61,9 +61,10 @@ def test_from_density_rejects_non_hermitian():
         from_density(m)
 
 
-def test_from_density_rejects_nan():
+@pytest.mark.parametrize("where", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+def test_from_density_rejects_nan(where):
     m = np.diag([0.25] * 4).astype(complex)
-    m[0, 1] = m[1, 0] = np.nan
+    m[where] = m[where[::-1]] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         from_density(m)
 
