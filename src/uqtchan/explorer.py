@@ -50,17 +50,15 @@ def parse_initial(text: str) -> TwoQubitState:
     raise SweepSpecError(f"unknown initial state {text!r}; use bell1..bell4 or pure:<a>")
 
 
-def _check_matched(family_id: str) -> None:
+def _resolve_initial(initial: str, family_id: str) -> str | TwoQubitState:
+    """Parse a selector once; "matched" stays a string, because the state
+    depends on each point's channel, and is defined for the
+    matched-concurrence families only."""
+    if initial != "matched":
+        return parse_initial(initial)
     if family_id not in families.MATCHED_CONCURRENCE_PARAM:
         raise SweepSpecError(f"initial='matched' is only defined for "
                              f"{families.MATCHED_CONCURRENCE_IDS}, not {family_id!r}")
-
-
-def _resolve_initial(initial: str, family_id: str) -> str | TwoQubitState:
-    """Parse a selector once; "matched" depends on each point's channel."""
-    if initial != "matched":
-        return parse_initial(initial)
-    _check_matched(family_id)
     return initial
 
 
@@ -74,14 +72,10 @@ def evaluate_point(family_id: str, params: dict, initial: str | TwoQubitState = 
     initial selector is "matched" (their natural scenario).
     """
     ch = families.noise_channel(family_id, **params)
-    if isinstance(initial, TwoQubitState):
-        state = initial
-    elif initial == "matched":
-        _check_matched(family_id)
+    state = _resolve_initial(initial, family_id) if isinstance(initial, str) else initial
+    if isinstance(state, str):  # "matched"
         c = ch.params[families.MATCHED_CONCURRENCE_PARAM[family_id]]
         state = states.pure_state_from_concurrence(float(c))
-    else:
-        state = parse_initial(initial)
     final = channels.apply_to_bob(state, ch)
     return ch, final, states.profile(final)
 
@@ -131,7 +125,6 @@ class SweepSpec:
     axes: tuple[Axis, ...]
     initial: str = "bell1"
     outputs: tuple[str, ...] = CSV_FIELDS
-    seed: int = 0
 
     @staticmethod
     def from_jsonable(doc: dict) -> "SweepSpec":
@@ -148,7 +141,7 @@ class SweepSpec:
                 raise SweepSpecError(f"unknown output fields {sorted(bad)}")
             return SweepSpec(family=spec, axes=axes,
                              initial=str(doc.get("initial", "bell1")),
-                             outputs=outputs, seed=int(doc.get("seed", 0)))
+                             outputs=outputs)
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, SweepSpecError):
                 raise

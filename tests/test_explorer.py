@@ -100,8 +100,9 @@ def test_sweep_spec_from_jsonable_errors():
     with pytest.raises(SweepSpecError):
         SweepSpec.from_jsonable({"family": {"id": "dephasing"}, "axes": [
             {"param": "p", "start": 0, "stop": 1, "step": 0.1}], "outputs": ["nope"]})
+    # a sweep is a deterministic grid: "seed", like any unknown key, is ignored
     spec = SweepSpec.from_jsonable({
-        "family": {"id": "dephasing"},
+        "family": {"id": "dephasing"}, "seed": "none",
         "axes": [{"param": "p", "start": 0.1, "stop": 0.3, "step": 0.1}]})
     assert spec.family.family_id == "dephasing"
 
