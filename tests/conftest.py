@@ -2,6 +2,8 @@ import hypothesis
 import numpy as np
 import pytest
 
+from uqtchan import acceptance
+
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=40)
 hypothesis.settings.load_profile("suite")
 
@@ -24,7 +26,5 @@ def random_unitary(rng, dim=2):
 
 
 def random_kraus(rng, rank):
-    """Random channel Kraus list from a Haar-ish isometry (always CPTP)."""
-    g = rng.normal(size=(2 * rank, 2)) + 1j * rng.normal(size=(2 * rank, 2))
-    q, _ = np.linalg.qr(g)
-    return [q[2 * i:2 * i + 2, :] for i in range(rank)]
+    """Kraus stack of acceptance.random_channel (a Haar-ish isometry, always CPTP)."""
+    return acceptance.random_channel(rng, rank).kraus
