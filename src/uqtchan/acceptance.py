@@ -33,8 +33,7 @@ def random_channel(rng: np.random.Generator, rank: int) -> channels.QubitChannel
     """Random channel with `rank` Kraus operators from a Haar-ish isometry."""
     g = rng.normal(size=(2 * rank, 2)) + 1j * rng.normal(size=(2 * rank, 2))
     q, _ = np.linalg.qr(g)
-    kraus = [q[2 * i:2 * i + 2, :] for i in range(rank)]
-    return channels.validate(kraus, name=f"random_rank{rank}")
+    return channels.validate(q.reshape(rank, 2, 2), name=f"random_rank{rank}")
 
 
 def random_det_negative_state(rng: np.random.Generator) -> states.TwoQubitState:
