@@ -164,8 +164,9 @@ def report(ch: QubitChannel) -> ChannelReport:
 def rotate_kraus(ch: QubitChannel, w) -> QubitChannel:
     """Mix the Kraus list by a unitary: K~_i = sum_j W_ij K_j.
 
-    If w is larger than the Kraus list, the list is padded with zero
-    operators. The rotated list represents the same map.
+    If w is larger than the Kraus list, the list counts as padded with zero
+    operators, so only the first k columns of w act. The rotated list
+    represents the same map.
     """
     wm = np.asarray(w, dtype=complex)
     if wm.ndim != 2 or wm.shape[0] != wm.shape[1]:
