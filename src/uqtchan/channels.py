@@ -52,7 +52,8 @@ class QubitChannel:
 
 
 def _freeze_kraus(kraus_list) -> np.ndarray:
-    """One read-only C-ordered copy of the operators, shape (k, 2, 2)."""
+    """One read-only copy of the operators, shape (k, 2, 2), C-ordered so
+    that contractions over it sum in the same order for any input layout."""
     try:
         ops = np.array(kraus_list, dtype=complex, order="C")
     except (TypeError, ValueError) as exc:  # ragged or non-numeric
