@@ -186,8 +186,8 @@ def _pauli_grid_has_uqt(c: float, n_grid: int = 200) -> bool:
     """Vectorized scan of Pauli mixtures applied to |Psi_a> with concurrence c.
 
     Universality forces a pair of equal weights, so the grid covers the two
-    strata p1 = p2 and p0 = p3 over (p0, p1); the profile test itself is the
-    generic one (singular values, det sign, thresholds), evaluated in batch.
+    strata p1 = p2 and p0 = p3 over (p0, p1); each stratum is classified in
+    one states.verdicts call.
     """
     psi = states.pure_state_from_concurrence(c)
     # conjugated states (I x sigma_i) rho (I x sigma_i): channel output is
@@ -209,15 +209,7 @@ def _pauli_grid_has_uqt(c: float, n_grid: int = 200) -> bool:
     grids.append(np.stack([p0g[mask], p1g[mask], np.clip(p2[mask], 0, 1), p0g[mask]], axis=1))
 
     for weights in grids:
-        t_all = np.einsum("nk,kij->nij", weights, t_parts)
-        sv = np.linalg.svd(t_all, compute_uv=False)
-        det = np.linalg.det(t_all)
-        f = (1.0 + sv.sum(axis=1) / 3.0) / 2.0
-        uqt = ((det < 0.0)
-               & (f > 2.0 / 3.0 + states.EPS_CLS)
-               & (sv[:, 0] - sv[:, 2] <= states.EPS_UQT)
-               & (sv[:, 2] > 1.0 / 3.0 + states.EPS_CLS))
-        if bool(np.any(uqt)):
+        if np.any(states.verdicts(np.einsum("nk,kij->nij", weights, t_parts)).uqt):
             return True
     return False
 

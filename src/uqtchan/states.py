@@ -4,8 +4,8 @@ A state carries its density matrix together with the cached decomposition
 rho = (1/4) [I + R.sigma x I + I x S.sigma + sum_ij T_ij sigma_i x sigma_j],
 where R and S are the local Bloch vectors of qubit 1 (Alice) and qubit 2
 (Bob) and T is the 3x3 correlation matrix. The teleportation figures of
-merit depend on the state only through the magnitudes of the correlation
-eigenvalues (equivalently the singular values of T) and sign(det T).
+merit depend on the state only through the singular values of T (the
+correlation magnitudes) and sign(det T).
 """
 
 from __future__ import annotations
@@ -63,16 +63,11 @@ class TwoQubitState:
 
 @dataclass(frozen=True)
 class CorrelationSpectrum:
-    """Correlation magnitudes |t_11| >= |t_22| >= |t_33|, det T, and signs.
-
-    `signs` are the signs of the correlation eigenvalues matched to `abs_t`
-    when T is symmetric; for a non-symmetric T only the magnitudes (singular
-    values) and the determinant are meaningful and `signs` is None.
-    """
+    """Correlation magnitudes |t_11| >= |t_22| >= |t_33| (the singular
+    values of T) and det T."""
 
     abs_t: np.ndarray
     det_t: float
-    signs: tuple[int, int, int] | None
 
 
 @dataclass(frozen=True)
@@ -183,56 +178,67 @@ def concurrence(state: TwoQubitState) -> float:
 
 
 def nonzero_magnitudes(abs_t: np.ndarray) -> np.ndarray:
-    """Mask of the correlation magnitudes (sorted descending) that are not
-    zero: above ZERO_CORR * max(1, largest)."""
-    return abs_t > ZERO_CORR * max(1.0, float(abs_t[0]))
+    """Mask of the correlation magnitudes (sorted descending, along the last
+    axis) that are not zero: above ZERO_CORR * max(1, largest)."""
+    return abs_t > ZERO_CORR * np.maximum(1.0, abs_t[..., :1])
+
+
+@dataclass(frozen=True)
+class Verdicts:
+    """Teleportation figures of merit of a stack of correlation matrices,
+    one entry per matrix; f_max and delta are the closed forms, meaningful
+    only where formula_valid."""
+
+    abs_t: np.ndarray  # (..., 3) singular values of T, descending
+    det_t: np.ndarray
+    f_max: np.ndarray
+    delta: np.ndarray
+    formula_valid: np.ndarray
+    useful: np.ndarray
+    universal: np.ndarray
+    uqt: np.ndarray
+
+
+def verdicts(t_mat: np.ndarray) -> Verdicts:
+    """Classify correlation matrices of shape (..., 3, 3) for teleportation.
+
+    F = (1 + sum|t_ii|/3)/2 and delta = sqrt(sum_{i<j}(|t_ii|-|t_jj|)^2) /
+    (3 sqrt(10)) with |t_ii| the singular values of T; they apply when
+    det T <= 0 (formula_valid). det T is exactly 0.0 when the smallest
+    magnitude is zero by `nonzero_magnitudes`, so its sign does not follow
+    rounding. Useful iff F > 2/3, universal iff the |t_ii| are all equal
+    (zero deviation), useful for universal teleportation (uqt) iff both and
+    min|t_ii| > 1/3; a state with det T > 0 is none of these.
+    """
+    abs_t = np.linalg.svd(t_mat, compute_uv=False)
+    abs_t.setflags(write=False)
+    # a masked negative det is -0.0; adding 0.0 makes it 0.0 (np.where would
+    # turn one state's scalars into slower 0-d arrays)
+    det_t = np.linalg.det(t_mat) * nonzero_magnitudes(abs_t)[..., -1] + 0.0
+    a1, a2, a3 = abs_t[..., 0], abs_t[..., 1], abs_t[..., 2]
+    f_max = (1.0 + (a1 + a2 + a3) / 3.0) / 2.0
+    delta = np.sqrt((a1 - a2) ** 2 + (a1 - a3) ** 2 + (a2 - a3) ** 2) / (3.0 * np.sqrt(10.0))
+    valid = det_t <= 0.0
+    useful = valid & (f_max > 2.0 / 3.0 + EPS_CLS)
+    universal = valid & (a1 - a3 <= EPS_UQT) & (delta <= EPS_UQT)
+    return Verdicts(abs_t=abs_t, det_t=det_t, f_max=f_max, delta=delta,
+                    formula_valid=valid, useful=useful, universal=universal,
+                    uqt=useful & universal & (a3 > 1.0 / 3.0 + EPS_CLS))
 
 
 def correlation_spectrum(state: TwoQubitState) -> CorrelationSpectrum:
-    """Correlation magnitudes and det T; det T is exactly 0.0 when the
-    smallest magnitude is zero by `nonzero_magnitudes`, so its sign, and
-    with it `formula_valid`, does not follow rounding."""
-    t = state.hs.t_mat
-    det_t = float(np.linalg.det(t))
-    if np.max(np.abs(t - t.T)) <= 1e-10:
-        eigs = np.linalg.eigvalsh((t + t.T) / 2.0)
-        order = np.argsort(-np.abs(eigs), kind="stable")
-        eigs = eigs[order]
-        abs_t = np.abs(eigs)
-        signs = tuple(1 if e >= 0.0 else -1 for e in eigs)
-    else:
-        abs_t = np.linalg.svd(t, compute_uv=False)
-        signs = None
-    abs_t = np.asarray(abs_t, dtype=float)
-    if not nonzero_magnitudes(abs_t)[-1]:
-        det_t = 0.0
-    abs_t.setflags(write=False)
-    return CorrelationSpectrum(abs_t=abs_t, det_t=det_t, signs=signs)
+    """Correlation magnitudes and det T of one state, as `verdicts` finds them."""
+    return profile(state).spectrum
 
 
 def profile(state: TwoQubitState) -> TeleportProfile:
-    """Classify a state for quantum teleportation.
-
-    When det T <= 0: F = (1 + sum|t_ii|/3)/2 with |t_ii| the singular values
-    of T, delta per the spread of the |t_ii|, useful iff F > 2/3, universal
-    iff the |t_ii| are all equal (zero deviation), and useful for universal
-    teleportation iff additionally min|t_ii| > 1/3. When det T > 0 the
-    closed forms do not apply and the state is not useful.
-    """
-    spec = correlation_spectrum(state)
-    a1, a2, a3 = (float(x) for x in spec.abs_t)
-    if spec.det_t <= 0.0:
-        f_max = (1.0 + (a1 + a2 + a3) / 3.0) / 2.0
-        spread = (a1 - a2) ** 2 + (a1 - a3) ** 2 + (a2 - a3) ** 2
-        delta = float(np.sqrt(spread) / (3.0 * np.sqrt(10.0)))
-        useful = bool(f_max > 2.0 / 3.0 + EPS_CLS)
-        universal = bool(a1 - a3 <= EPS_UQT and delta <= EPS_UQT)
-        uqt = bool(useful and universal and a3 > 1.0 / 3.0 + EPS_CLS)
-        return TeleportProfile(
-            f_max=float(f_max), delta=float(delta), det_t=spec.det_t, spectrum=spec,
-            useful=useful, universal=universal, uqt=uqt, formula_valid=True,
-        )
+    """Classify one state for quantum teleportation: `verdicts` of its
+    correlation matrix, with f_max and delta None where det T > 0."""
+    v = verdicts(state.hs.t_mat)
+    valid = bool(v.formula_valid)
+    spec = CorrelationSpectrum(abs_t=v.abs_t, det_t=float(v.det_t))
     return TeleportProfile(
-        f_max=None, delta=None, det_t=spec.det_t, spectrum=spec,
-        useful=False, universal=False, uqt=False, formula_valid=False,
+        f_max=float(v.f_max) if valid else None, delta=float(v.delta) if valid else None,
+        det_t=spec.det_t, spectrum=spec, useful=bool(v.useful),
+        universal=bool(v.universal), uqt=bool(v.uqt), formula_valid=valid,
     )

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from uqtchan import channels, families
 from uqtchan.linalg import I4
 from uqtchan.states import (
     bell_state,
@@ -13,6 +14,7 @@ from uqtchan.states import (
     profile,
     pure_state,
     pure_state_from_concurrence,
+    verdicts,
 )
 
 from conftest import random_density, random_unitary
@@ -175,7 +177,6 @@ def test_spectrum_bell():
     spec = correlation_spectrum(bell_state(1))
     assert np.allclose(spec.abs_t, [1, 1, 1])
     assert spec.det_t == pytest.approx(-1.0, abs=1e-12)
-    assert spec.signs is not None and np.prod(spec.signs) == -1
 
 
 def test_spectrum_dephased_bell():
@@ -191,20 +192,10 @@ def test_spectrum_pure_09():
     assert spec.det_t == pytest.approx(-0.36, abs=1e-12)
 
 
-def test_spectrum_signed_product_matches_det(rng):
-    for _ in range(20):
-        spec = correlation_spectrum(from_density(random_density(rng)))
-        if spec.signs is None:
-            continue
-        signed = np.prod(np.asarray(spec.signs) * spec.abs_t)
-        assert signed == pytest.approx(spec.det_t, abs=1e-10)
-
-
-def test_spectrum_nonsymmetric_has_no_signs(rng):
+def test_spectrum_nonsymmetric_sorted_descending(rng):
     u = np.kron(random_unitary(rng), random_unitary(rng))
     rho = u @ pure_state(0.8).rho @ u.conj().T
     spec = correlation_spectrum(from_density(rho))
-    assert spec.signs is None
     assert np.all(np.diff(spec.abs_t) <= 1e-12)  # sorted descending
 
 
@@ -307,3 +298,38 @@ def test_profile_delta_range(rng):
         if prof.formula_valid:
             assert 0.0 <= prof.delta <= 0.5
             assert prof.uqt == (prof.useful and prof.universal)
+
+
+def _pauli_grid_states(c, n=6):
+    # points of the acceptance suite's Pauli-mixture strata on |Psi_a>
+    psi = pure_state_from_concurrence(c)
+    out = []
+    for p0 in np.linspace(0.0, 1.0, n):
+        for p1 in np.linspace(0.0, 0.5, n):
+            for w in ((p0, p1, p1, 1 - p0 - 2 * p1), (p0, p1, 1 - 2 * p0 - p1, p0)):
+                if min(w) >= 0.0:
+                    out.append(channels.apply_to_bob(psi, families.pauli_mixture(*w)))
+    return out
+
+
+def test_verdicts_of_a_stack_match_profile_of_each_member(rng):
+    dephased = 0.5 * bell_state(1).rho + 0.5 * bell_state(4).rho  # det T = 0
+    rotated = []
+    for _ in range(10):
+        u = np.kron(random_unitary(rng), random_unitary(rng))
+        rotated.append(from_density(u @ dephased @ u.conj().T))
+    werner = from_density(0.8 * bell_state(1).rho + 0.05 * I4)  # UQT
+    members = ([from_density(random_density(rng)) for _ in range(40)] + rotated
+               + _pauli_grid_states(0.45) + _pauli_grid_states(0.8) + [werner])
+    v = verdicts(np.array([m.hs.t_mat for m in members]))
+    profs = [profile(m) for m in members]  # the reference
+    dets = np.array([p.det_t for p in profs])
+    assert (dets > 0).any() and (dets < 0).any() and (dets[40:50] == 0.0).all()
+    assert any(p.uqt for p in profs) and not all(p.useful for p in profs)
+    flags = ("formula_valid", "useful", "universal", "uqt")
+    for i, p in enumerate(profs):
+        assert [bool(getattr(v, f)[i]) for f in flags] == [getattr(p, f) for f in flags]
+        assert np.allclose(v.abs_t[i], p.spectrum.abs_t, rtol=0.0, atol=1e-15)
+        assert abs(v.det_t[i] - p.det_t) <= 1e-15
+        if p.formula_valid:
+            assert abs(v.f_max[i] - p.f_max) <= 1e-15 and abs(v.delta[i] - p.delta) <= 1e-15
