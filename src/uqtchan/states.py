@@ -156,11 +156,15 @@ def pure_state_from_concurrence(c: float) -> TwoQubitState:
     return pure_state(min(a, np.nextafter(1.0, 0.0)))
 
 
+_BELL_STATES = tuple(from_ket(k) for k in BELL_KETS)
+
+
 def bell_state(k: int) -> TwoQubitState:
-    """Projector onto the k-th Bell state, k in 1..4."""
+    """Projector onto the k-th Bell state, k in 1..4; one immutable state
+    per k, built at import."""
     if k not in (1, 2, 3, 4):
         raise ValueError(f"Bell index must be 1..4, got {k!r}")
-    return from_ket(BELL_KETS[k - 1])
+    return _BELL_STATES[k - 1]
 
 
 def concurrence(state: TwoQubitState) -> float:
