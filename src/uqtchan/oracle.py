@@ -77,33 +77,22 @@ class QuadratureSpec:
 
     Gauss-Legendre nodes in cos(theta) and a uniform periodic grid in phi;
     the fidelity is a degree-2 polynomial in the Bloch vector, so the
-    defaults are exact to rounding. Set mc_samples for seeded Monte Carlo
-    (counter-based Philox generator)."""
+    defaults are exact to rounding."""
 
     n_theta: int = 64
     n_phi: int = 64
-    mc_samples: int | None = None
-    seed: int = 0
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """(weights, bloch_vectors) with weights summing to 1."""
-        if self.mc_samples is not None:
-            if self.mc_samples < 1:
-                raise ValueError("mc_samples must be positive")
-            rng = np.random.Generator(np.random.Philox(key=self.seed))
-            cos_t = rng.uniform(-1.0, 1.0, self.mc_samples)
-            phi = rng.uniform(0.0, 2.0 * np.pi, self.mc_samples)
-            weights = np.full(self.mc_samples, 1.0 / self.mc_samples)
-        else:
-            if self.n_theta < 2:
-                raise ValueError(f"n_theta must be >= 2, got {self.n_theta}")
-            if self.n_phi < 4:
-                raise ValueError(f"n_phi must be >= 4, got {self.n_phi}")
-            x, wx = np.polynomial.legendre.leggauss(self.n_theta)
-            phi_grid = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
-            cos_t = np.repeat(x, self.n_phi)
-            phi = np.tile(phi_grid, self.n_theta)
-            weights = np.repeat(wx / 2.0, self.n_phi) / self.n_phi
+        if self.n_theta < 2:
+            raise ValueError(f"n_theta must be >= 2, got {self.n_theta}")
+        if self.n_phi < 4:
+            raise ValueError(f"n_phi must be >= 4, got {self.n_phi}")
+        x, wx = np.polynomial.legendre.leggauss(self.n_theta)
+        phi_grid = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
+        cos_t = np.repeat(x, self.n_phi)
+        phi = np.tile(phi_grid, self.n_theta)
+        weights = np.repeat(wx / 2.0, self.n_phi) / self.n_phi
         sin_t = np.sqrt(np.clip(1.0 - cos_t**2, 0.0, None))
         bloch = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=1)
         return weights, bloch

@@ -78,7 +78,7 @@ def test_batched_fidelity_matches_direct(rng):
 # ---------------------------------------------------------------------------
 
 def test_quadrature_weights_normalized():
-    for spec in (QuadratureSpec(), QuadratureSpec(8, 16), QuadratureSpec(mc_samples=1000, seed=3)):
+    for spec in (QuadratureSpec(), QuadratureSpec(8, 16)):
         weights, bloch = spec.nodes()
         assert abs(weights.sum() - 1.0) < 1e-14
         assert np.allclose(np.linalg.norm(bloch, axis=1), 1.0, atol=1e-12)
@@ -89,8 +89,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(n_theta=1).nodes()
     with pytest.raises(ValueError):
         QuadratureSpec(n_phi=2).nodes()
-    with pytest.raises(ValueError):
-        QuadratureSpec(mc_samples=0).nodes()
 
 
 def test_moments_bell():
@@ -132,16 +130,6 @@ def test_quadrature_converged_at_defaults(rng):
     fine = numeric_moments(shared, QuadratureSpec(16, 16))
     assert abs(base.mean_f - fine.mean_f) < 1e-9
     assert abs(base.second_f - fine.second_f) < 1e-9
-
-
-def test_monte_carlo_mode_deterministic_and_consistent(rng):
-    shared = from_density(random_density(rng))
-    spec = QuadratureSpec(mc_samples=20000, seed=99)
-    a = numeric_moments(shared, spec)
-    b = numeric_moments(shared, spec)
-    assert a == b  # same seed, bitwise identical
-    exact = numeric_moments(shared)
-    assert abs(a.mean_f - exact.mean_f) < 5e-2
 
 
 # ---------------------------------------------------------------------------
