@@ -337,24 +337,6 @@ def _build_dephasing_m(p: float) -> QubitChannel:
     return channels.validate(_dephasing_kraus(p), name="dephasing_m", params={"p": p})
 
 
-def _build_adc_m(gamma: float, t: float) -> QubitChannel:
-    p = _clamp_probability(1.0 - np.exp(-gamma * t), "adc_m")
-    return channels.validate(_adc_kraus(p), name="adc_m",
-                             params={"gamma": gamma, "t": t, "p": p})
-
-
-def _build_pln_m(G: float, t: float) -> QubitChannel:
-    p = _clamp_probability(np.exp(-G * t), "pln_m")
-    return channels.validate(_dephasing_kraus(p), name="pln_m",
-                             params={"G": G, "t": t, "p": p})
-
-
-def _build_oun_m(G: float, t: float) -> QubitChannel:
-    p = _clamp_probability(np.exp(-G * t / 2.0), "oun_m")
-    return channels.validate(_dephasing_kraus(p), name="oun_m",
-                             params={"G": G, "t": t, "p": p})
-
-
 def _build_unruh(r: float) -> QubitChannel:
     if not 0.0 < r <= np.pi / 4.0:
         raise ValueError(f"r must lie in (0, pi/4], got {r!r}")
@@ -383,41 +365,18 @@ def _build_dephasing_nm(alpha: float, p: float) -> QubitChannel:
     return channels.validate(kraus, name="dephasing_nm", params={"alpha": alpha, "p": p})
 
 
-def _build_adc_nm(R: float, gamma: float, omega0: float, g: float, t: float) -> QubitChannel:
+def _adc_nm_probability(R: float, gamma: float, omega0: float, g: float, t: float) -> float:
+    """Non-Markovian amplitude-damping law
+    1 - exp(-2 R gamma / (omega0 coth(g omega0 t / 2) + 1)); p(0) = 0."""
     with np.errstate(divide="ignore"):
         coth = 1.0 / np.tanh(g * omega0 * t / 2.0) if t > 0.0 else np.inf
-    p = _clamp_probability(1.0 - np.exp(-2.0 * R * gamma / (omega0 * coth + 1.0)), "adc_nm")
-    return channels.validate(_adc_kraus(p), name="adc_nm",
-                             params={"R": R, "gamma": gamma, "omega0": omega0,
-                                     "g": g, "t": t, "p": p})
-
-
-def _build_pln_nm(G: float, g: float, t: float) -> QubitChannel:
-    # decaying form: p(t) = exp(-G t (g t + 2) / (2 (g t + 1)^2)), whose
-    # g -> 0 limit reproduces the Markovian law exp(-G t)
-    p = _clamp_probability(
-        np.exp(-G * t * (g * t + 2.0) / (2.0 * (g * t + 1.0) ** 2)), "pln_nm")
-    return channels.validate(_dephasing_kraus(p), name="pln_nm",
-                             params={"G": G, "g": g, "t": t, "p": p})
-
-
-def _build_oun_nm(G: float, g: float, t: float) -> QubitChannel:
-    p = _clamp_probability(
-        np.exp(-G * ((np.exp(-g * t) - 1.0) / g + t) / 2.0), "oun_nm")
-    return channels.validate(_dephasing_kraus(p), name="oun_nm",
-                             params={"G": G, "g": g, "t": t, "p": p})
+    return 1.0 - np.exp(-2.0 * R * gamma / (omega0 * coth + 1.0))
 
 
 def rtn_probability(g: float, omega: float, t: float) -> float:
     """Random-telegraph-noise mixing law e^{-g t}(cos(g w t) + sin(g w t)/w)."""
     theta = g * omega * t
     return float(np.exp(-g * t) * (np.cos(theta) + np.sin(theta) / omega))
-
-
-def _build_rtn_nm(g: float, omega: float, t: float) -> QubitChannel:
-    p = _clamp_probability(rtn_probability(g, omega, t), "rtn_nm")
-    return channels.validate(_dephasing_kraus(p), name="rtn_nm",
-                             params={"g": g, "omega": omega, "t": t, "p": p})
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +483,22 @@ def _register(family: Family) -> None:
     FAMILIES[family.family_id] = family
 
 
+def _register_time_law(family_id: str, params: tuple[ParamSpec, ...], doc: str,
+                       kraus: Callable[[float], list], law: Callable[..., float],
+                       unital: bool) -> None:
+    """Register a two-operator noise row whose mixing probability follows a
+    time law: the channel is kraus(p) with p = law(**params) clamped to
+    [0, 1], and it records its params in spec order, then p."""
+    names = tuple(spec.name for spec in params)
+
+    def build(**values: float) -> QubitChannel:
+        p = _clamp_probability(law(**values), family_id)
+        return channels.validate(kraus(p), name=family_id,
+                                 params={**{n: values[n] for n in names}, "p": p})
+
+    _register(Family(family_id, params, build, doc, expected_unital=unital, expected_rank=2))
+
+
 _register(Family(
     "pauli_mixture",
     (ParamSpec("p0", 0.0, 1.0), ParamSpec("p1", 0.0, 1.0),
@@ -612,19 +587,18 @@ _register(Family(
     "Markovian dephasing {sqrt(1-p) I, sqrt(p) sigma_3}",
     expected_unital=True, expected_rank=2,
     sampler=lambda rng: {"p": float(rng.uniform(0.01, 0.99))}))
-_register(Family(
+_register_time_law(
     "adc_m", (ParamSpec("gamma", 0.0, None, low_open=True, sample_high=2.0), _TIME),
-    _build_adc_m,
     "Markovian amplitude damping toward |0>, p(t) = 1 - exp(-gamma t)",
-    expected_unital=False, expected_rank=2))
-_register(Family(
+    _adc_kraus, lambda gamma, t: 1.0 - np.exp(-gamma * t), unital=False)
+_register_time_law(
     "pln_m", (ParamSpec("G", 0.0, None, low_open=True, sample_high=2.0), _TIME),
-    _build_pln_m, "power-law noise, dephasing form with p(t) = exp(-G t)",
-    expected_unital=True, expected_rank=2))
-_register(Family(
+    "power-law noise, dephasing form with p(t) = exp(-G t)",
+    _dephasing_kraus, lambda G, t: np.exp(-G * t), unital=True)
+_register_time_law(
     "oun_m", (ParamSpec("G", 0.0, None, low_open=True, sample_high=2.0), _TIME),
-    _build_oun_m, "Ornstein-Uhlenbeck noise, dephasing form with p(t) = exp(-G t / 2)",
-    expected_unital=True, expected_rank=2))
+    "Ornstein-Uhlenbeck noise, dephasing form with p(t) = exp(-G t / 2)",
+    _dephasing_kraus, lambda G, t: np.exp(-G * t / 2.0), unital=True)
 _register(Family(
     "unruh", (ParamSpec("r", 0.0, np.pi / 4.0, low_open=True, sample_low=0.01),), _build_unruh,
     "Unruh channel {diag(cos r, 1), sin r lower shift}; non-unital",
@@ -643,40 +617,39 @@ _register(Family(
     expected_unital=True, expected_rank=2,
     sampler=lambda rng: {"alpha": float(rng.uniform(0.05, 1.0)),
                          "p": float(rng.uniform(0.01, 0.49))}))
-_register(Family(
+_register_time_law(
     "adc_nm",
     (ParamSpec("R", 0.0, None, low_open=True, sample_low=0.05, sample_high=2.0),
      ParamSpec("gamma", 0.0, None, low_open=True, sample_low=0.05, sample_high=2.0),
      ParamSpec("omega0", 0.0, None, low_open=True, sample_high=3.0),
      ParamSpec("g", 0.0, None, low_open=True, sample_low=0.05, sample_high=2.0), _TIME),
-    _build_adc_nm,
     "non-Markovian amplitude damping, p(t) = 1 - exp(-2 R gamma / "
     "(omega0 coth(g omega0 t / 2) + 1)); constants accepted as any positive reals",
-    expected_unital=False, expected_rank=2))
-_register(Family(
+    _adc_kraus, _adc_nm_probability, unital=False)
+# pln_nm's decaying form: its g -> 0 limit reproduces the Markovian law exp(-G t)
+_register_time_law(
     "pln_nm",
     (ParamSpec("G", 0.0, None, low_open=True, sample_high=2.0),
      ParamSpec("g", 0.0, None, low_open=True, sample_high=2.0), _TIME),
-    _build_pln_nm,
     "non-Markovian power-law noise, p(t) = exp(-G t (g t + 2)/(2 (g t + 1)^2))",
-    expected_unital=True, expected_rank=2))
-_register(Family(
+    _dephasing_kraus,
+    lambda G, g, t: np.exp(-G * t * (g * t + 2.0) / (2.0 * (g * t + 1.0) ** 2)), unital=True)
+_register_time_law(
     "oun_nm",
     (ParamSpec("G", 0.0, None, low_open=True, sample_low=0.05, sample_high=2.0),
      ParamSpec("g", 0.0, None, low_open=True, sample_low=0.05, sample_high=2.0), _TIME),
-    _build_oun_nm,
     "non-Markovian Ornstein-Uhlenbeck noise, "
     "p(t) = exp(-G ((exp(-g t) - 1)/g + t)/2)",
-    expected_unital=True, expected_rank=2))
-_register(Family(
+    _dephasing_kraus, lambda G, g, t: np.exp(-G * ((np.exp(-g * t) - 1.0) / g + t) / 2.0),
+    unital=True)
+_register_time_law(
     "rtn_nm",
     (ParamSpec("g", 0.0, None, low_open=True, sample_low=0.05, sample_high=1.0),
      ParamSpec("omega", 0.0, None, low_open=True, sample_low=0.1, sample_high=2.0),
      ParamSpec("t", 0.0, None, sample_low=0.05, sample_high=0.5)),
-    _build_rtn_nm,
     "random telegraph noise, p(t) = exp(-g t)(cos(g w t) + sin(g w t)/w); "
     "rejected when the oscillatory law leaves [0, 1]",
-    expected_unital=True, expected_rank=2))
+    _dephasing_kraus, rtn_probability, unital=True)
 
 #: ids of the twelve physical-noise catalog rows
 NOISE_IDS = (

@@ -396,6 +396,36 @@ def test_rtn_probability_law():
     assert ch.params["p"] == pytest.approx(expected, abs=1e-15)
 
 
+#: the seven time-law rows: an in-range point and the documented law p(params)
+TIME_LAWS = {
+    "adc_m": ({"gamma": 0.7, "t": 1.3}, lambda gamma, t: 1 - np.exp(-gamma * t)),
+    "pln_m": ({"G": 0.7, "t": 1.3}, lambda G, t: np.exp(-G * t)),
+    "oun_m": ({"G": 0.7, "t": 1.3}, lambda G, t: np.exp(-G * t / 2)),
+    "adc_nm": ({"R": 1.0, "gamma": 0.5, "omega0": 2.0, "g": 0.8, "t": 1.2},
+               lambda R, gamma, omega0, g, t:
+               1 - np.exp(-2 * R * gamma / (omega0 / np.tanh(g * omega0 * t / 2) + 1))),
+    "pln_nm": ({"G": 1.5, "g": 0.4, "t": 0.9},
+               lambda G, g, t: np.exp(-G * t * (g * t + 2) / (2 * (g * t + 1) ** 2))),
+    "oun_nm": ({"G": 1.5, "g": 0.4, "t": 0.9},
+               lambda G, g, t: np.exp(-G * ((np.exp(-g * t) - 1) / g + t) / 2)),
+    "rtn_nm": ({"g": 0.8, "omega": 1.5, "t": 0.4},
+               lambda g, omega, t:
+               np.exp(-g * t) * (np.cos(g * omega * t) + np.sin(g * omega * t) / omega)),
+}
+
+
+@pytest.mark.parametrize("family_id", sorted(TIME_LAWS))
+def test_time_law_rows_record_their_law(family_id):
+    params, law = TIME_LAWS[family_id]
+    # passed in reverse order; the channel records them in spec order, then p
+    ch = noise_channel(family_id, **dict(reversed(params.items())))
+    names = [spec.name for spec in FAMILIES[family_id].params]
+    assert list(ch.params) == names + ["p"]
+    assert [ch.params[n] for n in names] == [params[n] for n in names]
+    assert 0.0 < ch.params["p"] < 1.0
+    assert ch.params["p"] == pytest.approx(law(**params), rel=0.0, abs=1e-15)
+
+
 def test_rtn_rejects_unphysical_oscillation():
     # g w t = pi makes the law negative
     with pytest.raises(ValueError, match="outside"):
