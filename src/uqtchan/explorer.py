@@ -247,12 +247,19 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
                    initial: str | None = None) -> ThresholdResult:
     """Bisect the predicate flip point of a one-parameter scenario.
 
-    The predicate must differ at the two bracket endpoints. For the
-    matched-concurrence families the initial state defaults to the matched
+    The bracket must be finite and increasing, tol finite and positive, and
+    the predicate must differ at the two bracket endpoints. Bisection stops
+    at width tol, or sooner when no float lies strictly inside the bracket.
+    For the matched-concurrence families the initial state defaults to the matched
     |Psi_a>; for lambda_tilde_nu swept in concurrence, p2 is placed at the
     midpoint of its useful window when that window is non-empty (any valid
     p2 below threshold leaves the predicate false).
     """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise SweepSpecError(f"bracket must be finite and increasing, got [{lo}, {hi}]")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise SweepSpecError(f"tol must be finite and positive, got {tol!r}")
     fixed = dict(fixed or {})
     if initial is None:
         initial = ("matched" if family_id in families.MATCHED_CONCURRENCE_IDS else "bell1")
@@ -272,7 +279,6 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
         _, _, prof = evaluate_point(family_id, point_params(x), initial)
         return _predicate_value(prof, predicate)
 
-    lo, hi = float(bracket[0]), float(bracket[1])
     v_lo, v_hi = value(lo), value(hi)
     if v_lo == v_hi:
         raise SweepSpecError(
@@ -280,6 +286,8 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
             f"[{lo}, {hi}]; no threshold to bisect")
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats
         if value(mid) == v_lo:
             lo = mid
         else:
@@ -409,6 +417,8 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0,
     """
     if not 0.0 < concurrence < 1.0:
         raise SweepSpecError(f"concurrence must lie in (0, 1), got {concurrence!r}")
+    if budget < 1:
+        raise SweepSpecError(f"budget must be at least 1, got {budget!r}")
     state = states.pure_state_from_concurrence(concurrence)
     tilde_p2_max = families.lambda_tilde_p2_max(concurrence)
     hits: list[dict] = []

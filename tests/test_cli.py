@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from uqtchan import channels, families
+from uqtchan import channels, explorer, families
 from uqtchan.cli import main
 
 
@@ -148,6 +148,50 @@ def test_threshold_fixed_params(capsys):
 def test_threshold_bad_bracket_exit_3(capsys):
     assert main(["threshold", "--family", "werner", "--param", "p",
                  "--bracket", "0.6,0.9", "--predicate", "useful"]) == 3
+
+
+@pytest.fixture
+def point_calls(monkeypatch):
+    """Counts the predicate evaluations of a bisection; a bisection that
+    does not stop raises, so the test fails instead of hanging."""
+    calls = []
+    evaluate = explorer.evaluate_point
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 200:
+            raise RuntimeError("bisection did not stop")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(explorer, "evaluate_point", counted)
+    return calls
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--family", "werner", "--param", "p", "--bracket", "0.3,0.9", "--tol", "0"], "tol"),
+    (["--family", "werner", "--param", "p", "--bracket", "0.3,0.9", "--tol", "nan"], "tol"),
+    (["--family", "werner", "--param", "p", "--bracket", "0.9,0.3"], "increasing"),
+    (["--family", "adc_m", "--param", "t", "--bracket", "0.1,inf", "--fixed", "gamma=1"],
+     "finite"),
+], ids=["tol 0", "tol nan", "decreasing bracket", "infinite bracket"])
+def test_threshold_bad_input_exit_3(capsys, point_calls, args, message):
+    assert main(["threshold", "--predicate", "useful"] + args) == 3
+    assert message in capsys.readouterr().err
+    assert point_calls == []
+
+
+def test_threshold_tol_below_float_spacing_returns(capsys, point_calls):
+    assert main(["threshold", "--family", "werner", "--param", "p", "--bracket", "0.3,0.9",
+                 "--predicate", "useful", "--tol", "1e-20"]) == 0
+    lo, hi = json.loads(capsys.readouterr().out)["bracket"]
+    assert hi == np.nextafter(lo, 1.0)
+    assert len(point_calls) <= 2 + 64
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_search_uqt_bad_budget_exit_3(capsys, budget):
+    assert main(["search-uqt", "--concurrence", "0.45", "--budget", budget]) == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_search_uqt_writes_report(tmp_path):
