@@ -15,13 +15,13 @@ import numpy as np
 from uqtchan import explorer
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--budget", type=int, default=2000, help="samples per grid point")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--grid", default="0.20,0.30,0.38,0.41,0.4132,0.45,0.52,0.60",
                         help="comma-separated concurrence values")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     known_bound = np.sqrt(5.0 - 2.0 * np.sqrt(3.0)) / 3.0
     print(f"analytic non-unital bound: C > {known_bound:.6f}")
@@ -29,11 +29,8 @@ def main():
     for text in args.grid.split(","):
         c = float(text)
         rep = explorer.search_uqt(c, budget=args.budget, seed=args.seed)
-        if rep.frontier:
-            best = max(e["f_max"] for e in rep.frontier if e["delta"] <= 1e-9)
-            best_text = f"{best:.6f}"
-        else:
-            best_text = "n/a"
+        best = max((e["f_max"] for e in rep.frontier if e["delta"] <= 1e-9), default=None)
+        best_text = "n/a" if best is None else f"{best:.6f}"
         print(f"{c:8.4f} {len(rep.hits):6d} {best_text:>22s}")
     print("empty hit rows are inconclusive (sampled evidence only)")
 
