@@ -186,8 +186,8 @@ def _pauli_grid_has_uqt(c: float, n_grid: int = 200) -> bool:
     """Vectorized scan of Pauli mixtures applied to |Psi_a> with concurrence c.
 
     Universality forces a pair of equal weights, so the grid covers the two
-    strata p1 = p2 and p0 = p3 over (p0, p1); each stratum is classified in
-    one states.verdicts call.
+    strata p1 = p2 and p0 = p3 over (p0, p1), classified in one
+    states.verdicts call.
     """
     psi = states.pure_state_from_concurrence(c)
     # conjugated states (I x sigma_i) rho (I x sigma_i): channel output is
@@ -197,21 +197,17 @@ def _pauli_grid_has_uqt(c: float, n_grid: int = 200) -> bool:
         t_parts.append(channels.apply_to_bob(psi, channels.validate([sig])).hs.t_mat)
     t_parts = np.array(t_parts)
 
-    grids = []
     p0g, p1g = np.meshgrid(np.linspace(0.0, 1.0, n_grid), np.linspace(0.0, 0.5, n_grid))
     # stratum A: p1 = p2, p3 = 1 - p0 - 2 p1
     p3 = 1.0 - p0g - 2.0 * p1g
     mask = p3 >= -1e-12
-    grids.append(np.stack([p0g[mask], p1g[mask], p1g[mask], np.clip(p3[mask], 0, 1)], axis=1))
+    stratum_a = np.stack([p0g[mask], p1g[mask], p1g[mask], np.clip(p3[mask], 0, 1)], axis=1)
     # stratum B: p3 = p0, p2 = 1 - 2 p0 - p1
     p2 = 1.0 - 2.0 * p0g - p1g
     mask = p2 >= -1e-12
-    grids.append(np.stack([p0g[mask], p1g[mask], np.clip(p2[mask], 0, 1), p0g[mask]], axis=1))
-
-    for weights in grids:
-        if np.any(states.verdicts(np.einsum("nk,kij->nij", weights, t_parts)).uqt):
-            return True
-    return False
+    stratum_b = np.stack([p0g[mask], p1g[mask], np.clip(p2[mask], 0, 1), p0g[mask]], axis=1)
+    weights = np.concatenate([stratum_a, stratum_b])
+    return bool(np.any(states.verdicts(np.einsum("nk,kij->nij", weights, t_parts)).uqt))
 
 
 def criterion_unital_pure_uqt() -> tuple[bool, str]:

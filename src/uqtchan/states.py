@@ -72,13 +72,9 @@ class CorrelationSpectrum:
 
 @dataclass(frozen=True)
 class TeleportProfile:
-    """Maximal average fidelity F, fidelity deviation, and verdicts.
-
-    The closed forms F = (1 + sum|t_ii|/3)/2 and
-    delta = sqrt(sum_{i<j}(|t_ii|-|t_jj|)^2) / (3 sqrt(10)) apply when
-    det T <= 0 (`formula_valid`); for det T > 0 f_max and delta are None and
-    the state is classified not useful (useful states all have det T < 0).
-    """
+    """Maximal average fidelity F, fidelity deviation, and verdicts of one
+    state, as `verdicts` defines them; f_max and delta are None where the
+    closed forms do not apply (det T > 0, formula_valid False)."""
 
     f_max: float | None
     delta: float | None
@@ -189,9 +185,8 @@ def nonzero_magnitudes(abs_t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Verdicts:
-    """Teleportation figures of merit of a stack of correlation matrices,
-    one entry per matrix; f_max and delta are the closed forms, meaningful
-    only where formula_valid."""
+    """`verdicts` of a stack, one entry per matrix; f_max and delta are
+    meaningful only where formula_valid."""
 
     abs_t: np.ndarray  # (..., 3) singular values of T, descending
     det_t: np.ndarray
