@@ -305,13 +305,6 @@ def gadc(gamma: float, N: float) -> QubitChannel:
 # Physical noise catalog
 # ---------------------------------------------------------------------------
 
-def _clamp_probability(p: float, context: str) -> float:
-    if p < -_P_CLAMP or p > 1.0 + _P_CLAMP:
-        raise ValueError(f"{context}: derived p(t) = {p!r} lies outside [0, 1]; "
-                         "the parameter regime is unphysical")
-    return min(max(p, 0.0), 1.0)
-
-
 def _depolarizing_kraus(w0: float, wi: float):
     return [np.sqrt(w0) * I2, np.sqrt(wi) * SX, np.sqrt(wi) * SY, np.sqrt(wi) * SZ]
 
@@ -489,12 +482,14 @@ def _register_time_law(family_id: str, params: tuple[ParamSpec, ...], doc: str,
     """Register a two-operator noise row whose mixing probability follows a
     time law: the channel is kraus(p) with p = law(**params) clamped to
     [0, 1], and it records its params in spec order, then p."""
-    names = tuple(spec.name for spec in params)
-
     def build(**values: float) -> QubitChannel:
-        p = _clamp_probability(law(**values), family_id)
+        p = law(**values)
+        if p < -_P_CLAMP or p > 1.0 + _P_CLAMP:
+            raise ValueError(f"{family_id}: derived p(t) = {p!r} lies outside [0, 1]; "
+                             "the parameter regime is unphysical")
+        p = min(max(p, 0.0), 1.0)
         return channels.validate(kraus(p), name=family_id,
-                                 params={**{n: values[n] for n in names}, "p": p})
+                                 params={**{s.name: values[s.name] for s in params}, "p": p})
 
     _register(Family(family_id, params, build, doc, expected_unital=unital, expected_rank=2))
 
