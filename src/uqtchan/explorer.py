@@ -236,30 +236,27 @@ class ThresholdResult:
     high: float
 
 
-def _predicate_value(prof: TeleportProfile, predicate: str) -> bool:
-    if predicate not in PREDICATES:
-        raise SweepSpecError(f"predicate must be one of {PREDICATES}, got {predicate!r}")
-    return bool(getattr(prof, predicate))
-
-
 def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
                    predicate: str, tol: float = 1e-8, fixed: dict | None = None,
                    initial: str | None = None) -> ThresholdResult:
     """Bisect the predicate flip point of a one-parameter scenario.
 
     The bracket must be finite and increasing, tol finite and positive, and
-    the predicate must differ at the two bracket endpoints. Bisection stops
-    at width tol, or sooner when no float lies strictly inside the bracket.
-    For the matched-concurrence families the initial state defaults to the matched
-    |Psi_a>; for lambda_tilde_nu swept in concurrence, p2 is placed at the
-    midpoint of its useful window when that window is non-empty (any valid
-    p2 below threshold leaves the predicate false).
+    the predicate (one of PREDICATES) must differ at the two bracket
+    endpoints. Bisection stops at width tol, or sooner when no float lies
+    strictly inside the bracket. For the matched-concurrence families the
+    initial state defaults to the matched |Psi_a>; for lambda_tilde_nu swept
+    in concurrence, p2 is placed at the midpoint of its useful window when
+    that window is non-empty (any valid p2 below threshold leaves the
+    predicate false).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise SweepSpecError(f"bracket must be finite and increasing, got [{lo}, {hi}]")
     if not (math.isfinite(tol) and tol > 0.0):
         raise SweepSpecError(f"tol must be finite and positive, got {tol!r}")
+    if predicate not in PREDICATES:
+        raise SweepSpecError(f"predicate must be one of {PREDICATES}, got {predicate!r}")
     fixed = dict(fixed or {})
     if initial is None:
         initial = ("matched" if family_id in families.MATCHED_CONCURRENCE_IDS else "bell1")
@@ -277,7 +274,7 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
 
     def value(x: float) -> bool:
         _, _, prof = evaluate_point(family_id, point_params(x), initial)
-        return _predicate_value(prof, predicate)
+        return bool(getattr(prof, predicate))
 
     v_lo, v_hi = value(lo), value(hi)
     if v_lo == v_hi:
