@@ -186,7 +186,7 @@ def _pauli_grid_has_uqt(c: float, n_grid: int = 200) -> bool:
     """Vectorized scan of Pauli mixtures applied to |Psi_a> with concurrence c.
 
     Universality forces a pair of equal weights, so the grid covers the two
-    strata p1 = p2 and p0 = p3 over (p0, p1), classified in one
+    strata p1 = p2 and p0 = p3 over (p0, p1), each classified in one
     states.verdicts call.
     """
     psi = states.pure_state_from_concurrence(c)
@@ -206,8 +206,9 @@ def _pauli_grid_has_uqt(c: float, n_grid: int = 200) -> bool:
     p2 = 1.0 - 2.0 * p0g - p1g
     mask = p2 >= -1e-12
     stratum_b = np.stack([p0g[mask], p1g[mask], np.clip(p2[mask], 0, 1), p0g[mask]], axis=1)
-    weights = np.concatenate([stratum_a, stratum_b])
-    return bool(np.any(states.verdicts(np.einsum("nk,kij->nij", weights, t_parts)).uqt))
+    # one stratum at a time keeps the peak memory of the stack at half
+    return any(bool(np.any(states.verdicts(np.einsum("nk,kij->nij", w, t_parts)).uqt))
+               for w in (stratum_a, stratum_b))
 
 
 def criterion_unital_pure_uqt() -> tuple[bool, str]:
