@@ -142,11 +142,6 @@ class ChannelReport:
     channel: QubitChannel
 
     @property
-    def trace_preserving_residual(self) -> float:
-        """||S - I||_max, computed when read; validate() has bounded it."""
-        return completeness_residual(self.channel.kraus)
-
-    @property
     def choi(self) -> TwoQubitState:
         """Choi state of the channel, built when read (sweeps never read it)."""
         return choi(self.channel)

@@ -132,6 +132,9 @@ class SweepSpec:
             fam = doc["family"]
             spec = FamilySpec(family_id=str(fam["id"]),
                               params={str(k): float(v) for k, v in fam.get("params", {}).items()})
+            bad = {k: v for k, v in spec.params.items() if not math.isfinite(v)}
+            if bad:
+                raise SweepSpecError(f"family params must be finite, got {bad}")
             axes = tuple(Axis(param=str(a["param"]), start=float(a["start"]),
                               stop=float(a["stop"]), step=float(a["step"]))
                          for a in doc["axes"])

@@ -2,15 +2,22 @@
 catalog, and the non-unital constructions that keep shared entanglement
 useful for universal quantum teleportation (UQT).
 
-Every public constructor returns a validated QubitChannel. Out-of-range
-parameters raise ValueError naming the documented range. Time-parameterized
-noise families take their raw constants plus a time t and record the derived
-mixing probability p(t) in the channel's params.
+Each family is declared once, next to a builder that returns only its raw
+Kraus operators and the params to record. `noise_channel` is the one
+validation site: it rejects a non-finite or out-of-range parameter with a
+ValueError naming it, runs the builder and validates the channel. Builders
+check only constraints that span several parameters. Public constructors
+return noise_channel(<id>, ...), so direct and catalog calls agree.
+Time-parameterized noise families take their raw constants plus a time t
+and record the derived mixing probability p(t) in the channel's params.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+import inspect
+import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -23,39 +30,135 @@ _P_CLAMP = 1e-12
 
 
 # ---------------------------------------------------------------------------
+# Catalog declarations
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ParamSpec:
+    name: str
+    low: float | None
+    high: float | None
+    low_open: bool = False
+    high_open: bool = False
+    sample_low: float | None = None
+    sample_high: float | None = None
+
+    def range_text(self) -> str:
+        lo = "-inf" if self.low is None else f"{self.low:g}"
+        hi = "inf" if self.high is None else f"{self.high:g}"
+        return f"{'(' if self.low_open or self.low is None else '['}{lo}, {hi}" \
+               f"{')' if self.high_open or self.high is None else ']'}"
+
+    def check(self, value: float, family_id: str) -> None:
+        """Reject a non-finite value, then one outside the declared range."""
+        if not math.isfinite(value):
+            raise ValueError(f"{family_id}: {self.name} must be finite, got {value!r}")
+        if self.low is not None and (value < self.low or (self.low_open and value == self.low)):
+            raise ValueError(f"{family_id}: {self.name} must lie in {self.range_text()}, got {value!r}")
+        if self.high is not None and (value > self.high or (self.high_open and value == self.high)):
+            raise ValueError(f"{family_id}: {self.name} must lie in {self.range_text()}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Family:
+    family_id: str
+    params: tuple[ParamSpec, ...]
+    #: builder: checked params -> (raw Kraus operators, params to record)
+    build: Callable[..., tuple[list, dict]]
+    doc: str
+    expected_unital: bool | None = None
+    expected_rank: int | None = None
+    sampler: Callable | None = None
+
+    def sample_params(self, rng: np.random.Generator) -> dict:
+        if self.sampler is not None:
+            return self.sampler(rng)
+        out = {}
+        for spec in self.params:
+            lo = spec.sample_low if spec.sample_low is not None else spec.low
+            hi = spec.sample_high if spec.sample_high is not None else spec.high
+            if lo is None or hi is None:
+                raise ValueError(f"{self.family_id}: parameter {spec.name} has no sampling range")
+            margin = 1e-3 * (hi - lo)
+            out[spec.name] = float(rng.uniform(lo + margin, hi - margin))
+        return out
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """A family id plus a full parameter assignment."""
+
+    family_id: str
+    params: dict = field(default_factory=dict)
+
+
+FAMILIES: dict[str, Family] = {}
+
+
+def _family(family_id: str, params: tuple[ParamSpec, ...], doc: str, *,
+            unital: bool | None = None, rank: int | None = None,
+            sampler: Callable | None = None):
+    """Declare a catalog family around its builder. The decorated name
+    becomes the public constructor: it takes the builder's arguments and
+    returns noise_channel(family_id, ...) on them."""
+    def declare(build: Callable[..., tuple[list, dict]]) -> Callable[..., QubitChannel]:
+        FAMILIES[family_id] = Family(family_id, params, build, doc, unital, rank, sampler)
+        signature = inspect.signature(build)
+
+        @functools.wraps(build)
+        def constructor(*args, **kwargs):
+            return noise_channel(family_id, **signature.bind(*args, **kwargs).arguments)
+        return constructor
+    return declare
+
+
+# ---------------------------------------------------------------------------
 # Pauli mixtures and the unital constructions
 # ---------------------------------------------------------------------------
 
-def pauli_mixture(p0: float, p1: float, p2: float, p3: float,
-                  name: str = "pauli_mixture") -> QubitChannel:
+def _pauli(p0: float, p1: float, p2: float, p3: float) -> tuple[list, dict]:
+    """Kraus {sqrt(p_i) sigma_i} (zero weights dropped) and weights of a Pauli mixture."""
+    probs = (p0, p1, p2, p3)
+    if abs(sum(probs) - 1.0) > 1e-12:
+        raise ValueError(f"probabilities must sum to 1 within 1e-12, got sum {sum(probs)!r}")
+    kraus = [np.sqrt(p) * sig for p, sig in zip(probs, PAULIS) if p > 0.0]
+    return kraus, {"p0": p0, "p1": p1, "p2": p2, "p3": p3}
+
+
+def _sample_pauli(rng: np.random.Generator) -> dict:
+    w = rng.dirichlet(np.ones(4))
+    return {"p0": float(w[0]), "p1": float(w[1]), "p2": float(w[2]), "p3": float(w[3])}
+
+
+@_family("pauli_mixture",
+         (ParamSpec("p0", 0.0, 1.0), ParamSpec("p1", 0.0, 1.0),
+          ParamSpec("p2", 0.0, 1.0), ParamSpec("p3", 0.0, 1.0)),
+         "convex mixture of the four Pauli channels (weights sum to 1)",
+         unital=True, sampler=_sample_pauli)
+def pauli_mixture(p0: float, p1: float, p2: float, p3: float):
     """Convex mixture of the four Pauli channels, Kraus {sqrt(p_i) sigma_i}.
 
     Zero-weight operators are dropped, so (1,0,0,0) is the identity channel.
     """
-    probs = (p0, p1, p2, p3)
-    if min(probs) < -1e-12:
-        raise ValueError(f"probabilities must be non-negative, got {probs}")
-    if abs(sum(probs) - 1.0) > 1e-12:
-        raise ValueError(f"probabilities must sum to 1 within 1e-12, got sum {sum(probs)!r}")
-    kraus = [np.sqrt(max(p, 0.0)) * sig for p, sig in zip(probs, PAULIS) if p > 0.0]
-    return channels.validate(kraus, name=name,
-                             params={"p0": p0, "p1": p1, "p2": p2, "p3": p3})
+    return _pauli(p0, p1, p2, p3)
 
 
-def werner(p: float) -> QubitChannel:
+@_family("werner", (ParamSpec("p", 0.0, 1.0),),
+         "Pauli mixture (p, (1-p)/3 x3); Werner-state Choi, UQT-preserving iff p > 1/2",
+         unital=True, sampler=lambda rng: {"p": float(rng.uniform(0.01, 0.99))})
+def werner(p: float):
     """Pauli mixture (p, (1-p)/3, (1-p)/3, (1-p)/3); its Choi state is the
     Werner state with Bell weight p. UQT-preserving iff 1/2 < p < 1."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
     q = (1.0 - p) / 3.0
-    return pauli_mixture(p, q, q, q, name="werner")
+    return _pauli(p, q, q, q)
 
 
-def dephasing(p: float) -> QubitChannel:
+@_family("dephasing", (ParamSpec("p", 0.0, 1.0),),
+         "dephasing, weight p on identity: {sqrt(p) I, sqrt(1-p) sigma_3}",
+         unital=True, rank=2, sampler=lambda rng: {"p": float(rng.uniform(0.01, 0.99))})
+def dephasing(p: float):
     """Dephasing with weight p on the identity: Kraus {sqrt(p) I, sqrt(1-p) sigma_3}."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    return pauli_mixture(p, 0.0, 0.0, 1.0 - p, name="dephasing")
+    return _pauli(p, 0.0, 0.0, 1.0 - p)
 
 
 def lambda_u4_weights(p: float) -> tuple[float, float, float, float]:
@@ -69,37 +172,48 @@ def lambda_u4_weights(p: float) -> tuple[float, float, float, float]:
     return (2.0 / 3.0, w12, w12, w3)
 
 
-def lambda_u4(p: float) -> QubitChannel:
+@_family("lambda_u4", (ParamSpec("p", 0.0, 1.0, low_open=True, high_open=True),),
+         "one-parameter rank-4 unital family; removes deviation on matched |Psi_a>",
+         unital=True, rank=4, sampler=lambda rng: {"p": float(rng.uniform(0.501, 0.999))})
+def lambda_u4(p: float):
     """Rank-four unital channel with weights lambda_u4_weights(p), 1/2 <= p < 1.
 
     Applied to |Psi_a> with matched concurrence C = p it yields a state with
     all correlation magnitudes equal and F = (3 + 4C)/(6 + 3C)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
     w = lambda_u4_weights(p)
     if w[3] < 0.0:
         raise ChannelValidationError(
             f"no CPTP map for p < 1/2: Choi weight {w[3]:.6g} is negative")
-    return replace(pauli_mixture(*w, name="lambda_u4"), params={"p": p})
+    return _pauli(*w)[0], {"p": p}
 
 
-def uqt_unital_for_pure(c: float, p0: float) -> QubitChannel:
+def _sample_uqt_unital(rng: np.random.Generator) -> dict:
+    c = float(rng.uniform(0.5 + 1e-3, 1.0 - 1e-3))
+    lo = (1.0 + 2.0 * c) / (6.0 * c)
+    hi = 1.0 / (2.0 - c)
+    return {"c": c, "p0": float(rng.uniform(lo + 1e-4 * (hi - lo), hi))}
+
+
+@_family("uqt_unital_for_pure",
+         (ParamSpec("c", 0.5, 1.0, low_open=True, high_open=True), ParamSpec("p0", None, None)),
+         "Pauli mixture making |Psi_a> (concurrence c > 1/2) useful for UQT; "
+         "p0 in ((1+2c)/(6c), 1/(2-c)]",
+         unital=True, sampler=_sample_uqt_unital)
+def uqt_unital_for_pure(c: float, p0: float):
     """Pauli mixture that makes |Psi_a> with concurrence c useful for UQT.
 
     Requires 1/2 < c < 1 and (1+2c)/(6c) < p0 <= 1/(2-c); then
     p1 = p2 = (1 + (1-2 p0) c)/(4 + 2c) and the final state has all
     correlation magnitudes equal to (4 p0 - 1) c / (2 + c) > 1/3.
     """
-    if not 0.5 < c < 1.0:
-        raise ValueError(f"concurrence must lie in (1/2, 1), got {c!r}")
     lo = (1.0 + 2.0 * c) / (6.0 * c)
     hi = 1.0 / (2.0 - c)
     if not lo < p0 <= hi:
         raise ValueError(f"p0 must lie in ({lo:.6g}, {hi:.6g}] for c={c!r}, got {p0!r}")
     p12 = (1.0 + (1.0 - 2.0 * p0) * c) / (4.0 + 2.0 * c)
     p3 = 1.0 - p0 - 2.0 * p12
-    ch = pauli_mixture(p0, p12, p12, max(p3, 0.0), name="uqt_unital_for_pure")
-    return replace(ch, params={"c": c, "p0": p0, "p1": p12, "p2": p12, "p3": p3})
+    kraus = _pauli(p0, p12, p12, max(p3, 0.0))[0]
+    return kraus, {"c": c, "p0": p0, "p1": p12, "p2": p12, "p3": p3}
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +247,21 @@ def canonical_choi_eigenvalues(s_norm: float, t: float) -> tuple[float, float, f
     )
 
 
-def _kraus_from_canonical_choi(s_vec, t: float, rank: int, name: str, params: dict) -> QubitChannel:
-    rho = canonical_nonunital_choi(s_vec, t)
-    ops = channels.kraus_from_choi(rho, rank=rank)
-    return channels.validate(ops, name=name, params=params)
+def _sample_rank4(rng: np.random.Generator) -> dict:
+    t = float(rng.uniform(1.0 / 3.0 + 1e-3, 1.0 - 1e-3))
+    s_norm = float(rng.uniform(1e-3, (1.0 - t) * (1.0 - 1e-3)))
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    s = s_norm * direction
+    return {"s1": float(s[0]), "s2": float(s[1]), "s3": float(s[2]), "t": t}
 
 
-def uqt_nonunital_rank4(s1: float, s2: float, s3: float, t: float) -> QubitChannel:
+@_family("uqt_nonunital_rank4",
+         (ParamSpec("s1", None, None), ParamSpec("s2", None, None), ParamSpec("s3", None, None),
+          ParamSpec("t", 1.0 / 3.0, 1.0, low_open=True, high_open=True)),
+         "non-unital rank-4 Choi family preserving UQT on a Bell input; 0 < |s| < 1-t",
+         unital=False, rank=4, sampler=_sample_rank4)
+def uqt_nonunital_rank4(s1: float, s2: float, s3: float, t: float):
     """Non-unital channel with rank-4 Choi state preserving UQT on a Bell input.
 
     Requires 1/3 < t < 1 and 0 < |s| < 1 - t. The Choi state has all
@@ -148,55 +270,59 @@ def uqt_nonunital_rank4(s1: float, s2: float, s3: float, t: float) -> QubitChann
     which stays well defined on the s1 = s2 = 0 axis where the printed
     component formulas have removable singularities.
     """
-    if not 1.0 / 3.0 < t < 1.0:
-        raise ValueError(f"t must lie in (1/3, 1), got {t!r}")
     s_norm = float(np.sqrt(s1 * s1 + s2 * s2 + s3 * s3))
     if not 0.0 < s_norm < 1.0 - t:
         raise ValueError(
             f"|s| must lie in (0, 1 - t) = (0, {1.0 - t:.6g}) for rank 4, got {s_norm!r}")
-    return _kraus_from_canonical_choi(
-        (s1, s2, s3), t, rank=4, name="uqt_nonunital_rank4",
-        params={"s1": s1, "s2": s2, "s3": s3, "t": t})
+    kraus = channels.kraus_from_choi(canonical_nonunital_choi((s1, s2, s3), t), rank=4)
+    return kraus, {"s1": s1, "s2": s2, "s3": s3, "t": t}
 
 
-def uqt_nonunital_rank3(theta: float, phi: float, t: float) -> QubitChannel:
+@_family("uqt_nonunital_rank3",
+         (ParamSpec("theta", 0.0, np.pi), ParamSpec("phi", 0.0, 2.0 * np.pi),
+          ParamSpec("t", 1.0 / 3.0, 1.0, low_open=True, high_open=True)),
+         "non-unital rank-3 Choi family preserving UQT on a Bell input; |s| = 1-t",
+         unital=False, rank=3)
+def uqt_nonunital_rank3(theta: float, phi: float, t: float):
     """Non-unital channel with rank-3 Choi state preserving UQT on a Bell input.
 
     Requires 1/3 < t < 1; the Bob vector has |s| = 1 - t with direction
     (theta, phi), which pins the Choi rank to three. Same Choi profile as
     the rank-4 family: magnitudes (t, t, t), F = (1+t)/2, zero deviation.
     """
-    if not 1.0 / 3.0 < t < 1.0:
-        raise ValueError(f"t must lie in (1/3, 1), got {t!r}")
     r = 1.0 - t
     s_vec = (r * np.sin(theta) * np.cos(phi), r * np.sin(theta) * np.sin(phi), r * np.cos(theta))
-    return _kraus_from_canonical_choi(
-        s_vec, t, rank=3, name="uqt_nonunital_rank3",
-        params={"theta": theta, "phi": phi, "t": t})
+    kraus = channels.kraus_from_choi(canonical_nonunital_choi(s_vec, t), rank=3)
+    return kraus, {"theta": theta, "phi": phi, "t": t}
 
 
 # ---------------------------------------------------------------------------
 # Named non-unital examples
 # ---------------------------------------------------------------------------
 
-def example_rank3(p: float) -> QubitChannel:
+@_family("example_rank3", (ParamSpec("p", 0.0, 1.0, low_open=True, high_open=True),),
+         "non-unital rank-3 example: Bell output p Phi_1 + (1-p) I/2 x |0><0|, "
+         "UQT iff p > 1/3",
+         unital=False, rank=3)
+def example_rank3(p: float):
     """Rank-3 non-unital channel {sqrt(1-p)|0><0|, sqrt(1-p)|0><1|, sqrt(p) I}.
 
     On a Bell input the final state is p |Phi_1><Phi_1| + (1-p) I/2 x |0><0|,
     with F = (1+p)/2 and zero deviation: useful for UQT iff p > 1/3.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
     r = np.sqrt(1.0 - p)
     kraus = [
         np.array([[r, 0.0], [0.0, 0.0]], dtype=complex),
         np.array([[0.0, r], [0.0, 0.0]], dtype=complex),
         np.sqrt(p) * I2,
     ]
-    return channels.validate(kraus, name="example_rank3", params={"p": p})
+    return kraus, {"p": p}
 
 
-def example_rank4_uqt() -> QubitChannel:
+@_family("example_rank4_uqt", (),
+         "fixed non-unital rank-4 example with Bell-output F = 3/4, zero deviation",
+         unital=False, rank=4, sampler=lambda rng: {})
+def example_rank4_uqt():
     """Fixed four-operator non-unital channel whose Bell output has F = 3/4
     and zero fidelity deviation (useful for UQT)."""
     s17 = np.sqrt(17.0)
@@ -206,10 +332,14 @@ def example_rank4_uqt() -> QubitChannel:
     k2 = np.sqrt((6.0 - s17) / (17.0 + s17)) * np.array(
         [[0.0, 1.0], [(1.0 + s17) / 4.0, 0.0]], dtype=complex)
     k3 = np.array([[0.0, 0.0], [0.0, 1.0 / (2.0 * np.sqrt(2.0))]], dtype=complex)
-    return channels.validate([k0, k1, k2, k3], name="example_rank4_uqt", params={})
+    return [k0, k1, k2, k3], {}
 
 
-def example_rank3_universal_only() -> QubitChannel:
+@_family("example_rank3_universal_only", (),
+         "fixed non-unital rank-3 example: Bell output universal (zero deviation) "
+         "but not useful (F = 11/20)",
+         unital=False, rank=3, sampler=lambda rng: {})
+def example_rank3_universal_only():
     """Fixed three-operator non-unital channel whose Bell output has F = 11/20
     and zero deviation: universal but not useful for teleportation."""
     r = np.sqrt(5.0 / 17.0)
@@ -221,7 +351,7 @@ def example_rank3_universal_only() -> QubitChannel:
     k0 = 1j * np.array([[-a, b], [-b, a]], dtype=complex)
     k1 = -1j * e * np.ones((2, 2), dtype=complex)
     k2 = 1j * np.array([[c, d], [-d, -c]], dtype=complex)
-    return channels.validate([k0, k1, k2], name="example_rank3_universal_only", params={})
+    return [k0, k1, k2], {}
 
 
 def lambda_tilde_p2_max(p1: float) -> float:
@@ -229,7 +359,19 @@ def lambda_tilde_p2_max(p1: float) -> float:
     return (1.0 + p1) / (1.0 + p1 + np.sqrt(1.0 - p1 * p1))
 
 
-def lambda_tilde_nu(p1: float, p2: float) -> QubitChannel:
+def _sample_tilde(rng: np.random.Generator) -> dict:
+    p1 = float(rng.uniform(1e-3, 1.0 - 1e-3))
+    hi = lambda_tilde_p2_max(p1)
+    return {"p1": p1, "p2": float(rng.uniform(1e-3 * hi, hi * (1.0 - 1e-3)))}
+
+
+@_family("lambda_tilde_nu",
+         (ParamSpec("p1", 0.0, 1.0, low_open=True, high_open=True),
+          ParamSpec("p2", 0.0, 1.0, low_open=True, high_open=True)),
+         "four-operator non-unital family; on matched |Psi_a> (C = p1) the final "
+         "state has F = (1 + p2 C)/2, zero deviation; p2 < (1+p1)/(1+p1+sqrt(1-p1^2))",
+         unital=False, sampler=_sample_tilde)
+def lambda_tilde_nu(p1: float, p2: float):
     """Four-operator non-unital channel that removes fidelity deviation.
 
     Valid for 0 < p1 < 1 and 0 < p2 < (1+p1)/(1+p1+sqrt(1-p1^2)). Applied
@@ -237,10 +379,8 @@ def lambda_tilde_nu(p1: float, p2: float) -> QubitChannel:
     F = (1 + p2 C)/2 and zero deviation, hence useful for UQT iff
     p2 > 1/(3C), which is attainable iff C > (sqrt(17)-1)/6.
     """
-    if not 0.0 < p1 < 1.0:
-        raise ValueError(f"p1 must lie in (0, 1), got {p1!r}")
     hi = lambda_tilde_p2_max(p1)
-    if not 0.0 < p2 < hi:
+    if not p2 < hi:
         raise ValueError(f"p2 must lie in (0, {hi:.6g}) for p1={p1!r}, got {p2!r}")
     u = np.sqrt(1.0 - p1) / np.sqrt(1.0 + p1)
     root = np.sqrt(5.0 + 3.0 * p1)
@@ -257,8 +397,7 @@ def lambda_tilde_nu(p1: float, p2: float) -> QubitChannel:
         (1.0 + p1 + p2 + p1 * p2 + p2 * np.sqrt(1.0 + p1) * root)
         / (5.0 + 3.0 * p1 - sm * root)
     ) * np.array([[0.0, 1.0], [(sm - root) / (2.0 * np.sqrt(1.0 + p1)), 0.0]], dtype=complex)
-    return channels.validate([k0, k1, k2, k3], name="lambda_tilde_nu",
-                             params={"p1": p1, "p2": p2})
+    return [k0, k1, k2, k3], {"p1": p1, "p2": p2}
 
 
 def lambda_star_gamma(p1: float) -> float:
@@ -268,7 +407,11 @@ def lambda_star_gamma(p1: float) -> float:
     return (1.0 + u - np.sqrt(rad)) / (2.0 + 2.0 * u)
 
 
-def lambda_star_nu(p1: float) -> QubitChannel:
+@_family("lambda_star_nu", (ParamSpec("p1", 0.0, 1.0, low_open=True, high_open=True),),
+         "amplitude damping toward |1> with matched strength gamma(p1); zero "
+         "deviation on matched |Psi_a>, useful iff C > sqrt(5-2 sqrt(3))/3",
+         unital=False, rank=2)
+def lambda_star_nu(p1: float):
     """Amplitude damping toward |1> with strength gamma(p1) (the N=1 limit of
     the generalized amplitude-damping channel).
 
@@ -276,29 +419,26 @@ def lambda_star_nu(p1: float) -> QubitChannel:
     zero deviation for every C and is useful for UQT iff
     C > sqrt(5 - 2 sqrt(3))/3, approximately 0.4131.
     """
-    if not 0.0 < p1 < 1.0:
-        raise ValueError(f"p1 must lie in (0, 1), got {p1!r}")
-    g = lambda_star_gamma(p1)
+    g = float(lambda_star_gamma(p1))
     k0 = np.array([[np.sqrt(1.0 - g), 0.0], [0.0, 1.0]], dtype=complex)
     k1 = np.array([[0.0, 0.0], [np.sqrt(g), 0.0]], dtype=complex)
-    return channels.validate([k0, k1], name="lambda_star_nu",
-                             params={"p1": p1, "gamma": g})
+    return [k0, k1], {"p1": p1, "gamma": g}
 
 
-def gadc(gamma: float, N: float) -> QubitChannel:
+@_family("gadc", (ParamSpec("gamma", 0.0, 1.0), ParamSpec("N", 0.0, 1.0)),
+         "generalized amplitude damping; non-unital iff gamma (2N-1) != 0",
+         sampler=lambda rng: {"gamma": float(rng.uniform(0.05, 0.95)),
+                              "N": float(rng.uniform(0.05, 0.45))})
+def gadc(gamma: float, N: float):
     """Generalized amplitude-damping channel with loss gamma and bath
     excitation n, both in [0, 1]. Non-unital iff gamma (2n - 1) != 0."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
-    if not 0.0 <= N <= 1.0:
-        raise ValueError(f"N must lie in [0, 1], got {N!r}")
     rg = np.sqrt(1.0 - gamma)
     sg = np.sqrt(gamma)
     k0 = np.sqrt(1.0 - N) * np.array([[1.0, 0.0], [0.0, rg]], dtype=complex)
     k1 = np.sqrt(1.0 - N) * np.array([[0.0, sg], [0.0, 0.0]], dtype=complex)
     k2 = np.sqrt(N) * np.array([[rg, 0.0], [0.0, 1.0]], dtype=complex)
     k3 = np.sqrt(N) * np.array([[0.0, 0.0], [sg, 0.0]], dtype=complex)
-    return channels.validate([k0, k1, k2, k3], name="gadc", params={"gamma": gamma, "N": N})
+    return [k0, k1, k2, k3], {"gamma": gamma, "N": N}
 
 
 # ---------------------------------------------------------------------------
@@ -321,43 +461,6 @@ def _adc_kraus(p: float):
     ]
 
 
-def _build_depolarizing_m(p: float) -> QubitChannel:
-    return channels.validate(_depolarizing_kraus(1.0 - p, p / 3.0),
-                             name="depolarizing_m", params={"p": p})
-
-
-def _build_dephasing_m(p: float) -> QubitChannel:
-    return channels.validate(_dephasing_kraus(p), name="dephasing_m", params={"p": p})
-
-
-def _build_unruh(r: float) -> QubitChannel:
-    if not 0.0 < r <= np.pi / 4.0:
-        raise ValueError(f"r must lie in (0, pi/4], got {r!r}")
-    kraus = [
-        np.array([[np.cos(r), 0.0], [0.0, 1.0]], dtype=complex),
-        np.array([[0.0, 0.0], [np.sin(r), 0.0]], dtype=complex),
-    ]
-    return channels.validate(kraus, name="unruh", params={"r": r})
-
-
-def _build_depolarizing_nm(alpha: float, p: float) -> QubitChannel:
-    if 3.0 * alpha * p > 1.0 + 1e-12:
-        raise ValueError(
-            f"need 3 alpha p <= 1 for a CPTP map (identity weight stays non-negative); "
-            f"got alpha={alpha!r}, p={p!r}")
-    w0 = max((1.0 - 3.0 * alpha * p) * (1.0 - p), 0.0)
-    wi = (1.0 + 3.0 * alpha * (1.0 - p)) * p / 3.0
-    return channels.validate(_depolarizing_kraus(w0, wi), name="depolarizing_nm",
-                             params={"alpha": alpha, "p": p})
-
-
-def _build_dephasing_nm(alpha: float, p: float) -> QubitChannel:
-    w0 = (1.0 - alpha * p) * (1.0 - p)
-    w3 = p * (1.0 + alpha * (1.0 - p))
-    kraus = [np.sqrt(w0) * I2, np.sqrt(w3) * SZ]
-    return channels.validate(kraus, name="dephasing_nm", params={"alpha": alpha, "p": p})
-
-
 def _adc_nm_probability(R: float, gamma: float, omega0: float, g: float, t: float) -> float:
     """Non-Markovian amplitude-damping law
     1 - exp(-2 R gamma / (omega0 coth(g omega0 t / 2) + 1)); p(0) = 0."""
@@ -372,96 +475,21 @@ def rtn_probability(g: float, omega: float, t: float) -> float:
     return float(np.exp(-g * t) * (np.cos(theta) + np.sin(theta) / omega))
 
 
-# ---------------------------------------------------------------------------
-# Catalog
-# ---------------------------------------------------------------------------
+def _register_time_law(family_id: str, params: tuple[ParamSpec, ...], doc: str,
+                       kraus: Callable[[float], list], law: Callable[..., float],
+                       unital: bool) -> None:
+    """Declare a two-operator noise row whose mixing probability follows a
+    time law: the channel is kraus(p) with p = law(**params) clamped to
+    [0, 1], and it records its params in spec order, then p."""
+    def build(**values: float):
+        p = float(law(**values))
+        if not -_P_CLAMP <= p <= 1.0 + _P_CLAMP:
+            raise ValueError(f"{family_id}: derived p(t) = {p!r} lies outside [0, 1]; "
+                             "the parameter regime is unphysical")
+        p = min(max(p, 0.0), 1.0)
+        return kraus(p), {**{s.name: values[s.name] for s in params}, "p": p}
 
-@dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    low: float | None
-    high: float | None
-    low_open: bool = False
-    high_open: bool = False
-    sample_low: float | None = None
-    sample_high: float | None = None
-
-    def range_text(self) -> str:
-        lo = "-inf" if self.low is None else f"{self.low:g}"
-        hi = "inf" if self.high is None else f"{self.high:g}"
-        return f"{'(' if self.low_open or self.low is None else '['}{lo}, {hi}" \
-               f"{')' if self.high_open or self.high is None else ']'}"
-
-    def check(self, value: float, family_id: str) -> None:
-        if self.low is not None and (value < self.low or (self.low_open and value == self.low)):
-            raise ValueError(f"{family_id}: {self.name} must lie in {self.range_text()}, got {value!r}")
-        if self.high is not None and (value > self.high or (self.high_open and value == self.high)):
-            raise ValueError(f"{family_id}: {self.name} must lie in {self.range_text()}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class Family:
-    family_id: str
-    params: tuple[ParamSpec, ...]
-    build: Callable[..., QubitChannel]
-    doc: str
-    expected_unital: bool | None = None
-    expected_rank: int | None = None
-    sampler: Callable | None = None
-
-    def sample_params(self, rng: np.random.Generator) -> dict:
-        if self.sampler is not None:
-            return self.sampler(rng)
-        out = {}
-        for spec in self.params:
-            lo = spec.sample_low if spec.sample_low is not None else spec.low
-            hi = spec.sample_high if spec.sample_high is not None else spec.high
-            if lo is None or hi is None:
-                raise ValueError(f"{self.family_id}: parameter {spec.name} has no sampling range")
-            margin = 1e-3 * (hi - lo)
-            out[spec.name] = float(rng.uniform(lo + margin, hi - margin))
-        return out
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family id plus a full parameter assignment."""
-
-    family_id: str
-    params: dict = field(default_factory=dict)
-
-
-def _sample_rank4(rng: np.random.Generator) -> dict:
-    t = float(rng.uniform(1.0 / 3.0 + 1e-3, 1.0 - 1e-3))
-    s_norm = float(rng.uniform(1e-3, (1.0 - t) * (1.0 - 1e-3)))
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    s = s_norm * direction
-    return {"s1": float(s[0]), "s2": float(s[1]), "s3": float(s[2]), "t": t}
-
-
-def _sample_tilde(rng: np.random.Generator) -> dict:
-    p1 = float(rng.uniform(1e-3, 1.0 - 1e-3))
-    hi = lambda_tilde_p2_max(p1)
-    return {"p1": p1, "p2": float(rng.uniform(1e-3 * hi, hi * (1.0 - 1e-3)))}
-
-
-def _sample_depolarizing_nm(rng: np.random.Generator) -> dict:
-    alpha = float(rng.uniform(0.05, 1.0))
-    p_hi = min(0.5, 1.0 / (3.0 * alpha))
-    return {"alpha": alpha, "p": float(rng.uniform(0.0, p_hi * (1.0 - 1e-3)))}
-
-
-def _sample_uqt_unital(rng: np.random.Generator) -> dict:
-    c = float(rng.uniform(0.5 + 1e-3, 1.0 - 1e-3))
-    lo = (1.0 + 2.0 * c) / (6.0 * c)
-    hi = 1.0 / (2.0 - c)
-    return {"c": c, "p0": float(rng.uniform(lo + 1e-4 * (hi - lo), hi))}
-
-
-def _sample_pauli(rng: np.random.Generator) -> dict:
-    w = rng.dirichlet(np.ones(4))
-    return {"p0": float(w[0]), "p1": float(w[1]), "p2": float(w[2]), "p3": float(w[3])}
+    _family(family_id, params, doc, unital=unital, rank=2)(build)
 
 
 # Sampling ranges keep every rank-2 draw's second Choi eigenvalue >= 1e-6 x the
@@ -469,119 +497,21 @@ def _sample_pauli(rng: np.random.Generator) -> dict:
 _TIME = ParamSpec("t", 0.0, None, sample_low=0.1, sample_high=2.0)
 
 
-FAMILIES: dict[str, Family] = {}
+@_family("depolarizing_m", (ParamSpec("p", 0.0, 1.0),),
+         "Markovian depolarizing {sqrt(1-p) I, sqrt(p/3) sigma_i}; Bell output is "
+         "a Werner state, UQT iff p < 1/2",
+         unital=True, sampler=lambda rng: {"p": float(rng.uniform(0.01, 0.99))})
+def _depolarizing_m(p: float):
+    return _depolarizing_kraus(1.0 - p, p / 3.0), {"p": p}
 
 
-def _register(family: Family) -> None:
-    FAMILIES[family.family_id] = family
+@_family("dephasing_m", (ParamSpec("p", 0.0, 1.0),),
+         "Markovian dephasing {sqrt(1-p) I, sqrt(p) sigma_3}",
+         unital=True, rank=2, sampler=lambda rng: {"p": float(rng.uniform(0.01, 0.99))})
+def _dephasing_m(p: float):
+    return _dephasing_kraus(p), {"p": p}
 
 
-def _register_time_law(family_id: str, params: tuple[ParamSpec, ...], doc: str,
-                       kraus: Callable[[float], list], law: Callable[..., float],
-                       unital: bool) -> None:
-    """Register a two-operator noise row whose mixing probability follows a
-    time law: the channel is kraus(p) with p = law(**params) clamped to
-    [0, 1], and it records its params in spec order, then p."""
-    def build(**values: float) -> QubitChannel:
-        p = law(**values)
-        if p < -_P_CLAMP or p > 1.0 + _P_CLAMP:
-            raise ValueError(f"{family_id}: derived p(t) = {p!r} lies outside [0, 1]; "
-                             "the parameter regime is unphysical")
-        p = min(max(p, 0.0), 1.0)
-        return channels.validate(kraus(p), name=family_id,
-                                 params={**{s.name: values[s.name] for s in params}, "p": p})
-
-    _register(Family(family_id, params, build, doc, expected_unital=unital, expected_rank=2))
-
-
-_register(Family(
-    "pauli_mixture",
-    (ParamSpec("p0", 0.0, 1.0), ParamSpec("p1", 0.0, 1.0),
-     ParamSpec("p2", 0.0, 1.0), ParamSpec("p3", 0.0, 1.0)),
-    pauli_mixture, "convex mixture of the four Pauli channels (weights sum to 1)",
-    expected_unital=True, sampler=_sample_pauli))
-_register(Family(
-    "werner", (ParamSpec("p", 0.0, 1.0),), werner,
-    "Pauli mixture (p, (1-p)/3 x3); Werner-state Choi, UQT-preserving iff p > 1/2",
-    expected_unital=True, sampler=lambda rng: {"p": float(rng.uniform(0.01, 0.99))}))
-_register(Family(
-    "dephasing", (ParamSpec("p", 0.0, 1.0),), dephasing,
-    "dephasing, weight p on identity: {sqrt(p) I, sqrt(1-p) sigma_3}",
-    expected_unital=True, expected_rank=2,
-    sampler=lambda rng: {"p": float(rng.uniform(0.01, 0.99))}))
-_register(Family(
-    "lambda_u4", (ParamSpec("p", 0.5, 1.0, high_open=True),), lambda_u4,
-    "one-parameter rank-4 unital family; removes deviation on matched |Psi_a>",
-    expected_unital=True, expected_rank=4,
-    sampler=lambda rng: {"p": float(rng.uniform(0.501, 0.999))}))
-_register(Family(
-    "uqt_unital_for_pure",
-    (ParamSpec("c", 0.5, 1.0, low_open=True, high_open=True),
-     ParamSpec("p0", None, None)),
-    uqt_unital_for_pure,
-    "Pauli mixture making |Psi_a> (concurrence c > 1/2) useful for UQT; "
-    "p0 in ((1+2c)/(6c), 1/(2-c)]",
-    expected_unital=True, sampler=_sample_uqt_unital))
-_register(Family(
-    "uqt_nonunital_rank4",
-    (ParamSpec("s1", None, None), ParamSpec("s2", None, None), ParamSpec("s3", None, None),
-     ParamSpec("t", 1.0 / 3.0, 1.0, low_open=True, high_open=True)),
-    uqt_nonunital_rank4,
-    "non-unital rank-4 Choi family preserving UQT on a Bell input; 0 < |s| < 1-t",
-    expected_unital=False, expected_rank=4, sampler=_sample_rank4))
-_register(Family(
-    "uqt_nonunital_rank3",
-    (ParamSpec("theta", 0.0, np.pi), ParamSpec("phi", 0.0, 2.0 * np.pi),
-     ParamSpec("t", 1.0 / 3.0, 1.0, low_open=True, high_open=True)),
-    uqt_nonunital_rank3,
-    "non-unital rank-3 Choi family preserving UQT on a Bell input; |s| = 1-t",
-    expected_unital=False, expected_rank=3))
-_register(Family(
-    "example_rank3", (ParamSpec("p", 0.0, 1.0, low_open=True, high_open=True),),
-    example_rank3,
-    "non-unital rank-3 example: Bell output p Phi_1 + (1-p) I/2 x |0><0|, "
-    "UQT iff p > 1/3",
-    expected_unital=False, expected_rank=3))
-_register(Family(
-    "example_rank4_uqt", (), example_rank4_uqt,
-    "fixed non-unital rank-4 example with Bell-output F = 3/4, zero deviation",
-    expected_unital=False, expected_rank=4, sampler=lambda rng: {}))
-_register(Family(
-    "example_rank3_universal_only", (), example_rank3_universal_only,
-    "fixed non-unital rank-3 example: Bell output universal (zero deviation) "
-    "but not useful (F = 11/20)",
-    expected_unital=False, expected_rank=3, sampler=lambda rng: {}))
-_register(Family(
-    "lambda_tilde_nu",
-    (ParamSpec("p1", 0.0, 1.0, low_open=True, high_open=True),
-     ParamSpec("p2", 0.0, 1.0, low_open=True, high_open=True)),
-    lambda_tilde_nu,
-    "four-operator non-unital family; on matched |Psi_a> (C = p1) the final "
-    "state has F = (1 + p2 C)/2, zero deviation; p2 < (1+p1)/(1+p1+sqrt(1-p1^2))",
-    expected_unital=False, sampler=_sample_tilde))
-_register(Family(
-    "lambda_star_nu", (ParamSpec("p1", 0.0, 1.0, low_open=True, high_open=True),),
-    lambda_star_nu,
-    "amplitude damping toward |1> with matched strength gamma(p1); zero "
-    "deviation on matched |Psi_a>, useful iff C > sqrt(5-2 sqrt(3))/3",
-    expected_unital=False, expected_rank=2))
-_register(Family(
-    "gadc", (ParamSpec("gamma", 0.0, 1.0), ParamSpec("N", 0.0, 1.0)),
-    gadc, "generalized amplitude damping; non-unital iff gamma (2N-1) != 0",
-    expected_unital=None, expected_rank=None,
-    sampler=lambda rng: {"gamma": float(rng.uniform(0.05, 0.95)),
-                         "N": float(rng.uniform(0.05, 0.45))}))
-_register(Family(
-    "depolarizing_m", (ParamSpec("p", 0.0, 1.0),), _build_depolarizing_m,
-    "Markovian depolarizing {sqrt(1-p) I, sqrt(p/3) sigma_i}; Bell output is "
-    "a Werner state, UQT iff p < 1/2",
-    expected_unital=True,
-    sampler=lambda rng: {"p": float(rng.uniform(0.01, 0.99))}))
-_register(Family(
-    "dephasing_m", (ParamSpec("p", 0.0, 1.0),), _build_dephasing_m,
-    "Markovian dephasing {sqrt(1-p) I, sqrt(p) sigma_3}",
-    expected_unital=True, expected_rank=2,
-    sampler=lambda rng: {"p": float(rng.uniform(0.01, 0.99))}))
 _register_time_law(
     "adc_m", (ParamSpec("gamma", 0.0, None, low_open=True, sample_high=2.0), _TIME),
     "Markovian amplitude damping toward |0>, p(t) = 1 - exp(-gamma t)",
@@ -594,24 +524,51 @@ _register_time_law(
     "oun_m", (ParamSpec("G", 0.0, None, low_open=True, sample_high=2.0), _TIME),
     "Ornstein-Uhlenbeck noise, dephasing form with p(t) = exp(-G t / 2)",
     _dephasing_kraus, lambda G, t: np.exp(-G * t / 2.0), unital=True)
-_register(Family(
-    "unruh", (ParamSpec("r", 0.0, np.pi / 4.0, low_open=True, sample_low=0.01),), _build_unruh,
-    "Unruh channel {diag(cos r, 1), sin r lower shift}; non-unital",
-    expected_unital=False, expected_rank=2))
-_register(Family(
-    "depolarizing_nm",
-    (ParamSpec("alpha", 0.0, 1.0, low_open=True), ParamSpec("p", 0.0, 0.5)),
-    _build_depolarizing_nm,
-    "non-Markovian depolarizing; needs 3 alpha p <= 1; UQT for small p",
-    expected_unital=True, sampler=_sample_depolarizing_nm))
-_register(Family(
-    "dephasing_nm",
-    (ParamSpec("alpha", 0.0, 1.0, low_open=True), ParamSpec("p", 0.0, 0.5)),
-    _build_dephasing_nm, "non-Markovian dephasing, weights (1-alpha p)(1-p) and "
-    "p(1+alpha(1-p))",
-    expected_unital=True, expected_rank=2,
-    sampler=lambda rng: {"alpha": float(rng.uniform(0.05, 1.0)),
-                         "p": float(rng.uniform(0.01, 0.49))}))
+
+
+@_family("unruh", (ParamSpec("r", 0.0, np.pi / 4.0, low_open=True, sample_low=0.01),),
+         "Unruh channel {diag(cos r, 1), sin r lower shift}; non-unital",
+         unital=False, rank=2)
+def _unruh(r: float):
+    kraus = [
+        np.array([[np.cos(r), 0.0], [0.0, 1.0]], dtype=complex),
+        np.array([[0.0, 0.0], [np.sin(r), 0.0]], dtype=complex),
+    ]
+    return kraus, {"r": r}
+
+
+def _sample_depolarizing_nm(rng: np.random.Generator) -> dict:
+    alpha = float(rng.uniform(0.05, 1.0))
+    p_hi = min(0.5, 1.0 / (3.0 * alpha))
+    return {"alpha": alpha, "p": float(rng.uniform(0.0, p_hi * (1.0 - 1e-3)))}
+
+
+@_family("depolarizing_nm",
+         (ParamSpec("alpha", 0.0, 1.0, low_open=True), ParamSpec("p", 0.0, 0.5)),
+         "non-Markovian depolarizing; needs 3 alpha p <= 1; UQT for small p",
+         unital=True, sampler=_sample_depolarizing_nm)
+def _depolarizing_nm(alpha: float, p: float):
+    if 3.0 * alpha * p > 1.0 + 1e-12:
+        raise ValueError(
+            f"need 3 alpha p <= 1 for a CPTP map (identity weight stays non-negative); "
+            f"got alpha={alpha!r}, p={p!r}")
+    w0 = max((1.0 - 3.0 * alpha * p) * (1.0 - p), 0.0)
+    wi = (1.0 + 3.0 * alpha * (1.0 - p)) * p / 3.0
+    return _depolarizing_kraus(w0, wi), {"alpha": alpha, "p": p}
+
+
+@_family("dephasing_nm",
+         (ParamSpec("alpha", 0.0, 1.0, low_open=True), ParamSpec("p", 0.0, 0.5)),
+         "non-Markovian dephasing, weights (1-alpha p)(1-p) and p(1+alpha(1-p))",
+         unital=True, rank=2,
+         sampler=lambda rng: {"alpha": float(rng.uniform(0.05, 1.0)),
+                              "p": float(rng.uniform(0.01, 0.49))})
+def _dephasing_nm(alpha: float, p: float):
+    w0 = (1.0 - alpha * p) * (1.0 - p)
+    w3 = p * (1.0 + alpha * (1.0 - p))
+    return [np.sqrt(w0) * I2, np.sqrt(w3) * SZ], {"alpha": alpha, "p": p}
+
+
 _register_time_law(
     "adc_nm",
     (ParamSpec("R", 0.0, None, low_open=True, sample_low=0.05, sample_high=2.0),
@@ -684,7 +641,8 @@ def resolve_param(family_id: str, key: str) -> str:
 
 
 def noise_channel(family_id: str, **params) -> QubitChannel:
-    """Build any catalog channel by family id and keyword parameters."""
+    """Build any catalog channel by family id and keyword parameters: the one
+    place that checks every parameter and validates the built channel."""
     fam = get_family(family_id)
     names = {spec.name for spec in fam.params}
     resolved = {}
@@ -697,9 +655,9 @@ def noise_channel(family_id: str, **params) -> QubitChannel:
     if missing:
         raise ValueError(f"{family_id}: missing parameters {sorted(missing)}")
     for spec in fam.params:
-        if spec.low is not None or spec.high is not None:
-            spec.check(resolved[spec.name], family_id)
-    return fam.build(**resolved)
+        spec.check(resolved[spec.name], family_id)
+    kraus, recorded = fam.build(**resolved)
+    return channels.validate(kraus, name=family_id, params=recorded)
 
 
 def list_families() -> list[dict]:

@@ -175,12 +175,6 @@ def hermitian_eig(m) -> EigenDecomp:
     return EigenDecomp(eigenvalues=vals, eigenvectors=vecs)
 
 
-def is_psd(m, tol: float = RANK_TOL) -> bool:
-    """True iff the smallest eigenvalue of a Hermitian matrix is >= -tol."""
-    dec = hermitian_eig(m)
-    return bool(dec.eigenvalues[-1] >= -tol)
-
-
 def numeric_rank(m, tol: float = RANK_TOL) -> int:
     """EigenDecomp.rank of a Hermitian PSD matrix (0 for the zero matrix)."""
     return hermitian_eig(m).rank(tol)

@@ -101,7 +101,6 @@ class QuadratureSpec:
 @dataclass(frozen=True)
 class NumericMoments:
     mean_f: float
-    second_f: float
     delta: float
 
 
@@ -119,17 +118,15 @@ def fidelity_on_bloch(shared: TwoQubitState, bloch: np.ndarray) -> np.ndarray:
 
 
 def numeric_moments(shared: TwoQubitState, quad: QuadratureSpec | None = None) -> NumericMoments:
-    """First and second Haar moments of the protocol fidelity, and their spread.
+    """Haar mean of the protocol fidelity and its spread.
 
-    The spread is the root of the centered moment, not of second - mean**2,
-    which cancels to ~1e-8 noise when the true spread is zero."""
+    The spread is the root of the centered moment, not of the second moment
+    minus mean**2, which cancels to ~1e-8 noise when the true spread is zero."""
     quad = quad or QuadratureSpec()
     weights, bloch = quad.nodes()
     f = fidelity_on_bloch(shared, bloch)
     mean = float(weights @ f)
-    second = float(weights @ (f * f))
-    return NumericMoments(mean_f=mean, second_f=second,
-                          delta=float(np.sqrt(weights @ (f - mean) ** 2)))
+    return NumericMoments(mean_f=mean, delta=float(np.sqrt(weights @ (f - mean) ** 2)))
 
 
 # ---------------------------------------------------------------------------

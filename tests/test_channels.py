@@ -199,7 +199,7 @@ def test_choi_alice_marginal_always_mixed(rng):
 def test_report_dephasing():
     rep = report(validate(dephasing_kraus(0.3)))
     assert rep.unital and rep.choi_rank == 2
-    assert rep.trace_preserving_residual < 1e-14
+    assert channels.completeness_residual(rep.channel.kraus) < 1e-14
 
 
 def test_report_rank3_example():

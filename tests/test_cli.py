@@ -119,6 +119,18 @@ def test_sweep_non_finite_axis_exit_3(tmp_path, capsys, axis):
     assert "axis 'p'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_sweep_non_finite_fixed_param_exit_3(tmp_path, capsys, value):
+    spec = {"family": {"id": "gadc", "params": {"N": value}},
+            "axes": [{"param": "gamma", "start": 0.1, "stop": 0.9, "step": 0.2}]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))  # json writes Infinity / NaN tokens
+    assert main(["sweep", str(spec_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "family params must be finite" in captured.err
+    assert "'N'" in captured.err
+
+
 def test_sweep_grid_cap_counts_exactly(tmp_path, capsys):
     # 2**32 x 2**32 points: the row count must not wrap around to 0
     axis = {"start": 0.0, "stop": float(2**32 - 1), "step": 1.0}

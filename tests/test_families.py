@@ -2,8 +2,10 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uqtchan import channels, families, linalg, states
+from uqtchan import channels, families, states
 from uqtchan.channels import ChannelValidationError
 from uqtchan.families import (
     FAMILIES,
@@ -58,7 +60,7 @@ def test_pauli_mixture_bell_diagonal_not_uqt():
 
 
 def test_pauli_mixture_rejects_bad_weights():
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="p0 must lie in"):
         pauli_mixture(1.2, -0.2, 0, 0)
     with pytest.raises(ValueError, match="sum to 1"):
         pauli_mixture(0.5, 0.2, 0.2, 0.2)
@@ -91,7 +93,7 @@ def test_uqt_unital_for_pure_narrow_window():
 
 
 def test_uqt_unital_for_pure_needs_large_concurrence():
-    with pytest.raises(ValueError, match="concurrence"):
+    with pytest.raises(ValueError, match="c must lie in"):
         uqt_unital_for_pure(0.45, 0.9)
 
 
@@ -116,7 +118,7 @@ def test_lambda_u4_negative_weight_matrix_not_psd():
     w = lambda_u4_weights(0.4)
     assert w[3] < 0
     choi = sum(wi * states.bell_state(k).rho for wi, k in zip(w, (1, 2, 3, 4)))
-    assert not linalg.is_psd(choi, tol=1e-10)
+    assert np.linalg.eigvalsh(choi)[0] < -1e-10
 
 
 def test_lambda_u2_is_dephasing_law():
@@ -479,7 +481,7 @@ def test_family_random_draws_validate(family_id):
     rng = np.random.default_rng(zlib.crc32(family_id.encode()))
     for _ in range(200):
         params = fam.sample_params(rng)
-        ch = fam.build(**params)
+        ch = noise_channel(family_id, **params)
         assert ch.kraus.dtype == complex and ch.kraus.shape[1:] == (2, 2)
         assert not ch.kraus.flags.writeable
         assert channels.completeness_residual(ch.kraus) <= channels.EPS_CPTP
@@ -498,5 +500,79 @@ def test_rank2_samplers_stay_clear_of_rank_tolerance(family_id):
     fam = FAMILIES[family_id]
     for seed in range(300):
         params = fam.sample_params(np.random.default_rng(seed))
-        eigs = channels.choi(fam.build(**params)).eig.eigenvalues
+        eigs = channels.choi(noise_channel(family_id, **params)).eig.eigenvalues
         assert eigs[1] >= 1e-6 * eigs[0], (seed, params)
+
+
+# ---------------------------------------------------------------------------
+# one declaration per family: noise_channel is the only validation site
+# ---------------------------------------------------------------------------
+
+#: public constructor of each family that has one
+CONSTRUCTORS = {
+    "pauli_mixture": pauli_mixture, "werner": werner, "dephasing": families.dephasing,
+    "lambda_u4": lambda_u4, "uqt_unital_for_pure": uqt_unital_for_pure,
+    "uqt_nonunital_rank4": uqt_nonunital_rank4, "uqt_nonunital_rank3": uqt_nonunital_rank3,
+    "example_rank3": families.example_rank3, "example_rank4_uqt": families.example_rank4_uqt,
+    "example_rank3_universal_only": families.example_rank3_universal_only,
+    "lambda_tilde_nu": lambda_tilde_nu, "lambda_star_nu": lambda_star_nu, "gadc": families.gadc,
+}
+
+
+def outcome(call):
+    """The built channel (Kraus bytes, name, params), or the exception class and text."""
+    try:
+        ch = call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ch.kraus.tobytes(), ch.name, ch.params
+
+
+@settings(max_examples=300)
+@given(family_id=st.sampled_from(sorted(CONSTRUCTORS)), seed=st.integers(0, 2**32 - 1),
+       overrides=st.lists(st.one_of(
+           st.none(),
+           st.floats(-1.0, 7.0),
+           st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, 0.5, 1.0, np.pi])),
+           min_size=4, max_size=4),
+       by_keyword=st.booleans())
+def test_direct_call_matches_catalog(family_id, seed, overrides, by_keyword):
+    # an in-range draw, with some parameters replaced by arbitrary values
+    params = FAMILIES[family_id].sample_params(np.random.default_rng(seed))
+    for name, value in zip(list(params), overrides):
+        if value is not None:
+            params[name] = value
+    build = CONSTRUCTORS[family_id]
+    direct = (lambda: build(**params)) if by_keyword else (lambda: build(*params.values()))
+    assert outcome(direct) == outcome(lambda: noise_channel(family_id, **params))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: uqt_nonunital_rank3(5.0, 0.3, 0.5), ValueError, "theta must lie in"),
+    (lambda: pauli_mixture(-1e-13, 0.5, 0.5 + 1e-13, 0), ValueError, "p0 must lie in"),
+    (lambda: lambda_u4(0.4), ChannelValidationError, "negative"),
+    (lambda: noise_channel("lambda_u4", p=0.4), ChannelValidationError, "negative"),
+], ids=["rank3 theta", "pauli negative weight", "lambda_u4 direct", "lambda_u4 catalog"])
+def test_direct_calls_get_the_catalog_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("family_id,params,name", [
+    ("adc_nm", {"R": 1.0, "gamma": 1.0, "omega0": 2.0, "g": 1.0, "t": float("nan")}, "t"),
+    ("gadc", {"gamma": 0.3, "N": float("inf")}, "N"),
+    ("uqt_nonunital_rank4", {"s1": float("nan"), "s2": 0.1, "s3": 0.1, "t": 0.5}, "s1"),
+    ("uqt_unital_for_pure", {"c": 0.8, "p0": float("-inf")}, "p0"),
+])
+def test_non_finite_param_rejected_by_name(family_id, params, name):
+    with pytest.raises(ValueError, match=f"^{family_id}: {name} must be finite, got"):
+        noise_channel(family_id, **params)
+
+
+@pytest.mark.parametrize("family_id", sorted(FAMILIES))
+def test_family_params_are_python_floats(family_id):
+    fam = FAMILIES[family_id]
+    rng = np.random.default_rng(zlib.crc32(family_id.encode()))
+    for _ in range(20):
+        ch = noise_channel(family_id, **fam.sample_params(rng))
+        assert all(type(v) is float for v in ch.params.values()), ch.params

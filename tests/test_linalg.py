@@ -236,13 +236,8 @@ def test_partial_trace_stack(rng):
 
 
 # ---------------------------------------------------------------------------
-# is_psd / numeric_rank
+# numeric_rank
 # ---------------------------------------------------------------------------
-
-def test_is_psd_basic():
-    assert linalg.is_psd(I4 / 4)
-    assert not linalg.is_psd(np.diag([0.5, 0.5, 0.0, -0.01]).astype(complex), tol=1e-10)
-
 
 def test_numeric_rank_pure_bell():
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)

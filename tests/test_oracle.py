@@ -120,7 +120,9 @@ def test_moments_zero_spread_without_cancellation():
     canonical, _ = oracle.canonicalize(final)
     mom = numeric_moments(canonical)
     assert mom.delta == pytest.approx(profile(final).delta, abs=1e-12)
-    assert mom.second_f == pytest.approx(mom.mean_f ** 2, abs=1e-12)
+    weights, bloch = QuadratureSpec().nodes()
+    second_f = weights @ fidelity_on_bloch(canonical, bloch) ** 2
+    assert second_f == pytest.approx(mom.mean_f ** 2, abs=1e-12)
 
 
 def test_quadrature_converged_at_defaults(rng):
@@ -129,7 +131,11 @@ def test_quadrature_converged_at_defaults(rng):
     base = numeric_moments(shared, QuadratureSpec(8, 8))
     fine = numeric_moments(shared, QuadratureSpec(16, 16))
     assert abs(base.mean_f - fine.mean_f) < 1e-9
-    assert abs(base.second_f - fine.second_f) < 1e-9
+
+    def second_f(quad):
+        weights, bloch = quad.nodes()
+        return weights @ fidelity_on_bloch(shared, bloch) ** 2
+    assert abs(second_f(QuadratureSpec(8, 8)) - second_f(QuadratureSpec(16, 16))) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+from uqtchan import families
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -16,3 +18,22 @@ def test_search_critical_concurrence_without_zero_deviation_entry(capsys):
     load_script("search_critical_concurrence").main(["--budget", "1", "--grid", "0.3"])
     row = capsys.readouterr().out.splitlines()[2].split()
     assert row == ["0.3000", "0", "n/a"]
+
+
+def test_reproduce_noise_catalog_rows(capsys):
+    module = load_script("reproduce_noise_catalog")
+    module.main()
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [fam for fam in families.NOISE_IDS
+                                        for _ in module.POINTS[fam]]
+    # only the two depolarizing rows ever leave the Bell output UQT-useful
+    assert {row[0] for row in rows if row[-1] == "True"} <= {"depolarizing_m", "depolarizing_nm"}
+    assert {row[-1] for row in rows} == {"True", "False"}
+
+
+def test_run_threshold_suite_errors(capsys):
+    module = load_script("run_threshold_suite")
+    module.main()
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [case[0] for case in module.CASES]
+    assert all(float(row[5]) <= 1e-7 for row in rows), rows
