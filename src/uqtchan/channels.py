@@ -51,72 +51,113 @@ class QubitChannel:
         return f"QubitChannel(name={self.name!r}, kraus={len(self.kraus)}, params={self.params!r})"
 
 
-def _freeze_kraus(kraus_list) -> np.ndarray:
-    """One read-only copy of the operators, shape (k, 2, 2), C-ordered so
-    that contractions over it sum in the same order for any input layout."""
+def _kraus_array(kraus_list) -> np.ndarray:
+    """The operators as one complex array of shape (k, 2, 2), checked finite."""
     try:
-        ops = np.array(kraus_list, dtype=complex, order="C")
+        ops = np.asarray(kraus_list, dtype=complex)
     except (TypeError, ValueError) as exc:  # ragged or non-numeric
         raise ChannelValidationError(f"Kraus operators are not 2x2 matrices: {exc}") from exc
     if ops.shape != (0,) and (ops.ndim != 3 or ops.shape[1:] != (2, 2)):
         raise ChannelValidationError(f"Kraus operators have shape {ops.shape}, expected (k, 2, 2)")
     if not np.isfinite(ops).all():
         raise ChannelValidationError("Kraus operator has non-finite entries")
-    ops.setflags(write=False)
+    if not 1 <= len(ops) <= MAX_KRAUS:
+        raise ChannelValidationError(f"expected 1..{MAX_KRAUS} Kraus operators, got {len(ops)}")
     return ops
 
 
 def completeness_sum(kraus) -> np.ndarray:
-    """S = sum_i K_i^dag K_i of a Kraus stack; S = I for a channel."""
+    """S = sum_i K_i^dag K_i of a Kraus stack (k, 2, 2), or of each member of
+    (..., k, 2, 2); S = I for a channel."""
     ks = np.asarray(kraus, dtype=complex)
-    return (dagger(ks) @ ks).sum(axis=0)
+    return (dagger(ks) @ ks).sum(axis=-3)
 
 
-def completeness_residual(kraus) -> float:
-    return float(np.max(np.abs(completeness_sum(kraus) - I2)))
+def completeness_residual(kraus) -> float | np.ndarray:
+    """||S - I||_max of a Kraus stack, or of each member of a stack of them."""
+    return np.abs(completeness_sum(kraus) - I2).max(axis=(-2, -1))
 
 
-def unitality_residual(kraus) -> float:
+def unitality_residual(kraus) -> float | np.ndarray:
+    """||sum_i K_i K_i^dag - I||_max of a Kraus stack, or of each member of a
+    stack of them."""
     ks = np.asarray(kraus, dtype=complex)
-    return float(np.max(np.abs((ks @ dagger(ks)).sum(axis=0) - I2)))
+    return np.abs((ks @ dagger(ks)).sum(axis=-3) - I2).max(axis=(-2, -1))
 
 
 _PHI1 = np.outer(states.BELL_KETS[0], states.BELL_KETS[0].conj())
 _PHI1.setflags(write=False)
 
 
-def _bob_action(rho: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """sum_i (I x K_i) rho (I x K_i)^dag for a 4x4 rho, as one contraction
-    over the (2,2,2,2) reshape of rho and the (k,2,2) Kraus stack."""
-    out = np.einsum("kbe,aecf,kdf->abcd", ks, rho.reshape(2, 2, 2, 2), ks.conj())
-    return out.reshape(4, 4)
+def bob_action(rho: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """sum_i (I x K_i) rho (I x K_i)^dag as one contraction over the
+    (2,2,2,2) reshape of rho and the (k,2,2) Kraus stack; rho (..., 4, 4)
+    and ks (..., k, 2, 2) broadcast against each other."""
+    out = np.einsum("...kbe,...aecf,...kdf->...abcd", ks,
+                    rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)), ks.conj())
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
 def choi_matrix(kraus) -> np.ndarray:
-    """Trace-1 Choi matrix sum_i (I x K_i) |Phi_1><Phi_1| (I x K_i)^dag."""
-    return _bob_action(_PHI1, np.asarray(kraus, dtype=complex))
+    """Trace-1 Choi matrix sum_i (I x K_i) |Phi_1><Phi_1| (I x K_i)^dag of a
+    Kraus stack, or of each member of a stack of them."""
+    return bob_action(_PHI1, np.asarray(kraus, dtype=complex))
+
+
+def validate_stack(kraus_lists) -> tuple[np.ndarray, list]:
+    """Check N Kraus lists as `validate` checks one, with one completeness
+    reduction, one Choi contraction and one hermitian_eig for all of them.
+
+    Returns the read-only (N, k, 2, 2) stack of the operators, each list
+    padded with zero operators to the longest well-formed list's k (a zero
+    operator changes neither completeness nor the Choi matrix; a malformed
+    member is all zeros), and per member its Choi rank or the
+    ChannelValidationError that `validate` raises for it.
+    """
+    outcomes: list = []
+    ops = []
+    for kraus in kraus_lists:
+        try:
+            ops.append(_kraus_array(kraus))
+            outcomes.append(None)
+        except ChannelValidationError as exc:
+            # a copy without the traceback, which would tie this frame, and
+            # with it the whole stack, into a reference cycle with outcomes
+            ops.append(None)
+            outcomes.append(ChannelValidationError(str(exc)))
+    stack = np.zeros((len(ops), max((len(k) for k in ops if k is not None), default=1), 2, 2),
+                     dtype=complex)
+    for i, k in enumerate(ops):
+        if k is not None:
+            stack[i, :len(k)] = k
+    stack.setflags(write=False)
+    for i, res in enumerate(completeness_residual(stack).tolist()):
+        if outcomes[i] is None and res > EPS_COMPLETE:
+            outcomes[i] = ChannelValidationError(
+                f"completeness violated: ||sum K^dag K - I||_max = {res:.3e}", residual=res)
+    live = [i for i, out in enumerate(outcomes) if out is None]
+    # completeness bounds every Kraus entry by about 1, so each Choi matrix is
+    # finite and Hermitian to rounding and hermitian_eig rejects none of them
+    dens = states.density_stack(choi_matrix(stack[live]))
+    for i, rank, err in zip(live, dens.eig.rank().tolist(), dens.errors):
+        outcomes[i] = rank if err is None else \
+            ChannelValidationError(f"Choi matrix rejected: {err}")
+    return stack, outcomes
 
 
 def validate(kraus_list, name: str = "channel", params: dict | None = None) -> QubitChannel:
     """Accept Kraus operators (a list of 2x2 matrices or a (k, 2, 2) array)
-    as a channel, or raise ChannelValidationError.
+    as a channel, or raise ChannelValidationError: the one-member view of
+    `validate_stack`.
 
     Up to 8 operators are accepted (over-complete input is fine);
     orthogonalize() reduces any channel to its minimal set.
     """
-    ops = _freeze_kraus(kraus_list)
-    if not 1 <= len(ops) <= MAX_KRAUS:
-        raise ChannelValidationError(f"expected 1..{MAX_KRAUS} Kraus operators, got {len(ops)}")
-    res = completeness_residual(ops)
-    if res > EPS_COMPLETE:
-        raise ChannelValidationError(
-            f"completeness violated: ||sum K^dag K - I||_max = {res:.3e}", residual=res)
-    try:
-        cs = states.from_density(choi_matrix(ops))
-    except ValueError as exc:
-        raise ChannelValidationError(f"Choi matrix rejected: {exc}") from exc
-    return QubitChannel(kraus=ops, name=name, params=dict(params or {}),
-                        choi_rank=cs.eig.rank())
+    stack, outcomes = validate_stack([kraus_list])
+    if isinstance(outcomes[0], ChannelValidationError):
+        raise outcomes.pop()  # popped: this frame keeps no reference to the error
+    return QubitChannel(kraus=stack[0], name=name, params=dict(params or {}),
+                        choi_rank=outcomes[0])
 
 
 def apply(ch: QubitChannel, x) -> np.ndarray:
@@ -126,7 +167,7 @@ def apply(ch: QubitChannel, x) -> np.ndarray:
 
 def apply_to_bob(state: TwoQubitState, ch: QubitChannel) -> TwoQubitState:
     """Send the second qubit (Bob's half) through the channel."""
-    return states.from_density(_bob_action(state.rho, ch.kraus))
+    return states.from_density(bob_action(state.rho, ch.kraus))
 
 
 def choi(ch: QubitChannel) -> TwoQubitState:
@@ -148,7 +189,7 @@ class ChannelReport:
 
 
 def report(ch: QubitChannel) -> ChannelReport:
-    unitality = unitality_residual(ch.kraus)
+    unitality = float(unitality_residual(ch.kraus))
     return ChannelReport(
         unital=bool(unitality <= EPS_CPTP),
         choi_rank=ch.choi_rank,

@@ -5,8 +5,10 @@ Grid rows and search samples are independent; results are assembled in
 deterministic (lexicographic / sample-index) order, and sample i of a search
 draws from its own Philox stream keyed on the pair (seed mod 2**64, i), so
 reports are reproducible byte for byte for a given spec and seed and
-different seeds give independent streams. The search projects the random
-candidates of SEARCH_BLOCK consecutive samples as one stack.
+different seeds give independent streams. A sweep validates, applies and
+classifies SWEEP_BLOCK consecutive grid rows as one stack, and the search
+projects the random candidates of SEARCH_BLOCK consecutive samples as one
+stack.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .states import TeleportProfile, TwoQubitState
 ORACLE_TOL = 1e-6
 ORACLE_EVERY = 50
 MAX_GRID_ROWS = 10**6
+#: grid rows of a sweep validated, applied and classified together; a
+#: constant, so the stacks, and the memory, stay the same size for any grid
+SWEEP_BLOCK = 1024
 
 PREDICATES = ("useful", "universal", "uqt")
 
@@ -176,6 +181,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Errors of the spec as a whole (grid size, unknown family, initial state
     or a "matched" input the family does not define) raise SweepSpecError
     before the first row.
+    Rows go in blocks of SWEEP_BLOCK: each row's parameters are checked and
+    its Kraus operators built one at a time, then the block's channels are
+    validated, applied to the initial state and classified as one stack,
+    with the row values and error texts of evaluate_point and report.
     Every ORACLE_EVERY-th valid row is re-verified against the protocol
     simulation and flagged in `oracle_checked`.
     """
@@ -188,34 +197,74 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     except ValueError as exc:
         raise SweepSpecError(str(exc)) from exc
     initial = _resolve_initial(spec.initial, family_id)
-    axis_values = [ax.values() for ax in spec.axes]
+    points = itertools.product(*(ax.values() for ax in spec.axes))
 
     header = tuple(["family"] + [f"param:{ax.param}" for ax in spec.axes]
                    + list(spec.outputs) + ["error"])
-    rows = []
+    rows: list[tuple] = []
     oracle_failures = 0
-    for idx, combo in enumerate(itertools.product(*axis_values) if axis_values else [()]):
+    for first in range(0, total, SWEEP_BLOCK):
+        block, failures = _sweep_block(spec, initial, first,
+                                       list(itertools.islice(points, SWEEP_BLOCK)))
+        rows.extend(block)
+        oracle_failures += failures
+    return SweepResult(header=header, rows=tuple(rows), oracle_failures=oracle_failures)
+
+
+def _sweep_block(spec: SweepSpec, initial: str | TwoQubitState, first: int,
+                 combos: list[tuple]) -> tuple[list[tuple], int]:
+    """The rows of grid points first, first + 1, ... (their axis values in
+    combos) and the number of their oracle checks that failed."""
+    family_id = spec.family.family_id
+    errors: list[str | None] = [None] * len(combos)
+    built: list = [([], {})] * len(combos)  # a row that fails to build stays empty
+    for i, combo in enumerate(combos):
         params = dict(spec.family.params)
         params.update({ax.param: v for ax, v in zip(spec.axes, combo)})
-        prefix = [family_id] + [v for v in combo]
         try:
-            ch, final, prof = evaluate_point(family_id, params, initial)
-        except (ValueError, ChannelValidationError) as exc:
-            rows.append(tuple(prefix + [None] * len(spec.outputs) + [str(exc)]))
+            built[i] = families.checked_build(family_id, **params)
+        except ValueError as exc:  # ChannelValidationError included
+            errors[i] = str(exc)
+    stack, outcomes = channels.validate_stack([kraus for kraus, _ in built])
+    for i, out in enumerate(outcomes):
+        if errors[i] is None and isinstance(out, ChannelValidationError):
+            errors[i] = str(out)
+
+    accepted = [i for i, err in enumerate(errors) if err is None]
+    if isinstance(initial, str):  # "matched": |Psi_a> of each row's concurrence
+        param = families.MATCHED_CONCURRENCE_PARAM[family_id]
+        rho = states.pure_densities_from_concurrence([built[i][1][param] for i in accepted])
+    else:
+        rho = initial.rho
+    finals = channels.bob_action(rho, stack[accepted])
+    dens = states.density_stack(finals)
+    verdicts = states.verdicts(states.hs_decompose(dens.rho).t_mat)
+    unital = channels.unitality_residual(stack) <= channels.EPS_CPTP
+
+    failures = 0
+    cells = {}  # row -> its value columns and empty error
+    for m, i in enumerate(accepted):
+        if dens.errors[m] is not None:
+            errors[i] = dens.errors[m]
             continue
-        rep = channels.report(ch)
-        checked = idx % ORACLE_EVERY == 0
+        checked = (first + i) % ORACLE_EVERY == 0
         if checked:
-            ok, _ = oracle_check(final, prof)
-            if not ok:
-                oracle_failures += 1
+            final = states.from_density(finals[m])
+            ok, _ = oracle_check(final, states.profile(final))
+            failures += not ok
+        valid = bool(verdicts.formula_valid[m])
         values = {
-            "f_max": prof.f_max, "delta": prof.delta, "det_t": prof.det_t,
-            "choi_rank": rep.choi_rank, "unital": rep.unital, "useful": prof.useful,
-            "universal": prof.universal, "uqt": prof.uqt, "oracle_checked": checked,
+            "f_max": float(verdicts.f_max[m]) if valid else None,
+            "delta": float(verdicts.delta[m]) if valid else None,
+            "det_t": float(verdicts.det_t[m]), "choi_rank": outcomes[i],
+            "unital": bool(unital[i]), "useful": bool(verdicts.useful[m]),
+            "universal": bool(verdicts.universal[m]), "uqt": bool(verdicts.uqt[m]),
+            "oracle_checked": checked,
         }
-        rows.append(tuple(prefix + [values[k] for k in spec.outputs] + [""]))
-    return SweepResult(header=header, rows=tuple(rows), oracle_failures=oracle_failures)
+        cells[i] = [values[k] for k in spec.outputs] + [""]
+    rows = [(family_id, *combo, *cells.get(i, [None] * len(spec.outputs) + [errors[i]]))
+            for i, combo in enumerate(combos)]
+    return rows, failures
 
 
 def sweep_to_csv(result: SweepResult) -> str:

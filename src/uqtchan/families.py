@@ -482,7 +482,12 @@ def _register_time_law(family_id: str, params: tuple[ParamSpec, ...], doc: str,
     time law: the channel is kraus(p) with p = law(**params) clamped to
     [0, 1], and it records its params in spec order, then p."""
     def build(**values: float):
-        p = float(law(**values))
+        try:  # an overflow or invalid operation leaves p non-finite, rejected below
+            with np.errstate(over="ignore", invalid="ignore"):
+                p = float(law(**values))
+        except OverflowError as exc:  # Python float ** raises instead
+            raise ValueError(f"{family_id}: derived p(t) overflows; "
+                             "the parameter regime is unphysical") from exc
         if not -_P_CLAMP <= p <= 1.0 + _P_CLAMP:
             raise ValueError(f"{family_id}: derived p(t) = {p!r} lies outside [0, 1]; "
                              "the parameter regime is unphysical")
@@ -640,23 +645,35 @@ def resolve_param(family_id: str, key: str) -> str:
     return key
 
 
-def noise_channel(family_id: str, **params) -> QubitChannel:
-    """Build any catalog channel by family id and keyword parameters: the one
-    place that checks every parameter and validates the built channel."""
+def checked_build(family_id: str, **params) -> tuple[list, dict]:
+    """Resolve the keyword parameters of a catalog family, run every
+    ParamSpec.check and the builder: the family's raw Kraus operators and
+    the params to record, not yet validated as a channel."""
     fam = get_family(family_id)
     names = {spec.name for spec in fam.params}
     resolved = {}
+    given = {}  # resolved name -> keyword that set it
     for key, value in params.items():
-        key = resolve_param(family_id, key)
-        if key not in names:
-            raise ValueError(f"{family_id}: unknown parameter {key!r}; expected {sorted(names)}")
-        resolved[key] = float(value)
+        name = resolve_param(family_id, key)
+        if name not in names:
+            raise ValueError(f"{family_id}: unknown parameter {name!r}; expected {sorted(names)}")
+        if name in given:
+            first, second = sorted((given[name], key), key=lambda k: k == name)
+            raise ValueError(f"{family_id}: {first} and {second} both set {name}")
+        given[name] = key
+        resolved[name] = float(value)
     missing = names - set(resolved)
     if missing:
         raise ValueError(f"{family_id}: missing parameters {sorted(missing)}")
     for spec in fam.params:
         spec.check(resolved[spec.name], family_id)
-    kraus, recorded = fam.build(**resolved)
+    return fam.build(**resolved)
+
+
+def noise_channel(family_id: str, **params) -> QubitChannel:
+    """Build any catalog channel by family id and keyword parameters:
+    checked_build, then the catalog's one channels.validate call."""
+    kraus, recorded = checked_build(family_id, **params)
     return channels.validate(kraus, name=family_id, params=recorded)
 
 

@@ -50,9 +50,9 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def herm_residual(m: np.ndarray) -> float:
     """Max-entry deviation from Hermiticity, ||M - M^dag||_max, over a
-    matrix or a whole stack."""
+    matrix or a whole stack (0 for an empty stack)."""
     a = np.asarray(m)
-    return float(np.abs(a - dagger(a)).max())
+    return float(np.abs(a - dagger(a)).max(initial=0.0))
 
 
 def tensor(a, b) -> np.ndarray:
@@ -90,13 +90,12 @@ class EigenDecomp:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def rank(self, tol: float = RANK_TOL) -> int:
+    def rank(self, tol: float = RANK_TOL) -> int | np.ndarray:
         """Eigenvalue count above tol * (largest eigenvalue); 0 for the zero
-        matrix. Defined for the decomposition of a single matrix."""
-        lmax = float(self.eigenvalues[0])
-        if lmax <= tol:
-            return 0
-        return int(np.sum(self.eigenvalues > tol * lmax))
+        matrix. An int for one matrix, an int array for a stack."""
+        lmax = self.eigenvalues[..., :1]
+        ranks = (self.eigenvalues > tol * lmax).sum(axis=-1) * (lmax[..., 0] > tol)
+        return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:

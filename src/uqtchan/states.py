@@ -86,13 +86,12 @@ class TeleportProfile:
     formula_valid: bool
 
 
-def _hs_decompose(rho: np.ndarray) -> HSDecomposition:
-    r_vec = np.einsum("ab,iba->i", rho, _PP[1:, 0]).real
-    s_vec = np.einsum("ab,iba->i", rho, _PP[0, 1:]).real
-    t_mat = np.einsum("ab,ijba->ij", rho, _PP[1:, 1:]).real
-    for arr in (r_vec, s_vec, t_mat):
-        arr.setflags(write=False)
-    return HSDecomposition(r_vec=r_vec, s_vec=s_vec, t_mat=t_mat)
+def hs_decompose(rho: np.ndarray) -> HSDecomposition:
+    """(R, S, T) of a density matrix, or of each matrix of a stack, read off
+    its coefficients Tr(rho sigma_i x sigma_j) on all 16 Pauli pairs."""
+    coef = np.einsum("...ab,ijba->...ij", rho, _PP).real
+    coef.setflags(write=False)
+    return HSDecomposition(r_vec=coef[..., 1:, 0], s_vec=coef[..., 0, 1:], t_mat=coef[..., 1:, 1:])
 
 
 def hs_recompose(hs: HSDecomposition) -> np.ndarray:
@@ -104,33 +103,86 @@ def hs_recompose(hs: HSDecomposition) -> np.ndarray:
     return rho / 4.0
 
 
+def _unit_trace(rho: np.ndarray, tr: np.ndarray) -> np.ndarray:
+    """Hermitian part of each matrix of a stack divided by its trace tr."""
+    rho = (rho + rho.conj().swapaxes(1, 2)) / (2.0 * tr)[:, None, None]
+    rho.setflags(write=False)
+    return rho
+
+
+@dataclass(frozen=True)
+class DensityStack:
+    """`density_stack` of N matrices: per member the rho and spectrum
+    from_density stores, and the message from_density raises for it or None
+    if it is accepted; a rejected member's rho and spectrum mean nothing."""
+
+    rho: np.ndarray  # (N, 4, 4)
+    eig: linalg.EigenDecomp  # (N, 4), (N, 4, 4)
+    errors: tuple[str | None, ...]
+
+
+def density_stack(m) -> DensityStack:
+    """Check a stack (N, 4, 4) of density matrices with one hermitian_eig
+    call and scale each to trace 1.
+
+    hermitian_eig rejects the whole stack if a member is non-finite or
+    non-Hermitian; callers stack matrices that are both by construction.
+    A member's trace must be 1 within TRACE_TOL and its spectrum, scaled to
+    trace 1, non-negative within PSD_TOL. The stored rho is the Hermitian
+    part scaled to trace 1, its spectrum scaled with it.
+    """
+    rho = np.asarray(m, dtype=complex)
+    if rho.ndim != 3 or rho.shape[1:] != (4, 4):
+        raise ValueError(f"expected a stack of 4x4 matrices, got shape {rho.shape}")
+    eig = linalg.hermitian_eig(rho)
+    traces = rho.trace(axis1=1, axis2=2).real
+    bad_trace = np.abs(traces - 1.0) > TRACE_TOL
+    tr = np.where(bad_trace, 1.0, traces)  # never divide by a rejected, possibly zero, trace
+    vals = eig.eigenvalues / tr[:, None]
+    vals.setflags(write=False)
+    errors = tuple(
+        f"density matrix trace {t!r} differs from 1 beyond {TRACE_TOL:g}" if bad
+        else f"density matrix has negative eigenvalue {low:.3e}" if low < -PSD_TOL else None
+        for t, bad, low in zip(traces.tolist(), bad_trace.tolist(), vals[:, -1].tolist()))
+    return DensityStack(rho=_unit_trace(rho, tr), eig=linalg.EigenDecomp(vals, eig.eigenvectors),
+                        errors=errors)
+
+
 def from_density(m) -> TwoQubitState:
     """Validate a 4x4 density matrix; attach its Pauli and eigen decompositions.
 
-    hermitian_eig rejects non-finite and non-Hermitian input; the stored rho
-    is the Hermitian part scaled to trace 1, its spectrum scaled with it."""
+    The one-member view of `density_stack`: hermitian_eig rejects
+    non-finite and non-Hermitian input, and the trace and PSD checks raise
+    ValueError; the stored rho is the Hermitian part scaled to trace 1, its
+    spectrum scaled with it."""
     rho = np.asarray(m, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    eig = linalg.hermitian_eig(rho)
-    tr = complex(np.trace(rho)).real
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {tr!r} differs from 1 beyond {TRACE_TOL:g}")
-    vals = eig.eigenvalues / tr
-    if vals[-1] < -PSD_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {vals[-1]:.3e}")
-    vals.setflags(write=False)
-    rho = (rho + rho.conj().T) / (2.0 * tr)
-    rho.setflags(write=False)
-    return TwoQubitState(rho=rho, hs=_hs_decompose(rho),
-                         eig=linalg.EigenDecomp(vals, eig.eigenvectors))
+    dens = density_stack(rho[None])
+    if dens.errors[0] is not None:
+        raise ValueError(dens.errors[0])
+    rho = dens.rho[0]
+    return TwoQubitState(rho=rho, hs=hs_decompose(rho),
+                         eig=linalg.EigenDecomp(dens.eig.eigenvalues[0], dens.eig.eigenvectors[0]))
+
+
+def _ket_density(psi) -> np.ndarray:
+    """|v><v| of the ket psi normalized to v, before from_density's checks."""
+    v = np.asarray(psi, dtype=complex).reshape(4)
+    v = v / np.sqrt(np.vdot(v, v).real)
+    return np.outer(v, v.conj())
 
 
 def from_ket(psi) -> TwoQubitState:
     """Two-qubit pure state from a 4-component ket (normalized internally)."""
-    v = np.asarray(psi, dtype=complex).reshape(4)
-    v = v / np.sqrt(np.vdot(v, v).real)
-    return from_density(np.outer(v, v.conj()))
+    return from_density(_ket_density(psi))
+
+
+def _psi_a_ket(a: float) -> np.ndarray:
+    """The ket sqrt(a)|00> + sqrt(1-a)|11>, a checked to lie in [1/2, 1)."""
+    if not 0.5 <= a < 1.0:
+        raise ValueError(f"a must lie in [1/2, 1), got {a!r}")
+    return np.array([np.sqrt(a), 0.0, 0.0, np.sqrt(1.0 - a)], dtype=complex)
 
 
 def pure_state(a: float) -> TwoQubitState:
@@ -138,18 +190,27 @@ def pure_state(a: float) -> TwoQubitState:
 
     a = 1/2 gives the first Bell state; concurrence is 2 sqrt(a(1-a)).
     """
-    if not 0.5 <= a < 1.0:
-        raise ValueError(f"a must lie in [1/2, 1), got {a!r}")
-    ket = np.array([np.sqrt(a), 0.0, 0.0, np.sqrt(1.0 - a)], dtype=complex)
-    return from_ket(ket)
+    return from_ket(_psi_a_ket(a))
+
+
+def _a_of_concurrence(c: float) -> float:
+    """The larger Schmidt weight a of the |Psi_a> with concurrence c."""
+    if not 0.0 < c <= 1.0:
+        raise ValueError(f"concurrence must lie in (0, 1], got {c!r}")
+    return min((1.0 + np.sqrt(1.0 - c * c)) / 2.0, np.nextafter(1.0, 0.0))
 
 
 def pure_state_from_concurrence(c: float) -> TwoQubitState:
     """|Psi_a> with the larger Schmidt weight chosen so that C(|Psi_a>) = c."""
-    if not 0.0 < c <= 1.0:
-        raise ValueError(f"concurrence must lie in (0, 1], got {c!r}")
-    a = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
-    return pure_state(min(a, np.nextafter(1.0, 0.0)))
+    return pure_state(_a_of_concurrence(c))
+
+
+def pure_densities_from_concurrence(cs) -> np.ndarray:
+    """The rho of pure_state_from_concurrence(c) for each c of a sequence,
+    as one (N, 4, 4) stack, without their eigendecompositions."""
+    raw = np.array([_ket_density(_psi_a_ket(_a_of_concurrence(c))) for c in cs],
+                   dtype=complex).reshape(-1, 4, 4)
+    return _unit_trace(raw, raw.trace(axis1=1, axis2=2).real)
 
 
 _BELL_STATES = tuple(from_ket(k) for k in BELL_KETS)

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -112,6 +113,56 @@ def test_kraus_is_one_read_only_stack(rng):
     for c in (ch, orthogonalize(families.gadc(0.5, 0.7)), rotate_kraus(ch, random_unitary(rng, 3)),
               validate(rebuilt)):
         assert _is_kraus_stack(c.kraus), c
+
+
+def test_validate_stack_matches_validate(rng):
+    # each member of a stack of lists of different k is accepted or rejected
+    # as validate alone accepts or rejects it, with the same rank or message
+    lists = [
+        random_kraus(rng, 4), dephasing_kraus(0.3), [I2], random_kraus(rng, 3),
+        [1.01 * I2],  # completeness violated
+        [],  # no operators
+        [I2 / 3.0] * 9,  # too many operators
+        [np.full((2, 2), np.nan)],  # non-finite
+        [I2, np.eye(3)],  # ragged
+        np.zeros((2, 3, 3)),  # not 2x2
+        list(random_kraus(rng, 2)) + [np.zeros((2, 2))],  # an explicit zero operator
+    ]
+    stack, outcomes = channels.validate_stack(lists)
+    assert stack.shape == (len(lists), 4, 2, 2) and not stack.flags.writeable
+    assert [out if type(out) is int else None for out in outcomes] == \
+        [4, 2, 1, 3, None, None, None, None, None, None, 2]
+    for member, kraus, out in zip(stack, lists, outcomes):
+        try:
+            ch = validate(kraus)
+        except ChannelValidationError as exc:
+            assert isinstance(out, ChannelValidationError)
+            assert (str(out), out.residual) == (str(exc), exc.residual)
+            continue
+        k = len(ch.kraus)
+        assert out == ch.choi_rank
+        assert member[:k].tobytes() == ch.kraus.tobytes() and not member[k:].any()
+    assert channels.validate_stack([])[1] == []
+
+
+def test_validation_errors_leave_no_reference_cycle():
+    # a rejected member's error must not hold the call's frame, and with it
+    # the whole stack, in a cycle that only the cyclic collector frees
+    lists = [[], [I2], [np.eye(3)], [2.0 * I2]]
+    assert [type(out) for out in channels.validate_stack(lists)[1]] == \
+        [ChannelValidationError, int, ChannelValidationError, ChannelValidationError]
+    gc.collect()
+    gc.disable()
+    try:
+        channels.validate_stack(lists)
+        for kraus in lists[::2]:
+            try:
+                validate(kraus)
+            except ChannelValidationError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,18 @@ def test_sweep_non_finite_fixed_param_exit_3(tmp_path, capsys, value):
     assert "'N'" in captured.err
 
 
+def test_sweep_overflowing_time_law_is_an_error_row(tmp_path, capsys):
+    spec = {"family": {"id": "pln_nm", "params": {"G": 1.0, "t": 1e100}},
+            "axes": [{"param": "g", "start": 1e100, "stop": 1e100, "step": 1.0}]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "out.csv"
+    assert main(["sweep", str(spec_path), "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[1].endswith(",pln_nm: derived p(t) overflows; the parameter regime is unphysical")
+
+
 def test_sweep_grid_cap_counts_exactly(tmp_path, capsys):
     # 2**32 x 2**32 points: the row count must not wrap around to 0
     axis = {"start": 0.0, "stop": float(2**32 - 1), "step": 1.0}

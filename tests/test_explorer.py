@@ -1,10 +1,14 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqtchan import channels, explorer, families, states
 from uqtchan.explorer import (
+    CSV_FIELDS,
     Axis,
     SweepSpec,
     SweepSpecError,
@@ -118,6 +122,79 @@ def test_axis_validation():
         Axis("p", 0.0, 1.0, -0.1).values()
     with pytest.raises(SweepSpecError, match="start"):
         Axis("p", 1.0, 0.0, 0.1).values()
+
+
+def scalar_row(family_id, params, initial, idx):
+    """The value and error columns of grid row idx, built from evaluate_point
+    and report one point at a time, and whether its oracle check failed."""
+    try:
+        ch, final, prof = evaluate_point(family_id, params, initial)
+    except ValueError as exc:
+        return (None,) * len(CSV_FIELDS) + (str(exc),), False
+    rep = channels.report(ch)
+    checked = idx % explorer.ORACLE_EVERY == 0
+    failed = checked and not explorer.oracle_check(final, prof)[0]
+    return (prof.f_max, prof.delta, prof.det_t, rep.choi_rank, rep.unital, prof.useful,
+            prof.universal, prof.uqt, checked, ""), failed
+
+
+#: in-range draws are replaced by these: out of range, non-finite and huge
+WILD = st.one_of(
+    st.floats(-2.0, 8.0),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, 1.0,
+                     1e100, -1e100, 1e300, np.pi / 4]))
+
+
+@settings(max_examples=200)
+@given(family_id=st.sampled_from(sorted(families.FAMILIES)), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_sweep_rows_match_the_scalar_path(family_id, seed, data):
+    params = families.FAMILIES[family_id].sample_params(np.random.default_rng(seed))
+    names = list(params)
+    for name in names:
+        value = data.draw(st.one_of(st.none(), WILD), label=name)
+        if value is not None:
+            params[name] = value
+    axes = []  # at most 4 rows: up to two axes of one or two points
+    for name in data.draw(st.permutations(names), label="axes")[:data.draw(st.integers(0, 2))]:
+        n = data.draw(st.integers(1, 2), label=f"{name} points")
+        step = data.draw(st.sampled_from([1e-3, 0.05, 0.3]), label=f"{name} step")
+        start = params.pop(name)
+        axes.append(Axis(name, start, start + (n - 0.5) * step, step))
+    initials = st.sampled_from(["bell1", "bell2", "bell3", "bell4",
+                                "pure:0.5", "pure:0.8", "pure:0.99"])
+    if family_id in families.MATCHED_CONCURRENCE_PARAM:  # then matched half the time
+        initials = st.one_of(st.just("matched"), initials)
+    initial = data.draw(initials, label="initial")
+    spec = SweepSpec(family=families.FamilySpec(family_id, params), axes=tuple(axes),
+                     initial=initial)
+    try:
+        result = run_sweep(spec)
+    except SweepSpecError:
+        return
+    points = list(itertools.product(*(ax.values() for ax in axes)))
+    assert len(result.rows) == len(points) <= 4
+    failures = 0
+    for idx, (row, combo) in enumerate(zip(result.rows, points)):
+        point = dict(params, **{ax.param: v for ax, v in zip(axes, combo)})
+        values, failed = scalar_row(family_id, point, initial, idx)
+        expected = (family_id, *combo, *values)
+        assert row == expected
+        assert [type(v) for v in row] == [type(v) for v in expected]
+        failures += failed
+    assert result.oracle_failures == failures
+
+
+def test_sweep_blocks_match_one_row_blocks(monkeypatch):
+    # three blocks of matched |Psi_a> inputs, with range errors, p2-window
+    # errors and oracle rows on both sides of the block edges
+    spec = make_spec("lambda_tilde_nu", {}, [("C", 0.0, 1.0, 0.02), ("p2", 0.0, 1.0, 0.02)],
+                     initial="matched")
+    blocked = run_sweep(spec)
+    assert len(blocked.rows) > 2 * explorer.SWEEP_BLOCK
+    assert {row[-1] == "" for row in blocked.rows} == {True, False}
+    monkeypatch.setattr(explorer, "SWEEP_BLOCK", 1)
+    assert run_sweep(spec) == blocked
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,21 @@ def test_rtn_rejects_unphysical_oscillation():
         noise_channel("rtn_nm", g=0.1, omega=5.0, t=2 * np.pi)
 
 
+def test_time_law_overflow_is_a_value_error():
+    # (g t + 1)**2 overflows a Python float
+    with pytest.raises(ValueError, match=r"^pln_nm: derived p\(t\) overflows"):
+        noise_channel("pln_nm", G=1.0, g=1e100, t=1e100)
+
+
+@pytest.mark.parametrize("params", [
+    {"C": 0.5, "p1": 0.6, "p2": 0.3},
+    {"p1": 0.6, "C": 0.5, "p2": 0.3},
+], ids=["alias first", "parameter first"])
+def test_concurrence_alias_and_its_parameter_collide(params):
+    with pytest.raises(ValueError, match="^lambda_tilde_nu: C and p1 both set p1$"):
+        noise_channel("lambda_tilde_nu", **params)
+
+
 def test_pln_nm_markovian_limit():
     # g -> 0 reproduces the Markovian law exp(-G t)
     ch = noise_channel("pln_nm", G=1.0, g=1e-9, t=0.7)
