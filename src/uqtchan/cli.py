@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 channel validation failure, 3 invalid or
-out-of-range specification, 4 oracle disagreement beyond tolerance.
+out-of-range specification or an output file that cannot be written,
+4 oracle disagreement beyond tolerance.
 Configuration is via flags only.
 """
 
@@ -18,6 +19,21 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SPEC = 3
 EXIT_ORACLE = 4
+
+
+def _emit(text: str, path: str | None) -> bool:
+    """Write text to the file at path, or to stdout without one; False, with
+    the error on stderr, if the file cannot be written."""
+    if not path:
+        sys.stdout.write(text)
+        return True
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_analyze(args) -> int:
@@ -41,12 +57,8 @@ def _cmd_sweep(args) -> int:
     except (explorer.SweepSpecError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    csv_text = explorer.sweep_to_csv(result)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    if not _emit(explorer.sweep_to_csv(result), args.output):
+        return EXIT_SPEC
     if result.oracle_failures:
         print(f"error: {result.oracle_failures} oracle spot-check disagreements",
               file=sys.stderr)
@@ -81,12 +93,8 @@ def _cmd_search_uqt(args) -> int:
     except explorer.SweepSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    text = json.dumps(rep.to_jsonable(), indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    if not _emit(json.dumps(rep.to_jsonable(), indent=2) + "\n", args.output):
+        return EXIT_SPEC
     return EXIT_OK
 
 

@@ -6,15 +6,17 @@ deterministic (lexicographic / sample-index) order, and sample i of a search
 draws from its own Philox stream keyed on the pair (seed mod 2**64, i), so
 reports are reproducible byte for byte for a given spec and seed and
 different seeds give independent streams. A sweep validates, applies and
-classifies SWEEP_BLOCK consecutive grid rows as one stack, and the search
-projects the random candidates of SEARCH_BLOCK consecutive samples as one
-stack.
+classifies SWEEP_BLOCK consecutive grid rows as one stack; the search
+projects and corrects the random candidates of SEARCH_BLOCK consecutive
+samples as one stack, then validates, applies and classifies the block's
+candidates as one stack, through the same helper as the sweep.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +99,36 @@ def oracle_check(final: TwoQubitState, prof: TeleportProfile,
     ok = abs(mom.mean_f - prof.f_max) <= tol and abs(mom.delta - prof.delta) <= tol
     info["agrees"] = ok
     return ok, info
+
+
+def _apply_and_classify(kraus_lists, rho: np.ndarray) -> tuple[list, np.ndarray]:
+    """Validate N Kraus lists, send Bob's half of rho (one 4x4 density
+    matrix, or a (N, 4, 4) stack with one per list) through each valid
+    channel and classify the final states, one step per stack: one
+    validate_stack, one unitality residual, one bob_action, one
+    density_stack, one hs_decompose and one verdicts call.
+
+    Returns, per list, the ChannelValidationError that `validate` raises
+    for it, the message that from_density raises for its final state, or
+    its values: the TeleportProfile fields as Python values (f_max and
+    delta None where the closed forms do not apply), its Choi rank and its
+    final matrix; and the unitality residual of each list.
+    """
+    stack, outcomes = channels.validate_stack(kraus_lists)
+    accepted = [i for i, out in enumerate(outcomes) if not isinstance(out, ChannelValidationError)]
+    finals = channels.bob_action(rho if rho.ndim == 2 else rho[accepted], stack[accepted])
+    dens = states.density_stack(finals)
+    v = states.verdicts(states.hs_decompose(dens.rho).t_mat)
+    for m, i in enumerate(accepted):
+        valid = bool(v.formula_valid[m])
+        outcomes[i] = dens.errors[m] or {
+            "f_max": float(v.f_max[m]) if valid else None,
+            "delta": float(v.delta[m]) if valid else None,
+            "det_t": float(v.det_t[m]), "useful": bool(v.useful[m]),
+            "universal": bool(v.universal[m]), "uqt": bool(v.uqt[m]),
+            "choi_rank": outcomes[i], "final": finals[m],
+        }
+    return outcomes, channels.unitality_residual(stack)
 
 
 # ---------------------------------------------------------------------------
@@ -225,42 +257,30 @@ def _sweep_block(spec: SweepSpec, initial: str | TwoQubitState, first: int,
             built[i] = families.checked_build(family_id, **params)
         except ValueError as exc:  # ChannelValidationError included
             errors[i] = str(exc)
-    stack, outcomes = channels.validate_stack([kraus for kraus, _ in built])
-    for i, out in enumerate(outcomes):
-        if errors[i] is None and isinstance(out, ChannelValidationError):
-            errors[i] = str(out)
-
-    accepted = [i for i, err in enumerate(errors) if err is None]
     if isinstance(initial, str):  # "matched": |Psi_a> of each row's concurrence
         param = families.MATCHED_CONCURRENCE_PARAM[family_id]
-        rho = states.pure_densities_from_concurrence([built[i][1][param] for i in accepted])
+        # a row that failed to build has no concurrence; 1.0 stands in, and
+        # its empty Kraus list keeps it out of the classified rows
+        rho = states.pure_densities_from_concurrence([rec.get(param, 1.0) for _, rec in built])
     else:
         rho = initial.rho
-    finals = channels.bob_action(rho, stack[accepted])
-    dens = states.density_stack(finals)
-    verdicts = states.verdicts(states.hs_decompose(dens.rho).t_mat)
-    unital = channels.unitality_residual(stack) <= channels.EPS_CPTP
+    outcomes, unitality = _apply_and_classify([kraus for kraus, _ in built], rho)
 
     failures = 0
     cells = {}  # row -> its value columns and empty error
-    for m, i in enumerate(accepted):
-        if dens.errors[m] is not None:
-            errors[i] = dens.errors[m]
+    for i, out in enumerate(outcomes):
+        if errors[i] is not None:
+            continue
+        if not isinstance(out, dict):
+            errors[i] = str(out)
             continue
         checked = (first + i) % ORACLE_EVERY == 0
         if checked:
-            final = states.from_density(finals[m])
+            final = states.from_density(out["final"])
             ok, _ = oracle_check(final, states.profile(final))
             failures += not ok
-        valid = bool(verdicts.formula_valid[m])
-        values = {
-            "f_max": float(verdicts.f_max[m]) if valid else None,
-            "delta": float(verdicts.delta[m]) if valid else None,
-            "det_t": float(verdicts.det_t[m]), "choi_rank": outcomes[i],
-            "unital": bool(unital[i]), "useful": bool(verdicts.useful[m]),
-            "universal": bool(verdicts.universal[m]), "uqt": bool(verdicts.uqt[m]),
-            "oracle_checked": checked,
-        }
+        values = dict(out, oracle_checked=checked,
+                      unital=bool(unitality[i] <= channels.EPS_CPTP))
         cells[i] = [values[k] for k in spec.outputs] + [""]
     rows = [(family_id, *combo, *cells.get(i, [None] * len(spec.outputs) + [errors[i]]))
             for i, combo in enumerate(combos)]
@@ -393,26 +413,30 @@ def _project_block(x: np.ndarray, ranks, max_iters: int) -> list:
     return out
 
 
-def _channel_from_projection(eigenpairs, rank: int) -> QubitChannel | None:
-    """The channel whose Choi matrix the projections converged to; None if
-    they did not converge (eigenpairs None) or the sample is degenerate or
-    effectively unital."""
-    if eigenpairs is None:
-        return None
-    kraus = channels.kraus_from_eigenpairs(*eigenpairs, rank)
-    # the projections stop at 1e-10; restore exact trace preservation with
-    # the standard right-correction K_i -> K_i S^{-1/2}, S = sum K^dag K
+def _corrected_kraus(projected: list, ranks: list) -> list:
+    """Per member of a block projection (its `_project_block` output and
+    target rank), the Kraus operators, shape (rank, 2, 2), of the channel
+    its Choi matrix converged to, corrected to exact trace preservation;
+    None if it did not converge or is degenerate.
+
+    The projections stop at 1e-10; the standard right-correction
+    K_i -> K_i S^{-1/2}, S = sum K^dag K, restores exact trace preservation,
+    with one hermitian_eig for the S of every member, each Kraus list
+    padded with zero operators to four. A smallest eigenvalue of S below
+    1e-6 marks a degenerate member, which is not correctable.
+    """
+    live = [j for j, pairs in enumerate(projected) if pairs is not None]
+    kraus = np.zeros((len(live), 4, 2, 2), dtype=complex)
+    for m, j in enumerate(live):
+        kraus[m, :ranks[j]] = channels.kraus_from_eigenpairs(*projected[j], ranks[j])
     dec = linalg.hermitian_eig(channels.completeness_sum(kraus))
-    if dec.eigenvalues[-1] < 1e-6:
-        return None  # degenerate sample, not correctable
-    inv_root = (dec.eigenvectors / np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.conj().T
-    try:
-        ch = channels.validate(kraus @ inv_root, name=f"random_rank{rank}")
-    except ChannelValidationError:
-        return None
-    if channels.unitality_residual(ch.kraus) < 1e-6:
-        return None  # effectively unital, not a candidate
-    return ch
+    keep = np.flatnonzero(dec.eigenvalues[:, -1] >= 1e-6)
+    vecs = dec.eigenvectors[keep]
+    inv_root = (vecs / np.sqrt(dec.eigenvalues[keep])[:, None, :]) @ linalg.dagger(vecs)
+    out = [None] * len(projected)
+    for m, ops in zip(keep, kraus[keep] @ inv_root[:, None]):
+        out[live[m]] = ops[:ranks[live[m]]]
+    return out
 
 
 def random_nonunital_channel(rng: np.random.Generator, rank: int,
@@ -421,10 +445,18 @@ def random_nonunital_channel(rng: np.random.Generator, rank: int,
     marginal, built by alternating projections between the PSD cone (rank
     clipped) and the trace-preservation affine set Tr_2(X) = I/2.
 
-    One candidate of the block projection search_uqt runs; None if the
-    projections do not converge or the sample is degenerate or unital."""
+    One candidate of the block projection and correction search_uqt runs;
+    None if the projections do not converge or the sample is degenerate,
+    invalid or effectively unital (unitality residual below 1e-6)."""
     (eigenpairs,) = _project_block(_random_start(rng, rank)[None], [rank], max_iters)
-    return _channel_from_projection(eigenpairs, rank)
+    (kraus,) = _corrected_kraus([eigenpairs], [rank])
+    if kraus is None:
+        return None
+    try:
+        ch = channels.validate(kraus, name=f"random_rank{rank}")
+    except ChannelValidationError:
+        return None
+    return None if channels.unitality_residual(ch.kraus) < 1e-6 else ch
 
 
 @dataclass(frozen=True)
@@ -460,14 +492,30 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0,
     marginal) and the parametric non-unital families. Deterministic for a
     given seed: sample i draws its kind and arguments from its own Philox
     stream, keyed on (seed mod 2**64, i). Samples go in blocks of
-    SEARCH_BLOCK: the random candidates of a block are projected as one
-    stack, then the block is evaluated in sample order. Each distinct hit is
-    reported once (the deterministic lambda_star_nu candidate recurs).
+    SEARCH_BLOCK. Each sample is drawn, and each lambda_tilde_nu sample
+    built by checked_build, in Python; the random candidates of a block are
+    projected and corrected as one stack, then the block's candidates are
+    validated, applied and classified as one stack (`_apply_and_classify`)
+    and assembled in sample order. A random candidate that does not
+    converge, is degenerate, invalid or effectively unital is skipped; a
+    lambda_tilde_nu build or validation error, or a rejected final state,
+    raises. Each distinct hit is reported once (the deterministic
+    lambda_star_nu candidate recurs).
+
+    concurrence must be a real number in (0, 1), budget an integer >= 1,
+    seed an integer and max_hits an integer >= 0 (bool is no number here);
+    anything else raises SweepSpecError before any work.
     """
-    if not 0.0 < concurrence < 1.0:
-        raise SweepSpecError(f"concurrence must lie in (0, 1), got {concurrence!r}")
-    if budget < 1:
-        raise SweepSpecError(f"budget must be at least 1, got {budget!r}")
+    if isinstance(concurrence, bool) or not isinstance(concurrence, numbers.Real) \
+            or not 0.0 < concurrence < 1.0:
+        raise SweepSpecError(f"concurrence must be a number in (0, 1), got {concurrence!r}")
+    for name, value, low in (("budget", budget, 1), ("seed", seed, None),
+                             ("max_hits", max_hits, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise SweepSpecError(f"{name} must be an integer, got {value!r}")
+        if low is not None and value < low:
+            raise SweepSpecError(f"{name} must be at least {low}, got {value!r}")
+    concurrence, budget, seed = float(concurrence), int(budget), int(seed)
     state = states.pure_state_from_concurrence(concurrence)
     tilde_p2_max = families.lambda_tilde_p2_max(concurrence)
     hits: list[dict] = []
@@ -484,27 +532,45 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0,
     star = describe(families.lambda_star_nu(concurrence))
 
     for first in range(0, budget, SEARCH_BLOCK):
-        picks = []  # per sample: (rank, start) of a random candidate, or an entry
-        for i in range(first, min(first + SEARCH_BLOCK, budget)):
-            rng = _sample_rng(seed, i)
+        n = min(SEARCH_BLOCK, budget - first)
+        entries: list = [star] * n  # per sample; None for a candidate until it is classified
+        labels = {}  # sample -> (name, params) of its candidate
+        lists = {}  # sample -> Kraus list of its candidate
+        ranks = {}  # sample -> target Choi rank of its random candidate
+        starts = []
+        for j in range(n):
+            rng = _sample_rng(seed, first + j)
             kind = int(rng.integers(0, 4))
             if kind in (0, 1):
-                rank = 3 if kind == 0 else 4
-                picks.append((rank, _random_start(rng, rank)))
+                ranks[j] = 3 if kind == 0 else 4
+                labels[j], entries[j] = (f"random_rank{ranks[j]}", {}), None
+                starts.append(_random_start(rng, ranks[j]))
             elif kind == 2:
                 p2 = float(rng.uniform(1e-6, tilde_p2_max * (1.0 - 1e-9)))
-                picks.append(describe(families.lambda_tilde_nu(concurrence, p2)))
-            else:
-                picks.append(star)
-        randoms = [p for p in picks if isinstance(p, tuple)]
-        projected = iter(_project_block(np.array([x for _, x in randoms]),
-                                        [r for r, _ in randoms], _MAX_ITERS))
-        for entry in picks:
-            if isinstance(entry, tuple):
-                ch = _channel_from_projection(next(projected), entry[0])
-                if ch is None:
-                    continue
-                entry = describe(ch)
+                lists[j], params = families.checked_build("lambda_tilde_nu",
+                                                          p1=concurrence, p2=p2)
+                labels[j], entries[j] = ("lambda_tilde_nu", params), None
+        targets = list(ranks.values())
+        projected = _project_block(np.array(starts), targets, _MAX_ITERS)
+        for j, kraus in zip(ranks, _corrected_kraus(projected, targets)):
+            if kraus is not None:
+                lists[j] = kraus
+        members = sorted(lists)
+        outcomes, unitality = _apply_and_classify([lists[j] for j in members], state.rho)
+        for j, out, res in zip(members, outcomes, unitality):
+            invalid = isinstance(out, ChannelValidationError)
+            if j in ranks and (invalid or res < 1e-6):
+                continue  # an invalid or effectively unital random candidate
+            if invalid:
+                raise out
+            if isinstance(out, str):
+                raise ValueError(out)  # the final state was rejected
+            name, params = labels[j]
+            entries[j] = {"channel": name, "params": {k: float(v) for k, v in params.items()},
+                          "f_max": out["f_max"], "delta": out["delta"], "uqt": out["uqt"]}
+        for entry in entries:
+            if entry is None:
+                continue  # a random candidate skipped above
             if entry["uqt"]:
                 if len(hits) < max_hits and entry not in hits:
                     hits.append(entry)

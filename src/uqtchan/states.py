@@ -277,7 +277,11 @@ def verdicts(t_mat: np.ndarray) -> Verdicts:
     det_t = np.linalg.det(t_mat) * nonzero_magnitudes(abs_t)[..., -1] + 0.0
     a1, a2, a3 = abs_t[..., 0], abs_t[..., 1], abs_t[..., 2]
     f_max = (1.0 + (a1 + a2 + a3) / 3.0) / 2.0
-    delta = np.sqrt((a1 - a2) ** 2 + (a1 - a3) ** 2 + (a2 - a3) ** 2) / (3.0 * np.sqrt(10.0))
+    # np.square, not ** 2: a float64 scalar's ** 2 is libm pow, which can
+    # round differently from the x * x of an array, so a state alone would
+    # get another last digit than inside a stack
+    delta = np.sqrt(np.square(a1 - a2) + np.square(a1 - a3) + np.square(a2 - a3)) \
+        / (3.0 * np.sqrt(10.0))
     valid = det_t <= 0.0
     useful = valid & (f_max > 2.0 / 3.0 + EPS_CLS)
     universal = valid & (a1 - a3 <= EPS_UQT) & (delta <= EPS_UQT)

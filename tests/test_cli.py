@@ -74,6 +74,18 @@ def test_sweep_csv_deterministic(tmp_path, capsys):
     assert len(lines) == 6
 
 
+def test_sweep_unwritable_output_exit_3(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"family": {"id": "dephasing"},
+                                     "axes": [{"param": "p", "start": 0.1, "stop": 0.9,
+                                               "step": 0.2}]}))
+    out = tmp_path / "no_such_dir" / "x.csv"
+    assert main(["sweep", str(spec_path), "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "no_such_dir" in captured.err
+    assert captured.out == "" and not out.parent.exists()
+
+
 def test_sweep_bad_spec_exit_3(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"axes": []}))
@@ -225,6 +237,15 @@ def test_search_uqt_writes_report(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["seed"] == 7
     assert "hits" in doc and "frontier" in doc
+
+
+def test_search_uqt_unwritable_output_exit_3(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "x.json"
+    assert main(["search-uqt", "--concurrence", "0.45", "--budget", "3",
+                 "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "no_such_dir" in captured.err
+    assert captured.out == "" and not out.parent.exists()
 
 
 def test_list_families(capsys):

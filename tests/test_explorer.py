@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtchan import channels, explorer, families, states
+from uqtchan import channels, explorer, families, linalg, states
 from uqtchan.explorer import (
     CSV_FIELDS,
     Axis,
@@ -284,12 +284,164 @@ def test_search_blocks_match_one_sample_blocks(monkeypatch):
     monkeypatch.setattr(explorer, "SEARCH_BLOCK", 1)
     single = search_uqt(0.45, budget=budget, seed=4).to_jsonable()
     assert len(blocked["hits"]) > 0 and len(blocked["frontier"]) > 0
-    for key in ("hits", "frontier"):
-        assert [e["channel"] for e in blocked[key]] == [e["channel"] for e in single[key]]
-        for a, b in zip(blocked[key], single[key]):
-            assert a["uqt"] == b["uqt"] and a["params"] == pytest.approx(b["params"], abs=1e-12)
-            assert a["f_max"] == pytest.approx(b["f_max"], abs=1e-12)
-            assert a["delta"] == pytest.approx(b["delta"], abs=1e-12)
+    assert json.dumps(blocked) == json.dumps(single)
+
+
+def _reference_entry(ch, state):
+    prof = states.profile(channels.apply_to_bob(state, ch))
+    return {"channel": ch.name, "params": {k: float(v) for k, v in ch.params.items()},
+            "f_max": prof.f_max, "delta": prof.delta, "uqt": prof.uqt}
+
+
+def _reference_candidate(pairs, rank):
+    """One projected candidate corrected with a hermitian_eig of its own S,
+    validated and screened on its own: (channel or None, outcome)."""
+    if pairs is None:
+        return None, "not converged"
+    kraus = channels.kraus_from_eigenpairs(*pairs, rank)
+    dec = linalg.hermitian_eig(channels.completeness_sum(kraus))
+    if dec.eigenvalues[-1] < 1e-6:
+        return None, "degenerate"
+    inv_root = (dec.eigenvectors / np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.conj().T
+    try:
+        ch = channels.validate(kraus @ inv_root, name=f"random_rank{rank}")
+    except channels.ChannelValidationError:
+        return None, "invalid"
+    if channels.unitality_residual(ch.kraus) < 1e-6:
+        return None, "unital"
+    return ch, "kept"
+
+
+def _reference_search(concurrence, budget, seed, block, max_iters, max_hits=20):
+    """search_uqt evaluated one candidate at a time: the same samples and
+    block projections, then per candidate `_reference_candidate`,
+    apply_to_bob and profile. Returns the report's JSON and the situations
+    its blocks met."""
+    state = states.pure_state_from_concurrence(concurrence)
+    star = _reference_entry(families.lambda_star_nu(concurrence), state)
+    hits, frontier, seen = [], [], set()
+    for first in range(0, budget, block):
+        picks = []
+        for i in range(first, min(first + block, budget)):
+            rng = explorer._sample_rng(seed, i)
+            kind = int(rng.integers(0, 4))
+            if kind in (0, 1):
+                rank = 3 if kind == 0 else 4
+                picks.append((rank, explorer._random_start(rng, rank)))
+            elif kind == 2:
+                p2 = float(rng.uniform(1e-6, families.lambda_tilde_p2_max(concurrence)
+                                       * (1.0 - 1e-9)))
+                picks.append(_reference_entry(families.lambda_tilde_nu(concurrence, p2), state))
+            else:
+                picks.append(star)
+        randoms = [p for p in picks if isinstance(p, tuple)]
+        projected = iter(explorer._project_block(np.array([x for _, x in randoms]),
+                                                 [r for r, _ in randoms], max_iters))
+        kraus_counts = {4 for p in picks if p is not star and not isinstance(p, tuple)}
+        if all(p is star for p in picks):
+            seen.add("no candidate")
+        for entry in picks:
+            if isinstance(entry, tuple):
+                ch, outcome = _reference_candidate(next(projected), entry[0])
+                seen.add(outcome)
+                if ch is None:
+                    continue
+                kraus_counts.add(len(ch.kraus))
+                entry = _reference_entry(ch, state)
+            if entry["uqt"]:
+                if len(hits) < max_hits and entry not in hits:
+                    hits.append(entry)
+            elif entry["f_max"] is not None:
+                if not any(e["delta"] <= entry["delta"] and e["f_max"] >= entry["f_max"]
+                           for e in frontier):
+                    frontier = [e for e in frontier if not (entry["delta"] <= e["delta"]
+                                                            and entry["f_max"] >= e["f_max"])]
+                    frontier.append(entry)
+        if len(kraus_counts) > 1:
+            seen.add("mixed Kraus counts")
+    frontier.sort(key=lambda e: (e["delta"], -e["f_max"]))
+    report = explorer.SearchReport(concurrence=concurrence, budget=budget, seed=seed,
+                                   hits=tuple(hits), frontier=tuple(frontier[:10]))
+    return json.dumps(report.to_jsonable()), seen
+
+
+def _search_json(concurrence, budget, seed, block, max_iters):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer, "SEARCH_BLOCK", block)
+        mp.setattr(explorer, "_MAX_ITERS", max_iters)
+        return json.dumps(search_uqt(concurrence, budget, seed=seed).to_jsonable())
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_random_nonunital_channel_is_the_per_candidate_path(rank):
+    for key in range(6):
+        ch = random_nonunital_channel(np.random.Generator(np.random.Philox(key=key)), rank)
+        x = explorer._random_start(np.random.Generator(np.random.Philox(key=key)), rank)
+        ref, _ = _reference_candidate(explorer._project_block(x[None], [rank], 200)[0], rank)
+        assert (ch is None) == (ref is None)
+        assert ch is None or (np.array_equal(ch.kraus, ref.kraus) and ch.name == ref.name)
+
+
+def test_search_entries_match_the_per_candidate_path():
+    # blocks of 8 mix rank-3 (three Kraus operators) and rank-4 or
+    # lambda_tilde_nu (four) members; blocks of 1 hold only lambda_star_nu
+    # at times; 3 iterations leave most projections unconverged
+    seen = set()
+    for c, budget, seed, block, max_iters in [(0.45, 40, 4, 8, 200), (0.7, 40, 5, 1, 200),
+                                              (0.6, 40, 6, 8, 3), (0.45, 300, 1, 128, 200)]:
+        expected, met = _reference_search(c, budget, seed, block, max_iters)
+        assert _search_json(c, budget, seed, block, max_iters) == expected
+        seen |= met
+    assert {"mixed Kraus counts", "no candidate", "not converged", "kept"} <= seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(concurrence=st.floats(0.05, 0.95), budget=st.integers(1, 20),
+       seed=st.integers(-2**70, 2**70), block=st.integers(1, 8),
+       max_iters=st.sampled_from([1, 3, 8, 200]))
+def test_search_matches_the_per_candidate_path(concurrence, budget, seed, block, max_iters):
+    expected, _ = _reference_search(concurrence, budget, seed, block, max_iters)
+    assert _search_json(concurrence, budget, seed, block, max_iters) == expected
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"budget": 2.5}, {"budget": True}, {"budget": "3"}, {"seed": 1.5},
+    {"seed": float("nan")}, {"seed": True}, {"max_hits": -3}, {"max_hits": 2.0},
+    {"concurrence": "0.45"}, {"concurrence": True}, {"concurrence": float("nan")},
+    {"concurrence": 1.0},
+])
+def test_search_rejects_bad_arguments_before_work(kwargs):
+    args = dict({"concurrence": 0.45, "budget": 3, "seed": 0, "max_hits": 20}, **kwargs)
+    with pytest.raises(SweepSpecError):
+        search_uqt(**args)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+ANY_ARG = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.floats(),
+                    st.integers(-2**70, 2**70))
+
+
+@settings(max_examples=200, deadline=None)
+@given(concurrence=st.one_of(st.floats(0.0, 1.0), ANY_ARG),
+       budget=st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0), st.booleans(), st.text(max_size=2)),
+       seed=st.one_of(st.integers(-2**70, 2**70), ANY_ARG),
+       max_hits=st.one_of(st.integers(-3, 3), ANY_ARG.filter(lambda x: not _is_int(x))))
+def test_search_arguments_end_in_a_report_or_a_spec_error(concurrence, budget, seed, max_hits):
+    valid = (isinstance(concurrence, (int, float)) and not isinstance(concurrence, bool)
+             and 0.0 < concurrence < 1.0 and _is_int(budget) and budget >= 1
+             and _is_int(seed) and _is_int(max_hits) and max_hits >= 0)
+    try:
+        rep = search_uqt(concurrence, budget, seed=seed, max_hits=max_hits)
+    except SweepSpecError:
+        assert not valid
+        return
+    assert valid
+    doc = json.loads(json.dumps(rep.to_jsonable(), allow_nan=False))
+    assert (doc["concurrence"], doc["budget"], doc["seed"]) == (concurrence, budget, seed)
+    assert len(doc["hits"]) <= max_hits
 
 
 def test_search_uqt_finds_hits_above_both_thresholds():

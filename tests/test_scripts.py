@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from uqtchan import families
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -18,6 +20,20 @@ def test_search_critical_concurrence_without_zero_deviation_entry(capsys):
     load_script("search_critical_concurrence").main(["--budget", "1", "--grid", "0.3"])
     row = capsys.readouterr().out.splitlines()[2].split()
     assert row == ["0.3000", "0", "n/a"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--grid", "0.3,abc"], "could not convert string to float: 'abc'"),
+    (["--grid", "1.5"], "must lie in (0, 1), got [1.5]"),
+    (["--grid", "0.3,nan"], "must lie in (0, 1), got [nan]"),
+    (["--budget", "0", "--grid", "0.3"], "--budget must be at least 1"),
+])
+def test_search_critical_concurrence_bad_arguments_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        load_script("search_critical_concurrence").main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 def test_reproduce_noise_catalog_rows(capsys):

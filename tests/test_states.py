@@ -332,3 +332,15 @@ def test_verdicts_of_a_stack_match_profile_of_each_member(rng):
         assert v.abs_t[i].tolist() == p.spectrum.abs_t.tolist() and v.det_t[i] == p.det_t
         if p.formula_valid:
             assert (v.f_max[i], v.delta[i]) == (p.f_max, p.delta)
+
+
+def test_verdicts_of_one_matrix_equal_its_stack_member_to_the_bit(rng):
+    # a float64 scalar's ** 2 is libm pow, which rounds some squares
+    # differently from an array's x * x: four of these 10,000 matrices got
+    # another last digit of delta alone than in the stack
+    t = rng.normal(size=(10000, 3, 3)) / 3.0
+    v = verdicts(t)
+    for i in range(len(t)):
+        one = verdicts(t[i])
+        assert (one.f_max, one.delta, one.det_t) == (v.f_max[i], v.delta[i], v.det_t[i])
+        assert one.abs_t.tolist() == v.abs_t[i].tolist()
