@@ -131,9 +131,8 @@ def criterion_nonunital_uqt_families() -> tuple[bool, str]:
             worst["abs_t"] = max(worst["abs_t"], float(np.max(np.abs(prof.spectrum.abs_t - t))))
             worst["delta"] = max(worst["delta"], prof.delta)
             worst["f"] = max(worst["f"], abs(prof.f_max - (1.0 + t) / 2.0))
-            dec = cs.eig
-            strict = all(dec.eigenvalues[i] > dec.eigenvalues[i + 1]
-                         for i in range(want_rank - 1))
+            vals = linalg.hermitian_eig(cs.rho).eigenvalues
+            strict = all(vals[i] > vals[i + 1] for i in range(want_rank - 1))
             if rep.unital or rep.choi_rank != want_rank or not strict or not prof.uqt:
                 ok = False
                 msgs.append(f"{kind}: unital={rep.unital} rank={rep.choi_rank} "

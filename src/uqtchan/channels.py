@@ -139,7 +139,7 @@ def validate_stack(kraus_lists) -> tuple[np.ndarray, list]:
     # completeness bounds every Kraus entry by about 1, so each Choi matrix is
     # finite and Hermitian to rounding and hermitian_eig rejects none of them
     dens = states.density_stack(choi_matrix(stack[live]))
-    for i, rank, err in zip(live, dens.eig.rank().tolist(), dens.errors):
+    for i, rank, err in zip(live, linalg.rank(dens.eigenvalues).tolist(), dens.errors):
         outcomes[i] = rank if err is None else \
             ChannelValidationError(f"Choi matrix rejected: {err}")
     return stack, outcomes
@@ -221,12 +221,15 @@ def kraus_from_eigenpairs(eigenvalues, eigenvectors, rank: int) -> np.ndarray:
     """Kraus operators, shape (rank, 2, 2), from the leading `rank` eigenpairs
     of a trace-1 Choi matrix (eigenvalues descending, eigenvectors as columns).
 
-    Each pair (q, chi) with chi = sum_mn a_mn |mn> contributes the operator
-    sqrt(2 max(q, 0)) * [a_mn]^T; the operators are mutually orthogonal with
-    Tr(K_i^dag K_j) = 2 q_i delta_ij.
+    The eigenvectors are first put in the basis of
+    `linalg.canonical_eigenvectors`, so the operators depend on the Choi
+    matrix alone. Each pair (q, chi) with chi = sum_mn a_mn |mn> contributes
+    the operator sqrt(2 max(q, 0)) * [a_mn]^T; the operators are mutually
+    orthogonal with Tr(K_i^dag K_j) = 2 q_i delta_ij.
     """
     q = np.clip(np.asarray(eigenvalues, dtype=float)[:rank], 0.0, None)
-    amps = np.asarray(eigenvectors)[:, :rank].T.reshape(rank, 2, 2)
+    vecs = linalg.canonical_eigenvectors(eigenvalues, eigenvectors)
+    amps = vecs[:, :rank].T.reshape(rank, 2, 2)
     return np.sqrt(2.0 * q)[:, None, None] * amps.transpose(0, 2, 1)
 
 
@@ -236,7 +239,7 @@ def kraus_from_choi(choi_rho, rank: int | None = None) -> np.ndarray:
     the Choi rank (at least one operator is returned)."""
     dec = linalg.hermitian_eig(choi_rho)
     if rank is None:
-        rank = dec.rank()
+        rank = linalg.rank(dec.eigenvalues)
     return kraus_from_eigenpairs(dec.eigenvalues, dec.eigenvectors, max(rank, 1))
 
 
@@ -260,16 +263,22 @@ def channel_to_json(ch: QubitChannel) -> str:
 
 
 def channel_from_jsonable(doc: dict) -> QubitChannel:
+    """The channel of a JSON object {"name", "kraus", "params"} with finite
+    params; ChannelValidationError for any other JSON document."""
     try:
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
         name = str(doc.get("name", "channel"))
         params = {str(k): float(v) for k, v in dict(doc.get("params", {})).items()}
+        if not all(np.isfinite(v) for v in params.values()):
+            raise ValueError(f"params must be finite, got {params}")
         kraus = []
         for entry in doc["kraus"]:
             flat = [complex(re, im) for re, im in entry]
             if len(flat) != 4:
                 raise ValueError(f"Kraus entry must have 4 complex values, got {len(flat)}")
             kraus.append(np.array(flat, dtype=complex).reshape(2, 2))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ChannelValidationError(f"malformed channel document: {exc}") from exc
     return validate(kraus, name=name, params=params)
 
@@ -277,6 +286,6 @@ def channel_from_jsonable(doc: dict) -> QubitChannel:
 def channel_from_json(text: str) -> QubitChannel:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ChannelValidationError(f"invalid JSON: {exc}") from exc
     return channel_from_jsonable(doc)

@@ -54,7 +54,8 @@ def _cmd_sweep(args) -> int:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = explorer.SweepSpec.from_jsonable(json.load(fh))
         result = explorer.run_sweep(spec)
-    except (explorer.SweepSpecError, json.JSONDecodeError, OSError) as exc:
+    except (explorer.SweepSpecError, json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError, OSError) as exc:  # RecursionError: JSON nested too deep
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     if not _emit(explorer.sweep_to_csv(result), args.output):

@@ -87,16 +87,16 @@ def evaluate_point(family_id: str, params: dict, initial: str | TwoQubitState = 
     return ch, final, states.profile(final)
 
 
-def oracle_check(final: TwoQubitState, prof: TeleportProfile,
-                 tol: float = ORACLE_TOL) -> tuple[bool, dict]:
-    """Compare the closed-form profile against the protocol simulation."""
+def oracle_check(final: TwoQubitState, prof: TeleportProfile) -> tuple[bool, dict]:
+    """Compare the closed-form profile against the protocol simulation, to
+    ORACLE_TOL."""
     canonical, _ = oracle.canonicalize(final)
     mom = oracle.numeric_moments(canonical)
-    info = {"mean_f": mom.mean_f, "delta": mom.delta, "tolerance": tol}
+    info = {"mean_f": mom.mean_f, "delta": mom.delta, "tolerance": ORACLE_TOL}
     if not prof.formula_valid:
         info["agrees"] = None  # no closed form to compare against
         return True, info
-    ok = abs(mom.mean_f - prof.f_max) <= tol and abs(mom.delta - prof.delta) <= tol
+    ok = abs(mom.mean_f - prof.f_max) <= ORACLE_TOL and abs(mom.delta - prof.delta) <= ORACLE_TOL
     info["agrees"] = ok
     return ok, info
 
@@ -167,8 +167,11 @@ class SweepSpec:
     def from_jsonable(doc: dict) -> "SweepSpec":
         try:
             fam = doc["family"]
-            spec = FamilySpec(family_id=str(fam["id"]),
-                              params={str(k): float(v) for k, v in fam.get("params", {}).items()})
+            family_id, params = str(fam["id"]), fam.get("params", {})
+            if not isinstance(params, dict):
+                raise TypeError(f"family params must be a JSON object, got {params!r}")
+            spec = FamilySpec(family_id=family_id,
+                              params={str(k): float(v) for k, v in params.items()})
             bad = {k: v for k, v in spec.params.items() if not math.isfinite(v)}
             if bad:
                 raise SweepSpecError(f"family params must be finite, got {bad}")
@@ -182,7 +185,7 @@ class SweepSpec:
             return SweepSpec(family=spec, axes=axes,
                              initial=str(doc.get("initial", "bell1")),
                              outputs=outputs)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, SweepSpecError):
                 raise
             raise SweepSpecError(f"malformed sweep spec: {exc}") from exc
@@ -210,9 +213,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Out-of-range grid points produce a row with empty value columns and the
     failure reason in the trailing `error` column; the sweep continues.
-    Errors of the spec as a whole (grid size, unknown family, initial state
-    or a "matched" input the family does not define) raise SweepSpecError
-    before the first row.
+    Errors of the spec as a whole (grid size, unknown family, an axis on a
+    parameter that, after alias resolution, another axis or a fixed param
+    sets, initial state or a "matched" input the family does not define)
+    raise SweepSpecError before the first row.
     Rows go in blocks of SWEEP_BLOCK: each row's parameters are checked and
     its Kraus operators built one at a time, then the block's channels are
     validated, applied to the initial state and classified as one stack,
@@ -228,6 +232,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         families.get_family(family_id)
     except ValueError as exc:
         raise SweepSpecError(str(exc)) from exc
+    seen = {families.resolve_param(family_id, key) for key in spec.family.params}
+    for ax in spec.axes:
+        name = families.resolve_param(family_id, ax.param)
+        if name in seen:
+            raise SweepSpecError(f"axis {ax.param!r} repeats {name!r}, set by another axis or param")
+        seen.add(name)
     initial = _resolve_initial(spec.initial, family_id)
     points = itertools.product(*(ax.values() for ax in spec.axes))
 
@@ -439,8 +449,7 @@ def _corrected_kraus(projected: list, ranks: list) -> list:
     return out
 
 
-def random_nonunital_channel(rng: np.random.Generator, rank: int,
-                             max_iters: int = _MAX_ITERS) -> QubitChannel | None:
+def random_nonunital_channel(rng: np.random.Generator, rank: int) -> QubitChannel | None:
     """Haar-ish random channel with a rank-r Choi state and non-trivial Bob
     marginal, built by alternating projections between the PSD cone (rank
     clipped) and the trace-preservation affine set Tr_2(X) = I/2.
@@ -448,7 +457,7 @@ def random_nonunital_channel(rng: np.random.Generator, rank: int,
     One candidate of the block projection and correction search_uqt runs;
     None if the projections do not converge or the sample is degenerate,
     invalid or effectively unital (unitality residual below 1e-6)."""
-    (eigenpairs,) = _project_block(_random_start(rng, rank)[None], [rank], max_iters)
+    (eigenpairs,) = _project_block(_random_start(rng, rank)[None], [rank], _MAX_ITERS)
     (kraus,) = _corrected_kraus([eigenpairs], [rank])
     if kraus is None:
         return None

@@ -1,11 +1,10 @@
 """Dense complex linear algebra for one- and two-qubit operators.
 
 Everything operates on plain numpy arrays of shape (2, 2) or (4, 4); the
-Hermitian eigensolver also takes a stack of them, shape (..., n, n).
-It is LAPACK's (np.linalg.eigh) followed by a pass that pins eigenvector
-phases and picks a basis of every degenerate eigenspace from the eigenspace
-alone, so Kraus reconstructions downstream do not depend on rounding or on
-the LAPACK build.
+Hermitian eigensolver also takes a stack of them, shape (..., n, n). It is
+the finite and Hermitian gate plus one LAPACK call (np.linalg.eigh);
+`canonical_eigenvectors` fixes one matrix's eigenbasis where Kraus operators
+are built from it, so they do not depend on rounding or the LAPACK build.
 """
 
 from __future__ import annotations
@@ -79,33 +78,44 @@ def partial_trace(m, keep: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomp:
-    """Hermitian eigendecomposition, eigenvalues sorted descending.
-
-    Eigenvectors are the columns of `eigenvectors`, orthonormal, with the
-    first non-negligible component of each phase-fixed to be real positive.
-    For a stack the arrays carry the stack axes in front: eigenvalues
-    (..., n), eigenvectors (..., n, n).
-    """
+    """Hermitian eigendecomposition, eigenvalues sorted descending, orthonormal
+    eigenvectors as the columns of `eigenvectors` with LAPACK's phases and
+    degenerate-eigenspace bases (see `canonical_eigenvectors`). For a stack
+    the arrays carry the stack axes in front: (..., n) and (..., n, n)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def rank(self, tol: float = RANK_TOL) -> int | np.ndarray:
-        """Eigenvalue count above tol * (largest eigenvalue); 0 for the zero
-        matrix. An int for one matrix, an int array for a stack."""
-        lmax = self.eigenvalues[..., :1]
-        ranks = (self.eigenvalues > tol * lmax).sum(axis=-1) * (lmax[..., 0] > tol)
-        return int(ranks) if ranks.ndim == 0 else ranks
+
+def rank(eigenvalues) -> int | np.ndarray:
+    """Eigenvalue count above RANK_TOL * (largest eigenvalue) of a descending
+    spectrum (..., n), 0 for the zero matrix: an int, or an int array for a
+    stack of spectra."""
+    lmax = eigenvalues[..., :1]
+    ranks = (eigenvalues > RANK_TOL * lmax).sum(axis=-1) * (lmax[..., 0] > RANK_TOL)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
-def _phase_fix(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column of a (B, n, n) stack so that its first component
-    above 1e-8 in magnitude is real positive. The columns are unit vectors
-    of length <= 4, so each has a component of at least 1/2."""
-    b, n, _ = vecs.shape
-    first = np.argmax(np.abs(vecs) > 1e-8, axis=1)
-    pivot = vecs[np.arange(b)[:, None], first, np.arange(n)][:, None, :]
-    return vecs * (pivot.conj() / np.abs(pivot))
+def hermitian_eig(m) -> EigenDecomp:
+    """Eigendecomposition of a Hermitian 2x2 or 4x4 matrix, or of every
+    matrix of a stack (..., n, n), by one LAPACK call on the Hermitian part.
+
+    Rejects non-finite entries and non-Hermitian input with ValueError; for
+    a stack, one bad member rejects the whole stack. A matrix gets the same
+    decomposition alone as inside a stack.
+    """
+    a = _as_square(m, stack=True)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    res = herm_residual(a)
+    if res > EPS_HERM:
+        raise ValueError(f"matrix is not Hermitian within {EPS_HERM:g} (residual {res:.3e})")
+    vals, vecs = np.linalg.eigh((a + dagger(a)) / 2.0)
+    vals = vals[..., ::-1].copy()
+    vecs = vecs[..., ::-1].copy()
+    vals.setflags(write=False)
+    vecs.setflags(write=False)
+    return EigenDecomp(eigenvalues=vals, eigenvectors=vecs)
 
 
 def _eigenspace_basis(q: np.ndarray) -> np.ndarray:
@@ -121,10 +131,17 @@ def _eigenspace_basis(q: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def _fix_clusters(vals: np.ndarray, vecs: np.ndarray, tol: float) -> None:
-    """Replace, in place, the eigenvectors of every run of eigenvalues within
-    tol of the first of the run by the eigenspace-only basis."""
+def canonical_eigenvectors(eigenvalues, eigenvectors) -> np.ndarray:
+    """The eigenvectors (columns) of one Hermitian matrix, eigenvalues
+    descending, in a basis fixed by the matrix alone, not by rounding or the
+    LAPACK build: each run of eigenvalues within 1e-11 (relative to the
+    Frobenius norm) of its first gets the eigenspace-only basis of
+    `_eigenspace_basis`, then each column's first component above 1e-8 in
+    magnitude (a unit 4-vector has one of at least 1/2) is made real positive."""
+    vals = np.asarray(eigenvalues, dtype=float)
+    vecs = np.array(eigenvectors, dtype=complex)
     n = vals.shape[0]
+    tol = _CLUSTER_TOL * max(1.0, float(np.sqrt((vals * vals).sum())))
     start = 0
     while start < n:
         stop = start + 1
@@ -133,47 +150,10 @@ def _fix_clusters(vals: np.ndarray, vecs: np.ndarray, tol: float) -> None:
         if stop - start > 1:
             vecs[:, start:stop] = _eigenspace_basis(vecs[:, start:stop])
         start = stop
+    pivot = vecs[np.argmax(np.abs(vecs) > 1e-8, axis=0), np.arange(n)]
+    return vecs * (pivot.conj() / np.abs(pivot))
 
 
-def hermitian_eig(m) -> EigenDecomp:
-    """Eigendecomposition of a Hermitian 2x2 or 4x4 matrix, or of every
-    matrix of a stack (..., n, n) in one LAPACK call.
-
-    Rejects non-finite entries and non-Hermitian input with ValueError; for
-    a stack, one bad member rejects the whole stack. Eigenvalues within
-    1e-11 (relative to the matrix scale) of the first of their run form a
-    degenerate cluster, whose eigenvectors are replaced by the
-    eigenspace-only basis of `_eigenspace_basis`, so the output is
-    deterministic. A matrix gets the same decomposition, to rounding, alone
-    as inside a stack.
-    """
-    a = _as_square(m, stack=True)
-    shape = a.shape
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
-    res = herm_residual(a)
-    if res > EPS_HERM:
-        raise ValueError(f"matrix is not Hermitian within {EPS_HERM:g} (residual {res:.3e})")
-    a = ((a + dagger(a)) / 2.0).reshape(-1, shape[-1], shape[-1])
-    vals, vecs = np.linalg.eigh(a)
-    vals = vals[:, ::-1].copy()
-    vecs = vecs[:, :, ::-1].copy()
-
-    # the matrix scale is the Frobenius norm, sqrt(sum of squared
-    # eigenvalues); only matrices with two adjacent eigenvalues within the
-    # cluster tolerance have a cluster, the rest skip the Python loop
-    tol = _CLUSTER_TOL * np.maximum(1.0, np.sqrt((vals * vals).sum(axis=1)))
-    close = ((vals[:, :-1] - vals[:, 1:]) <= tol[:, None]).any(axis=1)
-    for i in close.nonzero()[0]:
-        _fix_clusters(vals[i], vecs[i], float(tol[i]))
-
-    vals = vals.reshape(shape[:-1])
-    vecs = _phase_fix(vecs).reshape(shape)
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
-    return EigenDecomp(eigenvalues=vals, eigenvectors=vecs)
-
-
-def numeric_rank(m, tol: float = RANK_TOL) -> int:
-    """EigenDecomp.rank of a Hermitian PSD matrix (0 for the zero matrix)."""
-    return hermitian_eig(m).rank(tol)
+def numeric_rank(m) -> int:
+    """`rank` of the spectrum of a Hermitian PSD matrix (0 for the zero matrix)."""
+    return rank(hermitian_eig(m).eigenvalues)

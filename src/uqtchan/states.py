@@ -58,7 +58,6 @@ class HSDecomposition:
 class TwoQubitState:
     rho: np.ndarray  # (4,4) complex density matrix, trace 1
     hs: HSDecomposition
-    eig: linalg.EigenDecomp  # spectrum of rho, computed once by from_density
 
 
 @dataclass(frozen=True)
@@ -112,12 +111,12 @@ def _unit_trace(rho: np.ndarray, tr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityStack:
-    """`density_stack` of N matrices: per member the rho and spectrum
-    from_density stores, and the message from_density raises for it or None
-    if it is accepted; a rejected member's rho and spectrum mean nothing."""
+    """`density_stack` of N matrices: per member the rho from_density stores
+    and its eigenvalues, and the message from_density raises for it or None
+    if it is accepted; a rejected member's rho and eigenvalues mean nothing."""
 
     rho: np.ndarray  # (N, 4, 4)
-    eig: linalg.EigenDecomp  # (N, 4), (N, 4, 4)
+    eigenvalues: np.ndarray  # (N, 4), descending
     errors: tuple[str | None, ...]
 
 
@@ -129,32 +128,30 @@ def density_stack(m) -> DensityStack:
     non-Hermitian; callers stack matrices that are both by construction.
     A member's trace must be 1 within TRACE_TOL and its spectrum, scaled to
     trace 1, non-negative within PSD_TOL. The stored rho is the Hermitian
-    part scaled to trace 1, its spectrum scaled with it.
+    part scaled to trace 1, its eigenvalues scaled with it.
     """
     rho = np.asarray(m, dtype=complex)
     if rho.ndim != 3 or rho.shape[1:] != (4, 4):
         raise ValueError(f"expected a stack of 4x4 matrices, got shape {rho.shape}")
-    eig = linalg.hermitian_eig(rho)
+    eigenvalues = linalg.hermitian_eig(rho).eigenvalues
     traces = rho.trace(axis1=1, axis2=2).real
     bad_trace = np.abs(traces - 1.0) > TRACE_TOL
     tr = np.where(bad_trace, 1.0, traces)  # never divide by a rejected, possibly zero, trace
-    vals = eig.eigenvalues / tr[:, None]
+    vals = eigenvalues / tr[:, None]
     vals.setflags(write=False)
     errors = tuple(
         f"density matrix trace {t!r} differs from 1 beyond {TRACE_TOL:g}" if bad
         else f"density matrix has negative eigenvalue {low:.3e}" if low < -PSD_TOL else None
         for t, bad, low in zip(traces.tolist(), bad_trace.tolist(), vals[:, -1].tolist()))
-    return DensityStack(rho=_unit_trace(rho, tr), eig=linalg.EigenDecomp(vals, eig.eigenvectors),
-                        errors=errors)
+    return DensityStack(rho=_unit_trace(rho, tr), eigenvalues=vals, errors=errors)
 
 
 def from_density(m) -> TwoQubitState:
-    """Validate a 4x4 density matrix; attach its Pauli and eigen decompositions.
+    """Validate a 4x4 density matrix; attach its Pauli decomposition.
 
     The one-member view of `density_stack`: hermitian_eig rejects
     non-finite and non-Hermitian input, and the trace and PSD checks raise
-    ValueError; the stored rho is the Hermitian part scaled to trace 1, its
-    spectrum scaled with it."""
+    ValueError; the stored rho is the Hermitian part scaled to trace 1."""
     rho = np.asarray(m, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
@@ -162,8 +159,7 @@ def from_density(m) -> TwoQubitState:
     if dens.errors[0] is not None:
         raise ValueError(dens.errors[0])
     rho = dens.rho[0]
-    return TwoQubitState(rho=rho, hs=hs_decompose(rho),
-                         eig=linalg.EigenDecomp(dens.eig.eigenvalues[0], dens.eig.eigenvectors[0]))
+    return TwoQubitState(rho=rho, hs=hs_decompose(rho))
 
 
 def _ket_density(psi) -> np.ndarray:
@@ -231,7 +227,7 @@ def concurrence(state: TwoQubitState) -> float:
     Computed as the singular values of sqrt(rho) (sy x sy) sqrt(rho)^T, which
     carry the same spectrum without the precision loss of a non-Hermitian
     eigenvalue problem (rank-deficient states stay accurate to ~1e-14)."""
-    dec = state.eig
+    dec = linalg.hermitian_eig(state.rho)
     root = (dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))) \
         @ dec.eigenvectors.conj().T
     lam = np.linalg.svd(root @ _YY @ root.T, compute_uv=False)

@@ -1,6 +1,7 @@
 import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from uqtchan import acceptance
 
@@ -28,3 +29,15 @@ def random_unitary(rng, dim=2):
 def random_kraus(rng, rank):
     """Kraus stack of acceptance.random_channel (a Haar-ish isometry, always CPTP)."""
     return acceptance.random_channel(rng, rank).kraus
+
+
+#: JSON scalars as json.loads returns them: NaN, infinities and integers too
+#: large for a float included
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.floats(), st.integers(-2**64, 2**64),
+                         st.just(10**400), st.text(max_size=3))
+#: any JSON document
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=10)
+#: JSON numbers, mostly of a plausible size
+JSON_NUMBERS = st.one_of(st.floats(-1.5, 1.5), st.floats(), st.integers(-2, 2), st.just(10**400))

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqtchan import channels, families, linalg, states
 from uqtchan.channels import (
@@ -19,7 +21,14 @@ from uqtchan.channels import (
 )
 from uqtchan.linalg import I2, SX, SY, SZ
 
-from conftest import random_density, random_kraus, random_unitary
+from conftest import (
+    JSON_NUMBERS,
+    JSON_SCALARS,
+    JSON_VALUES,
+    random_density,
+    random_kraus,
+    random_unitary,
+)
 
 SIGMA = (I2, SX, SY, SZ)
 
@@ -71,7 +80,7 @@ def test_completeness_tolerance_matches_trace_tolerance():
 
 def test_validate_keeps_choi_rank():
     ch = families.gadc(0.3, 0.2)
-    assert ch.choi_rank == report(ch).choi_rank == choi(ch).eig.rank() == 4
+    assert ch.choi_rank == report(ch).choi_rank == linalg.numeric_rank(choi(ch).rho) == 4
     assert report(ch).choi.rho.tobytes() == choi(ch).rho.tobytes()
 
 
@@ -420,3 +429,41 @@ def test_json_rejects_malformed():
     bad = {"name": "x", "kraus": [[[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]]}
     with pytest.raises(ChannelValidationError, match="completeness"):
         channel_from_json(json.dumps(bad))
+
+
+_IDENTITY = [[[1, 0], [0, 0], [0, 0], [1, 0]]]
+_KRAUS_DOCS = st.one_of(
+    st.just(_IDENTITY),
+    st.lists(st.lists(st.lists(JSON_NUMBERS | JSON_SCALARS, min_size=2, max_size=2) | JSON_VALUES,
+                      min_size=3, max_size=5) | JSON_VALUES, max_size=2),
+    JSON_VALUES)
+CHANNEL_DOCS = st.one_of(JSON_VALUES, st.fixed_dictionaries(
+    {"kraus": _KRAUS_DOCS},
+    optional={"name": JSON_VALUES,
+              "params": st.dictionaries(st.text(max_size=2), JSON_NUMBERS | JSON_VALUES, max_size=2)
+              | JSON_VALUES}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(CHANNEL_DOCS)
+def test_channel_documents_end_in_a_channel_or_a_validation_error(doc):
+    try:
+        ch = channels.channel_from_jsonable(doc)
+    except ChannelValidationError:
+        return
+    assert all(isinstance(v, float) and np.isfinite(v) for v in ch.params.values())
+    json.dumps(channels.channel_to_jsonable(ch), allow_nan=False)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([], "expected a JSON object, got list"),
+    (None, "expected a JSON object, got NoneType"),
+    (3.5, "expected a JSON object, got float"),
+    ({"kraus": _IDENTITY, "params": {"x": 10**400}}, "too large"),
+    ({"kraus": _IDENTITY, "params": {"x": float("nan")}}, "params must be finite, got {'x': nan}"),
+    ({"kraus": _IDENTITY, "params": {"x": float("inf")}}, "params must be finite, got {'x': inf}"),
+    ({"kraus": [[[10**400, 0], [0, 0], [0, 0], [1, 0]]]}, "too large"),
+])
+def test_json_rejects_outside_documents(doc, message):
+    with pytest.raises(ChannelValidationError, match=message):
+        channels.channel_from_jsonable(doc)

@@ -48,6 +48,27 @@ def test_analyze_nan_channel_exit_2(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+_BIG = "1" + "0" * 400  # a JSON integer too large for a float
+_IDENTITY = '"kraus": [[[1, 0], [0, 0], [0, 0], [1, 0]]]'
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[]", "expected a JSON object, got list"),
+    ("null", "expected a JSON object, got NoneType"),
+    ("5", "expected a JSON object, got int"),
+    ("{%s, \"params\": {\"x\": %s}}" % (_IDENTITY, _BIG), "too large to convert to float"),
+    ("{%s, \"params\": {\"x\": NaN}}" % _IDENTITY, "params must be finite"),
+    ("{%s, \"params\": {\"x\": 1e999}}" % _IDENTITY, "params must be finite"),
+    ("[" * 100000 + "]" * 100000, "invalid JSON"),
+])
+def test_analyze_outside_document_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "channel.json"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 @pytest.mark.parametrize("excess,code", [(8e-10, 2), (8e-11, 2), (4e-11, 0)])
 def test_analyze_completeness_at_trace_tolerance(tmp_path, capsys, excess, code):
     # sqrt(1 + excess) I has completeness residual `excess`: above half the
@@ -90,6 +111,40 @@ def test_sweep_bad_spec_exit_3(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"axes": []}))
     assert main(["sweep", str(spec_path)]) == 3
+
+
+_GAMMA = '{"param": "gamma", "start": 0.1, "stop": 0.2, "step": 0.1}'
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"family": {"id": "gadc", "params": null}, "axes": [%s]}' % _GAMMA,
+     "family params must be a JSON object"),
+    ('{"family": {"id": "gadc", "params": [0.1]}, "axes": [%s]}' % _GAMMA,
+     "family params must be a JSON object"),
+    ('{"family": {"id": "gadc", "params": {"N": %s}}, "axes": [%s]}' % (_BIG, _GAMMA),
+     "too large to convert to float"),
+    ('{"family": {"id": "gadc", "params": {"N": 0.1}}, '
+     '"axes": [{"param": "gamma", "start": 0.1, "stop": %s, "step": 0.1}]}' % _BIG,
+     "too large to convert to float"),
+    ('{"family": {"id": "gadc", "params": {"N": 0.1}}, '
+     '"axes": [{"param": "gamma", "start": 0.1, "stop": 0.2, "step": %s}]}' % _BIG,
+     "too large to convert to float"),
+    ('{"family": {"id": "gadc", "params": {"N": 0.1}}, "axes": [%s, '
+     '{"param": "gamma", "start": 0.5, "stop": 0.6, "step": 0.1}]}' % _GAMMA,
+     "axis 'gamma' repeats 'gamma', set by another axis or param"),
+    ('{"family": {"id": "lambda_tilde_nu", "params": {"p2": 0.1}}, "axes": ['
+     '{"param": "C", "start": 0.5, "stop": 0.6, "step": 0.1}, '
+     '{"param": "p1", "start": 0.5, "stop": 0.6, "step": 0.1}]}',
+     "axis 'p1' repeats 'p1', set by another axis or param"),
+    ("[" * 100000 + "]" * 100000, "recursion"),
+    (b"\xff\xfe{}", "can't decode byte 0xff"),
+])
+def test_sweep_outside_document_exit_3(tmp_path, capsys, text, message):
+    path = tmp_path / "spec.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["sweep", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 @pytest.mark.parametrize("initial", ["bell9", "pure:1.5", "ghz"])

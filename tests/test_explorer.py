@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from uqtchan.explorer import (
     search_uqt,
     sweep_to_csv,
 )
+
+from conftest import JSON_NUMBERS, JSON_VALUES
 
 S5 = np.sqrt(5.0)
 
@@ -109,6 +112,52 @@ def test_sweep_spec_from_jsonable_errors():
         "family": {"id": "dephasing"}, "seed": "none",
         "axes": [{"param": "p", "start": 0.1, "stop": 0.3, "step": 0.1}]})
     assert spec.family.family_id == "dephasing"
+
+
+_AXIS_DOCS = st.fixed_dictionaries(
+    {"param": st.sampled_from(["gamma", "N", "C", "p1", "x"]) | JSON_VALUES,
+     "start": JSON_NUMBERS | JSON_VALUES, "stop": JSON_NUMBERS | JSON_VALUES,
+     "step": JSON_NUMBERS | JSON_VALUES})
+SWEEP_DOCS = st.one_of(JSON_VALUES, st.fixed_dictionaries(
+    {"family": st.fixed_dictionaries(
+        {"id": st.sampled_from(["gadc", "lambda_tilde_nu"]) | JSON_VALUES},
+        optional={"params": st.dictionaries(st.sampled_from(["N", "gamma", "p2", "C"]),
+                                            JSON_NUMBERS | JSON_VALUES, max_size=2)
+                  | JSON_VALUES}) | JSON_VALUES,
+     "axes": st.lists(_AXIS_DOCS | JSON_VALUES, max_size=2) | JSON_VALUES},
+    optional={"initial": st.sampled_from(["bell1", "matched"]) | JSON_VALUES,
+              "outputs": st.lists(st.sampled_from(CSV_FIELDS), max_size=2) | JSON_VALUES}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SWEEP_DOCS)
+def test_sweep_documents_end_in_a_spec_or_a_spec_error(doc):
+    # and a spec of at most 4 rows ends in a result or a spec error too
+    try:
+        spec = SweepSpec.from_jsonable(doc)
+        small = math.prod(ax.count() for ax in spec.axes) <= 4
+    except SweepSpecError:
+        return
+    assert all(isinstance(v, float) and math.isfinite(v) for v in spec.family.params.values())
+    if small:
+        try:
+            run_sweep(spec)
+        except SweepSpecError:
+            pass
+
+
+@pytest.mark.parametrize("family_id,fixed,axes", [
+    ("gadc", {"N": 0.1}, [("gamma", 0.1, 0.2, 0.1), ("gamma", 0.5, 0.6, 0.1)]),
+    ("gadc", {"N": 0.1, "gamma": 0.2}, [("gamma", 0.1, 0.2, 0.1)]),
+    ("lambda_tilde_nu", {"p2": 0.1}, [("C", 0.5, 0.6, 0.1), ("p1", 0.5, 0.6, 0.1)]),
+    ("lambda_tilde_nu", {"concurrence": 0.6}, [("p2", 0.1, 0.2, 0.1), ("p1", 0.5, 0.6, 0.1)]),
+])
+def test_sweep_rejects_an_axis_that_repeats_a_parameter(family_id, fixed, axes):
+    # two axes (or an axis and a fixed param) on one parameter, directly or
+    # through a concurrence alias, would give rows computed at one value
+    # while labelled with another
+    with pytest.raises(SweepSpecError, match="set by another axis or param"):
+        run_sweep(make_spec(family_id, fixed, axes))
 
 
 def test_sweep_grid_cap():
@@ -267,7 +316,7 @@ def test_block_projection_matches_one_candidate_calls():
         assert 0 < converged < 12 if max_iters == 1 else converged == 12
 
 
-def test_block_member_out_of_iterations_gives_none_alone():
+def test_block_member_out_of_iterations_gives_none_alone(monkeypatch):
     starts, ranks = _starts(12)
     short = explorer._project_block(starts, ranks, 5)
     full = explorer._project_block(starts, ranks, 200)
@@ -275,7 +324,8 @@ def test_block_member_out_of_iterations_gives_none_alone():
     for s, f in zip(short, full):
         assert s is None or _same_eigenpairs(s, f)
     rng = np.random.Generator(np.random.Philox(key=22))
-    assert random_nonunital_channel(rng, rank=3, max_iters=5) is None
+    monkeypatch.setattr(explorer, "_MAX_ITERS", 5)
+    assert random_nonunital_channel(rng, rank=3) is None
 
 
 def test_search_blocks_match_one_sample_blocks(monkeypatch):
@@ -478,6 +528,30 @@ def test_search_uqt_reports_each_hit_once():
     names = [h["channel"] for h in rep.hits]
     assert names.count("lambda_star_nu") == 1
     assert all(a != b for i, a in enumerate(rep.hits) for b in rep.hits[i + 1:])
+
+
+def test_search_skips_random_candidates_that_land_on_unital_channels(monkeypatch):
+    # every projection returns the Choi eigenpairs of a unital channel of the
+    # target rank; both channels make the input UQT-useful, so a skip that
+    # let them through would put random_rank entries among the hits
+    c = 0.7
+    p0 = 1.0 / (2.0 - c)  # the largest weight uqt_unital_for_pure allows: Pauli weight p3 = 0
+    unital = {4: families.uqt_unital_for_pure(c, (p0 + (1.0 + 2.0 * c) / (6.0 * c)) / 2.0),
+              3: families.pauli_mixture(p0, (1.0 - p0) / 2.0, (1.0 - p0) / 2.0, 0.0)}
+    state = states.pure_state_from_concurrence(c)
+    pairs = {}
+    for rank, ch in unital.items():
+        assert ch.choi_rank == rank and channels.report(ch).unital
+        assert states.profile(channels.apply_to_bob(state, ch)).uqt
+        dec = linalg.hermitian_eig(channels.choi_matrix(ch.kraus))
+        pairs[rank] = (dec.eigenvalues, dec.eigenvectors)
+    monkeypatch.setattr(explorer, "_project_block",
+                        lambda x, ranks, max_iters: [pairs[r] for r in ranks])
+    rep = search_uqt(c, budget=60, seed=2)
+    entries = rep.to_jsonable()["hits"] + rep.to_jsonable()["frontier"]
+    assert entries and not any(e["channel"].startswith("random_rank") for e in entries)
+    for rank in (3, 4):
+        assert random_nonunital_channel(np.random.Generator(np.random.Philox(key=rank)), rank) is None
 
 
 def test_search_uqt_deterministic():

@@ -116,8 +116,9 @@ def test_eig_sigma_x():
     dec = linalg.hermitian_eig(SX)
     assert np.allclose(dec.eigenvalues, [1.0, -1.0])
     s = 1 / np.sqrt(2)
-    assert np.allclose(dec.eigenvectors[:, 0], [s, s])
-    assert np.allclose(dec.eigenvectors[:, 1], [s, -s])
+    vecs = linalg.canonical_eigenvectors(dec.eigenvalues, dec.eigenvectors)
+    assert np.allclose(vecs[:, 0], [s, s])
+    assert np.allclose(vecs[:, 1], [s, -s])
 
 
 def test_eig_canonical_choi_spectrum():
@@ -168,19 +169,54 @@ def test_eig_deterministic(rng):
     assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
 
 
-@pytest.mark.parametrize("spectrum", [(0.4, 0.4, 0.15, 0.05), (0.1, 0.3, 0.3, 0.3)])
-def test_eig_degenerate_basis_depends_on_eigenspace_only(rng, spectrum):
-    # one matrix built from two orthonormal bases that differ only inside its
-    # 2- or 3-fold eigenspace gives the same eigenvectors
+def _two_eigenbases(rng, spectrum):
+    """Two orthonormal bases u, v that differ only inside each degenerate
+    eigenspace of spectrum and, per column, by a random phase."""
     u = random_unitary(rng, 4)
-    idx = [i for i, x in enumerate(spectrum) if spectrum.count(x) > 1]
-    mix = np.eye(4, dtype=complex)
-    mix[np.ix_(idx, idx)] = random_unitary(rng, len(idx))
-    v = u @ mix
+    mix = np.diag(np.exp(2j * np.pi * rng.uniform(size=4)))
+    for value in set(spectrum):
+        idx = [i for i, x in enumerate(spectrum) if x == value]
+        if len(idx) > 1:
+            mix[np.ix_(idx, idx)] = random_unitary(rng, len(idx))
+    return u, u @ mix
+
+
+@pytest.mark.parametrize("spectrum", [(0.4, 0.4, 0.15, 0.05), (0.3, 0.3, 0.3, 0.1)])
+def test_eig_degenerate_basis_depends_on_eigenspace_only(rng, spectrum):
+    # two eigenbases of one degenerate matrix give the same canonical basis,
+    # whether passed directly or found by hermitian_eig of the matrix rebuilt
+    # from each
+    u, v = _two_eigenbases(rng, spectrum)
+    assert np.max(np.abs(linalg.canonical_eigenvectors(spectrum, u)
+                         - linalg.canonical_eigenvectors(spectrum, v))) < 1e-12
     d1 = linalg.hermitian_eig((u * spectrum) @ u.conj().T)
     d2 = linalg.hermitian_eig((v * spectrum) @ v.conj().T)
     assert np.max(np.abs(d1.eigenvalues - d2.eigenvalues)) < 1e-12
-    assert np.max(np.abs(d1.eigenvectors - d2.eigenvectors)) < 1e-10
+    c1 = linalg.canonical_eigenvectors(d1.eigenvalues, d1.eigenvectors)
+    c2 = linalg.canonical_eigenvectors(d2.eigenvalues, d2.eigenvectors)
+    assert np.max(np.abs(c1 - c2)) < 1e-10
+    # still an orthonormal eigenbasis, each column's first component real positive
+    assert np.max(np.abs(c1.conj().T @ c1 - np.eye(4))) < 1e-12
+    assert np.max(np.abs((c1 * d1.eigenvalues) @ c1.conj().T - (u * spectrum) @ u.conj().T)) < 1e-12
+    first = c1[np.argmax(np.abs(c1) > 1e-8, axis=0), np.arange(4)]
+    assert np.all(first.real > 0) and np.max(np.abs(first.imag)) < 1e-15
+
+
+@pytest.mark.parametrize("spectrum", [(0.4, 0.4, 0.15, 0.05), (0.3, 0.3, 0.3, 0.1),
+                                      (0.5, 0.5, 0.0, 0.0)])
+def test_kraus_from_choi_depends_on_the_choi_matrix_only(rng, spectrum):
+    # a degenerate trace-1 Choi matrix written in two of its eigenbases gives
+    # the same Kraus operators, from its eigenpairs or from the matrix
+    from uqtchan.channels import kraus_from_choi, kraus_from_eigenpairs
+
+    u, v = _two_eigenbases(rng, spectrum)
+    rank = sum(x > 0 for x in spectrum)
+    assert np.max(np.abs(kraus_from_eigenpairs(spectrum, u, rank)
+                         - kraus_from_eigenpairs(spectrum, v, rank))) < 1e-12
+    k1 = kraus_from_choi((u * spectrum) @ u.conj().T)
+    k2 = kraus_from_choi((v * spectrum) @ v.conj().T)
+    assert k1.shape == k2.shape == (rank, 2, 2)
+    assert np.max(np.abs(k1 - k2)) < 1e-10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -236,8 +272,17 @@ def test_partial_trace_stack(rng):
 
 
 # ---------------------------------------------------------------------------
-# numeric_rank
+# rank and numeric_rank
 # ---------------------------------------------------------------------------
+
+def test_rank_of_one_spectrum_and_of_a_stack():
+    tiny = 0.5 * linalg.RANK_TOL
+    spectra = np.array([[1.0, 0.5, 0.0, 0.0], [1.0, tiny, 0.0, -tiny], [0.0, 0.0, 0.0, 0.0],
+                        [tiny, tiny, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
+    assert linalg.rank(spectra[0]) == 2 and isinstance(linalg.rank(spectra[0]), int)
+    assert linalg.rank(spectra).tolist() == [2, 1, 0, 0, 4]
+    assert linalg.rank(spectra.reshape(5, 1, 4)).shape == (5, 1)
+
 
 def test_numeric_rank_pure_bell():
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
