@@ -218,8 +218,8 @@ def rotate_kraus(ch: QubitChannel, w) -> QubitChannel:
 
 
 def kraus_from_eigenpairs(eigenvalues, eigenvectors, rank: int) -> np.ndarray:
-    """Kraus operators, shape (rank, 2, 2), from the leading `rank` eigenpairs
-    of a trace-1 Choi matrix (eigenvalues descending, eigenvectors as columns).
+    """Kraus operators, shape (..., rank, 2, 2), from the leading `rank` eigenpairs
+    of a trace-1 Choi matrix or stack (eigenvalues descending, eigenvectors as columns).
 
     The eigenvectors are first put in the basis of
     `linalg.canonical_eigenvectors`, so the operators depend on the Choi
@@ -227,16 +227,16 @@ def kraus_from_eigenpairs(eigenvalues, eigenvectors, rank: int) -> np.ndarray:
     the operator sqrt(2 max(q, 0)) * [a_mn]^T; the operators are mutually
     orthogonal with Tr(K_i^dag K_j) = 2 q_i delta_ij.
     """
-    q = np.clip(np.asarray(eigenvalues, dtype=float)[:rank], 0.0, None)
+    q = np.clip(np.asarray(eigenvalues, dtype=float)[..., :rank], 0.0, None)
     vecs = linalg.canonical_eigenvectors(eigenvalues, eigenvectors)
-    amps = vecs[:, :rank].T.reshape(rank, 2, 2)
-    return np.sqrt(2.0 * q)[:, None, None] * amps.transpose(0, 2, 1)
+    amps = vecs[..., :rank].swapaxes(-1, -2).reshape(vecs.shape[:-2] + (rank, 2, 2))
+    return np.sqrt(2.0 * q)[..., None, None] * amps.swapaxes(-1, -2)
 
 
 def kraus_from_choi(choi_rho, rank: int | None = None) -> np.ndarray:
-    """Rebuild Kraus operators, shape (rank, 2, 2), from a trace-1 Choi
-    matrix by kraus_from_eigenpairs on its decomposition; rank defaults to
-    the Choi rank (at least one operator is returned)."""
+    """Rebuild Kraus operators, shape (..., rank, 2, 2), from a trace-1 Choi
+    matrix or stack (..., 4, 4) by kraus_from_eigenpairs on one hermitian_eig;
+    rank defaults to the Choi rank of one matrix, at least 1 (a stack needs it)."""
     dec = linalg.hermitian_eig(choi_rho)
     if rank is None:
         rank = linalg.rank(dec.eigenvalues)

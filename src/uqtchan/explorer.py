@@ -217,10 +217,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     parameter that, after alias resolution, another axis or a fixed param
     sets, initial state or a "matched" input the family does not define)
     raise SweepSpecError before the first row.
-    Rows go in blocks of SWEEP_BLOCK: each row's parameters are checked and
-    its Kraus operators built one at a time, then the block's channels are
-    validated, applied to the initial state and classified as one stack,
-    with the row values and error texts of evaluate_point and report.
+    Rows go in blocks of SWEEP_BLOCK: each block is built by one checked_rows
+    call, then validated, applied to the initial state and classified as one
+    stack, with the row values and error texts of evaluate_point and report.
     Every ORACLE_EVERY-th valid row is re-verified against the protocol
     simulation and flagged in `oracle_checked`.
     """
@@ -258,15 +257,11 @@ def _sweep_block(spec: SweepSpec, initial: str | TwoQubitState, first: int,
     """The rows of grid points first, first + 1, ... (their axis values in
     combos) and the number of their oracle checks that failed."""
     family_id = spec.family.family_id
-    errors: list[str | None] = [None] * len(combos)
-    built: list = [([], {})] * len(combos)  # a row that fails to build stays empty
-    for i, combo in enumerate(combos):
-        params = dict(spec.family.params)
-        params.update({ax.param: v for ax, v in zip(spec.axes, combo)})
-        try:
-            built[i] = families.checked_build(family_id, **params)
-        except ValueError as exc:  # ChannelValidationError included
-            errors[i] = str(exc)
+    built = families.checked_rows(family_id, [
+        {**spec.family.params, **{ax.param: v for ax, v in zip(spec.axes, combo)}}
+        for combo in combos])
+    errors = [str(res) if isinstance(res, ValueError) else None for res in built]
+    built = [([], {}) if err else res for err, res in zip(errors, built)]  # failed rows stay empty
     if isinstance(initial, str):  # "matched": |Psi_a> of each row's concurrence
         param = families.MATCHED_CONCURRENCE_PARAM[family_id]
         # a row that failed to build has no concurrence; 1.0 stands in, and
@@ -325,8 +320,10 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
 
     The bracket must be finite and increasing, tol finite and positive, and
     the predicate (one of PREDICATES) must differ at the two bracket
-    endpoints. Bisection stops at width tol, or sooner when no float lies
-    strictly inside the bracket. For the matched-concurrence families the
+    endpoints, and no fixed param may name `param`, directly or by alias;
+    else, or at a point that builds no channel, SweepSpecError is raised.
+    Bisection stops at width tol, or sooner when no float lies strictly
+    inside the bracket. For the matched-concurrence families the
     initial state defaults to the matched |Psi_a>; for lambda_tilde_nu swept
     in concurrence, p2 is placed at the midpoint of its useful window when
     that window is non-empty (any valid p2 below threshold leaves the
@@ -340,22 +337,28 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
     if predicate not in PREDICATES:
         raise SweepSpecError(f"predicate must be one of {PREDICATES}, got {predicate!r}")
     fixed = dict(fixed or {})
+    try:
+        *_, name = families.resolve_keys(family_id, [*fixed, param])
+    except ValueError as exc:  # an unknown family or name, or a fixed param on `param`
+        raise SweepSpecError(f"threshold in {param!r}: {exc}") from exc
     if initial is None:
         initial = ("matched" if family_id in families.MATCHED_CONCURRENCE_IDS else "bell1")
     initial = _resolve_initial(initial, family_id)
 
     def point_params(x: float) -> dict:
         params = dict(fixed)
-        name = families.resolve_param(family_id, param)
         params[name] = x
         if family_id == "lambda_tilde_nu" and "p2" not in fixed and name == "p1":
-            hi = families.lambda_tilde_p2_max(x)
-            lo = 1.0 / (3.0 * x)
+            # outside (0, 1), p1's range check rejects x whatever p2 is
+            lo, hi = (1.0 / (3.0 * x), families.lambda_tilde_p2_max(x)) if 0.0 < x < 1.0 else (0, 1)
             params["p2"] = (lo + hi) / 2.0 if lo < hi else 0.5 * hi
         return params
 
     def value(x: float) -> bool:
-        _, _, prof = evaluate_point(family_id, point_params(x), initial)
+        try:
+            _, _, prof = evaluate_point(family_id, point_params(x), initial)
+        except ValueError as exc:  # ChannelValidationError included
+            raise SweepSpecError(f"{param} = {x!r}: {exc}") from exc
         return bool(getattr(prof, predicate))
 
     v_lo, v_hi = value(lo), value(hi)
@@ -431,14 +434,15 @@ def _corrected_kraus(projected: list, ranks: list) -> list:
 
     The projections stop at 1e-10; the standard right-correction
     K_i -> K_i S^{-1/2}, S = sum K^dag K, restores exact trace preservation,
-    with one hermitian_eig for the S of every member, each Kraus list
-    padded with zero operators to four. A smallest eigenvalue of S below
-    1e-6 marks a degenerate member, which is not correctable.
+    with one kraus_from_eigenpairs and one hermitian_eig for all members,
+    each Kraus list padded with zero operators to four. A smallest
+    eigenvalue of S below 1e-6 marks a degenerate member, not correctable.
     """
     live = [j for j, pairs in enumerate(projected) if pairs is not None]
-    kraus = np.zeros((len(live), 4, 2, 2), dtype=complex)
-    for m, j in enumerate(live):
-        kraus[m, :ranks[j]] = channels.kraus_from_eigenpairs(*projected[j], ranks[j])
+    kraus = channels.kraus_from_eigenpairs(
+        np.array([projected[j][0] for j in live]).reshape(-1, 4),
+        np.array([projected[j][1] for j in live]).reshape(-1, 4, 4), 4)
+    kraus[np.arange(4) >= np.array([ranks[j] for j in live], dtype=int)[:, None]] = 0.0
     dec = linalg.hermitian_eig(channels.completeness_sum(kraus))
     keep = np.flatnonzero(dec.eigenvalues[:, -1] >= 1e-6)
     vecs = dec.eigenvectors[keep]

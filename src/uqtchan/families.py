@@ -3,8 +3,8 @@ catalog, and the non-unital constructions that keep shared entanglement
 useful for universal quantum teleportation (UQT).
 
 Each family is declared once, next to a builder that returns only its raw
-Kraus operators and the params to record. `noise_channel` is the one
-validation site: it rejects a non-finite or out-of-range parameter with a
+Kraus operators (or Choi matrix) and the params to record. `noise_channel`
+is the one validation site: it rejects a non-finite or out-of-range parameter with a
 ValueError naming it, runs the builder and validates the channel. Builders
 check only constraints that span several parameters. Public constructors
 return noise_channel(<id>, ...), so direct and catalog calls agree.
@@ -63,12 +63,13 @@ class ParamSpec:
 class Family:
     family_id: str
     params: tuple[ParamSpec, ...]
-    #: builder: checked params -> (raw Kraus operators, params to record)
+    #: builder: checked params -> (raw Kraus operators or Choi matrix, params to record)
     build: Callable[..., tuple[list, dict]]
     doc: str
     expected_unital: bool | None = None
     expected_rank: int | None = None
     sampler: Callable | None = None
+    choi: bool = False  #: build returns the Choi matrix; Kraus: its expected_rank eigenpairs
 
     def sample_params(self, rng: np.random.Generator) -> dict:
         if self.sampler is not None:
@@ -97,12 +98,12 @@ FAMILIES: dict[str, Family] = {}
 
 def _family(family_id: str, params: tuple[ParamSpec, ...], doc: str, *,
             unital: bool | None = None, rank: int | None = None,
-            sampler: Callable | None = None):
+            sampler: Callable | None = None, choi: bool = False):
     """Declare a catalog family around its builder. The decorated name
     becomes the public constructor: it takes the builder's arguments and
     returns noise_channel(family_id, ...) on them."""
     def declare(build: Callable[..., tuple[list, dict]]) -> Callable[..., QubitChannel]:
-        FAMILIES[family_id] = Family(family_id, params, build, doc, unital, rank, sampler)
+        FAMILIES[family_id] = Family(family_id, params, build, doc, unital, rank, sampler, choi)
         signature = inspect.signature(build)
 
         @functools.wraps(build)
@@ -236,17 +237,6 @@ def canonical_nonunital_choi(s_vec, t: float) -> np.ndarray:
     )
 
 
-def canonical_choi_eigenvalues(s_norm: float, t: float) -> tuple[float, float, float, float]:
-    """Closed-form spectrum (q0 > q1 > q2 > q3) of the canonical Choi matrix."""
-    root = np.sqrt(s_norm * s_norm + 4.0 * t * t)
-    return (
-        (1.0 + t + root) / 4.0,
-        (1.0 + s_norm - t) / 4.0,
-        (1.0 + t - root) / 4.0,
-        (1.0 - s_norm - t) / 4.0,
-    )
-
-
 def _sample_rank4(rng: np.random.Generator) -> dict:
     t = float(rng.uniform(1.0 / 3.0 + 1e-3, 1.0 - 1e-3))
     s_norm = float(rng.uniform(1e-3, (1.0 - t) * (1.0 - 1e-3)))
@@ -260,7 +250,7 @@ def _sample_rank4(rng: np.random.Generator) -> dict:
          (ParamSpec("s1", None, None), ParamSpec("s2", None, None), ParamSpec("s3", None, None),
           ParamSpec("t", 1.0 / 3.0, 1.0, low_open=True, high_open=True)),
          "non-unital rank-4 Choi family preserving UQT on a Bell input; 0 < |s| < 1-t",
-         unital=False, rank=4, sampler=_sample_rank4)
+         unital=False, rank=4, sampler=_sample_rank4, choi=True)
 def uqt_nonunital_rank4(s1: float, s2: float, s3: float, t: float):
     """Non-unital channel with rank-4 Choi state preserving UQT on a Bell input.
 
@@ -274,15 +264,14 @@ def uqt_nonunital_rank4(s1: float, s2: float, s3: float, t: float):
     if not 0.0 < s_norm < 1.0 - t:
         raise ValueError(
             f"|s| must lie in (0, 1 - t) = (0, {1.0 - t:.6g}) for rank 4, got {s_norm!r}")
-    kraus = channels.kraus_from_choi(canonical_nonunital_choi((s1, s2, s3), t), rank=4)
-    return kraus, {"s1": s1, "s2": s2, "s3": s3, "t": t}
+    return canonical_nonunital_choi((s1, s2, s3), t), {"s1": s1, "s2": s2, "s3": s3, "t": t}
 
 
 @_family("uqt_nonunital_rank3",
          (ParamSpec("theta", 0.0, np.pi), ParamSpec("phi", 0.0, 2.0 * np.pi),
           ParamSpec("t", 1.0 / 3.0, 1.0, low_open=True, high_open=True)),
          "non-unital rank-3 Choi family preserving UQT on a Bell input; |s| = 1-t",
-         unital=False, rank=3)
+         unital=False, rank=3, choi=True)
 def uqt_nonunital_rank3(theta: float, phi: float, t: float):
     """Non-unital channel with rank-3 Choi state preserving UQT on a Bell input.
 
@@ -292,8 +281,7 @@ def uqt_nonunital_rank3(theta: float, phi: float, t: float):
     """
     r = 1.0 - t
     s_vec = (r * np.sin(theta) * np.cos(phi), r * np.sin(theta) * np.sin(phi), r * np.cos(theta))
-    kraus = channels.kraus_from_choi(canonical_nonunital_choi(s_vec, t), rank=3)
-    return kraus, {"theta": theta, "phi": phi, "t": t}
+    return canonical_nonunital_choi(s_vec, t), {"theta": theta, "phi": phi, "t": t}
 
 
 # ---------------------------------------------------------------------------
@@ -637,23 +625,18 @@ def get_family(family_id: str) -> Family:
 def resolve_param(family_id: str, key: str) -> str:
     """Map a parameter name onto the family's own naming; the concurrence
     aliases C/c/concurrence resolve to the matched-concurrence parameter."""
-    names = {spec.name for spec in get_family(family_id).params}
-    if key in names:
-        return key
-    if key in _PARAM_ALIASES and family_id in MATCHED_CONCURRENCE_PARAM:
+    if key in _PARAM_ALIASES and family_id in MATCHED_CONCURRENCE_PARAM \
+            and all(spec.name != key for spec in get_family(family_id).params):
         return MATCHED_CONCURRENCE_PARAM[family_id]
     return key
 
 
-def checked_build(family_id: str, **params) -> tuple[list, dict]:
-    """Resolve the keyword parameters of a catalog family, run every
-    ParamSpec.check and the builder: the family's raw Kraus operators and
-    the params to record, not yet validated as a channel."""
-    fam = get_family(family_id)
-    names = {spec.name for spec in fam.params}
-    resolved = {}
-    given = {}  # resolved name -> keyword that set it
-    for key, value in params.items():
+def resolve_keys(family_id: str, keys) -> list[str]:
+    """resolve_param of each key, in order; ValueError at the first key that
+    names no parameter of the family, or one that an earlier key set."""
+    names = {spec.name for spec in get_family(family_id).params}
+    given = {}  # resolved name -> key that set it
+    for key in keys:
         name = resolve_param(family_id, key)
         if name not in names:
             raise ValueError(f"{family_id}: unknown parameter {name!r}; expected {sorted(names)}")
@@ -661,13 +644,51 @@ def checked_build(family_id: str, **params) -> tuple[list, dict]:
             first, second = sorted((given[name], key), key=lambda k: k == name)
             raise ValueError(f"{family_id}: {first} and {second} both set {name}")
         given[name] = key
-        resolved[name] = float(value)
-    missing = names - set(resolved)
-    if missing:
-        raise ValueError(f"{family_id}: missing parameters {sorted(missing)}")
-    for spec in fam.params:
-        spec.check(resolved[spec.name], family_id)
-    return fam.build(**resolved)
+    return list(given)
+
+
+def checked_rows(family_id: str, rows) -> list:
+    """checked_build of each keyword dict of rows, names resolved once per key
+    sequence: the raw Kraus operators and params to record, or the ValueError
+    without its traceback (which would tie this frame and every row into a
+    cycle). A Choi-defined family's rows share one kraus_from_choi."""
+    fam = get_family(family_id)
+    names_of: dict[tuple, list | str] = {}  # key sequence -> resolved names, or the error text
+    out: list = []
+    for row in rows:
+        keys = tuple(row)
+        if keys not in names_of:
+            try:
+                names_of[keys] = resolve_keys(family_id, keys)
+                if len(keys) < len(fam.params):
+                    missing = {spec.name for spec in fam.params} - set(names_of[keys])
+                    raise ValueError(f"{family_id}: missing parameters {sorted(missing)}")
+            except ValueError as exc:
+                names_of[keys] = str(exc)
+        try:
+            if isinstance(names_of[keys], str):
+                raise ValueError(names_of[keys])
+            values = dict(zip(names_of[keys], map(float, row.values())))
+            for spec in fam.params:
+                spec.check(values[spec.name], family_id)
+            out.append(fam.build(**values))
+        except ValueError as exc:  # ChannelValidationError included
+            out.append(type(exc)(*exc.args))
+    built = [i for i, res in enumerate(out) if isinstance(res, tuple)] if fam.choi else []
+    if built:  # the checks above leave every Choi matrix finite and Hermitian
+        kraus = channels.kraus_from_choi(np.array([out[i][0] for i in built]), fam.expected_rank)
+        for i, ops in zip(built, kraus):
+            out[i] = (ops, out[i][1])
+    return out
+
+
+def checked_build(family_id: str, **params) -> tuple[list, dict]:
+    """The one-row view of checked_rows: a catalog family's raw Kraus
+    operators and params to record, not yet validated; raises its error."""
+    built = checked_rows(family_id, [params])
+    if isinstance(built[0], ValueError):
+        raise built.pop()  # popped: this frame keeps no reference to the error
+    return built[0]
 
 
 def noise_channel(family_id: str, **params) -> QubitChannel:

@@ -3,12 +3,13 @@
 Everything operates on plain numpy arrays of shape (2, 2) or (4, 4); the
 Hermitian eigensolver also takes a stack of them, shape (..., n, n). It is
 the finite and Hermitian gate plus one LAPACK call (np.linalg.eigh);
-`canonical_eigenvectors` fixes one matrix's eigenbasis where Kraus operators
-are built from it, so they do not depend on rounding or the LAPACK build.
+`canonical_eigenvectors` fixes the eigenbases of a stack where Kraus
+operators are built from them, so they do not depend on the LAPACK build.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,26 +133,28 @@ def _eigenspace_basis(q: np.ndarray) -> np.ndarray:
 
 
 def canonical_eigenvectors(eigenvalues, eigenvectors) -> np.ndarray:
-    """The eigenvectors (columns) of one Hermitian matrix, eigenvalues
-    descending, in a basis fixed by the matrix alone, not by rounding or the
-    LAPACK build: each run of eigenvalues within 1e-11 (relative to the
-    Frobenius norm) of its first gets the eigenspace-only basis of
-    `_eigenspace_basis`, then each column's first component above 1e-8 in
-    magnitude (a unit 4-vector has one of at least 1/2) is made real positive."""
-    vals = np.asarray(eigenvalues, dtype=float)
+    """The eigenvectors (columns) of a Hermitian matrix or stack ((..., n),
+    (..., n, n), eigenvalues descending) in a basis fixed by the matrix alone,
+    not by rounding or the LAPACK build: each run of eigenvalues within 1e-11
+    (relative to the Frobenius norm) of its first gets the eigenspace-only
+    basis of `_eigenspace_basis`, then each column's first component above
+    1e-8 in magnitude (a unit 4-vector has one of at least 1/2) is made real positive."""
     vecs = np.array(eigenvectors, dtype=complex)
-    n = vals.shape[0]
-    tol = _CLUSTER_TOL * max(1.0, float(np.sqrt((vals * vals).sum())))
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and vals[start] - vals[stop] <= tol:
-            stop += 1
-        if stop - start > 1:
-            vecs[:, start:stop] = _eigenspace_basis(vecs[:, start:stop])
-        start = stop
-    pivot = vecs[np.argmax(np.abs(vecs) > 1e-8, axis=0), np.arange(n)]
-    return vecs * (pivot.conj() / np.abs(pivot))
+    n = vecs.shape[-1]
+    flat = vecs.reshape(-1, n, n)
+    for i, spectrum in enumerate(np.asarray(eigenvalues, dtype=float).reshape(-1, n).tolist()):
+        tol = _CLUSTER_TOL * max(1.0, math.hypot(*spectrum))
+        start = 0 if min(map(float.__sub__, spectrum, spectrum[1:]), default=math.inf) <= tol else n
+        while start < n:  # walk the runs of a spectrum that has one
+            stop = start + 1
+            while stop < n and spectrum[start] - spectrum[stop] <= tol:
+                stop += 1
+            if stop - start > 1:
+                flat[i, :, start:stop] = _eigenspace_basis(flat[i, :, start:stop])
+            start = stop
+    pivot = flat[np.arange(len(flat))[:, None], (np.abs(flat) > 1e-8).argmax(axis=1), np.arange(n)]
+    flat *= (pivot.conj() / np.abs(pivot))[:, None, :]
+    return vecs
 
 
 def numeric_rank(m) -> int:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqtchan import channels, explorer, families
 from uqtchan.cli import main
@@ -277,6 +281,55 @@ def test_threshold_tol_below_float_spacing_returns(capsys, point_calls):
     lo, hi = json.loads(capsys.readouterr().out)["bracket"]
     assert hi == np.nextafter(lo, 1.0)
     assert len(point_calls) <= 2 + 64
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "gadc", "--param", "gamma", "--bracket", "0.1,1.0", "--predicate", "useful",
+     "--fixed", "N=0.1", "--fixed", "gamma=0.5"],
+    ["--family", "lambda_tilde_nu", "--param", "C", "--bracket", "0.4,0.7", "--predicate", "uqt",
+     "--fixed", "p1=0.5"],
+], ids=["by name", "by alias"])
+def test_threshold_fixed_param_on_the_bisected_one_exit_3(capsys, point_calls, args):
+    assert main(["threshold"] + args) == 3
+    assert "both set" in capsys.readouterr().err
+    assert point_calls == []
+
+
+_CLI_NUMBERS = st.sampled_from(["0.1", "0.5", "0.9", "1.0", "-1", "0", "2", "nan", "inf",
+                                "1e300", "x", ""])
+#: threshold arguments with a threshold in the bracket
+_SCENARIOS = [
+    ["--family", "werner", "--param", "p", "--bracket=0.3,0.9", "--predicate", "useful"],
+    ["--family", "gadc", "--param", "gamma", "--bracket=0.1,1.0", "--predicate", "useful",
+     "--fixed", "N=0.7"],
+    ["--family", "lambda_star_nu", "--param", "C", "--bracket=0.3,0.6", "--predicate", "uqt"],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=st.sampled_from(_SCENARIOS), data=st.data())
+def test_threshold_cli_exits_with_a_code(args, data):
+    # flags of a scenario with a threshold replaced by arbitrary or malformed
+    # ones: argparse rejects a malformed flag with exit 2; anything else is a
+    # result (0) or a spec error (3), never a traceback
+    argv = ["threshold"] + args
+    for flag, values in (
+            ("--family", st.sampled_from(["gadc", "werner", "lambda_tilde_nu", "nope", ""])),
+            ("--param", st.sampled_from(["gamma", "N", "p", "C", "p1", "p2", "x"])),
+            ("--bracket", st.tuples(_CLI_NUMBERS, _CLI_NUMBERS).map(",".join) | _CLI_NUMBERS),
+            ("--predicate", st.sampled_from(["useful", "universal", "uqt", "bogus"])),
+            ("--tol", st.sampled_from(["1e-6", "1e-20", "0", "-1", "nan", "x"])),
+            ("--initial", st.sampled_from(["bell1", "matched", "pure:0.8", "pure:2", "bell9"])),
+            ("--fixed", st.tuples(st.sampled_from(["N", "gamma", "p1", "C", "x", ""]),
+                                  _CLI_NUMBERS).map("=".join) | st.sampled_from(["N", "="]))):
+        if data.draw(st.sampled_from([False, False, False, True])):
+            argv.append(f"{flag}={data.draw(values)}")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4)
 
 
 @pytest.mark.parametrize("budget", ["-5", "0"])

@@ -278,6 +278,61 @@ def test_threshold_dephasing_never_universal():
         find_threshold("dephasing", "p", (0.05, 0.95), "universal")
 
 
+@pytest.mark.parametrize("family_id,param,bracket,predicate,fixed", [
+    ("gadc", "gamma", (0.1, 1.0), "useful", {"N": 0.1, "gamma": 0.5}),
+    ("lambda_tilde_nu", "C", (0.4, 0.7), "uqt", {"p1": 0.5}),
+], ids=["by name", "by alias"])
+def test_threshold_rejects_a_fixed_param_on_the_bisected_one(monkeypatch, family_id, param,
+                                                             bracket, predicate, fixed):
+    # else every bisection point would overwrite the fixed value
+    calls = []
+    monkeypatch.setattr(explorer, "evaluate_point", lambda *args: calls.append(args))
+    with pytest.raises(SweepSpecError, match="both set"):
+        find_threshold(family_id, param, bracket, predicate, fixed=fixed)
+    assert calls == []
+
+
+_VALUES = st.integers(-50, 150).map(lambda k: k / 100) | st.sampled_from(
+    [float("nan"), float("inf"), -1e300, 1e300, 1e-300])
+#: scenarios with a threshold in the bracket, and the names of their families
+_THRESHOLDS = {
+    "werner": ("p", (0.3, 0.9), "useful", {}, ["p"]),
+    "gadc": ("gamma", (0.1, 1.0), "useful", {"N": 0.7}, ["gamma", "N"]),
+    "adc_m": ("t", (0.0, 3.0), "useful", {"gamma": 1.0}, ["gamma", "t"]),
+    "lambda_star_nu": ("C", (0.3, 0.6), "uqt", {}, ["C", "p1"]),
+    "lambda_tilde_nu": ("C", (0.4, 0.7), "uqt", {}, ["C", "p1", "p2"]),
+    "depolarizing_m": ("p", (0.1, 0.7), "useful", {}, ["p"]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), family_id=st.sampled_from(sorted(_THRESHOLDS) + ["nope"]))
+def test_threshold_arguments_end_in_a_result_or_a_spec_error(data, family_id):
+    # each argument of a scenario with a threshold is, one time in four,
+    # replaced by an arbitrary or a malformed one
+    param, bracket, predicate, fixed, names = _THRESHOLDS.get(family_id, _THRESHOLDS["werner"])
+    names = st.sampled_from(names + ["x"])
+
+    def arg(good, other):
+        return good if data.draw(st.sampled_from([True, True, True, False])) else data.draw(other)
+
+    param = arg(param, names)
+    lo, hi = arg(bracket, st.tuples(_VALUES, _VALUES))
+    predicate = arg(predicate, st.sampled_from(explorer.PREDICATES + ("bogus",)))
+    tol = arg(1e-6, st.sampled_from([1e-20, 0.0, -1.0, float("nan"), float("inf"), 1.0]))
+    fixed = arg(fixed, st.dictionaries(names, _VALUES, max_size=3))
+    initial = arg("default", st.sampled_from(["bell1", "pure:0.8", "matched", "pure:2", "bell9"]))
+    try:
+        res = find_threshold(family_id, param, (lo, hi), predicate, tol=tol, fixed=fixed,
+                             initial=None if initial == "default" else initial)
+    except SweepSpecError:
+        return
+    assert lo <= res.low < res.high <= hi
+    assert res.bracket_width == res.high - res.low
+    assert res.low <= res.critical_value <= res.high
+    assert res.bracket_width <= tol or res.high == np.nextafter(res.low, np.inf)
+
+
 # ---------------------------------------------------------------------------
 # randomized search
 # ---------------------------------------------------------------------------

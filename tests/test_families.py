@@ -9,7 +9,6 @@ from uqtchan import channels, families, linalg, states
 from uqtchan.channels import ChannelValidationError
 from uqtchan.families import (
     FAMILIES,
-    canonical_choi_eigenvalues,
     canonical_nonunital_choi,
     lambda_star_gamma,
     lambda_star_nu,
@@ -277,6 +276,13 @@ def test_rank3_family_matches_printed_forms(theta, phi, t):
     assert diff < 1e-12
 
 
+def canonical_choi_eigenvalues(s_norm, t):
+    """Closed-form spectrum (q0 > q1 > q2 > q3) of the canonical Choi matrix."""
+    root = np.sqrt(s_norm * s_norm + 4.0 * t * t)
+    return ((1.0 + t + root) / 4.0, (1.0 + s_norm - t) / 4.0,
+            (1.0 + t - root) / 4.0, (1.0 - s_norm - t) / 4.0)
+
+
 def test_canonical_choi_eigenvalue_ordering(rng):
     # strict ordering q0 > q1 > q2 > q3 across the admissible region
     for _ in range(200):
@@ -284,6 +290,9 @@ def test_canonical_choi_eigenvalue_ordering(rng):
         s = float(rng.uniform(1e-3, (1 - t) * 0.999))
         q = canonical_choi_eigenvalues(s, t)
         assert q[0] > q[1] > q[2] > q[3] >= -1e-15
+        direction = rng.normal(size=3)
+        rho = canonical_nonunital_choi(s * direction / np.linalg.norm(direction), t)
+        assert np.allclose(linalg.hermitian_eig(rho).eigenvalues, q, atol=1e-12)
         # the three gaps printed for the spectrum
         assert 2 * t + np.sqrt(s * s + 4 * t * t) - s > 0
         assert s + np.sqrt(s * s + 4 * t * t) - 2 * t > 0
@@ -560,6 +569,47 @@ def test_direct_call_matches_catalog(family_id, seed, overrides, by_keyword):
     build = CONSTRUCTORS[family_id]
     direct = (lambda: build(**params)) if by_keyword else (lambda: build(*params.values()))
     assert outcome(direct) == outcome(lambda: noise_channel(family_id, **params))
+
+
+#: per row: its draw's seed and edits (what, which parameter, value)
+_ROWS = st.lists(st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.sampled_from(["drop", "alias", "unknown", "set"]), st.integers(0, 4),
+                       st.sampled_from([float("nan"), float("inf"), -0.3, 0.0, 0.3, 0.5, 1.0,
+                                        2.0, 1e300])), max_size=3)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=200)
+@given(family_id=st.sampled_from(sorted(FAMILIES)), rows=_ROWS)
+def test_checked_rows_match_checked_build_row_by_row(family_id, rows):
+    # in-range draws with names dropped, repeated through an alias or
+    # unknown, and values non-finite, out of range or rejected by the builder
+    fam = FAMILIES[family_id]
+    dicts = []
+    for seed, edits in rows:
+        row = fam.sample_params(np.random.default_rng(seed))
+        for what, k, value in edits:
+            name = (list(row) or ["p"])[k % max(len(row), 1)]
+            if what == "drop":
+                row.pop(name, None)
+            elif what == "alias":
+                row[("C", "c", "concurrence")[k % 3]] = value
+            else:
+                row["x" if what == "unknown" else name] = value
+        dicts.append(row)
+    built = families.checked_rows(family_id, dicts)
+    assert len(built) == len(dicts)
+    for row, got in zip(dicts, built):
+        try:
+            kraus, recorded = families.checked_build(family_id, **row)
+        except ValueError as exc:
+            assert (type(got), str(got)) == (type(exc), str(exc))
+            assert got.__traceback__ is None
+            continue
+        assert np.shape(got[0]) == np.shape(kraus)
+        assert np.asarray(got[0]).tobytes() == np.asarray(kraus).tobytes()
+        assert got[1] == recorded
 
 
 @pytest.mark.parametrize("call,error,message", [

@@ -123,12 +123,14 @@ def test_eig_sigma_x():
 
 def test_eig_canonical_choi_spectrum():
     # closed-form spectrum of the canonical non-unital Choi matrix
-    from uqtchan.families import canonical_choi_eigenvalues, canonical_nonunital_choi
+    from uqtchan.families import canonical_nonunital_choi
 
     s_vec, t = (0.1, 0.0, 0.1), 0.5
     rho = canonical_nonunital_choi(s_vec, t)
     dec = linalg.hermitian_eig(rho)
-    expected = canonical_choi_eigenvalues(float(np.linalg.norm(s_vec)), t)
+    s = float(np.linalg.norm(s_vec))
+    root = np.sqrt(s * s + 4.0 * t * t)
+    expected = ((1 + t + root) / 4, (1 + s - t) / 4, (1 + t - root) / 4, (1 - s - t) / 4)
     assert np.allclose(dec.eigenvalues, expected, atol=1e-12)
 
 
@@ -217,6 +219,36 @@ def test_kraus_from_choi_depends_on_the_choi_matrix_only(rng, spectrum):
     k2 = kraus_from_choi((v * spectrum) @ v.conj().T)
     assert k1.shape == k2.shape == (rank, 2, 2)
     assert np.max(np.abs(k1 - k2)) < 1e-10
+
+
+#: trace-1 Choi spectra: simple, 2-fold and 3-fold, of ranks 4 and 3
+_CHOI_SPECTRA = [(0.4, 0.3, 0.2, 0.1), (0.4, 0.25, 0.25, 0.1), (0.3, 0.3, 0.3, 0.1),
+                 (0.5, 0.3, 0.2, 0.0), (0.4, 0.3, 0.3, 0.0), (0.4, 0.2, 0.2, 0.2)]
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_stacked_kraus_extraction_matches_one_at_a_time_to_the_bit(rng, rank):
+    from uqtchan.channels import kraus_from_choi, kraus_from_eigenpairs
+
+    mats = []
+    for spectrum in _CHOI_SPECTRA * 2:
+        u, _ = _two_eigenbases(rng, spectrum)
+        mats.append((u * spectrum) @ u.conj().T)
+    stack = np.array(mats)
+    dec = linalg.hermitian_eig(stack)
+    vecs = linalg.canonical_eigenvectors(dec.eigenvalues, dec.eigenvectors)
+    kraus = kraus_from_choi(stack, rank=rank)
+    pairs = kraus_from_eigenpairs(dec.eigenvalues, dec.eigenvectors, rank)
+    assert kraus.shape == pairs.shape == (len(mats), rank, 2, 2)
+    for i, m in enumerate(mats):
+        one = linalg.hermitian_eig(m)
+        assert vecs[i].tobytes() == linalg.canonical_eigenvectors(
+            one.eigenvalues, one.eigenvectors).tobytes()
+        assert kraus[i].tobytes() == kraus_from_choi(m, rank=rank).tobytes()
+        assert pairs[i].tobytes() == kraus_from_eigenpairs(
+            one.eigenvalues, one.eigenvectors, rank).tobytes()
+    # more stack axes give the same bits
+    assert kraus_from_choi(stack.reshape(3, 4, 4, 4), rank=rank).tobytes() == kraus.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtchan import channels, families
+from uqtchan import channels, explorer, families, states
 from uqtchan.linalg import I4
 from uqtchan.states import (
     bell_state,
@@ -290,6 +290,51 @@ def test_profile_and_concurrence_invariant_under_local_unitaries(name, seed):
     if p0.formula_valid:
         assert abs(p0.f_max - p1.f_max) <= 1e-12 and abs(p0.delta - p1.delta) <= 1e-12
     assert abs(concurrence(before) - concurrence(after)) <= 1e-12
+
+
+def _block_inputs(rng):
+    """(Kraus lists, input) of three sweep blocks, built by checked_rows, and
+    of one search block, projected and corrected as search_uqt does."""
+    grid = [{"gamma": g, "N": n} for g in (0.0, 0.3, 0.6, 0.9) for n in (0.0, 0.2, 0.5)]
+    rank4 = [{"s1": a, "s2": b, "s3": 0.05, "t": t}
+             for a in (0.0, 0.1) for b in (-0.1, 0.1) for t in (0.4, 0.6)]
+    tilde = [{"p1": c, "p2": p2} for c in (0.45, 0.7, 0.9) for p2 in (0.3, 0.6)]
+    blocks = [
+        ([k for k, _ in families.checked_rows("gadc", grid)], bell_state(1).rho),
+        ([k for k, _ in families.checked_rows("uqt_nonunital_rank4", rank4)], pure_state(0.8).rho),
+        ([k for k, _ in families.checked_rows("dephasing", [{"p": 0.5}, {"p": 0.9}])],
+         bell_state(1).rho),
+        ([k for k, _ in families.checked_rows("lambda_tilde_nu", tilde)],
+         states.pure_densities_from_concurrence([row["p1"] for row in tilde])),
+    ]
+    ranks = [3, 4] * 8
+    starts = np.array([explorer._random_start(rng, r) for r in ranks])
+    lists = explorer._corrected_kraus(explorer._project_block(starts, ranks, 200), ranks)
+    blocks.append(([k for k in lists if k is not None], pure_state_from_concurrence(0.45).rho))
+    return blocks
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_block_verdicts_invariant_under_local_unitaries(seed):
+    # input rho -> (U_A x U_B) rho (U_A x U_B)^dag and each channel's Kraus
+    # operators K -> V K U_B^dag turn each final state into (U_A x V) final
+    # (U_A x V)^dag, which no verdict may tell apart
+    rng = np.random.default_rng(seed)
+    for kraus_lists, rho in _block_inputs(np.random.default_rng(7)):
+        ua, ub = random_unitary(rng), random_unitary(rng)
+        u = np.kron(ua, ub)
+        rotated = [random_unitary(rng) @ np.asarray(k) @ ub.conj().T for k in kraus_lists]
+        before, _ = explorer._apply_and_classify(kraus_lists, rho)
+        after, _ = explorer._apply_and_classify(rotated, u @ rho @ u.conj().T)
+        for b, a in zip(before, after):
+            assert isinstance(b, dict) and isinstance(a, dict), (b, a)
+            keys = ("useful", "universal", "uqt", "choi_rank")
+            assert [b[k] for k in keys] == [a[k] for k in keys]
+            assert (b["f_max"] is None) == (a["f_max"] is None)
+            if b["f_max"] is not None:
+                assert abs(b["f_max"] - a["f_max"]) <= 1e-12
+                assert abs(b["delta"] - a["delta"]) <= 1e-12
 
 
 def test_profile_delta_range(rng):
