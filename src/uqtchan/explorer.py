@@ -497,6 +497,13 @@ def _sample_rng(seed: int, i: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) % 2**64) << 64 | int(i)))
 
 
+def _frontier_delta(entry: dict) -> float:
+    """An entry's deviation as the frontier compares it: 0 at or below
+    states.EPS_UQT, the zero deviation of `verdicts`, so that rounding noise
+    decides neither dominance nor order."""
+    return 0.0 if entry["delta"] <= states.EPS_UQT else entry["delta"]
+
+
 def search_uqt(concurrence: float, budget: int, seed: int = 0,
                max_hits: int = 20) -> SearchReport:
     """Sample non-unital channels against |Psi_a> with the given concurrence.
@@ -513,7 +520,11 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0,
     converge, is degenerate, invalid or effectively unital is skipped; a
     lambda_tilde_nu build or validation error, or a rejected final state,
     raises. Each distinct hit is reported once (the deterministic
-    lambda_star_nu candidate recurs).
+    lambda_star_nu candidate recurs). The frontier keeps the non-UQT
+    entries that no other entry dominates (a deviation no larger and an
+    f_max no smaller, a deviation at or below EPS_UQT counting as 0), the
+    ten of smallest deviation, then largest f_max, first; each entry reports
+    its deviation unchanged.
 
     concurrence must be a real number in (0, 1), budget an integer >= 1,
     seed an integer and max_hits an integer >= 0 (bool is no number here);
@@ -588,14 +599,15 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0,
                 if len(hits) < max_hits and entry not in hits:
                     hits.append(entry)
             elif entry["f_max"] is not None:  # the closed forms apply
-                dominated = any(e["delta"] <= entry["delta"] and e["f_max"] >= entry["f_max"]
+                delta = _frontier_delta(entry)
+                dominated = any(_frontier_delta(e) <= delta and e["f_max"] >= entry["f_max"]
                                 for e in frontier)
                 if not dominated:
                     frontier = [e for e in frontier
-                                if not (entry["delta"] <= e["delta"]
+                                if not (delta <= _frontier_delta(e)
                                         and entry["f_max"] >= e["f_max"])]
                     frontier.append(entry)
-    frontier.sort(key=lambda e: (e["delta"], -e["f_max"]))
+    frontier.sort(key=lambda e: (_frontier_delta(e), -e["f_max"]))
     return SearchReport(concurrence=concurrence, budget=budget, seed=seed,
                         hits=tuple(hits), frontier=tuple(frontier[:10]))
 

@@ -417,6 +417,11 @@ def _reference_candidate(pairs, rank):
     return ch, "kept"
 
 
+def _zero_spread(entry):
+    """The deviation a frontier compares: one at or below EPS_UQT is zero."""
+    return 0.0 if entry["delta"] <= states.EPS_UQT else entry["delta"]
+
+
 def _reference_search(concurrence, budget, seed, block, max_iters, max_hits=20):
     """search_uqt evaluated one candidate at a time: the same samples and
     block projections, then per candidate `_reference_candidate`,
@@ -457,14 +462,14 @@ def _reference_search(concurrence, budget, seed, block, max_iters, max_hits=20):
                 if len(hits) < max_hits and entry not in hits:
                     hits.append(entry)
             elif entry["f_max"] is not None:
-                if not any(e["delta"] <= entry["delta"] and e["f_max"] >= entry["f_max"]
+                if not any(_zero_spread(e) <= _zero_spread(entry) and e["f_max"] >= entry["f_max"]
                            for e in frontier):
-                    frontier = [e for e in frontier if not (entry["delta"] <= e["delta"]
+                    frontier = [e for e in frontier if not (_zero_spread(entry) <= _zero_spread(e)
                                                             and entry["f_max"] >= e["f_max"])]
                     frontier.append(entry)
         if len(kraus_counts) > 1:
             seen.add("mixed Kraus counts")
-    frontier.sort(key=lambda e: (e["delta"], -e["f_max"]))
+    frontier.sort(key=lambda e: (_zero_spread(e), -e["f_max"]))
     report = explorer.SearchReport(concurrence=concurrence, budget=budget, seed=seed,
                                    hits=tuple(hits), frontier=tuple(frontier[:10]))
     return json.dumps(report.to_jsonable()), seen
@@ -507,6 +512,18 @@ def test_search_entries_match_the_per_candidate_path():
 def test_search_matches_the_per_candidate_path(concurrence, budget, seed, block, max_iters):
     expected, _ = _reference_search(concurrence, budget, seed, block, max_iters)
     assert _search_json(concurrence, budget, seed, block, max_iters) == expected
+
+
+def test_search_frontier_counts_rounding_noise_deviation_as_zero():
+    # two lambda_tilde_nu entries of zero deviation, one of them 3.3e-17 by
+    # rounding: the one of larger f_max dominates the other, whatever the noise
+    frontier = search_uqt(0.45, 100, seed=3615836353).frontier
+    zero = [e for e in frontier if e["delta"] <= states.EPS_UQT]
+    assert [e["params"]["p2"] for e in zero] == [pytest.approx(0.5994477246330541)]
+    assert frontier[0] is zero[0]
+    for i, a in enumerate(frontier):
+        for b in frontier[i + 1:]:
+            assert _zero_spread(a) <= _zero_spread(b) and a["f_max"] < b["f_max"]
 
 
 @pytest.mark.parametrize("kwargs", [
