@@ -104,15 +104,30 @@ def choi_matrix(kraus) -> np.ndarray:
     return bob_action(_PHI1, np.asarray(kraus, dtype=complex))
 
 
-def validate_stack(kraus_lists) -> tuple[np.ndarray, list]:
+#: s_j with sigma_j^T = s_j sigma_j (sigma_0 = I)
+_TRANSPOSE_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])
+
+
+def final_correlations(rho: np.ndarray, choi: np.ndarray) -> np.ndarray:
+    """Correlation matrices (N, 3, 3) of the states (I x Phi)(rho), for the
+    trace-1 Choi matrices J (N, 4, 4) of channels Phi and rho one density
+    matrix or N: Phi's Pauli transfer matrix A_ij = Tr(sigma_i Phi(sigma_j))/2
+    = s_j Tr((sigma_j x sigma_i) J) maps rho's Pauli coefficients C to
+    C' = C A^T, and T' is C'[1:, 1:] over the final trace C'[0, 0]."""
+    final = (states.pauli_coefficients(rho) * _TRANSPOSE_SIGNS) @ states.pauli_coefficients(choi)
+    return final[:, 1:, 1:] / final[:, :1, :1]
+
+
+def validate_stack(kraus_lists) -> tuple[np.ndarray, np.ndarray, list]:
     """Check N Kraus lists as `validate` checks one, with one completeness
     reduction, one Choi contraction and one hermitian_eig for all of them.
 
     Returns the read-only (N, k, 2, 2) stack of the operators, each list
     padded with zero operators to the longest well-formed list's k (a zero
     operator changes neither completeness nor the Choi matrix; a malformed
-    member is all zeros), and per member its Choi rank or the
-    ChannelValidationError that `validate` raises for it.
+    member is all zeros); their trace-1 Choi matrices (N, 4, 4), as
+    from_density stores them (zero if rejected before they are built); and
+    per member its Choi rank or the ChannelValidationError of `validate`.
     """
     outcomes: list = []
     ops = []
@@ -142,7 +157,9 @@ def validate_stack(kraus_lists) -> tuple[np.ndarray, list]:
     for i, rank, err in zip(live, linalg.rank(dens.eigenvalues).tolist(), dens.errors):
         outcomes[i] = rank if err is None else \
             ChannelValidationError(f"Choi matrix rejected: {err}")
-    return stack, outcomes
+    choi = np.zeros((len(ops), 4, 4), dtype=complex)
+    choi[live] = dens.rho
+    return stack, choi, outcomes
 
 
 def validate(kraus_list, name: str = "channel", params: dict | None = None) -> QubitChannel:
@@ -153,7 +170,7 @@ def validate(kraus_list, name: str = "channel", params: dict | None = None) -> Q
     Up to 8 operators are accepted (over-complete input is fine);
     orthogonalize() reduces any channel to its minimal set.
     """
-    stack, outcomes = validate_stack([kraus_list])
+    stack, _, outcomes = validate_stack([kraus_list])
     if isinstance(outcomes[0], ChannelValidationError):
         raise outcomes.pop()  # popped: this frame keeps no reference to the error
     return QubitChannel(kraus=stack[0], name=name, params=dict(params or {}),

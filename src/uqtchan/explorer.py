@@ -5,11 +5,11 @@ Grid rows and search samples are independent; results are assembled in
 deterministic (lexicographic / sample-index) order, and sample i of a search
 draws from its own Philox stream keyed on the pair (seed mod 2**64, i), so
 reports are reproducible byte for byte for a given spec and seed and
-different seeds give independent streams. A sweep validates, applies and
-classifies SWEEP_BLOCK consecutive grid rows as one stack; the search
-projects and corrects the random candidates of SEARCH_BLOCK consecutive
-samples as one stack, then validates, applies and classifies the block's
-candidates as one stack, through the same helper as the sweep.
+different seeds give independent streams. A sweep classifies SWEEP_BLOCK
+consecutive grid rows as one stack; the search projects and corrects the
+random candidates of SEARCH_BLOCK consecutive samples as one stack, then
+classifies them through the same helper, which applies each channel once,
+when it validates it, and reads the final correlations off its Choi matrix.
 """
 
 from __future__ import annotations
@@ -102,32 +102,20 @@ def oracle_check(final: TwoQubitState, prof: TeleportProfile) -> tuple[bool, dic
 
 
 def _apply_and_classify(kraus_lists, rho: np.ndarray) -> tuple[list, np.ndarray]:
-    """Validate N Kraus lists, send Bob's half of rho (one 4x4 density
-    matrix, or a (N, 4, 4) stack with one per list) through each valid
-    channel and classify the final states, one step per stack: one
-    validate_stack, one unitality residual, one bob_action, one
-    density_stack, one hs_decompose and one verdicts call.
+    """Validate N Kraus lists and classify the final state of Bob's half of
+    rho (one 4x4 density matrix, or one per list in a (N, 4, 4) stack) after
+    each valid channel, as one stack: the channel acts only on |Phi_1>, in
+    validate_stack, and `channels.final_correlations` reads the final
+    correlations off its Choi matrix; no final state is built.
 
-    Returns, per list, the ChannelValidationError that `validate` raises
-    for it, the message that from_density raises for its final state, or
-    its values: the TeleportProfile fields as Python values (f_max and
-    delta None where the closed forms do not apply), its Choi rank and its
-    final matrix; and the unitality residual of each list.
+    Returns, per list, the ChannelValidationError that `validate` raises or
+    (TeleportProfile, Choi rank), and the unitality residual of each list.
     """
-    stack, outcomes = channels.validate_stack(kraus_lists)
+    stack, choi, outcomes = channels.validate_stack(kraus_lists)
     accepted = [i for i, out in enumerate(outcomes) if not isinstance(out, ChannelValidationError)]
-    finals = channels.bob_action(rho if rho.ndim == 2 else rho[accepted], stack[accepted])
-    dens = states.density_stack(finals)
-    v = states.verdicts(states.hs_decompose(dens.rho).t_mat)
-    for m, i in enumerate(accepted):
-        valid = bool(v.formula_valid[m])
-        outcomes[i] = dens.errors[m] or {
-            "f_max": float(v.f_max[m]) if valid else None,
-            "delta": float(v.delta[m]) if valid else None,
-            "det_t": float(v.det_t[m]), "useful": bool(v.useful[m]),
-            "universal": bool(v.universal[m]), "uqt": bool(v.uqt[m]),
-            "choi_rank": outcomes[i], "final": finals[m],
-        }
+    t_mat = channels.final_correlations(rho if rho.ndim == 2 else rho[accepted], choi[accepted])
+    for i, prof in zip(accepted, states.profiles(t_mat)):
+        outcomes[i] = (prof, outcomes[i])
     return outcomes, channels.unitality_residual(stack)
 
 
@@ -213,30 +201,24 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Out-of-range grid points produce a row with empty value columns and the
     failure reason in the trailing `error` column; the sweep continues.
-    Errors of the spec as a whole (grid size, unknown family, an axis on a
-    parameter that, after alias resolution, another axis or a fixed param
-    sets, initial state or a "matched" input the family does not define)
-    raise SweepSpecError before the first row.
+    Errors of the spec as a whole (grid size, unknown family, a param or
+    axis name the family lacks or repeats after alias resolution, or a
+    parameter that none sets, initial state or a "matched" input the family
+    does not define) raise SweepSpecError before the first row.
     Rows go in blocks of SWEEP_BLOCK: each block is built by one checked_rows
-    call, then validated, applied to the initial state and classified as one
-    stack, with the row values and error texts of evaluate_point and report.
-    Every ORACLE_EVERY-th valid row is re-verified against the protocol
-    simulation and flagged in `oracle_checked`.
+    call, then validated and classified as one stack, with the error texts
+    and, to rounding, the values of evaluate_point. Every ORACLE_EVERY-th
+    valid row is re-verified, its literal final state against its values,
+    by the protocol simulation and flagged in `oracle_checked`.
     """
     total = math.prod(ax.count() for ax in spec.axes)
     if total > MAX_GRID_ROWS:
         raise SweepSpecError(f"grid of {total} rows exceeds the cap of {MAX_GRID_ROWS}")
     family_id = spec.family.family_id
     try:
-        families.get_family(family_id)
+        families.resolve_complete(family_id, [*spec.family.params, *(ax.param for ax in spec.axes)])
     except ValueError as exc:
         raise SweepSpecError(str(exc)) from exc
-    seen = {families.resolve_param(family_id, key) for key in spec.family.params}
-    for ax in spec.axes:
-        name = families.resolve_param(family_id, ax.param)
-        if name in seen:
-            raise SweepSpecError(f"axis {ax.param!r} repeats {name!r}, set by another axis or param")
-        seen.add(name)
     initial = _resolve_initial(spec.initial, family_id)
     points = itertools.product(*(ax.values() for ax in spec.axes))
 
@@ -264,8 +246,7 @@ def _sweep_block(spec: SweepSpec, initial: str | TwoQubitState, first: int,
     built = [([], {}) if err else res for err, res in zip(errors, built)]  # failed rows stay empty
     if isinstance(initial, str):  # "matched": |Psi_a> of each row's concurrence
         param = families.MATCHED_CONCURRENCE_PARAM[family_id]
-        # a row that failed to build has no concurrence; 1.0 stands in, and
-        # its empty Kraus list keeps it out of the classified rows
+        # a row that failed to build has no concurrence: 1.0 stands in
         rho = states.pure_densities_from_concurrence([rec.get(param, 1.0) for _, rec in built])
     else:
         rho = initial.rho
@@ -274,17 +255,17 @@ def _sweep_block(spec: SweepSpec, initial: str | TwoQubitState, first: int,
     failures = 0
     cells = {}  # row -> its value columns and empty error
     for i, out in enumerate(outcomes):
-        if errors[i] is not None:
+        if isinstance(out, ChannelValidationError):  # so is a row that failed to build
+            errors[i] = errors[i] or str(out)
             continue
-        if not isinstance(out, dict):
-            errors[i] = str(out)
-            continue
+        prof, rank = out
         checked = (first + i) % ORACLE_EVERY == 0
-        if checked:
-            final = states.from_density(out["final"])
-            ok, _ = oracle_check(final, states.profile(final))
+        if checked:  # the literal final state, against the values the row reports
+            final = channels.bob_action(rho if rho.ndim == 2 else rho[i],
+                                        np.asarray(built[i][0], dtype=complex))
+            ok, _ = oracle_check(states.from_density(final), prof)
             failures += not ok
-        values = dict(out, oracle_checked=checked,
+        values = dict(vars(prof), choi_rank=rank, oracle_checked=checked,
                       unital=bool(unitality[i] <= channels.EPS_CPTP))
         cells[i] = [values[k] for k in spec.outputs] + [""]
     rows = [(family_id, *combo, *cells.get(i, [None] * len(spec.outputs) + [errors[i]]))
@@ -454,13 +435,9 @@ def _corrected_kraus(projected: list, ranks: list) -> list:
 
 
 def random_nonunital_channel(rng: np.random.Generator, rank: int) -> QubitChannel | None:
-    """Haar-ish random channel with a rank-r Choi state and non-trivial Bob
-    marginal, built by alternating projections between the PSD cone (rank
-    clipped) and the trace-preservation affine set Tr_2(X) = I/2.
-
-    One candidate of the block projection and correction search_uqt runs;
-    None if the projections do not converge or the sample is degenerate,
-    invalid or effectively unital (unitality residual below 1e-6)."""
+    """One random rank-r candidate of search_uqt, projected and corrected
+    alone: None if the projections do not converge or the sample is
+    degenerate, invalid or effectively unital (unitality residual below 1e-6)."""
     (eigenpairs,) = _project_block(_random_start(rng, rank)[None], [rank], _MAX_ITERS)
     (kraus,) = _corrected_kraus([eigenpairs], [rank])
     if kraus is None:
@@ -497,13 +474,6 @@ def _sample_rng(seed: int, i: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) % 2**64) << 64 | int(i)))
 
 
-def _frontier_delta(entry: dict) -> float:
-    """An entry's deviation as the frontier compares it: 0 at or below
-    states.EPS_UQT, the zero deviation of `verdicts`, so that rounding noise
-    decides neither dominance nor order."""
-    return 0.0 if entry["delta"] <= states.EPS_UQT else entry["delta"]
-
-
 def search_uqt(concurrence: float, budget: int, seed: int = 0,
                max_hits: int = 20) -> SearchReport:
     """Sample non-unital channels against |Psi_a> with the given concurrence.
@@ -515,16 +485,14 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0,
     SEARCH_BLOCK. Each sample is drawn, and each lambda_tilde_nu sample
     built by checked_build, in Python; the random candidates of a block are
     projected and corrected as one stack, then the block's candidates are
-    validated, applied and classified as one stack (`_apply_and_classify`)
-    and assembled in sample order. A random candidate that does not
-    converge, is degenerate, invalid or effectively unital is skipped; a
-    lambda_tilde_nu build or validation error, or a rejected final state,
-    raises. Each distinct hit is reported once (the deterministic
-    lambda_star_nu candidate recurs). The frontier keeps the non-UQT
-    entries that no other entry dominates (a deviation no larger and an
-    f_max no smaller, a deviation at or below EPS_UQT counting as 0), the
-    ten of smallest deviation, then largest f_max, first; each entry reports
-    its deviation unchanged.
+    classified as one stack by `_apply_and_classify`, as the lambda_star_nu
+    candidate is once per call, and assembled in sample order. A random
+    candidate that does not converge, is degenerate, invalid or effectively
+    unital is skipped; a lambda_tilde_nu build or validation error raises.
+    Each distinct hit is reported once.
+    The frontier keeps up to ten non-UQT entries that no other dominates
+    (deviation no larger, f_max no smaller; a deviation up to EPS_UQT, the
+    zero of `verdicts`, counts as 0), by deviation, then descending f_max.
 
     concurrence must be a real number in (0, 1), budget an integer >= 1,
     seed an integer and max_hits an integer >= 0 (bool is no number here);
@@ -545,15 +513,16 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0,
     hits: list[dict] = []
     frontier: list[dict] = []
 
-    def describe(ch: QubitChannel) -> dict:
-        prof = states.profile(channels.apply_to_bob(state, ch))
-        return {
-            "channel": ch.name, "params": {k: float(v) for k, v in ch.params.items()},
-            "f_max": prof.f_max, "delta": prof.delta, "uqt": prof.uqt,
-        }
+    def dev(entry: dict) -> float:  # a deviation up to EPS_UQT, verdicts' zero, is 0
+        return 0.0 if entry["delta"] <= states.EPS_UQT else entry["delta"]
 
-    # lambda_star_nu(C) is deterministic: built and profiled once per call
-    star = describe(families.lambda_star_nu(concurrence))
+    def as_entry(name: str, params: dict, prof: TeleportProfile) -> dict:
+        return {"channel": name, "params": {k: float(v) for k, v in params.items()},
+                "f_max": prof.f_max, "delta": prof.delta, "uqt": prof.uqt}
+
+    star_ch = families.lambda_star_nu(concurrence)  # deterministic: classified once per call
+    outcomes, _ = _apply_and_classify([star_ch.kraus], state.rho)
+    star = as_entry(star_ch.name, star_ch.params, outcomes[0][0])
 
     for first in range(0, budget, SEARCH_BLOCK):
         n = min(SEARCH_BLOCK, budget - first)
@@ -587,11 +556,7 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0,
                 continue  # an invalid or effectively unital random candidate
             if invalid:
                 raise out
-            if isinstance(out, str):
-                raise ValueError(out)  # the final state was rejected
-            name, params = labels[j]
-            entries[j] = {"channel": name, "params": {k: float(v) for k, v in params.items()},
-                          "f_max": out["f_max"], "delta": out["delta"], "uqt": out["uqt"]}
+            entries[j] = as_entry(*labels[j], out[0])
         for entry in entries:
             if entry is None:
                 continue  # a random candidate skipped above
@@ -599,15 +564,13 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0,
                 if len(hits) < max_hits and entry not in hits:
                     hits.append(entry)
             elif entry["f_max"] is not None:  # the closed forms apply
-                delta = _frontier_delta(entry)
-                dominated = any(_frontier_delta(e) <= delta and e["f_max"] >= entry["f_max"]
-                                for e in frontier)
+                delta = dev(entry)
+                dominated = any(dev(e) <= delta and e["f_max"] >= entry["f_max"] for e in frontier)
                 if not dominated:
                     frontier = [e for e in frontier
-                                if not (delta <= _frontier_delta(e)
-                                        and entry["f_max"] >= e["f_max"])]
+                                if not (delta <= dev(e) and entry["f_max"] >= e["f_max"])]
                     frontier.append(entry)
-    frontier.sort(key=lambda e: (_frontier_delta(e), -e["f_max"]))
+    frontier.sort(key=lambda e: (dev(e), -e["f_max"]))
     return SearchReport(concurrence=concurrence, budget=budget, seed=seed,
                         hits=tuple(hits), frontier=tuple(frontier[:10]))
 

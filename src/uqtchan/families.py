@@ -647,6 +647,15 @@ def resolve_keys(family_id: str, keys) -> list[str]:
     return list(given)
 
 
+def resolve_complete(family_id: str, keys) -> list[str]:
+    """resolve_keys, and ValueError also if the keys leave a parameter unset."""
+    names = resolve_keys(family_id, keys)
+    missing = {spec.name for spec in get_family(family_id).params} - set(names)
+    if missing:
+        raise ValueError(f"{family_id}: missing parameters {sorted(missing)}")
+    return names
+
+
 def checked_rows(family_id: str, rows) -> list:
     """checked_build of each keyword dict of rows, names resolved once per key
     sequence: the raw Kraus operators and params to record, or the ValueError
@@ -659,10 +668,7 @@ def checked_rows(family_id: str, rows) -> list:
         keys = tuple(row)
         if keys not in names_of:
             try:
-                names_of[keys] = resolve_keys(family_id, keys)
-                if len(keys) < len(fam.params):
-                    missing = {spec.name for spec in fam.params} - set(names_of[keys])
-                    raise ValueError(f"{family_id}: missing parameters {sorted(missing)}")
+                names_of[keys] = resolve_complete(family_id, keys)
             except ValueError as exc:
                 names_of[keys] = str(exc)
         try:

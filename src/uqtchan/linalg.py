@@ -48,13 +48,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().swapaxes(-1, -2)
 
 
-def herm_residual(m: np.ndarray) -> float:
-    """Max-entry deviation from Hermiticity, ||M - M^dag||_max, over a
-    matrix or a whole stack (0 for an empty stack)."""
-    a = np.asarray(m)
-    return float(np.abs(a - dagger(a)).max(initial=0.0))
-
-
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two single-qubit operators (2x2 -> 4x4)."""
     am = _as_square(a, dims=(2,))
@@ -108,7 +101,7 @@ def hermitian_eig(m) -> EigenDecomp:
     a = _as_square(m, stack=True)
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    res = herm_residual(a)
+    res = float(np.abs(a - dagger(a)).max(initial=0.0))  # ||M - M^dag||_max, 0 if empty
     if res > EPS_HERM:
         raise ValueError(f"matrix is not Hermitian within {EPS_HERM:g} (residual {res:.3e})")
     vals, vecs = np.linalg.eigh((a + dagger(a)) / 2.0)

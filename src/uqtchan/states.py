@@ -85,10 +85,15 @@ class TeleportProfile:
     formula_valid: bool
 
 
+def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
+    """Real Tr(rho sigma_i x sigma_j), i, j = 0..3 with sigma_0 = I, of a 4x4 matrix or stack."""
+    return np.einsum("...ab,ijba->...ij", rho, _PP).real
+
+
 def hs_decompose(rho: np.ndarray) -> HSDecomposition:
     """(R, S, T) of a density matrix, or of each matrix of a stack, read off
-    its coefficients Tr(rho sigma_i x sigma_j) on all 16 Pauli pairs."""
-    coef = np.einsum("...ab,ijba->...ij", rho, _PP).real
+    its `pauli_coefficients`."""
+    coef = pauli_coefficients(rho)
     coef.setflags(write=False)
     return HSDecomposition(r_vec=coef[..., 1:, 0], s_vec=coef[..., 0, 1:], t_mat=coef[..., 1:, 1:])
 
@@ -291,14 +296,18 @@ def correlation_spectrum(state: TwoQubitState) -> CorrelationSpectrum:
     return profile(state).spectrum
 
 
+def profiles(t_mat: np.ndarray) -> list[TeleportProfile]:
+    """Classify each correlation matrix of a stack (N, 3, 3) for quantum
+    teleportation: its `verdicts`, with f_max and delta None where det T > 0."""
+    v = verdicts(t_mat)
+    return [TeleportProfile(f_max=f if valid else None, delta=d if valid else None, det_t=det,
+                            spectrum=CorrelationSpectrum(abs_t=abs_t, det_t=det),
+                            useful=useful, universal=universal, uqt=uqt, formula_valid=valid)
+            for abs_t, det, f, d, valid, useful, universal, uqt in zip(
+                v.abs_t, *(x.tolist() for x in (v.det_t, v.f_max, v.delta, v.formula_valid,
+                                                v.useful, v.universal, v.uqt)))]
+
+
 def profile(state: TwoQubitState) -> TeleportProfile:
-    """Classify one state for quantum teleportation: `verdicts` of its
-    correlation matrix, with f_max and delta None where det T > 0."""
-    v = verdicts(state.hs.t_mat)
-    valid = bool(v.formula_valid)
-    spec = CorrelationSpectrum(abs_t=v.abs_t, det_t=float(v.det_t))
-    return TeleportProfile(
-        f_max=float(v.f_max) if valid else None, delta=float(v.delta) if valid else None,
-        det_t=spec.det_t, spectrum=spec, useful=bool(v.useful),
-        universal=bool(v.universal), uqt=bool(v.uqt), formula_valid=valid,
-    )
+    """The `profiles` entry of one state's correlation matrix."""
+    return profiles(state.hs.t_mat[None])[0]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtchan import channels, families, linalg, states
+from uqtchan import acceptance, channels, families, linalg, states
 from uqtchan.channels import (
     ChannelValidationError,
     apply,
@@ -137,11 +137,12 @@ def test_validate_stack_matches_validate(rng):
         np.zeros((2, 3, 3)),  # not 2x2
         list(random_kraus(rng, 2)) + [np.zeros((2, 2))],  # an explicit zero operator
     ]
-    stack, outcomes = channels.validate_stack(lists)
+    stack, choi_stack, outcomes = channels.validate_stack(lists)
     assert stack.shape == (len(lists), 4, 2, 2) and not stack.flags.writeable
+    assert choi_stack.shape == (len(lists), 4, 4)
     assert [out if type(out) is int else None for out in outcomes] == \
         [4, 2, 1, 3, None, None, None, None, None, None, 2]
-    for member, kraus, out in zip(stack, lists, outcomes):
+    for member, member_choi, kraus, out in zip(stack, choi_stack, lists, outcomes):
         try:
             ch = validate(kraus)
         except ChannelValidationError as exc:
@@ -151,14 +152,15 @@ def test_validate_stack_matches_validate(rng):
         k = len(ch.kraus)
         assert out == ch.choi_rank
         assert member[:k].tobytes() == ch.kraus.tobytes() and not member[k:].any()
-    assert channels.validate_stack([])[1] == []
+        assert np.max(np.abs(member_choi - choi(ch).rho)) <= 1e-15
+    assert channels.validate_stack([])[2] == []
 
 
 def test_validation_errors_leave_no_reference_cycle():
     # a rejected member's error must not hold the call's frame, and with it
     # the whole stack, in a cycle that only the cyclic collector frees
     lists = [[], [I2], [np.eye(3)], [2.0 * I2]]
-    assert [type(out) for out in channels.validate_stack(lists)[1]] == \
+    assert [type(out) for out in channels.validate_stack(lists)[2]] == \
         [ChannelValidationError, int, ChannelValidationError, ChannelValidationError]
     # and so must a row that checked_rows rejects: an unknown name, a value
     # out of range, a builder's ValueError, ChannelValidationError and one
@@ -241,6 +243,42 @@ def test_apply_to_bob_rank3_example_identity():
     expected = (p * states.bell_state(1).rho
                 + (1 - p) * np.kron(I2 / 2, np.diag([1.0, 0.0])))
     assert np.max(np.abs(out.rho - expected)) < 1e-14
+
+
+def _isometry_kraus(rng, k, skew=0.0):
+    """k random complex Kraus operators with sum K^dag K = diag(1 + skew, 1 - skew)."""
+    g = rng.normal(size=(2 * k, 2)) + 1j * rng.normal(size=(2 * k, 2))
+    return np.linalg.qr(g)[0].reshape(k, 2, 2) @ np.diag(np.sqrt([1.0 + skew, 1.0 - skew]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), counts=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+       kind=st.sampled_from(["bell", "pure", "matched", "mixed"]), stacked=st.booleans())
+def test_final_correlations_match_the_literal_final_state(seed, counts, kind, stacked):
+    # random complex Kraus operators involve sigma_y, so a wrong transpose
+    # sign shows; the last list's completeness residual is just under
+    # EPS_COMPLETE and not a multiple of I, so its final trace depends on
+    # Bob's Bloch vector and a missing division by that trace shows too
+    rng = np.random.default_rng(seed)
+    lists = [_isometry_kraus(rng, k) for k in counts[:-1]]
+    lists.append(_isometry_kraus(rng, counts[-1], 0.9 * channels.EPS_COMPLETE))
+
+    def draw():
+        if kind == "bell":
+            return states.bell_state(int(rng.integers(1, 5))).rho
+        if kind == "pure":
+            return states.pure_state(float(rng.uniform(0.5, 0.99))).rho
+        if kind == "matched":
+            return states.pure_densities_from_concurrence([rng.uniform(0.05, 1.0)])[0]
+        return acceptance.random_density(rng).rho
+
+    rho = np.array([draw() for _ in lists]) if stacked else draw()
+    _, choi_stack, outcomes = channels.validate_stack(lists)
+    assert all(type(out) is int for out in outcomes)
+    got = channels.final_correlations(rho, choi_stack)
+    for m, kraus in enumerate(lists):
+        literal = states.from_density(channels.bob_action(rho[m] if stacked else rho, kraus))
+        assert np.max(np.abs(got[m] - literal.hs.t_mat)) <= 1e-12
 
 
 def test_choi_identity_is_bell():

@@ -135,11 +135,15 @@ _GAMMA = '{"param": "gamma", "start": 0.1, "stop": 0.2, "step": 0.1}'
      "too large to convert to float"),
     ('{"family": {"id": "gadc", "params": {"N": 0.1}}, "axes": [%s, '
      '{"param": "gamma", "start": 0.5, "stop": 0.6, "step": 0.1}]}' % _GAMMA,
-     "axis 'gamma' repeats 'gamma', set by another axis or param"),
+     "gadc: gamma and gamma both set gamma"),
     ('{"family": {"id": "lambda_tilde_nu", "params": {"p2": 0.1}}, "axes": ['
      '{"param": "C", "start": 0.5, "stop": 0.6, "step": 0.1}, '
      '{"param": "p1", "start": 0.5, "stop": 0.6, "step": 0.1}]}',
-     "axis 'p1' repeats 'p1', set by another axis or param"),
+     "lambda_tilde_nu: C and p1 both set p1"),
+    ('{"family": {"id": "gadc", "params": {"N": 0.1}}, "axes": ['
+     '{"param": "x", "start": 0.1, "stop": 0.3, "step": 0.1}]}',
+     "gadc: unknown parameter 'x'"),
+    ('{"family": {"id": "gadc"}, "axes": [%s]}' % _GAMMA, "gadc: missing parameters ['N']"),
     ("[" * 100000 + "]" * 100000, "recursion"),
     (b"\xff\xfe{}", "can't decode byte 0xff"),
 ])

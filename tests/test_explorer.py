@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtchan import channels, explorer, families, linalg, states
+from uqtchan import channels, cli, explorer, families, linalg, states
 from uqtchan.explorer import (
     CSV_FIELDS,
     Axis,
@@ -156,8 +156,21 @@ def test_sweep_rejects_an_axis_that_repeats_a_parameter(family_id, fixed, axes):
     # two axes (or an axis and a fixed param) on one parameter, directly or
     # through a concurrence alias, would give rows computed at one value
     # while labelled with another
-    with pytest.raises(SweepSpecError, match="set by another axis or param"):
+    with pytest.raises(SweepSpecError, match="both set"):
         run_sweep(make_spec(family_id, fixed, axes))
+
+
+@pytest.mark.parametrize("fixed,axes,message", [
+    ({"N": 0.1}, [("x", 0.1, 0.3, 0.1)], "gadc: unknown parameter 'x'"),
+    ({"N": 0.1, "x": 0.2}, [("gamma", 0.1, 0.3, 0.1)], "gadc: unknown parameter 'x'"),
+    ({}, [("gamma", 0.1, 0.3, 0.1)], "gadc: missing parameters ['N']"),
+])
+def test_sweep_rejects_a_name_every_row_shares(monkeypatch, fixed, axes, message):
+    # an unknown or missing name would fail every row alike: it fails the spec
+    monkeypatch.setattr(explorer, "_sweep_block", lambda *args: pytest.fail("a row was built"))
+    with pytest.raises(SweepSpecError) as info:
+        run_sweep(make_spec("gadc", fixed, axes))
+    assert str(info.value).startswith(message)
 
 
 def test_sweep_grid_cap():
@@ -171,6 +184,24 @@ def test_axis_validation():
         Axis("p", 0.0, 1.0, -0.1).values()
     with pytest.raises(SweepSpecError, match="start"):
         Axis("p", 1.0, 0.0, 0.1).values()
+
+
+def assert_same_results(got, expected, where="value"):
+    """Every non-float value, type, key and order equal; floats equal to
+    within 1e-12, rounding of a different but equivalent computation."""
+    assert type(got) is type(expected), (where, got, expected)
+    if isinstance(got, float):
+        assert got == expected or abs(got - expected) <= 1e-12, (where, got, expected)
+    elif isinstance(got, dict):
+        assert list(got) == list(expected), (where, list(got), list(expected))
+        for key in got:
+            assert_same_results(got[key], expected[key], f"{where}[{key!r}]")
+    elif isinstance(got, (list, tuple)):
+        assert len(got) == len(expected), (where, got, expected)
+        for i, (g, e) in enumerate(zip(got, expected)):
+            assert_same_results(g, e, f"{where}[{i}]")
+    else:
+        assert got == expected, (where, got, expected)
 
 
 def scalar_row(family_id, params, initial, idx):
@@ -227,11 +258,25 @@ def test_sweep_rows_match_the_scalar_path(family_id, seed, data):
     for idx, (row, combo) in enumerate(zip(result.rows, points)):
         point = dict(params, **{ax.param: v for ax, v in zip(axes, combo)})
         values, failed = scalar_row(family_id, point, initial, idx)
-        expected = (family_id, *combo, *values)
-        assert row == expected
-        assert [type(v) for v in row] == [type(v) for v in expected]
+        assert_same_results(row, (family_id, *combo, *values), f"row {idx}")
         failures += failed
     assert result.oracle_failures == failures
+
+
+def test_sweep_oracle_catches_a_wrong_transpose_sign(monkeypatch, tmp_path, capsys):
+    # sigma_y^T = -sigma_y; with the sign dropped the transfer matrix turns
+    # the final states of a depolarizing channel past p = 3/4 on a Bell
+    # input, det T > 0, into states of det T < 0, and the literal oracle row
+    # disagrees with the values reported
+    doc = {"family": {"id": "depolarizing_m"}, "initial": "bell1",
+           "axes": [{"param": "p", "start": 0.8, "stop": 1.0, "step": 0.1}]}
+    assert run_sweep(SweepSpec.from_jsonable(doc)).oracle_failures == 0
+    monkeypatch.setattr(channels, "_TRANSPOSE_SIGNS", np.ones(4))
+    assert run_sweep(SweepSpec.from_jsonable(doc)).oracle_failures > 0
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["sweep", str(path)]) == 4
+    assert "oracle spot-check disagreements" in capsys.readouterr().err
 
 
 def test_sweep_blocks_match_one_row_blocks(monkeypatch):
@@ -500,7 +545,8 @@ def test_search_entries_match_the_per_candidate_path():
     for c, budget, seed, block, max_iters in [(0.45, 40, 4, 8, 200), (0.7, 40, 5, 1, 200),
                                               (0.6, 40, 6, 8, 3), (0.45, 300, 1, 128, 200)]:
         expected, met = _reference_search(c, budget, seed, block, max_iters)
-        assert _search_json(c, budget, seed, block, max_iters) == expected
+        assert_same_results(json.loads(_search_json(c, budget, seed, block, max_iters)),
+                            json.loads(expected))
         seen |= met
     assert {"mixed Kraus counts", "no candidate", "not converged", "kept"} <= seen
 
@@ -511,7 +557,8 @@ def test_search_entries_match_the_per_candidate_path():
        max_iters=st.sampled_from([1, 3, 8, 200]))
 def test_search_matches_the_per_candidate_path(concurrence, budget, seed, block, max_iters):
     expected, _ = _reference_search(concurrence, budget, seed, block, max_iters)
-    assert _search_json(concurrence, budget, seed, block, max_iters) == expected
+    assert_same_results(json.loads(_search_json(concurrence, budget, seed, block, max_iters)),
+                        json.loads(expected))
 
 
 def test_search_frontier_counts_rounding_noise_deviation_as_zero():

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -53,3 +54,45 @@ def test_run_threshold_suite_errors(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert [row[0] for row in rows] == [case[0] for case in module.CASES]
     assert all(float(row[5]) <= 1e-7 for row in rows), rows
+
+
+def _compare(tmp_path, a, b):
+    (tmp_path / "a.json").write_text(json.dumps(a))
+    (tmp_path / "b.json").write_text(json.dumps(b))
+    return load_script("compare_references").compare(str(tmp_path / "a.json"),
+                                                      str(tmp_path / "b.json"))
+
+
+_REFERENCE = {"sweep": {"rows": [["gadc", 0.1, 0.9, True, 4, ""]], "oracle_failures": 0},
+              "search": {"hits": [{"channel": "x", "params": {"p2": 0.5}, "f_max": 0.7}]}}
+
+
+def test_compare_references_counts_identical_items_and_float_moves(tmp_path, capsys):
+    moved = json.loads(json.dumps(_REFERENCE))
+    moved["search"]["hits"][0]["f_max"] += 3e-16
+    assert _compare(tmp_path, _REFERENCE, _REFERENCE) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "items: 2", "byte-identical: 2", "largest float difference: 0"]
+    assert _compare(tmp_path, _REFERENCE, moved) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "byte-identical: 1" and out[2].startswith("largest float difference: 3.")
+
+
+@pytest.mark.parametrize("path,value", [
+    (("sweep", "rows", 0, 2), 0.9 + 2e-12),  # a float moved beyond 1e-12
+    (("sweep", "rows", 0, 3), False),  # a verdict
+    (("sweep", "rows", 0, 4), 4.0),  # an int became a float
+    (("sweep", "rows", 0, 5), "out of range"),  # an error text
+    (("sweep", "oracle_failures"), 1),
+    (("search", "hits"), []),  # a hit lost
+    (("search", "hits", 0, "params"), {"p2": 0.5, "p1": 0.45}),  # a key added
+])
+def test_compare_references_fails_on_any_other_difference(tmp_path, capsys, path, value):
+    changed = json.loads(json.dumps(_REFERENCE))
+    target = changed
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    assert _compare(tmp_path, _REFERENCE, changed) == 1
+    assert _compare(tmp_path, changed, _REFERENCE) == 1
+    capsys.readouterr()

@@ -328,13 +328,15 @@ def test_block_verdicts_invariant_under_local_unitaries(seed):
         before, _ = explorer._apply_and_classify(kraus_lists, rho)
         after, _ = explorer._apply_and_classify(rotated, u @ rho @ u.conj().T)
         for b, a in zip(before, after):
-            assert isinstance(b, dict) and isinstance(a, dict), (b, a)
-            keys = ("useful", "universal", "uqt", "choi_rank")
-            assert [b[k] for k in keys] == [a[k] for k in keys]
-            assert (b["f_max"] is None) == (a["f_max"] is None)
-            if b["f_max"] is not None:
-                assert abs(b["f_max"] - a["f_max"]) <= 1e-12
-                assert abs(b["delta"] - a["delta"]) <= 1e-12
+            assert isinstance(b, tuple) and isinstance(a, tuple), (b, a)
+            (b, b_rank), (a, a_rank) = b, a
+            keys = ("useful", "universal", "uqt")
+            assert [getattr(b, k) for k in keys] + [b_rank] == \
+                [getattr(a, k) for k in keys] + [a_rank]
+            assert (b.f_max is None) == (a.f_max is None)
+            if b.f_max is not None:
+                assert abs(b.f_max - a.f_max) <= 1e-12
+                assert abs(b.delta - a.delta) <= 1e-12
 
 
 def test_profile_delta_range(rng):
