@@ -150,16 +150,16 @@ def validate_stack(kraus_lists) -> tuple[np.ndarray, np.ndarray, list]:
         if outcomes[i] is None and res > EPS_COMPLETE:
             outcomes[i] = ChannelValidationError(
                 f"completeness violated: ||sum K^dag K - I||_max = {res:.3e}", residual=res)
-    live = [i for i, out in enumerate(outcomes) if out is None]
-    # completeness bounds every Kraus entry by about 1, so each Choi matrix is
+    # completeness bounds every Kraus entry of a member still unrejected by
+    # about 1, and the others count as zero operators, so each Choi matrix is
     # finite and Hermitian to rounding and hermitian_eig rejects none of them
-    dens = states.density_stack(choi_matrix(stack[live]))
-    for i, rank, err in zip(live, linalg.rank(dens.eigenvalues).tolist(), dens.errors):
-        outcomes[i] = rank if err is None else \
-            ChannelValidationError(f"Choi matrix rejected: {err}")
-    choi = np.zeros((len(ops), 4, 4), dtype=complex)
-    choi[live] = dens.rho
-    return stack, choi, outcomes
+    live = np.array([out is None for out in outcomes], dtype=bool)
+    dens = states.density_stack(choi_matrix(np.where(live[:, None, None, None], stack, 0.0)))
+    for i, (rank, err) in enumerate(zip(linalg.rank(dens.eigenvalues).tolist(), dens.errors)):
+        if outcomes[i] is None:
+            outcomes[i] = rank if err is None else \
+                ChannelValidationError(f"Choi matrix rejected: {err}")
+    return stack, dens.rho, outcomes
 
 
 def validate(kraus_list, name: str = "channel", params: dict | None = None) -> QubitChannel:

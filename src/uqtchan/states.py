@@ -107,13 +107,6 @@ def hs_recompose(hs: HSDecomposition) -> np.ndarray:
     return rho / 4.0
 
 
-def _unit_trace(rho: np.ndarray, tr: np.ndarray) -> np.ndarray:
-    """Hermitian part of each matrix of a stack divided by its trace tr."""
-    rho = (rho + rho.conj().swapaxes(1, 2)) / (2.0 * tr)[:, None, None]
-    rho.setflags(write=False)
-    return rho
-
-
 @dataclass(frozen=True)
 class DensityStack:
     """`density_stack` of N matrices: per member the rho from_density stores
@@ -148,7 +141,9 @@ def density_stack(m) -> DensityStack:
         f"density matrix trace {t!r} differs from 1 beyond {TRACE_TOL:g}" if bad
         else f"density matrix has negative eigenvalue {low:.3e}" if low < -PSD_TOL else None
         for t, bad, low in zip(traces.tolist(), bad_trace.tolist(), vals[:, -1].tolist()))
-    return DensityStack(rho=_unit_trace(rho, tr), eigenvalues=vals, errors=errors)
+    rho = (rho + rho.conj().swapaxes(1, 2)) / (2.0 * tr)[:, None, None]
+    rho.setflags(write=False)
+    return DensityStack(rho=rho, eigenvalues=vals, errors=errors)
 
 
 def from_density(m) -> TwoQubitState:
@@ -207,11 +202,11 @@ def pure_state_from_concurrence(c: float) -> TwoQubitState:
 
 
 def pure_densities_from_concurrence(cs) -> np.ndarray:
-    """The rho of pure_state_from_concurrence(c) for each c of a sequence,
-    as one (N, 4, 4) stack, without their eigendecompositions."""
-    raw = np.array([_ket_density(_psi_a_ket(_a_of_concurrence(c))) for c in cs],
-                   dtype=complex).reshape(-1, 4, 4)
-    return _unit_trace(raw, raw.trace(axis1=1, axis2=2).real)
+    """The |Psi_a><Psi_a| of pure_state_from_concurrence(c) for each c of a
+    sequence, as one (N, 4, 4) stack, without from_density's checks and
+    scaling (trace 1 to rounding)."""
+    return np.array([_ket_density(_psi_a_ket(_a_of_concurrence(c))) for c in cs],
+                    dtype=complex).reshape(-1, 4, 4)
 
 
 _BELL_STATES = tuple(from_ket(k) for k in BELL_KETS)
@@ -296,18 +291,23 @@ def correlation_spectrum(state: TwoQubitState) -> CorrelationSpectrum:
     return profile(state).spectrum
 
 
+def _profile(abs_t, det_t, f_max, delta, valid, useful, universal, uqt) -> TeleportProfile:
+    """The TeleportProfile of one state's `verdicts`, given as Python values."""
+    return TeleportProfile(f_max=f_max if valid else None, delta=delta if valid else None,
+                           det_t=det_t, spectrum=CorrelationSpectrum(abs_t=abs_t, det_t=det_t),
+                           useful=useful, universal=universal, uqt=uqt, formula_valid=valid)
+
+
 def profiles(t_mat: np.ndarray) -> list[TeleportProfile]:
-    """Classify each correlation matrix of a stack (N, 3, 3) for quantum
-    teleportation: its `verdicts`, with f_max and delta None where det T > 0."""
+    """`profile` of each correlation matrix of a stack (N, 3, 3), by one `verdicts` call."""
     v = verdicts(t_mat)
-    return [TeleportProfile(f_max=f if valid else None, delta=d if valid else None, det_t=det,
-                            spectrum=CorrelationSpectrum(abs_t=abs_t, det_t=det),
-                            useful=useful, universal=universal, uqt=uqt, formula_valid=valid)
-            for abs_t, det, f, d, valid, useful, universal, uqt in zip(
-                v.abs_t, *(x.tolist() for x in (v.det_t, v.f_max, v.delta, v.formula_valid,
-                                                v.useful, v.universal, v.uqt)))]
+    return [_profile(*values) for values in zip(v.abs_t, *(x.tolist() for x in (
+        v.det_t, v.f_max, v.delta, v.formula_valid, v.useful, v.universal, v.uqt)))]
 
 
 def profile(state: TwoQubitState) -> TeleportProfile:
-    """The `profiles` entry of one state's correlation matrix."""
-    return profiles(state.hs.t_mat[None])[0]
+    """Classify one state for quantum teleportation: `verdicts` of its
+    correlation matrix, with f_max and delta None where det T > 0."""
+    v = verdicts(state.hs.t_mat)  # alone: numpy scalars cost less than a stack of one
+    return _profile(v.abs_t, float(v.det_t), float(v.f_max), float(v.delta),
+                    bool(v.formula_valid), bool(v.useful), bool(v.universal), bool(v.uqt))
