@@ -53,13 +53,18 @@ def _sweep_item(doc: dict) -> dict:
             "oracle_failures": res.oracle_failures}
 
 
+def _catalog_point(family_id: str) -> dict:
+    """A draw of the family's parameters, seeded by the family's place in the catalog."""
+    return families.get_family(family_id).sample_params(
+        np.random.default_rng(sorted(families.FAMILIES).index(family_id)))
+
+
 def _family_grid(family_id: str, initial: str) -> dict:
-    """Up to two axes of GRID_POINTS points from a seeded draw of the family's
-    parameters, the others fixed at the draw; some points fall out of range."""
-    fam = families.get_family(family_id)
-    params = fam.sample_params(np.random.default_rng(sorted(families.FAMILIES).index(family_id)))
+    """Up to two axes of GRID_POINTS points from `_catalog_point`, the other
+    parameters fixed at the draw; some points fall out of range."""
+    params = _catalog_point(family_id)
     axes = []
-    for spec in fam.params[:2]:
+    for spec in families.get_family(family_id).params[:2]:
         lo = spec.sample_low if spec.sample_low is not None else spec.low
         hi = spec.sample_high if spec.sample_high is not None else spec.high
         step = GRID_STEP * (hi - lo if lo is not None and hi is not None else 1.0)
@@ -86,9 +91,7 @@ def reference_items() -> dict:
     for c, budget, s in searches:
         items[f"search {c} {budget} {s}"] = explorer.search_uqt(c, budget, seed=s).to_jsonable()
     for family_id in sorted(families.FAMILIES):
-        fam = families.get_family(family_id)
-        params = fam.sample_params(np.random.default_rng(sorted(families.FAMILIES).index(family_id)))
-        ch = families.noise_channel(family_id, **params)
+        ch = families.noise_channel(family_id, **_catalog_point(family_id))
         for initial in ("bell1", "bell2", "bell3", "bell4", "pure:0.8"):
             items[f"analyze {family_id} {initial}"] = explorer.analyze(ch, initial).to_jsonable()
     return items

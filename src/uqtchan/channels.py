@@ -125,8 +125,8 @@ def validate_stack(kraus_lists) -> tuple[np.ndarray, np.ndarray, list]:
     Returns the read-only (N, k, 2, 2) stack of the operators, each list
     padded with zero operators to the longest well-formed list's k (a zero
     operator changes neither completeness nor the Choi matrix; a malformed
-    member is all zeros); their trace-1 Choi matrices (N, 4, 4), as
-    from_density stores them (zero if rejected before they are built); and
+    member is all zeros); their trace-1 Choi matrices (N, 4, 4) as
+    from_density stores them, zero for a member rejected before that; and
     per member its Choi rank or the ChannelValidationError of `validate`.
     """
     outcomes: list = []
@@ -150,9 +150,9 @@ def validate_stack(kraus_lists) -> tuple[np.ndarray, np.ndarray, list]:
         if outcomes[i] is None and res > EPS_COMPLETE:
             outcomes[i] = ChannelValidationError(
                 f"completeness violated: ||sum K^dag K - I||_max = {res:.3e}", residual=res)
-    # completeness bounds every Kraus entry of a member still unrejected by
-    # about 1, and the others count as zero operators, so each Choi matrix is
-    # finite and Hermitian to rounding and hermitian_eig rejects none of them
+    # completeness bounds every Kraus entry of a member not yet rejected by
+    # about 1, and rejected members count as zero operators, so each Choi
+    # matrix is finite and Hermitian to rounding: hermitian_eig rejects none
     live = np.array([out is None for out in outcomes], dtype=bool)
     dens = states.density_stack(choi_matrix(np.where(live[:, None, None, None], stack, 0.0)))
     for i, (rank, err) in enumerate(zip(linalg.rank(dens.eigenvalues).tolist(), dens.errors)):
