@@ -150,16 +150,18 @@ def validate_stack(kraus_lists) -> tuple[np.ndarray, np.ndarray, list]:
         if outcomes[i] is None and res > EPS_COMPLETE:
             outcomes[i] = ChannelValidationError(
                 f"completeness violated: ||sum K^dag K - I||_max = {res:.3e}", residual=res)
-    # completeness bounds every Kraus entry of a member not yet rejected by
-    # about 1, and rejected members count as zero operators, so each Choi
-    # matrix is finite and Hermitian to rounding: hermitian_eig rejects none
-    live = np.array([out is None for out in outcomes], dtype=bool)
-    dens = states.density_stack(choi_matrix(np.where(live[:, None, None, None], stack, 0.0)))
-    for i, (rank, err) in enumerate(zip(linalg.rank(dens.eigenvalues).tolist(), dens.errors)):
-        if outcomes[i] is None:
-            outcomes[i] = rank if err is None else \
-                ChannelValidationError(f"Choi matrix rejected: {err}")
-    return stack, dens.rho, outcomes
+    live = [i for i, out in enumerate(outcomes) if out is None]
+    # completeness bounds every Kraus entry by about 1, so each Choi matrix is
+    # finite and Hermitian to rounding and hermitian_eig rejects none of them
+    dens = states.density_stack(choi_matrix(stack[live]))
+    for i, rank, err in zip(live, linalg.rank(dens.eigenvalues).tolist(), dens.errors):
+        outcomes[i] = rank if err is None else \
+            ChannelValidationError(f"Choi matrix rejected: {err}")
+    choi = dens.rho
+    if len(live) < len(ops):  # members rejected before: zeros keep the rows aligned
+        choi = np.zeros((len(ops), 4, 4), dtype=complex)
+        choi[live] = dens.rho
+    return stack, choi, outcomes
 
 
 def validate(kraus_list, name: str = "channel", params: dict | None = None) -> QubitChannel:

@@ -244,9 +244,8 @@ def _sweep_block(spec: SweepSpec, initial: str | TwoQubitState, first: int,
         for combo in combos])
     errors = [str(res) if isinstance(res, ValueError) else None for res in built]
     built = [([], {}) if err else res for err, res in zip(errors, built)]  # failed rows stay empty
-    if isinstance(initial, str):  # "matched": |Psi_a> of each row's concurrence
+    if isinstance(initial, str):  # "matched": |Psi_a> of each row's concurrence, 1.0 if none
         param = families.MATCHED_CONCURRENCE_PARAM[family_id]
-        # a row that failed to build has no concurrence: 1.0 stands in
         rho = states.pure_densities_from_concurrence([rec.get(param, 1.0) for _, rec in built])
     else:
         rho = initial.rho

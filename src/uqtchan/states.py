@@ -202,9 +202,8 @@ def pure_state_from_concurrence(c: float) -> TwoQubitState:
 
 
 def pure_densities_from_concurrence(cs) -> np.ndarray:
-    """The |Psi_a><Psi_a| of pure_state_from_concurrence(c) for each c of a
-    sequence, as one (N, 4, 4) stack, without from_density's checks and
-    scaling (trace 1 to rounding)."""
+    """|Psi_a><Psi_a| of pure_state_from_concurrence(c) for each c, as one
+    (N, 4, 4) stack, without from_density's checks and scaling."""
     return np.array([_ket_density(_psi_a_ket(_a_of_concurrence(c))) for c in cs],
                     dtype=complex).reshape(-1, 4, 4)
 
