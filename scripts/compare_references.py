@@ -10,7 +10,9 @@
     pure:0.8 and, for the matched-concurrence families, matched;
   * search_uqt(c, 300, seed=s) for c in {0.38, 0.45, 0.6}, s in {1, 5, 77, 123},
     and the benchmark's search units k = 0, 1 of seeds 1, 2 and 9973;
-  * the analyze JSON of one catalog point per family on bell1..bell4 and pure:0.8.
+  * the analyze JSON of one catalog point per family on bell1..bell4 and pure:0.8;
+  * find_threshold on the five run_threshold_suite.py cases at tol 1e-8 and
+    at tol 1e-20, which bisects down to adjacent floats.
 It exits 1 if a sweep reports an oracle failure or an analysis disagrees with
 the oracle. Run it on two versions of the library (PYTHONPATH=<src>) and
 `compare` the dumps: it prints the item count, how many items are
@@ -20,6 +22,8 @@ than 1e-12.
 """
 
 import argparse
+import dataclasses
+import importlib
 import json
 import math
 import sys
@@ -30,21 +34,22 @@ import numpy as np
 from uqtchan import explorer, families
 
 FLOAT_TOL = 1e-12
-BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SCRIPTS = Path(__file__).resolve().parent
+BENCH = SCRIPTS.parent / "perfbench"
 SEEDS = (1, 2, 9973)
 #: points per axis of a family grid, and the step as a share of the sampling span
 GRID_POINTS = 4
 GRID_STEP = 0.02
 
 
-def _benchmark_workloads():
-    """The benchmark's input generators, read as they are."""
-    sys.path.insert(0, str(BENCH))
+def _module(directory: Path, name: str):
+    """A module of another directory, such as the benchmark's input
+    generators, read as it is."""
+    sys.path.insert(0, str(directory))
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
-        sys.path.remove(str(BENCH))
-    return workloads
+        sys.path.remove(str(directory))
 
 
 def _sweep_item(doc: dict) -> dict:
@@ -75,7 +80,7 @@ def _family_grid(family_id: str, initial: str) -> dict:
 
 
 def reference_items() -> dict:
-    workloads = _benchmark_workloads()
+    workloads = _module(BENCH, "workloads")
     items = {}
     for seed in SEEDS:
         for k in range(3):
@@ -94,6 +99,12 @@ def reference_items() -> dict:
         ch = families.noise_channel(family_id, **_catalog_point(family_id))
         for initial in ("bell1", "bell2", "bell3", "bell4", "pure:0.8"):
             items[f"analyze {family_id} {initial}"] = explorer.analyze(ch, initial).to_jsonable()
+    cases = _module(SCRIPTS, "run_threshold_suite").CASES
+    for family_id, param, bracket, predicate, fixed, *_ in cases:
+        for tol in (1e-8, 1e-20):
+            res = explorer.find_threshold(family_id, param, bracket, predicate, tol=tol,
+                                          fixed=fixed)
+            items[f"threshold {family_id} {param} tol {tol:g}"] = dataclasses.asdict(res)
     return items
 
 

@@ -407,6 +407,8 @@ def run_criterion(index: int) -> CriterionResult:
 
 
 def run_all(only: int | None = None) -> list[CriterionResult]:
+    if only is not None and only not in range(1, len(CRITERIA) + 1):
+        raise ValueError(f"no criterion {only!r}: criteria are numbered 1..{len(CRITERIA)}")
     indices = [only] if only else range(1, len(CRITERIA) + 1)
     return [run_criterion(i) for i in indices]
 

@@ -111,7 +111,11 @@ def _cmd_list_families(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = acceptance.run_all(only=args.only)
+    try:
+        results = acceptance.run_all(only=args.only)
+    except ValueError as exc:  # no such criterion
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SPEC
     failed = sum(1 for r in results if not r.passed)
     for r in results:
         print(acceptance.format_result(r))
@@ -159,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--only", type=int, default=None, metavar="N",
-                   help="run a single criterion (1-based)")
+                   help=f"run a single criterion, 1..{len(acceptance.CRITERIA)}")
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -5,11 +5,11 @@ Grid rows and search samples are independent; results are assembled in
 deterministic (lexicographic / sample-index) order, and sample i of a search
 draws from its own Philox stream keyed on the pair (seed mod 2**64, i), so
 reports are reproducible byte for byte for a given spec and seed and
-different seeds give independent streams. A sweep classifies SWEEP_BLOCK
-consecutive grid rows as one stack; the search projects and corrects the
-random candidates of SEARCH_BLOCK consecutive samples as one stack, then
-classifies them through the same helper, which applies each channel once,
-when it validates it, and reads the final correlations off its Choi matrix.
+different seeds give independent streams. One row engine classifies a
+sweep's SWEEP_BLOCK grid rows as one stack and a threshold's points one by
+one; a search's SEARCH_BLOCK random candidates are projected and corrected
+as one stack, then classified by the same helper, which applies each channel
+once, when it validates it, and reads the final correlations off its Choi matrix.
 """
 
 from __future__ import annotations
@@ -72,11 +72,13 @@ def _resolve_initial(initial: str, family_id: str) -> str | TwoQubitState:
 def evaluate_point(family_id: str, params: dict, initial: str | TwoQubitState = "bell1"
                    ) -> tuple[QubitChannel, TwoQubitState, TeleportProfile]:
     """Build the channel, apply it to `initial` (a selector or a built
-    state), and profile the final state.
+    state), and profile the final state, one point alone.
 
     For the matched-concurrence families the input is |Psi_a> with
     concurrence equal to the channel's concurrence parameter whenever the
     initial selector is "matched" (their natural scenario).
+    Sweeps and thresholds classify through `_classify_rows`; this scalar
+    path is only the tests' reference for them, and a name perfbench traces.
     """
     ch = families.noise_channel(family_id, **params)
     state = _resolve_initial(initial, family_id) if isinstance(initial, str) else initial
@@ -103,20 +105,39 @@ def oracle_check(final: TwoQubitState, prof: TeleportProfile) -> tuple[bool, dic
 
 def _apply_and_classify(kraus_lists, rho: np.ndarray) -> tuple[list, np.ndarray]:
     """Validate N Kraus lists and classify the final state of Bob's half of
-    rho (one 4x4 density matrix, or one per list in a (N, 4, 4) stack) after
-    each valid channel, as one stack: the channel acts only on |Phi_1>, in
-    validate_stack, and `channels.final_correlations` reads the final
-    correlations off its Choi matrix; no final state is built.
-
-    Returns, per list, the ChannelValidationError that `validate` raises or
-    (TeleportProfile, Choi rank), and the unitality residual of each list.
-    """
+    rho (one 4x4 density matrix, or one per list) after each valid channel,
+    as one stack, read off the Choi matrices of validate_stack by
+    `channels.final_correlations`; no final state is built. Returns per list
+    the ChannelValidationError of `validate` or (TeleportProfile, Choi
+    rank), and the unitality residual of each list."""
     stack, choi, outcomes = channels.validate_stack(kraus_lists)
     accepted = [i for i, out in enumerate(outcomes) if not isinstance(out, ChannelValidationError)]
     t_mat = channels.final_correlations(rho if rho.ndim == 2 else rho[accepted], choi[accepted])
     for i, prof in zip(accepted, states.profiles(t_mat)):
         outcomes[i] = (prof, outcomes[i])
     return outcomes, channels.unitality_residual(stack)
+
+
+def _classify_rows(family_id: str, rows: list[dict], initial: str | TwoQubitState
+                   ) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """The row engine of sweeps and thresholds: the family's keyword rows,
+    built by one checked_rows call and classified on `initial` (a state, or
+    "matched": |Psi_a> of each row's concurrence) by one `_apply_and_classify`.
+    Returns per row its error text, as evaluate_point raises it, or
+    (TeleportProfile, Choi rank); the Kraus lists; rho; the unitality residuals."""
+    built = families.checked_rows(family_id, rows)
+    errors = [str(res) if isinstance(res, ValueError) else None for res in built]
+    built = [([], {}) if err else res for err, res in zip(errors, built)]  # failed rows stay empty
+    if isinstance(initial, str):  # "matched"; concurrence 1.0 for a failed row
+        param = families.MATCHED_CONCURRENCE_PARAM[family_id]
+        rho = states.pure_densities_from_concurrence([rec.get(param, 1.0) for _, rec in built])
+    else:
+        rho = initial.rho
+    kraus = [ops for ops, _ in built]
+    outcomes, unitality = _apply_and_classify(kraus, rho)
+    outcomes = [(err or str(out)) if isinstance(out, ChannelValidationError) else out
+                for err, out in zip(errors, outcomes)]  # a row that failed to build is invalid too
+    return outcomes, kraus, rho, unitality
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +226,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     axis name the family lacks or repeats after alias resolution, or a
     parameter that none sets, initial state or a "matched" input the family
     does not define) raise SweepSpecError before the first row.
-    Rows go in blocks of SWEEP_BLOCK: each block is built by one checked_rows
-    call, then validated and classified as one stack, with the error texts
-    and, to rounding, the values of evaluate_point. Every ORACLE_EVERY-th
-    valid row is re-verified, its literal final state against its values,
-    by the protocol simulation and flagged in `oracle_checked`.
+    Rows go through `_classify_rows` in blocks of SWEEP_BLOCK, with the error
+    texts and, to rounding, the values of evaluate_point. Every
+    ORACLE_EVERY-th valid row is re-verified, its literal final state
+    against its values, by the protocol simulation and flagged in
+    `oracle_checked`.
     """
     total = math.prod(ax.count() for ax in spec.axes)
     if total > MAX_GRID_ROWS:
@@ -227,49 +248,24 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows: list[tuple] = []
     oracle_failures = 0
     for first in range(0, total, SWEEP_BLOCK):
-        block, failures = _sweep_block(spec, initial, first,
-                                       list(itertools.islice(points, SWEEP_BLOCK)))
-        rows.extend(block)
-        oracle_failures += failures
+        combos = list(itertools.islice(points, SWEEP_BLOCK))
+        outcomes, kraus, rho, unitality = _classify_rows(family_id, [
+            {**spec.family.params, **{ax.param: v for ax, v in zip(spec.axes, combo)}}
+            for combo in combos], initial)
+        for i, (combo, out) in enumerate(zip(combos, outcomes)):
+            if isinstance(out, str):
+                rows.append((family_id, *combo, *[None] * len(spec.outputs), out))
+                continue
+            prof, rank = out
+            checked = (first + i) % ORACLE_EVERY == 0
+            if checked:  # the literal final state, against the values the row reports
+                final = channels.bob_action(rho if rho.ndim == 2 else rho[i],
+                                            np.asarray(kraus[i], dtype=complex))
+                oracle_failures += not oracle_check(states.from_density(final), prof)[0]
+            values = dict(vars(prof), choi_rank=rank, oracle_checked=checked,
+                          unital=bool(unitality[i] <= channels.EPS_CPTP))
+            rows.append((family_id, *combo, *(values[k] for k in spec.outputs), ""))
     return SweepResult(header=header, rows=tuple(rows), oracle_failures=oracle_failures)
-
-
-def _sweep_block(spec: SweepSpec, initial: str | TwoQubitState, first: int,
-                 combos: list[tuple]) -> tuple[list[tuple], int]:
-    """The rows of grid points first, first + 1, ... (their axis values in
-    combos) and the number of their oracle checks that failed."""
-    family_id = spec.family.family_id
-    built = families.checked_rows(family_id, [
-        {**spec.family.params, **{ax.param: v for ax, v in zip(spec.axes, combo)}}
-        for combo in combos])
-    errors = [str(res) if isinstance(res, ValueError) else None for res in built]
-    built = [([], {}) if err else res for err, res in zip(errors, built)]  # failed rows stay empty
-    if isinstance(initial, str):  # "matched": |Psi_a> of each row's concurrence, 1.0 if none
-        param = families.MATCHED_CONCURRENCE_PARAM[family_id]
-        rho = states.pure_densities_from_concurrence([rec.get(param, 1.0) for _, rec in built])
-    else:
-        rho = initial.rho
-    outcomes, unitality = _apply_and_classify([kraus for kraus, _ in built], rho)
-
-    failures = 0
-    cells = {}  # row -> its value columns and empty error
-    for i, out in enumerate(outcomes):
-        if isinstance(out, ChannelValidationError):  # so is a row that failed to build
-            errors[i] = errors[i] or str(out)
-            continue
-        prof, rank = out
-        checked = (first + i) % ORACLE_EVERY == 0
-        if checked:  # the literal final state, against the values the row reports
-            final = channels.bob_action(rho if rho.ndim == 2 else rho[i],
-                                        np.asarray(built[i][0], dtype=complex))
-            ok, _ = oracle_check(states.from_density(final), prof)
-            failures += not ok
-        values = dict(vars(prof), choi_rank=rank, oracle_checked=checked,
-                      unital=bool(unitality[i] <= channels.EPS_CPTP))
-        cells[i] = [values[k] for k in spec.outputs] + [""]
-    rows = [(family_id, *combo, *cells.get(i, [None] * len(spec.outputs) + [errors[i]]))
-            for i, combo in enumerate(combos)]
-    return rows, failures
 
 
 def sweep_to_csv(result: SweepResult) -> str:
@@ -326,20 +322,18 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
     initial = _resolve_initial(initial, family_id)
 
     def point_params(x: float) -> dict:
-        params = dict(fixed)
-        params[name] = x
+        params = {**fixed, name: x}
         if family_id == "lambda_tilde_nu" and "p2" not in fixed and name == "p1":
             # outside (0, 1), p1's range check rejects x whatever p2 is
             lo, hi = (1.0 / (3.0 * x), families.lambda_tilde_p2_max(x)) if 0.0 < x < 1.0 else (0, 1)
             params["p2"] = (lo + hi) / 2.0 if lo < hi else 0.5 * hi
         return params
 
-    def value(x: float) -> bool:
-        try:
-            _, _, prof = evaluate_point(family_id, point_params(x), initial)
-        except ValueError as exc:  # ChannelValidationError included
-            raise SweepSpecError(f"{param} = {x!r}: {exc}") from exc
-        return bool(getattr(prof, predicate))
+    def value(x: float) -> bool:  # classified as a sweep row is, as a block of one row
+        (out,), *_ = _classify_rows(family_id, [point_params(x)], initial)
+        if isinstance(out, str):
+            raise SweepSpecError(f"{param} = {x!r}: {out}")
+        return bool(getattr(out[0], predicate))
 
     v_lo, v_hi = value(lo), value(hi)
     if v_lo == v_hi:
@@ -365,6 +359,7 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
 #: samples of one search drawn, projected and evaluated together; a
 #: constant, so the stack, and the memory, stay the same size for any budget
 SEARCH_BLOCK = 128
+MAX_HITS = 20
 _MAX_ITERS = 200
 _HALF_I2 = np.eye(2) / 2.0
 
@@ -455,13 +450,12 @@ class SearchReport:
     seed: int
     hits: tuple[dict, ...]
     frontier: tuple[dict, ...]
-    conclusive: bool = False  # absence of hits is evidence, not proof
 
     def to_jsonable(self) -> dict:
         return {
             "concurrence": self.concurrence, "budget": self.budget, "seed": self.seed,
             "hits": list(self.hits), "frontier": list(self.frontier),
-            "conclusive": self.conclusive,
+            "conclusive": False,  # absence of hits is evidence, not proof
             "note": ("hits certify UQT channels for this concurrence; an empty "
                      "hit list is inconclusive evidence of absence"),
         }
@@ -473,35 +467,34 @@ def _sample_rng(seed: int, i: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) % 2**64) << 64 | int(i)))
 
 
-def search_uqt(concurrence: float, budget: int, seed: int = 0,
-               max_hits: int = 20) -> SearchReport:
+def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
     """Sample non-unital channels against |Psi_a> with the given concurrence.
 
     Candidates mix random rank-3/4 Choi states (with non-trivial Bob
     marginal) and the parametric non-unital families. Deterministic for a
     given seed: sample i draws its kind and arguments from its own Philox
     stream, keyed on (seed mod 2**64, i). Samples go in blocks of
-    SEARCH_BLOCK. Each sample is drawn, and each lambda_tilde_nu sample
-    built by checked_build, in Python; the random candidates of a block are
+    SEARCH_BLOCK. Each sample is drawn in Python; the block's lambda_tilde_nu
+    samples are built by one checked_rows call, its random candidates
     projected and corrected as one stack, then the block's candidates are
     classified as one stack by `_apply_and_classify`, as the lambda_star_nu
     candidate is once per call, and assembled in sample order. A random
     candidate that does not converge, is degenerate, invalid or effectively
-    unital is skipped; a lambda_tilde_nu build or validation error raises.
-    Each distinct hit is reported once.
-    The frontier keeps up to ten non-UQT entries that no other dominates
-    (deviation no larger, f_max no smaller; a deviation up to EPS_UQT, the
-    zero of `verdicts`, counts as 0), by deviation, then descending f_max.
+    unital is skipped; a lambda_tilde_nu build error, else a validation
+    error, raises, the first in sample order. The first MAX_HITS distinct
+    hits are reported. The frontier keeps up to ten non-UQT entries that no
+    other dominates (deviation no larger, f_max no smaller; a deviation up
+    to EPS_UQT, the zero of `verdicts`, counts as 0), by deviation, then
+    descending f_max.
 
-    concurrence must be a real number in (0, 1), budget an integer >= 1,
-    seed an integer and max_hits an integer >= 0 (bool is no number here);
-    anything else raises SweepSpecError before any work.
+    concurrence must be a real number in (0, 1), budget an integer >= 1
+    and seed an integer (bool is no number here); anything else raises
+    SweepSpecError before any work.
     """
     if isinstance(concurrence, bool) or not isinstance(concurrence, numbers.Real) \
             or not 0.0 < concurrence < 1.0:
         raise SweepSpecError(f"concurrence must be a number in (0, 1), got {concurrence!r}")
-    for name, value, low in (("budget", budget, 1), ("seed", seed, None),
-                             ("max_hits", max_hits, 0)):
+    for name, value, low in (("budget", budget, 1), ("seed", seed, None)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise SweepSpecError(f"{name} must be an integer, got {value!r}")
         if low is not None and value < low:
@@ -527,7 +520,7 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0,
         n = min(SEARCH_BLOCK, budget - first)
         entries: list = [star] * n  # per sample; None for a candidate until it is classified
         labels = {}  # sample -> (name, params) of its candidate
-        lists = {}  # sample -> Kraus list of its candidate
+        p2s = {}  # sample -> p2 of its lambda_tilde_nu candidate
         ranks = {}  # sample -> target Choi rank of its random candidate
         starts = []
         for j in range(n):
@@ -538,10 +531,13 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0,
                 labels[j], entries[j] = (f"random_rank{ranks[j]}", {}), None
                 starts.append(_random_start(rng, ranks[j]))
             elif kind == 2:
-                p2 = float(rng.uniform(1e-6, tilde_p2_max * (1.0 - 1e-9)))
-                lists[j], params = families.checked_build("lambda_tilde_nu",
-                                                          p1=concurrence, p2=p2)
-                labels[j], entries[j] = ("lambda_tilde_nu", params), None
+                p2s[j], entries[j] = float(rng.uniform(1e-6, tilde_p2_max * (1.0 - 1e-9))), None
+        lists = {}  # sample -> Kraus list of its candidate
+        for j, res in zip(p2s, families.checked_rows(
+                "lambda_tilde_nu", [{"p1": concurrence, "p2": p2} for p2 in p2s.values()])):
+            if isinstance(res, ValueError):
+                raise res  # the first build error, in sample order
+            lists[j], labels[j] = res[0], ("lambda_tilde_nu", res[1])
         targets = list(ranks.values())
         projected = _project_block(np.array(starts), targets, _MAX_ITERS)
         for j, kraus in zip(ranks, _corrected_kraus(projected, targets)):
@@ -556,20 +552,15 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0,
             if invalid:
                 raise out
             entries[j] = as_entry(*labels[j], out[0])
+        entries = [entry for entry in entries if entry is not None]  # skipped candidates go
         for entry in entries:
-            if entry is None:
-                continue  # a random candidate skipped above
-            if entry["uqt"]:
-                if len(hits) < max_hits and entry not in hits:
-                    hits.append(entry)
-            elif entry["f_max"] is not None:  # the closed forms apply
-                delta = dev(entry)
-                dominated = any(dev(e) <= delta and e["f_max"] >= entry["f_max"] for e in frontier)
-                if not dominated:
-                    frontier = [e for e in frontier
-                                if not (delta <= dev(e) and entry["f_max"] >= e["f_max"])]
-                    frontier.append(entry)
-    frontier.sort(key=lambda e: (dev(e), -e["f_max"]))
+            if entry["uqt"] and len(hits) < MAX_HITS and entry not in hits:
+                hits.append(entry)
+        candidates = frontier + [e for e in entries if not e["uqt"] and e["f_max"] is not None]
+        frontier = []
+        for entry in sorted(candidates, key=lambda e: (dev(e), -e["f_max"])):
+            if not frontier or entry["f_max"] > frontier[-1]["f_max"]:
+                frontier.append(entry)
     return SearchReport(concurrence=concurrence, budget=budget, seed=seed,
                         hits=tuple(hits), frontier=tuple(frontier[:10]))
 
@@ -601,7 +592,7 @@ class AnalysisReport:
                 "useful": prof.useful, "universal": prof.universal,
                 "uqt": prof.uqt, "formula_valid": prof.formula_valid,
             },
-            "oracle": dict(self.oracle_info, agrees=self.oracle_agrees),
+            "oracle": dict(self.oracle_info),  # agrees: None where nothing was compared
         }
 
 

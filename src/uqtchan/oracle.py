@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import I2, PAULIS, SX, SZ, dagger
-from .states import BELL_KETS, TwoQubitState, from_density, nonzero_magnitudes
+from .states import BELL_KETS, TwoQubitState, hs_decompose, nonzero_magnitudes
 
 #: corrections for Bell outcomes 1..4: the Pauli m_k with |Phi_k> = (m_k x I)|Phi_1>
 CORRECTIONS = (I2, SX, SZ @ SX, SZ)
@@ -223,5 +223,8 @@ def canonicalize(state: TwoQubitState) -> tuple[TwoQubitState, tuple[np.ndarray,
     u1 = _su2_from_rotation(o1)
     u2 = _su2_from_rotation(o2)
     big = np.kron(u1, u2)
-    rho_c = from_density(big @ state.rho @ dagger(big))
-    return rho_c, (u1, u2)
+    rho = big @ state.rho @ dagger(big)
+    # from_density's rho and arithmetic, not its spectrum check: a rotation keeps the spectrum
+    rho = (rho + rho.conj().T) / (2.0 * rho.trace().real)
+    rho.setflags(write=False)
+    return TwoQubitState(rho=rho, hs=hs_decompose(rho)), (u1, u2)

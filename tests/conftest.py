@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import hypothesis
 import numpy as np
 import pytest
@@ -7,6 +10,17 @@ from uqtchan import acceptance
 
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=40)
 hypothesis.settings.load_profile("suite")
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    """The module of scripts/<name>.py."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

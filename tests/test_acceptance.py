@@ -13,3 +13,10 @@ def test_acceptance_criterion(index):
     result = acceptance.run_criterion(index)
     print(acceptance.format_result(result))
     assert result.passed, acceptance.format_result(result)
+
+
+@pytest.mark.parametrize("only", [0, 12, -1])
+def test_run_all_rejects_an_index_that_names_no_criterion(monkeypatch, only):
+    monkeypatch.setattr(acceptance, "run_criterion", lambda i: pytest.fail(f"ran {i}"))
+    with pytest.raises(ValueError, match=r"no criterion .*1\.\.11"):
+        acceptance.run_all(only=only)

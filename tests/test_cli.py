@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtchan import channels, explorer, families
+from uqtchan import acceptance, channels, explorer, families
 from uqtchan.cli import main
 
 
@@ -23,6 +23,16 @@ def test_analyze_ok(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["profile"]["uqt"] is True
     assert doc["oracle"]["agrees"] is True
+
+
+def test_analyze_oracle_agrees_is_null_where_nothing_was_compared(tmp_path, capsys):
+    # det T = 0.024 > 0 on bell1: no closed form, so the oracle compares nothing
+    path = write_channel(tmp_path, families.pauli_mixture(0.0, 0.4, 0.4, 0.2))
+    assert main(["analyze", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["profile"]["formula_valid"] is False
+    assert doc["profile"]["det_t"] == pytest.approx(0.024, abs=1e-12)
+    assert doc["oracle"]["agrees"] is None
 
 
 def test_analyze_pure_initial(tmp_path, capsys):
@@ -251,18 +261,19 @@ def test_threshold_bad_bracket_exit_3(capsys):
 
 @pytest.fixture
 def point_calls(monkeypatch):
-    """Counts the predicate evaluations of a bisection; a bisection that
-    does not stop raises, so the test fails instead of hanging."""
+    """Counts the predicate evaluations of a bisection, the row engine's
+    calls; a bisection that does not stop raises, so the test fails instead
+    of hanging."""
     calls = []
-    evaluate = explorer.evaluate_point
+    classify = explorer._classify_rows
 
     def counted(*args, **kwargs):
         calls.append(args)
         if len(calls) > 200:
             raise RuntimeError("bisection did not stop")
-        return evaluate(*args, **kwargs)
+        return classify(*args, **kwargs)
 
-    monkeypatch.setattr(explorer, "evaluate_point", counted)
+    monkeypatch.setattr(explorer, "_classify_rows", counted)
     return calls
 
 
@@ -284,7 +295,7 @@ def test_threshold_tol_below_float_spacing_returns(capsys, point_calls):
                  "--predicate", "useful", "--tol", "1e-20"]) == 0
     lo, hi = json.loads(capsys.readouterr().out)["bracket"]
     assert hi == np.nextafter(lo, 1.0)
-    assert len(point_calls) <= 2 + 64
+    assert 2 < len(point_calls) <= 2 + 64
 
 
 @pytest.mark.parametrize("args", [
@@ -372,6 +383,17 @@ def test_list_families_json(capsys):
     assert main(["list-families", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert {"family", "params", "doc"} <= set(rows[0])
+
+
+@pytest.mark.parametrize("only", ["0", "12", "-1"])
+def test_verify_rejects_a_criterion_that_does_not_exist(monkeypatch, capsys, only):
+    # 0 used to run all eleven, 12 to end in an IndexError, -1 to run the
+    # tenth as "criterion -1"
+    monkeypatch.setattr(acceptance, "run_criterion", lambda i: pytest.fail(f"ran {i}"))
+    assert main(["verify", "--only", only]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "1..11" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_single_criterion(capsys):

@@ -22,7 +22,7 @@ from uqtchan.explorer import (
     sweep_to_csv,
 )
 
-from conftest import JSON_NUMBERS, JSON_VALUES
+from conftest import JSON_NUMBERS, JSON_VALUES, load_script
 
 S5 = np.sqrt(5.0)
 
@@ -167,7 +167,7 @@ def test_sweep_rejects_an_axis_that_repeats_a_parameter(family_id, fixed, axes):
 ])
 def test_sweep_rejects_a_name_every_row_shares(monkeypatch, fixed, axes, message):
     # an unknown or missing name would fail every row alike: it fails the spec
-    monkeypatch.setattr(explorer, "_sweep_block", lambda *args: pytest.fail("a row was built"))
+    monkeypatch.setattr(explorer, "_classify_rows", lambda *args: pytest.fail("a row was built"))
     with pytest.raises(SweepSpecError) as info:
         run_sweep(make_spec("gadc", fixed, axes))
     assert str(info.value).startswith(message)
@@ -331,10 +331,47 @@ def test_threshold_rejects_a_fixed_param_on_the_bisected_one(monkeypatch, family
                                                              bracket, predicate, fixed):
     # else every bisection point would overwrite the fixed value
     calls = []
-    monkeypatch.setattr(explorer, "evaluate_point", lambda *args: calls.append(args))
+    monkeypatch.setattr(explorer, "_classify_rows", lambda *args: calls.append(args))
     with pytest.raises(SweepSpecError, match="both set"):
         find_threshold(family_id, param, bracket, predicate, fixed=fixed)
     assert calls == []
+
+
+def test_threshold_reaches_no_scalar_path(monkeypatch):
+    def scalar(*args, **kwargs):
+        raise AssertionError("a scalar path was called")
+
+    for owner, name in ((explorer, "evaluate_point"), (channels, "apply_to_bob"),
+                        (states, "from_density")):
+        monkeypatch.setattr(owner, name, scalar)
+    assert find_threshold("gadc", "gamma", (0.1, 1.0), "useful", fixed={"N": 0.7}).low > 0.8
+    assert find_threshold("lambda_star_nu", "C", (0.3, 0.6), "uqt").low > 0.41
+
+
+#: the run_threshold_suite.py cases a sweep can express: all but the
+#: lambda_tilde_nu one, whose p2 follows the bisected concurrence
+_SUITE = [case[:5] for case in load_script("run_threshold_suite").CASES
+          if case[0] != "lambda_tilde_nu"]
+
+
+@pytest.mark.parametrize("family_id,param,bracket,predicate,fixed", _SUITE,
+                         ids=[case[0] for case in _SUITE])
+def test_threshold_bracket_ends_agree_with_sweep_rows(family_id, param, bracket, predicate,
+                                                      fixed):
+    # the bisection's last bracket, swept as a 2-point grid, shows the flip
+    # the bisection saw between the ends of its first
+    res = find_threshold(family_id, param, bracket, predicate, fixed=fixed)
+    initial = "matched" if family_id in families.MATCHED_CONCURRENCE_IDS else "bell1"
+
+    def swept(lo, hi):
+        """The grid and predicate column of a 2-point sweep over [lo, hi]."""
+        spec = make_spec(family_id, fixed, [(param, lo, hi, hi - lo)], initial=initial)
+        rows = run_sweep(spec).rows
+        return [row[1] for row in rows], [row[2 + spec.outputs.index(predicate)] for row in rows]
+
+    _, (v_lo, v_hi) = swept(*bracket)
+    assert v_lo != v_hi
+    assert swept(res.low, res.high) == ([res.low, res.high], [v_lo, v_hi])
 
 
 _VALUES = st.integers(-50, 150).map(lambda k: k / 100) | st.sampled_from(
@@ -467,7 +504,7 @@ def _zero_spread(entry):
     return 0.0 if entry["delta"] <= states.EPS_UQT else entry["delta"]
 
 
-def _reference_search(concurrence, budget, seed, block, max_iters, max_hits=20):
+def _reference_search(concurrence, budget, seed, block, max_iters):
     """search_uqt evaluated one candidate at a time: the same samples and
     block projections, then per candidate `_reference_candidate`,
     apply_to_bob and profile. Returns the report's JSON and the situations
@@ -504,7 +541,7 @@ def _reference_search(concurrence, budget, seed, block, max_iters, max_hits=20):
                 kraus_counts.add(len(ch.kraus))
                 entry = _reference_entry(ch, state)
             if entry["uqt"]:
-                if len(hits) < max_hits and entry not in hits:
+                if len(hits) < explorer.MAX_HITS and entry not in hits:
                     hits.append(entry)
             elif entry["f_max"] is not None:
                 if not any(_zero_spread(e) <= _zero_spread(entry) and e["f_max"] >= entry["f_max"]
@@ -573,14 +610,39 @@ def test_search_frontier_counts_rounding_noise_deviation_as_zero():
             assert _zero_spread(a) <= _zero_spread(b) and a["f_max"] < b["f_max"]
 
 
+def test_search_raises_the_first_lambda_tilde_build_error_in_sample_order(monkeypatch):
+    # with the search's p2 window widened to (0, 2), most lambda_tilde_nu
+    # draws fail to build; the block's one checked_rows call must raise the
+    # error of the first of them
+    c, wide = 0.45, 2.0
+    for i in range(explorer.SEARCH_BLOCK):
+        rng = explorer._sample_rng(7, i)
+        kind = int(rng.integers(0, 4))
+        if kind in (0, 1):
+            explorer._random_start(rng, 3 if kind == 0 else 4)
+        elif kind == 2:
+            p2 = float(rng.uniform(1e-6, wide * (1.0 - 1e-9)))
+            if p2 >= families.lambda_tilde_p2_max(c):
+                break
+    with pytest.raises(ValueError) as first:
+        families.checked_build("lambda_tilde_nu", p1=c, p2=p2)
+    windows = iter([wide])  # the search's one call; the builders see the true window
+    true_window = families.lambda_tilde_p2_max
+    monkeypatch.setattr(families, "lambda_tilde_p2_max",
+                        lambda p1: next(windows, None) or true_window(p1))
+    with pytest.raises(ValueError) as raised:
+        search_uqt(c, explorer.SEARCH_BLOCK, seed=7)
+    assert (type(raised.value), str(raised.value)) == (type(first.value), str(first.value))
+
+
 @pytest.mark.parametrize("kwargs", [
     {"budget": 2.5}, {"budget": True}, {"budget": "3"}, {"seed": 1.5},
-    {"seed": float("nan")}, {"seed": True}, {"max_hits": -3}, {"max_hits": 2.0},
+    {"seed": float("nan")}, {"seed": True}, {"budget": 0}, {"concurrence": 0.0},
     {"concurrence": "0.45"}, {"concurrence": True}, {"concurrence": float("nan")},
     {"concurrence": 1.0},
 ])
 def test_search_rejects_bad_arguments_before_work(kwargs):
-    args = dict({"concurrence": 0.45, "budget": 3, "seed": 0, "max_hits": 20}, **kwargs)
+    args = dict({"concurrence": 0.45, "budget": 3, "seed": 0}, **kwargs)
     with pytest.raises(SweepSpecError):
         search_uqt(**args)
 
@@ -596,21 +658,21 @@ ANY_ARG = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.floats(),
 @settings(max_examples=200, deadline=None)
 @given(concurrence=st.one_of(st.floats(0.0, 1.0), ANY_ARG),
        budget=st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0), st.booleans(), st.text(max_size=2)),
-       seed=st.one_of(st.integers(-2**70, 2**70), ANY_ARG),
-       max_hits=st.one_of(st.integers(-3, 3), ANY_ARG.filter(lambda x: not _is_int(x))))
-def test_search_arguments_end_in_a_report_or_a_spec_error(concurrence, budget, seed, max_hits):
+       seed=st.one_of(st.integers(-2**70, 2**70), ANY_ARG))
+def test_search_arguments_end_in_a_report_or_a_spec_error(concurrence, budget, seed):
     valid = (isinstance(concurrence, (int, float)) and not isinstance(concurrence, bool)
              and 0.0 < concurrence < 1.0 and _is_int(budget) and budget >= 1
-             and _is_int(seed) and _is_int(max_hits) and max_hits >= 0)
+             and _is_int(seed))
     try:
-        rep = search_uqt(concurrence, budget, seed=seed, max_hits=max_hits)
+        rep = search_uqt(concurrence, budget, seed=seed)
     except SweepSpecError:
         assert not valid
         return
     assert valid
     doc = json.loads(json.dumps(rep.to_jsonable(), allow_nan=False))
     assert (doc["concurrence"], doc["budget"], doc["seed"]) == (concurrence, budget, seed)
-    assert len(doc["hits"]) <= max_hits
+    assert len(doc["hits"]) <= explorer.MAX_HITS
+    assert doc["conclusive"] is False
 
 
 def test_search_uqt_finds_hits_above_both_thresholds():
@@ -628,7 +690,7 @@ def test_search_uqt_finds_hits_below_half():
 def test_search_uqt_no_hits_at_low_concurrence():
     rep = search_uqt(0.2, budget=150, seed=11)
     assert len(rep.hits) == 0
-    assert not rep.conclusive  # negative result is explicitly inconclusive
+    assert rep.to_jsonable()["conclusive"] is False  # a negative result is inconclusive
     assert len(rep.frontier) > 0
     deltas = [e["delta"] for e in rep.frontier]
     assert deltas == sorted(deltas)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uqtchan import channels, families, oracle, states
+from uqtchan import channels, families, linalg, oracle, states
 from uqtchan.linalg import I2, SX, SY, SZ
 from uqtchan.oracle import (
     QuadratureSpec,
@@ -167,6 +167,27 @@ def test_canonicalize_returns_the_rotation(rng):
     # T transforms by the corresponding SO(3) pair
     o1, o2 = rotation_of_unitary(u1), rotation_of_unitary(u2)
     assert np.max(np.abs(o1 @ st.hs.t_mat @ o2.T - canon.hs.t_mat)) < 1e-12
+
+
+def test_canonicalize_decomposes_nothing_and_stores_what_from_density_would(rng, monkeypatch):
+    # the rotated state keeps the input's spectrum, so no eigendecomposition
+    # is needed; its rho and (R, S, T) are from_density's to the bit
+    inputs = [from_density(random_density(rng)) for _ in range(5)] + [bell_state(3), pure_state(0.8)]
+    expected = []
+    for st in inputs:
+        u1, u2 = canonicalize(st)[1]
+        big = np.kron(u1, u2)
+        expected.append(from_density(big @ st.rho @ big.conj().T))
+
+    def no_eig(m):
+        raise AssertionError("canonicalize decomposed a matrix")
+
+    monkeypatch.setattr(linalg, "hermitian_eig", no_eig)
+    for st, ref in zip(inputs, expected):
+        canon, _ = canonicalize(st)
+        assert canon.rho.tobytes() == ref.rho.tobytes() and not canon.rho.flags.writeable
+        for got, want in zip(vars(canon.hs).values(), vars(ref.hs).values()):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_canonicalize_diagonalizes_with_sign_pattern(rng):

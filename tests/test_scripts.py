@@ -1,19 +1,10 @@
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
 from uqtchan import families
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 def test_search_critical_concurrence_without_zero_deviation_entry(capsys):
