@@ -12,9 +12,10 @@
     and the benchmark's search units k = 0, 1 of seeds 1, 2 and 9973;
   * the analyze JSON of one catalog point per family on bell1..bell4 and pure:0.8;
   * find_threshold on the five run_threshold_suite.py cases at tol 1e-8 and
-    at tol 1e-20, which bisects down to adjacent floats.
-It exits 1 if a sweep reports an oracle failure or an analysis disagrees with
-the oracle. Run it on two versions of the library (PYTHONPATH=<src>) and
+    at tol 1e-20, which bisects down to adjacent floats;
+  * the 11 acceptance criteria of `uqtchan verify`: index, name, passed, detail.
+It exits 1 if a sweep reports an oracle failure, an analysis disagrees with
+the oracle or an acceptance criterion fails. Run it on two versions of the library (PYTHONPATH=<src>) and
 `compare` the dumps: it prints the item count, how many items are
 byte-identical and the largest float difference, and exits 1 if a non-float
 value differs (type, key, order, length or value) or a float moves by more
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from uqtchan import explorer, families
+from uqtchan import acceptance, explorer, families
 
 FLOAT_TOL = 1e-12
 SCRIPTS = Path(__file__).resolve().parent
@@ -105,12 +106,16 @@ def reference_items() -> dict:
             res = explorer.find_threshold(family_id, param, bracket, predicate, tol=tol,
                                           fixed=fixed)
             items[f"threshold {family_id} {param} tol {tol:g}"] = dataclasses.asdict(res)
+    for res in acceptance.run_all():  # a criterion may return a numpy bool
+        items[f"verify {res.index} {res.name}"] = dict(dataclasses.asdict(res),
+                                                       passed=bool(res.passed))
     return items
 
 
-def _oracle_problems(items: dict) -> list[str]:
+def _problems(items: dict) -> list[str]:
     return [name for name, item in items.items()
-            if item.get("oracle_failures") or item.get("oracle", {}).get("agrees") is False]
+            if item.get("oracle_failures") or item.get("oracle", {}).get("agrees") is False
+            or item.get("passed") is False]
 
 
 def differences(a, b, where: str = "") -> tuple[list[str], float]:
@@ -174,10 +179,10 @@ def main(argv=None) -> int:
     items = reference_items()
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(items, fh, indent=1)
-    problems = _oracle_problems(items)
+    problems = _problems(items)
     print(f"{len(items)} items written to {args.out}")
     for name in problems:
-        print(f"oracle disagreement: {name}")
+        print(f"oracle disagreement or failed criterion: {name}")
     return 1 if problems else 0
 
 

@@ -30,10 +30,8 @@ def random_density(rng: np.random.Generator) -> states.TwoQubitState:
 
 
 def random_channel(rng: np.random.Generator, rank: int) -> channels.QubitChannel:
-    """Random channel with `rank` Kraus operators from a Haar-ish isometry."""
-    g = rng.normal(size=(2 * rank, 2)) + 1j * rng.normal(size=(2 * rank, 2))
-    q, _ = np.linalg.qr(g)
-    return channels.validate(q.reshape(rank, 2, 2), name=f"random_rank{rank}")
+    """Random channel with `rank` Kraus operators: `channels.random_kraus`, validated."""
+    return channels.validate(channels.random_kraus(rng, rank), name=f"random_rank{rank}")
 
 
 def random_det_negative_state(rng: np.random.Generator) -> states.TwoQubitState:

@@ -236,9 +236,11 @@ def rotate_kraus(ch: QubitChannel, w) -> QubitChannel:
     return validate(mixed, name=ch.name, params=ch.params)
 
 
-def kraus_from_eigenpairs(eigenvalues, eigenvectors, rank: int) -> np.ndarray:
-    """Kraus operators, shape (..., rank, 2, 2), from the leading `rank` eigenpairs
-    of a trace-1 Choi matrix or stack (eigenvalues descending, eigenvectors as columns).
+def kraus_from_choi(choi_rho, rank: int | None = None) -> np.ndarray:
+    """Rebuild Kraus operators, shape (..., rank, 2, 2), from the leading
+    `rank` eigenpairs of a trace-1 Choi matrix or stack (..., 4, 4), by one
+    hermitian_eig; rank defaults to the Choi rank of one matrix, at least 1
+    (a stack needs it).
 
     The eigenvectors are first put in the basis of
     `linalg.canonical_eigenvectors`, so the operators depend on the Choi
@@ -246,20 +248,22 @@ def kraus_from_eigenpairs(eigenvalues, eigenvectors, rank: int) -> np.ndarray:
     the operator sqrt(2 max(q, 0)) * [a_mn]^T; the operators are mutually
     orthogonal with Tr(K_i^dag K_j) = 2 q_i delta_ij.
     """
-    q = np.clip(np.asarray(eigenvalues, dtype=float)[..., :rank], 0.0, None)
-    vecs = linalg.canonical_eigenvectors(eigenvalues, eigenvectors)
+    dec = linalg.hermitian_eig(choi_rho)
+    rank = max(linalg.rank(dec.eigenvalues) if rank is None else rank, 1)
+    q = np.clip(dec.eigenvalues[..., :rank], 0.0, None)
+    vecs = linalg.canonical_eigenvectors(dec.eigenvalues, dec.eigenvectors)
     amps = vecs[..., :rank].swapaxes(-1, -2).reshape(vecs.shape[:-2] + (rank, 2, 2))
     return np.sqrt(2.0 * q)[..., None, None] * amps.swapaxes(-1, -2)
 
 
-def kraus_from_choi(choi_rho, rank: int | None = None) -> np.ndarray:
-    """Rebuild Kraus operators, shape (..., rank, 2, 2), from a trace-1 Choi
-    matrix or stack (..., 4, 4) by kraus_from_eigenpairs on one hermitian_eig;
-    rank defaults to the Choi rank of one matrix, at least 1 (a stack needs it)."""
-    dec = linalg.hermitian_eig(choi_rho)
-    if rank is None:
-        rank = linalg.rank(dec.eigenvalues)
-    return kraus_from_eigenpairs(dec.eigenvalues, dec.eigenvectors, max(rank, 1))
+def random_kraus(rng: np.random.Generator, rank: int) -> np.ndarray:
+    """Kraus operators, shape (rank, 2, 2), of a random channel: the 2x2
+    blocks of the isometry Q of the QR decomposition of a complex Gaussian
+    (2 rank, 2) draw, so sum K^dag K = Q^dag Q = I; for rank <= 4 the Choi
+    rank is `rank` with probability 1."""
+    g = rng.normal(size=(2 * rank, 2)) + 1j * rng.normal(size=(2 * rank, 2))
+    q, _ = np.linalg.qr(g)
+    return q.reshape(rank, 2, 2)
 
 
 def orthogonalize(ch: QubitChannel) -> QubitChannel:

@@ -73,6 +73,8 @@ def _cmd_threshold(args) -> int:
         fixed = {}
         for item in args.fixed or []:
             key, value = item.split("=", 1)
+            if key in fixed:
+                raise explorer.SweepSpecError(f"--fixed {key} given twice")
             fixed[key] = float(value)
         res = explorer.find_threshold(args.family, args.param, (lo, hi),
                                       args.predicate, tol=args.tol, fixed=fixed,

@@ -7,9 +7,10 @@ draws from its own Philox stream keyed on the pair (seed mod 2**64, i), so
 reports are reproducible byte for byte for a given spec and seed and
 different seeds give independent streams. One row engine classifies a
 sweep's SWEEP_BLOCK grid rows as one stack and a threshold's points one by
-one; a search's SEARCH_BLOCK random candidates are projected and corrected
-as one stack, then classified by the same helper, which applies each channel
-once, when it validates it, and reads the final correlations off its Choi matrix.
+one; a search's SEARCH_BLOCK candidates, random channels drawn by
+`channels.random_kraus` among them, are classified by the same helper, which
+applies each channel once, when it validates it, and reads the final
+correlations off its Choi matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels, families, linalg, oracle, states
+from . import channels, families, oracle, states
 from .channels import ChannelValidationError, QubitChannel
 from .families import FamilySpec
 from .states import TeleportProfile, TwoQubitState
@@ -187,7 +188,11 @@ class SweepSpec:
             axes = tuple(Axis(param=str(a["param"]), start=float(a["start"]),
                               stop=float(a["stop"]), step=float(a["step"]))
                          for a in doc["axes"])
-            outputs = tuple(doc.get("outputs", CSV_FIELDS))
+            outputs = doc.get("outputs", CSV_FIELDS)
+            if not isinstance(outputs, (list, tuple)) or len(set(outputs)) < len(outputs):
+                raise SweepSpecError(f"outputs must be a list of distinct field names, "
+                                     f"got {outputs!r}")
+            outputs = tuple(outputs)
             bad = set(outputs) - set(CSV_FIELDS)
             if bad:
                 raise SweepSpecError(f"unknown output fields {sorted(bad)}")
@@ -356,88 +361,18 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
 # Randomized UQT search
 # ---------------------------------------------------------------------------
 
-#: samples of one search drawn, projected and evaluated together; a
-#: constant, so the stack, and the memory, stay the same size for any budget
+#: samples of one search drawn and evaluated together; a constant, so the
+#: stack, and the memory, stay the same size for any budget
 SEARCH_BLOCK = 128
 MAX_HITS = 20
-_MAX_ITERS = 200
-_HALF_I2 = np.eye(2) / 2.0
-
-
-def _random_start(rng: np.random.Generator, rank: int) -> np.ndarray:
-    """Trace-1 PSD 4x4 matrix of rank `rank` from a complex Gaussian draw."""
-    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-    x = g @ g.conj().T
-    return x / np.trace(x).real
-
-
-def _project_block(x: np.ndarray, ranks, max_iters: int) -> list:
-    """Alternating projections for a (B, 4, 4) stack of starting matrices
-    with target Choi ranks `ranks`: the trace-preservation affine set
-    Tr_2(X) = I/2, then the PSD cone with the spectrum clipped to the rank.
-
-    Every iteration decomposes the whole stack in one hermitian_eig call,
-    and members that have converged leave the stack. Returns, per member,
-    the (eigenvalues, eigenvectors) of its last iteration, eigenvalues
-    clipped to its rank, or None if it did not converge within max_iters.
-    """
-    out = [None] * len(x)
-    live = np.arange(len(x))
-    past_rank = np.arange(4)[None, :] >= np.asarray(ranks)[:, None]
-    for _ in range(max_iters):
-        if live.size == 0:
-            break
-        x = x + np.kron((_HALF_I2 - linalg.partial_trace(x, keep=1)) / 2.0, np.eye(2))
-        dec = linalg.hermitian_eig(x)
-        vals = np.clip(dec.eigenvalues, 0.0, None)
-        vals[past_rank] = 0.0
-        vecs = dec.eigenvectors
-        x = (vecs * vals[:, None, :]) @ linalg.dagger(vecs)
-        marg_res = np.max(np.abs(linalg.partial_trace(x, keep=1) - _HALF_I2), axis=(1, 2))
-        done = (marg_res <= 1e-10) & (dec.eigenvalues[:, -1] >= -1e-10)
-        for j in np.flatnonzero(done):
-            out[live[j]] = (vals[j], vecs[j])
-        live, x, past_rank = live[~done], x[~done], past_rank[~done]
-    return out
-
-
-def _corrected_kraus(projected: list, ranks: list) -> list:
-    """Per member of a block projection (its `_project_block` output and
-    target rank), the Kraus operators, shape (rank, 2, 2), of the channel
-    its Choi matrix converged to, corrected to exact trace preservation;
-    None if it did not converge or is degenerate.
-
-    The projections stop at 1e-10; the standard right-correction
-    K_i -> K_i S^{-1/2}, S = sum K^dag K, restores exact trace preservation,
-    with one kraus_from_eigenpairs and one hermitian_eig for all members,
-    each Kraus list padded with zero operators to four. A smallest
-    eigenvalue of S below 1e-6 marks a degenerate member, not correctable.
-    """
-    live = [j for j, pairs in enumerate(projected) if pairs is not None]
-    kraus = channels.kraus_from_eigenpairs(
-        np.array([projected[j][0] for j in live]).reshape(-1, 4),
-        np.array([projected[j][1] for j in live]).reshape(-1, 4, 4), 4)
-    kraus[np.arange(4) >= np.array([ranks[j] for j in live], dtype=int)[:, None]] = 0.0
-    dec = linalg.hermitian_eig(channels.completeness_sum(kraus))
-    keep = np.flatnonzero(dec.eigenvalues[:, -1] >= 1e-6)
-    vecs = dec.eigenvectors[keep]
-    inv_root = (vecs / np.sqrt(dec.eigenvalues[keep])[:, None, :]) @ linalg.dagger(vecs)
-    out = [None] * len(projected)
-    for m, ops in zip(keep, kraus[keep] @ inv_root[:, None]):
-        out[live[m]] = ops[:ranks[live[m]]]
-    return out
 
 
 def random_nonunital_channel(rng: np.random.Generator, rank: int) -> QubitChannel | None:
-    """One random rank-r candidate of search_uqt, projected and corrected
-    alone: None if the projections do not converge or the sample is
-    degenerate, invalid or effectively unital (unitality residual below 1e-6)."""
-    (eigenpairs,) = _project_block(_random_start(rng, rank)[None], [rank], _MAX_ITERS)
-    (kraus,) = _corrected_kraus([eigenpairs], [rank])
-    if kraus is None:
-        return None
+    """One random rank-r candidate of search_uqt, drawn by
+    `channels.random_kraus` and validated alone: None if it is invalid or
+    effectively unital (unitality residual below 1e-6)."""
     try:
-        ch = channels.validate(kraus, name=f"random_rank{rank}")
+        ch = channels.validate(channels.random_kraus(rng, rank), name=f"random_rank{rank}")
     except ChannelValidationError:
         return None
     return None if channels.unitality_residual(ch.kraus) < 1e-6 else ch
@@ -470,22 +405,21 @@ def _sample_rng(seed: int, i: int) -> np.random.Generator:
 def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
     """Sample non-unital channels against |Psi_a> with the given concurrence.
 
-    Candidates mix random rank-3/4 Choi states (with non-trivial Bob
-    marginal) and the parametric non-unital families. Deterministic for a
-    given seed: sample i draws its kind and arguments from its own Philox
-    stream, keyed on (seed mod 2**64, i). Samples go in blocks of
-    SEARCH_BLOCK. Each sample is drawn in Python; the block's lambda_tilde_nu
-    samples are built by one checked_rows call, its random candidates
-    projected and corrected as one stack, then the block's candidates are
-    classified as one stack by `_apply_and_classify`, as the lambda_star_nu
-    candidate is once per call, and assembled in sample order. A random
-    candidate that does not converge, is degenerate, invalid or effectively
-    unital is skipped; a lambda_tilde_nu build error, else a validation
-    error, raises, the first in sample order. The first MAX_HITS distinct
-    hits are reported. The frontier keeps up to ten non-UQT entries that no
-    other dominates (deviation no larger, f_max no smaller; a deviation up
-    to EPS_UQT, the zero of `verdicts`, counts as 0), by deviation, then
-    descending f_max.
+    Candidates mix random channels of Kraus rank 3 or 4, drawn by
+    `channels.random_kraus`, and the parametric non-unital families.
+    Deterministic for a given seed: sample i draws its kind and arguments,
+    a random channel's operators too, from its own Philox stream, keyed on
+    (seed mod 2**64, i). Samples go in blocks of SEARCH_BLOCK. Each sample
+    is drawn in Python; the block's lambda_tilde_nu samples are built by
+    one checked_rows call, then the block's candidates are classified as
+    one stack by `_apply_and_classify`, as the lambda_star_nu candidate is
+    once per call, and assembled in sample order. A random candidate that
+    is invalid or effectively unital is skipped; a lambda_tilde_nu build
+    error, else a validation error, raises, the first in sample order. The
+    first MAX_HITS distinct hits are reported. The frontier keeps up to ten
+    non-UQT entries that no other dominates (deviation no larger, f_max no
+    smaller; a deviation up to EPS_UQT, the zero of `verdicts`, counts as
+    0), by deviation, then descending f_max.
 
     concurrence must be a real number in (0, 1), budget an integer >= 1
     and seed an integer (bool is no number here); anything else raises
@@ -521,33 +455,27 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
         entries: list = [star] * n  # per sample; None for a candidate until it is classified
         labels = {}  # sample -> (name, params) of its candidate
         p2s = {}  # sample -> p2 of its lambda_tilde_nu candidate
-        ranks = {}  # sample -> target Choi rank of its random candidate
-        starts = []
+        lists = {}  # sample -> Kraus list of its candidate
         for j in range(n):
             rng = _sample_rng(seed, first + j)
             kind = int(rng.integers(0, 4))
             if kind in (0, 1):
-                ranks[j] = 3 if kind == 0 else 4
-                labels[j], entries[j] = (f"random_rank{ranks[j]}", {}), None
-                starts.append(_random_start(rng, ranks[j]))
+                rank = 3 if kind == 0 else 4
+                labels[j], entries[j] = (f"random_rank{rank}", {}), None
+                lists[j] = channels.random_kraus(rng, rank)
             elif kind == 2:
                 p2s[j], entries[j] = float(rng.uniform(1e-6, tilde_p2_max * (1.0 - 1e-9))), None
-        lists = {}  # sample -> Kraus list of its candidate
+        drawn = set(lists)  # samples of a random candidate
         for j, res in zip(p2s, families.checked_rows(
                 "lambda_tilde_nu", [{"p1": concurrence, "p2": p2} for p2 in p2s.values()])):
             if isinstance(res, ValueError):
                 raise res  # the first build error, in sample order
             lists[j], labels[j] = res[0], ("lambda_tilde_nu", res[1])
-        targets = list(ranks.values())
-        projected = _project_block(np.array(starts), targets, _MAX_ITERS)
-        for j, kraus in zip(ranks, _corrected_kraus(projected, targets)):
-            if kraus is not None:
-                lists[j] = kraus
         members = sorted(lists)
         outcomes, unitality = _apply_and_classify([lists[j] for j in members], state.rho)
         for j, out, res in zip(members, outcomes, unitality):
             invalid = isinstance(out, ChannelValidationError)
-            if j in ranks and (invalid or res < 1e-6):
+            if j in drawn and (invalid or res < 1e-6):
                 continue  # an invalid or effectively unital random candidate
             if invalid:
                 raise out

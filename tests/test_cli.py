@@ -216,6 +216,19 @@ def test_sweep_non_finite_fixed_param_exit_3(tmp_path, capsys, value):
     assert "'N'" in captured.err
 
 
+@pytest.mark.parametrize("outputs", ["f_max", ["f_max", "f_max"]], ids=["string", "repeated"])
+def test_sweep_outputs_not_distinct_names_exit_3(tmp_path, capsys, outputs):
+    # a string would be split into characters, a repeated name written twice
+    spec = {"family": {"id": "dephasing"}, "outputs": outputs,
+            "axes": [{"param": "p", "start": 0.1, "stop": 0.9, "step": 0.2}]}
+    spec_path, out = tmp_path / "spec.json", tmp_path / "out.csv"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["sweep", str(spec_path), "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "outputs must be a list of distinct field names" in captured.err
+
+
 def test_sweep_overflowing_time_law_is_an_error_row(tmp_path, capsys):
     spec = {"family": {"id": "pln_nm", "params": {"G": 1.0, "t": 1e100}},
             "axes": [{"param": "g", "start": 1e100, "stop": 1e100, "step": 1.0}]}
@@ -307,6 +320,15 @@ def test_threshold_tol_below_float_spacing_returns(capsys, point_calls):
 def test_threshold_fixed_param_on_the_bisected_one_exit_3(capsys, point_calls, args):
     assert main(["threshold"] + args) == 3
     assert "both set" in capsys.readouterr().err
+    assert point_calls == []
+
+
+def test_threshold_repeated_fixed_name_exit_3(capsys, point_calls):
+    # the second value would otherwise silently replace the first
+    assert main(["threshold", "--family", "gadc", "--param", "gamma", "--bracket", "0.1,1.0",
+                 "--predicate", "useful", "--fixed", "N=0.1", "--fixed", "N=0.7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --fixed N given twice\n"
     assert point_calls == []
 
 

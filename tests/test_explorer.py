@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtchan import channels, cli, explorer, families, linalg, states
+from uqtchan import channels, cli, explorer, families, states
 from uqtchan.explorer import (
     CSV_FIELDS,
     Axis,
@@ -107,6 +107,10 @@ def test_sweep_spec_from_jsonable_errors():
     with pytest.raises(SweepSpecError):
         SweepSpec.from_jsonable({"family": {"id": "dephasing"}, "axes": [
             {"param": "p", "start": 0, "stop": 1, "step": 0.1}], "outputs": ["nope"]})
+    for outputs in ("f_max", ["f_max", "f_max"]):  # not split into letters, nor written twice
+        with pytest.raises(SweepSpecError, match="outputs must be a list of distinct field names"):
+            SweepSpec.from_jsonable({"family": {"id": "dephasing"}, "outputs": outputs, "axes": [
+                {"param": "p", "start": 0, "stop": 1, "step": 0.1}]})
     # a sweep is a deterministic grid: "seed", like any unknown key, is ignored
     spec = SweepSpec.from_jsonable({
         "family": {"id": "dephasing"}, "seed": "none",
@@ -429,42 +433,6 @@ def test_random_nonunital_channel_properties():
     assert channels.completeness_residual(ch.kraus) < 1e-9
 
 
-def _starts(n, seed=21):
-    """n starting points, one Philox stream each; even members rank 4, odd rank 3."""
-    ranks = [4 if j % 2 == 0 else 3 for j in range(n)]
-    starts = [explorer._random_start(np.random.Generator(np.random.Philox(key=seed + j)), r)
-              for j, r in enumerate(ranks)]
-    return np.array(starts), ranks
-
-
-def _same_eigenpairs(a, b):
-    return (a is None) == (b is None) and (a is None or all(
-        np.max(np.abs(x - y)) <= 1e-12 for x, y in zip(a, b)))
-
-
-def test_block_projection_matches_one_candidate_calls():
-    starts, ranks = _starts(12)
-    for max_iters in (1, 200):
-        block = explorer._project_block(starts, ranks, max_iters)
-        for x, r, pairs in zip(starts, ranks, block):
-            assert _same_eigenpairs(pairs, explorer._project_block(x[None], [r], max_iters)[0])
-        converged = sum(pairs is not None for pairs in block)
-        # members converge at different iterations: some at the first, all by 200
-        assert 0 < converged < 12 if max_iters == 1 else converged == 12
-
-
-def test_block_member_out_of_iterations_gives_none_alone(monkeypatch):
-    starts, ranks = _starts(12)
-    short = explorer._project_block(starts, ranks, 5)
-    full = explorer._project_block(starts, ranks, 200)
-    assert any(pairs is None for pairs in short) and any(pairs is not None for pairs in short)
-    for s, f in zip(short, full):
-        assert s is None or _same_eigenpairs(s, f)
-    rng = np.random.Generator(np.random.Philox(key=22))
-    monkeypatch.setattr(explorer, "_MAX_ITERS", 5)
-    assert random_nonunital_channel(rng, rank=3) is None
-
-
 def test_search_blocks_match_one_sample_blocks(monkeypatch):
     budget = 2 * explorer.SEARCH_BLOCK + 30
     blocked = search_uqt(0.45, budget=budget, seed=4).to_jsonable()
@@ -480,18 +448,11 @@ def _reference_entry(ch, state):
             "f_max": prof.f_max, "delta": prof.delta, "uqt": prof.uqt}
 
 
-def _reference_candidate(pairs, rank):
-    """One projected candidate corrected with a hermitian_eig of its own S,
-    validated and screened on its own: (channel or None, outcome)."""
-    if pairs is None:
-        return None, "not converged"
-    kraus = channels.kraus_from_eigenpairs(*pairs, rank)
-    dec = linalg.hermitian_eig(channels.completeness_sum(kraus))
-    if dec.eigenvalues[-1] < 1e-6:
-        return None, "degenerate"
-    inv_root = (dec.eigenvectors / np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.conj().T
+def _reference_candidate(kraus, rank):
+    """One drawn random candidate validated and screened on its own:
+    (channel or None, outcome)."""
     try:
-        ch = channels.validate(kraus @ inv_root, name=f"random_rank{rank}")
+        ch = channels.validate(kraus, name=f"random_rank{rank}")
     except channels.ChannelValidationError:
         return None, "invalid"
     if channels.unitality_residual(ch.kraus) < 1e-6:
@@ -504,9 +465,9 @@ def _zero_spread(entry):
     return 0.0 if entry["delta"] <= states.EPS_UQT else entry["delta"]
 
 
-def _reference_search(concurrence, budget, seed, block, max_iters):
+def _reference_search(concurrence, budget, seed, block):
     """search_uqt evaluated one candidate at a time: the same samples and
-    block projections, then per candidate `_reference_candidate`,
+    random_kraus draws, then per candidate `_reference_candidate`,
     apply_to_bob and profile. Returns the report's JSON and the situations
     its blocks met."""
     state = states.pure_state_from_concurrence(concurrence)
@@ -519,22 +480,19 @@ def _reference_search(concurrence, budget, seed, block, max_iters):
             kind = int(rng.integers(0, 4))
             if kind in (0, 1):
                 rank = 3 if kind == 0 else 4
-                picks.append((rank, explorer._random_start(rng, rank)))
+                picks.append((rank, channels.random_kraus(rng, rank)))
             elif kind == 2:
                 p2 = float(rng.uniform(1e-6, families.lambda_tilde_p2_max(concurrence)
                                        * (1.0 - 1e-9)))
                 picks.append(_reference_entry(families.lambda_tilde_nu(concurrence, p2), state))
             else:
                 picks.append(star)
-        randoms = [p for p in picks if isinstance(p, tuple)]
-        projected = iter(explorer._project_block(np.array([x for _, x in randoms]),
-                                                 [r for r, _ in randoms], max_iters))
         kraus_counts = {4 for p in picks if p is not star and not isinstance(p, tuple)}
         if all(p is star for p in picks):
             seen.add("no candidate")
         for entry in picks:
             if isinstance(entry, tuple):
-                ch, outcome = _reference_candidate(next(projected), entry[0])
+                ch, outcome = _reference_candidate(entry[1], entry[0])
                 seen.add(outcome)
                 if ch is None:
                     continue
@@ -557,10 +515,9 @@ def _reference_search(concurrence, budget, seed, block, max_iters):
     return json.dumps(report.to_jsonable()), seen
 
 
-def _search_json(concurrence, budget, seed, block, max_iters):
+def _search_json(concurrence, budget, seed, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(explorer, "SEARCH_BLOCK", block)
-        mp.setattr(explorer, "_MAX_ITERS", max_iters)
         return json.dumps(search_uqt(concurrence, budget, seed=seed).to_jsonable())
 
 
@@ -568,8 +525,8 @@ def _search_json(concurrence, budget, seed, block, max_iters):
 def test_random_nonunital_channel_is_the_per_candidate_path(rank):
     for key in range(6):
         ch = random_nonunital_channel(np.random.Generator(np.random.Philox(key=key)), rank)
-        x = explorer._random_start(np.random.Generator(np.random.Philox(key=key)), rank)
-        ref, _ = _reference_candidate(explorer._project_block(x[None], [rank], 200)[0], rank)
+        kraus = channels.random_kraus(np.random.Generator(np.random.Philox(key=key)), rank)
+        ref, _ = _reference_candidate(kraus, rank)
         assert (ch is None) == (ref is None)
         assert ch is None or (np.array_equal(ch.kraus, ref.kraus) and ch.name == ref.name)
 
@@ -577,24 +534,23 @@ def test_random_nonunital_channel_is_the_per_candidate_path(rank):
 def test_search_entries_match_the_per_candidate_path():
     # blocks of 8 mix rank-3 (three Kraus operators) and rank-4 or
     # lambda_tilde_nu (four) members; blocks of 1 hold only lambda_star_nu
-    # at times; 3 iterations leave most projections unconverged
+    # at times
     seen = set()
-    for c, budget, seed, block, max_iters in [(0.45, 40, 4, 8, 200), (0.7, 40, 5, 1, 200),
-                                              (0.6, 40, 6, 8, 3), (0.45, 300, 1, 128, 200)]:
-        expected, met = _reference_search(c, budget, seed, block, max_iters)
-        assert_same_results(json.loads(_search_json(c, budget, seed, block, max_iters)),
+    for c, budget, seed, block in [(0.45, 40, 4, 8), (0.7, 40, 5, 1), (0.6, 40, 6, 8),
+                                   (0.45, 300, 1, 128)]:
+        expected, met = _reference_search(c, budget, seed, block)
+        assert_same_results(json.loads(_search_json(c, budget, seed, block)),
                             json.loads(expected))
         seen |= met
-    assert {"mixed Kraus counts", "no candidate", "not converged", "kept"} <= seen
+    assert {"mixed Kraus counts", "no candidate", "kept"} <= seen
 
 
 @settings(max_examples=60, deadline=None)
 @given(concurrence=st.floats(0.05, 0.95), budget=st.integers(1, 20),
-       seed=st.integers(-2**70, 2**70), block=st.integers(1, 8),
-       max_iters=st.sampled_from([1, 3, 8, 200]))
-def test_search_matches_the_per_candidate_path(concurrence, budget, seed, block, max_iters):
-    expected, _ = _reference_search(concurrence, budget, seed, block, max_iters)
-    assert_same_results(json.loads(_search_json(concurrence, budget, seed, block, max_iters)),
+       seed=st.integers(-2**70, 2**70), block=st.integers(1, 8))
+def test_search_matches_the_per_candidate_path(concurrence, budget, seed, block):
+    expected, _ = _reference_search(concurrence, budget, seed, block)
+    assert_same_results(json.loads(_search_json(concurrence, budget, seed, block)),
                         json.loads(expected))
 
 
@@ -619,7 +575,7 @@ def test_search_raises_the_first_lambda_tilde_build_error_in_sample_order(monkey
         rng = explorer._sample_rng(7, i)
         kind = int(rng.integers(0, 4))
         if kind in (0, 1):
-            explorer._random_start(rng, 3 if kind == 0 else 4)
+            channels.random_kraus(rng, 3 if kind == 0 else 4)
         elif kind == 2:
             p2 = float(rng.uniform(1e-6, wide * (1.0 - 1e-9)))
             if p2 >= families.lambda_tilde_p2_max(c):
@@ -712,7 +668,7 @@ def test_search_uqt_reports_each_hit_once():
 
 
 def test_search_skips_random_candidates_that_land_on_unital_channels(monkeypatch):
-    # every projection returns the Choi eigenpairs of a unital channel of the
+    # every draw returns the Kraus operators of a unital channel of the
     # target rank; both channels make the input UQT-useful, so a skip that
     # let them through would put random_rank entries among the hits
     c = 0.7
@@ -720,14 +676,10 @@ def test_search_skips_random_candidates_that_land_on_unital_channels(monkeypatch
     unital = {4: families.uqt_unital_for_pure(c, (p0 + (1.0 + 2.0 * c) / (6.0 * c)) / 2.0),
               3: families.pauli_mixture(p0, (1.0 - p0) / 2.0, (1.0 - p0) / 2.0, 0.0)}
     state = states.pure_state_from_concurrence(c)
-    pairs = {}
     for rank, ch in unital.items():
         assert ch.choi_rank == rank and channels.report(ch).unital
         assert states.profile(channels.apply_to_bob(state, ch)).uqt
-        dec = linalg.hermitian_eig(channels.choi_matrix(ch.kraus))
-        pairs[rank] = (dec.eigenvalues, dec.eigenvectors)
-    monkeypatch.setattr(explorer, "_project_block",
-                        lambda x, ranks, max_iters: [pairs[r] for r in ranks])
+    monkeypatch.setattr(channels, "random_kraus", lambda rng, rank: unital[rank].kraus)
     rep = search_uqt(c, budget=60, seed=2)
     entries = rep.to_jsonable()["hits"] + rep.to_jsonable()["frontier"]
     assert entries and not any(e["channel"].startswith("random_rank") for e in entries)

@@ -8,7 +8,7 @@ from conftest import load_script
 
 
 def test_search_critical_concurrence_without_zero_deviation_entry(capsys):
-    # at seed 0 the only frontier entry is a random rank-3 channel with delta 0.11
+    # at seed 0 the only frontier entry is a random rank-3 channel with delta 0.066
     load_script("search_critical_concurrence").main(["--budget", "1", "--grid", "0.3"])
     row = capsys.readouterr().out.splitlines()[2].split()
     assert row == ["0.3000", "0", "n/a"]

@@ -294,7 +294,7 @@ def test_profile_and_concurrence_invariant_under_local_unitaries(name, seed):
 
 def _block_inputs(rng):
     """(Kraus lists, input) of three sweep blocks, built by checked_rows, and
-    of one search block, projected and corrected as search_uqt does."""
+    of one search block of random channels, drawn as search_uqt draws them."""
     grid = [{"gamma": g, "N": n} for g in (0.0, 0.3, 0.6, 0.9) for n in (0.0, 0.2, 0.5)]
     rank4 = [{"s1": a, "s2": b, "s3": 0.05, "t": t}
              for a in (0.0, 0.1) for b in (-0.1, 0.1) for t in (0.4, 0.6)]
@@ -307,10 +307,8 @@ def _block_inputs(rng):
         ([k for k, _ in families.checked_rows("lambda_tilde_nu", tilde)],
          states.pure_densities_from_concurrence([row["p1"] for row in tilde])),
     ]
-    ranks = [3, 4] * 8
-    starts = np.array([explorer._random_start(rng, r) for r in ranks])
-    lists = explorer._corrected_kraus(explorer._project_block(starts, ranks, 200), ranks)
-    blocks.append(([k for k in lists if k is not None], pure_state_from_concurrence(0.45).rho))
+    blocks.append(([channels.random_kraus(rng, r) for r in [3, 4] * 8],
+                   pure_state_from_concurrence(0.45).rho))
     return blocks
 
 
