@@ -13,7 +13,9 @@
   * the analyze JSON of one catalog point per family on bell1..bell4 and pure:0.8;
   * find_threshold on the five run_threshold_suite.py cases at tol 1e-8 and
     at tol 1e-20, which bisects down to adjacent floats;
-  * the 11 acceptance criteria of `uqtchan verify`: index, name, passed, detail.
+  * the 11 acceptance criteria of `uqtchan verify`: index, name, passed, detail;
+  * numeric_moments(canonicalize(st)) and the rotated T of 30 seeded states:
+    every third of rank 1 to 3, and every sixth a product state (det T = 0).
 It exits 1 if a sweep reports an oracle failure, an analysis disagrees with
 the oracle or an acceptance criterion fails. Run it on two versions of the library (PYTHONPATH=<src>) and
 `compare` the dumps: it prints the item count, how many items are
@@ -32,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from uqtchan import acceptance, explorer, families
+from uqtchan import acceptance, explorer, families, oracle, states
 
 FLOAT_TOL = 1e-12
 SCRIPTS = Path(__file__).resolve().parent
@@ -41,6 +43,8 @@ SEEDS = (1, 2, 9973)
 #: points per axis of a family grid, and the step as a share of the sampling span
 GRID_POINTS = 4
 GRID_STEP = 0.02
+#: seeded states whose canonical form and oracle moments are dumped
+ORACLE_STATES = 30
 
 
 def _module(directory: Path, name: str):
@@ -80,6 +84,25 @@ def _family_grid(family_id: str, initial: str) -> dict:
     return {"family": {"id": family_id, "params": params}, "initial": initial, "axes": axes}
 
 
+def _density(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    return g @ g.conj().T / np.linalg.norm(g) ** 2
+
+
+def _oracle_item(k: int) -> dict:
+    """The oracle's moments and rotated T for seeded state k: of rank
+    1 + k // 3 % 3 when k % 3 == 1, a product state when k % 6 == 2, else
+    of full rank."""
+    rng = np.random.default_rng(k)
+    if k % 6 == 2:
+        rho = np.kron(_density(rng, 2, 2), _density(rng, 2, 1 + k // 6 % 2))
+    else:
+        rho = _density(rng, 4, 1 + k // 3 % 3 if k % 3 == 1 else 4)
+    canonical, _ = oracle.canonicalize(states.from_density(rho))
+    mom = oracle.numeric_moments(canonical)
+    return {"mean_f": mom.mean_f, "delta": mom.delta, "t": canonical.hs.t_mat.tolist()}
+
+
 def reference_items() -> dict:
     workloads = _module(BENCH, "workloads")
     items = {}
@@ -106,9 +129,11 @@ def reference_items() -> dict:
             res = explorer.find_threshold(family_id, param, bracket, predicate, tol=tol,
                                           fixed=fixed)
             items[f"threshold {family_id} {param} tol {tol:g}"] = dataclasses.asdict(res)
-    for res in acceptance.run_all():  # a criterion may return a numpy bool
+    for res in acceptance.run_all():  # an older library may store a numpy bool
         items[f"verify {res.index} {res.name}"] = dict(dataclasses.asdict(res),
                                                        passed=bool(res.passed))
+    for k in range(ORACLE_STATES):
+        items[f"oracle state {k}"] = _oracle_item(k)
     return items
 
 

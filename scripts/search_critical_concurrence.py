@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from uqtchan import explorer
+from uqtchan import explorer, states
 
 
 def main(argv=None):
@@ -37,7 +37,7 @@ def main(argv=None):
     print(f"{'C':>8s} {'hits':>6s} {'best f_max at delta~0':>22s}")
     for c in grid:
         rep = explorer.search_uqt(c, budget=args.budget, seed=args.seed)
-        best = max((e["f_max"] for e in rep.frontier if e["delta"] <= 1e-9), default=None)
+        best = max((e["f_max"] for e in rep.frontier if e["delta"] <= states.EPS_UQT), default=None)
         best_text = "n/a" if best is None else f"{best:.6f}"
         print(f"{c:8.4f} {len(rep.hits):6d} {best_text:>22s}")
     print("empty hit rows are inconclusive (sampled evidence only)")

@@ -401,7 +401,7 @@ def run_criterion(index: int) -> CriterionResult:
         passed, detail = func()
     except Exception as exc:  # a crash is a failure, not an abort
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-    return CriterionResult(index=index, name=name, passed=passed, detail=detail)
+    return CriterionResult(index=index, name=name, passed=bool(passed), detail=detail)
 
 
 def run_all(only: int | None = None) -> list[CriterionResult]:

@@ -365,17 +365,19 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
 #: stack, and the memory, stay the same size for any budget
 SEARCH_BLOCK = 128
 MAX_HITS = 20
+#: unitality residual below which a random candidate is effectively unital and skipped
+UNITAL_SKIP_TOL = 1e-6
 
 
 def random_nonunital_channel(rng: np.random.Generator, rank: int) -> QubitChannel | None:
     """One random rank-r candidate of search_uqt, drawn by
     `channels.random_kraus` and validated alone: None if it is invalid or
-    effectively unital (unitality residual below 1e-6)."""
+    effectively unital (unitality residual below UNITAL_SKIP_TOL)."""
     try:
         ch = channels.validate(channels.random_kraus(rng, rank), name=f"random_rank{rank}")
     except ChannelValidationError:
         return None
-    return None if channels.unitality_residual(ch.kraus) < 1e-6 else ch
+    return None if channels.unitality_residual(ch.kraus) < UNITAL_SKIP_TOL else ch
 
 
 @dataclass(frozen=True)
@@ -475,7 +477,7 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
         outcomes, unitality = _apply_and_classify([lists[j] for j in members], state.rho)
         for j, out, res in zip(members, outcomes, unitality):
             invalid = isinstance(out, ChannelValidationError)
-            if j in drawn and (invalid or res < 1e-6):
+            if j in drawn and (invalid or res < UNITAL_SKIP_TOL):
                 continue  # an invalid or effectively unital random candidate
             if invalid:
                 raise out

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 EPS_HERM = 1e-10
-EPS_EIG = 1e-10
 RANK_TOL = 1e-9
 
 _CLUSTER_TOL = 1e-11
@@ -33,10 +32,10 @@ for _m in PAULIS + (I4,):
     _m.setflags(write=False)
 
 
-def _as_square(m, dims=(2, 4), stack: bool = False) -> np.ndarray:
-    """m as a complex square matrix, or with stack=True a stack (..., n, n)."""
+def _as_square(m, dims=(2, 4)) -> np.ndarray:
+    """m as a complex square matrix or a stack of them (..., n, n)."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[-1] not in dims:
         raise ValueError(f"expected dimension in {dims}, got {a.shape[-1]}")
@@ -48,20 +47,13 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().swapaxes(-1, -2)
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two single-qubit operators (2x2 -> 4x4)."""
-    am = _as_square(a, dims=(2,))
-    bm = _as_square(b, dims=(2,))
-    return np.kron(am, bm)
-
-
 def partial_trace(m, keep: int) -> np.ndarray:
     """Trace a 4x4 two-qubit operator, or each operator of a stack
     (..., 4, 4), down to one qubit.
 
     keep=1 keeps the first (leftmost) tensor factor, keep=2 the second.
     """
-    a = _as_square(m, dims=(4,), stack=True)
+    a = _as_square(m, dims=(4,))
     a = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
     if keep == 1:
         return np.einsum("...ikjk->...ij", a)
@@ -98,7 +90,7 @@ def hermitian_eig(m) -> EigenDecomp:
     a stack, one bad member rejects the whole stack. A matrix gets the same
     decomposition alone as inside a stack.
     """
-    a = _as_square(m, stack=True)
+    a = _as_square(m)
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     res = float(np.abs(a - dagger(a)).max(initial=0.0))  # ||M - M^dag||_max, 0 if empty

@@ -33,6 +33,7 @@ from .states import BELL_KETS, TwoQubitState, hs_decompose, nonzero_magnitudes
 CORRECTIONS = (I2, SX, SZ @ SX, SZ)
 
 _BELL_PROJ = tuple(np.outer(k, k.conj()) for k in BELL_KETS)
+_PAULI_STACK = np.array(PAULIS)
 
 
 def _bloch_to_rho(n_vec) -> np.ndarray:
@@ -40,15 +41,14 @@ def _bloch_to_rho(n_vec) -> np.ndarray:
     return 0.5 * np.array([[1.0 + n3, n1 - 1j * n2], [n1 + 1j * n2, 1.0 - n3]], dtype=complex)
 
 
-def teleport_output(shared: TwoQubitState, input_bloch) -> np.ndarray:
-    """Output density matrix of the standard protocol for one pure input.
+def _protocol(shared: TwoQubitState, x: np.ndarray) -> np.ndarray:
+    """Output of the standard protocol on a 2x2 input operator x.
 
     The 3-qubit register is (input, Alice, Bob); the input-Alice pair is
     projected onto each Bell state, the matching correction is applied on
     Bob, and the four outcome branches are summed with their probabilities.
     """
-    rho_in = _bloch_to_rho(input_bloch)
-    total = np.kron(rho_in, shared.rho)  # qubits (0, 1, 2)
+    total = np.kron(x, shared.rho)  # qubits (0, 1, 2)
     out = np.zeros((2, 2), dtype=complex)
     for proj, corr in zip(_BELL_PROJ, CORRECTIONS):
         big = np.kron(proj, I2) @ total
@@ -58,17 +58,19 @@ def teleport_output(shared: TwoQubitState, input_bloch) -> np.ndarray:
     return out
 
 
+def teleport_output(shared: TwoQubitState, input_bloch) -> np.ndarray:
+    """Output density matrix of the standard protocol for one pure input."""
+    return _protocol(shared, _bloch_to_rho(input_bloch))
+
+
 def _transfer_operators(shared: TwoQubitState) -> list[np.ndarray]:
     """Action of the protocol on the input-operator basis {I, sx, sy, sz}.
 
-    The output is linear in the input state, so these four matrices determine
-    the protocol exactly; teleport_output is recovered as
+    The output is linear in the input operator, so these four matrices
+    determine the protocol exactly; teleport_output is recovered as
     (L[I] + sum_i n_i L[sigma_i]) / 2.
     """
-    plus = [teleport_output(shared, e) for e in np.eye(3)]
-    minus = [teleport_output(shared, -e) for e in np.eye(3)]
-    l_id = plus[0] + minus[0]
-    return [l_id] + [plus[i] - minus[i] for i in range(3)]
+    return [_protocol(shared, s) for s in PAULIS]
 
 
 @dataclass(frozen=True)
@@ -105,16 +107,11 @@ class NumericMoments:
 
 
 def fidelity_on_bloch(shared: TwoQubitState, bloch: np.ndarray) -> np.ndarray:
-    """Vectorized protocol fidelity for an (N, 3) array of input Bloch vectors."""
-    ops = _transfer_operators(shared)
-    a0 = float(np.trace(ops[0]).real)
-    b = np.array([float(np.trace(ops[j + 1]).real) for j in range(3)])
-    s = np.array([float(np.trace(PAULIS[i + 1] @ ops[0]).real) for i in range(3)])
-    m = np.array([[float(np.trace(PAULIS[i + 1] @ ops[j + 1]).real) for j in range(3)]
-                  for i in range(3)])
-    lin = bloch @ (b + s)
-    quad = np.einsum("ni,ij,nj->n", bloch, m, bloch)
-    return 0.25 * (a0 + lin + quad)
+    """Vectorized protocol fidelity for an (N, 3) array of input Bloch vectors:
+    (1, n) G (1, n)^T / 4 with G_ij = Tr(sigma_i L[sigma_j])."""
+    g = np.einsum("iab,jba->ij", _PAULI_STACK, np.array(_transfer_operators(shared))).real
+    v = np.column_stack([np.ones(len(bloch)), bloch])
+    return 0.25 * np.einsum("ni,ij,nj->n", v, g, v)
 
 
 def numeric_moments(shared: TwoQubitState, quad: QuadratureSpec | None = None) -> NumericMoments:
@@ -134,31 +131,13 @@ def numeric_moments(shared: TwoQubitState, quad: QuadratureSpec | None = None) -
 # ---------------------------------------------------------------------------
 
 def _su2_from_rotation(o: np.ndarray) -> np.ndarray:
-    """Lift a proper rotation to SU(2) via its quaternion (Shepperd's method)."""
-    t = np.trace(o)
-    cand = np.array([1.0 + t, 1.0 + 2.0 * o[0, 0] - t, 1.0 + 2.0 * o[1, 1] - t,
-                     1.0 + 2.0 * o[2, 2] - t])
-    k = int(np.argmax(cand))
-    q = np.empty(4)
-    if k == 0:
-        r = np.sqrt(cand[0])
-        q[:] = (r / 2.0, (o[2, 1] - o[1, 2]) / (2.0 * r), (o[0, 2] - o[2, 0]) / (2.0 * r),
-                (o[1, 0] - o[0, 1]) / (2.0 * r))
-    elif k == 1:
-        r = np.sqrt(cand[1])
-        q[:] = ((o[2, 1] - o[1, 2]) / (2.0 * r), r / 2.0, (o[0, 1] + o[1, 0]) / (2.0 * r),
-                (o[0, 2] + o[2, 0]) / (2.0 * r))
-    elif k == 2:
-        r = np.sqrt(cand[2])
-        q[:] = ((o[0, 2] - o[2, 0]) / (2.0 * r), (o[0, 1] + o[1, 0]) / (2.0 * r), r / 2.0,
-                (o[1, 2] + o[2, 1]) / (2.0 * r))
-    else:
-        r = np.sqrt(cand[3])
-        q[:] = ((o[1, 0] - o[0, 1]) / (2.0 * r), (o[0, 2] + o[2, 0]) / (2.0 * r),
-                (o[1, 2] + o[2, 1]) / (2.0 * r), r / 2.0)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]], dtype=complex)
+    """Lift a proper rotation O to SU(2). With sigma'_j = sum_i O_ij sigma_i
+    and sigma'_0 = I, sum_j sigma'_j X sigma_j = 2 Tr(U^dag X) U for every X;
+    the Pauli X with the largest sum, scaled to det 1, is U up to sign."""
+    rotated = np.concatenate([_PAULI_STACK[:1], np.einsum("ij,iab->jab", o, _PAULI_STACK[1:])])
+    sums = np.einsum("jab,xbc,jcd->xad", rotated, _PAULI_STACK, _PAULI_STACK)
+    m = sums[np.argmax(np.linalg.norm(sums, axis=(1, 2)))]
+    return m / np.sqrt(np.linalg.det(m))
 
 
 def rotation_of_unitary(u: np.ndarray) -> np.ndarray:
@@ -201,27 +180,18 @@ def canonicalize(state: TwoQubitState) -> tuple[TwoQubitState, tuple[np.ndarray,
     eps = _canonical_signs(float(det_a * det_b) if bool(np.all(nonzero)) else 0.0)
 
     # Need diagonal signs with f_i g_i = eps_i on supported directions and
-    # prod(f) = det(U), prod(g) = det(V) so both rotations are proper. The
-    # sign products are consistent because prod(eps) = sign(det T); zero
-    # singular directions give free slack for the parities.
+    # prod(f) = det(U), prod(g) = det(V) so both rotations are proper: f_i = 1,
+    # g_i = eps_i, then one parity fix on the first zero singular direction
+    # (free slack) or, with none, on the last, where prod(eps) = sign(det T)
+    # = det_a det_b keeps f_2 g_2 = eps_2.
     f = np.ones(3)
-    g = np.ones(3)
-    for i in range(3):
-        if nonzero[i]:
-            g[i] = eps[i]  # f_i = 1, g_i = eps_i on supported directions
-    slack = [i for i in range(3) if not nonzero[i]]
-    if slack:
-        j = slack[0]
-        f[j] = det_a / (f[0] * f[1] * f[2] / f[j])
-        g[j] = det_b / (g[0] * g[1] * g[2] / g[j])
-    else:
-        f[2] = det_a
-        g[2] = eps[2] * det_a  # keeps f_2 g_2 = eps_2; prod(g) = det_b follows
+    g = np.where(nonzero, eps, 1.0)
+    j = min(int(nonzero.sum()), 2)  # zero magnitudes come last
+    f[j] = det_a
+    g[j] *= det_b * np.prod(g)
 
-    o1 = np.diag(f) @ u_svd.T
-    o2 = np.diag(g) @ vt_svd
-    u1 = _su2_from_rotation(o1)
-    u2 = _su2_from_rotation(o2)
+    u1 = _su2_from_rotation(f[:, None] * u_svd.T)
+    u2 = _su2_from_rotation(g[:, None] * vt_svd)
     big = np.kron(u1, u2)
     rho = big @ state.rho @ dagger(big)
     # from_density's rho and arithmetic, not its spectrum check: a rotation keeps the spectrum

@@ -1,6 +1,9 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
 one pass/fail line (run with -s to see them all)."""
 
+import dataclasses
+import json
+
 import pytest
 
 from uqtchan import acceptance
@@ -13,6 +16,8 @@ def test_acceptance_criterion(index):
     result = acceptance.run_criterion(index)
     print(acceptance.format_result(result))
     assert result.passed, acceptance.format_result(result)
+    assert type(result.passed) is bool  # not a numpy bool, which JSON rejects
+    assert json.loads(json.dumps(dataclasses.asdict(result))) == dataclasses.asdict(result)
 
 
 @pytest.mark.parametrize("only", [0, 12, -1])

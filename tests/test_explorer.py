@@ -455,7 +455,7 @@ def _reference_candidate(kraus, rank):
         ch = channels.validate(kraus, name=f"random_rank{rank}")
     except channels.ChannelValidationError:
         return None, "invalid"
-    if channels.unitality_residual(ch.kraus) < 1e-6:
+    if channels.unitality_residual(ch.kraus) < explorer.UNITAL_SKIP_TOL:
         return None, "unital"
     return ch, "kept"
 

@@ -64,6 +64,24 @@ def test_teleport_linear_in_shared_state(rng):
     assert np.max(np.abs(direct - combo)) < 1e-12
 
 
+def random_rank_density(rng, rank):
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_transfer_operators_match_the_pm_bloch_construction(rng):
+    # L[I] = out(+e_x) + out(-e_x) and L[sigma_i] = out(+e_i) - out(-e_i),
+    # from pure-state runs of teleport_output, on states of every rank
+    for k in range(12):
+        shared = from_density(random_rank_density(rng, 1 + k % 4))
+        plus = [teleport_output(shared, e) for e in np.eye(3)]
+        minus = [teleport_output(shared, -e) for e in np.eye(3)]
+        expected = [plus[0] + minus[0]] + [p - m for p, m in zip(plus, minus)]
+        for got, want in zip(oracle._transfer_operators(shared), expected):
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def test_batched_fidelity_matches_direct(rng):
     shared = from_density(random_density(rng))
     blochs = np.array([random_bloch(rng) for _ in range(8)])
@@ -142,13 +160,24 @@ def test_quadrature_converged_at_defaults(rng):
 # canonicalization
 # ---------------------------------------------------------------------------
 
+def rotation_about(axis, angle):
+    """exp(-i angle n.sigma / 2) for the unit vector n along axis."""
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    return np.cos(angle / 2) * I2 - 1j * np.sin(angle / 2) * (n[0] * SX + n[1] * SY + n[2] * SZ)
+
+
 def test_su2_lift_matches_rotation(rng):
-    for _ in range(20):
-        u = random_unitary(rng)
+    # rotations by pi and within 1e-14 of pi have Tr U = 0 or nearly so,
+    # where the X = I term of the lift vanishes
+    unitaries = [random_unitary(rng) for _ in range(20)]
+    unitaries += [rotation_about(axis, angle) for axis in [*np.eye(3), *rng.normal(size=(5, 3))]
+                  for angle in (np.pi, np.pi * (1 - 1e-14))]
+    for u in unitaries + [I2]:
         o = rotation_of_unitary(u)
         lifted = oracle._su2_from_rotation(o)
         assert np.max(np.abs(rotation_of_unitary(lifted) - o)) < 1e-12
         assert np.max(np.abs(lifted @ lifted.conj().T - I2)) < 1e-12
+        assert abs(np.linalg.det(lifted) - 1.0) < 1e-12
 
 
 def test_canonicalize_fixed_point():
