@@ -23,15 +23,43 @@ S5 = np.sqrt(5.0)
 # random generators (seeded by the criteria)
 # ---------------------------------------------------------------------------
 
-def random_density(rng: np.random.Generator) -> states.TwoQubitState:
+def _random_density_matrix(rng: np.random.Generator) -> np.ndarray:
+    """A random trace-1 density matrix g g^dag / Tr(g g^dag), g complex Gaussian,
+    before from_density's checks and scaling."""
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = g @ g.conj().T
-    return states.from_density(rho / np.trace(rho).real)
+    return rho / np.trace(rho).real
 
 
-def random_channel(rng: np.random.Generator, rank: int) -> channels.QubitChannel:
-    """Random channel with `rank` Kraus operators: `channels.random_kraus`, validated."""
-    return channels.validate(channels.random_kraus(rng, rank), name=f"random_rank{rank}")
+def random_density(rng: np.random.Generator) -> states.TwoQubitState:
+    return states.from_density(_random_density_matrix(rng))
+
+
+def _raise_first(outcomes) -> None:
+    """Raise the error of a stack's first rejected member as its one-member
+    path would: an exception outcome, or a density_stack message. A rejected
+    member's Choi matrix is zero, and T = 0 would read as "not UQT-useful"."""
+    for out in outcomes:
+        if isinstance(out, str):
+            raise ValueError(out)
+        if isinstance(out, Exception):
+            raise out
+
+
+def _validated(kraus_lists) -> tuple[np.ndarray, np.ndarray, list]:
+    """channels.validate_stack of the draws, raising the first rejected
+    member's error: the Kraus stack, the Choi stack and the Choi ranks."""
+    stack, choi, ranks = channels.validate_stack(kraus_lists)
+    _raise_first(ranks)
+    return stack, choi, ranks
+
+
+def _densities(matrices) -> np.ndarray:
+    """The density matrices of states.density_stack, as from_density stores
+    them, raising the first rejected member's error."""
+    dens = states.density_stack(matrices)
+    _raise_first(dens.errors)
+    return dens.rho
 
 
 def random_det_negative_state(rng: np.random.Generator) -> states.TwoQubitState:
@@ -76,14 +104,10 @@ def criterion_dephasing_bell_law() -> tuple[bool, str]:
 
 def criterion_rank2_never_uqt() -> tuple[bool, str]:
     """No channel with a rank-2 Choi state sends a Bell state to a UQT-useful
-    final state (1000 random draws)."""
+    final state (1000 random draws, classified as one stack)."""
     rng = np.random.default_rng(20240811)
-    hits = 0
-    for _ in range(1000):
-        ch = random_channel(rng, rank=2)
-        prof = states.profile(channels.choi(ch))
-        if prof.uqt:
-            hits += 1
+    _, choi, _ = _validated([channels.random_kraus(rng, 2) for _ in range(1000)])
+    hits = int(np.count_nonzero(states.verdicts(states.hs_decompose(choi).t_mat).uqt))
     return hits == 0, f"{hits}/1000 rank-2 channels produced a UQT-useful state"
 
 
@@ -105,37 +129,37 @@ def criterion_nonunital_uqt_families() -> tuple[bool, str]:
     """500 random points of the rank-4 family and 500 of the rank-3 family are
     valid non-unital channels whose Choi states have all correlation
     magnitudes equal to t (1e-10), deviation <= 1e-12, F = (1+t)/2 (1e-12),
-    the advertised Choi ranks, and strictly ordered Choi eigenvalues."""
+    the advertised Choi ranks, and strictly ordered Choi eigenvalues. Each
+    family's points are built, validated and classified as one stack."""
     rng = np.random.default_rng(777)
+    rank4 = [families.FAMILIES["uqt_nonunital_rank4"].sample_params(rng) for _ in range(500)]
+    rank3 = []
+    for _ in range(500):
+        t = float(rng.uniform(1.0 / 3.0 + 1e-3, 1.0 - 1e-3))
+        theta = float(rng.uniform(0.0, np.pi))
+        phi = float(rng.uniform(0.0, 2.0 * np.pi))
+        rank3.append({"theta": theta, "phi": phi, "t": t})
     worst = {"abs_t": 0.0, "delta": 0.0, "f": 0.0}
     ok = True
     msgs = []
-    for kind in ("rank4", "rank3"):
-        for _ in range(500):
-            if kind == "rank4":
-                params = families.FAMILIES["uqt_nonunital_rank4"].sample_params(rng)
-                t = params["t"]
-                ch = families.uqt_nonunital_rank4(**params)
-                want_rank = 4
-            else:
-                t = float(rng.uniform(1.0 / 3.0 + 1e-3, 1.0 - 1e-3))
-                theta = float(rng.uniform(0.0, np.pi))
-                phi = float(rng.uniform(0.0, 2.0 * np.pi))
-                ch = families.uqt_nonunital_rank3(theta, phi, t)
-                want_rank = 3
-            rep = channels.report(ch)
-            cs = rep.choi
-            prof = states.profile(cs)
-            worst["abs_t"] = max(worst["abs_t"], float(np.max(np.abs(prof.spectrum.abs_t - t))))
-            worst["delta"] = max(worst["delta"], prof.delta)
-            worst["f"] = max(worst["f"], abs(prof.f_max - (1.0 + t) / 2.0))
-            vals = linalg.hermitian_eig(cs.rho).eigenvalues
-            strict = all(vals[i] > vals[i + 1] for i in range(want_rank - 1))
-            if rep.unital or rep.choi_rank != want_rank or not strict or not prof.uqt:
-                ok = False
-                msgs.append(f"{kind}: unital={rep.unital} rank={rep.choi_rank} "
-                            f"strict={strict} uqt={prof.uqt}")
-                break
+    for kind, want_rank, rows in (("rank4", 4, rank4), ("rank3", 3, rank3)):
+        built = families.checked_rows(f"uqt_nonunital_{kind}", rows)
+        _raise_first(built)
+        stack, choi, ranks = _validated([kraus for kraus, _ in built])
+        t = np.array([row["t"] for row in rows])
+        v = states.verdicts(states.hs_decompose(choi).t_mat)
+        worst["abs_t"] = max(worst["abs_t"], float(np.max(np.abs(v.abs_t - t[:, None]))))
+        worst["delta"] = max(worst["delta"], float(np.max(v.delta)))
+        worst["f"] = max(worst["f"], float(np.max(np.abs(v.f_max - (1.0 + t) / 2.0))))
+        vals = linalg.hermitian_eig(choi).eigenvalues
+        strict = np.all(vals[:, :want_rank - 1] > vals[:, 1:want_rank], axis=1)
+        unital = channels.unitality_residual(stack) <= channels.EPS_CPTP
+        bad = unital | (np.array(ranks) != want_rank) | ~strict | ~v.uqt
+        if bad.any():
+            i = int(np.argmax(bad))
+            ok = False
+            msgs.append(f"{kind}: unital={bool(unital[i])} rank={ranks[i]} "
+                        f"strict={bool(strict[i])} uqt={bool(v.uqt[i])}")
     ok &= worst["abs_t"] <= 1e-10 and worst["delta"] <= 1e-12 and worst["f"] <= 1e-12
     msgs.append(f"max |abs_t - t| {worst['abs_t']:.1e}, delta {worst['delta']:.1e}, "
                 f"|F - (1+t)/2| {worst['f']:.1e}")
@@ -343,26 +367,27 @@ def criterion_oracle_equivalence() -> tuple[bool, str]:
 def criterion_monotonicity() -> tuple[bool, str]:
     """Concurrence never increases under a channel on Bob's qubit (500 random
     state/channel pairs), and for pure inputs the maximal fidelity of the
-    final state never exceeds the initial one (500 pairs), tolerance 1e-10."""
+    final state never exceeds the initial one (500 pairs), tolerance 1e-10.
+    Each half draws its pairs in turn, then classifies them as one stack."""
     rng = np.random.default_rng(1618)
-    worst_c = -np.inf
+    mats, kraus = [], []
     for _ in range(500):
-        st = random_density(rng)
-        ch = random_channel(rng, rank=int(rng.integers(1, 5)))
-        worst_c = max(worst_c,
-                      states.concurrence(channels.apply_to_bob(st, ch)) - states.concurrence(st))
-    worst_f = -np.inf
-    skipped = 0
+        mats.append(_random_density_matrix(rng))
+        kraus.append(channels.random_kraus(rng, int(rng.integers(1, 5))))
+    initial = _densities(mats)
+    final = _densities(channels.bob_action(initial, _validated(kraus)[0]))
+    worst_c = float(np.max(states.concurrences(final) - states.concurrences(initial)))
+    a_values, kraus = [], []
     for _ in range(500):
-        a = float(rng.uniform(0.5, 1.0 - 1e-9))
-        st = states.pure_state(a)
-        ch = random_channel(rng, rank=int(rng.integers(1, 5)))
-        prof0 = states.profile(st)
-        prof1 = states.profile(channels.apply_to_bob(st, ch))
-        if not prof1.formula_valid:
-            skipped += 1  # no fidelity formula; such states are not useful at all
-            continue
-        worst_f = max(worst_f, prof1.f_max - prof0.f_max)
+        a_values.append(float(rng.uniform(0.5, 1.0 - 1e-9)))
+        kraus.append(channels.random_kraus(rng, int(rng.integers(1, 5))))
+    initial = _densities(states.pure_densities(a_values))
+    final = _densities(channels.bob_action(initial, _validated(kraus)[0]))
+    v0 = states.verdicts(states.hs_decompose(initial).t_mat)
+    v1 = states.verdicts(states.hs_decompose(final).t_mat)
+    # a det(T) >= 0 final has no fidelity formula; such states are not useful at all
+    skipped = int(np.count_nonzero(~v1.formula_valid))
+    worst_f = float(np.max(v1.f_max - v0.f_max, initial=-np.inf, where=v1.formula_valid))
     ok = worst_c <= 1e-10 and worst_f <= 1e-10
     return ok, (f"max concurrence increase {worst_c:.2e}, max fidelity increase "
                 f"{worst_f:.2e} (tol 1e-10; {skipped} det(T)>=0 finals skipped)")

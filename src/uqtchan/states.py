@@ -201,11 +201,16 @@ def pure_state_from_concurrence(c: float) -> TwoQubitState:
     return pure_state(_a_of_concurrence(c))
 
 
-def pure_densities_from_concurrence(cs) -> np.ndarray:
-    """|Psi_a><Psi_a| of pure_state_from_concurrence(c) for each c, as one
-    (N, 4, 4) stack, without from_density's checks and scaling."""
-    return np.array([_ket_density(_psi_a_ket(_a_of_concurrence(c))) for c in cs],
+def pure_densities(a_values) -> np.ndarray:
+    """|Psi_a><Psi_a| of pure_state(a) for each a, as one (N, 4, 4) stack,
+    without from_density's checks and scaling."""
+    return np.array([_ket_density(_psi_a_ket(a)) for a in a_values],
                     dtype=complex).reshape(-1, 4, 4)
+
+
+def pure_densities_from_concurrence(cs) -> np.ndarray:
+    """`pure_densities` of the |Psi_a> of pure_state_from_concurrence(c) for each c."""
+    return pure_densities([_a_of_concurrence(c) for c in cs])
 
 
 _BELL_STATES = tuple(from_ket(k) for k in BELL_KETS)
@@ -219,18 +224,25 @@ def bell_state(k: int) -> TwoQubitState:
     return _BELL_STATES[k - 1]
 
 
-def concurrence(state: TwoQubitState) -> float:
-    """Wootters concurrence: max(0, l1 - l2 - l3 - l4) with l_k the sorted
-    square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).
+def concurrences(rho: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each density matrix of a stack (N, 4, 4):
+    max(0, l1 - l2 - l3 - l4) with l_k the sorted square roots of the
+    eigenvalues of rho (sy x sy) rho* (sy x sy), by one hermitian_eig.
 
     Computed as the singular values of sqrt(rho) (sy x sy) sqrt(rho)^T, which
     carry the same spectrum without the precision loss of a non-Hermitian
-    eigenvalue problem (rank-deficient states stay accurate to ~1e-14)."""
-    dec = linalg.hermitian_eig(state.rho)
-    root = (dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))) \
-        @ dec.eigenvectors.conj().T
-    lam = np.linalg.svd(root @ _YY @ root.T, compute_uv=False)
-    return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
+    eigenvalue problem (rank-deficient states stay accurate to ~1e-14). A
+    state gets the same concurrence alone as inside a stack."""
+    dec = linalg.hermitian_eig(rho)
+    vecs = dec.eigenvectors
+    root = (vecs * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))[:, None, :]) @ linalg.dagger(vecs)
+    lam = np.linalg.svd(root @ _YY @ root.swapaxes(1, 2), compute_uv=False)
+    return np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, 1.0)
+
+
+def concurrence(state: TwoQubitState) -> float:
+    """Wootters concurrence of one state: the one-member view of `concurrences`."""
+    return float(concurrences(state.rho[None])[0])
 
 
 def nonzero_magnitudes(abs_t: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from uqtchan import acceptance
+from uqtchan import channels
 
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=40)
 hypothesis.settings.load_profile("suite")
@@ -41,8 +41,8 @@ def random_unitary(rng, dim=2):
 
 
 def random_kraus(rng, rank):
-    """Kraus stack of acceptance.random_channel (a Haar-ish isometry, always CPTP)."""
-    return acceptance.random_channel(rng, rank).kraus
+    """Kraus stack of a validated `channels.random_kraus` draw (an isometry, always CPTP)."""
+    return channels.validate(channels.random_kraus(rng, rank)).kraus
 
 
 #: JSON scalars as json.loads returns them: NaN, infinities and integers too

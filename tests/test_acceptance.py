@@ -1,12 +1,18 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
-one pass/fail line (run with -s to see them all)."""
+one pass/fail line (run with -s to see them all).
+
+Criteria 2, 4 and 11 classify their draws as one stack; the scalar loops
+below are their references, one draw at a time through the one-member
+paths (`validate`, `from_density`, `profile`, `concurrence`)."""
 
 import dataclasses
+import itertools
 import json
 
+import numpy as np
 import pytest
 
-from uqtchan import acceptance
+from uqtchan import acceptance, channels, families, linalg, states
 
 
 @pytest.mark.parametrize(
@@ -25,3 +31,166 @@ def test_run_all_rejects_an_index_that_names_no_criterion(monkeypatch, only):
     monkeypatch.setattr(acceptance, "run_criterion", lambda i: pytest.fail(f"ran {i}"))
     with pytest.raises(ValueError, match=r"no criterion .*1\.\.11"):
         acceptance.run_all(only=only)
+
+
+# ---------------------------------------------------------------------------
+# scalar references of the stacked criteria
+# ---------------------------------------------------------------------------
+
+def _random_channel(rng, rank):
+    return channels.validate(channels.random_kraus(rng, rank), name=f"random_rank{rank}")
+
+
+def _reference_rank2_never_uqt():
+    rng = np.random.default_rng(20240811)
+    hits = 0
+    for _ in range(1000):
+        ch = _random_channel(rng, rank=2)
+        prof = states.profile(channels.choi(ch))
+        if prof.uqt:
+            hits += 1
+    return hits == 0, f"{hits}/1000 rank-2 channels produced a UQT-useful state"
+
+
+def _reference_nonunital_uqt_families():
+    rng = np.random.default_rng(777)
+    worst = {"abs_t": 0.0, "delta": 0.0, "f": 0.0}
+    ok = True
+    msgs = []
+    for kind in ("rank4", "rank3"):
+        for _ in range(500):
+            if kind == "rank4":
+                params = families.FAMILIES["uqt_nonunital_rank4"].sample_params(rng)
+                t = params["t"]
+                ch = families.uqt_nonunital_rank4(**params)
+                want_rank = 4
+            else:
+                t = float(rng.uniform(1.0 / 3.0 + 1e-3, 1.0 - 1e-3))
+                theta = float(rng.uniform(0.0, np.pi))
+                phi = float(rng.uniform(0.0, 2.0 * np.pi))
+                ch = families.uqt_nonunital_rank3(theta, phi, t)
+                want_rank = 3
+            rep = channels.report(ch)
+            cs = rep.choi
+            prof = states.profile(cs)
+            worst["abs_t"] = max(worst["abs_t"], float(np.max(np.abs(prof.spectrum.abs_t - t))))
+            worst["delta"] = max(worst["delta"], prof.delta)
+            worst["f"] = max(worst["f"], abs(prof.f_max - (1.0 + t) / 2.0))
+            vals = linalg.hermitian_eig(cs.rho).eigenvalues
+            strict = all(vals[i] > vals[i + 1] for i in range(want_rank - 1))
+            if rep.unital or rep.choi_rank != want_rank or not strict or not prof.uqt:
+                ok = False
+                msgs.append(f"{kind}: unital={rep.unital} rank={rep.choi_rank} "
+                            f"strict={strict} uqt={prof.uqt}")
+                break
+    ok &= worst["abs_t"] <= 1e-10 and worst["delta"] <= 1e-12 and worst["f"] <= 1e-12
+    msgs.append(f"max |abs_t - t| {worst['abs_t']:.1e}, delta {worst['delta']:.1e}, "
+                f"|F - (1+t)/2| {worst['f']:.1e}")
+    return ok, "; ".join(msgs)
+
+
+def _reference_monotonicity():
+    rng = np.random.default_rng(1618)
+    worst_c = -np.inf
+    for _ in range(500):
+        st = acceptance.random_density(rng)
+        ch = _random_channel(rng, rank=int(rng.integers(1, 5)))
+        worst_c = max(worst_c,
+                      states.concurrence(channels.apply_to_bob(st, ch)) - states.concurrence(st))
+    worst_f = -np.inf
+    skipped = 0
+    for _ in range(500):
+        a = float(rng.uniform(0.5, 1.0 - 1e-9))
+        st = states.pure_state(a)
+        ch = _random_channel(rng, rank=int(rng.integers(1, 5)))
+        prof0 = states.profile(st)
+        prof1 = states.profile(channels.apply_to_bob(st, ch))
+        if not prof1.formula_valid:
+            skipped += 1
+            continue
+        worst_f = max(worst_f, prof1.f_max - prof0.f_max)
+    ok = worst_c <= 1e-10 and worst_f <= 1e-10
+    return ok, (f"max concurrence increase {worst_c:.2e}, max fidelity increase "
+                f"{worst_f:.2e} (tol 1e-10; {skipped} det(T)>=0 finals skipped)")
+
+
+REFERENCES = {2: _reference_rank2_never_uqt, 4: _reference_nonunital_uqt_families,
+              11: _reference_monotonicity}
+
+
+def _as_result(func):
+    """What run_criterion makes of func's outcome, raised errors included."""
+    try:
+        passed, detail = func()
+    except Exception as exc:
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return bool(passed), detail
+
+
+@pytest.mark.parametrize("index", sorted(REFERENCES), ids=lambda i: acceptance.CRITERIA[i - 1][0])
+def test_stacked_criterion_matches_its_scalar_reference(index):
+    result = acceptance.run_criterion(index)
+    assert (result.passed, result.detail) == _as_result(REFERENCES[index])
+
+
+# ---------------------------------------------------------------------------
+# an invalid draw fails the criterion: a rejected member's Choi matrix is
+# zero, and T = 0 would read as "not UQT", i.e. as a pass
+# ---------------------------------------------------------------------------
+
+def _break_draw(monkeypatch, at):
+    """channels.random_kraus with the Kraus operators of draw `at` doubled,
+    which breaks completeness; the generator stream is unchanged."""
+    real = channels.random_kraus
+    draws = itertools.count()
+
+    def random_kraus(rng, rank):
+        ops = real(rng, rank)
+        return 2.0 * ops if next(draws) == at else ops
+
+    monkeypatch.setattr(channels, "random_kraus", random_kraus)
+
+
+@pytest.mark.parametrize("index,at", [(2, 517), (11, 137), (11, 871)])
+def test_an_incomplete_draw_fails_the_criterion(monkeypatch, index, at):
+    _break_draw(monkeypatch, at)
+    result = acceptance.run_criterion(index)
+    assert result.passed is False
+    assert result.detail.startswith("raised ChannelValidationError: completeness violated")
+    monkeypatch.undo()
+    _break_draw(monkeypatch, at)  # a fresh count: the scalar loop stops at the same draw
+    assert (result.passed, result.detail) == _as_result(REFERENCES[index])
+
+
+def _make_unital(params):
+    return {**params, "s1": 0.0, "s2": 0.0, "s3": 1e-12}
+
+
+def _make_rank_deficient(params):
+    t = params["t"]
+    s = np.array([params["s1"], params["s2"], params["s3"]])
+    s *= (1.0 - t) * (1.0 - 1e-12) / np.linalg.norm(s)  # |s| just below 1 - t
+    return {**params, "s1": float(s[0]), "s2": float(s[1]), "s3": float(s[2])}
+
+
+def _make_out_of_range(params):
+    return {**params, "t": 2.0}
+
+
+@pytest.mark.parametrize("change,detail", [
+    (_make_unital, "rank4: unital=True rank=4 strict=True uqt=True; "),
+    (_make_rank_deficient, "rank4: unital=False rank=3 strict=True uqt=True; "),
+    (_make_out_of_range, "raised ValueError: uqt_nonunital_rank4: t must lie in (0.333333, 1), got 2.0"),
+], ids=["unital", "rank-deficient", "out-of-range"])
+def test_a_bad_family_member_fails_criterion_4(monkeypatch, change, detail):
+    fam = families.FAMILIES["uqt_nonunital_rank4"]
+    draws = itertools.count()
+
+    def sampler(rng):
+        params = fam.sampler(rng)
+        return change(params) if next(draws) == 250 else params
+
+    monkeypatch.setitem(families.FAMILIES, fam.family_id, dataclasses.replace(fam, sampler=sampler))
+    result = acceptance.run_criterion(4)
+    assert result.passed is False
+    assert result.detail.startswith(detail)

@@ -169,6 +169,35 @@ def test_concurrence_pure_formula(a):
     assert concurrence(pure_state(a)) == pytest.approx(2 * np.sqrt(a * (1 - a)), abs=1e-10)
 
 
+def test_concurrence_alone_equals_concurrences_inside_a_stack(rng):
+    sts = []
+    for rank in (1, 2, 3, 4) * 5:
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        sts.append(from_density(g @ g.conj().T / np.trace(g @ g.conj().T).real))
+    rho = np.array([st_.rho for st_ in sts])
+    stacked = states.concurrences(rho)
+    assert stacked.shape == (20,)
+    for i, st_ in enumerate(sts):
+        assert concurrence(st_) == stacked[i]  # bit for bit
+        assert states.concurrences(rho[i:i + 1])[0] == stacked[i]
+
+
+def test_concurrences_of_bell_and_product_states(rng):
+    bells = np.array([bell_state(k).rho for k in (1, 2, 3, 4)])
+    assert np.max(np.abs(states.concurrences(bells) - 1.0)) <= 1e-14
+    kets = [random_unitary(rng)[:, 0] for _ in range(10)]
+    pure = [np.kron(np.outer(a, a.conj()), np.outer(b, b.conj())) for a, b in zip(kets, kets[1:])]
+    mixed = [np.kron(random_density(rng, 2), random_density(rng, 2)) for _ in range(10)]
+    assert np.max(states.concurrences(np.array(pure + mixed))) <= 1e-14
+
+
+def test_concurrences_of_pure_states_follow_the_formula():
+    a = np.array([0.5, 0.55, 0.6, 0.75, 0.9, 0.99, 1.0 - 1e-6])
+    rho = np.array([pure_state(x).rho for x in a])
+    assert np.array_equal(states.density_stack(states.pure_densities(a)).rho, rho)
+    assert np.max(np.abs(states.concurrences(rho) - 2.0 * np.sqrt(a * (1.0 - a)))) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # correlation spectrum
 # ---------------------------------------------------------------------------
