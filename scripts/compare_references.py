@@ -10,7 +10,9 @@
     pure:0.8 and, for the matched-concurrence families, matched;
   * search_uqt(c, 300, seed=s) for c in {0.38, 0.45, 0.6}, s in {1, 5, 77, 123},
     and the benchmark's search units k = 0, 1 of seeds 1, 2 and 9973;
-  * the analyze JSON of one catalog point per family on bell1..bell4 and pure:0.8;
+  * the analyze JSON of one catalog point per family on bell1..bell4 and pure:0.8,
+    and of pauli_mixture(0, 0.4, 0.4, 0.2) on bell1 (det T = 0.024 > 0: f_max,
+    delta and the oracle's agrees are null);
   * find_threshold on the five run_threshold_suite.py cases at tol 1e-8 and
     at tol 1e-20, which bisects down to adjacent floats;
   * the 11 acceptance criteria of `uqtchan verify`: index, name, passed, detail;
@@ -19,7 +21,9 @@
 It exits 1 if a sweep reports an oracle failure, an analysis disagrees with
 the oracle or an acceptance criterion fails. Run it on two versions of the library (PYTHONPATH=<src>) and
 `compare` the dumps: it prints the item count, how many items are
-byte-identical and the largest float difference, and exits 1 if a non-float
+byte-identical, the largest float difference and, per category (the first
+word of an item's name: sweep, grid, search, analyze, threshold, verify,
+oracle), the identical and total item counts. It exits 1 if a non-float
 value differs (type, key, order, length or value) or a float moves by more
 than 1e-12.
 """
@@ -123,6 +127,8 @@ def reference_items() -> dict:
         ch = families.noise_channel(family_id, **_catalog_point(family_id))
         for initial in ("bell1", "bell2", "bell3", "bell4", "pure:0.8"):
             items[f"analyze {family_id} {initial}"] = explorer.analyze(ch, initial).to_jsonable()
+    ch = families.pauli_mixture(0.0, 0.4, 0.4, 0.2)  # det T > 0 on bell1: no closed form
+    items["analyze pauli_mixture(0, 0.4, 0.4, 0.2) bell1"] = explorer.analyze(ch).to_jsonable()
     cases = _module(SCRIPTS, "run_threshold_suite").CASES
     for family_id, param, bracket, predicate, fixed, *_ in cases:
         for tol in (1e-8, 1e-20):
@@ -177,11 +183,18 @@ def compare(path_a: str, path_b: str) -> int:
     with open(path_b, encoding="utf-8") as fh:
         b = json.load(fh)
     found, worst = differences(a, b)
-    same = sum(json.dumps(a.get(k)) == json.dumps(b.get(k)) for k in a) \
-        if isinstance(a, dict) and isinstance(b, dict) else int(a == b)
-    print(f"items: {len(a) if isinstance(a, dict) else 1}")
-    print(f"byte-identical: {same}")
+    if not (isinstance(a, dict) and isinstance(b, dict)):  # one item
+        a, b = {"document": a}, {"document": b}
+    tally = {}  # category: [byte-identical items, items]
+    for k in a:
+        counts = tally.setdefault(k.split(" ", 1)[0], [0, 0])
+        counts[0] += json.dumps(a[k]) == json.dumps(b.get(k))
+        counts[1] += 1
+    print(f"items: {len(a)}")
+    print(f"byte-identical: {sum(same for same, _ in tally.values())}")
     print(f"largest float difference: {worst:.3g}")
+    for category, (same, total) in tally.items():
+        print(f"{category}: {same}/{total} byte-identical")
     for line in found[:20]:
         print(f"differs: {line}")
     if worst > FLOAT_TOL:

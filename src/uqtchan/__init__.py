@@ -49,12 +49,10 @@ from .oracle import (
     teleport_output,
 )
 from .states import (
-    CorrelationSpectrum,
     TeleportProfile,
     TwoQubitState,
     bell_state,
     concurrence,
-    correlation_spectrum,
     from_density,
     from_ket,
     profile,
@@ -72,9 +70,8 @@ __all__ = [
     "lambda_u4", "list_families", "noise_channel", "pauli_mixture",
     "uqt_nonunital_rank3", "uqt_nonunital_rank4", "uqt_unital_for_pure", "werner",
     "NumericMoments", "canonicalize", "numeric_moments", "teleport_output",
-    "CorrelationSpectrum", "TeleportProfile", "TwoQubitState", "bell_state",
-    "concurrence", "correlation_spectrum", "from_density", "from_ket", "profile",
-    "pure_state", "pure_state_from_concurrence",
+    "TeleportProfile", "TwoQubitState", "bell_state", "concurrence",
+    "from_density", "from_ket", "profile", "pure_state", "pure_state_from_concurrence",
 ]
 
 __version__ = "0.1.0"

@@ -238,8 +238,7 @@ def criterion_unital_pure_uqt() -> tuple[bool, str]:
     ok = True
     details = []
     for c in (0.55, 0.7, 0.9):
-        lo = (1.0 + 2.0 * c) / (6.0 * c)
-        hi = 1.0 / (2.0 - c)
+        lo, hi = families.uqt_unital_p0_window(c)
         ch = families.uqt_unital_for_pure(c, (lo + hi) / 2.0)
         prof = states.profile(channels.apply_to_bob(states.pure_state_from_concurrence(c), ch))
         ok &= prof.uqt and prof.delta <= 1e-12

@@ -13,6 +13,7 @@ Alice marginal I/2, and a unital channel additionally has Bob marginal I/2.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,19 +286,30 @@ def channel_to_json(ch: QubitChannel) -> str:
     return json.dumps(channel_to_jsonable(ch), indent=2)
 
 
+def json_number(value) -> float:
+    """A number of a JSON document as a float; TypeError for a bool, a
+    numeric string or any other value that is not a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def channel_from_jsonable(doc: dict) -> QubitChannel:
-    """The channel of a JSON object {"name", "kraus", "params"} with finite
-    params; ChannelValidationError for any other JSON document."""
+    """The channel of a JSON object {"name", "kraus", "params"} with a string
+    name, an object of finite params and numbers in the Kraus entries;
+    ChannelValidationError for any other JSON document."""
     try:
         if not isinstance(doc, dict):
             raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-        name = str(doc.get("name", "channel"))
-        params = {str(k): float(v) for k, v in dict(doc.get("params", {})).items()}
+        name, params = doc.get("name", "channel"), doc.get("params", {})
+        if not isinstance(name, str) or not isinstance(params, dict):
+            raise TypeError(f"name must be a string and params an object: {name!r}, {params!r}")
+        params = {str(k): json_number(v) for k, v in params.items()}
         if not all(np.isfinite(v) for v in params.values()):
             raise ValueError(f"params must be finite, got {params}")
         kraus = []
         for entry in doc["kraus"]:
-            flat = [complex(re, im) for re, im in entry]
+            flat = [complex(json_number(re), json_number(im)) for re, im in entry]
             if len(flat) != 4:
                 raise ValueError(f"Kraus entry must have 4 complex values, got {len(flat)}")
             kraus.append(np.array(flat, dtype=complex).reshape(2, 2))

@@ -39,7 +39,7 @@ def _emit(text: str, path: str | None) -> bool:
 def _cmd_analyze(args) -> int:
     try:
         rep = explorer.analyze_file(args.channel, initial=args.initial)
-    except (ChannelValidationError, OSError) as exc:
+    except (ChannelValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ValueError, explorer.SweepSpecError) as exc:

@@ -181,12 +181,12 @@ class SweepSpec:
             if not isinstance(params, dict):
                 raise TypeError(f"family params must be a JSON object, got {params!r}")
             spec = FamilySpec(family_id=family_id,
-                              params={str(k): float(v) for k, v in params.items()})
+                              params={str(k): channels.json_number(v) for k, v in params.items()})
             bad = {k: v for k, v in spec.params.items() if not math.isfinite(v)}
             if bad:
                 raise SweepSpecError(f"family params must be finite, got {bad}")
-            axes = tuple(Axis(param=str(a["param"]), start=float(a["start"]),
-                              stop=float(a["stop"]), step=float(a["step"]))
+            axes = tuple(Axis(str(a["param"]), *(channels.json_number(a[k]) for k in
+                                                  ("start", "stop", "step")))
                          for a in doc["axes"])
             outputs = doc.get("outputs", CSV_FIELDS)
             if not isinstance(outputs, (list, tuple)) or len(set(outputs)) < len(outputs):
@@ -509,19 +509,13 @@ class AnalysisReport:
     oracle_info: dict
 
     def to_jsonable(self) -> dict:
-        prof = self.profile
         return {
             "channel": {"name": self.channel.name,
                         "params": {k: float(v) for k, v in self.channel.params.items()},
                         "kraus_count": len(self.channel.kraus)},
             "unital": self.unital,
             "choi_rank": self.choi_rank,
-            "profile": {
-                "f_max": prof.f_max, "delta": prof.delta, "det_t": prof.det_t,
-                "abs_t": [float(x) for x in prof.spectrum.abs_t],
-                "useful": prof.useful, "universal": prof.universal,
-                "uqt": prof.uqt, "formula_valid": prof.formula_valid,
-            },
+            "profile": dict(vars(self.profile), abs_t=self.profile.abs_t.tolist()),
             "oracle": dict(self.oracle_info),  # agrees: None where nothing was compared
         }
 

@@ -190,8 +190,7 @@ def lambda_u4(p: float):
 
 def _sample_uqt_unital(rng: np.random.Generator) -> dict:
     c = float(rng.uniform(0.5 + 1e-3, 1.0 - 1e-3))
-    lo = (1.0 + 2.0 * c) / (6.0 * c)
-    hi = 1.0 / (2.0 - c)
+    lo, hi = uqt_unital_p0_window(c)
     return {"c": c, "p0": float(rng.uniform(lo + 1e-4 * (hi - lo), hi))}
 
 
@@ -207,8 +206,7 @@ def uqt_unital_for_pure(c: float, p0: float):
     p1 = p2 = (1 + (1-2 p0) c)/(4 + 2c) and the final state has all
     correlation magnitudes equal to (4 p0 - 1) c / (2 + c) > 1/3.
     """
-    lo = (1.0 + 2.0 * c) / (6.0 * c)
-    hi = 1.0 / (2.0 - c)
+    lo, hi = uqt_unital_p0_window(c)
     if not lo < p0 <= hi:
         raise ValueError(f"p0 must lie in ({lo:.6g}, {hi:.6g}] for c={c!r}, got {p0!r}")
     p12 = (1.0 + (1.0 - 2.0 * p0) * c) / (4.0 + 2.0 * c)
@@ -345,6 +343,11 @@ def example_rank3_universal_only():
 def lambda_tilde_p2_max(p1: float) -> float:
     """Upper end of the valid p2 range for lambda_tilde_nu."""
     return (1.0 + p1) / (1.0 + p1 + np.sqrt(1.0 - p1 * p1))
+
+
+def uqt_unital_p0_window(c: float) -> tuple[float, float]:
+    """(lo, hi) of the p0 window lo < p0 <= hi of uqt_unital_for_pure at concurrence c."""
+    return (1.0 + 2.0 * c) / (6.0 * c), 1.0 / (2.0 - c)
 
 
 def _sample_tilde(rng: np.random.Generator) -> dict:

@@ -61,24 +61,18 @@ class TwoQubitState:
 
 
 @dataclass(frozen=True)
-class CorrelationSpectrum:
-    """Correlation magnitudes |t_11| >= |t_22| >= |t_33| (the singular
-    values of T) and det T."""
-
-    abs_t: np.ndarray
-    det_t: float
-
-
-@dataclass(frozen=True)
 class TeleportProfile:
-    """Maximal average fidelity F, fidelity deviation, and verdicts of one
-    state, as `verdicts` defines them; f_max and delta are None where the
-    closed forms do not apply (det T > 0, formula_valid False)."""
+    """Maximal average fidelity F, fidelity deviation, det T, the correlation
+    magnitudes |t_11| >= |t_22| >= |t_33| (the singular values of T) and the
+    verdicts, as `verdicts` defines them: arrays with one entry per matrix
+    of a stack from `verdicts`, Python values of one state from `profiles`
+    and `profile`, where f_max and delta are None if the closed forms do not
+    apply (det T > 0, formula_valid False)."""
 
     f_max: float | None
     delta: float | None
     det_t: float
-    spectrum: CorrelationSpectrum
+    abs_t: np.ndarray  # (..., 3), descending
     useful: bool
     universal: bool
     uqt: bool
@@ -251,23 +245,8 @@ def nonzero_magnitudes(abs_t: np.ndarray) -> np.ndarray:
     return abs_t > ZERO_CORR * np.maximum(1.0, abs_t[..., :1])
 
 
-@dataclass(frozen=True)
-class Verdicts:
-    """`verdicts` of a stack, one entry per matrix; f_max and delta are
-    meaningful only where formula_valid."""
-
-    abs_t: np.ndarray  # (..., 3) singular values of T, descending
-    det_t: np.ndarray
-    f_max: np.ndarray
-    delta: np.ndarray
-    formula_valid: np.ndarray
-    useful: np.ndarray
-    universal: np.ndarray
-    uqt: np.ndarray
-
-
-def verdicts(t_mat: np.ndarray) -> Verdicts:
-    """Classify correlation matrices of shape (..., 3, 3) for teleportation.
+def verdicts(t_mat: np.ndarray) -> TeleportProfile:
+    """Classify correlation matrices (..., 3, 3) into one TeleportProfile of arrays.
 
     F = (1 + sum|t_ii|/3)/2 and delta = sqrt(sum_{i<j}(|t_ii|-|t_jj|)^2) /
     (3 sqrt(10)) with |t_ii| the singular values of T; they apply when
@@ -292,33 +271,23 @@ def verdicts(t_mat: np.ndarray) -> Verdicts:
     valid = det_t <= 0.0
     useful = valid & (f_max > 2.0 / 3.0 + EPS_CLS)
     universal = valid & (a1 - a3 <= EPS_UQT) & (delta <= EPS_UQT)
-    return Verdicts(abs_t=abs_t, det_t=det_t, f_max=f_max, delta=delta,
-                    formula_valid=valid, useful=useful, universal=universal,
-                    uqt=useful & universal & (a3 > 1.0 / 3.0 + EPS_CLS))
-
-
-def correlation_spectrum(state: TwoQubitState) -> CorrelationSpectrum:
-    """Correlation magnitudes and det T of one state, as `verdicts` finds them."""
-    return profile(state).spectrum
-
-
-def _profile(abs_t, det_t, f_max, delta, valid, useful, universal, uqt) -> TeleportProfile:
-    """The TeleportProfile of one state's `verdicts`, given as Python values."""
-    return TeleportProfile(f_max=f_max if valid else None, delta=delta if valid else None,
-                           det_t=det_t, spectrum=CorrelationSpectrum(abs_t=abs_t, det_t=det_t),
-                           useful=useful, universal=universal, uqt=uqt, formula_valid=valid)
+    return TeleportProfile(f_max=f_max, delta=delta, det_t=det_t, abs_t=abs_t, useful=useful,
+                           universal=universal, uqt=useful & universal & (a3 > 1.0 / 3.0 + EPS_CLS),
+                           formula_valid=valid)
 
 
 def profiles(t_mat: np.ndarray) -> list[TeleportProfile]:
-    """`profile` of each correlation matrix of a stack (N, 3, 3), by one `verdicts` call."""
+    """The TeleportProfile of each correlation matrix of a stack (N, 3, 3) in
+    Python values, by one `verdicts` call; f_max and delta are None where
+    det T > 0."""
     v = verdicts(t_mat)
-    return [_profile(*values) for values in zip(v.abs_t, *(x.tolist() for x in (
-        v.det_t, v.f_max, v.delta, v.formula_valid, v.useful, v.universal, v.uqt)))]
+    rows = zip(v.f_max.tolist(), v.delta.tolist(), v.det_t.tolist(), v.abs_t, v.useful.tolist(),
+               v.universal.tolist(), v.uqt.tolist(), v.formula_valid.tolist())  # field order
+    return [TeleportProfile(f if ok else None, d if ok else None, *rest, ok)
+            for f, d, *rest, ok in rows]
 
 
 def profile(state: TwoQubitState) -> TeleportProfile:
-    """Classify one state for quantum teleportation: `verdicts` of its
-    correlation matrix, with f_max and delta None where det T > 0."""
-    v = verdicts(state.hs.t_mat)  # alone: numpy scalars cost less than a stack of one
-    return _profile(v.abs_t, float(v.det_t), float(v.f_max), float(v.delta),
-                    bool(v.formula_valid), bool(v.useful), bool(v.universal), bool(v.uqt))
+    """Classify one state for quantum teleportation: the one-member view of
+    `profiles`."""
+    return profiles(state.hs.t_mat[None])[0]

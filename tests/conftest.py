@@ -55,3 +55,5 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=10)
 #: JSON numbers, mostly of a plausible size
 JSON_NUMBERS = st.one_of(st.floats(-1.5, 1.5), st.floats(), st.integers(-2, 2), st.just(10**400))
+#: values float() takes that are no JSON number: bools and numeric strings
+NUMBER_LOOKALIKES = st.booleans() | JSON_NUMBERS.map(str)

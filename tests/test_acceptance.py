@@ -73,7 +73,7 @@ def _reference_nonunital_uqt_families():
             rep = channels.report(ch)
             cs = rep.choi
             prof = states.profile(cs)
-            worst["abs_t"] = max(worst["abs_t"], float(np.max(np.abs(prof.spectrum.abs_t - t))))
+            worst["abs_t"] = max(worst["abs_t"], float(np.max(np.abs(prof.abs_t - t))))
             worst["delta"] = max(worst["delta"], prof.delta)
             worst["f"] = max(worst["f"], abs(prof.f_max - (1.0 + t) / 2.0))
             vals = linalg.hermitian_eig(cs.rho).eigenvalues

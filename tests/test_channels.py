@@ -25,6 +25,7 @@ from conftest import (
     JSON_NUMBERS,
     JSON_SCALARS,
     JSON_VALUES,
+    NUMBER_LOOKALIKES,
     random_density,
     random_kraus,
     random_unitary,
@@ -500,13 +501,15 @@ def test_json_rejects_malformed():
 _IDENTITY = [[[1, 0], [0, 0], [0, 0], [1, 0]]]
 _KRAUS_DOCS = st.one_of(
     st.just(_IDENTITY),
-    st.lists(st.lists(st.lists(JSON_NUMBERS | JSON_SCALARS, min_size=2, max_size=2) | JSON_VALUES,
+    st.lists(st.lists(st.lists(JSON_NUMBERS | NUMBER_LOOKALIKES | JSON_SCALARS, min_size=2,
+                               max_size=2) | JSON_VALUES,
                       min_size=3, max_size=5) | JSON_VALUES, max_size=2),
     JSON_VALUES)
 CHANNEL_DOCS = st.one_of(JSON_VALUES, st.fixed_dictionaries(
     {"kraus": _KRAUS_DOCS},
     optional={"name": JSON_VALUES,
-              "params": st.dictionaries(st.text(max_size=2), JSON_NUMBERS | JSON_VALUES, max_size=2)
+              "params": st.dictionaries(st.text(max_size=2),
+                                        JSON_NUMBERS | NUMBER_LOOKALIKES | JSON_VALUES, max_size=2)
               | JSON_VALUES}))
 
 
@@ -518,6 +521,10 @@ def test_channel_documents_end_in_a_channel_or_a_validation_error(doc):
     except ChannelValidationError:
         return
     assert all(isinstance(v, float) and np.isfinite(v) for v in ch.params.values())
+    numbers = [*doc.get("params", {}).values(), *(x for entry in doc["kraus"]
+                                                  for pair in entry for x in pair)]
+    assert all(type(x) in (int, float) for x in numbers)  # JSON numbers, not bools or strings
+    assert isinstance(doc.get("name", ""), str)
     json.dumps(channels.channel_to_jsonable(ch), allow_nan=False)
 
 

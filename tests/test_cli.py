@@ -30,7 +30,10 @@ def test_analyze_oracle_agrees_is_null_where_nothing_was_compared(tmp_path, caps
     path = write_channel(tmp_path, families.pauli_mixture(0.0, 0.4, 0.4, 0.2))
     assert main(["analyze", path]) == 0
     doc = json.loads(capsys.readouterr().out)
+    assert list(doc["profile"]) == ["f_max", "delta", "det_t", "abs_t", "useful",
+                                    "universal", "uqt", "formula_valid"]
     assert doc["profile"]["formula_valid"] is False
+    assert doc["profile"]["f_max"] is None and doc["profile"]["delta"] is None
     assert doc["profile"]["det_t"] == pytest.approx(0.024, abs=1e-12)
     assert doc["oracle"]["agrees"] is None
 
@@ -74,10 +77,18 @@ _IDENTITY = '"kraus": [[[1, 0], [0, 0], [0, 0], [1, 0]]]'
     ("{%s, \"params\": {\"x\": NaN}}" % _IDENTITY, "params must be finite"),
     ("{%s, \"params\": {\"x\": 1e999}}" % _IDENTITY, "params must be finite"),
     ("[" * 100000 + "]" * 100000, "invalid JSON"),
+    (b"\xff\xfe{}", "can't decode byte 0xff"),  # like a missing or a non-JSON file
+    ('{"kraus": [[[true, 0], [0, 0], [0, 0], [1, 0]]]}', "expected a number, got True"),
+    ('{"kraus": [[["1", 0], [0, 0], [0, 0], [1, 0]]]}', "expected a number, got '1'"),
+    ('{%s, "params": {"p": true}}' % _IDENTITY, "expected a number, got True"),
+    ('{%s, "params": {"p": "0.5"}}' % _IDENTITY, "expected a number, got '0.5'"),
+    ('{%s, "params": [["p", 0.5]]}' % _IDENTITY, "params an object"),
+    ('{%s, "name": null}' % _IDENTITY, "name must be a string"),
+    ('{%s, "name": {"a": 1}}' % _IDENTITY, "name must be a string"),
 ])
 def test_analyze_outside_document_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "channel.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["analyze", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
@@ -156,6 +167,16 @@ _GAMMA = '{"param": "gamma", "start": 0.1, "stop": 0.2, "step": 0.1}'
     ('{"family": {"id": "gadc"}, "axes": [%s]}' % _GAMMA, "gadc: missing parameters ['N']"),
     ("[" * 100000 + "]" * 100000, "recursion"),
     (b"\xff\xfe{}", "can't decode byte 0xff"),
+    ('{"family": {"id": "gadc", "params": {"N": true}}, "axes": [%s]}' % _GAMMA,
+     "expected a number, got True"),
+    ('{"family": {"id": "gadc", "params": {"N": "0.1"}}, "axes": [%s]}' % _GAMMA,
+     "expected a number, got '0.1'"),
+    ('{"family": {"id": "gadc", "params": {"N": 0.1}}, '
+     '"axes": [{"param": "gamma", "start": "0", "stop": 0.2, "step": 0.1}]}',
+     "expected a number, got '0'"),
+    ('{"family": {"id": "gadc", "params": {"N": 0.1}}, '
+     '"axes": [{"param": "gamma", "start": 0.1, "stop": 0.2, "step": false}]}',
+     "expected a number, got False"),
 ])
 def test_sweep_outside_document_exit_3(tmp_path, capsys, text, message):
     path = tmp_path / "spec.json"

@@ -22,7 +22,7 @@ from uqtchan.explorer import (
     sweep_to_csv,
 )
 
-from conftest import JSON_NUMBERS, JSON_VALUES, load_script
+from conftest import JSON_NUMBERS, JSON_VALUES, NUMBER_LOOKALIKES, load_script
 
 S5 = np.sqrt(5.0)
 
@@ -118,15 +118,15 @@ def test_sweep_spec_from_jsonable_errors():
     assert spec.family.family_id == "dephasing"
 
 
+_NUMBER_SLOT = JSON_NUMBERS | NUMBER_LOOKALIKES | JSON_VALUES
 _AXIS_DOCS = st.fixed_dictionaries(
     {"param": st.sampled_from(["gamma", "N", "C", "p1", "x"]) | JSON_VALUES,
-     "start": JSON_NUMBERS | JSON_VALUES, "stop": JSON_NUMBERS | JSON_VALUES,
-     "step": JSON_NUMBERS | JSON_VALUES})
+     "start": _NUMBER_SLOT, "stop": _NUMBER_SLOT, "step": _NUMBER_SLOT})
 SWEEP_DOCS = st.one_of(JSON_VALUES, st.fixed_dictionaries(
     {"family": st.fixed_dictionaries(
         {"id": st.sampled_from(["gadc", "lambda_tilde_nu"]) | JSON_VALUES},
         optional={"params": st.dictionaries(st.sampled_from(["N", "gamma", "p2", "C"]),
-                                            JSON_NUMBERS | JSON_VALUES, max_size=2)
+                                            _NUMBER_SLOT, max_size=2)
                   | JSON_VALUES}) | JSON_VALUES,
      "axes": st.lists(_AXIS_DOCS | JSON_VALUES, max_size=2) | JSON_VALUES},
     optional={"initial": st.sampled_from(["bell1", "matched"]) | JSON_VALUES,
@@ -143,6 +143,9 @@ def test_sweep_documents_end_in_a_spec_or_a_spec_error(doc):
     except SweepSpecError:
         return
     assert all(isinstance(v, float) and math.isfinite(v) for v in spec.family.params.values())
+    numbers = [*doc["family"].get("params", {}).values(),
+               *(a[k] for a in doc["axes"] for k in ("start", "stop", "step"))]
+    assert all(type(x) in (int, float) for x in numbers)  # JSON numbers, not bools or strings
     if small:
         try:
             run_sweep(spec)

@@ -74,7 +74,7 @@ def test_uqt_unital_for_pure_correlation_value():
     c, p0 = 0.8, 0.8
     prof = matched_output_profile(uqt_unital_for_pure(c, p0), c)
     expected = (4 * p0 - 1) * c / (2 + c)
-    assert np.allclose(prof.spectrum.abs_t, expected, atol=1e-12)
+    assert np.allclose(prof.abs_t, expected, atol=1e-12)
     assert prof.uqt
 
 
@@ -241,7 +241,7 @@ def test_rank3_family_profile():
     rep = channels.report(ch)
     prof = states.profile(rep.choi)
     assert not rep.unital and rep.choi_rank == 3
-    assert np.allclose(prof.spectrum.abs_t, 0.6, atol=1e-12)
+    assert np.allclose(prof.abs_t, 0.6, atol=1e-12)
     assert prof.f_max == pytest.approx(0.8, abs=1e-12)
     assert prof.delta <= 1e-12
 

@@ -62,11 +62,31 @@ def test_compare_references_counts_identical_items_and_float_moves(tmp_path, cap
     moved = json.loads(json.dumps(_REFERENCE))
     moved["search"]["hits"][0]["f_max"] += 3e-16
     assert _compare(tmp_path, _REFERENCE, _REFERENCE) == 0
-    assert capsys.readouterr().out.splitlines()[:3] == [
-        "items: 2", "byte-identical: 2", "largest float difference: 0"]
+    assert capsys.readouterr().out.splitlines() == [
+        "items: 2", "byte-identical: 2", "largest float difference: 0",
+        "sweep: 1/1 byte-identical", "search: 1/1 byte-identical"]
     assert _compare(tmp_path, _REFERENCE, moved) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "byte-identical: 1" and out[2].startswith("largest float difference: 3.")
+    assert out[3:] == ["sweep: 1/1 byte-identical", "search: 0/1 byte-identical"]
+
+
+def test_compare_references_dump_gates_the_record_without_closed_forms(tmp_path, capsys):
+    module = load_script("compare_references")
+    path = str(tmp_path / "dump.json")
+    assert module.main(["dump", path]) == 0
+    capsys.readouterr()
+    with open(path, encoding="utf-8") as fh:
+        items = json.load(fh)
+    item = items["analyze pauli_mixture(0, 0.4, 0.4, 0.2) bell1"]  # det T = 0.024 > 0
+    prof = item["profile"]
+    assert prof["formula_valid"] is False and prof["f_max"] is None and prof["delta"] is None
+    assert item["oracle"]["agrees"] is None
+    assert module.compare(path, path) == 0
+    tally = capsys.readouterr().out.splitlines()[3:]
+    categories = ("sweep", "grid", "search", "analyze", "threshold", "verify", "oracle")
+    assert [line.split(":")[0] for line in tally] == list(categories)
+    assert all(same == total for same, total in (line.split()[1].split("/") for line in tally))
 
 
 @pytest.mark.parametrize("path,value", [

@@ -8,7 +8,6 @@ from uqtchan.linalg import I4
 from uqtchan.states import (
     bell_state,
     concurrence,
-    correlation_spectrum,
     from_density,
     hs_recompose,
     profile,
@@ -199,24 +198,24 @@ def test_concurrences_of_pure_states_follow_the_formula():
 
 
 # ---------------------------------------------------------------------------
-# correlation spectrum
+# correlation magnitudes
 # ---------------------------------------------------------------------------
 
 def test_spectrum_bell():
-    spec = correlation_spectrum(bell_state(1))
+    spec = profile(bell_state(1))
     assert np.allclose(spec.abs_t, [1, 1, 1])
     assert spec.det_t == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_spectrum_dephased_bell():
     rho = 0.75 * bell_state(1).rho + 0.25 * bell_state(4).rho
-    spec = correlation_spectrum(from_density(rho))
+    spec = profile(from_density(rho))
     assert np.allclose(spec.abs_t, [1.0, 0.5, 0.5], atol=1e-12)
     assert spec.det_t == pytest.approx(-0.25, abs=1e-12)
 
 
 def test_spectrum_pure_09():
-    spec = correlation_spectrum(pure_state(0.9))
+    spec = profile(pure_state(0.9))
     assert np.allclose(spec.abs_t, [1.0, 0.6, 0.6], atol=1e-12)
     assert spec.det_t == pytest.approx(-0.36, abs=1e-12)
 
@@ -224,7 +223,7 @@ def test_spectrum_pure_09():
 def test_spectrum_nonsymmetric_sorted_descending(rng):
     u = np.kron(random_unitary(rng), random_unitary(rng))
     rho = u @ pure_state(0.8).rho @ u.conj().T
-    spec = correlation_spectrum(from_density(rho))
+    spec = profile(from_density(rho))
     assert np.all(np.diff(spec.abs_t) <= 1e-12)  # sorted descending
 
 
@@ -374,38 +373,64 @@ def test_profile_delta_range(rng):
             assert prof.uqt == (prof.useful and prof.universal)
 
 
-def _pauli_grid_states(c, n=6):
-    # points of the acceptance suite's Pauli-mixture strata on |Psi_a>
-    psi = pure_state_from_concurrence(c)
-    out = []
-    for p0 in np.linspace(0.0, 1.0, n):
-        for p1 in np.linspace(0.0, 0.5, n):
-            for w in ((p0, p1, p1, 1 - p0 - 2 * p1), (p0, p1, 1 - 2 * p0 - p1, p0)):
-                if min(w) >= 0.0:
-                    out.append(channels.apply_to_bob(psi, families.pauli_mixture(*w)))
-    return out
+def _density_of_rank(rng, r, dim=4):
+    g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
-def test_verdicts_of_a_stack_match_profile_of_each_member(rng):
-    dephased = 0.5 * bell_state(1).rho + 0.5 * bell_state(4).rho  # det T = 0
+def _numpy_reference(t, det_zero):
+    """The TeleportProfile fields of one T from numpy's SVD and det alone;
+    det_zero marks a T of rank < 3, whose det T is 0."""
+    sv = np.linalg.svd(t, compute_uv=False)
+    ref = {"abs_t": sv, "det_t": 0.0 if det_zero else np.linalg.det(t),
+           "f_max": (1.0 + sv.sum() / 3.0) / 2.0,
+           "delta": np.sqrt((sv[0] - sv[1]) ** 2 + (sv[0] - sv[2]) ** 2 + (sv[1] - sv[2]) ** 2)
+           / (3.0 * np.sqrt(10.0))}
+    valid = ref["det_t"] <= 0.0
+    ref.update(formula_valid=valid, useful=valid and ref["f_max"] > 2.0 / 3.0 + states.EPS_CLS,
+               universal=valid and sv[0] - sv[2] <= states.EPS_UQT)
+    ref["uqt"] = ref["useful"] and ref["universal"] and sv[2] > 1.0 / 3.0 + states.EPS_CLS
+    return ref
+
+
+def test_verdicts_and_profiles_match_numpy_svd_and_det(rng):
+    qubit = [_density_of_rank(rng, r, dim=2) for r in (1, 2)] + [np.eye(2) / 2]
+    product = [np.kron(a, b) for a in qubit for b in qubit]  # T = r s^T, det T = 0
+    dephased = 0.5 * bell_state(1).rho + 0.5 * bell_state(4).rho  # T = diag(0, 0, 1)
+    positive = sum(w * bell_state(k).rho for w, k in zip((0.3, 0.3, 0.1, 0.3), (1, 2, 3, 4)))
     rotated = []
-    for _ in range(10):
+    for rho in [dephased] * 3 + [positive] * 3:
         u = np.kron(random_unitary(rng), random_unitary(rng))
-        rotated.append(from_density(u @ dephased @ u.conj().T))
-    werner = from_density(0.8 * bell_state(1).rho + 0.05 * I4)  # UQT
-    members = ([from_density(random_density(rng)) for _ in range(40)] + rotated
-               + _pauli_grid_states(0.45) + _pauli_grid_states(0.8) + [werner])
-    v = verdicts(np.array([m.hs.t_mat for m in members]))
-    profs = [profile(m) for m in members]  # the reference
-    dets = np.array([p.det_t for p in profs])
-    assert (dets > 0).any() and (dets < 0).any() and (dets[40:50] == 0.0).all()
-    assert any(p.uqt for p in profs) and not all(p.useful for p in profs)
+        rotated.append(u @ rho @ u.conj().T)
+    werners = [p * bell_state(1).rho + (1 - p) / 4 * I4 for p in (0.2, 0.8, 1.0)]
+    ranked = [_density_of_rank(rng, r) for r in (1, 2, 3, 4) for _ in range(10)]
+    rhos = product + rotated[:3] + ranked + rotated[3:] + werners
+    det_zero = [i < len(product) + 3 for i in range(len(rhos))]
+    members = [from_density(rho) for rho in rhos]
+    t_mat = np.array([m.hs.t_mat for m in members])
+    v, profs = verdicts(t_mat), states.profiles(t_mat)
+    refs = [_numpy_reference(t, z) for t, z in zip(t_mat, det_zero)]
+    assert sum(r["det_t"] > 0 for r in refs) >= 5 and sum(r["uqt"] for r in refs) == 2
+    assert sum(r["useful"] for r in refs) > 10 and sum(not r["useful"] for r in refs) > 10
     flags = ("formula_valid", "useful", "universal", "uqt")
-    for i, p in enumerate(profs):  # same arithmetic per member, so equal to the bit
-        assert [bool(getattr(v, f)[i]) for f in flags] == [getattr(p, f) for f in flags]
-        assert v.abs_t[i].tolist() == p.spectrum.abs_t.tolist() and v.det_t[i] == p.det_t
-        if p.formula_valid:
-            assert (v.f_max[i], v.delta[i]) == (p.f_max, p.delta)
+    for i, (m, p, ref) in enumerate(zip(members, profs, refs)):
+        assert not det_zero[i] or v.det_t[i] == 0.0 == p.det_t  # exactly 0, not noise
+        assert abs(v.det_t[i] - ref["det_t"]) <= 1e-12 and abs(p.det_t - ref["det_t"]) <= 1e-12
+        assert np.max(np.abs(v.abs_t[i] - ref["abs_t"])) <= 1e-12
+        assert p.abs_t.tolist() == v.abs_t[i].tolist()
+        assert [bool(getattr(v, k)[i]) for k in flags] == [ref[k] for k in flags]
+        assert [getattr(p, k) for k in flags] == [ref[k] for k in flags]
+        assert all(type(getattr(p, k)) is bool for k in flags)
+        if ref["formula_valid"]:
+            assert abs(p.f_max - ref["f_max"]) <= 1e-12 and abs(p.delta - ref["delta"]) <= 1e-12
+            assert (p.f_max, p.delta) == (v.f_max[i], v.delta[i])
+        else:
+            assert p.f_max is None and p.delta is None
+        one = profile(m)  # a member alone gets the values it gets inside the stack
+        assert (one.f_max, one.delta, one.det_t) == (p.f_max, p.delta, p.det_t)
+        assert one.abs_t.tolist() == p.abs_t.tolist()
+        assert [getattr(one, k) for k in flags] == [getattr(p, k) for k in flags]
 
 
 def test_verdicts_of_one_matrix_equal_its_stack_member_to_the_bit(rng):
