@@ -13,6 +13,10 @@
   * the analyze JSON of one catalog point per family on bell1..bell4 and pure:0.8,
     and of pauli_mixture(0, 0.4, 0.4, 0.2) on bell1 (det T = 0.024 > 0: f_max,
     delta and the oracle's agrees are null);
+  * the channel JSON (Kraus list and params) of noise_channel at each family's
+    catalog point, at that point with one param moved to a closed end of its
+    range, and at the Pauli mixtures (1, 0, 0, 0) and (0, 0.5, 0, 0.5): the
+    error type and text where the point builds no channel;
   * find_threshold on the five run_threshold_suite.py cases at tol 1e-8 and
     at tol 1e-20, which bisects down to adjacent floats;
   * the 11 acceptance criteria of `uqtchan verify`: index, name, passed, detail;
@@ -22,8 +26,8 @@ It exits 1 if a sweep reports an oracle failure, an analysis disagrees with
 the oracle or an acceptance criterion fails. Run it on two versions of the library (PYTHONPATH=<src>) and
 `compare` the dumps: it prints the item count, how many items are
 byte-identical, the largest float difference and, per category (the first
-word of an item's name: sweep, grid, search, analyze, threshold, verify,
-oracle), the identical and total item counts. It exits 1 if a non-float
+word of an item's name: sweep, grid, search, analyze, channel, threshold,
+verify, oracle), the identical and total item counts. It exits 1 if a non-float
 value differs (type, key, order, length or value) or a float moves by more
 than 1e-12.
 """
@@ -38,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from uqtchan import acceptance, explorer, families, oracle, states
+from uqtchan import acceptance, channels, explorer, families, oracle, states
 
 FLOAT_TOL = 1e-12
 SCRIPTS = Path(__file__).resolve().parent
@@ -88,6 +92,26 @@ def _family_grid(family_id: str, initial: str) -> dict:
     return {"family": {"id": family_id, "params": params}, "initial": initial, "axes": axes}
 
 
+def _channel_item(family_id: str, params: dict) -> dict:
+    """The channel JSON of noise_channel(family_id, **params), or its error."""
+    try:
+        return channels.channel_to_jsonable(families.noise_channel(family_id, **params))
+    except ValueError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _channel_points(family_id: str) -> dict:
+    """name -> params: the catalog point, and the point with one param at
+    each closed end of its range."""
+    point = _catalog_point(family_id)
+    points = {"catalog": point}
+    for spec in families.get_family(family_id).params:
+        for end, is_open in ((spec.low, spec.low_open), (spec.high, spec.high_open)):
+            if end is not None and not is_open:
+                points[f"{spec.name}={end:g}"] = {**point, spec.name: end}
+    return points
+
+
 def _density(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     return g @ g.conj().T / np.linalg.norm(g) ** 2
@@ -129,6 +153,12 @@ def reference_items() -> dict:
             items[f"analyze {family_id} {initial}"] = explorer.analyze(ch, initial).to_jsonable()
     ch = families.pauli_mixture(0.0, 0.4, 0.4, 0.2)  # det T > 0 on bell1: no closed form
     items["analyze pauli_mixture(0, 0.4, 0.4, 0.2) bell1"] = explorer.analyze(ch).to_jsonable()
+    for family_id in sorted(families.FAMILIES):
+        for name, params in _channel_points(family_id).items():
+            items[f"channel {family_id} {name}"] = _channel_item(family_id, params)
+    for weights in ((1.0, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.5)):  # zero weights are omitted
+        params = dict(zip(("p0", "p1", "p2", "p3"), weights))
+        items[f"channel pauli_mixture {weights}"] = _channel_item("pauli_mixture", params)
     cases = _module(SCRIPTS, "run_threshold_suite").CASES
     for family_id, param, bracket, predicate, fixed, *_ in cases:
         for tol in (1e-8, 1e-20):

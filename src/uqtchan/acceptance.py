@@ -143,9 +143,9 @@ def criterion_nonunital_uqt_families() -> tuple[bool, str]:
     ok = True
     msgs = []
     for kind, want_rank, rows in (("rank4", 4, rank4), ("rank3", 3, rank3)):
-        built = families.checked_rows(f"uqt_nonunital_{kind}", rows)
-        _raise_first(built)
-        stack, choi, ranks = _validated([kraus for kraus, _ in built])
+        block = families.checked_rows(f"uqt_nonunital_{kind}", rows)
+        _raise_first(block.errors)
+        stack, choi, ranks = _validated(block.kraus)
         t = np.array([row["t"] for row in rows])
         v = states.verdicts(states.hs_decompose(choi).t_mat)
         worst["abs_t"] = max(worst["abs_t"], float(np.max(np.abs(v.abs_t - t[:, None]))))

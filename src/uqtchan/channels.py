@@ -71,7 +71,7 @@ def completeness_sum(kraus) -> np.ndarray:
     """S = sum_i K_i^dag K_i of a Kraus stack (k, 2, 2), or of each member of
     (..., k, 2, 2); S = I for a channel."""
     ks = np.asarray(kraus, dtype=complex)
-    return (dagger(ks) @ ks).sum(axis=-3)
+    return np.einsum("...kab,...kac->...bc", ks.conj(), ks)
 
 
 def completeness_residual(kraus) -> float | np.ndarray:
@@ -86,10 +86,6 @@ def unitality_residual(kraus) -> float | np.ndarray:
     return np.abs((ks @ dagger(ks)).sum(axis=-3) - I2).max(axis=(-2, -1))
 
 
-_PHI1 = np.outer(states.BELL_KETS[0], states.BELL_KETS[0].conj())
-_PHI1.setflags(write=False)
-
-
 def bob_action(rho: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """sum_i (I x K_i) rho (I x K_i)^dag as one contraction over the
     (2,2,2,2) reshape of rho and the (k,2,2) Kraus stack; rho (..., 4, 4)
@@ -101,8 +97,13 @@ def bob_action(rho: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 def choi_matrix(kraus) -> np.ndarray:
     """Trace-1 Choi matrix sum_i (I x K_i) |Phi_1><Phi_1| (I x K_i)^dag of a
-    Kraus stack, or of each member of a stack of them."""
-    return bob_action(_PHI1, np.asarray(kraus, dtype=complex))
+    Kraus stack, or of each member of a stack of them, as the Gram product
+    J = 1/2 sum_i v_i v_i^dag of v_i = vec(K_i^T) = sqrt(2) (I x K_i)|Phi_1>.
+    One 2-operand einsum, not @, so that a member alone gets the same bits
+    as inside a stack."""
+    ks = np.asarray(kraus, dtype=complex)
+    v = ks.swapaxes(-1, -2).reshape(ks.shape[:-2] + (4,))
+    return 0.5 * np.einsum("...ka,...kb->...ab", v, v.conj())
 
 
 #: s_j with sigma_j^T = s_j sigma_j (sigma_0 = I)
@@ -119,17 +120,18 @@ def final_correlations(rho: np.ndarray, choi: np.ndarray) -> np.ndarray:
     return final[:, 1:, 1:] / final[:, :1, :1]
 
 
-def validate_stack(kraus_lists) -> tuple[np.ndarray, np.ndarray, list]:
-    """Check N Kraus lists as `validate` checks one, with one completeness
-    reduction, one Choi contraction and one hermitian_eig for all of them.
-
-    Returns the read-only (N, k, 2, 2) stack of the operators, each list
-    padded with zero operators to the longest well-formed list's k (a zero
-    operator changes neither completeness nor the Choi matrix; a malformed
-    member is all zeros); their trace-1 Choi matrices (N, 4, 4) as
-    from_density stores them, zero for a member rejected before that; and
-    per member its Choi rank or the ChannelValidationError of `validate`.
-    """
+def _stack(kraus_lists) -> tuple[np.ndarray, list]:
+    """The members as one (N, k, 2, 2) stack, each padded with zero
+    operators to the longest well-formed member's k, and per member None or
+    the ChannelValidationError of its malformed input, whose stack member is
+    all zeros. A ready stack, such as a family block's, is checked as a
+    whole: only a non-finite member can be malformed."""
+    if isinstance(kraus_lists, np.ndarray) and kraus_lists.ndim == 4 \
+            and kraus_lists.shape[2:] == (2, 2) and 1 <= kraus_lists.shape[1] <= MAX_KRAUS:
+        finite = np.isfinite(kraus_lists).all(axis=(1, 2, 3))
+        stack = np.where(finite[:, None, None, None], kraus_lists, 0.0).astype(complex, copy=False)
+        error = "Kraus operator has non-finite entries"
+        return stack, [None if ok else ChannelValidationError(error) for ok in finite.tolist()]
     outcomes: list = []
     ops = []
     for kraus in kraus_lists:
@@ -146,6 +148,21 @@ def validate_stack(kraus_lists) -> tuple[np.ndarray, np.ndarray, list]:
     for i, k in enumerate(ops):
         if k is not None:
             stack[i, :len(k)] = k
+    return stack, outcomes
+
+
+def validate_stack(kraus_lists) -> tuple[np.ndarray, np.ndarray, list]:
+    """Check N Kraus lists, or a ready (N, k, 2, 2) stack, as `validate`
+    checks one, with one completeness reduction, one Choi contraction and
+    one hermitian_eig for all of them.
+
+    Returns the read-only (N, k, 2, 2) stack of the operators (see
+    `_stack`; a zero operator changes neither completeness nor the Choi
+    matrix); their trace-1 Choi matrices (N, 4, 4) as from_density stores
+    them, zero for a member rejected before that; and per member its Choi
+    rank or the ChannelValidationError of `validate`.
+    """
+    stack, outcomes = _stack(kraus_lists)
     stack.setflags(write=False)
     for i, res in enumerate(completeness_residual(stack).tolist()):
         if outcomes[i] is None and res > EPS_COMPLETE:
@@ -159,8 +176,8 @@ def validate_stack(kraus_lists) -> tuple[np.ndarray, np.ndarray, list]:
         outcomes[i] = rank if err is None else \
             ChannelValidationError(f"Choi matrix rejected: {err}")
     choi = dens.rho
-    if len(live) < len(ops):  # members rejected before: zeros keep the rows aligned
-        choi = np.zeros((len(ops), 4, 4), dtype=complex)
+    if len(live) < len(stack):  # members rejected before: zeros keep the rows aligned
+        choi = np.zeros((len(stack), 4, 4), dtype=complex)
         choi[live] = dens.rho
     return stack, choi, outcomes
 

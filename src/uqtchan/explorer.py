@@ -15,6 +15,7 @@ correlations off its Choi matrix.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import numbers
@@ -104,41 +105,57 @@ def oracle_check(final: TwoQubitState, prof: TeleportProfile) -> tuple[bool, dic
     return ok, info
 
 
-def _apply_and_classify(kraus_lists, rho: np.ndarray) -> tuple[list, np.ndarray]:
-    """Validate N Kraus lists and classify the final state of Bob's half of
-    rho (one 4x4 density matrix, or one per list) after each valid channel,
-    as one stack, read off the Choi matrices of validate_stack by
-    `channels.final_correlations`; no final state is built. Returns per list
-    the ChannelValidationError of `validate` or (TeleportProfile, Choi
-    rank), and the unitality residual of each list."""
-    stack, choi, outcomes = channels.validate_stack(kraus_lists)
+def _apply_and_classify(kraus, rho: np.ndarray) -> tuple[list, TeleportProfile, np.ndarray]:
+    """Validate N Kraus lists, or a ready (N, k, 2, 2) stack, and classify
+    the final state of Bob's half of rho (one 4x4 density matrix, or one
+    per member) after each valid channel, as one stack, read off the Choi
+    matrices of validate_stack by `channels.final_correlations`; no final
+    state is built. Returns per member its Choi rank or the
+    ChannelValidationError of `validate`; the array-field TeleportProfile of
+    one `verdicts` call, one entry per valid member in member order; and
+    the unitality residual of each member."""
+    stack, choi, outcomes = channels.validate_stack(kraus)
     accepted = [i for i, out in enumerate(outcomes) if not isinstance(out, ChannelValidationError)]
     t_mat = channels.final_correlations(rho if rho.ndim == 2 else rho[accepted], choi[accepted])
-    for i, prof in zip(accepted, states.profiles(t_mat)):
-        outcomes[i] = (prof, outcomes[i])
-    return outcomes, channels.unitality_residual(stack)
+    return outcomes, states.verdicts(t_mat), channels.unitality_residual(stack)
+
+
+def _columns(prof: TeleportProfile) -> dict:
+    """The fields of an array-field TeleportProfile as columns of Python
+    values, one tolist() per field, but abs_t, which stays an (N, 3) array;
+    f_max and delta are None where the closed forms do not apply."""
+    cols = {f.name: getattr(prof, f.name) for f in dataclasses.fields(prof)}
+    cols.update({name: col.tolist() for name, col in cols.items() if name != "abs_t"})
+    for name in ("f_max", "delta"):
+        cols[name] = [x if ok else None for x, ok in zip(cols[name], cols["formula_valid"])]
+    return cols
 
 
 def _classify_rows(family_id: str, rows: list[dict], initial: str | TwoQubitState
-                   ) -> tuple[list, list, np.ndarray, np.ndarray]:
+                   ) -> tuple[list, dict, families.Block, np.ndarray]:
     """The row engine of sweeps and thresholds: the family's keyword rows,
-    built by one checked_rows call and classified on `initial` (a state, or
-    "matched": |Psi_a> of each row's concurrence) by one `_apply_and_classify`.
-    Returns per row its error text, as evaluate_point raises it, or
-    (TeleportProfile, Choi rank); the Kraus lists; rho; the unitality residuals."""
-    built = families.checked_rows(family_id, rows)
-    errors = [str(res) if isinstance(res, ValueError) else None for res in built]
-    built = [([], {}) if err else res for err, res in zip(errors, built)]  # failed rows stay empty
+    built as one block by checked_rows and classified on `initial` (a
+    state, or "matched": |Psi_a> of each row's concurrence) by one
+    `_apply_and_classify`. Returns per row its error text, as
+    evaluate_point raises it, or None; the `_columns` of the valid rows in
+    row order, with their "choi_rank" and "unital" columns; the block; and
+    rho."""
+    block = families.checked_rows(family_id, rows)
     if isinstance(initial, str):  # "matched"; concurrence 1.0 for a failed row
-        param = families.MATCHED_CONCURRENCE_PARAM[family_id]
-        rho = states.pure_densities_from_concurrence([rec.get(param, 1.0) for _, rec in built])
+        c = block.params[families.MATCHED_CONCURRENCE_PARAM[family_id]]
+        rho = states.pure_densities_from_concurrence(np.where(np.isnan(c), 1.0, c).tolist())
     else:
         rho = initial.rho
-    kraus = [ops for ops, _ in built]
-    outcomes, unitality = _apply_and_classify(kraus, rho)
-    outcomes = [(err or str(out)) if isinstance(out, ChannelValidationError) else out
-                for err, out in zip(errors, outcomes)]  # a row that failed to build is invalid too
-    return outcomes, kraus, rho, unitality
+    outcomes, prof, unitality = _apply_and_classify(block.kraus, rho)
+    # a row that failed to build is invalid too, with its build error
+    errors = [str(err) if err is not None else str(out)
+              if isinstance(out, ChannelValidationError) else None
+              for err, out in zip(block.errors, outcomes)]
+    valid = [i for i, err in enumerate(errors) if err is None]
+    cols = _columns(prof)
+    cols["choi_rank"] = [outcomes[i] for i in valid]
+    cols["unital"] = (unitality[valid] <= channels.EPS_CPTP).tolist()
+    return errors, cols, block, rho
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +267,25 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     header = tuple(["family"] + [f"param:{ax.param}" for ax in spec.axes]
                    + list(spec.outputs) + ["error"])
+    empty = (None,) * len(spec.outputs)
     rows: list[tuple] = []
     oracle_failures = 0
+    names = [ax.param for ax in spec.axes]
     for first in range(0, total, SWEEP_BLOCK):
         combos = list(itertools.islice(points, SWEEP_BLOCK))
-        outcomes, kraus, rho, unitality = _classify_rows(family_id, [
-            {**spec.family.params, **{ax.param: v for ax, v in zip(spec.axes, combo)}}
-            for combo in combos], initial)
-        for i, (combo, out) in enumerate(zip(combos, outcomes)):
-            if isinstance(out, str):
-                rows.append((family_id, *combo, *[None] * len(spec.outputs), out))
-                continue
-            prof, rank = out
-            checked = (first + i) % ORACLE_EVERY == 0
-            if checked:  # the literal final state, against the values the row reports
-                final = channels.bob_action(rho if rho.ndim == 2 else rho[i],
-                                            np.asarray(kraus[i], dtype=complex))
-                oracle_failures += not oracle_check(states.from_density(final), prof)[0]
-            values = dict(vars(prof), choi_rank=rank, oracle_checked=checked,
-                          unital=bool(unitality[i] <= channels.EPS_CPTP))
-            rows.append((family_id, *combo, *(values[k] for k in spec.outputs), ""))
+        errors, cols, block, rho = _classify_rows(family_id, [
+            {**spec.family.params, **dict(zip(names, combo))} for combo in combos], initial)
+        valid = [i for i, err in enumerate(errors) if err is None]
+        cols["oracle_checked"] = [(first + i) % ORACLE_EVERY == 0 for i in valid]
+        for a, i in enumerate(valid):
+            if cols["oracle_checked"][a]:  # the literal final state, against the row's values
+                final = channels.bob_action(rho if rho.ndim == 2 else rho[i], block.kraus[i])
+                row_prof = TeleportProfile(**{f.name: cols[f.name][a]
+                                              for f in dataclasses.fields(TeleportProfile)})
+                oracle_failures += not oracle_check(states.from_density(final), row_prof)[0]
+        values = zip(*(cols[name] for name in spec.outputs))
+        rows += [(family_id, *combo, *empty, err) if err else (family_id, *combo, *next(values), "")
+                 for combo, err in zip(combos, errors)]
     return SweepResult(header=header, rows=tuple(rows), oracle_failures=oracle_failures)
 
 
@@ -335,10 +351,10 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
         return params
 
     def value(x: float) -> bool:  # classified as a sweep row is, as a block of one row
-        (out,), *_ = _classify_rows(family_id, [point_params(x)], initial)
-        if isinstance(out, str):
-            raise SweepSpecError(f"{param} = {x!r}: {out}")
-        return bool(getattr(out[0], predicate))
+        (error,), cols, *_ = _classify_rows(family_id, [point_params(x)], initial)
+        if error:
+            raise SweepSpecError(f"{param} = {x!r}: {error}")
+        return cols[predicate][0]
 
     v_lo, v_hi = value(lo), value(hi)
     if v_lo == v_hi:
@@ -444,13 +460,22 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
     def dev(entry: dict) -> float:  # a deviation up to EPS_UQT, verdicts' zero, is 0
         return 0.0 if entry["delta"] <= states.EPS_UQT else entry["delta"]
 
-    def as_entry(name: str, params: dict, prof: TeleportProfile) -> dict:
+    def entries_of(kraus_lists) -> list:
+        """Per candidate its ChannelValidationError, or its (f_max, delta,
+        uqt) and unitality residual, by one _apply_and_classify."""
+        outcomes, prof, unitality = _apply_and_classify(kraus_lists, state.rho)
+        cols = _columns(prof)
+        values = zip(cols["f_max"], cols["delta"], cols["uqt"])
+        return [out if isinstance(out, ChannelValidationError) else (next(values), res)
+                for out, res in zip(outcomes, unitality.tolist())]
+
+    def as_entry(name: str, params: dict, values: tuple) -> dict:
+        f_max, delta, uqt = values
         return {"channel": name, "params": {k: float(v) for k, v in params.items()},
-                "f_max": prof.f_max, "delta": prof.delta, "uqt": prof.uqt}
+                "f_max": f_max, "delta": delta, "uqt": uqt}
 
     star_ch = families.lambda_star_nu(concurrence)  # deterministic: classified once per call
-    outcomes, _ = _apply_and_classify([star_ch.kraus], state.rho)
-    star = as_entry(star_ch.name, star_ch.params, outcomes[0][0])
+    star = as_entry(star_ch.name, star_ch.params, entries_of([star_ch.kraus])[0][0])
 
     for first in range(0, budget, SEARCH_BLOCK):
         n = min(SEARCH_BLOCK, budget - first)
@@ -468,16 +493,18 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
             elif kind == 2:
                 p2s[j], entries[j] = float(rng.uniform(1e-6, tilde_p2_max * (1.0 - 1e-9))), None
         drawn = set(lists)  # samples of a random candidate
-        for j, res in zip(p2s, families.checked_rows(
-                "lambda_tilde_nu", [{"p1": concurrence, "p2": p2} for p2 in p2s.values()])):
-            if isinstance(res, ValueError):
-                raise res  # the first build error, in sample order
-            lists[j], labels[j] = res[0], ("lambda_tilde_nu", res[1])
+        block = families.checked_rows(
+            "lambda_tilde_nu", [{"p1": concurrence, "p2": p2} for p2 in p2s.values()])
+        recorded = {name: col.tolist() for name, col in block.params.items()}
+        for r, (j, err) in enumerate(zip(p2s, block.errors)):
+            if err is not None:
+                raise err  # the first build error, in sample order
+            lists[j] = block.kraus[r]
+            labels[j] = ("lambda_tilde_nu", {name: col[r] for name, col in recorded.items()})
         members = sorted(lists)
-        outcomes, unitality = _apply_and_classify([lists[j] for j in members], state.rho)
-        for j, out, res in zip(members, outcomes, unitality):
+        for j, out in zip(members, entries_of([lists[j] for j in members])):
             invalid = isinstance(out, ChannelValidationError)
-            if j in drawn and (invalid or res < UNITAL_SKIP_TOL):
+            if j in drawn and (invalid or out[1] < UNITAL_SKIP_TOL):
                 continue  # an invalid or effectively unital random candidate
             if invalid:
                 raise out

@@ -2,12 +2,16 @@
 catalog, and the non-unital constructions that keep shared entanglement
 useful for universal quantum teleportation (UQT).
 
-Each family is declared once, next to a builder that returns only its raw
-Kraus operators (or Choi matrix) and the params to record. `noise_channel`
-is the one validation site: it rejects a non-finite or out-of-range parameter with a
-ValueError naming it, runs the builder and validates the channel. Builders
-check only constraints that span several parameters. Public constructors
-return noise_channel(<id>, ...), so direct and catalog calls agree.
+Each family is declared once, next to an array builder. The builder takes
+the family's params as equal-length float arrays, one entry per row, and
+returns the rows' raw Kraus operators as one (n, k, 2, 2) array (a Choi
+family: its Choi matrices, (n, 4, 4)), the params to record as arrays, and
+the error of each row that breaks a constraint spanning several params.
+`checked_rows` is the one validation site: it turns each param into a
+float, rejects a non-finite or out-of-range one with a ValueError naming
+it, and calls the builder once on the rows that pass. `checked_build` and
+`noise_channel` are its one-row views, and public constructors return
+noise_channel(<id>, ...), so direct and catalog calls agree.
 Time-parameterized noise families take their raw constants plus a time t
 and record the derived mixing probability p(t) in the channel's params.
 """
@@ -24,9 +28,10 @@ import numpy as np
 
 from . import channels
 from .channels import ChannelValidationError, QubitChannel
-from .linalg import I2, PAULIS, SX, SY, SZ
+from .linalg import PAULIS
 
 _P_CLAMP = 1e-12
+_PAULIS = np.array(PAULIS)
 
 
 # ---------------------------------------------------------------------------
@@ -49,27 +54,43 @@ class ParamSpec:
         return f"{'(' if self.low_open or self.low is None else '['}{lo}, {hi}" \
                f"{')' if self.high_open or self.high is None else ']'}"
 
-    def check(self, value: float, family_id: str) -> None:
-        """Reject a non-finite value, then one outside the declared range."""
+    def closed_range(self) -> tuple[float, float]:
+        """The range as a closed float interval [lo, hi]: an open end moves
+        to the next float inside, a missing one to the largest finite float,
+        so that lo <= x <= hi fails for exactly the values `error` describes."""
+        big = float(np.finfo(float).max)
+        lo = -big if self.low is None else \
+            float(np.nextafter(self.low, np.inf)) if self.low_open else self.low
+        hi = big if self.high is None else \
+            float(np.nextafter(self.high, -np.inf)) if self.high_open else self.high
+        return lo, hi
+
+    def error(self, value: float, family_id: str) -> str:
+        """The error text of a value outside `closed_range`."""
         if not math.isfinite(value):
-            raise ValueError(f"{family_id}: {self.name} must be finite, got {value!r}")
-        if self.low is not None and (value < self.low or (self.low_open and value == self.low)):
-            raise ValueError(f"{family_id}: {self.name} must lie in {self.range_text()}, got {value!r}")
-        if self.high is not None and (value > self.high or (self.high_open and value == self.high)):
-            raise ValueError(f"{family_id}: {self.name} must lie in {self.range_text()}, got {value!r}")
+            return f"{family_id}: {self.name} must be finite, got {value!r}"
+        return f"{family_id}: {self.name} must lie in {self.range_text()}, got {value!r}"
 
 
 @dataclass(frozen=True)
 class Family:
     family_id: str
     params: tuple[ParamSpec, ...]
-    #: builder: checked params -> (raw Kraus operators or Choi matrix, params to record)
-    build: Callable[..., tuple[list, dict]]
+    #: builder: checked param arrays -> (raw Kraus stack or Choi stack, params
+    #: to record as arrays, {row: ValueError} of rows breaking a joint constraint)
+    build: Callable[..., tuple[np.ndarray, dict, dict]]
     doc: str
     expected_unital: bool | None = None
     expected_rank: int | None = None
     sampler: Callable | None = None
     choi: bool = False  #: build returns the Choi matrix; Kraus: its expected_rank eigenpairs
+    sparse: bool = False  #: a row's Kraus list omits its zero operators (zero Pauli weights)
+
+    @functools.cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The `closed_range` ends of the params, as two arrays in spec order."""
+        lo, hi = zip(*(spec.closed_range() for spec in self.params)) if self.params else ((), ())
+        return np.array(lo, dtype=float), np.array(hi, dtype=float)
 
     def sample_params(self, rng: np.random.Generator) -> dict:
         if self.sampler is not None:
@@ -98,12 +119,13 @@ FAMILIES: dict[str, Family] = {}
 
 def _family(family_id: str, params: tuple[ParamSpec, ...], doc: str, *,
             unital: bool | None = None, rank: int | None = None,
-            sampler: Callable | None = None, choi: bool = False):
-    """Declare a catalog family around its builder. The decorated name
+            sampler: Callable | None = None, choi: bool = False, sparse: bool = False):
+    """Declare a catalog family around its array builder. The decorated name
     becomes the public constructor: it takes the builder's arguments and
     returns noise_channel(family_id, ...) on them."""
-    def declare(build: Callable[..., tuple[list, dict]]) -> Callable[..., QubitChannel]:
-        FAMILIES[family_id] = Family(family_id, params, build, doc, unital, rank, sampler, choi)
+    def declare(build: Callable[..., tuple]) -> Callable[..., QubitChannel]:
+        FAMILIES[family_id] = Family(family_id, params, build, doc, unital, rank, sampler, choi,
+                                     sparse)
         signature = inspect.signature(build)
 
         @functools.wraps(build)
@@ -113,17 +135,46 @@ def _family(family_id: str, params: tuple[ParamSpec, ...], doc: str, *,
     return declare
 
 
+def _row_errors(mask: np.ndarray, text: str, *columns, error=ValueError) -> dict:
+    """{row: error(text)} for each row that mask sets, the text formatted with
+    the row's entries of columns as Python floats; other rows get no text."""
+    return {i: error(text.format(*(float(c[i]) for c in columns)))
+            for i in np.flatnonzero(mask).tolist()}
+
+
+def _table(*columns, dtype=float) -> np.ndarray:
+    """The (n, m) array of m columns, each an array of the n rows or a number."""
+    zero = np.zeros(next((len(c) for c in columns if isinstance(c, np.ndarray)), 1))
+    return np.array([c if isinstance(c, np.ndarray) else zero + c for c in columns],
+                    dtype=dtype).T
+
+
+def _kraus(*ops) -> np.ndarray:
+    """The (n, k, 2, 2) Kraus stack of k operators, each given by its real
+    entries [[a, b], [c, d]]: arrays of the n rows, or numbers."""
+    entries = _table(*(x for op in ops for row in op for x in row))
+    return entries.reshape(-1, len(ops), 2, 2).astype(complex)
+
+
 # ---------------------------------------------------------------------------
 # Pauli mixtures and the unital constructions
 # ---------------------------------------------------------------------------
 
-def _pauli(p0: float, p1: float, p2: float, p3: float) -> tuple[list, dict]:
-    """Kraus {sqrt(p_i) sigma_i} (zero weights dropped) and weights of a Pauli mixture."""
-    probs = (p0, p1, p2, p3)
-    if abs(sum(probs) - 1.0) > 1e-12:
-        raise ValueError(f"probabilities must sum to 1 within 1e-12, got sum {sum(probs)!r}")
-    kraus = [np.sqrt(p) * sig for p, sig in zip(probs, PAULIS) if p > 0.0]
-    return kraus, {"p0": p0, "p1": p1, "p2": p2, "p3": p3}
+def _weighted(paulis: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The (n, k, 2, 2) Kraus stack {sqrt(w_i) P_i} of the (n, k) weights on
+    the (k, 2, 2) Pauli matrices P_i."""
+    return np.sqrt(weights)[..., None, None] * paulis
+
+
+def _pauli(p0, p1, p2, p3) -> tuple[np.ndarray, dict, dict]:
+    """Kraus stack {sqrt(p_i) sigma_i} (a zero weight gives a zero operator,
+    which the row's Kraus list omits), recorded weights, and the rows whose
+    weights do not sum to 1 within 1e-12."""
+    probs = _table(p0, p1, p2, p3)
+    total = probs[:, 0] + probs[:, 1] + probs[:, 2] + probs[:, 3]
+    errors = _row_errors(np.abs(total - 1.0) > 1e-12,
+                         "probabilities must sum to 1 within 1e-12, got sum {!r}", total)
+    return _weighted(_PAULIS, probs), dict(zip(("p0", "p1", "p2", "p3"), probs.T)), errors
 
 
 def _sample_pauli(rng: np.random.Generator) -> dict:
@@ -135,7 +186,7 @@ def _sample_pauli(rng: np.random.Generator) -> dict:
          (ParamSpec("p0", 0.0, 1.0), ParamSpec("p1", 0.0, 1.0),
           ParamSpec("p2", 0.0, 1.0), ParamSpec("p3", 0.0, 1.0)),
          "convex mixture of the four Pauli channels (weights sum to 1)",
-         unital=True, sampler=_sample_pauli)
+         unital=True, sampler=_sample_pauli, sparse=True)
 def pauli_mixture(p0: float, p1: float, p2: float, p3: float):
     """Convex mixture of the four Pauli channels, Kraus {sqrt(p_i) sigma_i}.
 
@@ -146,7 +197,7 @@ def pauli_mixture(p0: float, p1: float, p2: float, p3: float):
 
 @_family("werner", (ParamSpec("p", 0.0, 1.0),),
          "Pauli mixture (p, (1-p)/3 x3); Werner-state Choi, UQT-preserving iff p > 1/2",
-         unital=True, sampler=lambda rng: {"p": float(rng.uniform(0.01, 0.99))})
+         unital=True, sampler=lambda rng: {"p": float(rng.uniform(0.01, 0.99))}, sparse=True)
 def werner(p: float):
     """Pauli mixture (p, (1-p)/3, (1-p)/3, (1-p)/3); its Choi state is the
     Werner state with Bell weight p. UQT-preserving iff 1/2 < p < 1."""
@@ -156,7 +207,8 @@ def werner(p: float):
 
 @_family("dephasing", (ParamSpec("p", 0.0, 1.0),),
          "dephasing, weight p on identity: {sqrt(p) I, sqrt(1-p) sigma_3}",
-         unital=True, rank=2, sampler=lambda rng: {"p": float(rng.uniform(0.01, 0.99))})
+         unital=True, rank=2, sampler=lambda rng: {"p": float(rng.uniform(0.01, 0.99))},
+         sparse=True)
 def dephasing(p: float):
     """Dephasing with weight p on the identity: Kraus {sqrt(p) I, sqrt(1-p) sigma_3}."""
     return _pauli(p, 0.0, 0.0, 1.0 - p)
@@ -175,17 +227,18 @@ def lambda_u4_weights(p: float) -> tuple[float, float, float, float]:
 
 @_family("lambda_u4", (ParamSpec("p", 0.0, 1.0, low_open=True, high_open=True),),
          "one-parameter rank-4 unital family; removes deviation on matched |Psi_a>",
-         unital=True, rank=4, sampler=lambda rng: {"p": float(rng.uniform(0.501, 0.999))})
+         unital=True, rank=4, sampler=lambda rng: {"p": float(rng.uniform(0.501, 0.999))},
+         sparse=True)
 def lambda_u4(p: float):
     """Rank-four unital channel with weights lambda_u4_weights(p), 1/2 <= p < 1.
 
     Applied to |Psi_a> with matched concurrence C = p it yields a state with
     all correlation magnitudes equal and F = (3 + 4C)/(6 + 3C)."""
     w = lambda_u4_weights(p)
-    if w[3] < 0.0:
-        raise ChannelValidationError(
-            f"no CPTP map for p < 1/2: Choi weight {w[3]:.6g} is negative")
-    return _pauli(*w)[0], {"p": p}
+    kraus, _, errors = _pauli(*w)
+    errors.update(_row_errors(w[3] < 0.0, "no CPTP map for p < 1/2: Choi weight {:.6g} is negative",
+                              w[3], error=ChannelValidationError))
+    return kraus, {"p": p}, errors
 
 
 def _sample_uqt_unital(rng: np.random.Generator) -> dict:
@@ -198,7 +251,7 @@ def _sample_uqt_unital(rng: np.random.Generator) -> dict:
          (ParamSpec("c", 0.5, 1.0, low_open=True, high_open=True), ParamSpec("p0", None, None)),
          "Pauli mixture making |Psi_a> (concurrence c > 1/2) useful for UQT; "
          "p0 in ((1+2c)/(6c), 1/(2-c)]",
-         unital=True, sampler=_sample_uqt_unital)
+         unital=True, sampler=_sample_uqt_unital, sparse=True)
 def uqt_unital_for_pure(c: float, p0: float):
     """Pauli mixture that makes |Psi_a> with concurrence c useful for UQT.
 
@@ -207,32 +260,30 @@ def uqt_unital_for_pure(c: float, p0: float):
     correlation magnitudes equal to (4 p0 - 1) c / (2 + c) > 1/3.
     """
     lo, hi = uqt_unital_p0_window(c)
-    if not lo < p0 <= hi:
-        raise ValueError(f"p0 must lie in ({lo:.6g}, {hi:.6g}] for c={c!r}, got {p0!r}")
     p12 = (1.0 + (1.0 - 2.0 * p0) * c) / (4.0 + 2.0 * c)
     p3 = 1.0 - p0 - 2.0 * p12
-    kraus = _pauli(p0, p12, p12, max(p3, 0.0))[0]
-    return kraus, {"c": c, "p0": p0, "p1": p12, "p2": p12, "p3": p3}
+    kraus, _, errors = _pauli(p0, p12, p12, np.maximum(p3, 0.0))
+    errors.update(_row_errors(~((lo < p0) & (p0 <= hi)),
+                              "p0 must lie in ({:.6g}, {:.6g}] for c={!r}, got {!r}",
+                              lo, hi, c, p0))
+    return kraus, {"c": c, "p0": p0, "p1": p12, "p2": p12, "p3": p3}, errors
 
 
 # ---------------------------------------------------------------------------
 # Non-unital UQT-preserving families (canonical Choi construction)
 # ---------------------------------------------------------------------------
 
-def canonical_nonunital_choi(s_vec, t: float) -> np.ndarray:
+def canonical_nonunital_choi(s_vec, t) -> np.ndarray:
     """Trace-1 canonical Choi matrix with correlation diag(-t, -t, -t) and
-    Bob local vector s, written in the computational basis."""
-    s1, s2, s3 = (float(x) for x in s_vec)
-    off = s1 - 1j * s2
-    return 0.25 * np.array(
-        [
-            [1 + s3 - t, off, 0, 0],
-            [np.conj(off), 1 - s3 + t, -2 * t, 0],
-            [0, -2 * t, 1 + s3 + t, off],
-            [0, 0, np.conj(off), 1 - s3 - t],
-        ],
-        dtype=complex,
-    )
+    Bob local vector s, written in the computational basis; with arrays for
+    t and the entries of s, the (n, 4, 4) stack of their rows."""
+    s1, s2, s3 = s_vec
+    off = s1 - 1j * np.asarray(s2)
+    entries = _table(1 + s3 - t, off, 0, 0,
+                     np.conj(off), 1 - s3 + t, -2 * t, 0,
+                     0, -2 * t, 1 + s3 + t, off,
+                     0, 0, np.conj(off), 1 - s3 - t, dtype=complex)
+    return 0.25 * entries.reshape(np.broadcast_shapes(*map(np.shape, (s1, s2, s3, t))) + (4, 4))
 
 
 def _sample_rank4(rng: np.random.Generator) -> dict:
@@ -258,11 +309,11 @@ def uqt_nonunital_rank4(s1: float, s2: float, s3: float, t: float):
     which stays well defined on the s1 = s2 = 0 axis where the printed
     component formulas have removable singularities.
     """
-    s_norm = float(np.sqrt(s1 * s1 + s2 * s2 + s3 * s3))
-    if not 0.0 < s_norm < 1.0 - t:
-        raise ValueError(
-            f"|s| must lie in (0, 1 - t) = (0, {1.0 - t:.6g}) for rank 4, got {s_norm!r}")
-    return canonical_nonunital_choi((s1, s2, s3), t), {"s1": s1, "s2": s2, "s3": s3, "t": t}
+    s_norm = np.sqrt(s1 * s1 + s2 * s2 + s3 * s3)
+    errors = _row_errors(~((0.0 < s_norm) & (s_norm < 1.0 - t)),
+                         "|s| must lie in (0, 1 - t) = (0, {:.6g}) for rank 4, got {!r}",
+                         1.0 - t, s_norm)
+    return canonical_nonunital_choi((s1, s2, s3), t), {"s1": s1, "s2": s2, "s3": s3, "t": t}, errors
 
 
 @_family("uqt_nonunital_rank3",
@@ -279,7 +330,7 @@ def uqt_nonunital_rank3(theta: float, phi: float, t: float):
     """
     r = 1.0 - t
     s_vec = (r * np.sin(theta) * np.cos(phi), r * np.sin(theta) * np.sin(phi), r * np.cos(theta))
-    return canonical_nonunital_choi(s_vec, t), {"theta": theta, "phi": phi, "t": t}
+    return canonical_nonunital_choi(s_vec, t), {"theta": theta, "phi": phi, "t": t}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +347,9 @@ def example_rank3(p: float):
     On a Bell input the final state is p |Phi_1><Phi_1| + (1-p) I/2 x |0><0|,
     with F = (1+p)/2 and zero deviation: useful for UQT iff p > 1/3.
     """
-    r = np.sqrt(1.0 - p)
-    kraus = [
-        np.array([[r, 0.0], [0.0, 0.0]], dtype=complex),
-        np.array([[0.0, r], [0.0, 0.0]], dtype=complex),
-        np.sqrt(p) * I2,
-    ]
-    return kraus, {"p": p}
+    r, q = np.sqrt(1.0 - p), np.sqrt(p)
+    return _kraus([[r, 0.0], [0.0, 0.0]], [[0.0, r], [0.0, 0.0]], [[q, 0.0], [0.0, q]]), \
+        {"p": p}, {}
 
 
 @_family("example_rank4_uqt", (),
@@ -310,7 +357,8 @@ def example_rank3(p: float):
          unital=False, rank=4, sampler=lambda rng: {})
 def example_rank4_uqt():
     """Fixed four-operator non-unital channel whose Bell output has F = 3/4
-    and zero fidelity deviation (useful for UQT)."""
+    and zero fidelity deviation (useful for UQT); one row, which a block
+    broadcasts."""
     s17 = np.sqrt(17.0)
     k0 = np.sqrt((6.0 + s17) / (17.0 - s17)) * np.array(
         [[0.0, 1.0], [(1.0 - s17) / 4.0, 0.0]], dtype=complex)
@@ -318,7 +366,7 @@ def example_rank4_uqt():
     k2 = np.sqrt((6.0 - s17) / (17.0 + s17)) * np.array(
         [[0.0, 1.0], [(1.0 + s17) / 4.0, 0.0]], dtype=complex)
     k3 = np.array([[0.0, 0.0], [0.0, 1.0 / (2.0 * np.sqrt(2.0))]], dtype=complex)
-    return [k0, k1, k2, k3], {}
+    return np.array([[k0, k1, k2, k3]]), {}, {}
 
 
 @_family("example_rank3_universal_only", (),
@@ -327,7 +375,8 @@ def example_rank4_uqt():
          unital=False, rank=3, sampler=lambda rng: {})
 def example_rank3_universal_only():
     """Fixed three-operator non-unital channel whose Bell output has F = 11/20
-    and zero deviation: universal but not useful for teleportation."""
+    and zero deviation: universal but not useful for teleportation; one row,
+    which a block broadcasts."""
     r = np.sqrt(5.0 / 17.0)
     a = 3.0 / 20.0 * np.sqrt(5.0 + 7.0 * r)
     b = 1.0 / 20.0 * np.sqrt(65.0 + 107.0 * r)
@@ -337,7 +386,7 @@ def example_rank3_universal_only():
     k0 = 1j * np.array([[-a, b], [-b, a]], dtype=complex)
     k1 = -1j * e * np.ones((2, 2), dtype=complex)
     k2 = 1j * np.array([[c, d], [-d, -c]], dtype=complex)
-    return [k0, k1, k2], {}
+    return np.array([[k0, k1, k2]]), {}, {}
 
 
 def lambda_tilde_p2_max(p1: float) -> float:
@@ -371,30 +420,28 @@ def lambda_tilde_nu(p1: float, p2: float):
     p2 > 1/(3C), which is attainable iff C > (sqrt(17)-1)/6.
     """
     hi = lambda_tilde_p2_max(p1)
-    if not p2 < hi:
-        raise ValueError(f"p2 must lie in (0, {hi:.6g}) for p1={p1!r}, got {p2!r}")
+    errors = _row_errors(~(p2 < hi), "p2 must lie in (0, {:.6g}) for p1={!r}, got {!r}",
+                         hi, p1, p2)
     u = np.sqrt(1.0 - p1) / np.sqrt(1.0 + p1)
     root = np.sqrt(5.0 + 3.0 * p1)
     sm = np.sqrt(1.0 - p1)
-    k0 = (1.0 / np.sqrt(2.0)) * np.sqrt(1.0 - p2 - p2 * u) * np.array(
-        [[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    k1 = (1.0 / np.sqrt(2.0)) * np.sqrt(1.0 - p2 + p2 * u) * np.array(
-        [[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    k2 = np.sqrt(
-        (1.0 + p1 + p2 + p1 * p2 - p2 * np.sqrt(1.0 + p1) * root)
-        / (5.0 + 3.0 * p1 + sm * root)
-    ) * np.array([[0.0, 1.0], [(sm + root) / (2.0 * np.sqrt(1.0 + p1)), 0.0]], dtype=complex)
-    k3 = np.sqrt(
-        (1.0 + p1 + p2 + p1 * p2 + p2 * np.sqrt(1.0 + p1) * root)
-        / (5.0 + 3.0 * p1 - sm * root)
-    ) * np.array([[0.0, 1.0], [(sm - root) / (2.0 * np.sqrt(1.0 + p1)), 0.0]], dtype=complex)
-    return [k0, k1, k2, k3], {"p1": p1, "p2": p2}
+    a0 = (1.0 / np.sqrt(2.0)) * np.sqrt(1.0 - p2 - p2 * u)
+    a1 = (1.0 / np.sqrt(2.0)) * np.sqrt(1.0 - p2 + p2 * u)
+    a2 = np.sqrt((1.0 + p1 + p2 + p1 * p2 - p2 * np.sqrt(1.0 + p1) * root)
+                 / (5.0 + 3.0 * p1 + sm * root))
+    a3 = np.sqrt((1.0 + p1 + p2 + p1 * p2 + p2 * np.sqrt(1.0 + p1) * root)
+                 / (5.0 + 3.0 * p1 - sm * root))
+    b2 = a2 * ((sm + root) / (2.0 * np.sqrt(1.0 + p1)))
+    b3 = a3 * ((sm - root) / (2.0 * np.sqrt(1.0 + p1)))
+    kraus = _kraus([[0.0, 0.0], [0.0, a0]], [[a1, 0.0], [0.0, 0.0]],
+                   [[0.0, a2], [b2, 0.0]], [[0.0, a3], [b3, 0.0]])
+    return kraus, {"p1": p1, "p2": p2}, errors
 
 
 def lambda_star_gamma(p1: float) -> float:
     """Damping strength gamma(p1) of lambda_star_nu."""
     u = np.sqrt(1.0 - p1 * p1)
-    rad = max(3.0 * p1 * p1 - 2.0 + 2.0 * u, 0.0)
+    rad = np.maximum(3.0 * p1 * p1 - 2.0 + 2.0 * u, 0.0)
     return (1.0 + u - np.sqrt(rad)) / (2.0 + 2.0 * u)
 
 
@@ -410,10 +457,9 @@ def lambda_star_nu(p1: float):
     zero deviation for every C and is useful for UQT iff
     C > sqrt(5 - 2 sqrt(3))/3, approximately 0.4131.
     """
-    g = float(lambda_star_gamma(p1))
-    k0 = np.array([[np.sqrt(1.0 - g), 0.0], [0.0, 1.0]], dtype=complex)
-    k1 = np.array([[0.0, 0.0], [np.sqrt(g), 0.0]], dtype=complex)
-    return [k0, k1], {"p1": p1, "gamma": g}
+    g = lambda_star_gamma(p1)
+    kraus = _kraus([[np.sqrt(1.0 - g), 0.0], [0.0, 1.0]], [[0.0, 0.0], [np.sqrt(g), 0.0]])
+    return kraus, {"p1": p1, "gamma": g}, {}
 
 
 @_family("gadc", (ParamSpec("gamma", 0.0, 1.0), ParamSpec("N", 0.0, 1.0)),
@@ -423,67 +469,61 @@ def lambda_star_nu(p1: float):
 def gadc(gamma: float, N: float):
     """Generalized amplitude-damping channel with loss gamma and bath
     excitation n, both in [0, 1]. Non-unital iff gamma (2n - 1) != 0."""
-    rg = np.sqrt(1.0 - gamma)
-    sg = np.sqrt(gamma)
-    k0 = np.sqrt(1.0 - N) * np.array([[1.0, 0.0], [0.0, rg]], dtype=complex)
-    k1 = np.sqrt(1.0 - N) * np.array([[0.0, sg], [0.0, 0.0]], dtype=complex)
-    k2 = np.sqrt(N) * np.array([[rg, 0.0], [0.0, 1.0]], dtype=complex)
-    k3 = np.sqrt(N) * np.array([[0.0, 0.0], [sg, 0.0]], dtype=complex)
-    return [k0, k1, k2, k3], {"gamma": gamma, "N": N}
+    rg, sg = np.sqrt(1.0 - gamma), np.sqrt(gamma)
+    a, b = np.sqrt(1.0 - N), np.sqrt(N)
+    kraus = _kraus([[a, 0.0], [0.0, a * rg]], [[0.0, a * sg], [0.0, 0.0]],
+                   [[b * rg, 0.0], [0.0, b]], [[0.0, 0.0], [b * sg, 0.0]])
+    return kraus, {"gamma": gamma, "N": N}, {}
 
 
 # ---------------------------------------------------------------------------
 # Physical noise catalog
 # ---------------------------------------------------------------------------
 
-def _depolarizing_kraus(w0: float, wi: float):
-    return [np.sqrt(w0) * I2, np.sqrt(wi) * SX, np.sqrt(wi) * SY, np.sqrt(wi) * SZ]
+def _depolarizing_kraus(w0, wi) -> np.ndarray:
+    return _weighted(_PAULIS, _table(w0, wi, wi, wi))
 
 
-def _dephasing_kraus(p: float):
+def _dephasing_kraus(p) -> np.ndarray:
     # identity-weight first: M0 = sqrt(1-p) I, M1 = sqrt(p) sigma_3
-    return [np.sqrt(1.0 - p) * I2, np.sqrt(p) * SZ]
+    return _weighted(_PAULIS[::3], _table(1.0 - p, p))
 
 
-def _adc_kraus(p: float):
-    return [
-        np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex),
-        np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex),
-    ]
+def _adc_kraus(p) -> np.ndarray:
+    return _kraus([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], [[0.0, np.sqrt(p)], [0.0, 0.0]])
 
 
-def _adc_nm_probability(R: float, gamma: float, omega0: float, g: float, t: float) -> float:
+def _adc_nm_probability(R, gamma, omega0, g, t):
     """Non-Markovian amplitude-damping law
     1 - exp(-2 R gamma / (omega0 coth(g omega0 t / 2) + 1)); p(0) = 0."""
-    with np.errstate(divide="ignore"):
-        coth = 1.0 / np.tanh(g * omega0 * t / 2.0) if t > 0.0 else np.inf
+    coth = 1.0 / np.tanh(g * omega0 * t / 2.0)  # inf at t = 0
     return 1.0 - np.exp(-2.0 * R * gamma / (omega0 * coth + 1.0))
 
 
-def rtn_probability(g: float, omega: float, t: float) -> float:
+def rtn_probability(g, omega, t):
     """Random-telegraph-noise mixing law e^{-g t}(cos(g w t) + sin(g w t)/w)."""
     theta = g * omega * t
-    return float(np.exp(-g * t) * (np.cos(theta) + np.sin(theta) / omega))
+    return np.exp(-g * t) * (np.cos(theta) + np.sin(theta) / omega)
 
 
 def _register_time_law(family_id: str, params: tuple[ParamSpec, ...], doc: str,
-                       kraus: Callable[[float], list], law: Callable[..., float],
-                       unital: bool) -> None:
+                       kraus: Callable, law: Callable, unital: bool,
+                       overflows: Callable | None = None) -> None:
     """Declare a two-operator noise row whose mixing probability follows a
     time law: the channel is kraus(p) with p = law(**params) clamped to
-    [0, 1], and it records its params in spec order, then p."""
-    def build(**values: float):
-        try:  # an overflow or invalid operation leaves p non-finite, rejected below
-            with np.errstate(over="ignore", invalid="ignore"):
-                p = float(law(**values))
-        except OverflowError as exc:  # Python float ** raises instead
-            raise ValueError(f"{family_id}: derived p(t) overflows; "
-                             "the parameter regime is unphysical") from exc
-        if not -_P_CLAMP <= p <= 1.0 + _P_CLAMP:
-            raise ValueError(f"{family_id}: derived p(t) = {p!r} lies outside [0, 1]; "
-                             "the parameter regime is unphysical")
-        p = min(max(p, 0.0), 1.0)
-        return kraus(p), {**{s.name: values[s.name] for s in params}, "p": p}
+    [0, 1], and it records its params in spec order, then p. `overflows`
+    masks the rows where the law, written with Python floats, raises
+    OverflowError (float ** does; numpy returns inf instead)."""
+    def build(**values):
+        p = law(**values)
+        errors = _row_errors(~((-_P_CLAMP <= p) & (p <= 1.0 + _P_CLAMP)),
+                             f"{family_id}: derived p(t) = {{!r}} lies outside [0, 1]; "
+                             "the parameter regime is unphysical", p)
+        if overflows is not None:
+            errors.update(_row_errors(overflows(**values), f"{family_id}: derived p(t) "
+                                      "overflows; the parameter regime is unphysical"))
+        p = np.clip(p, 0.0, 1.0)
+        return kraus(p), {**{s.name: values[s.name] for s in params}, "p": p}, errors
 
     _family(family_id, params, doc, unital=unital, rank=2)(build)
 
@@ -498,14 +538,14 @@ _TIME = ParamSpec("t", 0.0, None, sample_low=0.1, sample_high=2.0)
          "a Werner state, UQT iff p < 1/2",
          unital=True, sampler=lambda rng: {"p": float(rng.uniform(0.01, 0.99))})
 def _depolarizing_m(p: float):
-    return _depolarizing_kraus(1.0 - p, p / 3.0), {"p": p}
+    return _depolarizing_kraus(1.0 - p, p / 3.0), {"p": p}, {}
 
 
 @_family("dephasing_m", (ParamSpec("p", 0.0, 1.0),),
          "Markovian dephasing {sqrt(1-p) I, sqrt(p) sigma_3}",
          unital=True, rank=2, sampler=lambda rng: {"p": float(rng.uniform(0.01, 0.99))})
 def _dephasing_m(p: float):
-    return _dephasing_kraus(p), {"p": p}
+    return _dephasing_kraus(p), {"p": p}, {}
 
 
 _register_time_law(
@@ -526,11 +566,7 @@ _register_time_law(
          "Unruh channel {diag(cos r, 1), sin r lower shift}; non-unital",
          unital=False, rank=2)
 def _unruh(r: float):
-    kraus = [
-        np.array([[np.cos(r), 0.0], [0.0, 1.0]], dtype=complex),
-        np.array([[0.0, 0.0], [np.sin(r), 0.0]], dtype=complex),
-    ]
-    return kraus, {"r": r}
+    return _kraus([[np.cos(r), 0.0], [0.0, 1.0]], [[0.0, 0.0], [np.sin(r), 0.0]]), {"r": r}, {}
 
 
 def _sample_depolarizing_nm(rng: np.random.Generator) -> dict:
@@ -544,13 +580,12 @@ def _sample_depolarizing_nm(rng: np.random.Generator) -> dict:
          "non-Markovian depolarizing; needs 3 alpha p <= 1; UQT for small p",
          unital=True, sampler=_sample_depolarizing_nm)
 def _depolarizing_nm(alpha: float, p: float):
-    if 3.0 * alpha * p > 1.0 + 1e-12:
-        raise ValueError(
-            f"need 3 alpha p <= 1 for a CPTP map (identity weight stays non-negative); "
-            f"got alpha={alpha!r}, p={p!r}")
-    w0 = max((1.0 - 3.0 * alpha * p) * (1.0 - p), 0.0)
+    errors = _row_errors(3.0 * alpha * p > 1.0 + 1e-12,
+                         "need 3 alpha p <= 1 for a CPTP map (identity weight stays "
+                         "non-negative); got alpha={!r}, p={!r}", alpha, p)
+    w0 = np.maximum((1.0 - 3.0 * alpha * p) * (1.0 - p), 0.0)
     wi = (1.0 + 3.0 * alpha * (1.0 - p)) * p / 3.0
-    return _depolarizing_kraus(w0, wi), {"alpha": alpha, "p": p}
+    return _depolarizing_kraus(w0, wi), {"alpha": alpha, "p": p}, errors
 
 
 @_family("dephasing_nm",
@@ -562,7 +597,7 @@ def _depolarizing_nm(alpha: float, p: float):
 def _dephasing_nm(alpha: float, p: float):
     w0 = (1.0 - alpha * p) * (1.0 - p)
     w3 = p * (1.0 + alpha * (1.0 - p))
-    return [np.sqrt(w0) * I2, np.sqrt(w3) * SZ], {"alpha": alpha, "p": p}
+    return _weighted(_PAULIS[::3], _table(w0, w3)), {"alpha": alpha, "p": p}, {}
 
 
 _register_time_law(
@@ -581,7 +616,8 @@ _register_time_law(
      ParamSpec("g", 0.0, None, low_open=True, sample_high=2.0), _TIME),
     "non-Markovian power-law noise, p(t) = exp(-G t (g t + 2)/(2 (g t + 1)^2))",
     _dephasing_kraus,
-    lambda G, g, t: np.exp(-G * t * (g * t + 2.0) / (2.0 * (g * t + 1.0) ** 2)), unital=True)
+    lambda G, g, t: np.exp(-G * t * (g * t + 2.0) / (2.0 * (g * t + 1.0) ** 2)), unital=True,
+    overflows=lambda G, g, t: np.isfinite(g * t + 1.0) & np.isinf((g * t + 1.0) ** 2))
 _register_time_law(
     "oun_nm",
     (ParamSpec("G", 0.0, None, low_open=True, sample_low=0.05, sample_high=2.0),
@@ -659,45 +695,118 @@ def resolve_complete(family_id: str, keys) -> list[str]:
     return names
 
 
-def checked_rows(family_id: str, rows) -> list:
-    """checked_build of each keyword dict of rows, names resolved once per key
-    sequence: the raw Kraus operators and params to record, or the ValueError
-    without its traceback (which would tie this frame and every row into a
-    cycle). A Choi-defined family's rows share one kraus_from_choi."""
+
+@dataclass(frozen=True)
+class Block:
+    """`checked_rows` of N rows of one family.
+
+    kraus: the rows' raw Kraus operators, one read-only (N, k, 2, 2) stack,
+    with a zero operator where a row's Kraus list omits one and all zeros
+    for a failed row; params: the params to record, name -> (N,) floats,
+    NaN for a failed row; errors: per row None, or its ValueError without a
+    traceback (which would tie the frame that made it, and with it the
+    block, into a reference cycle)."""
+
+    kraus: np.ndarray
+    params: dict
+    errors: list
+
+
+def _param_value(family_id: str, name: str, value) -> float:
+    """A param value as a float by the rule of channels.json_number: a
+    ValueError naming the param for a bool, string, complex number,
+    sequence or an integer beyond the float range."""
+    try:
+        return channels.json_number(value)
+    except TypeError:
+        raise ValueError(f"{family_id}: {name} must be a real number, got {value!r}") from None
+    except OverflowError:
+        raise ValueError(f"{family_id}: {name} must be finite, got {value!r}") from None
+
+
+def checked_rows(family_id: str, rows) -> Block:
+    """Check and build the keyword dicts `rows` of one family as one block.
+
+    Names are resolved once per key sequence, and each value becomes a float
+    by `_param_value`. The ParamSpec range checks run as masks over the
+    block, and the builder is called once, on the rows that pass them; a
+    Choi-defined family's rows share one kraus_from_choi. A row's error is
+    the first check it fails, in that order, with the text checked_build
+    raises; only failing rows get a text."""
     fam = get_family(family_id)
-    names_of: dict[tuple, list | str] = {}  # key sequence -> resolved names, or the error text
-    out: list = []
+    specs = fam.params
+    layouts: dict = {}  # key sequence -> (resolved names, their places in spec order), or error
+    errors: list = []
+    table: list = []  # per row its values in spec order; NaN for a failed row
+    failed = [math.nan] * len(specs)
     for row in rows:
         keys = tuple(row)
-        if keys not in names_of:
+        if keys not in layouts:
             try:
-                names_of[keys] = resolve_complete(family_id, keys)
+                names = resolve_complete(family_id, keys)
+                layouts[keys] = names, [names.index(spec.name) for spec in specs]
             except ValueError as exc:
-                names_of[keys] = str(exc)
+                layouts[keys] = str(exc)
+        layout = layouts[keys]
         try:
-            if isinstance(names_of[keys], str):
-                raise ValueError(names_of[keys])
-            values = dict(zip(names_of[keys], map(float, row.values())))
-            for spec in fam.params:
-                spec.check(values[spec.name], family_id)
-            out.append(fam.build(**values))
-        except ValueError as exc:  # ChannelValidationError included
-            out.append(type(exc)(*exc.args))
-    built = [i for i, res in enumerate(out) if isinstance(res, tuple)] if fam.choi else []
-    if built:  # the checks above leave every Choi matrix finite and Hermitian
-        kraus = channels.kraus_from_choi(np.array([out[i][0] for i in built]), fam.expected_rank)
-        for i, ops in zip(built, kraus):
-            out[i] = (ops, out[i][1])
-    return out
+            if isinstance(layout, str):
+                raise ValueError(layout)
+            names, places = layout
+            nums = [v if type(v) is float else _param_value(family_id, name, v)
+                    for name, v in zip(names, row.values())]
+            table.append([nums[j] for j in places])
+            errors.append(None)
+        except ValueError as exc:
+            table.append(failed)
+            errors.append(ValueError(*exc.args))
+    n = len(errors)
+    values = np.array(table, dtype=float).reshape(n, len(specs))
+    lo, hi = fam.bounds
+    rejected = ~((values >= lo) & (values <= hi))
+    if rejected.any():
+        for i, j in zip(*(ix.tolist() for ix in np.nonzero(rejected))):  # row by row, spec order
+            if errors[i] is None:  # the first spec a row breaks names its error
+                errors[i] = ValueError(specs[j].error(float(values[i, j]), family_id))
+    ok = [i for i, err in enumerate(errors) if err is None]
+    if len(ok) < n:
+        values = values[ok]
+    with np.errstate(all="ignore"):  # a row that breaks a joint constraint may compute NaN
+        ops, recorded, row_errors = fam.build(
+            **{spec.name: values[:, j] for j, spec in enumerate(specs)})
+    for r, err in row_errors.items():
+        errors[ok[r]] = err
+    kept = [r for r in range(len(ok)) if r not in row_errors]  # the build's rows without error
+    if len(ops) != len(ok):  # a fixed example's one row
+        ops = np.broadcast_to(ops, (len(ok),) + ops.shape[1:])
+    if len(kept) < len(ok):
+        ops = ops[kept]
+    if fam.choi:  # the checks above leave every Choi matrix finite and Hermitian
+        ops = channels.kraus_from_choi(ops, fam.expected_rank)
+    if len(kept) == n:  # every row built
+        kraus, params = ops, recorded
+    else:
+        built = [ok[r] for r in kept]
+        kraus = np.zeros((n,) + ops.shape[1:], dtype=complex)
+        kraus[built] = ops
+        params = {}
+        for name, col in recorded.items():
+            params[name] = np.full(n, math.nan)
+            params[name][built] = col[kept]
+    kraus.setflags(write=False)
+    return Block(kraus=kraus, params=params, errors=errors)
 
 
-def checked_build(family_id: str, **params) -> tuple[list, dict]:
+def checked_build(family_id: str, **params) -> tuple[np.ndarray, dict]:
     """The one-row view of checked_rows: a catalog family's raw Kraus
-    operators and params to record, not yet validated; raises its error."""
-    built = checked_rows(family_id, [params])
-    if isinstance(built[0], ValueError):
-        raise built.pop()  # popped: this frame keeps no reference to the error
-    return built[0]
+    operators, the row's own list (a Pauli mixture omits its zero-weight
+    operators), and its params to record, not yet validated; raises its error."""
+    block = checked_rows(family_id, [params])
+    if block.errors[0] is not None:
+        raise block.errors.pop()  # popped: this frame keeps no reference to the error
+    kraus = block.kraus[0]
+    if get_family(family_id).sparse:
+        kraus = kraus[kraus.any(axis=(1, 2))]
+    return kraus, {name: float(col[0]) for name, col in block.params.items()}
 
 
 def noise_channel(family_id: str, **params) -> QubitChannel:

@@ -157,6 +157,34 @@ def test_validate_stack_matches_validate(rng):
     assert channels.validate_stack([])[2] == []
 
 
+def test_choi_matrix_of_a_member_alone_has_its_bits_in_a_stack(rng):
+    # the Gram-form contraction gives a Kraus stack the same bits alone as
+    # inside a larger stack, and agrees with the Bell-projector form
+    lists = [random_kraus(rng, r) for r in (1, 2, 3, 4) * 9]
+    stack = channels.validate_stack(lists)[0]
+    whole = channels.choi_matrix(stack)
+    for member, member_choi in zip(stack, whole):
+        assert channels.choi_matrix(member).tobytes() == member_choi.tobytes()
+    phi = np.outer(states.BELL_KETS[0], states.BELL_KETS[0].conj())
+    assert np.max(np.abs(whole - channels.bob_action(phi, stack))) <= 1e-15
+    for kraus in lists[:4]:  # the unpadded list too
+        assert np.max(np.abs(channels.choi_matrix(kraus) - choi(validate(kraus)).rho)) <= 1e-15
+
+
+def test_validate_stack_takes_a_ready_stack(rng):
+    # a (N, k, 2, 2) array is checked as a whole, as its members one by one:
+    # a non-finite member and an incomplete one are rejected, zeros included
+    padded = np.concatenate([random_kraus(rng, 2), np.zeros((2, 2, 2))])
+    stack = np.array([random_kraus(rng, 4), np.full((4, 2, 2), np.nan), np.zeros((4, 2, 2)),
+                      1.01 * random_kraus(rng, 4), padded])
+    got, got_choi, outcomes = channels.validate_stack(stack)
+    ref, ref_choi, ref_outcomes = channels.validate_stack(list(stack))
+    assert got.tobytes() == ref.tobytes() and got_choi.tobytes() == ref_choi.tobytes()
+    assert [str(out) for out in outcomes] == [str(out) for out in ref_outcomes]
+    assert outcomes[0] == 4 and outcomes[4] == 2
+    assert str(outcomes[1]) == "Kraus operator has non-finite entries"
+
+
 def test_validation_errors_leave_no_reference_cycle():
     # a rejected member's error must not hold the call's frame, and with it
     # the whole stack, in a cycle that only the cyclic collector frees
@@ -169,7 +197,7 @@ def test_validation_errors_leave_no_reference_cycle():
     rows = [("gadc", {"gamma": 0.3, "x": 0.1}), ("gadc", {"gamma": 2.0, "N": 0.1}),
             ("uqt_nonunital_rank4", {"s1": 0.9, "s2": 0.0, "s3": 0.0, "t": 0.5}),
             ("lambda_u4", {"p": 0.3}), ("pln_nm", {"G": 1.0, "g": 1e100, "t": 1e100})]
-    assert all(isinstance(families.checked_rows(fid, [row, row])[1], ValueError)
+    assert all(isinstance(families.checked_rows(fid, [row, row]).errors[1], ValueError)
                for fid, row in rows)
     gc.collect()
     gc.disable()

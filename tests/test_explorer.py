@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -122,7 +123,7 @@ _NUMBER_SLOT = JSON_NUMBERS | NUMBER_LOOKALIKES | JSON_VALUES
 _AXIS_DOCS = st.fixed_dictionaries(
     {"param": st.sampled_from(["gamma", "N", "C", "p1", "x"]) | JSON_VALUES,
      "start": _NUMBER_SLOT, "stop": _NUMBER_SLOT, "step": _NUMBER_SLOT})
-SWEEP_DOCS = st.one_of(JSON_VALUES, st.fixed_dictionaries(
+_ROUGH_SWEEP_DOCS = st.one_of(JSON_VALUES, st.fixed_dictionaries(
     {"family": st.fixed_dictionaries(
         {"id": st.sampled_from(["gadc", "lambda_tilde_nu"]) | JSON_VALUES},
         optional={"params": st.dictionaries(st.sampled_from(["N", "gamma", "p2", "C"]),
@@ -133,24 +134,56 @@ SWEEP_DOCS = st.one_of(JSON_VALUES, st.fixed_dictionaries(
               "outputs": st.lists(st.sampled_from(CSV_FIELDS), max_size=2) | JSON_VALUES}))
 
 
+@st.composite
+def _well_formed_sweep_docs(draw):
+    """A document that sets every parameter of its family once, by one or
+    two axes of at most two points and fixed params, with values around
+    and beyond the ranges: an accepted spec of at most 4 rows."""
+    family_id = draw(st.sampled_from(["gadc", "lambda_tilde_nu", "werner", "uqt_nonunital_rank4",
+                                      "adc_nm", "pauli_mixture"]))
+    names = [spec.name for spec in families.FAMILIES[family_id].params]
+    swept = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    value = st.floats(-0.2, 1.2) | st.sampled_from([0, 1, 0.5, 1e-300])
+    axes = []
+    for name in swept:
+        start, step = draw(value), draw(st.floats(0.05, 0.5))
+        axes.append({"param": name, "start": start, "step": step,
+                     "stop": start + draw(st.sampled_from([0.0, 1.0])) * step})
+    doc = {"family": {"id": family_id, "params": {n: draw(value) for n in names if n not in swept}},
+           "axes": axes}
+    if family_id in families.MATCHED_CONCURRENCE_IDS:
+        doc["initial"] = draw(st.sampled_from(["bell1", "matched"]))
+    return doc
+
+
+#: sweep documents, three in four of them well formed
+SWEEP_DOCS = st.integers(0, 3).flatmap(
+    lambda k: _well_formed_sweep_docs() if k else _ROUGH_SWEEP_DOCS)
+
+
 @settings(max_examples=200, deadline=None)
 @given(SWEEP_DOCS)
 def test_sweep_documents_end_in_a_spec_or_a_spec_error(doc):
-    # and a spec of at most 4 rows ends in a result or a spec error too
+    # and a spec of at most 4 rows ends in a result or a spec error too; a
+    # result has one row per grid point, each with its values or its error
     try:
         spec = SweepSpec.from_jsonable(doc)
-        small = math.prod(ax.count() for ax in spec.axes) <= 4
+        total = math.prod(ax.count() for ax in spec.axes)
     except SweepSpecError:
         return
     assert all(isinstance(v, float) and math.isfinite(v) for v in spec.family.params.values())
     numbers = [*doc["family"].get("params", {}).values(),
                *(a[k] for a in doc["axes"] for k in ("start", "stop", "step"))]
     assert all(type(x) in (int, float) for x in numbers)  # JSON numbers, not bools or strings
-    if small:
+    if total <= 4:
         try:
-            run_sweep(spec)
+            result = run_sweep(spec)
         except SweepSpecError:
-            pass
+            return
+        assert len(result.rows) == total
+        for row in result.rows:
+            values = dict(zip(result.header, row))
+            assert bool(values["error"]) == all(values[k] is None for k in spec.outputs), row
 
 
 @pytest.mark.parametrize("family_id,fixed,axes", [
@@ -296,6 +329,38 @@ def test_sweep_blocks_match_one_row_blocks(monkeypatch):
     assert {row[-1] == "" for row in blocked.rows} == {True, False}
     monkeypatch.setattr(explorer, "SWEEP_BLOCK", 1)
     assert run_sweep(spec) == blocked
+
+
+def test_sweep_blocks_make_no_per_row_calls(monkeypatch):
+    # a block's rows come from one builder call, reach validate_stack as one
+    # array without the per-list Kraus conversion, and are formatted from
+    # verdict arrays: only an oracle row gets a TeleportProfile of its own
+    spec = make_spec("gadc", {"N": 0.1}, [("gamma", -0.1, 1.1, 0.001)])
+    fam = families.FAMILIES["gadc"]
+    built = []
+
+    def build(**values):
+        built.append(len(values["gamma"]))
+        return fam.build(**values)
+
+    made = []
+
+    class Profile(states.TeleportProfile):
+        def __init__(self, **fields):
+            made.append(fields)
+            super().__init__(**fields)
+
+    monkeypatch.setitem(families.FAMILIES, "gadc", dataclasses.replace(fam, build=build))
+    monkeypatch.setattr(channels, "_kraus_array", lambda kraus: pytest.fail("per-row conversion"))
+    monkeypatch.setattr(states, "profiles", lambda t_mat: pytest.fail("per-row profiles"))
+    monkeypatch.setattr(explorer, "TeleportProfile", Profile)
+    result = run_sweep(spec)
+    errors = [row[-1] for row in result.rows]
+    assert len(result.rows) > explorer.SWEEP_BLOCK and set(errors) > {""}
+    assert len(built) == math.ceil(len(result.rows) / explorer.SWEEP_BLOCK)
+    assert sum(built) == errors.count("")  # out-of-range rows never reach the builder
+    assert len(made) == sum(row[result.header.index("oracle_checked")] is True
+                            for row in result.rows) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -571,6 +571,31 @@ def test_direct_call_matches_catalog(family_id, seed, overrides, by_keyword):
     assert outcome(direct) == outcome(lambda: noise_channel(family_id, **params))
 
 
+def assert_block_rows_are_one_row_views(family_id, rows):
+    """Row by row, checked_rows of the block equals checked_build of the row
+    alone: the same error type and text, or the same recorded params and
+    the same Kraus operators, where the one-row view of a Pauli mixture
+    omits the zero operators that the block keeps."""
+    block = families.checked_rows(family_id, rows)
+    assert len(block.errors) == len(rows) and not block.kraus.flags.writeable
+    assert all(col.shape == (len(rows),) for col in block.params.values())
+    for i, row in enumerate(rows):
+        got = block.kraus[i]
+        try:
+            kraus, recorded = families.checked_build(family_id, **row)
+        except ValueError as exc:
+            err = block.errors[i]
+            assert (type(err), str(err)) == (type(exc), str(exc))
+            assert err.__traceback__ is None
+            assert not got.any() and all(np.isnan(col[i]) for col in block.params.values())
+            continue
+        assert block.errors[i] is None
+        if FAMILIES[family_id].sparse:
+            got = got[got.any(axis=(1, 2))]
+        assert got.shape == kraus.shape and got.tobytes() == kraus.tobytes()
+        assert {name: float(col[i]) for name, col in block.params.items()} == recorded
+
+
 #: per row: its draw's seed and edits (what, which parameter, value)
 _ROWS = st.lists(st.tuples(
     st.integers(0, 2**32 - 1),
@@ -598,18 +623,65 @@ def test_checked_rows_match_checked_build_row_by_row(family_id, rows):
             else:
                 row["x" if what == "unknown" else name] = value
         dicts.append(row)
-    built = families.checked_rows(family_id, dicts)
-    assert len(built) == len(dicts)
-    for row, got in zip(dicts, built):
-        try:
-            kraus, recorded = families.checked_build(family_id, **row)
-        except ValueError as exc:
-            assert (type(got), str(got)) == (type(exc), str(exc))
-            assert got.__traceback__ is None
-            continue
-        assert np.shape(got[0]) == np.shape(kraus)
-        assert np.asarray(got[0]).tobytes() == np.asarray(kraus).tobytes()
-        assert got[1] == recorded
+    assert_block_rows_are_one_row_views(family_id, dicts)
+
+
+def _edge_rows(family_id):
+    """Sampled points, and copies of them with one param set to each end of
+    its range (in range where the end is closed), just beyond it, to a
+    non-finite value or to a value that is no real number."""
+    fam = FAMILIES[family_id]
+    rng = np.random.default_rng(zlib.crc32(family_id.encode()))
+    points = [fam.sample_params(rng) for _ in range(12)]
+    rows = list(points)
+    for spec in fam.params:
+        ends = [x for x in (spec.low, spec.high) if x is not None]
+        values = ends + [np.nextafter(x, d) for x in ends for d in (-np.inf, np.inf)]
+        values += [float("nan"), float("inf"), -float("inf"), 2.0, -1.0, 1e300, True, "0.5"]
+        for j, value in enumerate(values):
+            rows.append({**points[j % len(points)], spec.name: value})
+    return rows
+
+
+@pytest.mark.parametrize("family_id", sorted(FAMILIES))
+def test_block_path_equals_one_row_view(family_id):
+    assert_block_rows_are_one_row_views(family_id, _edge_rows(family_id))
+
+
+def test_zero_operators_in_blocks_and_one_row_views():
+    # Pauli weights of zero are omitted from the row's own Kraus list, and
+    # kept as zero operators in a block; gadc keeps all four operators
+    pauli = [{"p0": 1.0, "p1": 0.0, "p2": 0.0, "p3": 0.0},
+             {"p0": 0.0, "p1": 0.5, "p2": 0.0, "p3": 0.5},
+             {"p0": 0.25, "p1": 0.25, "p2": 0.25, "p3": 0.25}]
+    assert_block_rows_are_one_row_views("pauli_mixture", pauli)
+    assert families.checked_rows("pauli_mixture", pauli).kraus.shape == (3, 4, 2, 2)
+    assert [len(families.checked_build("pauli_mixture", **row)[0]) for row in pauli] == [1, 2, 4]
+    assert [len(families.checked_build(fid, p=p)[0])
+            for fid in ("werner", "dephasing") for p in (0.0, 1.0)] == [3, 1, 1, 1]
+    gadc = [{"gamma": g, "N": n} for g in (0.0, 0.4, 1.0) for n in (0.0, 0.3, 1.0)]
+    assert_block_rows_are_one_row_views("gadc", gadc)
+    assert all(len(families.gadc(**row).kraus) == 4 for row in gadc)
+
+
+@pytest.mark.parametrize("value", [True, False, "0.3", "nan", 0.3 + 0j, 1j, [0.1], (0.1,),
+                                   {"v": 0.1}, None, np.array([0.1]), 10**400],
+                         ids=["True", "False", "numeric str", "nan str", "complex", "imaginary",
+                              "list", "tuple", "dict", "None", "array", "huge int"])
+def test_param_that_is_no_real_number_is_rejected_by_name(value):
+    with pytest.raises(ValueError, match=r"^gadc: N must be (a real number|finite), got "):
+        noise_channel("gadc", gamma=0.3, N=value)
+    block = families.checked_rows("gadc", [{"gamma": 0.3, "N": 0.1}, {"gamma": 0.3, "N": value}])
+    assert block.errors[0] is None and str(block.errors[1]).startswith("gadc: N must be")
+    # the first value in the row's key order names the error
+    with pytest.raises(ValueError, match="^gadc: gamma must be"):
+        noise_channel("gadc", gamma=value, N=value)
+
+
+def test_real_number_types_are_accepted_as_floats():
+    ch = noise_channel("gadc", gamma=np.float32(0.25), N=1)
+    assert ch.params == {"gamma": 0.25, "N": 1.0}
+    assert all(type(v) is float for v in ch.params.values())
 
 
 @pytest.mark.parametrize("call,error,message", [

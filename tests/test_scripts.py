@@ -82,9 +82,16 @@ def test_compare_references_dump_gates_the_record_without_closed_forms(tmp_path,
     prof = item["profile"]
     assert prof["formula_valid"] is False and prof["f_max"] is None and prof["delta"] is None
     assert item["oracle"]["agrees"] is None
+    # the Kraus-list contract: a Pauli mixture omits its zero-weight operators
+    # and gadc keeps all four at the ends of its ranges
+    assert len(items["channel pauli_mixture (1.0, 0.0, 0.0, 0.0)"]["kraus"]) == 1
+    assert len(items["channel pauli_mixture (0.0, 0.5, 0.0, 0.5)"]["kraus"]) == 2
+    assert [len(items[f"channel gadc {end}"]["kraus"]) for end in ("gamma=0", "N=0", "N=1")] \
+        == [4, 4, 4]
+    assert items["channel pauli_mixture p0=0"]["error"].startswith("ValueError: probabilities")
     assert module.compare(path, path) == 0
     tally = capsys.readouterr().out.splitlines()[3:]
-    categories = ("sweep", "grid", "search", "analyze", "threshold", "verify", "oracle")
+    categories = ("sweep", "grid", "search", "analyze", "channel", "threshold", "verify", "oracle")
     assert [line.split(":")[0] for line in tally] == list(categories)
     assert all(same == total for same, total in (line.split()[1].split("/") for line in tally))
 

@@ -328,11 +328,11 @@ def _block_inputs(rng):
              for a in (0.0, 0.1) for b in (-0.1, 0.1) for t in (0.4, 0.6)]
     tilde = [{"p1": c, "p2": p2} for c in (0.45, 0.7, 0.9) for p2 in (0.3, 0.6)]
     blocks = [
-        ([k for k, _ in families.checked_rows("gadc", grid)], bell_state(1).rho),
-        ([k for k, _ in families.checked_rows("uqt_nonunital_rank4", rank4)], pure_state(0.8).rho),
-        ([k for k, _ in families.checked_rows("dephasing", [{"p": 0.5}, {"p": 0.9}])],
+        (list(families.checked_rows("gadc", grid).kraus), bell_state(1).rho),
+        (list(families.checked_rows("uqt_nonunital_rank4", rank4).kraus), pure_state(0.8).rho),
+        (list(families.checked_rows("dephasing", [{"p": 0.5}, {"p": 0.9}]).kraus),
          bell_state(1).rho),
-        ([k for k, _ in families.checked_rows("lambda_tilde_nu", tilde)],
+        (list(families.checked_rows("lambda_tilde_nu", tilde).kraus),
          states.pure_densities_from_concurrence([row["p1"] for row in tilde])),
     ]
     blocks.append(([channels.random_kraus(rng, r) for r in [3, 4] * 8],
@@ -351,18 +351,14 @@ def test_block_verdicts_invariant_under_local_unitaries(seed):
         ua, ub = random_unitary(rng), random_unitary(rng)
         u = np.kron(ua, ub)
         rotated = [random_unitary(rng) @ np.asarray(k) @ ub.conj().T for k in kraus_lists]
-        before, _ = explorer._apply_and_classify(kraus_lists, rho)
-        after, _ = explorer._apply_and_classify(rotated, u @ rho @ u.conj().T)
-        for b, a in zip(before, after):
-            assert isinstance(b, tuple) and isinstance(a, tuple), (b, a)
-            (b, b_rank), (a, a_rank) = b, a
-            keys = ("useful", "universal", "uqt")
-            assert [getattr(b, k) for k in keys] + [b_rank] == \
-                [getattr(a, k) for k in keys] + [a_rank]
-            assert (b.f_max is None) == (a.f_max is None)
-            if b.f_max is not None:
-                assert abs(b.f_max - a.f_max) <= 1e-12
-                assert abs(b.delta - a.delta) <= 1e-12
+        before, b, _ = explorer._apply_and_classify(kraus_lists, rho)
+        after, a, _ = explorer._apply_and_classify(rotated, u @ rho @ u.conj().T)
+        assert all(type(out) is int for out in before + after), (before, after)
+        assert before == after  # the Choi ranks
+        for key in ("useful", "universal", "uqt", "formula_valid"):
+            assert getattr(b, key).tolist() == getattr(a, key).tolist()
+        assert np.max(np.abs(b.f_max - a.f_max), initial=0.0) <= 1e-12
+        assert np.max(np.abs(b.delta - a.delta), initial=0.0) <= 1e-12
 
 
 def test_profile_delta_range(rng):
