@@ -21,7 +21,9 @@
     at tol 1e-20, which bisects down to adjacent floats;
   * the 11 acceptance criteria of `uqtchan verify`: index, name, passed, detail;
   * numeric_moments(canonicalize(st)) and the rotated T of 30 seeded states:
-    every third of rank 1 to 3, and every sixth a product state (det T = 0).
+    every third of rank 1 to 3, and every sixth a product state (det T = 0);
+    and their moments as one stack, by oracle.canonical_moments (a library
+    without it writes the one-at-a-time moments there).
 It exits 1 if a sweep reports an oracle failure, an analysis disagrees with
 the oracle or an acceptance criterion fails. Run it on two versions of the library (PYTHONPATH=<src>) and
 `compare` the dumps: it prints the item count, how many items are
@@ -117,18 +119,35 @@ def _density(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     return g @ g.conj().T / np.linalg.norm(g) ** 2
 
 
-def _oracle_item(k: int) -> dict:
-    """The oracle's moments and rotated T for seeded state k: of rank
-    1 + k // 3 % 3 when k % 3 == 1, a product state when k % 6 == 2, else
-    of full rank."""
+def _oracle_state(k: int) -> states.TwoQubitState:
+    """Seeded state k: of rank 1 + k // 3 % 3 when k % 3 == 1, a product
+    state when k % 6 == 2, else of full rank."""
     rng = np.random.default_rng(k)
     if k % 6 == 2:
         rho = np.kron(_density(rng, 2, 2), _density(rng, 2, 1 + k // 6 % 2))
     else:
         rho = _density(rng, 4, 1 + k // 3 % 3 if k % 3 == 1 else 4)
-    canonical, _ = oracle.canonicalize(states.from_density(rho))
+    return states.from_density(rho)
+
+
+def _oracle_item(st: states.TwoQubitState) -> dict:
+    """The oracle's moments and rotated T of one state, one at a time."""
+    canonical, _ = oracle.canonicalize(st)
     mom = oracle.numeric_moments(canonical)
     return {"mean_f": mom.mean_f, "delta": mom.delta, "t": canonical.hs.t_mat.tolist()}
+
+
+def _oracle_stack(sts: list) -> dict:
+    """The oracle's moments of the states as one stack, by
+    `oracle.canonical_moments`. A library without the stacked oracle writes
+    its one-at-a-time moments here, so that `compare` gates the stack
+    against them."""
+    stacked = getattr(oracle, "canonical_moments", None)
+    if stacked is None:
+        moms = [_oracle_item(st) for st in sts]
+        return {"mean_f": [m["mean_f"] for m in moms], "delta": [m["delta"] for m in moms]}
+    mean, delta = stacked(np.array([st.rho for st in sts]))
+    return {"mean_f": mean.tolist(), "delta": delta.tolist()}
 
 
 def reference_items() -> dict:
@@ -168,8 +187,10 @@ def reference_items() -> dict:
     for res in acceptance.run_all():  # an older library may store a numpy bool
         items[f"verify {res.index} {res.name}"] = dict(dataclasses.asdict(res),
                                                        passed=bool(res.passed))
-    for k in range(ORACLE_STATES):
-        items[f"oracle state {k}"] = _oracle_item(k)
+    sts = [_oracle_state(k) for k in range(ORACLE_STATES)]
+    for k, st in enumerate(sts):
+        items[f"oracle state {k}"] = _oracle_item(st)
+    items["oracle stack"] = _oracle_stack(sts)
     return items
 
 

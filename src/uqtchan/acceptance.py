@@ -31,10 +31,6 @@ def _random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_density(rng: np.random.Generator) -> states.TwoQubitState:
-    return states.from_density(_random_density_matrix(rng))
-
-
 def _raise_first(outcomes) -> None:
     """Raise the error of a stack's first rejected member as its one-member
     path would: an exception outcome, or a density_stack message. A rejected
@@ -62,12 +58,18 @@ def _densities(matrices) -> np.ndarray:
     return dens.rho
 
 
-def random_det_negative_state(rng: np.random.Generator) -> states.TwoQubitState:
+def _det_negative_matrix(rng: np.random.Generator) -> np.ndarray:
+    """The first `_random_density_matrix` draw with det T < -1e-6."""
     for _ in range(1000):
-        st = random_density(rng)
-        if float(np.linalg.det(st.hs.t_mat)) < -1e-6:
-            return st
+        m = _random_density_matrix(rng)
+        if float(np.linalg.det(states.hs_decompose(m).t_mat)) < -1e-6:
+            return m
     raise RuntimeError("failed to sample a det(T) < 0 state")
+
+
+def _within(value: float, tol: float) -> str:
+    """"<= tol" for a value within tol, else the value: no rounding noise."""
+    return f"<= {tol:g}" if value <= tol else f"{value:.1e} > {tol:g}"
 
 
 # ---------------------------------------------------------------------------
@@ -86,18 +88,17 @@ def _dephasing_law(p: float) -> tuple[float, float]:
 
 def criterion_dephasing_bell_law() -> tuple[bool, str]:
     """Dephasing on a Bell input follows the piecewise fidelity law to 1e-12,
-    and the protocol simulation agrees to 1e-6."""
-    bell = states.bell_state(1)
-    worst_formula = 0.0
-    worst_oracle = 0.0
-    for p in (0.1, 0.25, 0.5, 0.75, 0.9):
-        final = channels.apply_to_bob(bell, families.dephasing(p))
-        prof = states.profile(final)
-        f_ref, d_ref = _dephasing_law(p)
-        worst_formula = max(worst_formula, abs(prof.f_max - f_ref), abs(prof.delta - d_ref))
-        canonical, _ = oracle.canonicalize(final)
-        mom = oracle.numeric_moments(canonical)
-        worst_oracle = max(worst_oracle, abs(mom.mean_f - f_ref), abs(mom.delta - d_ref))
+    and the protocol simulation agrees to 1e-6; the five points are built,
+    classified and simulated as one stack."""
+    ps = (0.1, 0.25, 0.5, 0.75, 0.9)
+    block = families.checked_rows("dephasing", [{"p": p} for p in ps])
+    _raise_first(block.errors)
+    final = _densities(channels.bob_action(states.bell_state(1).rho, _validated(block.kraus)[0]))
+    v = states.verdicts(states.hs_decompose(final).t_mat)
+    mean, dev = oracle.canonical_moments(final)
+    f_ref, d_ref = np.array([_dephasing_law(p) for p in ps]).T
+    worst_formula = float(np.max(np.abs([v.f_max - f_ref, v.delta - d_ref])))
+    worst_oracle = float(np.max(np.abs([mean - f_ref, dev - d_ref])))
     ok = worst_formula <= 1e-12 and worst_oracle <= 1e-6
     return ok, f"max formula err {worst_formula:.2e} (tol 1e-12), oracle err {worst_oracle:.2e} (tol 1e-6)"
 
@@ -121,7 +122,7 @@ def criterion_werner_threshold() -> tuple[bool, str]:
     for p in (0.6, 0.8, 0.95):
         prof = states.profile(channels.choi(families.werner(p)))
         ok &= prof.uqt and prof.delta <= 1e-12
-        details.append(f"p={p}: uqt={prof.uqt} delta={prof.delta:.1e}")
+        details.append(f"p={p}: uqt={prof.uqt} delta {_within(prof.delta, 1e-12)}")
     return ok, "; ".join(details)
 
 
@@ -161,8 +162,9 @@ def criterion_nonunital_uqt_families() -> tuple[bool, str]:
             msgs.append(f"{kind}: unital={bool(unital[i])} rank={ranks[i]} "
                         f"strict={bool(strict[i])} uqt={bool(v.uqt[i])}")
     ok &= worst["abs_t"] <= 1e-10 and worst["delta"] <= 1e-12 and worst["f"] <= 1e-12
-    msgs.append(f"max |abs_t - t| {worst['abs_t']:.1e}, delta {worst['delta']:.1e}, "
-                f"|F - (1+t)/2| {worst['f']:.1e}")
+    msgs.append(f"max |abs_t - t| {_within(worst['abs_t'], 1e-10)}, "
+                f"delta {_within(worst['delta'], 1e-12)}, "
+                f"|F - (1+t)/2| {_within(worst['f'], 1e-12)}")
     return ok, "; ".join(msgs)
 
 
@@ -341,24 +343,17 @@ def criterion_noise_catalog() -> tuple[bool, str]:
 def criterion_oracle_equivalence() -> tuple[bool, str]:
     """For 100 random det(T) < 0 states the closed forms agree with the
     canonicalized protocol quadrature to 1e-6, and teleportation through a
-    Bell state reproduces 50 random inputs with fidelity 1 (1e-12)."""
+    Bell state reproduces 50 random inputs with fidelity 1 (1e-12). The states,
+    drawn in turn, and the inputs, drawn next, each go through as one stack."""
     rng = np.random.default_rng(424242)
-    worst = 0.0
-    for _ in range(100):
-        st = random_det_negative_state(rng)
-        prof = states.profile(st)
-        canonical, _ = oracle.canonicalize(st)
-        mom = oracle.numeric_moments(canonical)
-        worst = max(worst, abs(mom.mean_f - prof.f_max), abs(mom.delta - prof.delta))
-    bell = states.bell_state(1)
-    worst_fid = 0.0
-    for _ in range(50):
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        out = oracle.teleport_output(bell, n)
-        rho_in = 0.5 * (linalg.I2 + n[0] * linalg.SX + n[1] * linalg.SY + n[2] * linalg.SZ)
-        fid = float(np.trace(rho_in @ out).real)
-        worst_fid = max(worst_fid, abs(1.0 - fid))
+    rho = _densities([_det_negative_matrix(rng) for _ in range(100)])
+    v = states.verdicts(states.hs_decompose(rho).t_mat)
+    mean, dev = oracle.canonical_moments(rho)
+    worst = float(np.max(np.abs([mean - v.f_max, dev - v.delta])))
+    blochs = [n / np.linalg.norm(n) for n in (rng.normal(size=3) for _ in range(50))]
+    rho_in = oracle._bloch_to_rho(blochs)
+    out = oracle._protocol(states.bell_state(1).rho[None], rho_in)[0]
+    worst_fid = float(np.max(np.abs(1.0 - np.einsum("nab,nba->n", rho_in, out).real)))
     ok = worst <= 1e-6 and worst_fid <= 1e-12
     return ok, f"max |formula - quadrature| {worst:.2e} (tol 1e-6); Bell infidelity {worst_fid:.2e} (tol 1e-12)"
 

@@ -81,9 +81,9 @@ def completeness_residual(kraus) -> float | np.ndarray:
 
 def unitality_residual(kraus) -> float | np.ndarray:
     """||sum_i K_i K_i^dag - I||_max of a Kraus stack, or of each member of a
-    stack of them."""
+    stack of them, by one einsum."""
     ks = np.asarray(kraus, dtype=complex)
-    return np.abs((ks @ dagger(ks)).sum(axis=-3) - I2).max(axis=(-2, -1))
+    return np.abs(np.einsum("...kab,...kcb->...ac", ks, ks.conj()) - I2).max(axis=(-2, -1))
 
 
 def bob_action(rho: np.ndarray, ks: np.ndarray) -> np.ndarray:

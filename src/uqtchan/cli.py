@@ -61,7 +61,7 @@ def _cmd_sweep(args) -> int:
     if not _emit(explorer.sweep_to_csv(result), args.output):
         return EXIT_SPEC
     if result.oracle_failures:
-        print(f"error: {result.oracle_failures} oracle spot-check disagreements",
+        print(f"error: {result.oracle_failures} oracle disagreements",
               file=sys.stderr)
         return EXIT_ORACLE
     return EXIT_OK

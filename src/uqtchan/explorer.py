@@ -29,7 +29,6 @@ from .families import FamilySpec
 from .states import TeleportProfile, TwoQubitState
 
 ORACLE_TOL = 1e-6
-ORACLE_EVERY = 50
 MAX_GRID_ROWS = 10**6
 #: grid rows of a sweep validated, applied and classified together; a
 #: constant, so the stacks, and the memory, stay the same size for any grid
@@ -103,6 +102,17 @@ def oracle_check(final: TwoQubitState, prof: TeleportProfile) -> tuple[bool, dic
     ok = abs(mom.mean_f - prof.f_max) <= ORACLE_TOL and abs(mom.delta - prof.delta) <= ORACLE_TOL
     info["agrees"] = ok
     return ok, info
+
+
+def oracle_disagreements(final: np.ndarray, f_max: list, delta: list) -> int:
+    """How many literal final states (N, 4, 4) `states.density_stack` rejects or
+    the protocol simulation (`oracle.canonical_moments`) contradicts beyond
+    ORACLE_TOL in f_max or delta; a None (no closed form) contradicts nothing."""
+    dens = states.density_stack(final)
+    mean, dev = oracle.canonical_moments(dens.rho)
+    f_max, delta = np.array(f_max, float), np.array(delta, float)  # None is NaN: never > tol
+    bad = (np.abs(mean - f_max) > ORACLE_TOL) | (np.abs(dev - delta) > ORACLE_TOL)
+    return int(np.count_nonzero(bad | np.array([e is not None for e in dens.errors], bool)))
 
 
 def _apply_and_classify(kraus, rho: np.ndarray) -> tuple[list, TeleportProfile, np.ndarray]:
@@ -249,10 +259,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     parameter that none sets, initial state or a "matched" input the family
     does not define) raise SweepSpecError before the first row.
     Rows go through `_classify_rows` in blocks of SWEEP_BLOCK, with the error
-    texts and, to rounding, the values of evaluate_point. Every
-    ORACLE_EVERY-th valid row is re-verified, its literal final state
-    against its values, by the protocol simulation and flagged in
-    `oracle_checked`.
+    texts and, to rounding, the values of evaluate_point. Every valid row is
+    flagged in `oracle_checked`: a block's literal final states are checked
+    against its f_max and delta as one stack by `oracle_disagreements`.
     """
     total = math.prod(ax.count() for ax in spec.axes)
     if total > MAX_GRID_ROWS:
@@ -271,18 +280,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows: list[tuple] = []
     oracle_failures = 0
     names = [ax.param for ax in spec.axes]
-    for first in range(0, total, SWEEP_BLOCK):
+    for _ in range(0, total, SWEEP_BLOCK):
         combos = list(itertools.islice(points, SWEEP_BLOCK))
         errors, cols, block, rho = _classify_rows(family_id, [
             {**spec.family.params, **dict(zip(names, combo))} for combo in combos], initial)
         valid = [i for i, err in enumerate(errors) if err is None]
-        cols["oracle_checked"] = [(first + i) % ORACLE_EVERY == 0 for i in valid]
-        for a, i in enumerate(valid):
-            if cols["oracle_checked"][a]:  # the literal final state, against the row's values
-                final = channels.bob_action(rho if rho.ndim == 2 else rho[i], block.kraus[i])
-                row_prof = TeleportProfile(**{f.name: cols[f.name][a]
-                                              for f in dataclasses.fields(TeleportProfile)})
-                oracle_failures += not oracle_check(states.from_density(final), row_prof)[0]
+        cols["oracle_checked"] = [True] * len(valid)
+        final = channels.bob_action(rho if rho.ndim == 2 else rho[valid], block.kraus[valid])
+        oracle_failures += oracle_disagreements(final, cols["f_max"], cols["delta"])
         values = zip(*(cols[name] for name in spec.outputs))
         rows += [(family_id, *combo, *empty, err) if err else (family_id, *combo, *next(values), "")
                  for combo, err in zip(combos, errors)]

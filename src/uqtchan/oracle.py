@@ -16,8 +16,10 @@ matrix diag(d1, d2, d3) is (1 + (d1 - d2 + d3)/3) / 2; the canonical sign
 pattern below maximizes it, reproducing the closed forms computed by
 states.profile.
 
-All computations are pure functions of their inputs; quadrature sums use a
-fixed node order, so results do not depend on any execution schedule.
+Each piece takes a stack of N shared states; teleport_output, numeric_moments
+and canonicalize are one-member views. All computations are pure functions of
+their inputs; quadrature sums use a fixed node order, so results do not depend
+on any execution schedule.
 """
 
 from __future__ import annotations
@@ -32,54 +34,47 @@ from .states import BELL_KETS, TwoQubitState, hs_decompose, nonzero_magnitudes
 #: corrections for Bell outcomes 1..4: the Pauli m_k with |Phi_k> = (m_k x I)|Phi_1>
 CORRECTIONS = (I2, SX, SZ @ SX, SZ)
 
-_BELL_PROJ = tuple(np.outer(k, k.conj()) for k in BELL_KETS)
 _PAULI_STACK = np.array(PAULIS)
+#: The protocol with the shared state and the input left open, summed over the
+#: outcomes k: R[i, i', c, c', r] = sum_k P_k[(i' a'), (i a)] m_k[c, b] m_k*[c', b']
+#: for rho's entry r = (a b, a' b'), P_k the Bell projector on (input, Alice)
+_PROJ = np.array([np.outer(k, k.conj()) for k in BELL_KETS]).reshape(4, 2, 2, 2, 2)
+_REGISTER = np.einsum("kyzia,kcb,kde->iycdabze", _PROJ, np.array(CORRECTIONS),
+                      np.array(CORRECTIONS).conj()).reshape(2, 2, 2, 2, 16)
+#: (sigma_i sigma_x sigma_j)[a, d], i, j = 1..3: the SU(2) lift with O left open
+_LIFT = np.einsum("iab,xbc,jcd->ijxad", _PAULI_STACK[1:], _PAULI_STACK, _PAULI_STACK[1:])
 
 
 def _bloch_to_rho(n_vec) -> np.ndarray:
-    n1, n2, n3 = (float(x) for x in n_vec)
-    return 0.5 * np.array([[1.0 + n3, n1 - 1j * n2], [n1 + 1j * n2, 1.0 - n3]], dtype=complex)
+    """(I + n.sigma)/2 of a Bloch vector, or of each vector of a stack (..., 3)."""
+    n = np.asarray(n_vec, dtype=float)
+    return 0.5 * (I2 + np.einsum("...i,iab->...ab", n, _PAULI_STACK[1:]))
 
 
-def _protocol(shared: TwoQubitState, x: np.ndarray) -> np.ndarray:
-    """Output of the standard protocol on a 2x2 input operator x.
-
-    The 3-qubit register is (input, Alice, Bob); the input-Alice pair is
-    projected onto each Bell state, the matching correction is applied on
-    Bob, and the four outcome branches are summed with their probabilities.
-    """
-    total = np.kron(x, shared.rho)  # qubits (0, 1, 2)
-    out = np.zeros((2, 2), dtype=complex)
-    for proj, corr in zip(_BELL_PROJ, CORRECTIONS):
-        big = np.kron(proj, I2) @ total
-        # trace out qubits 0 and 1
-        bob = np.einsum("aiaj->ij", big.reshape(4, 2, 4, 2))
-        out += corr @ bob @ dagger(corr)
-    return out
+def _protocol(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Outputs (N, M, 2, 2) of the protocol through shared states (N, 4, 4) on
+    input operators (M, 2, 2): the register (input, Alice, Bob) x (x) rho,
+    Bell-projected on (input, Alice), traced over them and corrected on Bob.
+    The state-independent factors go first: no intermediate exceeds M * 64."""
+    ops = np.einsum("mij,ijcdr->mcdr", x, _REGISTER)
+    return np.einsum("nr,mcdr->nmcd", rho.reshape(len(rho), 16), ops)
 
 
 def teleport_output(shared: TwoQubitState, input_bloch) -> np.ndarray:
     """Output density matrix of the standard protocol for one pure input."""
-    return _protocol(shared, _bloch_to_rho(input_bloch))
+    return _protocol(shared.rho[None], _bloch_to_rho(input_bloch)[None])[0, 0]
 
 
 def _transfer_operators(shared: TwoQubitState) -> list[np.ndarray]:
-    """Action of the protocol on the input-operator basis {I, sx, sy, sz}.
-
-    The output is linear in the input operator, so these four matrices
-    determine the protocol exactly; teleport_output is recovered as
-    (L[I] + sum_i n_i L[sigma_i]) / 2.
-    """
-    return [_protocol(shared, s) for s in PAULIS]
+    """Action L of the protocol on the input-operator basis {I, sx, sy, sz},
+    which determines it: teleport_output is (L[I] + sum_i n_i L[sigma_i]) / 2."""
+    return list(_protocol(shared.rho[None], _PAULI_STACK)[0])
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Bloch-sphere averaging rule under normalized Haar weight.
-
-    Gauss-Legendre nodes in cos(theta) and a uniform periodic grid in phi;
-    the fidelity is a degree-2 polynomial in the Bloch vector, so the
-    defaults are exact to rounding."""
+    """Bloch-sphere averaging rule under normalized Haar weight: Gauss-Legendre
+    nodes in cos(theta) and a uniform periodic grid in phi."""
 
     n_theta: int = 64
     n_phi: int = 64
@@ -100,30 +95,43 @@ class QuadratureSpec:
         return weights, bloch
 
 
+#: exact, built once: f^2 has degree 4 in the Bloch vector, and 3 Gauss-Legendre
+#: nodes (exact to degree 5) times 5 phi points (to harmonic 4) integrate it
+EXACT_RULE = QuadratureSpec(3, 5).nodes()
+for _m in (_PAULI_STACK, _REGISTER, _LIFT, *EXACT_RULE):
+    _m.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class NumericMoments:
     mean_f: float
     delta: float
 
 
-def fidelity_on_bloch(shared: TwoQubitState, bloch: np.ndarray) -> np.ndarray:
-    """Vectorized protocol fidelity for an (N, 3) array of input Bloch vectors:
-    (1, n) G (1, n)^T / 4 with G_ij = Tr(sigma_i L[sigma_j])."""
-    g = np.einsum("iab,jba->ij", _PAULI_STACK, np.array(_transfer_operators(shared))).real
+def fidelities(rho: np.ndarray, bloch: np.ndarray) -> np.ndarray:
+    """Protocol fidelities (N, Q) through shared states (N, 4, 4) for input Bloch
+    vectors (Q, 3): (1, n) G (1, n)^T / 4 with G_ij = Tr(sigma_i L[sigma_j])."""
+    g = np.einsum("iab,njba->nij", _PAULI_STACK, _protocol(rho, _PAULI_STACK)).real
     v = np.column_stack([np.ones(len(bloch)), bloch])
-    return 0.25 * np.einsum("ni,ij,nj->n", v, g, v)
+    return 0.25 * np.einsum("qi,nij,qj->nq", v, g, v)
+
+
+def moments(rho: np.ndarray, rule: tuple[np.ndarray, np.ndarray] = EXACT_RULE
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Haar mean of the protocol fidelity and its spread through shared states
+    (N, 4, 4) by a (weights, bloch) rule; the spread is the root of the centered
+    moment, as second moment - mean**2 cancels to ~1e-8 noise at zero spread."""
+    weights, bloch = rule
+    f = fidelities(rho, bloch)
+    # row sums: numpy's pairwise summation, the same for a row alone or in a stack
+    mean = (f * weights).sum(axis=-1)
+    return mean, np.sqrt((np.square(f - mean[:, None]) * weights).sum(axis=-1))
 
 
 def numeric_moments(shared: TwoQubitState, quad: QuadratureSpec | None = None) -> NumericMoments:
-    """Haar mean of the protocol fidelity and its spread.
-
-    The spread is the root of the centered moment, not of the second moment
-    minus mean**2, which cancels to ~1e-8 noise when the true spread is zero."""
-    quad = quad or QuadratureSpec()
-    weights, bloch = quad.nodes()
-    f = fidelity_on_bloch(shared, bloch)
-    mean = float(weights @ f)
-    return NumericMoments(mean_f=mean, delta=float(np.sqrt(weights @ (f - mean) ** 2)))
+    """`moments` of one shared state by `quad` (64 x 64 by default)."""
+    mean, delta = moments(shared.rho[None], (quad or QuadratureSpec()).nodes())
+    return NumericMoments(mean_f=float(mean[0]), delta=float(delta[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -131,70 +139,62 @@ def numeric_moments(shared: TwoQubitState, quad: QuadratureSpec | None = None) -
 # ---------------------------------------------------------------------------
 
 def _su2_from_rotation(o: np.ndarray) -> np.ndarray:
-    """Lift a proper rotation O to SU(2). With sigma'_j = sum_i O_ij sigma_i
-    and sigma'_0 = I, sum_j sigma'_j X sigma_j = 2 Tr(U^dag X) U for every X;
-    the Pauli X with the largest sum, scaled to det 1, is U up to sign."""
-    rotated = np.concatenate([_PAULI_STACK[:1], np.einsum("ij,iab->jab", o, _PAULI_STACK[1:])])
-    sums = np.einsum("jab,xbc,jcd->xad", rotated, _PAULI_STACK, _PAULI_STACK)
-    m = sums[np.argmax(np.linalg.norm(sums, axis=(1, 2)))]
-    return m / np.sqrt(np.linalg.det(m))
+    """Lift proper rotations O (..., 3, 3) to SU(2): with sigma'_j = sum_i O_ij
+    sigma_i and sigma'_0 = I, sum_j sigma'_j X sigma_j = 2 Tr(U^dag X) U for
+    every X; the Pauli X with the largest sum, scaled to det 1, is U up to sign."""
+    sums = _PAULI_STACK + np.einsum("...ij,ijxad->...xad", o, _LIFT)
+    best = np.argmax(np.linalg.norm(sums, axis=(-2, -1)), axis=-1)
+    m = np.take_along_axis(sums, best[..., None, None, None], axis=-3)[..., 0, :, :]
+    return m / np.sqrt(np.linalg.det(m))[..., None, None]
 
 
-def rotation_of_unitary(u: np.ndarray) -> np.ndarray:
-    """SO(3) image of a single-qubit unitary: U sigma_j U^dag = sum_i R_ij sigma_i."""
-    r = np.empty((3, 3))
-    for j in range(3):
-        conj = u @ PAULIS[j + 1] @ dagger(u)
-        for i in range(3):
-            r[i, j] = 0.5 * np.trace(PAULIS[i + 1] @ conj).real
-    return r
+def canonical_densities(rho: np.ndarray, t_mat: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rotate density matrices (N, 4, 4), as from_density stores them, with
+    correlation matrices T (N, 3, 3) by local unitaries: the read-only rho_C
+    and U1, U2 (N, 2, 2), rho_C = (U1 x U2) rho (U1 x U2)^dag, by one batched
+    SVD. T of rho_C is diagonal, magnitudes descending, with the signs that
+    maximize the protocol mean (1 + (d1 - d2 + d3)/3)/2 over rotations: the
+    printed all-negative (det <= 0) / two-largest-negative (det > 0) pattern
+    conjugated by diag(-1, 1, -1), i.e. by sigma_2 on one side."""
+    u_svd, sigma, vt_svd = np.linalg.svd(t_mat)
+    det_a, det_b = np.round(np.linalg.det(u_svd)), np.round(np.linalg.det(vt_svd))
+    nonzero = nonzero_magnitudes(sigma)
+    # sign(det T) from the exact orthogonal-factor parities, which stays correct
+    # when det T underflows; zero singular directions mean det T = 0
+    positive = (det_a * det_b > 0.0) & nonzero.all(axis=-1)
+    eps = np.where(positive[:, None], [1.0, -1.0, -1.0], [1.0, -1.0, 1.0])
+    # signs f_i g_i = eps_i on supported directions with prod(f) = det(U) and
+    # prod(g) = det(V), so both rotations are proper: f = 1, g = eps, then one
+    # parity fix on the first zero direction (free slack) or, with none, on the
+    # last, where prod(eps) = sign(det T) = det_a det_b keeps f_2 g_2 = eps_2
+    rows = np.arange(len(sigma))
+    f = np.ones_like(sigma)
+    g = np.where(nonzero, eps, 1.0)
+    j = np.minimum(nonzero.sum(axis=-1), 2)  # zero magnitudes come last
+    f[rows, j] = det_a
+    g[rows, j] *= det_b * np.prod(g, axis=-1)
+
+    u1 = _su2_from_rotation(f[:, :, None] * u_svd.swapaxes(-1, -2))
+    u2 = _su2_from_rotation(g[:, :, None] * vt_svd)
+    # np.kron(u1, u2) of each member, by broadcasting: the same bits as np.kron
+    big = (u1[:, :, None, :, None] * u2[:, None, :, None, :]).reshape(-1, 4, 4)
+    out = big @ rho @ dagger(big)
+    # from_density's rho and arithmetic, not its spectrum check: a rotation keeps the spectrum
+    out = (out + dagger(out)) / (2.0 * out.trace(axis1=1, axis2=2).real)[:, None, None]
+    out.setflags(write=False)
+    return out, u1, u2
 
 
-def _canonical_signs(det_t: float) -> np.ndarray:
-    # Sign pattern maximizing the protocol mean (1 + (d1 - d2 + d3)/3)/2 over
-    # proper rotations, for magnitudes sorted descending. It is the printed
-    # all-negative (det <= 0) / two-largest-negative (det > 0) convention
-    # conjugated by the fixed rotation diag(-1, 1, -1), i.e. by sigma_2 on
-    # one side, matching the |Phi_1>-anchored correction set.
-    if det_t > 0.0:
-        return np.array([1.0, -1.0, -1.0])
-    return np.array([1.0, -1.0, 1.0])
+def canonical_moments(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle of density matrices (N, 4, 4), as from_density stores them:
+    the `moments` of their canonical forms by the exact rule, which equal
+    f_max and delta where det T <= 0."""
+    return moments(canonical_densities(rho, hs_decompose(rho).t_mat)[0])
 
 
 def canonicalize(state: TwoQubitState) -> tuple[TwoQubitState, tuple[np.ndarray, np.ndarray]]:
-    """Rotate a state by local unitaries into the canonical diagonal form.
-
-    Returns (rho_C, (U1, U2)) with rho_C = (U1 x U2) rho (U1 x U2)^dag. The
-    correlation matrix of rho_C is diagonal with magnitudes sorted descending
-    and the det-dependent sign pattern that makes the standard protocol
-    optimal: numeric_moments(rho_C).mean_f equals profile(state).f_max
-    whenever det T < 0.
-    """
-    t = state.hs.t_mat
-    u_svd, sigma, vt_svd = np.linalg.svd(t)
-    det_a = round(float(np.linalg.det(u_svd)))
-    det_b = round(float(np.linalg.det(vt_svd)))
-    nonzero = nonzero_magnitudes(sigma)
-    # sign(det T) taken from the exact orthogonal-factor parities, which stays
-    # correct when det T underflows; zero singular directions mean det T = 0
-    eps = _canonical_signs(float(det_a * det_b) if bool(np.all(nonzero)) else 0.0)
-
-    # Need diagonal signs with f_i g_i = eps_i on supported directions and
-    # prod(f) = det(U), prod(g) = det(V) so both rotations are proper: f_i = 1,
-    # g_i = eps_i, then one parity fix on the first zero singular direction
-    # (free slack) or, with none, on the last, where prod(eps) = sign(det T)
-    # = det_a det_b keeps f_2 g_2 = eps_2.
-    f = np.ones(3)
-    g = np.where(nonzero, eps, 1.0)
-    j = min(int(nonzero.sum()), 2)  # zero magnitudes come last
-    f[j] = det_a
-    g[j] *= det_b * np.prod(g)
-
-    u1 = _su2_from_rotation(f[:, None] * u_svd.T)
-    u2 = _su2_from_rotation(g[:, None] * vt_svd)
-    big = np.kron(u1, u2)
-    rho = big @ state.rho @ dagger(big)
-    # from_density's rho and arithmetic, not its spectrum check: a rotation keeps the spectrum
-    rho = (rho + rho.conj().T) / (2.0 * rho.trace().real)
-    rho.setflags(write=False)
-    return TwoQubitState(rho=rho, hs=hs_decompose(rho)), (u1, u2)
+    """(rho_C, (U1, U2)) of one state by `canonical_densities`;
+    numeric_moments(rho_C).mean_f equals profile(state).f_max if det T < 0."""
+    rho, u1, u2 = canonical_densities(state.rho[None], state.hs.t_mat[None])
+    return TwoQubitState(rho=rho[0], hs=hs_decompose(rho[0])), (u1[0], u2[0])

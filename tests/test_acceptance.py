@@ -1,18 +1,20 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
 one pass/fail line (run with -s to see them all).
 
-Criteria 2, 4 and 11 classify their draws as one stack; the scalar loops
-below are their references, one draw at a time through the one-member
-paths (`validate`, `from_density`, `profile`, `concurrence`)."""
+Criteria 1, 2, 4, 10 and 11 classify their draws as one stack; the scalar
+loops below are their references, one draw at a time through the
+one-member paths (`validate`, `from_density`, `profile`, `concurrence`,
+`canonicalize`, `numeric_moments`, `teleport_output`)."""
 
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
-from uqtchan import acceptance, channels, families, linalg, states
+from uqtchan import acceptance, channels, families, linalg, oracle, states
 
 
 @pytest.mark.parametrize(
@@ -84,8 +86,9 @@ def _reference_nonunital_uqt_families():
                             f"strict={strict} uqt={prof.uqt}")
                 break
     ok &= worst["abs_t"] <= 1e-10 and worst["delta"] <= 1e-12 and worst["f"] <= 1e-12
-    msgs.append(f"max |abs_t - t| {worst['abs_t']:.1e}, delta {worst['delta']:.1e}, "
-                f"|F - (1+t)/2| {worst['f']:.1e}")
+    within = acceptance._within
+    msgs.append(f"max |abs_t - t| {within(worst['abs_t'], 1e-10)}, "
+                f"delta {within(worst['delta'], 1e-12)}, |F - (1+t)/2| {within(worst['f'], 1e-12)}")
     return ok, "; ".join(msgs)
 
 
@@ -93,7 +96,7 @@ def _reference_monotonicity():
     rng = np.random.default_rng(1618)
     worst_c = -np.inf
     for _ in range(500):
-        st = acceptance.random_density(rng)
+        st = states.from_density(acceptance._random_density_matrix(rng))
         ch = _random_channel(rng, rank=int(rng.integers(1, 5)))
         worst_c = max(worst_c,
                       states.concurrence(channels.apply_to_bob(st, ch)) - states.concurrence(st))
@@ -112,6 +115,72 @@ def _reference_monotonicity():
     ok = worst_c <= 1e-10 and worst_f <= 1e-10
     return ok, (f"max concurrence increase {worst_c:.2e}, max fidelity increase "
                 f"{worst_f:.2e} (tol 1e-10; {skipped} det(T)>=0 finals skipped)")
+
+
+def _reference_dephasing_bell_law():
+    bell = states.bell_state(1)
+    worst_formula = worst_oracle = 0.0
+    for p in (0.1, 0.25, 0.5, 0.75, 0.9):
+        final = channels.apply_to_bob(bell, families.dephasing(p))
+        prof = states.profile(final)
+        f_ref, d_ref = acceptance._dephasing_law(p)
+        worst_formula = max(worst_formula, abs(prof.f_max - f_ref), abs(prof.delta - d_ref))
+        mom = oracle.numeric_moments(oracle.canonicalize(final)[0])
+        worst_oracle = max(worst_oracle, abs(mom.mean_f - f_ref), abs(mom.delta - d_ref))
+    return worst_formula <= 1e-12 and worst_oracle <= 1e-6, (worst_formula, worst_oracle)
+
+
+def _random_det_negative_state(rng):
+    for _ in range(1000):
+        st = states.from_density(acceptance._random_density_matrix(rng))
+        if float(np.linalg.det(st.hs.t_mat)) < -1e-6:
+            return st
+    raise RuntimeError("failed to sample a det(T) < 0 state")
+
+
+def _reference_oracle_equivalence():
+    rng = np.random.default_rng(424242)
+    worst = 0.0
+    drawn = []
+    for _ in range(100):
+        st = _random_det_negative_state(rng)
+        drawn.append(st)
+        prof = states.profile(st)
+        mom = oracle.numeric_moments(oracle.canonicalize(st)[0])
+        worst = max(worst, abs(mom.mean_f - prof.f_max), abs(mom.delta - prof.delta))
+    state_after = rng.bit_generator.state
+    worst_fid = 0.0
+    for _ in range(50):
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        out = oracle.teleport_output(states.bell_state(1), n)
+        rho_in = 0.5 * (linalg.I2 + n[0] * linalg.SX + n[1] * linalg.SY + n[2] * linalg.SZ)
+        worst_fid = max(worst_fid, abs(1.0 - float(np.trace(rho_in @ out).real)))
+    return worst <= 1e-6 and worst_fid <= 1e-12, (worst, worst_fid), drawn, state_after
+
+
+def test_criterion_1_agrees_with_its_scalar_reference():
+    result = acceptance.run_criterion(1)
+    passed, errors = _reference_dephasing_bell_law()
+    printed = [float(x) for x in re.findall(r"err (\S+) \(tol", result.detail)]
+    assert result.passed == passed and len(printed) == 2
+    assert max(printed) <= 1e-15 and max(errors) <= 1e-15  # both at rounding level
+
+
+def test_criterion_10_draws_what_the_scalar_loop_draws():
+    # the same 100 accepted states, the same stream after them for the Bell
+    # inputs, and moments at rounding level against the closed forms, as
+    # the scalar loop through the 64 x 64 rule finds them
+    result = acceptance.run_criterion(10)
+    passed, errors, drawn, state_after = _reference_oracle_equivalence()
+    rng = np.random.default_rng(424242)
+    mats = [acceptance._det_negative_matrix(rng) for _ in range(100)]
+    for st, m in zip(drawn, mats):
+        assert states.from_density(m).rho.tobytes() == st.rho.tobytes()
+    assert rng.bit_generator.state == state_after
+    printed = [float(x) for x in re.findall(r"(\S+) \(tol", result.detail)]
+    assert result.passed == passed and len(printed) == 2
+    assert max(printed) <= 1e-15 and max(errors) <= 1e-15
 
 
 REFERENCES = {2: _reference_rank2_never_uqt, 4: _reference_nonunital_uqt_families,

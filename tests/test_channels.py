@@ -313,7 +313,7 @@ def test_final_correlations_match_the_literal_final_state(seed, counts, kind, st
             return states.pure_state(float(rng.uniform(0.5, 0.99))).rho
         if kind == "matched":
             return states.pure_densities_from_concurrence([rng.uniform(0.05, 1.0)])[0]
-        return acceptance.random_density(rng).rho
+        return states.from_density(acceptance._random_density_matrix(rng)).rho
 
     rho = np.array([draw() for _ in lists]) if stacked else draw()
     _, choi_stack, outcomes = channels.validate_stack(lists)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtchan import channels, cli, explorer, families, states
+from uqtchan import channels, cli, explorer, families, oracle, states
 from uqtchan.explorer import (
     CSV_FIELDS,
     Axis,
@@ -244,18 +244,18 @@ def assert_same_results(got, expected, where="value"):
         assert got == expected, (where, got, expected)
 
 
-def scalar_row(family_id, params, initial, idx):
-    """The value and error columns of grid row idx, built from evaluate_point
-    and report one point at a time, and whether its oracle check failed."""
+def scalar_row(family_id, params, initial):
+    """The value and error columns of a grid row, built from evaluate_point
+    and report one point at a time, and whether its oracle check failed:
+    every valid row is checked."""
     try:
         ch, final, prof = evaluate_point(family_id, params, initial)
     except ValueError as exc:
         return (None,) * len(CSV_FIELDS) + (str(exc),), False
     rep = channels.report(ch)
-    checked = idx % explorer.ORACLE_EVERY == 0
-    failed = checked and not explorer.oracle_check(final, prof)[0]
+    failed = not explorer.oracle_check(final, prof)[0]
     return (prof.f_max, prof.delta, prof.det_t, rep.choi_rank, rep.unital, prof.useful,
-            prof.universal, prof.uqt, checked, ""), failed
+            prof.universal, prof.uqt, True, ""), failed
 
 
 #: in-range draws are replaced by these: out of range, non-finite and huge
@@ -297,7 +297,7 @@ def test_sweep_rows_match_the_scalar_path(family_id, seed, data):
     failures = 0
     for idx, (row, combo) in enumerate(zip(result.rows, points)):
         point = dict(params, **{ax.param: v for ax, v in zip(axes, combo)})
-        values, failed = scalar_row(family_id, point, initial, idx)
+        values, failed = scalar_row(family_id, point, initial)
         assert_same_results(row, (family_id, *combo, *values), f"row {idx}")
         failures += failed
     assert result.oracle_failures == failures
@@ -316,7 +316,26 @@ def test_sweep_oracle_catches_a_wrong_transpose_sign(monkeypatch, tmp_path, caps
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["sweep", str(path)]) == 4
-    assert "oracle spot-check disagreements" in capsys.readouterr().err
+    assert "oracle disagreements" in capsys.readouterr().err
+
+
+def test_sweep_oracle_checks_every_row(monkeypatch, tmp_path, capsys):
+    # f_max shifted by 1e-5, ten times ORACLE_TOL, in every verdict: each
+    # valid row, in both blocks, disagrees with its literal final state
+    doc = {"family": {"id": "gadc", "params": {"N": 0.2}}, "initial": "pure:0.8",
+           "axes": [{"param": "gamma", "start": -0.1, "stop": 1.1, "step": 0.001}]}
+    real = states.verdicts
+    monkeypatch.setattr(states, "verdicts",
+                        lambda t_mat: dataclasses.replace(real(t_mat), f_max=real(t_mat).f_max + 1e-5))
+    result = run_sweep(SweepSpec.from_jsonable(doc))
+    valid = [row for row in result.rows if row[-1] == ""]
+    assert len(result.rows) > explorer.SWEEP_BLOCK and len(valid) < len(result.rows)
+    assert all(row[result.header.index("oracle_checked")] is True for row in valid)
+    assert result.oracle_failures == len(valid)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["sweep", str(path)]) == 4
+    assert f"error: {len(valid)} oracle disagreements" in capsys.readouterr().err
 
 
 def test_sweep_blocks_match_one_row_blocks(monkeypatch):
@@ -333,8 +352,9 @@ def test_sweep_blocks_match_one_row_blocks(monkeypatch):
 
 def test_sweep_blocks_make_no_per_row_calls(monkeypatch):
     # a block's rows come from one builder call, reach validate_stack as one
-    # array without the per-list Kraus conversion, and are formatted from
-    # verdict arrays: only an oracle row gets a TeleportProfile of its own
+    # array without the per-list Kraus conversion, are formatted from verdict
+    # arrays and are oracle-checked as one stack: no row gets a
+    # TeleportProfile or an oracle call of its own, and every valid row is checked
     spec = make_spec("gadc", {"N": 0.1}, [("gamma", -0.1, 1.1, 0.001)])
     fam = families.FAMILIES["gadc"]
     built = []
@@ -350,17 +370,28 @@ def test_sweep_blocks_make_no_per_row_calls(monkeypatch):
             made.append(fields)
             super().__init__(**fields)
 
+    stacks = []
+    real_moments = oracle.canonical_moments
+
+    def canonical_moments(rho):
+        stacks.append(len(rho))
+        return real_moments(rho)
+
     monkeypatch.setitem(families.FAMILIES, "gadc", dataclasses.replace(fam, build=build))
     monkeypatch.setattr(channels, "_kraus_array", lambda kraus: pytest.fail("per-row conversion"))
     monkeypatch.setattr(states, "profiles", lambda t_mat: pytest.fail("per-row profiles"))
     monkeypatch.setattr(explorer, "TeleportProfile", Profile)
+    monkeypatch.setattr(explorer, "oracle_check", lambda *a: pytest.fail("per-row oracle"))
+    monkeypatch.setattr(oracle, "canonical_moments", canonical_moments)
     result = run_sweep(spec)
     errors = [row[-1] for row in result.rows]
     assert len(result.rows) > explorer.SWEEP_BLOCK and set(errors) > {""}
     assert len(built) == math.ceil(len(result.rows) / explorer.SWEEP_BLOCK)
     assert sum(built) == errors.count("")  # out-of-range rows never reach the builder
-    assert len(made) == sum(row[result.header.index("oracle_checked")] is True
-                            for row in result.rows) > 0
+    assert made == []
+    checked = [row[result.header.index("oracle_checked")] for row in result.rows]
+    assert checked == [True if err == "" else None for err in errors]
+    assert stacks == built and result.oracle_failures == 0  # gadc on bell1: det T <= 0 throughout
 
 
 # ---------------------------------------------------------------------------

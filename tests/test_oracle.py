@@ -6,9 +6,7 @@ from uqtchan.linalg import I2, SX, SY, SZ
 from uqtchan.oracle import (
     QuadratureSpec,
     canonicalize,
-    fidelity_on_bloch,
     numeric_moments,
-    rotation_of_unitary,
     teleport_output,
 )
 from uqtchan.states import bell_state, from_density, profile, pure_state
@@ -25,6 +23,20 @@ def bloch_rho(n):
 def random_bloch(rng):
     n = rng.normal(size=3)
     return n / np.linalg.norm(n)
+
+
+def fidelity_on_bloch(shared, bloch):
+    return oracle.fidelities(shared.rho[None], bloch)[0]
+
+
+def rotation_of_unitary(u):
+    """SO(3) image of a single-qubit unitary: U sigma_j U^dag = sum_i R_ij sigma_i."""
+    r = np.empty((3, 3))
+    for j in range(3):
+        conj = u @ linalg.PAULIS[j + 1] @ u.conj().T
+        for i in range(3):
+            r[i, j] = 0.5 * np.trace(linalg.PAULIS[i + 1] @ conj).real
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +295,73 @@ def test_raw_moments_never_beat_canonical(rng):
         st = from_density(random_density(rng))
         canon, _ = canonicalize(st)
         assert numeric_moments(st).mean_f <= numeric_moments(canon).mean_f + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# stacks: every piece against its one-member view
+# ---------------------------------------------------------------------------
+
+def stack_states(rng):
+    """States of rank 1 to 4, product states (det T = 0), Bell states, a
+    Werner state and UQT final states (equal correlation magnitudes)."""
+    sts = [from_density(random_rank_density(rng, 1 + k % 4)) for k in range(8)]
+    sts += [from_density(np.kron(random_density(rng, 2), random_density(rng, 2))) for _ in range(3)]
+    sts += [bell_state(k) for k in (1, 2, 3, 4)] + [pure_state(0.8)]
+    werner = sum(w * bell_state(k).rho for w, k in zip((0.8, 0.2 / 3, 0.2 / 3, 0.2 / 3), (1, 2, 3, 4)))
+    sts.append(from_density(werner))
+    sts += [channels.apply_to_bob(bell_state(1), families.uqt_nonunital_rank4(0.1, 0.05, 0.05, t))
+            for t in (0.4, 0.7)]
+    return sts
+
+
+def test_stack_members_equal_their_one_member_views_bit_for_bit(rng):
+    sts = stack_states(rng)
+    rho = np.array([s.rho for s in sts])
+    t_mat = np.array([s.hs.t_mat for s in sts])
+    blochs = np.array([random_bloch(rng) for _ in range(6)])
+    outputs = oracle._protocol(rho, oracle._bloch_to_rho(blochs))
+    transfer = oracle._protocol(rho, oracle._PAULI_STACK)
+    canonical, u1, u2 = oracle.canonical_densities(rho, t_mat)
+    rule = QuadratureSpec(8, 16).nodes()
+    mean, delta = oracle.moments(rho, rule)
+    for i, st in enumerate(sts):
+        for j, n in enumerate(blochs):
+            assert teleport_output(st, n).tobytes() == outputs[i, j].tobytes()
+        assert np.array(oracle._transfer_operators(st)).tobytes() == transfer[i].tobytes()
+        canon, (v1, v2) = canonicalize(st)
+        assert canon.rho.tobytes() == canonical[i].tobytes()
+        assert v1.tobytes() == u1[i].tobytes() and v2.tobytes() == u2[i].tobytes()
+        mom = numeric_moments(st, QuadratureSpec(8, 16))
+        assert (mom.mean_f, mom.delta) == (mean[i], delta[i])
+
+
+def test_exact_rule_agrees_with_the_64_by_64_rule(rng):
+    # f^2 has degree 4 in the Bloch vector, so 3 x 5 nodes are exact
+    sts = stack_states(rng)
+    rho = np.array([s.rho for s in sts])
+    canonical = oracle.canonical_densities(rho, np.array([s.hs.t_mat for s in sts]))[0]
+    assert oracle.EXACT_RULE[0].shape == (15,) and not oracle.EXACT_RULE[1].flags.writeable
+    for stack in (rho, canonical):
+        exact = oracle.moments(stack)
+        fine = oracle.moments(stack, QuadratureSpec().nodes())
+        assert np.max(np.abs(np.subtract(exact, fine))) <= 1e-14
+
+
+def test_canonical_moments_equal_the_closed_forms(rng):
+    sts = stack_states(rng)
+    rho = np.array([s.rho for s in sts])
+    mean, delta = oracle.canonical_moments(rho)
+    for st, m, d in zip(sts, mean, delta):
+        prof = profile(st)
+        if prof.formula_valid:
+            assert abs(m - prof.f_max) <= 1e-14 and abs(d - prof.delta) <= 1e-14
+
+
+def test_a_stack_of_inputs_teleports_perfectly_through_bell1(rng):
+    blochs = np.array([random_bloch(rng) for _ in range(64)] + list(np.eye(3)) + list(-np.eye(3)))
+    rho_in = oracle._bloch_to_rho(blochs)
+    out = oracle._protocol(bell_state(1).rho[None], rho_in)
+    assert out.shape == (1, len(blochs), 2, 2)
+    fid = np.einsum("nab,nba->n", rho_in, out[0]).real
+    assert np.max(np.abs(fid - 1.0)) <= 1e-12
+    assert np.max(np.abs(out[0] - rho_in)) <= 1e-12

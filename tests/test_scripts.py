@@ -89,6 +89,12 @@ def test_compare_references_dump_gates_the_record_without_closed_forms(tmp_path,
     assert [len(items[f"channel gadc {end}"]["kraus"]) for end in ("gamma=0", "N=0", "N=1")] \
         == [4, 4, 4]
     assert items["channel pauli_mixture p0=0"]["error"].startswith("ValueError: probabilities")
+    # the stacked oracle against its one-member view, state by state
+    stack = items["oracle stack"]
+    singles = [items[f"oracle state {k}"] for k in range(len(stack["mean_f"]))]
+    assert len(singles) == 30
+    for key in ("mean_f", "delta"):
+        assert max(abs(a - b[key]) for a, b in zip(stack[key], singles)) <= 1e-14
     assert module.compare(path, path) == 0
     tally = capsys.readouterr().out.splitlines()[3:]
     categories = ("sweep", "grid", "search", "analyze", "channel", "threshold", "verify", "oracle")
