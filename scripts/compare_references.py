@@ -9,7 +9,9 @@
   * a grid over up to two parameters of every catalog family on bell1,
     pure:0.8 and, for the matched-concurrence families, matched;
   * search_uqt(c, 300, seed=s) for c in {0.38, 0.45, 0.6}, s in {1, 5, 77, 123},
-    and the benchmark's search units k = 0, 1 of seeds 1, 2 and 9973;
+    search_uqt(0.45, 300, seed=s) for s in {-1, 2**64 + 5}, the ends of the
+    seed word of a sample's Philox key, and the benchmark's search units
+    k = 0, 1 of seeds 1, 2 and 9973;
   * the analyze JSON of one catalog point per family on bell1..bell4 and pure:0.8,
     and of pauli_mixture(0, 0.4, 0.4, 0.2) on bell1 (det T = 0.024 > 0: f_max,
     delta and the oracle's agrees are null);
@@ -17,6 +19,8 @@
     catalog point, at that point with one param moved to a closed end of its
     range, and at the Pauli mixtures (1, 0, 0, 0) and (0, 0.5, 0, 0.5): the
     error type and text where the point builds no channel;
+  * DRAWS random_kraus draws at each rank 1..4 from default_rng(rank): the
+    Kraus operators and the bit generator's state after each draw;
   * find_threshold on the five run_threshold_suite.py cases at tol 1e-8 and
     at tol 1e-20, which bisects down to adjacent floats;
   * the 11 acceptance criteria of `uqtchan verify`: index, name, passed, detail;
@@ -28,8 +32,8 @@ It exits 1 if a sweep reports an oracle failure, an analysis disagrees with
 the oracle or an acceptance criterion fails. Run it on two versions of the library (PYTHONPATH=<src>) and
 `compare` the dumps: it prints the item count, how many items are
 byte-identical, the largest float difference and, per category (the first
-word of an item's name: sweep, grid, search, analyze, channel, threshold,
-verify, oracle), the identical and total item counts. It exits 1 if a non-float
+word of an item's name: sweep, grid, search, analyze, channel, draw,
+threshold, verify, oracle), the identical and total item counts. It exits 1 if a non-float
 value differs (type, key, order, length or value) or a float moves by more
 than 1e-12.
 """
@@ -55,6 +59,8 @@ GRID_POINTS = 4
 GRID_STEP = 0.02
 #: seeded states whose canonical form and oracle moments are dumped
 ORACLE_STATES = 30
+#: random_kraus draws dumped per rank
+DRAWS = 3
 
 
 def _module(directory: Path, name: str):
@@ -114,6 +120,18 @@ def _channel_points(family_id: str) -> dict:
     return points
 
 
+def _draw_item(rank: int) -> dict:
+    """DRAWS random_kraus draws of the rank from default_rng(rank): the Kraus
+    operators as [re, im] pairs and the bit generator's state after each."""
+    rng = np.random.default_rng(rank)
+    draws = []
+    for _ in range(DRAWS):
+        kraus = channels.random_kraus(rng, rank)
+        draws.append({"kraus": [[[z.real, z.imag] for z in k.reshape(4).tolist()] for k in kraus],
+                      "state": rng.bit_generator.state})
+    return {"draws": draws}
+
+
 def _density(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     return g @ g.conj().T / np.linalg.norm(g) ** 2
@@ -162,6 +180,7 @@ def reference_items() -> dict:
         for initial in ("bell1", "pure:0.8") + (("matched",) if matched else ()):
             items[f"grid {family_id} {initial}"] = _sweep_item(_family_grid(family_id, initial))
     searches = [(c, 300, s) for c in (0.38, 0.45, 0.6) for s in (1, 5, 77, 123)]
+    searches += [(0.45, 300, s) for s in (-1, 2**64 + 5)]
     searches += [(c, workloads.SEARCH_BUDGET, s) for seed in SEEDS for k in range(2)
                  for c, s in workloads.search_inputs(None, seed, k)]
     for c, budget, s in searches:
@@ -178,6 +197,8 @@ def reference_items() -> dict:
     for weights in ((1.0, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.5)):  # zero weights are omitted
         params = dict(zip(("p0", "p1", "p2", "p3"), weights))
         items[f"channel pauli_mixture {weights}"] = _channel_item("pauli_mixture", params)
+    for rank in range(1, 5):
+        items[f"draw random_kraus rank {rank}"] = _draw_item(rank)
     cases = _module(SCRIPTS, "run_threshold_suite").CASES
     for family_id, param, bracket, predicate, fixed, *_ in cases:
         for tol in (1e-8, 1e-20):

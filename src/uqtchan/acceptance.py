@@ -105,9 +105,10 @@ def criterion_dephasing_bell_law() -> tuple[bool, str]:
 
 def criterion_rank2_never_uqt() -> tuple[bool, str]:
     """No channel with a rank-2 Choi state sends a Bell state to a UQT-useful
-    final state (1000 random draws, classified as one stack)."""
-    rng = np.random.default_rng(20240811)
-    _, choi, _ = _validated([channels.random_kraus(rng, 2) for _ in range(1000)])
+    final state (1000 random_kraus draws, made by one isometry_kraus call and
+    classified as one stack)."""
+    g = np.random.default_rng(20240811).normal(size=(1000, 2, 4, 2))
+    _, choi, _ = _validated(channels.isometry_kraus(g[:, 0] + 1j * g[:, 1]))
     hits = int(np.count_nonzero(states.verdicts(states.hs_decompose(choi).t_mat).uqt))
     return hits == 0, f"{hits}/1000 rank-2 channels produced a UQT-useful state"
 
@@ -362,21 +363,23 @@ def criterion_monotonicity() -> tuple[bool, str]:
     """Concurrence never increases under a channel on Bob's qubit (500 random
     state/channel pairs), and for pure inputs the maximal fidelity of the
     final state never exceeds the initial one (500 pairs), tolerance 1e-10.
-    Each half draws its pairs in turn, then classifies them as one stack."""
+    Each half draws its pairs in turn, a channel as the Gaussians of a
+    random_kraus draw, then decomposes them once per rank
+    (`channels.isometry_stack`) and classifies them as one stack."""
     rng = np.random.default_rng(1618)
-    mats, kraus = [], []
+    mats, draws = [], []
     for _ in range(500):
         mats.append(_random_density_matrix(rng))
-        kraus.append(channels.random_kraus(rng, int(rng.integers(1, 5))))
+        draws.append(rng.normal(size=(2, 2 * int(rng.integers(1, 5)), 2)))
     initial = _densities(mats)
-    final = _densities(channels.bob_action(initial, _validated(kraus)[0]))
+    final = _densities(channels.bob_action(initial, _validated(channels.isometry_stack(draws))[0]))
     worst_c = float(np.max(states.concurrences(final) - states.concurrences(initial)))
-    a_values, kraus = [], []
+    a_values, draws = [], []
     for _ in range(500):
         a_values.append(float(rng.uniform(0.5, 1.0 - 1e-9)))
-        kraus.append(channels.random_kraus(rng, int(rng.integers(1, 5))))
+        draws.append(rng.normal(size=(2, 2 * int(rng.integers(1, 5)), 2)))
     initial = _densities(states.pure_densities(a_values))
-    final = _densities(channels.bob_action(initial, _validated(kraus)[0]))
+    final = _densities(channels.bob_action(initial, _validated(channels.isometry_stack(draws))[0]))
     v0 = states.verdicts(states.hs_decompose(initial).t_mat)
     v1 = states.verdicts(states.hs_decompose(final).t_mat)
     # a det(T) >= 0 final has no fidelity formula; such states are not useful at all

@@ -274,14 +274,44 @@ def kraus_from_choi(choi_rho, rank: int | None = None) -> np.ndarray:
     return np.sqrt(2.0 * q)[..., None, None] * amps.swapaxes(-1, -2)
 
 
-def random_kraus(rng: np.random.Generator, rank: int) -> np.ndarray:
-    """Kraus operators, shape (rank, 2, 2), of a random channel: the 2x2
-    blocks of the isometry Q of the QR decomposition of a complex Gaussian
-    (2 rank, 2) draw, so sum K^dag K = Q^dag Q = I; for rank <= 4 the Choi
-    rank is `rank` with probability 1."""
-    g = rng.normal(size=(2 * rank, 2)) + 1j * rng.normal(size=(2 * rank, 2))
+def isometry_kraus(g) -> np.ndarray:
+    """Kraus operators (..., r, 2, 2) of random channels from complex
+    Gaussian draws g (..., 2r, 2), r in 1..MAX_KRAUS: the 2x2 blocks of the
+    isometry Q of the QR decomposition of each draw, so sum K^dag K = Q^dag Q
+    = I; for r <= 4 the Choi rank is r with probability 1. One np.linalg.qr
+    for the stack, and each member gets the bits of its one-member call."""
+    g = np.asarray(g)
+    rank = g.shape[-2] // 2 if g.ndim >= 2 else 0
+    if g.shape[-2:] != (2 * rank, 2) or not 1 <= rank <= MAX_KRAUS:
+        raise ValueError(f"Gaussian draws have shape {g.shape}, expected (..., 2r, 2) "
+                         f"with rank r in 1..{MAX_KRAUS}")
     q, _ = np.linalg.qr(g)
-    return q.reshape(rank, 2, 2)
+    return q.reshape(g.shape[:-2] + (rank, 2, 2))
+
+
+def random_kraus(rng: np.random.Generator, rank: int) -> np.ndarray:
+    """Kraus operators, shape (rank, 2, 2), of a random channel: the
+    one-member view of `isometry_kraus` on a complex Gaussian (2 rank, 2)
+    draw, its real part drawn first. A rank that is no integer in
+    1..MAX_KRAUS is a ValueError before any draw."""
+    if isinstance(rank, bool) or not isinstance(rank, numbers.Integral) \
+            or not 1 <= rank <= MAX_KRAUS:
+        raise ValueError(f"rank must be an integer in 1..{MAX_KRAUS}, got {rank!r}")
+    g = rng.normal(size=(2, 2 * int(rank), 2))
+    return isometry_kraus(g[0] + 1j * g[1])
+
+
+def isometry_stack(draws) -> np.ndarray:
+    """The Kraus operators of N `random_kraus` draws, given by their real
+    Gaussians (2, 2r, 2), as one (N, k, 2, 2) stack, each padded with zero
+    operators to the largest rank k: one isometry_kraus call per rank."""
+    ranks = [len(g[0]) // 2 for g in draws]
+    kraus = np.zeros((len(draws), max(ranks, default=1), 2, 2), dtype=complex)
+    for rank in sorted(set(ranks)):
+        at = [i for i, r in enumerate(ranks) if r == rank]
+        g = np.array([draws[i] for i in at])
+        kraus[at, :rank] = isometry_kraus(g[:, 0] + 1j * g[:, 1])
+    return kraus
 
 
 def orthogonalize(ch: QubitChannel) -> QubitChannel:

@@ -3,14 +3,15 @@ search for UQT-producing non-unital channels, and report emission.
 
 Grid rows and search samples are independent; results are assembled in
 deterministic (lexicographic / sample-index) order, and sample i of a search
-draws from its own Philox stream keyed on the pair (seed mod 2**64, i), so
-reports are reproducible byte for byte for a given spec and seed and
-different seeds give independent streams. One row engine classifies a
-sweep's SWEEP_BLOCK grid rows as one stack and a threshold's points one by
-one; a search's SEARCH_BLOCK candidates, random channels drawn by
-`channels.random_kraus` among them, are classified by the same helper, which
-applies each channel once, when it validates it, and reads the final
-correlations off its Choi matrix.
+draws from its own Philox stream keyed on the pair (seed mod 2**64, i), one
+Philox per search re-keyed for each sample, so reports are reproducible
+byte for byte for a given spec and seed and different seeds give
+independent streams. One row engine classifies a sweep's SWEEP_BLOCK grid
+rows as one stack and a threshold's points one by one; a search's
+SEARCH_BLOCK candidates, random channels among them (one
+`channels.isometry_kraus` QR per rank per block), are classified by the
+same helper, which applies each channel once, when it validates it, and
+reads the final correlations off its Choi matrix.
 """
 
 from __future__ import annotations
@@ -419,24 +420,35 @@ class SearchReport:
         }
 
 
-def _sample_rng(seed: int, i: int) -> np.random.Generator:
-    """Philox stream of search sample i, keyed on the pair (seed mod 2**64, i)
-    so that no two (seed, sample) pairs share a stream."""
-    return np.random.Generator(np.random.Philox(key=(int(seed) % 2**64) << 64 | int(i)))
+def _sample_streams(seed: int):
+    """sample_rng(i) -> the Generator of search sample i: one Philox, re-keyed
+    to the stream of Philox(key=(seed mod 2**64) << 64 | i) by its state setter."""
+    bits = np.random.Philox(0)
+    rng, key = np.random.Generator(bits), np.array([0, seed % 2**64], dtype=np.uint64)
+    fresh = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": key},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def sample_rng(i: int) -> np.random.Generator:
+        key[0] = i
+        bits.state = fresh
+        return rng
+    return sample_rng
 
 
 def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
     """Sample non-unital channels against |Psi_a> with the given concurrence.
 
-    Candidates mix random channels of Kraus rank 3 or 4, drawn by
-    `channels.random_kraus`, and the parametric non-unital families.
-    Deterministic for a given seed: sample i draws its kind and arguments,
-    a random channel's operators too, from its own Philox stream, keyed on
-    (seed mod 2**64, i). Samples go in blocks of SEARCH_BLOCK. Each sample
-    is drawn in Python; the block's lambda_tilde_nu samples are built by
-    one checked_rows call, then the block's candidates are classified as
-    one stack by `_apply_and_classify`, as the lambda_star_nu candidate is
-    once per call, and assembled in sample order. A random candidate that
+    Candidates mix random channels of Kraus rank 3 or 4, `channels.random_kraus`
+    draws, and the parametric non-unital families. Deterministic for a
+    given seed: sample i draws its kind and arguments, a random channel's
+    Gaussians too, from its own Philox stream, keyed on (seed mod 2**64, i)
+    (`_sample_streams`: one Philox per call, re-keyed per sample). Samples
+    go in blocks of SEARCH_BLOCK. Each sample is drawn in Python; the
+    block's random channels are decomposed by one `channels.isometry_kraus`
+    call per rank and its lambda_tilde_nu samples built by one checked_rows
+    call, then its candidates, one (n, 4, 2, 2) stack in sample order, are
+    classified by one `_apply_and_classify`, as the lambda_star_nu
+    candidate is once per call. A random candidate that
     is invalid or effectively unital is skipped; a lambda_tilde_nu build
     error, else a validation error, raises, the first in sample order. The
     first MAX_HITS distinct hits are reported. The frontier keeps up to ten
@@ -465,10 +477,10 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
     def dev(entry: dict) -> float:  # a deviation up to EPS_UQT, verdicts' zero, is 0
         return 0.0 if entry["delta"] <= states.EPS_UQT else entry["delta"]
 
-    def entries_of(kraus_lists) -> list:
-        """Per candidate its ChannelValidationError, or its (f_max, delta,
-        uqt) and unitality residual, by one _apply_and_classify."""
-        outcomes, prof, unitality = _apply_and_classify(kraus_lists, state.rho)
+    def entries_of(kraus: np.ndarray) -> list:
+        """Per member of a Kraus stack its ChannelValidationError, or its
+        (f_max, delta, uqt) and unitality residual, by one _apply_and_classify."""
+        outcomes, prof, unitality = _apply_and_classify(kraus, state.rho)
         cols = _columns(prof)
         values = zip(cols["f_max"], cols["delta"], cols["uqt"])
         return [out if isinstance(out, ChannelValidationError) else (next(values), res)
@@ -480,34 +492,37 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
                 "f_max": f_max, "delta": delta, "uqt": uqt}
 
     star_ch = families.lambda_star_nu(concurrence)  # deterministic: classified once per call
-    star = as_entry(star_ch.name, star_ch.params, entries_of([star_ch.kraus])[0][0])
+    star = as_entry(star_ch.name, star_ch.params, entries_of(star_ch.kraus[None])[0][0])
 
+    sample_rng = _sample_streams(seed)
     for first in range(0, budget, SEARCH_BLOCK):
         n = min(SEARCH_BLOCK, budget - first)
         entries: list = [star] * n  # per sample; None for a candidate until it is classified
         labels = {}  # sample -> (name, params) of its candidate
+        drawn = {}  # sample -> Gaussians of its random candidate
         p2s = {}  # sample -> p2 of its lambda_tilde_nu candidate
-        lists = {}  # sample -> Kraus list of its candidate
         for j in range(n):
-            rng = _sample_rng(seed, first + j)
+            rng = sample_rng(first + j)
             kind = int(rng.integers(0, 4))
             if kind in (0, 1):
                 rank = 3 if kind == 0 else 4
                 labels[j], entries[j] = (f"random_rank{rank}", {}), None
-                lists[j] = channels.random_kraus(rng, rank)
+                drawn[j] = rng.normal(size=(2, 2 * rank, 2))
             elif kind == 2:
                 p2s[j], entries[j] = float(rng.uniform(1e-6, tilde_p2_max * (1.0 - 1e-9))), None
-        drawn = set(lists)  # samples of a random candidate
         block = families.checked_rows(
             "lambda_tilde_nu", [{"p1": concurrence, "p2": p2} for p2 in p2s.values()])
         recorded = {name: col.tolist() for name, col in block.params.items()}
         for r, (j, err) in enumerate(zip(p2s, block.errors)):
             if err is not None:
                 raise err  # the first build error, in sample order
-            lists[j] = block.kraus[r]
             labels[j] = ("lambda_tilde_nu", {name: col[r] for name, col in recorded.items()})
-        members = sorted(lists)
-        for j, out in zip(members, entries_of([lists[j] for j in members])):
+        kraus = np.zeros((n, 4, 2, 2), dtype=complex)  # by sample; assembled by kind
+        kraus[list(p2s)] = block.kraus
+        randoms = channels.isometry_stack(list(drawn.values()))
+        kraus[list(drawn), :randoms.shape[1]] = randoms
+        members = sorted(labels)
+        for j, out in zip(members, entries_of(kraus[members])):
             invalid = isinstance(out, ChannelValidationError)
             if j in drawn and (invalid or out[1] < UNITAL_SKIP_TOL):
                 continue  # an invalid or effectively unital random candidate

@@ -3,8 +3,8 @@ one pass/fail line (run with -s to see them all).
 
 Criteria 1, 2, 4, 10 and 11 classify their draws as one stack; the scalar
 loops below are their references, one draw at a time through the
-one-member paths (`validate`, `from_density`, `profile`, `concurrence`,
-`canonicalize`, `numeric_moments`, `teleport_output`)."""
+one-member paths (`random_kraus`, `validate`, `from_density`, `profile`,
+`concurrence`, `canonicalize`, `numeric_moments`, `teleport_output`)."""
 
 import dataclasses
 import itertools
@@ -207,28 +207,73 @@ def test_stacked_criterion_matches_its_scalar_reference(index):
 # zero, and T = 0 would read as "not UQT", i.e. as a pass
 # ---------------------------------------------------------------------------
 
-def _break_draw(monkeypatch, at):
-    """channels.random_kraus with the Kraus operators of draw `at` doubled,
-    which breaks completeness; the generator stream is unchanged."""
-    real = channels.random_kraus
-    draws = itertools.count()
+class _Drawn(Exception):
+    """Stops a scalar reference at the draw `_break_draw` looks for."""
 
-    def random_kraus(rng, rank):
-        ops = real(rng, rank)
-        return 2.0 * ops if next(draws) == at else ops
 
-    monkeypatch.setattr(channels, "random_kraus", random_kraus)
+def _break_draw(monkeypatch, index, at):
+    """channels.isometry_kraus with the Kraus operators of draw `at` of
+    criterion `index` doubled, which breaks completeness; the generator
+    stream is unchanged. The draw is the one the scalar reference makes
+    `at`-th, and it is found by its Gaussians wherever a stack holds it."""
+    real = channels.isometry_kraus
+    drawn = []
+
+    def record(g):
+        drawn.append(g)
+        if len(drawn) > at:
+            raise _Drawn
+        return real(g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channels, "isometry_kraus", record)
+        with pytest.raises(_Drawn):
+            REFERENCES[index]()
+    target = drawn[at]
+
+    def isometry_kraus(g):
+        ops = real(g)
+        if g.shape[-2:] != target.shape:
+            return ops
+        hit = (g == target).all(axis=(-2, -1))
+        return np.where(hit[..., None, None, None], 2.0 * ops, ops)
+
+    monkeypatch.setattr(channels, "isometry_kraus", isometry_kraus)
 
 
 @pytest.mark.parametrize("index,at", [(2, 517), (11, 137), (11, 871)])
 def test_an_incomplete_draw_fails_the_criterion(monkeypatch, index, at):
-    _break_draw(monkeypatch, at)
+    _break_draw(monkeypatch, index, at)
     result = acceptance.run_criterion(index)
     assert result.passed is False
     assert result.detail.startswith("raised ChannelValidationError: completeness violated")
-    monkeypatch.undo()
-    _break_draw(monkeypatch, at)  # a fresh count: the scalar loop stops at the same draw
+    # the scalar loop, through the same patch, stops at the same draw
     assert (result.passed, result.detail) == _as_result(REFERENCES[index])
+
+
+@pytest.mark.parametrize("index", [2, 11], ids=["rank2-never-uqt", "monotonicity"])
+def test_criterion_draws_what_the_scalar_loop_draws(monkeypatch, index):
+    # the stacks the criterion validates hold the Kraus operators of the
+    # scalar loop's random_kraus draws bit for bit (zero-padded), and its
+    # generator ends in the state the scalar loop leaves
+    generators, stacks, singles = [], [], []
+    real_rng, real_validated, real_draw = (np.random.default_rng, acceptance._validated,
+                                           channels.random_kraus)
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: generators.append(real_rng(seed)) or generators[-1])
+    monkeypatch.setattr(acceptance, "_validated",
+                        lambda kraus: stacks.append(np.array(kraus)) or real_validated(kraus))
+    monkeypatch.setattr(channels, "random_kraus",
+                        lambda rng, rank: singles.append(real_draw(rng, rank)) or singles[-1])
+    result = acceptance.run_criterion(index)
+    (rng,) = generators
+    assert result.passed and not singles
+    _as_result(REFERENCES[index])
+    assert len(generators) == 2 and rng.bit_generator.state == generators[1].bit_generator.state
+    stack = np.concatenate(stacks)
+    assert len(stack) == len(singles) == 1000
+    for member, ops in zip(stack, singles):
+        assert member[:len(ops)].tobytes() == ops.tobytes() and not member[len(ops):].any()
 
 
 def _make_unital(params):

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,61 @@ def test_random_kraus_is_a_channel_of_its_rank():
             assert validate(kraus).choi_rank == rank
             assert rank < 3 or channels.unitality_residual(kraus) > 1e-6
     assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("rank", range(1, channels.MAX_KRAUS + 1))
+def test_random_kraus_is_the_two_draw_isometry(rank):
+    # the real, then the imaginary (2 rank, 2) Gaussians, one QR: the same
+    # bits and the same generator state after the draw
+    for seed in range(10):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        g = ref.normal(size=(2 * rank, 2)) + 1j * ref.normal(size=(2 * rank, 2))
+        assert channels.random_kraus(rng, rank).tobytes() == \
+            np.linalg.qr(g)[0].reshape(rank, 2, 2).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("rank", [0, 9, -1, True, 2.5, "2", None])
+def test_random_kraus_rejects_a_bad_rank_before_any_draw(rank):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=re.escape(f"1..8, got {rank!r}")):
+        channels.random_kraus(rng, rank)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (18, 2), (3, 2), (6, 3), (5, 4, 1), (4,), ()])
+def test_isometry_kraus_rejects_draws_of_no_rank_in_range(shape):
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+        channels.isometry_kraus(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_isometry_kraus_members_have_their_one_member_bits(rank):
+    g = np.random.default_rng(rank).normal(size=(2, 3, 40, 2 * rank, 2))
+    z = g[0] + 1j * g[1]
+    stack = channels.isometry_kraus(z)
+    assert stack.shape == (3, 40, rank, 2, 2)
+    for at in np.ndindex(3, 40):
+        assert stack[at].tobytes() == channels.isometry_kraus(z[at]).tobytes()
+
+
+def test_isometry_stack_is_one_decomposition_per_rank(monkeypatch):
+    rng = np.random.default_rng(8)
+    ranks = rng.integers(1, 5, size=60).tolist()
+    draws = [rng.normal(size=(2, 2 * r, 2)) for r in ranks]
+    replay = np.random.default_rng(8)
+    replay.integers(1, 5, size=60)
+    singles = [channels.random_kraus(replay, r) for r in ranks]
+    calls = []
+    real = channels.isometry_kraus
+    monkeypatch.setattr(channels, "isometry_kraus", lambda g: calls.append(g.shape) or real(g))
+    stack = channels.isometry_stack(draws)
+    assert calls == [(ranks.count(r), 2 * r, 2) for r in (1, 2, 3, 4)]
+    assert stack.shape == (60, 4, 2, 2)
+    for member, ops in zip(stack, singles):
+        assert member[:len(ops)].tobytes() == ops.tobytes() and not member[len(ops):].any()
+    assert channels.isometry_stack([]).shape == (0, 1, 2, 2)
 
 
 # ---------------------------------------------------------------------------

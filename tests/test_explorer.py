@@ -564,9 +564,36 @@ def _zero_spread(entry):
     return 0.0 if entry["delta"] <= states.EPS_UQT else entry["delta"]
 
 
+def _sample_rng(seed, i):
+    """The reference stream of search sample i: a Philox built for it, keyed
+    on the pair (seed mod 2**64, i)."""
+    return np.random.Generator(np.random.Philox(key=(int(seed) % 2**64) << 64 | int(i)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**64 + 5, -2**70])
+def test_sample_streams_are_the_keyed_philox_streams(seed):
+    # re-keyed after draws of every size, also back to an earlier sample
+    sample_rng = explorer._sample_streams(seed)
+    for i in (0, 1, 127, 128, 1, 0):
+        rng, ref = sample_rng(i), _sample_rng(seed, i)
+        assert rng.integers(0, 4, size=3).tolist() == ref.integers(0, 4, size=3).tolist()
+        assert rng.normal(size=(2, 8, 2)).tobytes() == ref.normal(size=(2, 8, 2)).tobytes()
+        assert rng.uniform(1e-6, 0.5) == ref.uniform(1e-6, 0.5)
+        assert rng.random(3, dtype=np.float32).tobytes() == ref.random(3, dtype=np.float32).tobytes()
+
+
+def test_search_builds_one_philox_per_call(monkeypatch):
+    built = []
+    real = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *args, **kw: built.append(1) or real(*args, **kw))
+    rep = search_uqt(0.45, 2 * explorer.SEARCH_BLOCK + 3, seed=1)
+    assert len(built) == 1 and rep.hits
+
+
 def _reference_search(concurrence, budget, seed, block):
-    """search_uqt evaluated one candidate at a time: the same samples and
-    random_kraus draws, then per candidate `_reference_candidate`,
+    """search_uqt evaluated one candidate at a time: the same samples, each
+    on a Philox of its own (`_sample_rng`), and one random_kraus call per
+    random candidate, then per candidate `_reference_candidate`,
     apply_to_bob and profile. Returns the report's JSON and the situations
     its blocks met."""
     state = states.pure_state_from_concurrence(concurrence)
@@ -575,7 +602,7 @@ def _reference_search(concurrence, budget, seed, block):
     for first in range(0, budget, block):
         picks = []
         for i in range(first, min(first + block, budget)):
-            rng = explorer._sample_rng(seed, i)
+            rng = _sample_rng(seed, i)
             kind = int(rng.integers(0, 4))
             if kind in (0, 1):
                 rank = 3 if kind == 0 else 4
@@ -671,7 +698,7 @@ def test_search_raises_the_first_lambda_tilde_build_error_in_sample_order(monkey
     # error of the first of them
     c, wide = 0.45, 2.0
     for i in range(explorer.SEARCH_BLOCK):
-        rng = explorer._sample_rng(7, i)
+        rng = _sample_rng(7, i)
         kind = int(rng.integers(0, 4))
         if kind in (0, 1):
             channels.random_kraus(rng, 3 if kind == 0 else 4)
@@ -778,7 +805,8 @@ def test_search_skips_random_candidates_that_land_on_unital_channels(monkeypatch
     for rank, ch in unital.items():
         assert ch.choi_rank == rank and channels.report(ch).unital
         assert states.profile(channels.apply_to_bob(state, ch)).uqt
-    monkeypatch.setattr(channels, "random_kraus", lambda rng, rank: unital[rank].kraus)
+    monkeypatch.setattr(channels, "isometry_kraus", lambda g: np.broadcast_to(
+        unital[g.shape[-2] // 2].kraus, g.shape[:-2] + (g.shape[-2] // 2, 2, 2)))
     rep = search_uqt(c, budget=60, seed=2)
     entries = rep.to_jsonable()["hits"] + rep.to_jsonable()["frontier"]
     assert entries and not any(e["channel"].startswith("random_rank") for e in entries)

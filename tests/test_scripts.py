@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from uqtchan import families
@@ -95,9 +96,20 @@ def test_compare_references_dump_gates_the_record_without_closed_forms(tmp_path,
     assert len(singles) == 30
     for key in ("mean_f", "delta"):
         assert max(abs(a - b[key]) for a, b in zip(stack[key], singles)) <= 1e-14
+    # random_kraus draws: the two-draw isometry's bits and generator state
+    for rank in range(1, 5):
+        rng = np.random.default_rng(rank)
+        for draw in items[f"draw random_kraus rank {rank}"]["draws"]:
+            g = rng.normal(size=(2 * rank, 2)) + 1j * rng.normal(size=(2 * rank, 2))
+            pairs = np.array(draw["kraus"])
+            kraus = pairs[..., 0] + 1j * pairs[..., 1]
+            assert kraus.tobytes() == np.linalg.qr(g)[0].reshape(rank, 4).tobytes()
+            assert draw["state"] == rng.bit_generator.state
+    assert {"search 0.45 300 -1", f"search 0.45 300 {2**64 + 5}"} <= set(items)
     assert module.compare(path, path) == 0
     tally = capsys.readouterr().out.splitlines()[3:]
-    categories = ("sweep", "grid", "search", "analyze", "channel", "threshold", "verify", "oracle")
+    categories = ("sweep", "grid", "search", "analyze", "channel", "draw", "threshold", "verify",
+                  "oracle")
     assert [line.split(":")[0] for line in tally] == list(categories)
     assert all(same == total for same, total in (line.split()[1].split("/") for line in tally))
 
