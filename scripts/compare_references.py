@@ -29,14 +29,17 @@
     and their moments as one stack, by oracle.canonical_moments (a library
     without it writes the one-at-a-time moments there).
 It exits 1 if a sweep reports an oracle failure, an analysis disagrees with
-the oracle or an acceptance criterion fails. Run it on two versions of the library (PYTHONPATH=<src>) and
-`compare` the dumps: it prints the item count, how many items are
+the oracle or an acceptance criterion fails. Run it on two versions of
+the library (PYTHONPATH=<src>) and `compare` the dumps, which needs no
+library on the path: it prints the item count, how many items are
 byte-identical, the largest float difference and, per category (the first
 word of an item's name: sweep, grid, search, analyze, channel, draw,
 threshold, verify, oracle), the identical and total item counts. It exits 1 if a non-float
 value differs (type, key, order, length or value) or a float moves by more
 than 1e-12.
 """
+
+from __future__ import annotations
 
 import argparse
 import dataclasses
@@ -47,8 +50,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-
-from uqtchan import acceptance, channels, explorer, families, oracle, states
 
 FLOAT_TOL = 1e-12
 SCRIPTS = Path(__file__).resolve().parent
@@ -286,11 +287,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "compare":
         return compare(args.a, args.b)
+    return dump(args.out)
+
+
+def dump(out: str) -> int:
+    """Write the reference items to `out`. The library is imported here, so
+    that `compare`, which only reads two dumps, runs without it."""
+    global acceptance, channels, explorer, families, oracle, states
+    from uqtchan import acceptance, channels, explorer, families, oracle, states
     items = reference_items()
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         json.dump(items, fh, indent=1)
     problems = _problems(items)
-    print(f"{len(items)} items written to {args.out}")
+    print(f"{len(items)} items written to {out}")
     for name in problems:
         print(f"oracle disagreement or failed criterion: {name}")
     return 1 if problems else 0

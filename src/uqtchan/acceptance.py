@@ -91,7 +91,7 @@ def criterion_dephasing_bell_law() -> tuple[bool, str]:
     and the protocol simulation agrees to 1e-6; the five points are built,
     classified and simulated as one stack."""
     ps = (0.1, 0.25, 0.5, 0.75, 0.9)
-    block = families.checked_rows("dephasing", [{"p": p} for p in ps])
+    block = families.checked_rows("dephasing", {"p": ps})
     _raise_first(block.errors)
     final = _densities(channels.bob_action(states.bell_state(1).rho, _validated(block.kraus)[0]))
     v = states.verdicts(states.hs_decompose(final).t_mat)
@@ -134,21 +134,21 @@ def criterion_nonunital_uqt_families() -> tuple[bool, str]:
     the advertised Choi ranks, and strictly ordered Choi eigenvalues. Each
     family's points are built, validated and classified as one stack."""
     rng = np.random.default_rng(777)
-    rank4 = [families.FAMILIES["uqt_nonunital_rank4"].sample_params(rng) for _ in range(500)]
-    rank3 = []
+    draws = [families.FAMILIES["uqt_nonunital_rank4"].sample_params(rng) for _ in range(500)]
+    rank4 = {name: [row[name] for row in draws] for name in ("s1", "s2", "s3", "t")}
+    rank3 = {"theta": [], "phi": [], "t": []}
     for _ in range(500):
-        t = float(rng.uniform(1.0 / 3.0 + 1e-3, 1.0 - 1e-3))
-        theta = float(rng.uniform(0.0, np.pi))
-        phi = float(rng.uniform(0.0, 2.0 * np.pi))
-        rank3.append({"theta": theta, "phi": phi, "t": t})
+        rank3["t"].append(float(rng.uniform(1.0 / 3.0 + 1e-3, 1.0 - 1e-3)))
+        rank3["theta"].append(float(rng.uniform(0.0, np.pi)))
+        rank3["phi"].append(float(rng.uniform(0.0, 2.0 * np.pi)))
     worst = {"abs_t": 0.0, "delta": 0.0, "f": 0.0}
     ok = True
     msgs = []
-    for kind, want_rank, rows in (("rank4", 4, rank4), ("rank3", 3, rank3)):
-        block = families.checked_rows(f"uqt_nonunital_{kind}", rows)
+    for kind, want_rank, columns in (("rank4", 4, rank4), ("rank3", 3, rank3)):
+        block = families.checked_rows(f"uqt_nonunital_{kind}", columns)
         _raise_first(block.errors)
         stack, choi, ranks = _validated(block.kraus)
-        t = np.array([row["t"] for row in rows])
+        t = block.params["t"]
         v = states.verdicts(states.hs_decompose(choi).t_mat)
         worst["abs_t"] = max(worst["abs_t"], float(np.max(np.abs(v.abs_t - t[:, None]))))
         worst["delta"] = max(worst["delta"], float(np.max(v.delta)))

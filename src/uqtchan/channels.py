@@ -67,16 +67,11 @@ def _kraus_array(kraus_list) -> np.ndarray:
     return ops
 
 
-def completeness_sum(kraus) -> np.ndarray:
-    """S = sum_i K_i^dag K_i of a Kraus stack (k, 2, 2), or of each member of
-    (..., k, 2, 2); S = I for a channel."""
-    ks = np.asarray(kraus, dtype=complex)
-    return np.einsum("...kab,...kac->...bc", ks.conj(), ks)
-
-
 def completeness_residual(kraus) -> float | np.ndarray:
-    """||S - I||_max of a Kraus stack, or of each member of a stack of them."""
-    return np.abs(completeness_sum(kraus) - I2).max(axis=(-2, -1))
+    """||sum_i K_i^dag K_i - I||_max of a Kraus stack, or of each member of a
+    stack of them, by one einsum."""
+    ks = np.asarray(kraus, dtype=complex)
+    return np.abs(np.einsum("...kab,...kac->...bc", ks.conj(), ks) - I2).max(axis=(-2, -1))
 
 
 def unitality_residual(kraus) -> float | np.ndarray:

@@ -16,7 +16,6 @@ reads the final correlations off its Choi matrix.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import numbers
@@ -131,27 +130,16 @@ def _apply_and_classify(kraus, rho: np.ndarray) -> tuple[list, TeleportProfile, 
     return outcomes, states.verdicts(t_mat), channels.unitality_residual(stack)
 
 
-def _columns(prof: TeleportProfile) -> dict:
-    """The fields of an array-field TeleportProfile as columns of Python
-    values, one tolist() per field, but abs_t, which stays an (N, 3) array;
-    f_max and delta are None where the closed forms do not apply."""
-    cols = {f.name: getattr(prof, f.name) for f in dataclasses.fields(prof)}
-    cols.update({name: col.tolist() for name, col in cols.items() if name != "abs_t"})
-    for name in ("f_max", "delta"):
-        cols[name] = [x if ok else None for x, ok in zip(cols[name], cols["formula_valid"])]
-    return cols
-
-
-def _classify_rows(family_id: str, rows: list[dict], initial: str | TwoQubitState
+def _classify_rows(family_id: str, columns: dict, initial: str | TwoQubitState
                    ) -> tuple[list, dict, families.Block, np.ndarray]:
-    """The row engine of sweeps and thresholds: the family's keyword rows,
-    built as one block by checked_rows and classified on `initial` (a
-    state, or "matched": |Psi_a> of each row's concurrence) by one
-    `_apply_and_classify`. Returns per row its error text, as
-    evaluate_point raises it, or None; the `_columns` of the valid rows in
-    row order, with their "choi_rank" and "unital" columns; the block; and
-    rho."""
-    block = families.checked_rows(family_id, rows)
+    """The row engine of sweeps and thresholds: the family's rows, given as
+    one column of values per param, built as one block by checked_rows and
+    classified on `initial` (a state, or "matched": |Psi_a> of each row's
+    concurrence) by one `_apply_and_classify`. Returns per row its error
+    text, as evaluate_point raises it, or None; the
+    `states.profile_columns` of the valid rows in row order, with their
+    "choi_rank" and "unital" columns; the block; and rho."""
+    block = families.checked_rows(family_id, columns)
     if isinstance(initial, str):  # "matched"; concurrence 1.0 for a failed row
         c = block.params[families.MATCHED_CONCURRENCE_PARAM[family_id]]
         rho = states.pure_densities_from_concurrence(np.where(np.isnan(c), 1.0, c).tolist())
@@ -163,7 +151,7 @@ def _classify_rows(family_id: str, rows: list[dict], initial: str | TwoQubitStat
               if isinstance(out, ChannelValidationError) else None
               for err, out in zip(block.errors, outcomes)]
     valid = [i for i, err in enumerate(errors) if err is None]
-    cols = _columns(prof)
+    cols = states.profile_columns(prof)
     cols["choi_rank"] = [outcomes[i] for i in valid]
     cols["unital"] = (unitality[valid] <= channels.EPS_CPTP).tolist()
     return errors, cols, block, rho
@@ -283,8 +271,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     names = [ax.param for ax in spec.axes]
     for _ in range(0, total, SWEEP_BLOCK):
         combos = list(itertools.islice(points, SWEEP_BLOCK))
-        errors, cols, block, rho = _classify_rows(family_id, [
-            {**spec.family.params, **dict(zip(names, combo))} for combo in combos], initial)
+        fixed = {key: [value] * len(combos) for key, value in spec.family.params.items()}
+        errors, cols, block, rho = _classify_rows(
+            family_id, {**fixed, **dict(zip(names, zip(*combos)))}, initial)
         valid = [i for i, err in enumerate(errors) if err is None]
         cols["oracle_checked"] = [True] * len(valid)
         final = channels.bob_action(rho if rho.ndim == 2 else rho[valid], block.kraus[valid])
@@ -339,7 +328,7 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
         raise SweepSpecError(f"tol must be finite and positive, got {tol!r}")
     if predicate not in PREDICATES:
         raise SweepSpecError(f"predicate must be one of {PREDICATES}, got {predicate!r}")
-    fixed = dict(fixed or {})
+    fixed = {key: [value] for key, value in (fixed or {}).items()}  # one row's columns
     try:
         *_, name = families.resolve_keys(family_id, [*fixed, param])
     except ValueError as exc:  # an unknown family or name, or a fixed param on `param`
@@ -348,16 +337,16 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
         initial = ("matched" if family_id in families.MATCHED_CONCURRENCE_IDS else "bell1")
     initial = _resolve_initial(initial, family_id)
 
-    def point_params(x: float) -> dict:
-        params = {**fixed, name: x}
+    def point_columns(x: float) -> dict:
+        columns = {**fixed, name: [x]}
         if family_id == "lambda_tilde_nu" and "p2" not in fixed and name == "p1":
             # outside (0, 1), p1's range check rejects x whatever p2 is
             lo, hi = (1.0 / (3.0 * x), families.lambda_tilde_p2_max(x)) if 0.0 < x < 1.0 else (0, 1)
-            params["p2"] = (lo + hi) / 2.0 if lo < hi else 0.5 * hi
-        return params
+            columns["p2"] = [(lo + hi) / 2.0 if lo < hi else 0.5 * hi]
+        return columns
 
     def value(x: float) -> bool:  # classified as a sweep row is, as a block of one row
-        (error,), cols, *_ = _classify_rows(family_id, [point_params(x)], initial)
+        (error,), cols, *_ = _classify_rows(family_id, point_columns(x), initial)
         if error:
             raise SweepSpecError(f"{param} = {x!r}: {error}")
         return cols[predicate][0]
@@ -481,7 +470,7 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
         """Per member of a Kraus stack its ChannelValidationError, or its
         (f_max, delta, uqt) and unitality residual, by one _apply_and_classify."""
         outcomes, prof, unitality = _apply_and_classify(kraus, state.rho)
-        cols = _columns(prof)
+        cols = states.profile_columns(prof)
         values = zip(cols["f_max"], cols["delta"], cols["uqt"])
         return [out if isinstance(out, ChannelValidationError) else (next(values), res)
                 for out, res in zip(outcomes, unitality.tolist())]
@@ -511,7 +500,7 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
             elif kind == 2:
                 p2s[j], entries[j] = float(rng.uniform(1e-6, tilde_p2_max * (1.0 - 1e-9))), None
         block = families.checked_rows(
-            "lambda_tilde_nu", [{"p1": concurrence, "p2": p2} for p2 in p2s.values()])
+            "lambda_tilde_nu", {"p1": [concurrence] * len(p2s), "p2": list(p2s.values())})
         recorded = {name: col.tolist() for name, col in block.params.items()}
         for r, (j, err) in enumerate(zip(p2s, block.errors)):
             if err is not None:

@@ -354,11 +354,10 @@ def example_rank3(p: float):
 
 @_family("example_rank4_uqt", (),
          "fixed non-unital rank-4 example with Bell-output F = 3/4, zero deviation",
-         unital=False, rank=4, sampler=lambda rng: {})
+         unital=False, rank=4)
 def example_rank4_uqt():
     """Fixed four-operator non-unital channel whose Bell output has F = 3/4
-    and zero fidelity deviation (useful for UQT); one row, which a block
-    broadcasts."""
+    and zero fidelity deviation (useful for UQT)."""
     s17 = np.sqrt(17.0)
     k0 = np.sqrt((6.0 + s17) / (17.0 - s17)) * np.array(
         [[0.0, 1.0], [(1.0 - s17) / 4.0, 0.0]], dtype=complex)
@@ -372,11 +371,10 @@ def example_rank4_uqt():
 @_family("example_rank3_universal_only", (),
          "fixed non-unital rank-3 example: Bell output universal (zero deviation) "
          "but not useful (F = 11/20)",
-         unital=False, rank=3, sampler=lambda rng: {})
+         unital=False, rank=3)
 def example_rank3_universal_only():
     """Fixed three-operator non-unital channel whose Bell output has F = 11/20
-    and zero deviation: universal but not useful for teleportation; one row,
-    which a block broadcasts."""
+    and zero deviation: universal but not useful for teleportation."""
     r = np.sqrt(5.0 / 17.0)
     a = 3.0 / 20.0 * np.sqrt(5.0 + 7.0 * r)
     b = 1.0 / 20.0 * np.sqrt(65.0 + 107.0 * r)
@@ -724,43 +722,42 @@ def _param_value(family_id: str, name: str, value) -> float:
         raise ValueError(f"{family_id}: {name} must be finite, got {value!r}") from None
 
 
-def checked_rows(family_id: str, rows) -> Block:
-    """Check and build the keyword dicts `rows` of one family as one block.
+def checked_rows(family_id: str, columns: dict) -> Block:
+    """Check and build N rows of one family as one block.
 
-    Names are resolved once per key sequence, and each value becomes a float
-    by `_param_value`. The ParamSpec range checks run as masks over the
-    block, and the builder is called once, on the rows that pass them; a
-    Choi-defined family's rows share one kraus_from_choi. A row's error is
-    the first check it fails, in that order, with the text checked_build
-    raises; only failing rows get a text."""
+    `columns` maps each param name (or alias) to the sequence of its N row
+    values, in key order; a family without params has one row. The names
+    are resolved once per call, and a name error is every row's error. Each
+    value becomes a float by `_param_value`. The ParamSpec range checks run
+    as masks over the block, and the builder is called once, on the rows
+    that pass them; a Choi-defined family's rows share one kraus_from_choi.
+    A row's error is the first check it fails, in that order (of its values
+    the first that fails, in key order), with the text checked_build
+    raises; only failing rows get a text. Columns of unequal length are a
+    ValueError."""
     fam = get_family(family_id)
     specs = fam.params
-    layouts: dict = {}  # key sequence -> (resolved names, their places in spec order), or error
-    errors: list = []
-    table: list = []  # per row its values in spec order; NaN for a failed row
-    failed = [math.nan] * len(specs)
-    for row in rows:
-        keys = tuple(row)
-        if keys not in layouts:
+    lengths = {len(col) for col in columns.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"{family_id}: param columns differ in length, got {sorted(lengths)}")
+    n = lengths.pop() if lengths else 1
+    values = np.full((n, len(specs)), math.nan)  # in spec order; NaN where a value fails
+    try:
+        names = resolve_complete(family_id, columns)
+        errors: list = [None] * n
+    except ValueError as exc:
+        names, errors = [], [ValueError(*exc.args) for _ in range(n)]
+    places = {spec.name: j for j, spec in enumerate(specs)}
+    for name, col in zip(names, columns.values()):
+        nums = []
+        for i, v in enumerate(col):
             try:
-                names = resolve_complete(family_id, keys)
-                layouts[keys] = names, [names.index(spec.name) for spec in specs]
+                nums.append(v if type(v) is float else _param_value(family_id, name, v))
             except ValueError as exc:
-                layouts[keys] = str(exc)
-        layout = layouts[keys]
-        try:
-            if isinstance(layout, str):
-                raise ValueError(layout)
-            names, places = layout
-            nums = [v if type(v) is float else _param_value(family_id, name, v)
-                    for name, v in zip(names, row.values())]
-            table.append([nums[j] for j in places])
-            errors.append(None)
-        except ValueError as exc:
-            table.append(failed)
-            errors.append(ValueError(*exc.args))
-    n = len(errors)
-    values = np.array(table, dtype=float).reshape(n, len(specs))
+                nums.append(math.nan)
+                if errors[i] is None:
+                    errors[i] = ValueError(*exc.args)
+        values[:, places[name]] = nums
     lo, hi = fam.bounds
     rejected = ~((values >= lo) & (values <= hi))
     if rejected.any():
@@ -776,13 +773,11 @@ def checked_rows(family_id: str, rows) -> Block:
     for r, err in row_errors.items():
         errors[ok[r]] = err
     kept = [r for r in range(len(ok)) if r not in row_errors]  # the build's rows without error
-    if len(ops) != len(ok):  # a fixed example's one row
-        ops = np.broadcast_to(ops, (len(ok),) + ops.shape[1:])
     if len(kept) < len(ok):
         ops = ops[kept]
     if fam.choi:  # the checks above leave every Choi matrix finite and Hermitian
         ops = channels.kraus_from_choi(ops, fam.expected_rank)
-    if len(kept) == n:  # every row built
+    if len(kept) == n == len(ops):  # every row built (a fixed example builds one row)
         kraus, params = ops, recorded
     else:
         built = [ok[r] for r in kept]
@@ -800,7 +795,7 @@ def checked_build(family_id: str, **params) -> tuple[np.ndarray, dict]:
     """The one-row view of checked_rows: a catalog family's raw Kraus
     operators, the row's own list (a Pauli mixture omits its zero-weight
     operators), and its params to record, not yet validated; raises its error."""
-    block = checked_rows(family_id, [params])
+    block = checked_rows(family_id, {key: [value] for key, value in params.items()})
     if block.errors[0] is not None:
         raise block.errors.pop()  # popped: this frame keeps no reference to the error
     kraus = block.kraus[0]

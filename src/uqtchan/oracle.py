@@ -65,12 +65,6 @@ def teleport_output(shared: TwoQubitState, input_bloch) -> np.ndarray:
     return _protocol(shared.rho[None], _bloch_to_rho(input_bloch)[None])[0, 0]
 
 
-def _transfer_operators(shared: TwoQubitState) -> list[np.ndarray]:
-    """Action L of the protocol on the input-operator basis {I, sx, sy, sz},
-    which determines it: teleport_output is (L[I] + sum_i n_i L[sigma_i]) / 2."""
-    return list(_protocol(shared.rho[None], _PAULI_STACK)[0])
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Bloch-sphere averaging rule under normalized Haar weight: Gauss-Legendre

@@ -92,15 +92,6 @@ def hs_decompose(rho: np.ndarray) -> HSDecomposition:
     return HSDecomposition(r_vec=coef[..., 1:, 0], s_vec=coef[..., 0, 1:], t_mat=coef[..., 1:, 1:])
 
 
-def hs_recompose(hs: HSDecomposition) -> np.ndarray:
-    """Rebuild the density matrix from (R, S, T)."""
-    rho = np.array(_PP[0, 0], dtype=complex)
-    rho += np.einsum("i,iab->ab", hs.r_vec, _PP[1:, 0])
-    rho += np.einsum("i,iab->ab", hs.s_vec, _PP[0, 1:])
-    rho += np.einsum("ij,ijab->ab", hs.t_mat, _PP[1:, 1:])
-    return rho / 4.0
-
-
 @dataclass(frozen=True)
 class DensityStack:
     """`density_stack` of N matrices: per member the rho from_density stores
@@ -276,15 +267,20 @@ def verdicts(t_mat: np.ndarray) -> TeleportProfile:
                            formula_valid=valid)
 
 
+def profile_columns(prof: TeleportProfile) -> dict:
+    """The fields of an array-field TeleportProfile (of `verdicts`) as
+    columns of Python values, one tolist() per field but abs_t, which stays
+    an (N, 3) array; f_max and delta are None where det T > 0."""
+    cols = {name: col if name == "abs_t" else col.tolist() for name, col in vars(prof).items()}
+    for name in ("f_max", "delta"):
+        cols[name] = [x if ok else None for x, ok in zip(cols[name], cols["formula_valid"])]
+    return cols
+
+
 def profiles(t_mat: np.ndarray) -> list[TeleportProfile]:
     """The TeleportProfile of each correlation matrix of a stack (N, 3, 3) in
-    Python values, by one `verdicts` call; f_max and delta are None where
-    det T > 0."""
-    v = verdicts(t_mat)
-    rows = zip(v.f_max.tolist(), v.delta.tolist(), v.det_t.tolist(), v.abs_t, v.useful.tolist(),
-               v.universal.tolist(), v.uqt.tolist(), v.formula_valid.tolist())  # field order
-    return [TeleportProfile(f if ok else None, d if ok else None, *rest, ok)
-            for f, d, *rest, ok in rows]
+    Python values: the rows of the `profile_columns` of one `verdicts` call."""
+    return [TeleportProfile(*row) for row in zip(*profile_columns(verdicts(t_mat)).values())]
 
 
 def profile(state: TwoQubitState) -> TeleportProfile:

@@ -192,14 +192,15 @@ def test_validation_errors_leave_no_reference_cycle():
     lists = [[], [I2], [np.eye(3)], [2.0 * I2]]
     assert [type(out) for out in channels.validate_stack(lists)[2]] == \
         [ChannelValidationError, int, ChannelValidationError, ChannelValidationError]
-    # and so must a row that checked_rows rejects: an unknown name, a value
-    # out of range, a builder's ValueError, ChannelValidationError and one
-    # raised from an OverflowError
+    # and so must a row that checked_rows rejects: an unknown name (every
+    # row's error), a value out of range, a builder's ValueError,
+    # ChannelValidationError and one raised from an OverflowError
     rows = [("gadc", {"gamma": 0.3, "x": 0.1}), ("gadc", {"gamma": 2.0, "N": 0.1}),
             ("uqt_nonunital_rank4", {"s1": 0.9, "s2": 0.0, "s3": 0.0, "t": 0.5}),
             ("lambda_u4", {"p": 0.3}), ("pln_nm", {"G": 1.0, "g": 1e100, "t": 1e100})]
-    assert all(isinstance(families.checked_rows(fid, [row, row]).errors[1], ValueError)
-               for fid, row in rows)
+    columns = [(fid, {key: [value, value] for key, value in row.items()}) for fid, row in rows]
+    assert all(isinstance(families.checked_rows(fid, cols).errors[1], ValueError)
+               for fid, cols in columns)
     gc.collect()
     gc.disable()
     try:
@@ -209,8 +210,8 @@ def test_validation_errors_leave_no_reference_cycle():
                 validate(kraus)
             except ChannelValidationError:
                 pass
-        for fid, row in rows:
-            families.checked_rows(fid, [row, row])
+        for (fid, row), (_, cols) in zip(rows, columns):
+            families.checked_rows(fid, cols)
             try:
                 families.checked_build(fid, **row)
             except ValueError:

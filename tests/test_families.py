@@ -571,12 +571,25 @@ def test_direct_call_matches_catalog(family_id, seed, overrides, by_keyword):
     assert outcome(direct) == outcome(lambda: noise_channel(family_id, **params))
 
 
-def assert_block_rows_are_one_row_views(family_id, rows):
-    """Row by row, checked_rows of the block equals checked_build of the row
-    alone: the same error type and text, or the same recorded params and
-    the same Kraus operators, where the one-row view of a Pauli mixture
+def _rows_of(columns):
+    """The keyword dicts of the rows of `columns`; one empty row if there is
+    no column, as a family without params has."""
+    n = len(next(iter(columns.values()))) if columns else 1
+    return [{key: col[i] for key, col in columns.items()} for i in range(n)]
+
+
+def _columns_of(rows):
+    """The columns of keyword dicts that share their keys, in key order."""
+    return {key: [row[key] for row in rows] for key in rows[0]}
+
+
+def assert_block_rows_are_one_row_views(family_id, columns):
+    """Row by row, checked_rows of the columns equals checked_build of the
+    row alone: the same error type and text, or the same recorded params
+    and the same Kraus operators, where the one-row view of a Pauli mixture
     omits the zero operators that the block keeps."""
-    block = families.checked_rows(family_id, rows)
+    rows = _rows_of(columns)
+    block = families.checked_rows(family_id, columns)
     assert len(block.errors) == len(rows) and not block.kraus.flags.writeable
     assert all(col.shape == (len(rows),) for col in block.params.values())
     for i, row in enumerate(rows):
@@ -596,40 +609,45 @@ def assert_block_rows_are_one_row_views(family_id, rows):
         assert {name: float(col[i]) for name, col in block.params.items()} == recorded
 
 
-#: per row: its draw's seed and edits (what, which parameter, value)
-_ROWS = st.lists(st.tuples(
-    st.integers(0, 2**32 - 1),
-    st.lists(st.tuples(st.sampled_from(["drop", "alias", "unknown", "set"]), st.integers(0, 4),
-                       st.sampled_from([float("nan"), float("inf"), -0.3, 0.0, 0.3, 0.5, 1.0,
-                                        2.0, 1e300])), max_size=3)),
-    min_size=1, max_size=6)
+_VALUES = st.sampled_from([float("nan"), float("inf"), -0.3, 0.0, 0.3, 0.5, 1.0, 2.0, 1e300])
+#: per row: its draw's seed and value edits (which parameter, value)
+_ROWS = st.lists(st.tuples(st.integers(0, 2**32 - 1),
+                           st.lists(st.tuples(st.integers(0, 4), _VALUES), max_size=3)),
+                 min_size=1, max_size=6)
+#: per call: name edits (what, which parameter, value), the same in every row
+_NAMES = st.lists(st.tuples(st.sampled_from(["drop", "alias", "unknown"]), st.integers(0, 4),
+                            _VALUES), max_size=3)
 
 
 @settings(max_examples=200)
-@given(family_id=st.sampled_from(sorted(FAMILIES)), rows=_ROWS)
-def test_checked_rows_match_checked_build_row_by_row(family_id, rows):
-    # in-range draws with names dropped, repeated through an alias or
-    # unknown, and values non-finite, out of range or rejected by the builder
+@given(family_id=st.sampled_from(sorted(FAMILIES)), rows=_ROWS, names=_NAMES)
+def test_checked_rows_match_checked_build_row_by_row(family_id, rows, names):
+    # in-range draws with values non-finite, out of range or rejected by the
+    # builder, row by row, and with names dropped, repeated through an alias
+    # or unknown, column by column
     fam = FAMILIES[family_id]
     dicts = []
     for seed, edits in rows:
         row = fam.sample_params(np.random.default_rng(seed))
-        for what, k, value in edits:
-            name = (list(row) or ["p"])[k % max(len(row), 1)]
-            if what == "drop":
-                row.pop(name, None)
-            elif what == "alias":
-                row[("C", "c", "concurrence")[k % 3]] = value
-            else:
-                row["x" if what == "unknown" else name] = value
+        for k, value in edits:
+            if row:
+                row[list(row)[k % len(row)]] = value
         dicts.append(row)
-    assert_block_rows_are_one_row_views(family_id, dicts)
+    columns = _columns_of(dicts)
+    for what, k, value in names:
+        keys = list(columns) or ["p"]
+        if what == "drop":
+            columns.pop(keys[k % len(keys)], None)
+        else:
+            columns["x" if what == "unknown" else ("C", "c", "concurrence")[k % 3]] = \
+                [value] * len(dicts)
+    assert_block_rows_are_one_row_views(family_id, columns)
 
 
-def _edge_rows(family_id):
+def _edge_columns(family_id):
     """Sampled points, and copies of them with one param set to each end of
     its range (in range where the end is closed), just beyond it, to a
-    non-finite value or to a value that is no real number."""
+    non-finite value or to a value that is no real number, as columns."""
     fam = FAMILIES[family_id]
     rng = np.random.default_rng(zlib.crc32(family_id.encode()))
     points = [fam.sample_params(rng) for _ in range(12)]
@@ -640,28 +658,52 @@ def _edge_rows(family_id):
         values += [float("nan"), float("inf"), -float("inf"), 2.0, -1.0, 1e300, True, "0.5"]
         for j, value in enumerate(values):
             rows.append({**points[j % len(points)], spec.name: value})
-    return rows
+    return _columns_of(rows)
 
 
 @pytest.mark.parametrize("family_id", sorted(FAMILIES))
 def test_block_path_equals_one_row_view(family_id):
-    assert_block_rows_are_one_row_views(family_id, _edge_rows(family_id))
+    assert_block_rows_are_one_row_views(family_id, _edge_columns(family_id))
+
+
+@pytest.mark.parametrize("family_id,columns", [
+    ("gadc", {"gamma": [0.3, 2.0, "x"], "x": [0.1, 0.2, 0.3]}),
+    ("gadc", {"gamma": [0.3, 0.4]}),
+    ("lambda_tilde_nu", {"p1": [0.5, 0.6], "C": [0.5, 0.6], "p2": [0.3, 0.3]}),
+    ("example_rank4_uqt", {"p": [0.5, 0.5]}),
+], ids=["unknown", "missing", "alias repeats", "fixed example given a param"])
+def test_a_name_error_is_every_rows_error(family_id, columns):
+    # the names are resolved once per call: their error is every row's, even
+    # a row whose values would fail on their own, with checked_build's text
+    with pytest.raises(ValueError) as exc:
+        families.checked_build(family_id, **_rows_of(columns)[0])
+    block = families.checked_rows(family_id, columns)
+    assert [str(err) for err in block.errors] == [str(exc.value)] * len(_rows_of(columns))
+    assert not block.kraus.any() and len(block.kraus) == len(block.errors)
+    assert all(np.isnan(col).all() for col in block.params.values())
+    assert_block_rows_are_one_row_views(family_id, columns)
+
+
+def test_columns_of_unequal_length_are_a_value_error():
+    with pytest.raises(ValueError, match=r"^gadc: param columns differ in length, got \[1, 2\]$"):
+        families.checked_rows("gadc", {"gamma": [0.3, 0.4], "N": [0.1]})
 
 
 def test_zero_operators_in_blocks_and_one_row_views():
     # Pauli weights of zero are omitted from the row's own Kraus list, and
     # kept as zero operators in a block; gadc keeps all four operators
-    pauli = [{"p0": 1.0, "p1": 0.0, "p2": 0.0, "p3": 0.0},
-             {"p0": 0.0, "p1": 0.5, "p2": 0.0, "p3": 0.5},
-             {"p0": 0.25, "p1": 0.25, "p2": 0.25, "p3": 0.25}]
+    pauli = {"p0": [1.0, 0.0, 0.25], "p1": [0.0, 0.5, 0.25], "p2": [0.0, 0.0, 0.25],
+             "p3": [0.0, 0.5, 0.25]}
     assert_block_rows_are_one_row_views("pauli_mixture", pauli)
     assert families.checked_rows("pauli_mixture", pauli).kraus.shape == (3, 4, 2, 2)
-    assert [len(families.checked_build("pauli_mixture", **row)[0]) for row in pauli] == [1, 2, 4]
+    assert [len(families.checked_build("pauli_mixture", **row)[0])
+            for row in _rows_of(pauli)] == [1, 2, 4]
     assert [len(families.checked_build(fid, p=p)[0])
             for fid in ("werner", "dephasing") for p in (0.0, 1.0)] == [3, 1, 1, 1]
-    gadc = [{"gamma": g, "N": n} for g in (0.0, 0.4, 1.0) for n in (0.0, 0.3, 1.0)]
+    gamma, n = zip(*[(g, n) for g in (0.0, 0.4, 1.0) for n in (0.0, 0.3, 1.0)])
+    gadc = {"gamma": gamma, "N": n}
     assert_block_rows_are_one_row_views("gadc", gadc)
-    assert all(len(families.gadc(**row).kraus) == 4 for row in gadc)
+    assert all(len(families.gadc(**row).kraus) == 4 for row in _rows_of(gadc))
 
 
 @pytest.mark.parametrize("value", [True, False, "0.3", "nan", 0.3 + 0j, 1j, [0.1], (0.1,),
@@ -671,11 +713,13 @@ def test_zero_operators_in_blocks_and_one_row_views():
 def test_param_that_is_no_real_number_is_rejected_by_name(value):
     with pytest.raises(ValueError, match=r"^gadc: N must be (a real number|finite), got "):
         noise_channel("gadc", gamma=0.3, N=value)
-    block = families.checked_rows("gadc", [{"gamma": 0.3, "N": 0.1}, {"gamma": 0.3, "N": value}])
+    block = families.checked_rows("gadc", {"gamma": [0.3, 0.3], "N": [0.1, value]})
     assert block.errors[0] is None and str(block.errors[1]).startswith("gadc: N must be")
     # the first value in the row's key order names the error
     with pytest.raises(ValueError, match="^gadc: gamma must be"):
         noise_channel("gadc", gamma=value, N=value)
+    block = families.checked_rows("gadc", {"gamma": [0.3, value], "N": [value, value]})
+    assert [str(err).split(" must")[0] for err in block.errors] == ["gadc: N", "gadc: gamma"]
 
 
 def test_real_number_types_are_accepted_as_floats():

@@ -83,6 +83,7 @@ def random_rank_density(rng, rank):
 
 
 def test_transfer_operators_match_the_pm_bloch_construction(rng):
+    # the protocol's action L on the input-operator basis {I, sx, sy, sz}:
     # L[I] = out(+e_x) + out(-e_x) and L[sigma_i] = out(+e_i) - out(-e_i),
     # from pure-state runs of teleport_output, on states of every rank
     for k in range(12):
@@ -90,7 +91,7 @@ def test_transfer_operators_match_the_pm_bloch_construction(rng):
         plus = [teleport_output(shared, e) for e in np.eye(3)]
         minus = [teleport_output(shared, -e) for e in np.eye(3)]
         expected = [plus[0] + minus[0]] + [p - m for p, m in zip(plus, minus)]
-        for got, want in zip(oracle._transfer_operators(shared), expected):
+        for got, want in zip(oracle._protocol(shared.rho[None], oracle._PAULI_STACK)[0], expected):
             assert np.max(np.abs(got - want)) <= 1e-15
 
 
@@ -327,7 +328,8 @@ def test_stack_members_equal_their_one_member_views_bit_for_bit(rng):
     for i, st in enumerate(sts):
         for j, n in enumerate(blochs):
             assert teleport_output(st, n).tobytes() == outputs[i, j].tobytes()
-        assert np.array(oracle._transfer_operators(st)).tobytes() == transfer[i].tobytes()
+        one = oracle._protocol(st.rho[None], oracle._PAULI_STACK)[0]
+        assert one.tobytes() == transfer[i].tobytes()
         canon, (v1, v2) = canonicalize(st)
         assert canon.rho.tobytes() == canonical[i].tobytes()
         assert v1.tobytes() == u1[i].tobytes() and v2.tobytes() == u2[i].tobytes()

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from uqtchan import families
 
-from conftest import load_script
+from conftest import SCRIPTS, load_script
 
 
 def test_search_critical_concurrence_without_zero_deviation_entry(capsys):
@@ -112,6 +115,18 @@ def test_compare_references_dump_gates_the_record_without_closed_forms(tmp_path,
                   "oracle")
     assert [line.split(":")[0] for line in tally] == list(categories)
     assert all(same == total for same, total in (line.split()[1].split("/") for line in tally))
+
+
+def test_compare_references_compare_runs_without_the_library(tmp_path):
+    # compare reads two dumps only; it must not need uqtchan on the path
+    (tmp_path / "a.json").write_text(json.dumps(_REFERENCE))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(SCRIPTS / "compare_references.py"), "compare",
+                           "a.json", "a.json"], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[:3] == ["items: 2", "byte-identical: 2",
+                                            "largest float difference: 0"]
 
 
 @pytest.mark.parametrize("path,value", [

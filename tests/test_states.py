@@ -1,15 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqtchan import channels, explorer, families, states
-from uqtchan.linalg import I4
+from uqtchan.linalg import I4, PAULIS
 from uqtchan.states import (
     bell_state,
     concurrence,
     from_density,
-    hs_recompose,
     profile,
     pure_state,
     pure_state_from_concurrence,
@@ -74,7 +75,15 @@ def test_recompose_round_trip(rng):
     for _ in range(20):
         rho = random_density(rng)
         st_ = from_density(rho)
-        assert np.max(np.abs(hs_recompose(st_.hs) - st_.rho)) < 1e-12
+        # rho = sum_ij c_ij sigma_i x sigma_j / 4 of its pauli_coefficients
+        # c_ij, whose blocks c_i0, c_0j and c_ij (i, j >= 1) are (R, S, T)
+        coef = np.zeros((4, 4))
+        coef[0, 0] = 1.0
+        coef[1:, 0], coef[0, 1:], coef[1:, 1:] = st_.hs.r_vec, st_.hs.s_vec, st_.hs.t_mat
+        assert np.max(np.abs(states.pauli_coefficients(st_.rho) - coef)) < 1e-12
+        back = sum(coef[i, j] * np.kron(PAULIS[i], PAULIS[j])
+                   for i in range(4) for j in range(4)) / 4.0
+        assert np.max(np.abs(back - st_.rho)) < 1e-12
 
 
 def test_local_vector_and_singular_value_bounds(rng):
@@ -323,17 +332,16 @@ def test_profile_and_concurrence_invariant_under_local_unitaries(name, seed):
 def _block_inputs(rng):
     """(Kraus lists, input) of three sweep blocks, built by checked_rows, and
     of one search block of random channels, drawn as search_uqt draws them."""
-    grid = [{"gamma": g, "N": n} for g in (0.0, 0.3, 0.6, 0.9) for n in (0.0, 0.2, 0.5)]
-    rank4 = [{"s1": a, "s2": b, "s3": 0.05, "t": t}
-             for a in (0.0, 0.1) for b in (-0.1, 0.1) for t in (0.4, 0.6)]
-    tilde = [{"p1": c, "p2": p2} for c in (0.45, 0.7, 0.9) for p2 in (0.3, 0.6)]
+    gamma, n = zip(*itertools.product((0.0, 0.3, 0.6, 0.9), (0.0, 0.2, 0.5)))
+    s1, s2, t = zip(*itertools.product((0.0, 0.1), (-0.1, 0.1), (0.4, 0.6)))
+    rank4 = {"s1": s1, "s2": s2, "s3": [0.05] * len(t), "t": t}
+    p1, p2 = zip(*itertools.product((0.45, 0.7, 0.9), (0.3, 0.6)))
     blocks = [
-        (list(families.checked_rows("gadc", grid).kraus), bell_state(1).rho),
+        (list(families.checked_rows("gadc", {"gamma": gamma, "N": n}).kraus), bell_state(1).rho),
         (list(families.checked_rows("uqt_nonunital_rank4", rank4).kraus), pure_state(0.8).rho),
-        (list(families.checked_rows("dephasing", [{"p": 0.5}, {"p": 0.9}]).kraus),
-         bell_state(1).rho),
-        (list(families.checked_rows("lambda_tilde_nu", tilde).kraus),
-         states.pure_densities_from_concurrence([row["p1"] for row in tilde])),
+        (list(families.checked_rows("dephasing", {"p": [0.5, 0.9]}).kraus), bell_state(1).rho),
+        (list(families.checked_rows("lambda_tilde_nu", {"p1": p1, "p2": p2}).kraus),
+         states.pure_densities_from_concurrence(p1)),
     ]
     blocks.append(([channels.random_kraus(rng, r) for r in [3, 4] * 8],
                    pure_state_from_concurrence(0.45).rho))
