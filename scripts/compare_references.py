@@ -34,7 +34,9 @@ the library (PYTHONPATH=<src>) and `compare` the dumps, which needs no
 library on the path: it prints the item count, how many items are
 byte-identical, the largest float difference and, per category (the first
 word of an item's name: sweep, grid, search, analyze, channel, draw,
-threshold, verify, oracle), the identical and total item counts. It exits 1 if a non-float
+threshold, verify, oracle), the identical and total item counts; then the
+name and largest float difference of every item that is not
+byte-identical, and the first 20 non-float differences. It exits 1 if a non-float
 value differs (type, key, order, length or value) or a float moves by more
 than 1e-12.
 """
@@ -259,15 +261,22 @@ def compare(path_a: str, path_b: str) -> int:
     if not (isinstance(a, dict) and isinstance(b, dict)):  # one item
         a, b = {"document": a}, {"document": b}
     tally = {}  # category: [byte-identical items, items]
+    changed = []  # per item that is not byte-identical: its name and largest float difference
     for k in a:
         counts = tally.setdefault(k.split(" ", 1)[0], [0, 0])
-        counts[0] += json.dumps(a[k]) == json.dumps(b.get(k))
+        same = json.dumps(a[k]) == json.dumps(b.get(k))
+        counts[0] += same
         counts[1] += 1
+        if not same:
+            changed.append(f"not byte-identical: {k} (largest float difference "
+                           f"{differences(a[k], b.get(k))[1]:.3g})")
     print(f"items: {len(a)}")
     print(f"byte-identical: {sum(same for same, _ in tally.values())}")
     print(f"largest float difference: {worst:.3g}")
     for category, (same, total) in tally.items():
         print(f"{category}: {same}/{total} byte-identical")
+    for line in changed:
+        print(line)
     for line in found[:20]:
         print(f"differs: {line}")
     if worst > FLOAT_TOL:

@@ -82,11 +82,15 @@ def unitality_residual(kraus) -> float | np.ndarray:
 
 
 def bob_action(rho: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """sum_i (I x K_i) rho (I x K_i)^dag as one contraction over the
-    (2,2,2,2) reshape of rho and the (k,2,2) Kraus stack; rho (..., 4, 4)
-    and ks (..., k, 2, 2) broadcast against each other."""
-    out = np.einsum("...kbe,...aecf,...kdf->...abcd", ks,
-                    rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)), ks.conj())
+    """sum_i (I x K_i) rho (I x K_i)^dag, rho (..., 4, 4) and ks (..., k, 2, 2)
+    broadcast, as Y = sum_e K[b,e] rho[a,e,c,f], sum_f Y K*[d,f], then the sum
+    over k, on a C-ordered copy of ks, each member with the bits of its own call.
+    No einsum: its inner loop runs along a 2-long axis of a C-ordered stack, 10x slower."""
+    k = np.ascontiguousarray(ks)[..., :, None, :, :, None, None]  # (..., k, a, b, e, c, f)
+    r = rho.reshape(rho.shape[:-2] + (1, 2, 1, 2, 2, 2))
+    y = (k[..., 0, :, :] * r[..., 0, :, :] + k[..., 1, :, :] * r[..., 1, :, :])[..., None, :]
+    kc = k[..., 0, 0].conj()[..., None, None, :, :]  # (..., k, a, b, c, d, f)
+    out = (y[..., 0] * kc[..., 0] + y[..., 1] * kc[..., 1]).sum(axis=-5)
     return out.reshape(out.shape[:-4] + (4, 4))
 
 
@@ -105,13 +109,13 @@ def choi_matrix(kraus) -> np.ndarray:
 _TRANSPOSE_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])
 
 
-def final_correlations(rho: np.ndarray, choi: np.ndarray) -> np.ndarray:
-    """Correlation matrices (N, 3, 3) of the states (I x Phi)(rho), for the
-    trace-1 Choi matrices J (N, 4, 4) of channels Phi and rho one density
-    matrix or N: Phi's Pauli transfer matrix A_ij = Tr(sigma_i Phi(sigma_j))/2
-    = s_j Tr((sigma_j x sigma_i) J) maps rho's Pauli coefficients C to
-    C' = C A^T, and T' is C'[1:, 1:] over the final trace C'[0, 0]."""
-    final = (states.pauli_coefficients(rho) * _TRANSPOSE_SIGNS) @ states.pauli_coefficients(choi)
+def final_correlations(rho: np.ndarray, choi_coef: np.ndarray) -> np.ndarray:
+    """Correlation matrices (N, 3, 3) of the states (I x Phi)(rho), for the Pauli
+    coefficients (N, 4, 4) of the trace-1 Choi matrices J of channels Phi and
+    rho one density matrix or N: Phi's Pauli transfer matrix A_ij = Tr(sigma_i
+    Phi(sigma_j))/2 = s_j Tr((sigma_j x sigma_i) J) maps rho's Pauli
+    coefficients C to C' = C A^T, and T' is C'[1:, 1:] over the final trace C'[0, 0]."""
+    final = (states.pauli_coefficients(rho) * _TRANSPOSE_SIGNS) @ choi_coef
     return final[:, 1:, 1:] / final[:, :1, :1]
 
 

@@ -123,11 +123,13 @@ def _apply_and_classify(kraus, rho: np.ndarray) -> tuple[list, TeleportProfile, 
     state is built. Returns per member its Choi rank or the
     ChannelValidationError of `validate`; the array-field TeleportProfile of
     one `verdicts` call, one entry per valid member in member order; and
-    the unitality residual of each member."""
-    stack, choi, outcomes = channels.validate_stack(kraus)
+    the unitality residual of each valid member, read off its Choi matrix."""
+    _, choi, outcomes = channels.validate_stack(kraus)
     accepted = [i for i, out in enumerate(outcomes) if not isinstance(out, ChannelValidationError)]
-    t_mat = channels.final_correlations(rho if rho.ndim == 2 else rho[accepted], choi[accepted])
-    return outcomes, states.verdicts(t_mat), channels.unitality_residual(stack)
+    coef = states.pauli_coefficients(choi)
+    t_mat = channels.final_correlations(rho if rho.ndim == 2 else rho[accepted], coef[accepted])
+    c = coef[:, 0, 1:]  # Bob's marginal of J is (I + c.sigma)/2: sum K K^dag - I = c.sigma
+    return outcomes, states.verdicts(t_mat), np.maximum(abs(c[:, 2]), abs(c[:, 0] + 1j * c[:, 1]))
 
 
 def _classify_rows(family_id: str, columns: dict, initial: str | TwoQubitState

@@ -127,10 +127,13 @@ def canonical_eigenvectors(eigenvalues, eigenvectors) -> np.ndarray:
     vecs = np.array(eigenvectors, dtype=complex)
     n = vecs.shape[-1]
     flat = vecs.reshape(-1, n, n)
-    for i, spectrum in enumerate(np.asarray(eigenvalues, dtype=float).reshape(-1, n).tolist()):
+    spectra = np.asarray(eigenvalues, dtype=float).reshape(-1, n)
+    norms = np.maximum(1.0, np.linalg.norm(spectra, axis=1))[:, None]
+    near = (spectra[:, :-1] - spectra[:, 1:] <= 2.0 * _CLUSTER_TOL * norms).any(axis=1)
+    for i, spectrum in zip(np.flatnonzero(near).tolist(), spectra[near].tolist()):
         tol = _CLUSTER_TOL * max(1.0, math.hypot(*spectrum))
-        start = 0 if min(map(float.__sub__, spectrum, spectrum[1:]), default=math.inf) <= tol else n
-        while start < n:  # walk the runs of a spectrum that has one
+        start = 0
+        while start < n:  # the exact runs; near, at twice tol, has every spectrum with one
             stop = start + 1
             while stop < n and spectrum[start] - spectrum[stop] <= tol:
                 stop += 1

@@ -41,8 +41,9 @@ _PAULI_STACK = np.array(PAULIS)
 _PROJ = np.array([np.outer(k, k.conj()) for k in BELL_KETS]).reshape(4, 2, 2, 2, 2)
 _REGISTER = np.einsum("kyzia,kcb,kde->iycdabze", _PROJ, np.array(CORRECTIONS),
                       np.array(CORRECTIONS).conj()).reshape(2, 2, 2, 2, 16)
-#: (sigma_i sigma_x sigma_j)[a, d], i, j = 1..3: the SU(2) lift with O left open
-_LIFT = np.einsum("iab,xbc,jcd->ijxad", _PAULI_STACK[1:], _PAULI_STACK, _PAULI_STACK[1:])
+#: (sigma_i sigma_x sigma_j)[a, d], i, j = 1..3, as (9, 16): the SU(2) lift with O left open
+_LIFT = np.einsum("iab,xbc,jcd->ijxad", _PAULI_STACK[1:], _PAULI_STACK,
+                  _PAULI_STACK[1:]).reshape(9, 16)
 
 
 def _bloch_to_rho(n_vec) -> np.ndarray:
@@ -136,7 +137,7 @@ def _su2_from_rotation(o: np.ndarray) -> np.ndarray:
     """Lift proper rotations O (..., 3, 3) to SU(2): with sigma'_j = sum_i O_ij
     sigma_i and sigma'_0 = I, sum_j sigma'_j X sigma_j = 2 Tr(U^dag X) U for
     every X; the Pauli X with the largest sum, scaled to det 1, is U up to sign."""
-    sums = _PAULI_STACK + np.einsum("...ij,ijxad->...xad", o, _LIFT)
+    sums = _PAULI_STACK + (o.reshape(o.shape[:-2] + (9,)) @ _LIFT).reshape(o.shape[:-2] + (4, 2, 2))
     best = np.argmax(np.linalg.norm(sums, axis=(-2, -1)), axis=-1)
     m = np.take_along_axis(sums, best[..., None, None, None], axis=-3)[..., 0, :, :]
     return m / np.sqrt(np.linalg.det(m))[..., None, None]

@@ -522,6 +522,20 @@ def test_threshold_arguments_end_in_a_result_or_a_spec_error(data, family_id):
 # randomized search
 # ---------------------------------------------------------------------------
 
+def test_classified_unitality_residual_is_the_kraus_residual():
+    # read off Bob's marginal of the Choi stack, it is ||sum K K^dag - I||_max
+    # of each member to rounding: unitaries and gadc at N = 1/2 are unital
+    rng = np.random.default_rng(7)
+    lists = [channels.random_kraus(rng, rank) for rank in (1, 2, 3, 4) * 4]
+    lists += [families.noise_channel("gadc", gamma=0.3, N=n).kraus for n in (0.0, 0.5, 0.9)]
+    outcomes, _, residual = explorer._apply_and_classify(lists, states.bell_state(1).rho)
+    assert all(type(out) is int for out in outcomes)
+    expected = np.array([channels.unitality_residual(kraus) for kraus in lists])
+    assert np.max(np.abs(residual - expected)) <= 1e-15
+    assert (residual <= channels.EPS_CPTP).tolist() == [len(k) == 1 for k in lists[:16]] \
+        + [False, True, False]
+
+
 def test_random_nonunital_channel_properties():
     rng = np.random.Generator(np.random.Philox(key=5))
     ch = random_nonunital_channel(rng, rank=3)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -206,6 +208,40 @@ def test_stacked_kraus_extraction_matches_one_at_a_time_to_the_bit(rng, rank):
         assert kraus[i].tobytes() == kraus_from_choi(m, rank=rank).tobytes()
     # more stack axes give the same bits
     assert kraus_from_choi(stack.reshape(3, 4, 4, 4), rank=rank).tobytes() == kraus.tobytes()
+
+
+def _walked_eigenvectors(eigenvalues, eigenvectors):
+    """The reference: canonical_eigenvectors with the exact cluster test run
+    on every spectrum in Python."""
+    vecs = np.array(eigenvectors, dtype=complex)
+    for spectrum, v in zip(np.asarray(eigenvalues, dtype=float).tolist(), vecs):
+        tol = linalg._CLUSTER_TOL * max(1.0, math.hypot(*spectrum))
+        start = 0 if min(map(float.__sub__, spectrum, spectrum[1:])) <= tol else 4
+        while start < 4:
+            stop = start + 1
+            while stop < 4 and spectrum[start] - spectrum[stop] <= tol:
+                stop += 1
+            if stop - start > 1:
+                v[:, start:stop] = linalg._eigenspace_basis(v[:, start:stop])
+            start = stop
+        pivot = v[(np.abs(v) > 1e-8).argmax(axis=0), np.arange(4)]
+        v *= pivot.conj() / np.abs(pivot)
+    return vecs
+
+
+def test_canonical_eigenvectors_clusters_as_the_exact_test_does(rng):
+    # adjacent gaps from 0 to 4 times the cluster tolerance, on either side
+    # of it and of the numpy pre-selection at twice it, at norms below and
+    # above 1
+    spectra = []
+    for scale in (0.5, 1.0, 3.0):
+        base = scale * np.array([0.3, 0.3, 0.2, 0.2])
+        tol = linalg._CLUSTER_TOL * max(1.0, math.hypot(*base))
+        for factor in (0.0, 0.5, 0.999999, 1.000001, 1.5, 1.999999, 2.000001, 4.0):
+            spectra.append(base - factor * tol * np.array([0.0, 1.0, 0.0, 1.0]))
+    bases = np.array([random_unitary(rng, 4) for _ in spectra])
+    got = linalg.canonical_eigenvectors(np.array(spectra), bases)
+    assert got.tobytes() == _walked_eigenvectors(spectra, bases).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -193,6 +193,28 @@ def test_su2_lift_matches_rotation(rng):
         assert abs(np.linalg.det(lifted) - 1.0) < 1e-12
 
 
+def _einsum_su2_from_rotation(o):
+    """The reference: the lift's sums as one einsum over (3, 3, 4, 2, 2)."""
+    paulis = np.array(linalg.PAULIS)
+    lift = np.einsum("iab,xbc,jcd->ijxad", paulis[1:], paulis, paulis[1:])
+    sums = paulis + np.einsum("...ij,ijxad->...xad", o, lift)
+    best = np.argmax(np.linalg.norm(sums, axis=(-2, -1)), axis=-1)
+    m = np.take_along_axis(sums, best[..., None, None, None], axis=-3)[..., 0, :, :]
+    return m / np.sqrt(np.linalg.det(m))[..., None, None]
+
+
+def test_su2_lift_of_a_stack_keeps_each_members_bits(rng):
+    # one (N, 9) @ (9, 16) product: every prefix of the stack and every
+    # member alone has the stack's bits, within 1e-15 of the einsum
+    o = np.array([rotation_of_unitary(random_unitary(rng)) for _ in range(300)])
+    stacked = oracle._su2_from_rotation(o)
+    for n in (1, 2, 3, 8, 33, 266):
+        assert oracle._su2_from_rotation(o[:n]).tobytes() == stacked[:n].tobytes()
+    for m in range(len(o)):
+        assert oracle._su2_from_rotation(o[m]).tobytes() == stacked[m].tobytes()
+    assert np.max(np.abs(stacked - _einsum_su2_from_rotation(o))) <= 1e-15
+
+
 def test_canonicalize_fixed_point():
     rho = 0.75 * bell_state(1).rho + 0.25 * bell_state(4).rho
     st = from_density(rho)

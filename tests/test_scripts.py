@@ -72,7 +72,27 @@ def test_compare_references_counts_identical_items_and_float_moves(tmp_path, cap
     assert _compare(tmp_path, _REFERENCE, moved) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "byte-identical: 1" and out[2].startswith("largest float difference: 3.")
-    assert out[3:] == ["sweep: 1/1 byte-identical", "search: 0/1 byte-identical"]
+    assert out[3:5] == ["sweep: 1/1 byte-identical", "search: 0/1 byte-identical"]
+    assert out[5:] == [f"not byte-identical: search (largest float difference {out[2][26:]})"]
+
+
+def test_compare_references_names_every_item_that_moved(tmp_path, capsys):
+    # every moved item by name, in dump order, each with its own largest
+    # float difference (0 where only a non-float value moved), more than 20
+    a = {f"grid family{i}": {"rows": [[0.5, True, ""]]} for i in range(50)}
+    b = json.loads(json.dumps(a))
+    for i in range(2, 50, 2):  # 0.5 + i ulp, exact
+        b[f"grid family{i}"]["rows"][0][0] += i * 2.0**-53
+    b["grid family1"]["rows"][0][2] = "error"
+    assert _compare(tmp_path, a, b) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == ["items: 50", "byte-identical: 25",
+                       f"largest float difference: {48 * 2.0**-53:.3g}", "grid: 25/50 byte-identical"]
+    assert out[4:] == [
+        "not byte-identical: grid family1 (largest float difference 0)",
+        *(f"not byte-identical: grid family{i} (largest float difference {i * 2.0**-53:.3g})"
+          for i in range(2, 50, 2)),
+        "differs: ['grid family1']['rows'][0][2]: '' != 'error'"]
 
 
 def test_compare_references_dump_gates_the_record_without_closed_forms(tmp_path, capsys):
