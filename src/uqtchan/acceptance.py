@@ -42,10 +42,10 @@ def _raise_first(outcomes) -> None:
             raise out
 
 
-def _validated(kraus_lists) -> tuple[np.ndarray, np.ndarray, list]:
-    """channels.validate_stack of the draws, raising the first rejected
-    member's error: the Kraus stack, the Choi stack and the Choi ranks."""
-    stack, choi, ranks = channels.validate_stack(kraus_lists)
+def _validated(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """channels.validate_stack of a (N, k, 2, 2) Kraus stack, raising the first
+    rejected member's error: the Kraus stack, the Choi stack and the Choi ranks."""
+    stack, choi, ranks = channels.validate_stack(kraus)
     _raise_first(ranks)
     return stack, choi, ranks
 

@@ -53,15 +53,14 @@ class QubitChannel:
 
 
 def _kraus_array(kraus_list) -> np.ndarray:
-    """The operators as one complex array of shape (k, 2, 2), checked finite."""
+    """The operators as one C-ordered complex (k, 2, 2) array, whatever the
+    input's layout; validate_stack checks them finite."""
     try:
-        ops = np.asarray(kraus_list, dtype=complex)
+        ops = np.ascontiguousarray(kraus_list, dtype=complex)
     except (TypeError, ValueError) as exc:  # ragged or non-numeric
         raise ChannelValidationError(f"Kraus operators are not 2x2 matrices: {exc}") from exc
     if ops.shape != (0,) and (ops.ndim != 3 or ops.shape[1:] != (2, 2)):
         raise ChannelValidationError(f"Kraus operators have shape {ops.shape}, expected (k, 2, 2)")
-    if not np.isfinite(ops).all():
-        raise ChannelValidationError("Kraus operator has non-finite entries")
     if not 1 <= len(ops) <= MAX_KRAUS:
         raise ChannelValidationError(f"expected 1..{MAX_KRAUS} Kraus operators, got {len(ops)}")
     return ops
@@ -119,50 +118,25 @@ def final_correlations(rho: np.ndarray, choi_coef: np.ndarray) -> np.ndarray:
     return final[:, 1:, 1:] / final[:, :1, :1]
 
 
-def _stack(kraus_lists) -> tuple[np.ndarray, list]:
-    """The members as one (N, k, 2, 2) stack, each padded with zero
-    operators to the longest well-formed member's k, and per member None or
-    the ChannelValidationError of its malformed input, whose stack member is
-    all zeros. A ready stack, such as a family block's, is checked as a
-    whole: only a non-finite member can be malformed."""
-    if isinstance(kraus_lists, np.ndarray) and kraus_lists.ndim == 4 \
-            and kraus_lists.shape[2:] == (2, 2) and 1 <= kraus_lists.shape[1] <= MAX_KRAUS:
-        finite = np.isfinite(kraus_lists).all(axis=(1, 2, 3))
-        stack = np.where(finite[:, None, None, None], kraus_lists, 0.0).astype(complex, copy=False)
-        error = "Kraus operator has non-finite entries"
-        return stack, [None if ok else ChannelValidationError(error) for ok in finite.tolist()]
-    outcomes: list = []
-    ops = []
-    for kraus in kraus_lists:
-        try:
-            ops.append(_kraus_array(kraus))
-            outcomes.append(None)
-        except ChannelValidationError as exc:
-            # a copy without the traceback, which would tie this frame, and
-            # with it the whole stack, into a reference cycle with outcomes
-            ops.append(None)
-            outcomes.append(ChannelValidationError(str(exc)))
-    stack = np.zeros((len(ops), max((len(k) for k in ops if k is not None), default=1), 2, 2),
-                     dtype=complex)
-    for i, k in enumerate(ops):
-        if k is not None:
-            stack[i, :len(k)] = k
-    return stack, outcomes
-
-
-def validate_stack(kraus_lists) -> tuple[np.ndarray, np.ndarray, list]:
-    """Check N Kraus lists, or a ready (N, k, 2, 2) stack, as `validate`
+def validate_stack(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Check a ready (N, k, 2, 2) Kraus stack, each member as `validate`
     checks one, with one completeness reduction, one Choi contraction and
     one hermitian_eig for all of them.
 
-    Returns the read-only (N, k, 2, 2) stack of the operators (see
-    `_stack`; a zero operator changes neither completeness nor the Choi
-    matrix); their trace-1 Choi matrices (N, 4, 4) as from_density stores
-    them, zero for a member rejected before that; and per member its Choi
-    rank or the ChannelValidationError of `validate`.
+    Returns the read-only stack, a non-finite member zeroed (a zero
+    operator changes neither completeness nor the Choi matrix); the
+    members' trace-1 Choi matrices (N, 4, 4) as from_density stores them,
+    zero for a member rejected before that; and per member its Choi rank
+    or the ChannelValidationError of `validate`.
     """
-    stack, outcomes = _stack(kraus_lists)
+    if not isinstance(kraus, np.ndarray) or kraus.ndim != 4 or kraus.shape[2:] != (2, 2) \
+            or not 1 <= kraus.shape[1] <= MAX_KRAUS:
+        raise ChannelValidationError(f"expected an (N, k, 2, 2) Kraus stack, k in 1..{MAX_KRAUS}")
+    finite = np.isfinite(kraus).all(axis=(1, 2, 3))
+    stack = np.where(finite[:, None, None, None], kraus, 0.0).astype(complex, copy=False)
     stack.setflags(write=False)
+    error = "Kraus operator has non-finite entries"
+    outcomes = [None if ok else ChannelValidationError(error) for ok in finite.tolist()]
     for i, res in enumerate(completeness_residual(stack).tolist()):
         if outcomes[i] is None and res > EPS_COMPLETE:
             outcomes[i] = ChannelValidationError(
@@ -183,13 +157,13 @@ def validate_stack(kraus_lists) -> tuple[np.ndarray, np.ndarray, list]:
 
 def validate(kraus_list, name: str = "channel", params: dict | None = None) -> QubitChannel:
     """Accept Kraus operators (a list of 2x2 matrices or a (k, 2, 2) array)
-    as a channel, or raise ChannelValidationError: the one-member view of
-    `validate_stack`.
+    as a channel, or raise ChannelValidationError: the one place that parses
+    a Kraus list, then the one-member view of `validate_stack`.
 
     Up to 8 operators are accepted (over-complete input is fine);
     orthogonalize() reduces any channel to its minimal set.
     """
-    stack, _, outcomes = validate_stack([kraus_list])
+    stack, _, outcomes = validate_stack(_kraus_array(kraus_list)[None])
     if isinstance(outcomes[0], ChannelValidationError):
         raise outcomes.pop()  # popped: this frame keeps no reference to the error
     return QubitChannel(kraus=stack[0], name=name, params=dict(params or {}),

@@ -116,14 +116,14 @@ def oracle_disagreements(final: np.ndarray, f_max: list, delta: list) -> int:
 
 
 def _apply_and_classify(kraus, rho: np.ndarray) -> tuple[list, TeleportProfile, np.ndarray]:
-    """Validate N Kraus lists, or a ready (N, k, 2, 2) stack, and classify
-    the final state of Bob's half of rho (one 4x4 density matrix, or one
-    per member) after each valid channel, as one stack, read off the Choi
-    matrices of validate_stack by `channels.final_correlations`; no final
-    state is built. Returns per member its Choi rank or the
-    ChannelValidationError of `validate`; the array-field TeleportProfile of
-    one `verdicts` call, one entry per valid member in member order; and
-    the unitality residual of each valid member, read off its Choi matrix."""
+    """Validate a ready (N, k, 2, 2) Kraus stack and classify the final
+    state of Bob's half of rho (one 4x4 density matrix, or one per member)
+    after each valid channel, as one stack, read off the Choi matrices of
+    validate_stack by `channels.final_correlations`; no final state is
+    built. Returns per member its Choi rank or the ChannelValidationError
+    of `validate`; the array-field TeleportProfile of one `verdicts` call,
+    one entry per valid member in member order; and the unitality residual
+    of each valid member, read off its Choi matrix."""
     _, choi, outcomes = channels.validate_stack(kraus)
     accepted = [i for i, out in enumerate(outcomes) if not isinstance(out, ChannelValidationError)]
     coef = states.pauli_coefficients(choi)
@@ -439,8 +439,8 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
     call per rank and its lambda_tilde_nu samples built by one checked_rows
     call, then its candidates, one (n, 4, 2, 2) stack in sample order, are
     classified by one `_apply_and_classify`, as the lambda_star_nu
-    candidate is once per call. A random candidate that
-    is invalid or effectively unital is skipped; a lambda_tilde_nu build
+    candidate, one checked_rows block, is once per call. A random candidate
+    that is invalid or effectively unital is skipped; a lambda_tilde_nu build
     error, else a validation error, raises, the first in sample order. The
     first MAX_HITS distinct hits are reported. The frontier keeps up to ten
     non-UQT entries that no other dominates (deviation no larger, f_max no
@@ -482,8 +482,9 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
         return {"channel": name, "params": {k: float(v) for k, v in params.items()},
                 "f_max": f_max, "delta": delta, "uqt": uqt}
 
-    star_ch = families.lambda_star_nu(concurrence)  # deterministic: classified once per call
-    star = as_entry(star_ch.name, star_ch.params, entries_of(star_ch.kraus[None])[0][0])
+    star_block = families.checked_rows("lambda_star_nu", {"p1": [concurrence]})  # once per call
+    star_params = {name: col[0] for name, col in star_block.params.items()}
+    star = as_entry("lambda_star_nu", star_params, entries_of(star_block.kraus)[0][0])
 
     sample_rng = _sample_streams(seed)
     for first in range(0, budget, SEARCH_BLOCK):

@@ -113,7 +113,7 @@ def density_stack(m) -> DensityStack:
     trace 1, non-negative within PSD_TOL. The stored rho is the Hermitian
     part scaled to trace 1, its eigenvalues scaled with it.
     """
-    rho = np.asarray(m, dtype=complex)
+    rho = np.ascontiguousarray(m, dtype=complex)  # the trace sums in memory order
     if rho.ndim != 3 or rho.shape[1:] != (4, 4):
         raise ValueError(f"expected a stack of 4x4 matrices, got shape {rho.shape}")
     eigenvalues = linalg.hermitian_eig(rho).eigenvalues

@@ -45,6 +45,15 @@ def random_kraus(rng, rank):
     return channels.validate(channels.random_kraus(rng, rank)).kraus
 
 
+def kraus_stack(lists, k=None):
+    """The Kraus lists as one (N, k, 2, 2) stack, each padded with zero
+    operators to k, by default the longest list's length."""
+    stack = np.zeros((len(lists), max(map(len, lists)) if k is None else k, 2, 2), dtype=complex)
+    for member, kraus in zip(stack, lists):
+        member[:len(kraus)] = kraus
+    return stack
+
+
 #: JSON scalars as json.loads returns them: NaN, infinities and integers too
 #: large for a float included
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.floats(), st.integers(-2**64, 2**64),

@@ -27,6 +27,7 @@ from conftest import (
     JSON_SCALARS,
     JSON_VALUES,
     NUMBER_LOOKALIKES,
+    kraus_stack,
     random_density,
     random_kraus,
     random_unitary,
@@ -114,36 +115,39 @@ def test_validate_rejects_mis_shaped(bad):
 
 def _is_kraus_stack(kraus):
     return (isinstance(kraus, np.ndarray) and kraus.dtype == complex and kraus.ndim == 3
-            and kraus.shape[1:] == (2, 2) and not kraus.flags.writeable)
+            and kraus.shape[1:] == (2, 2) and not kraus.flags.writeable
+            and kraus.flags.c_contiguous)
 
 
 def test_kraus_is_one_read_only_stack(rng):
     ch = validate(dephasing_kraus(0.3))
     rebuilt = channels.kraus_from_choi(channels.choi_matrix(ch.kraus))
     assert isinstance(rebuilt, np.ndarray) and rebuilt.shape == (2, 2, 2)
+    # so is every catalog channel: a builder's block keeps its members
+    # innermost in memory, and the Choi-defined families rebuild their
+    # operators as a transposed view, but a channel keeps neither layout
+    catalog = [families.noise_channel(fid, **fam.sample_params(rng))
+               for fid, fam in families.FAMILIES.items()]
     for c in (ch, orthogonalize(families.gadc(0.5, 0.7)), rotate_kraus(ch, random_unitary(rng, 3)),
-              validate(rebuilt)):
+              validate(rebuilt), *catalog):
         assert _is_kraus_stack(c.kraus), c
 
 
 def test_validate_stack_matches_validate(rng):
-    # each member of a stack of lists of different k is accepted or rejected
-    # as validate alone accepts or rejects it, with the same rank or message
+    # each member of a stack of lists of different k, padded with zero
+    # operators, is accepted or rejected as validate alone accepts or
+    # rejects its list, with the same rank or message; a malformed list is
+    # validate's to parse (test_validate_rejects_mis_shaped)
     lists = [
         random_kraus(rng, 4), dephasing_kraus(0.3), [I2], random_kraus(rng, 3),
         [1.01 * I2],  # completeness violated
-        [],  # no operators
-        [I2 / 3.0] * 9,  # too many operators
         [np.full((2, 2), np.nan)],  # non-finite
-        [I2, np.eye(3)],  # ragged
-        np.zeros((2, 3, 3)),  # not 2x2
         list(random_kraus(rng, 2)) + [np.zeros((2, 2))],  # an explicit zero operator
     ]
-    stack, choi_stack, outcomes = channels.validate_stack(lists)
+    stack, choi_stack, outcomes = channels.validate_stack(kraus_stack(lists))
     assert stack.shape == (len(lists), 4, 2, 2) and not stack.flags.writeable
     assert choi_stack.shape == (len(lists), 4, 4)
-    assert [out if type(out) is int else None for out in outcomes] == \
-        [4, 2, 1, 3, None, None, None, None, None, None, 2]
+    assert [out if type(out) is int else None for out in outcomes] == [4, 2, 1, 3, None, None, 2]
     for member, member_choi, kraus, out in zip(stack, choi_stack, lists, outcomes):
         try:
             ch = validate(kraus)
@@ -155,14 +159,14 @@ def test_validate_stack_matches_validate(rng):
         assert out == ch.choi_rank
         assert member[:k].tobytes() == ch.kraus.tobytes() and not member[k:].any()
         assert np.max(np.abs(member_choi - choi(ch).rho)) <= 1e-15
-    assert channels.validate_stack([])[2] == []
+    assert channels.validate_stack(np.zeros((0, 1, 2, 2)))[2] == []
 
 
 def test_choi_matrix_of_a_member_alone_has_its_bits_in_a_stack(rng):
     # the Gram-form contraction gives a Kraus stack the same bits alone as
     # inside a larger stack, and agrees with the Bell-projector form
     lists = [random_kraus(rng, r) for r in (1, 2, 3, 4) * 9]
-    stack = channels.validate_stack(lists)[0]
+    stack = channels.validate_stack(kraus_stack(lists))[0]
     whole = channels.choi_matrix(stack)
     for member, member_choi in zip(stack, whole):
         assert channels.choi_matrix(member).tobytes() == member_choi.tobytes()
@@ -179,19 +183,31 @@ def test_validate_stack_takes_a_ready_stack(rng):
     stack = np.array([random_kraus(rng, 4), np.full((4, 2, 2), np.nan), np.zeros((4, 2, 2)),
                       1.01 * random_kraus(rng, 4), padded])
     got, got_choi, outcomes = channels.validate_stack(stack)
-    ref, ref_choi, ref_outcomes = channels.validate_stack(list(stack))
-    assert got.tobytes() == ref.tobytes() and got_choi.tobytes() == ref_choi.tobytes()
-    assert [str(out) for out in outcomes] == [str(out) for out in ref_outcomes]
     assert outcomes[0] == 4 and outcomes[4] == 2
     assert str(outcomes[1]) == "Kraus operator has non-finite entries"
+    for member, member_choi, kraus, out in zip(got, got_choi, stack, outcomes):
+        try:
+            ch = validate(kraus)
+        except ChannelValidationError as exc:  # a rejected member is zero, and so is its Choi
+            assert str(out) == str(exc) and not member_choi.any()
+            assert not member.any() or member.tobytes() == kraus.tobytes()
+            continue
+        assert out == ch.choi_rank and member.tobytes() == ch.kraus.tobytes()
+        assert member_choi.tobytes() == choi(ch).rho.tobytes()
+    # anything but an (N, k, 2, 2) array with k in 1..8 is no stack
+    for bad in ([random_kraus(rng, 2)], stack[0], np.zeros((1, 0, 2, 2)), np.zeros((1, 9, 2, 2)),
+                np.zeros((1, 1, 3, 3))):
+        with pytest.raises(ChannelValidationError, match="Kraus stack"):
+            channels.validate_stack(bad)
 
 
 def test_validation_errors_leave_no_reference_cycle():
     # a rejected member's error must not hold the call's frame, and with it
     # the whole stack, in a cycle that only the cyclic collector frees
-    lists = [[], [I2], [np.eye(3)], [2.0 * I2]]
-    assert [type(out) for out in channels.validate_stack(lists)[2]] == \
-        [ChannelValidationError, int, ChannelValidationError, ChannelValidationError]
+    lists = [[], [I2], [np.eye(3)], [np.full((2, 2), np.nan)], [2.0 * I2]]
+    stack = kraus_stack([[I2], [np.full((2, 2), np.nan)], [2.0 * I2]])
+    assert [type(out) for out in channels.validate_stack(stack)[2]] == \
+        [int, ChannelValidationError, ChannelValidationError]
     # and so must a row that checked_rows rejects: an unknown name (every
     # row's error), a value out of range, a builder's ValueError,
     # ChannelValidationError and one raised from an OverflowError
@@ -204,8 +220,8 @@ def test_validation_errors_leave_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        channels.validate_stack(lists)
-        for kraus in lists[::2]:
+        channels.validate_stack(stack)
+        for kraus in lists:
             try:
                 validate(kraus)
             except ChannelValidationError:
@@ -397,7 +413,7 @@ def test_final_correlations_match_the_literal_final_state(seed, counts, kind, st
         return states.from_density(acceptance._random_density_matrix(rng)).rho
 
     rho = np.array([draw() for _ in lists]) if stacked else draw()
-    _, choi_stack, outcomes = channels.validate_stack(lists)
+    _, choi_stack, outcomes = channels.validate_stack(kraus_stack(lists))
     assert all(type(out) is int for out in outcomes)
     got = channels.final_correlations(rho, states.pauli_coefficients(choi_stack))
     for m, kraus in enumerate(lists):

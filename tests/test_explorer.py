@@ -23,7 +23,7 @@ from uqtchan.explorer import (
     sweep_to_csv,
 )
 
-from conftest import JSON_NUMBERS, JSON_VALUES, NUMBER_LOOKALIKES, load_script
+from conftest import JSON_NUMBERS, JSON_VALUES, NUMBER_LOOKALIKES, kraus_stack, load_script
 
 S5 = np.sqrt(5.0)
 
@@ -528,7 +528,8 @@ def test_classified_unitality_residual_is_the_kraus_residual():
     rng = np.random.default_rng(7)
     lists = [channels.random_kraus(rng, rank) for rank in (1, 2, 3, 4) * 4]
     lists += [families.noise_channel("gadc", gamma=0.3, N=n).kraus for n in (0.0, 0.5, 0.9)]
-    outcomes, _, residual = explorer._apply_and_classify(lists, states.bell_state(1).rho)
+    outcomes, _, residual = explorer._apply_and_classify(kraus_stack(lists),
+                                                         states.bell_state(1).rho)
     assert all(type(out) is int for out in outcomes)
     expected = np.array([channels.unitality_residual(kraus) for kraus in lists])
     assert np.max(np.abs(residual - expected)) <= 1e-15
@@ -602,6 +603,16 @@ def test_search_builds_one_philox_per_call(monkeypatch):
     monkeypatch.setattr(np.random, "Philox", lambda *args, **kw: built.append(1) or real(*args, **kw))
     rep = search_uqt(0.45, 2 * explorer.SEARCH_BLOCK + 3, seed=1)
     assert len(built) == 1 and rep.hits
+
+
+def test_search_validates_each_candidate_once(monkeypatch):
+    # the lambda_star_nu candidate is one checked_rows block, validated and
+    # classified by one call, and a block's candidates by one more
+    calls = []
+    real = channels.validate_stack
+    monkeypatch.setattr(channels, "validate_stack", lambda kraus: calls.append(1) or real(kraus))
+    rep = search_uqt(0.45, explorer.SEARCH_BLOCK, seed=1)
+    assert len(calls) == 2 and rep.hits
 
 
 def _reference_search(concurrence, budget, seed, block):

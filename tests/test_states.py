@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtchan import channels, explorer, families, states
+from uqtchan import acceptance, channels, explorer, families, states
 from uqtchan.linalg import I4, PAULIS
 from uqtchan.states import (
     bell_state,
@@ -17,7 +17,7 @@ from uqtchan.states import (
     verdicts,
 )
 
-from conftest import random_density, random_unitary
+from conftest import kraus_stack, random_density, random_unitary
 
 S5 = np.sqrt(5.0)
 
@@ -199,6 +199,21 @@ def test_concurrences_of_bell_and_product_states(rng):
     assert np.max(states.concurrences(np.array(pure + mixed))) <= 1e-14
 
 
+def test_density_stack_bits_do_not_depend_on_the_layout():
+    # criterion 11's random density matrices, as a C-ordered stack and as a
+    # copy with the members innermost in memory: the trace sums in memory
+    # order, so without a C-ordered copy the stored rho differ in last bits
+    rng = np.random.default_rng(1618)
+    mats = []
+    for _ in range(500):
+        mats.append(acceptance._random_density_matrix(rng))
+        rng.normal(size=(2, 2 * int(rng.integers(1, 5)), 2))
+    stack = np.array(mats)
+    ref, got = states.density_stack(stack), states.density_stack(np.asfortranarray(stack))
+    assert got.rho.tobytes() == ref.rho.tobytes()
+    assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes() and got.errors == ref.errors
+
+
 def test_concurrences_of_pure_states_follow_the_formula():
     a = np.array([0.5, 0.55, 0.6, 0.75, 0.9, 0.99, 1.0 - 1e-6])
     rho = np.array([pure_state(x).rho for x in a])
@@ -330,20 +345,20 @@ def test_profile_and_concurrence_invariant_under_local_unitaries(name, seed):
 
 
 def _block_inputs(rng):
-    """(Kraus lists, input) of three sweep blocks, built by checked_rows, and
+    """(Kraus stack, input) of three sweep blocks, built by checked_rows, and
     of one search block of random channels, drawn as search_uqt draws them."""
     gamma, n = zip(*itertools.product((0.0, 0.3, 0.6, 0.9), (0.0, 0.2, 0.5)))
     s1, s2, t = zip(*itertools.product((0.0, 0.1), (-0.1, 0.1), (0.4, 0.6)))
     rank4 = {"s1": s1, "s2": s2, "s3": [0.05] * len(t), "t": t}
     p1, p2 = zip(*itertools.product((0.45, 0.7, 0.9), (0.3, 0.6)))
     blocks = [
-        (list(families.checked_rows("gadc", {"gamma": gamma, "N": n}).kraus), bell_state(1).rho),
-        (list(families.checked_rows("uqt_nonunital_rank4", rank4).kraus), pure_state(0.8).rho),
-        (list(families.checked_rows("dephasing", {"p": [0.5, 0.9]}).kraus), bell_state(1).rho),
-        (list(families.checked_rows("lambda_tilde_nu", {"p1": p1, "p2": p2}).kraus),
+        (families.checked_rows("gadc", {"gamma": gamma, "N": n}).kraus, bell_state(1).rho),
+        (families.checked_rows("uqt_nonunital_rank4", rank4).kraus, pure_state(0.8).rho),
+        (families.checked_rows("dephasing", {"p": [0.5, 0.9]}).kraus, bell_state(1).rho),
+        (families.checked_rows("lambda_tilde_nu", {"p1": p1, "p2": p2}).kraus,
          states.pure_densities_from_concurrence(p1)),
     ]
-    blocks.append(([channels.random_kraus(rng, r) for r in [3, 4] * 8],
+    blocks.append((kraus_stack([channels.random_kraus(rng, r) for r in [3, 4] * 8]),
                    pure_state_from_concurrence(0.45).rho))
     return blocks
 
@@ -355,11 +370,11 @@ def test_block_verdicts_invariant_under_local_unitaries(seed):
     # operators K -> V K U_B^dag turn each final state into (U_A x V) final
     # (U_A x V)^dag, which no verdict may tell apart
     rng = np.random.default_rng(seed)
-    for kraus_lists, rho in _block_inputs(np.random.default_rng(7)):
+    for kraus, rho in _block_inputs(np.random.default_rng(7)):
         ua, ub = random_unitary(rng), random_unitary(rng)
         u = np.kron(ua, ub)
-        rotated = [random_unitary(rng) @ np.asarray(k) @ ub.conj().T for k in kraus_lists]
-        before, b, _ = explorer._apply_and_classify(kraus_lists, rho)
+        rotated = np.array([random_unitary(rng) @ k @ ub.conj().T for k in kraus])
+        before, b, _ = explorer._apply_and_classify(kraus, rho)
         after, a, _ = explorer._apply_and_classify(rotated, u @ rho @ u.conj().T)
         assert all(type(out) is int for out in before + after), (before, after)
         assert before == after  # the Choi ranks
