@@ -19,6 +19,11 @@
     catalog point, at that point with one param moved to a closed end of its
     range, and at the Pauli mixtures (1, 0, 0, 0) and (0, 0.5, 0, 0.5): the
     error type and text where the point builds no channel;
+  * validate of fixed Kraus lists: the identity, dephasing at 0.3,
+    amplitude damping at 0.4, gadc(0.3, 0.5) (unital), the rank-4 family
+    at its catalog point, sqrt(1 + f EPS_COMPLETE) I for f = 0.999 and
+    1.001, a NaN list and a list whose finite entries overflow: the Choi
+    rank and report's unital and unitality_residual, or the error type and text;
   * DRAWS random_kraus draws at each rank 1..4 from default_rng(rank): the
     Kraus operators and the bit generator's state after each draw;
   * find_threshold on the five run_threshold_suite.py cases at tol 1e-8 and
@@ -33,8 +38,8 @@ the oracle or an acceptance criterion fails. Run it on two versions of
 the library (PYTHONPATH=<src>) and `compare` the dumps, which needs no
 library on the path: it prints the item count, how many items are
 byte-identical, the largest float difference and, per category (the first
-word of an item's name: sweep, grid, search, analyze, channel, draw,
-threshold, verify, oracle), the identical and total item counts; then the
+word of an item's name: sweep, grid, search, analyze, channel, validate,
+draw, threshold, verify, oracle), the identical and total item counts; then the
 name and largest float difference of every item that is not
 byte-identical, and the first 20 non-float differences. It exits 1 if a non-float
 value differs (type, key, order, length or value) or a float moves by more
@@ -123,6 +128,33 @@ def _channel_points(family_id: str) -> dict:
     return points
 
 
+def _validate_lists() -> dict:
+    """name -> Kraus list of the `validate` items."""
+    gamma = 0.4
+    scaled = {f"sqrt(1 + {f} EPS_COMPLETE) I": [np.sqrt(1.0 + f * channels.EPS_COMPLETE) * np.eye(2)]
+              for f in (0.999, 1.001)}
+    return {"identity": [np.eye(2)],
+            "dephasing 0.3": [np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * np.diag([1.0, -1.0])],
+            "amplitude damping 0.4": [np.diag([1.0, np.sqrt(1.0 - gamma)]),
+                                      np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])],
+            "gadc(0.3, 0.5)": families.gadc(0.3, 0.5).kraus,
+            "uqt_nonunital_rank4 catalog": families.noise_channel(
+                "uqt_nonunital_rank4", **_catalog_point("uqt_nonunital_rank4")).kraus,
+            **scaled,
+            "nan": [np.full((2, 2), np.nan)],
+            "overflow": [np.array([[1e200, 1e200], [1e200, -1e200]])]}
+
+
+def _validate_item(kraus) -> dict:
+    """validate's Choi rank and report's unital and unitality_residual, or its error."""
+    try:
+        rep = channels.report(channels.validate(kraus))
+    except ValueError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {"choi_rank": rep.choi_rank, "unital": rep.unital,
+            "unitality_residual": rep.unitality_residual}
+
+
 def _draw_item(rank: int) -> dict:
     """DRAWS random_kraus draws of the rank from default_rng(rank): the Kraus
     operators as [re, im] pairs and the bit generator's state after each."""
@@ -200,6 +232,8 @@ def reference_items() -> dict:
     for weights in ((1.0, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.5)):  # zero weights are omitted
         params = dict(zip(("p0", "p1", "p2", "p3"), weights))
         items[f"channel pauli_mixture {weights}"] = _channel_item("pauli_mixture", params)
+    for name, kraus in _validate_lists().items():
+        items[f"validate {name}"] = _validate_item(kraus)
     for rank in range(1, 5):
         items[f"draw random_kraus rank {rank}"] = _draw_item(rank)
     cases = _module(SCRIPTS, "run_threshold_suite").CASES

@@ -42,12 +42,12 @@ def _raise_first(outcomes) -> None:
             raise out
 
 
-def _validated(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+def _validated(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
     """channels.validate_stack of a (N, k, 2, 2) Kraus stack, raising the first
-    rejected member's error: the Kraus stack, the Choi stack and the Choi ranks."""
-    stack, choi, ranks = channels.validate_stack(kraus)
-    _raise_first(ranks)
-    return stack, choi, ranks
+    rejected member's error; returns its four values unchanged."""
+    checked = channels.validate_stack(kraus)
+    _raise_first(checked[2])
+    return checked
 
 
 def _densities(matrices) -> np.ndarray:
@@ -108,7 +108,7 @@ def criterion_rank2_never_uqt() -> tuple[bool, str]:
     final state (1000 random_kraus draws, made by one isometry_kraus call and
     classified as one stack)."""
     g = np.random.default_rng(20240811).normal(size=(1000, 2, 4, 2))
-    _, choi, _ = _validated(channels.isometry_kraus(g[:, 0] + 1j * g[:, 1]))
+    choi = _validated(channels.isometry_kraus(g[:, 0] + 1j * g[:, 1]))[1]
     hits = int(np.count_nonzero(states.verdicts(states.hs_decompose(choi).t_mat).uqt))
     return hits == 0, f"{hits}/1000 rank-2 channels produced a UQT-useful state"
 
@@ -147,7 +147,7 @@ def criterion_nonunital_uqt_families() -> tuple[bool, str]:
     for kind, want_rank, columns in (("rank4", 4, rank4), ("rank3", 3, rank3)):
         block = families.checked_rows(f"uqt_nonunital_{kind}", columns)
         _raise_first(block.errors)
-        stack, choi, ranks = _validated(block.kraus)
+        _, choi, ranks, unitality = _validated(block.kraus)
         t = block.params["t"]
         v = states.verdicts(states.hs_decompose(choi).t_mat)
         worst["abs_t"] = max(worst["abs_t"], float(np.max(np.abs(v.abs_t - t[:, None]))))
@@ -155,7 +155,7 @@ def criterion_nonunital_uqt_families() -> tuple[bool, str]:
         worst["f"] = max(worst["f"], float(np.max(np.abs(v.f_max - (1.0 + t) / 2.0))))
         vals = linalg.hermitian_eig(choi).eigenvalues
         strict = np.all(vals[:, :want_rank - 1] > vals[:, 1:want_rank], axis=1)
-        unital = channels.unitality_residual(stack) <= channels.EPS_CPTP
+        unital = unitality <= channels.EPS_CPTP
         bad = unital | (np.array(ranks) != want_rank) | ~strict | ~v.uqt
         if bad.any():
             i = int(np.argmax(bad))

@@ -47,6 +47,7 @@ class QubitChannel:
     name: str = "channel"
     params: dict = field(default_factory=dict)
     choi_rank: int = field(kw_only=True)  # not the Choi state: callers may hold many channels
+    unitality_residual: float = field(kw_only=True)  # ||sum K K^dag - I||_max
 
     def __repr__(self):  # params may hold arrays; keep repr short
         return f"QubitChannel(name={self.name!r}, kraus={len(self.kraus)}, params={self.params!r})"
@@ -64,20 +65,6 @@ def _kraus_array(kraus_list) -> np.ndarray:
     if not 1 <= len(ops) <= MAX_KRAUS:
         raise ChannelValidationError(f"expected 1..{MAX_KRAUS} Kraus operators, got {len(ops)}")
     return ops
-
-
-def completeness_residual(kraus) -> float | np.ndarray:
-    """||sum_i K_i^dag K_i - I||_max of a Kraus stack, or of each member of a
-    stack of them, by one einsum."""
-    ks = np.asarray(kraus, dtype=complex)
-    return np.abs(np.einsum("...kab,...kac->...bc", ks.conj(), ks) - I2).max(axis=(-2, -1))
-
-
-def unitality_residual(kraus) -> float | np.ndarray:
-    """||sum_i K_i K_i^dag - I||_max of a Kraus stack, or of each member of a
-    stack of them, by one einsum."""
-    ks = np.asarray(kraus, dtype=complex)
-    return np.abs(np.einsum("...kab,...kcb->...ac", ks, ks.conj()) - I2).max(axis=(-2, -1))
 
 
 def bob_action(rho: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -118,16 +105,18 @@ def final_correlations(rho: np.ndarray, choi_coef: np.ndarray) -> np.ndarray:
     return final[:, 1:, 1:] / final[:, :1, :1]
 
 
-def validate_stack(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+def validate_stack(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
     """Check a ready (N, k, 2, 2) Kraus stack, each member as `validate`
-    checks one, with one completeness reduction, one Choi contraction and
-    one hermitian_eig for all of them.
+    checks one, with one Choi contraction and one hermitian_eig for all of
+    them; completeness and unitality are read off the marginals of the
+    trace-1 Choi matrix J, 2 Tr_B J = (sum K^dag K)^T and 2 Tr_A J = sum K K^dag.
 
     Returns the read-only stack, a non-finite member zeroed (a zero
     operator changes neither completeness nor the Choi matrix); the
     members' trace-1 Choi matrices (N, 4, 4) as from_density stores them,
-    zero for a member rejected before that; and per member its Choi rank
-    or the ChannelValidationError of `validate`.
+    zero for a member rejected before that; per member its Choi rank or
+    the ChannelValidationError of `validate`; and per member of the returned
+    stack its unitality residual ||sum K K^dag - I||_max.
     """
     if not isinstance(kraus, np.ndarray) or kraus.ndim != 4 or kraus.shape[2:] != (2, 2) \
             or not 1 <= kraus.shape[1] <= MAX_KRAUS:
@@ -137,14 +126,20 @@ def validate_stack(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     stack.setflags(write=False)
     error = "Kraus operator has non-finite entries"
     outcomes = [None if ok else ChannelValidationError(error) for ok in finite.tolist()]
-    for i, res in enumerate(completeness_residual(stack).tolist()):
-        if outcomes[i] is None and res > EPS_COMPLETE:
+    # finite entries may still overflow: their residuals read NaN and fail below
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = choi_matrix(stack)
+        m = j.reshape(-1, 2, 2, 2, 2)  # [n, a, b, c, d]: Alice a, c and Bob b, d
+        complete = np.abs(2.0 * (m[:, :, 0, :, 0] + m[:, :, 1, :, 1]) - I2).max(axis=(1, 2))
+        unitality = np.abs(2.0 * (m[:, 0, :, 0] + m[:, 1, :, 1]) - I2).max(axis=(1, 2))
+    for i, res in enumerate(complete.tolist()):
+        if outcomes[i] is None and not res <= EPS_COMPLETE:
             outcomes[i] = ChannelValidationError(
                 f"completeness violated: ||sum K^dag K - I||_max = {res:.3e}", residual=res)
     live = [i for i, out in enumerate(outcomes) if out is None]
     # completeness bounds every Kraus entry by about 1, so each Choi matrix is
     # finite and Hermitian to rounding and hermitian_eig rejects none of them
-    dens = states.density_stack(choi_matrix(stack[live]))
+    dens = states.density_stack(j[live])
     for i, rank, err in zip(live, linalg.rank(dens.eigenvalues).tolist(), dens.errors):
         outcomes[i] = rank if err is None else \
             ChannelValidationError(f"Choi matrix rejected: {err}")
@@ -152,7 +147,7 @@ def validate_stack(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     if len(live) < len(stack):  # members rejected before: zeros keep the rows aligned
         choi = np.zeros((len(stack), 4, 4), dtype=complex)
         choi[live] = dens.rho
-    return stack, choi, outcomes
+    return stack, choi, outcomes, unitality
 
 
 def validate(kraus_list, name: str = "channel", params: dict | None = None) -> QubitChannel:
@@ -163,11 +158,11 @@ def validate(kraus_list, name: str = "channel", params: dict | None = None) -> Q
     Up to 8 operators are accepted (over-complete input is fine);
     orthogonalize() reduces any channel to its minimal set.
     """
-    stack, _, outcomes = validate_stack(_kraus_array(kraus_list)[None])
+    stack, _, outcomes, unitality = validate_stack(_kraus_array(kraus_list)[None])
     if isinstance(outcomes[0], ChannelValidationError):
         raise outcomes.pop()  # popped: this frame keeps no reference to the error
     return QubitChannel(kraus=stack[0], name=name, params=dict(params or {}),
-                        choi_rank=outcomes[0])
+                        choi_rank=outcomes[0], unitality_residual=float(unitality[0]))
 
 
 def apply(ch: QubitChannel, x) -> np.ndarray:
@@ -199,11 +194,10 @@ class ChannelReport:
 
 
 def report(ch: QubitChannel) -> ChannelReport:
-    unitality = float(unitality_residual(ch.kraus))
     return ChannelReport(
-        unital=bool(unitality <= EPS_CPTP),
+        unital=bool(ch.unitality_residual <= EPS_CPTP),
         choi_rank=ch.choi_rank,
-        unitality_residual=unitality,
+        unitality_residual=ch.unitality_residual,
         channel=ch,
     )
 
@@ -218,6 +212,8 @@ def rotate_kraus(ch: QubitChannel, w) -> QubitChannel:
     wm = np.asarray(w, dtype=complex)
     if wm.ndim != 2 or wm.shape[0] != wm.shape[1]:
         raise ValueError(f"mixing matrix must be square, got shape {wm.shape}")
+    if not np.isfinite(wm).all():
+        raise ValueError("mixing matrix has non-finite entries")
     m = wm.shape[0]
     if m < len(ch.kraus):
         raise ValueError(f"mixing matrix dim {m} smaller than Kraus count {len(ch.kraus)}")

@@ -122,14 +122,13 @@ def _apply_and_classify(kraus, rho: np.ndarray) -> tuple[list, TeleportProfile, 
     validate_stack by `channels.final_correlations`; no final state is
     built. Returns per member its Choi rank or the ChannelValidationError
     of `validate`; the array-field TeleportProfile of one `verdicts` call,
-    one entry per valid member in member order; and the unitality residual
-    of each valid member, read off its Choi matrix."""
-    _, choi, outcomes = channels.validate_stack(kraus)
+    one entry per valid member in member order; and each member's
+    unitality residual, as validate_stack reads it off its Choi matrix."""
+    _, choi, outcomes, unitality = channels.validate_stack(kraus)
     accepted = [i for i, out in enumerate(outcomes) if not isinstance(out, ChannelValidationError)]
     coef = states.pauli_coefficients(choi)
     t_mat = channels.final_correlations(rho if rho.ndim == 2 else rho[accepted], coef[accepted])
-    c = coef[:, 0, 1:]  # Bob's marginal of J is (I + c.sigma)/2: sum K K^dag - I = c.sigma
-    return outcomes, states.verdicts(t_mat), np.maximum(abs(c[:, 2]), abs(c[:, 0] + 1j * c[:, 1]))
+    return outcomes, states.verdicts(t_mat), unitality
 
 
 def _classify_rows(family_id: str, columns: dict, initial: str | TwoQubitState
@@ -390,7 +389,7 @@ def random_nonunital_channel(rng: np.random.Generator, rank: int) -> QubitChanne
         ch = channels.validate(channels.random_kraus(rng, rank), name=f"random_rank{rank}")
     except ChannelValidationError:
         return None
-    return None if channels.unitality_residual(ch.kraus) < UNITAL_SKIP_TOL else ch
+    return None if ch.unitality_residual < UNITAL_SKIP_TOL else ch
 
 
 @dataclass(frozen=True)

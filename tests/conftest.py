@@ -45,6 +45,22 @@ def random_kraus(rng, rank):
     return channels.validate(channels.random_kraus(rng, rank)).kraus
 
 
+def completeness_residual(kraus):
+    """||sum_i K_i^dag K_i - I||_max of a Kraus stack, or of each member of a
+    stack of them, by one einsum on the Kraus side: the reference for the
+    completeness that validate_stack reads off the Choi matrix."""
+    ks = np.asarray(kraus, dtype=complex)
+    return np.abs(np.einsum("...kab,...kac->...bc", ks.conj(), ks) - np.eye(2)).max(axis=(-2, -1))
+
+
+def unitality_residual(kraus):
+    """||sum_i K_i K_i^dag - I||_max of a Kraus stack, or of each member of a
+    stack of them, by one einsum on the Kraus side: the reference for the
+    unitality that validate_stack reads off the Choi matrix."""
+    ks = np.asarray(kraus, dtype=complex)
+    return np.abs(np.einsum("...kab,...kcb->...ac", ks, ks.conj()) - np.eye(2)).max(axis=(-2, -1))
+
+
 def kraus_stack(lists, k=None):
     """The Kraus lists as one (N, k, 2, 2) stack, each padded with zero
     operators to k, by default the longest list's length."""

@@ -1,6 +1,7 @@
 import gc
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,10 +28,12 @@ from conftest import (
     JSON_SCALARS,
     JSON_VALUES,
     NUMBER_LOOKALIKES,
+    completeness_residual,
     kraus_stack,
     random_density,
     random_kraus,
     random_unitary,
+    unitality_residual,
 )
 
 SIGMA = (I2, SX, SY, SZ)
@@ -144,7 +147,7 @@ def test_validate_stack_matches_validate(rng):
         [np.full((2, 2), np.nan)],  # non-finite
         list(random_kraus(rng, 2)) + [np.zeros((2, 2))],  # an explicit zero operator
     ]
-    stack, choi_stack, outcomes = channels.validate_stack(kraus_stack(lists))
+    stack, choi_stack, outcomes, _ = channels.validate_stack(kraus_stack(lists))
     assert stack.shape == (len(lists), 4, 2, 2) and not stack.flags.writeable
     assert choi_stack.shape == (len(lists), 4, 4)
     assert [out if type(out) is int else None for out in outcomes] == [4, 2, 1, 3, None, None, 2]
@@ -182,7 +185,7 @@ def test_validate_stack_takes_a_ready_stack(rng):
     padded = np.concatenate([random_kraus(rng, 2), np.zeros((2, 2, 2))])
     stack = np.array([random_kraus(rng, 4), np.full((4, 2, 2), np.nan), np.zeros((4, 2, 2)),
                       1.01 * random_kraus(rng, 4), padded])
-    got, got_choi, outcomes = channels.validate_stack(stack)
+    got, got_choi, outcomes, _ = channels.validate_stack(stack)
     assert outcomes[0] == 4 and outcomes[4] == 2
     assert str(outcomes[1]) == "Kraus operator has non-finite entries"
     for member, member_choi, kraus, out in zip(got, got_choi, stack, outcomes):
@@ -199,6 +202,47 @@ def test_validate_stack_takes_a_ready_stack(rng):
                 np.zeros((1, 1, 3, 3))):
         with pytest.raises(ChannelValidationError, match="Kraus stack"):
             channels.validate_stack(bad)
+
+
+#: one operator with finite entries whose products overflow: K^dag K is NaN
+OVERFLOWING = np.array([[[1e200, 1e200], [1e200, -1e200]]])
+
+
+@pytest.mark.parametrize("layout", ["C", "Fortran", "members innermost"])
+def test_validate_stack_residuals_are_the_kraus_residuals(layout):
+    # completeness and unitality, read off the marginals of the Choi matrix,
+    # are the Kraus-side einsums to rounding in any memory layout, and each
+    # member has the same bits alone, through validate, as inside the stack
+    rng = np.random.default_rng(24)
+    lists = [channels.random_kraus(rng, rank) for rank in range(1, 9) for _ in range(3)]
+    lists += [(1.0 + 1e-6 * rng.uniform(0.5, 2.0)) * kraus for kraus in lists[::3]]  # incomplete
+    c = kraus_stack(lists)
+    stack = {"C": c, "Fortran": np.asfortranarray(c),
+             "members innermost": np.moveaxis(np.moveaxis(c, 0, -1).copy(), -1, 0)}[layout]
+    _, _, outcomes, unitality = channels.validate_stack(stack)
+    incomplete = [i for i, out in enumerate(outcomes) if isinstance(out, ChannelValidationError)]
+    assert incomplete == list(range(24, 32))
+    assert np.max(np.abs(unitality - unitality_residual(c))) <= 1e-15
+    residual = np.array([outcomes[i].residual for i in incomplete])
+    assert np.max(np.abs(residual - completeness_residual(c[incomplete]))) <= 1e-15
+    for kraus, out, res in zip(lists, outcomes, unitality.tolist()):
+        try:
+            assert validate(kraus).unitality_residual == res
+        except ChannelValidationError as exc:
+            assert exc.residual == out.residual
+
+
+def test_overflowing_member_is_rejected_alone():
+    # finite entries whose products overflow give a NaN completeness
+    # residual: that member fails completeness, quietly, and the rest pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, choi_stack, outcomes, _ = channels.validate_stack(kraus_stack([[I2], OVERFLOWING]))
+        with pytest.raises(ChannelValidationError, match="completeness violated.* = nan"):
+            validate(OVERFLOWING)
+    assert outcomes[0] == 1 and isinstance(outcomes[1], ChannelValidationError)
+    assert str(outcomes[1]) == "completeness violated: ||sum K^dag K - I||_max = nan"
+    assert np.isnan(outcomes[1].residual) and not choi_stack[1].any()
 
 
 def test_validation_errors_leave_no_reference_cycle():
@@ -245,9 +289,10 @@ def test_random_kraus_is_a_channel_of_its_rank():
         for seed in range(200):
             kraus = channels.random_kraus(np.random.default_rng(seed), rank)
             assert kraus.shape == (rank, 2, 2)
-            worst = max(worst, channels.completeness_residual(kraus))
-            assert validate(kraus).choi_rank == rank
-            assert rank < 3 or channels.unitality_residual(kraus) > 1e-6
+            worst = max(worst, completeness_residual(kraus))
+            ch = validate(kraus)
+            assert ch.choi_rank == rank
+            assert rank < 3 or ch.unitality_residual > 1e-6
     assert worst <= 1e-14
 
 
@@ -413,7 +458,7 @@ def test_final_correlations_match_the_literal_final_state(seed, counts, kind, st
         return states.from_density(acceptance._random_density_matrix(rng)).rho
 
     rho = np.array([draw() for _ in lists]) if stacked else draw()
-    _, choi_stack, outcomes = channels.validate_stack(kraus_stack(lists))
+    _, choi_stack, outcomes, _ = channels.validate_stack(kraus_stack(lists))
     assert all(type(out) is int for out in outcomes)
     got = channels.final_correlations(rho, states.pauli_coefficients(choi_stack))
     for m, kraus in enumerate(lists):
@@ -451,7 +496,7 @@ def test_choi_alice_marginal_always_mixed(rng):
 def test_report_dephasing():
     rep = report(validate(dephasing_kraus(0.3)))
     assert rep.unital and rep.choi_rank == 2
-    assert channels.completeness_residual(rep.channel.kraus) < 1e-14
+    assert completeness_residual(rep.channel.kraus) < 1e-14
 
 
 def test_report_rank3_example():
@@ -521,6 +566,17 @@ def test_rotate_rejects_non_unitary():
         rotate_kraus(ch, np.array([[1, 0], [0, 2.0]]))
     with pytest.raises(ValueError, match="smaller"):
         rotate_kraus(validate(random_kraus(np.random.default_rng(0), 3)), np.eye(2))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_rotate_rejects_non_finite_mixing(value):
+    # a NaN matrix passes max|W^dag W - I| > tol (NaN compares False), and an
+    # inf one warns in the product: both are rejected before it
+    ch = families.gadc(0.3, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mixing matrix has non-finite entries"):
+            rotate_kraus(ch, np.full((4, 4), value))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,16 @@ def test_analyze_nan_channel_exit_2(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_analyze_overflowing_channel_exit_2(tmp_path, capsys):
+    # finite entries whose products overflow fail completeness (residual
+    # NaN): an invalid channel, not a failed computation
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(
+        {"kraus": [[[1e200, 0.0], [1e200, 0.0], [1e200, 0.0], [-1e200, 0.0]]]}))
+    assert main(["analyze", str(path)]) == 2
+    assert "completeness violated: ||sum K^dag K - I||_max = nan" in capsys.readouterr().err
+
+
 _BIG = "1" + "0" * 400  # a JSON integer too large for a float
 _IDENTITY = '"kraus": [[[1, 0], [0, 0], [0, 0], [1, 0]]]'
 

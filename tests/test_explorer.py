@@ -23,7 +23,8 @@ from uqtchan.explorer import (
     sweep_to_csv,
 )
 
-from conftest import JSON_NUMBERS, JSON_VALUES, NUMBER_LOOKALIKES, kraus_stack, load_script
+from conftest import (JSON_NUMBERS, JSON_VALUES, NUMBER_LOOKALIKES, completeness_residual,
+                      kraus_stack, load_script, unitality_residual)
 
 S5 = np.sqrt(5.0)
 
@@ -531,7 +532,7 @@ def test_classified_unitality_residual_is_the_kraus_residual():
     outcomes, _, residual = explorer._apply_and_classify(kraus_stack(lists),
                                                          states.bell_state(1).rho)
     assert all(type(out) is int for out in outcomes)
-    expected = np.array([channels.unitality_residual(kraus) for kraus in lists])
+    expected = np.array([unitality_residual(kraus) for kraus in lists])
     assert np.max(np.abs(residual - expected)) <= 1e-15
     assert (residual <= channels.EPS_CPTP).tolist() == [len(k) == 1 for k in lists[:16]] \
         + [False, True, False]
@@ -544,7 +545,7 @@ def test_random_nonunital_channel_properties():
     rep = channels.report(ch)
     assert not rep.unital
     assert rep.choi_rank <= 3
-    assert channels.completeness_residual(ch.kraus) < 1e-9
+    assert completeness_residual(ch.kraus) < 1e-9
 
 
 def test_search_blocks_match_one_sample_blocks(monkeypatch):
@@ -569,7 +570,7 @@ def _reference_candidate(kraus, rank):
         ch = channels.validate(kraus, name=f"random_rank{rank}")
     except channels.ChannelValidationError:
         return None, "invalid"
-    if channels.unitality_residual(ch.kraus) < explorer.UNITAL_SKIP_TOL:
+    if unitality_residual(ch.kraus) < explorer.UNITAL_SKIP_TOL:
         return None, "unital"
     return ch, "kept"
 

@@ -25,6 +25,8 @@ from uqtchan.families import (
 )
 from uqtchan.linalg import I2, SZ
 
+from conftest import completeness_residual, unitality_residual
+
 S5 = np.sqrt(5.0)
 
 
@@ -201,7 +203,7 @@ def test_rank4_family_profile():
 ])
 def test_uqt_families_orthogonal_and_complete(build, args):
     ch = build(*args)
-    assert channels.completeness_residual(ch.kraus) < 1e-10
+    assert completeness_residual(ch.kraus) < 1e-10
     for i in range(len(ch.kraus)):
         for j in range(i):
             assert abs(np.trace(ch.kraus[i].conj().T @ ch.kraus[j])) < 1e-10
@@ -351,7 +353,7 @@ def test_lambda_tilde_fidelity_law(rng):
 
 def test_lambda_tilde_nonunital():
     ch = lambda_tilde_nu(0.6, 0.5)
-    assert channels.unitality_residual(ch.kraus) > 1e-3
+    assert unitality_residual(ch.kraus) > 1e-3
 
 
 def test_lambda_tilde_region_errors():
@@ -508,7 +510,7 @@ def test_family_random_draws_validate(family_id):
         ch = noise_channel(family_id, **params)
         assert ch.kraus.dtype == complex and ch.kraus.shape[1:] == (2, 2)
         assert not ch.kraus.flags.writeable
-        assert channels.completeness_residual(ch.kraus) <= channels.EPS_CPTP
+        assert completeness_residual(ch.kraus) <= channels.EPS_CPTP
         rep = channels.report(ch)
         if fam.expected_unital is not None:
             assert rep.unital == fam.expected_unital, (family_id, params)

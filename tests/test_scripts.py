@@ -131,8 +131,8 @@ def test_compare_references_dump_gates_the_record_without_closed_forms(tmp_path,
     assert {"search 0.45 300 -1", f"search 0.45 300 {2**64 + 5}"} <= set(items)
     assert module.compare(path, path) == 0
     tally = capsys.readouterr().out.splitlines()[3:]
-    categories = ("sweep", "grid", "search", "analyze", "channel", "draw", "threshold", "verify",
-                  "oracle")
+    categories = ("sweep", "grid", "search", "analyze", "channel", "validate", "draw", "threshold",
+                  "verify", "oracle")
     assert [line.split(":")[0] for line in tally] == list(categories)
     assert all(same == total for same, total in (line.split()[1].split("/") for line in tally))
 
