@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 channel validation failure, 3 invalid or
-out-of-range specification or an output file that cannot be written,
-4 oracle disagreement beyond tolerance.
+Exit codes: 0 success, 1 a failed acceptance criterion, 2 channel validation
+failure or a malformed command line, 3 invalid or out-of-range specification
+or an output file that cannot be written, 4 oracle disagreement beyond tolerance.
 Configuration is via flags only.
 """
 
@@ -42,7 +42,7 @@ def _cmd_analyze(args) -> int:
     except (ChannelValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, explorer.SweepSpecError) as exc:
+    except ValueError as exc:  # SweepSpecError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     print(json.dumps(rep.to_jsonable(), indent=2))
@@ -79,7 +79,7 @@ def _cmd_threshold(args) -> int:
         res = explorer.find_threshold(args.family, args.param, (lo, hi),
                                       args.predicate, tol=args.tol, fixed=fixed,
                                       initial=args.initial)
-    except (explorer.SweepSpecError, ValueError) as exc:
+    except ValueError as exc:  # SweepSpecError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     print(json.dumps({

@@ -47,6 +47,8 @@ class SweepSpecError(ValueError):
 
 def parse_initial(text: str) -> TwoQubitState:
     """Initial-state selector: bell1..bell4 or pure:<a> with 1/2 <= a < 1."""
+    if not isinstance(text, str):
+        raise SweepSpecError(f"initial state must be a string, got {text!r}")
     text = text.strip()
     try:
         if text.startswith("bell"):
@@ -115,20 +117,25 @@ def oracle_disagreements(final: np.ndarray, f_max: list, delta: list) -> int:
     return int(np.count_nonzero(bad | np.array([e is not None for e in dens.errors], bool)))
 
 
-def _apply_and_classify(kraus, rho: np.ndarray) -> tuple[list, TeleportProfile, np.ndarray]:
+def _classify(kraus, rho: np.ndarray) -> tuple[list, dict]:
     """Validate a ready (N, k, 2, 2) Kraus stack and classify the final
     state of Bob's half of rho (one 4x4 density matrix, or one per member)
     after each valid channel, as one stack, read off the Choi matrices of
     validate_stack by `channels.final_correlations`; no final state is
-    built. Returns per member its Choi rank or the ChannelValidationError
-    of `validate`; the array-field TeleportProfile of one `verdicts` call,
-    one entry per valid member in member order; and each member's
-    unitality residual, as validate_stack reads it off its Choi matrix."""
+    built. Returns per member the ChannelValidationError of `validate`, or
+    None; and the `states.profile_columns` of one `verdicts` call on the
+    valid members, in member order, with their "choi_rank" and "unital"
+    columns, unital meaning a unitality residual, as validate_stack reads it
+    off the Choi matrix, within EPS_CPTP, the rule of `channels.report`."""
     _, choi, outcomes, unitality = channels.validate_stack(kraus)
-    accepted = [i for i, out in enumerate(outcomes) if not isinstance(out, ChannelValidationError)]
+    errors = [out if isinstance(out, ChannelValidationError) else None for out in outcomes]
+    valid = [i for i, err in enumerate(errors) if err is None]
     coef = states.pauli_coefficients(choi)
-    t_mat = channels.final_correlations(rho if rho.ndim == 2 else rho[accepted], coef[accepted])
-    return outcomes, states.verdicts(t_mat), unitality
+    t_mat = channels.final_correlations(rho if rho.ndim == 2 else rho[valid], coef[valid])
+    columns = states.profile_columns(states.verdicts(t_mat))
+    columns["choi_rank"] = [outcomes[i] for i in valid]
+    columns["unital"] = (unitality[valid] <= channels.EPS_CPTP).tolist()
+    return errors, columns
 
 
 def _classify_rows(family_id: str, columns: dict, initial: str | TwoQubitState
@@ -136,25 +143,19 @@ def _classify_rows(family_id: str, columns: dict, initial: str | TwoQubitState
     """The row engine of sweeps and thresholds: the family's rows, given as
     one column of values per param, built as one block by checked_rows and
     classified on `initial` (a state, or "matched": |Psi_a> of each row's
-    concurrence) by one `_apply_and_classify`. Returns per row its error
-    text, as evaluate_point raises it, or None; the
-    `states.profile_columns` of the valid rows in row order, with their
-    "choi_rank" and "unital" columns; the block; and rho."""
+    concurrence) by one `_classify`. Returns per row its error text, as
+    evaluate_point raises it, or None; the columns of `_classify` for the
+    valid rows; the block; and rho."""
     block = families.checked_rows(family_id, columns)
     if isinstance(initial, str):  # "matched"; concurrence 1.0 for a failed row
         c = block.params[families.MATCHED_CONCURRENCE_PARAM[family_id]]
         rho = states.pure_densities_from_concurrence(np.where(np.isnan(c), 1.0, c).tolist())
     else:
         rho = initial.rho
-    outcomes, prof, unitality = _apply_and_classify(block.kraus, rho)
+    rejected, cols = _classify(block.kraus, rho)
     # a row that failed to build is invalid too, with its build error
-    errors = [str(err) if err is not None else str(out)
-              if isinstance(out, ChannelValidationError) else None
-              for err, out in zip(block.errors, outcomes)]
-    valid = [i for i, err in enumerate(errors) if err is None]
-    cols = states.profile_columns(prof)
-    cols["choi_rank"] = [outcomes[i] for i in valid]
-    cols["unital"] = (unitality[valid] <= channels.EPS_CPTP).tolist()
+    errors = [str(built) if built is not None else None if err is None else str(err)
+              for built, err in zip(block.errors, rejected)]
     return errors, cols, block, rho
 
 
@@ -311,24 +312,30 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
                    initial: str | None = None) -> ThresholdResult:
     """Bisect the predicate flip point of a one-parameter scenario.
 
-    The bracket must be finite and increasing, tol finite and positive, and
-    the predicate (one of PREDICATES) must differ at the two bracket
-    endpoints, and no fixed param may name `param`, directly or by alias;
-    else, or at a point that builds no channel, SweepSpecError is raised.
-    Bisection stops at width tol, or sooner when no float lies strictly
-    inside the bracket. For the matched-concurrence families the
-    initial state defaults to the matched |Psi_a>; for lambda_tilde_nu swept
-    in concurrence, p2 is placed at the midpoint of its useful window when
-    that window is non-empty (any valid p2 below threshold leaves the
-    predicate false).
+    The bracket must be two finite increasing numbers and tol a finite positive
+    number (bool is no number here), fixed a dict or None, the predicate (one of
+    PREDICATES) must differ at the two bracket endpoints, and no fixed param may
+    name `param`, directly or by alias; else, or at a point that builds no
+    channel, SweepSpecError is raised. Bisection stops at width tol, or sooner
+    when no float lies strictly inside the bracket. For the matched-concurrence
+    families the initial state defaults to the matched |Psi_a>; for
+    lambda_tilde_nu swept in concurrence, p2 is placed at the midpoint of its
+    useful window when that window is non-empty (any valid p2 below threshold
+    leaves the predicate false).
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
+    try:
+        lo, hi = (channels.json_number(x) for x in bracket)
+        tol = channels.json_number(tol)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SweepSpecError(f"bracket and tol must be numbers: {exc}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise SweepSpecError(f"bracket must be finite and increasing, got [{lo}, {hi}]")
     if not (math.isfinite(tol) and tol > 0.0):
         raise SweepSpecError(f"tol must be finite and positive, got {tol!r}")
     if predicate not in PREDICATES:
         raise SweepSpecError(f"predicate must be one of {PREDICATES}, got {predicate!r}")
+    if not isinstance(fixed, (dict, type(None))):
+        raise SweepSpecError(f"fixed must be a dict of param values, got {fixed!r}")
     fixed = {key: [value] for key, value in (fixed or {}).items()}  # one row's columns
     try:
         *_, name = families.resolve_keys(family_id, [*fixed, param])
@@ -377,19 +384,17 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
 #: stack, and the memory, stay the same size for any budget
 SEARCH_BLOCK = 128
 MAX_HITS = 20
-#: unitality residual below which a random candidate is effectively unital and skipped
-UNITAL_SKIP_TOL = 1e-6
 
 
 def random_nonunital_channel(rng: np.random.Generator, rank: int) -> QubitChannel | None:
     """One random rank-r candidate of search_uqt, drawn by
     `channels.random_kraus` and validated alone: None if it is invalid or
-    effectively unital (unitality residual below UNITAL_SKIP_TOL)."""
+    unital by `channels.report`, the rule of the search's `unital` column."""
     try:
         ch = channels.validate(channels.random_kraus(rng, rank), name=f"random_rank{rank}")
     except ChannelValidationError:
         return None
-    return None if ch.unitality_residual < UNITAL_SKIP_TOL else ch
+    return None if channels.report(ch).unital else ch
 
 
 @dataclass(frozen=True)
@@ -437,9 +442,9 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
     block's random channels are decomposed by one `channels.isometry_kraus`
     call per rank and its lambda_tilde_nu samples built by one checked_rows
     call, then its candidates, one (n, 4, 2, 2) stack in sample order, are
-    classified by one `_apply_and_classify`, as the lambda_star_nu
-    candidate, one checked_rows block, is once per call. A random candidate
-    that is invalid or effectively unital is skipped; a lambda_tilde_nu build
+    classified by one `_classify`, as the lambda_star_nu candidate, one
+    checked_rows block, is once per call. A random candidate that validation
+    rejects or that `_classify` calls unital is skipped; a lambda_tilde_nu build
     error, else a validation error, raises, the first in sample order. The
     first MAX_HITS distinct hits are reported. The frontier keeps up to ten
     non-UQT entries that no other dominates (deviation no larger, f_max no
@@ -467,28 +472,18 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
     def dev(entry: dict) -> float:  # a deviation up to EPS_UQT, verdicts' zero, is 0
         return 0.0 if entry["delta"] <= states.EPS_UQT else entry["delta"]
 
-    def entries_of(kraus: np.ndarray) -> list:
-        """Per member of a Kraus stack its ChannelValidationError, or its
-        (f_max, delta, uqt) and unitality residual, by one _apply_and_classify."""
-        outcomes, prof, unitality = _apply_and_classify(kraus, state.rho)
-        cols = states.profile_columns(prof)
-        values = zip(cols["f_max"], cols["delta"], cols["uqt"])
-        return [out if isinstance(out, ChannelValidationError) else (next(values), res)
-                for out, res in zip(outcomes, unitality.tolist())]
-
-    def as_entry(name: str, params: dict, values: tuple) -> dict:
-        f_max, delta, uqt = values
+    def as_entry(name: str, params: dict, f_max, delta, uqt) -> dict:
         return {"channel": name, "params": {k: float(v) for k, v in params.items()},
                 "f_max": f_max, "delta": delta, "uqt": uqt}
 
     star_block = families.checked_rows("lambda_star_nu", {"p1": [concurrence]})  # once per call
-    star_params = {name: col[0] for name, col in star_block.params.items()}
-    star = as_entry("lambda_star_nu", star_params, entries_of(star_block.kraus)[0][0])
+    _, cols = _classify(star_block.kraus, state.rho)
+    star = as_entry("lambda_star_nu", {name: col[0] for name, col in star_block.params.items()},
+                    cols["f_max"][0], cols["delta"][0], cols["uqt"][0])
 
     sample_rng = _sample_streams(seed)
     for first in range(0, budget, SEARCH_BLOCK):
         n = min(SEARCH_BLOCK, budget - first)
-        entries: list = [star] * n  # per sample; None for a candidate until it is classified
         labels = {}  # sample -> (name, params) of its candidate
         drawn = {}  # sample -> Gaussians of its random candidate
         p2s = {}  # sample -> p2 of its lambda_tilde_nu candidate
@@ -497,10 +492,10 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
             kind = int(rng.integers(0, 4))
             if kind in (0, 1):
                 rank = 3 if kind == 0 else 4
-                labels[j], entries[j] = (f"random_rank{rank}", {}), None
+                labels[j] = (f"random_rank{rank}", {})
                 drawn[j] = rng.normal(size=(2, 2 * rank, 2))
             elif kind == 2:
-                p2s[j], entries[j] = float(rng.uniform(1e-6, tilde_p2_max * (1.0 - 1e-9))), None
+                p2s[j] = float(rng.uniform(1e-6, tilde_p2_max * (1.0 - 1e-9)))
         block = families.checked_rows(
             "lambda_tilde_nu", {"p1": [concurrence] * len(p2s), "p2": list(p2s.values())})
         recorded = {name: col.tolist() for name, col in block.params.items()}
@@ -512,15 +507,19 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
         kraus[list(p2s)] = block.kraus
         randoms = channels.isometry_stack(list(drawn.values()))
         kraus[list(drawn), :randoms.shape[1]] = randoms
-        members = sorted(labels)
-        for j, out in zip(members, entries_of(kraus[members])):
-            invalid = isinstance(out, ChannelValidationError)
-            if j in drawn and (invalid or out[1] < UNITAL_SKIP_TOL):
-                continue  # an invalid or effectively unital random candidate
-            if invalid:
-                raise out
-            entries[j] = as_entry(*labels[j], out[0])
-        entries = [entry for entry in entries if entry is not None]  # skipped candidates go
+        errors, cols = _classify(kraus[sorted(labels)], state.rho)  # every sample but a star
+        outcomes = iter(errors)  # one per sample in labels, in sample order
+        values = zip(cols["f_max"], cols["delta"], cols["uqt"], cols["unital"])  # valid samples
+        entries = []
+        for j in range(n):
+            if j not in labels:
+                entries.append(star)
+            elif (err := next(outcomes)) is None:
+                f_max, delta, uqt, unital = next(values)
+                if not (unital and j in drawn):  # a random candidate called unital is skipped
+                    entries.append(as_entry(*labels[j], f_max, delta, uqt))
+            elif j not in drawn:  # a random candidate that validation rejects is skipped
+                raise err  # a lambda_tilde_nu validation error, the first in sample order
         for entry in entries:
             if entry["uqt"] and len(hits) < MAX_HITS and entry not in hits:
                 hits.append(entry)

@@ -339,6 +339,28 @@ def test_sweep_oracle_checks_every_row(monkeypatch, tmp_path, capsys):
     assert f"error: {len(valid)} oracle disagreements" in capsys.readouterr().err
 
 
+def test_sweep_oracle_counts_a_final_state_it_rejects(monkeypatch, tmp_path, capsys):
+    # the second of a block's literal final states with its trace doubled:
+    # density_stack rejects it, and a rejected final state is a disagreement
+    doc = {"family": {"id": "gadc", "params": {"N": 0.2}}, "initial": "bell1",
+           "axes": [{"param": "gamma", "start": 0.1, "stop": 0.9, "step": 0.1}]}
+    real = channels.bob_action
+
+    def bob_action(rho, ks):
+        final = real(rho, ks).copy()
+        final[1] *= 2.0
+        return final
+
+    monkeypatch.setattr(channels, "bob_action", bob_action)
+    result = run_sweep(SweepSpec.from_jsonable(doc))
+    assert [row[-1] for row in result.rows] == [""] * 9
+    assert result.oracle_failures == 1
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["sweep", str(path)]) == 4
+    assert "error: 1 oracle disagreements" in capsys.readouterr().err
+
+
 def test_sweep_blocks_match_one_row_blocks(monkeypatch):
     # three blocks of matched |Psi_a> inputs, with range errors, p2-window
     # errors and oracle rows on both sides of the block edges
@@ -425,6 +447,26 @@ def test_threshold_dephasing_never_universal():
     # a rank-2 unital family is never universal, so no bracket exists
     with pytest.raises(SweepSpecError, match="both bracket endpoints"):
         find_threshold("dephasing", "p", (0.05, 0.95), "universal")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: find_threshold("gadc", "gamma", ("a", 1.0), "useful", fixed={"N": 0.7}),
+    lambda: find_threshold("gadc", "gamma", (False, 1.0), "useful", fixed={"N": 0.7}),
+    lambda: find_threshold("gadc", "gamma", None, "useful", fixed={"N": 0.7}),
+    lambda: find_threshold("gadc", "gamma", (0.1, 1.0), "useful", tol="x", fixed={"N": 0.7}),
+    lambda: find_threshold("gadc", "gamma", (0.1, 1.0), "useful", tol=None, fixed={"N": 0.7}),
+    lambda: find_threshold("gadc", "gamma", (0, 10**400), "useful", fixed={"N": 0.7}),
+    lambda: find_threshold("gadc", "gamma", (0.1, 1.0), "useful", fixed=[("N", 0.7)]),
+    lambda: find_threshold("gadc", "gamma", (0.1, 1.0), "useful", fixed={"N": 0.7}, initial=5),
+    lambda: explorer.parse_initial(5),
+    lambda: analyze(families.noise_channel("gadc", gamma=0.3, N=0.5), 5),
+], ids=["string in bracket", "bool in bracket", "no bracket", "string tol", "no tol",
+        "overflowing bracket", "fixed not a dict", "initial not a string",
+        "parse_initial of a number", "analyze on a number"])
+def test_threshold_arguments_of_the_wrong_type_raise_spec_errors(call):
+    # the documented error for every bad argument, not a raw error of its conversion
+    with pytest.raises(SweepSpecError):
+        call()
 
 
 @pytest.mark.parametrize("family_id,param,bracket,predicate,fixed", [
@@ -529,13 +571,13 @@ def test_classified_unitality_residual_is_the_kraus_residual():
     rng = np.random.default_rng(7)
     lists = [channels.random_kraus(rng, rank) for rank in (1, 2, 3, 4) * 4]
     lists += [families.noise_channel("gadc", gamma=0.3, N=n).kraus for n in (0.0, 0.5, 0.9)]
-    outcomes, _, residual = explorer._apply_and_classify(kraus_stack(lists),
-                                                         states.bell_state(1).rho)
-    assert all(type(out) is int for out in outcomes)
+    errors, cols = explorer._classify(kraus_stack(lists), states.bell_state(1).rho)
+    assert errors == [None] * len(lists) and all(type(r) is int for r in cols["choi_rank"])
+    residual = channels.validate_stack(kraus_stack(lists))[3]
     expected = np.array([unitality_residual(kraus) for kraus in lists])
     assert np.max(np.abs(residual - expected)) <= 1e-15
-    assert (residual <= channels.EPS_CPTP).tolist() == [len(k) == 1 for k in lists[:16]] \
-        + [False, True, False]
+    assert (residual <= channels.EPS_CPTP).tolist() == cols["unital"] \
+        == [len(k) == 1 for k in lists[:16]] + [False, True, False]
 
 
 def test_random_nonunital_channel_properties():
@@ -546,6 +588,19 @@ def test_random_nonunital_channel_properties():
     assert not rep.unital
     assert rep.choi_rank <= 3
     assert completeness_residual(ch.kraus) < 1e-9
+
+
+def test_search_and_sweep_share_one_unital_rule(monkeypatch):
+    # gadc at N = 1/2 + 1e-7 has a unitality residual of about 6e-8, above
+    # EPS_CPTP: non-unital by report, by the classifier and by the search
+    ch = families.noise_channel("gadc", gamma=0.3, N=0.5 + 1e-7)
+    assert channels.EPS_CPTP < ch.unitality_residual < 1e-6
+    assert not channels.report(ch).unital
+    monkeypatch.setattr(channels, "random_kraus", lambda rng, rank: ch.kraus)
+    picked = random_nonunital_channel(np.random.default_rng(0), rank=3)
+    assert picked is not None and np.array_equal(picked.kraus, ch.kraus)
+    errors, cols = explorer._classify(ch.kraus[None], states.bell_state(1).rho)
+    assert errors == [None] and cols["unital"] == [channels.report(ch).unital]
 
 
 def test_search_blocks_match_one_sample_blocks(monkeypatch):
@@ -570,7 +625,7 @@ def _reference_candidate(kraus, rank):
         ch = channels.validate(kraus, name=f"random_rank{rank}")
     except channels.ChannelValidationError:
         return None, "invalid"
-    if unitality_residual(ch.kraus) < explorer.UNITAL_SKIP_TOL:
+    if unitality_residual(ch.kraus) <= channels.EPS_CPTP:
         return None, "unital"
     return ch, "kept"
 
