@@ -3,6 +3,7 @@
 Exit codes: 0 success, 1 a failed acceptance criterion, 2 channel validation
 failure or a malformed command line, 3 invalid or out-of-range specification
 or an output file that cannot be written, 4 oracle disagreement beyond tolerance.
+The command handlers raise; `main` maps an escaping error to its code, once.
 Configuration is via flags only.
 """
 
@@ -13,7 +14,7 @@ import json
 import sys
 
 from . import acceptance, explorer, families
-from .channels import ChannelValidationError
+from .channels import ChannelValidationError, channel_from_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -21,45 +22,44 @@ EXIT_SPEC = 3
 EXIT_ORACLE = 4
 
 
-def _emit(text: str, path: str | None) -> bool:
-    """Write text to the file at path, or to stdout without one; False, with
-    the error on stderr, if the file cannot be written."""
+def _emit(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout without one."""
     if not path:
         sys.stdout.write(text)
-        return True
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _two_fields(flag: str, form: str, text: str, sep: str, first=str) -> tuple:
+    """A flag's text split at its first sep: the head read by `first`, the tail
+    as a number; SweepSpecError naming the flag, its form and the text if
+    there is no sep or a field does not read."""
+    head, found, tail = text.partition(sep)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
+        if found:
+            return first(head), float(tail)
+    except ValueError:
+        pass
+    raise explorer.SweepSpecError(f"{flag} takes {form}, got {text!r}")
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        rep = explorer.analyze_file(args.channel, initial=args.initial)
-    except (ChannelValidationError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:  # SweepSpecError among them
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
+    try:  # a file that cannot be read or is not UTF-8 is no channel, as invalid JSON is
+        with open(args.channel, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ChannelValidationError(str(exc)) from exc
+    rep = explorer.analyze(channel_from_json(text), initial=args.initial)
     print(json.dumps(rep.to_jsonable(), indent=2))
     return EXIT_OK if rep.oracle_agrees else EXIT_ORACLE
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = explorer.SweepSpec.from_jsonable(json.load(fh))
-        result = explorer.run_sweep(spec)
-    except (explorer.SweepSpecError, json.JSONDecodeError, UnicodeDecodeError,
-            RecursionError, OSError) as exc:  # RecursionError: JSON nested too deep
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
-    if not _emit(explorer.sweep_to_csv(result), args.output):
-        return EXIT_SPEC
+    with open(args.spec, "r", encoding="utf-8") as fh:
+        spec = explorer.SweepSpec.from_jsonable(json.load(fh))
+    result = explorer.run_sweep(spec)
+    _emit(explorer.sweep_to_csv(result), args.output)
     if result.oracle_failures:
         print(f"error: {result.oracle_failures} oracle disagreements",
               file=sys.stderr)
@@ -68,20 +68,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    try:
-        lo, hi = (float(x) for x in args.bracket.split(","))
-        fixed = {}
-        for item in args.fixed or []:
-            key, value = item.split("=", 1)
-            if key in fixed:
-                raise explorer.SweepSpecError(f"--fixed {key} given twice")
-            fixed[key] = float(value)
-        res = explorer.find_threshold(args.family, args.param, (lo, hi),
-                                      args.predicate, tol=args.tol, fixed=fixed,
-                                      initial=args.initial)
-    except ValueError as exc:  # SweepSpecError among them
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
+    bracket = _two_fields("--bracket", "two numbers LO,HI", args.bracket, ",", first=float)
+    fixed = {}
+    for item in args.fixed or []:
+        key, value = _two_fields("--fixed", "NAME=VALUE with a number VALUE", item, "=")
+        if key in fixed:
+            raise explorer.SweepSpecError(f"--fixed {key} given twice")
+        fixed[key] = value
+    res = explorer.find_threshold(args.family, args.param, bracket,
+                                  args.predicate, tol=args.tol, fixed=fixed,
+                                  initial=args.initial)
     print(json.dumps({
         "family": args.family, "param": res.param, "predicate": res.predicate,
         "critical_value": res.critical_value, "bracket_width": res.bracket_width,
@@ -91,13 +87,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_search_uqt(args) -> int:
-    try:
-        rep = explorer.search_uqt(args.concurrence, args.budget, seed=args.seed)
-    except explorer.SweepSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
-    if not _emit(json.dumps(rep.to_jsonable(), indent=2) + "\n", args.output):
-        return EXIT_SPEC
+    rep = explorer.search_uqt(args.concurrence, args.budget, seed=args.seed)
+    _emit(json.dumps(rep.to_jsonable(), indent=2) + "\n", args.output)
     return EXIT_OK
 
 
@@ -113,11 +104,7 @@ def _cmd_list_families(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        results = acceptance.run_all(only=args.only)
-    except ValueError as exc:  # no such criterion
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
+    results = acceptance.run_all(only=args.only)
     failed = sum(1 for r in results if not r.passed)
     for r in results:
         print(acceptance.format_result(r))
@@ -171,8 +158,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run a command line; an error that escapes the command ends in one
+    `error: ...` line on stderr and its code: 2 for a ChannelValidationError,
+    3 for any other ValueError (SweepSpecError, invalid JSON or UTF-8), an
+    OSError or a RecursionError (JSON nested too deep)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, RecursionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION if isinstance(exc, ChannelValidationError) else EXIT_SPEC
 
 
 if __name__ == "__main__":

@@ -207,9 +207,10 @@ class SweepSpec:
                                                   ("start", "stop", "step")))
                          for a in doc["axes"])
             outputs = doc.get("outputs", CSV_FIELDS)
-            if not isinstance(outputs, (list, tuple)) or len(set(outputs)) < len(outputs):
+            if (not isinstance(outputs, (list, tuple)) or not outputs
+                    or len(set(outputs)) < len(outputs)):
                 raise SweepSpecError(f"outputs must be a list of distinct field names, "
-                                     f"got {outputs!r}")
+                                     f"at least one, got {outputs!r}")
             outputs = tuple(outputs)
             bad = set(outputs) - set(CSV_FIELDS)
             if bad:
@@ -567,9 +568,3 @@ def analyze(ch: QubitChannel, initial: str = "bell1") -> AnalysisReport:
     ok, info = oracle_check(final, prof)
     return AnalysisReport(channel=ch, unital=rep.unital, choi_rank=rep.choi_rank,
                           profile=prof, oracle_agrees=ok, oracle_info=info)
-
-
-def analyze_file(path: str, initial: str = "bell1") -> AnalysisReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        ch = channels.channel_from_json(fh.read())
-    return analyze(ch, initial=initial)

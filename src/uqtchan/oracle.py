@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import I2, PAULIS, SX, SZ, dagger
-from .states import BELL_KETS, TwoQubitState, hs_decompose, nonzero_magnitudes
+from .states import BELL_KETS, TwoQubitState, hs_decompose
 
 #: corrections for Bell outcomes 1..4: the Pauli m_k with |Phi_k> = (m_k x I)|Phi_1>
 CORRECTIONS = (I2, SX, SZ @ SX, SZ)
@@ -152,23 +152,14 @@ def canonical_densities(rho: np.ndarray, t_mat: np.ndarray
     maximize the protocol mean (1 + (d1 - d2 + d3)/3)/2 over rotations: the
     printed all-negative (det <= 0) / two-largest-negative (det > 0) pattern
     conjugated by diag(-1, 1, -1), i.e. by sigma_2 on one side."""
-    u_svd, sigma, vt_svd = np.linalg.svd(t_mat)
-    det_a, det_b = np.round(np.linalg.det(u_svd)), np.round(np.linalg.det(vt_svd))
-    nonzero = nonzero_magnitudes(sigma)
-    # sign(det T) from the exact orthogonal-factor parities, which stays correct
-    # when det T underflows; zero singular directions mean det T = 0
-    positive = (det_a * det_b > 0.0) & nonzero.all(axis=-1)
-    eps = np.where(positive[:, None], [1.0, -1.0, -1.0], [1.0, -1.0, 1.0])
-    # signs f_i g_i = eps_i on supported directions with prod(f) = det(U) and
-    # prod(g) = det(V), so both rotations are proper: f = 1, g = eps, then one
-    # parity fix on the first zero direction (free slack) or, with none, on the
-    # last, where prod(eps) = sign(det T) = det_a det_b keeps f_2 g_2 = eps_2
-    rows = np.arange(len(sigma))
-    f = np.ones_like(sigma)
-    g = np.where(nonzero, eps, 1.0)
-    j = np.minimum(nonzero.sum(axis=-1), 2)  # zero magnitudes come last
-    f[rows, j] = det_a
-    g[rows, j] *= det_b * np.prod(g, axis=-1)
+    u_svd, _, vt_svd = np.linalg.svd(t_mat)
+    # T = U diag(s) V^T: the proper rotations diag(f) U^T and diag(g) V^T give
+    # T_C = diag(s1, -s2, -det(U) det(V) s3), whose exact factor parities are
+    # sign(det T) where s3 > 0, also when det T underflows
+    det_u, det_v = np.round(np.linalg.det(u_svd)), np.round(np.linalg.det(vt_svd))
+    ones = np.ones_like(det_u)
+    f = np.stack([ones, ones, det_u], axis=-1)
+    g = np.stack([ones, -ones, -det_v], axis=-1)
 
     u1 = _su2_from_rotation(f[:, :, None] * u_svd.swapaxes(-1, -2))
     u2 = _su2_from_rotation(g[:, :, None] * vt_svd)

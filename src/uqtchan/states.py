@@ -230,29 +230,23 @@ def concurrence(state: TwoQubitState) -> float:
     return float(concurrences(state.rho[None])[0])
 
 
-def nonzero_magnitudes(abs_t: np.ndarray) -> np.ndarray:
-    """Mask of the correlation magnitudes (sorted descending, along the last
-    axis) that are not zero: above ZERO_CORR * max(1, largest)."""
-    return abs_t > ZERO_CORR * np.maximum(1.0, abs_t[..., :1])
-
-
 def verdicts(t_mat: np.ndarray) -> TeleportProfile:
     """Classify correlation matrices (..., 3, 3) into one TeleportProfile of arrays.
 
     F = (1 + sum|t_ii|/3)/2 and delta = sqrt(sum_{i<j}(|t_ii|-|t_jj|)^2) /
     (3 sqrt(10)) with |t_ii| the singular values of T; they apply when
     det T <= 0 (formula_valid). det T is exactly 0.0 when the smallest
-    magnitude is zero by `nonzero_magnitudes`, so its sign does not follow
+    magnitude is zero by ZERO_CORR, so its sign does not follow
     rounding. Useful iff F > 2/3, universal iff the |t_ii| are all equal
     (zero deviation), useful for universal teleportation (uqt) iff both and
     min|t_ii| > 1/3; a state with det T > 0 is none of these.
     """
     abs_t = np.linalg.svd(t_mat, compute_uv=False)
     abs_t.setflags(write=False)
+    a1, a2, a3 = abs_t[..., 0], abs_t[..., 1], abs_t[..., 2]
     # a masked negative det is -0.0; adding 0.0 makes it 0.0 (np.where would
     # turn one state's scalars into slower 0-d arrays)
-    det_t = np.linalg.det(t_mat) * nonzero_magnitudes(abs_t)[..., -1] + 0.0
-    a1, a2, a3 = abs_t[..., 0], abs_t[..., 1], abs_t[..., 2]
+    det_t = np.linalg.det(t_mat) * (a3 > ZERO_CORR * np.maximum(1.0, a1)) + 0.0
     f_max = (1.0 + (a1 + a2 + a3) / 3.0) / 2.0
     # np.square, not ** 2: a float64 scalar's ** 2 is libm pow, which can
     # round differently from the x * x of an array, so a state alone would

@@ -1,6 +1,11 @@
 import contextlib
+import copy
+import functools
 import io
 import json
+import operator
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -247,9 +252,11 @@ def test_sweep_non_finite_fixed_param_exit_3(tmp_path, capsys, value):
     assert "'N'" in captured.err
 
 
-@pytest.mark.parametrize("outputs", ["f_max", ["f_max", "f_max"]], ids=["string", "repeated"])
+@pytest.mark.parametrize("outputs", ["f_max", ["f_max", "f_max"], []],
+                         ids=["string", "repeated", "empty"])
 def test_sweep_outputs_not_distinct_names_exit_3(tmp_path, capsys, outputs):
-    # a string would be split into characters, a repeated name written twice
+    # a string would be split into characters, a repeated name written twice,
+    # and no name would leave a valid row nothing to print
     spec = {"family": {"id": "dephasing"}, "outputs": outputs,
             "axes": [{"param": "p", "start": 0.1, "stop": 0.9, "step": 0.2}]}
     spec_path, out = tmp_path / "spec.json", tmp_path / "out.csv"
@@ -327,7 +334,16 @@ def point_calls(monkeypatch):
     (["--family", "werner", "--param", "p", "--bracket", "0.9,0.3"], "increasing"),
     (["--family", "adc_m", "--param", "t", "--bracket", "0.1,inf", "--fixed", "gamma=1"],
      "finite"),
-], ids=["tol 0", "tol nan", "decreasing bracket", "infinite bracket"])
+    (["--family", "werner", "--param", "p", "--bracket", "0.1"],
+     "error: --bracket takes two numbers LO,HI, got '0.1'\n"),
+    (["--family", "werner", "--param", "p", "--bracket", "a,b"],
+     "error: --bracket takes two numbers LO,HI, got 'a,b'\n"),
+    (["--family", "gadc", "--param", "gamma", "--bracket", "0.1,1.0", "--fixed", "N"],
+     "error: --fixed takes NAME=VALUE with a number VALUE, got 'N'\n"),
+    (["--family", "gadc", "--param", "gamma", "--bracket", "0.1,1.0", "--fixed", "N=x"],
+     "error: --fixed takes NAME=VALUE with a number VALUE, got 'N=x'\n"),
+], ids=["tol 0", "tol nan", "decreasing bracket", "infinite bracket", "bracket of one value",
+        "bracket of no numbers", "fixed without =", "fixed of no number"])
 def test_threshold_bad_input_exit_3(capsys, point_calls, args, message):
     assert main(["threshold", "--predicate", "useful"] + args) == 3
     assert message in capsys.readouterr().err
@@ -374,13 +390,9 @@ _SCENARIOS = [
 ]
 
 
-@settings(max_examples=150, deadline=None)
-@given(args=st.sampled_from(_SCENARIOS), data=st.data())
-def test_threshold_cli_exits_with_a_code(args, data):
-    # flags of a scenario with a threshold replaced by arbitrary or malformed
-    # ones: argparse rejects a malformed flag with exit 2; anything else is a
-    # result (0) or a spec error (3), never a traceback
-    argv = ["threshold"] + args
+def _threshold_argv(data, tmp):
+    # flags of a scenario with a threshold replaced by arbitrary or malformed ones
+    argv = ["threshold"] + data.draw(st.sampled_from(_SCENARIOS))
     for flag, values in (
             ("--family", st.sampled_from(["gadc", "werner", "lambda_tilde_nu", "nope", ""])),
             ("--param", st.sampled_from(["gamma", "N", "p", "C", "p1", "p2", "x"])),
@@ -392,12 +404,132 @@ def test_threshold_cli_exits_with_a_code(args, data):
                                   _CLI_NUMBERS).map("=".join) | st.sampled_from(["N", "="]))):
         if data.draw(st.sampled_from([False, False, False, True])):
             argv.append(f"{flag}={data.draw(values)}")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    return argv
+
+
+#: JSON values a mutated document holds in place of a field: other types,
+#: names, and numbers that keep a spec's grid at most 49 rows, or take it over
+#: MAX_GRID_ROWS or out of the floats, so every run stays small
+_ODD_JSON = st.sampled_from([
+    None, True, False, "", "x", "0.5", "gamma", "N", "p", "bell2", "matched", "f_max",
+    [], [0.5], {}, {"N": 0.5}, -1, 0, 0.5, 1, 2, 1e308, -1e308, 1e-300, 5e-324,
+    float("nan"), float("inf"), float("-inf"), 10**400])
+_SPECS = [
+    {"family": {"id": "gadc", "params": {"N": 0.1}}, "initial": "bell1",
+     "axes": [{"param": "gamma", "start": 0, "stop": 1, "step": 0.5}], "outputs": ["uqt"]},
+    {"family": {"id": "gadc"}, "initial": "bell2",
+     "axes": [{"param": "gamma", "start": 0, "stop": 1, "step": 0.5},
+              {"param": "N", "start": 0, "stop": 0.5, "step": 0.5}], "outputs": ["f_max", "delta"]},
+    {"family": {"id": "lambda_star_nu"}, "initial": "matched",
+     "axes": [{"param": "C", "start": 0.3, "stop": 0.6, "step": 0.1}], "outputs": ["oracle_checked"]},
+]
+_CHANNELS = [json.loads(channels.channel_to_json(ch)) for ch in
+             (families.example_rank4_uqt(), families.gadc(0.5, 0.7), families.werner(0.4))]
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON document, the document's own first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, path + (key,))
+
+
+def _mutated(data, doc):
+    """A copy of a JSON document with up to three nodes replaced by an
+    _ODD_JSON value, dropped from their object or, a list, cut short."""
+    holder = [copy.deepcopy(doc)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        *parents, key = data.draw(st.sampled_from(list(_paths(holder))[1:]))
+        parent = functools.reduce(operator.getitem, parents, holder)
+        how = data.draw(st.sampled_from(["replace", "drop", "cut"]))
+        if how == "replace":
+            parent[key] = copy.deepcopy(data.draw(_ODD_JSON))  # a cut must not change the pool
+        elif how == "drop" and isinstance(parent, dict):
+            del parent[key]
+        elif how == "cut" and isinstance(parent[key], list):
+            del parent[key][data.draw(st.integers(0, len(parent[key]))):]
+    return holder[0]
+
+
+_RAW_FILES = {"not UTF-8": b"\xff\xfe{}", "not JSON": b"{", "nested": b"[" * 5000 + b"]" * 5000}
+
+
+def _file(data, tmp, documents):
+    """The path of a file holding a mutated document or one of _RAW_FILES, of
+    no file, or of a directory."""
+    kind = data.draw(st.sampled_from(["document"] * 5 + [*_RAW_FILES, "missing", "directory"]))
+    path = os.path.join(tmp, "input.json")
+    if kind == "directory":
+        return tmp
+    if kind == "document":
+        with open(path, "w") as fh:
+            json.dump(_mutated(data, data.draw(st.sampled_from(documents))), fh)
+    elif kind != "missing":
+        with open(path, "wb") as fh:
+            fh.write(_RAW_FILES[kind])
+    return path
+
+
+def _output(data, tmp):
+    target = data.draw(st.sampled_from([None, None, "out", os.path.join("missing", "out"), "."]))
+    return [] if target is None else ["-o", os.path.join(tmp, target)]
+
+
+def _analyze_argv(data, tmp):
+    initial = data.draw(st.sampled_from(["bell1", "bell4", "pure:0.8", "pure:2", "bell9", "x"]))
+    return ["analyze", _file(data, tmp, _CHANNELS), "--initial", initial]
+
+
+def _sweep_argv(data, tmp):
+    return ["sweep", _file(data, tmp, _SPECS)] + _output(data, tmp)
+
+
+def _search_argv(data, tmp):
+    return ["search-uqt", f"--concurrence={data.draw(_CLI_NUMBERS)}",
+            f"--budget={data.draw(st.sampled_from(['-1', '0', '1', '3', '8', 'x']))}",
+            f"--seed={data.draw(st.sampled_from(['0', '7', '-1', str(2**64), 'x']))}",
+            ] + _output(data, tmp)
+
+
+def _list_families_argv(data, tmp):
+    return ["list-families"] + data.draw(st.sampled_from([[], ["--json"], ["--bogus"]]))
+
+
+def _verify_argv(data, tmp):
+    return ["verify", f"--only={data.draw(st.sampled_from([str(n) for n in range(-1, 13)] + ['x']))}"]
+
+
+#: command -> (argv strategy, the codes the README gives it besides argparse's 2)
+_COMMANDS = {
+    "analyze": (_analyze_argv, (0, 2, 3, 4)),
+    "sweep": (_sweep_argv, (0, 3, 4)),
+    "threshold": (_threshold_argv, (0, 3)),
+    "search-uqt": (_search_argv, (0, 3)),
+    "list-families": (_list_families_argv, (0,)),
+    "verify": (_verify_argv, (0, 1, 3)),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(_COMMANDS)), data=st.data())
+def test_cli_exits_with_a_code(command, data):
+    # arbitrary or malformed input to each command ends in one of its codes:
+    # argparse rejects a malformed flag with SystemExit(2); anything else is
+    # returned by main, a 2 or 3 with one `error: ` line, never a traceback
+    draw_argv, codes = _COMMANDS[command]
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
         try:
-            code = main(argv)
+            code = main(draw_argv(data, tmp))
         except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 2, 3, 4)
+            assert exc.code == 2
+            return
+    assert code in codes
+    if code in (2, 3):
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 @pytest.mark.parametrize("budget", ["-5", "0"])

@@ -927,16 +927,6 @@ def test_analyze_gadc_values():
     assert rep.oracle_agrees
 
 
-def test_analyze_file_round_trip(tmp_path):
-    path = tmp_path / "channel.json"
-    path.write_text(channels.channel_to_json(families.example_rank4_uqt()))
-    rep = explorer.analyze_file(str(path))
-    assert rep.profile.f_max == pytest.approx(0.75, abs=1e-12)
-    doc = rep.to_jsonable()
-    json.dumps(doc)  # serializable
-    assert doc["profile"]["uqt"] is True
-
-
 def test_evaluate_point_matched_requires_matched_family():
     with pytest.raises(SweepSpecError, match="matched"):
         evaluate_point("dephasing", {"p": 0.5}, initial="matched")
