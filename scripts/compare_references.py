@@ -31,8 +31,7 @@
   * the 11 acceptance criteria of `uqtchan verify`: index, name, passed, detail;
   * numeric_moments(canonicalize(st)) and the rotated T of 30 seeded states:
     every third of rank 1 to 3, and every sixth a product state (det T = 0);
-    and their moments as one stack, by oracle.canonical_moments (a library
-    without it writes the one-at-a-time moments there).
+    and their moments as one stack, by oracle.canonical_moments.
 It exits 1 if a sweep reports an oracle failure, an analysis disagrees with
 the oracle or an acceptance criterion fails. Run it on two versions of
 the library (PYTHONPATH=<src>) and `compare` the dumps, which needs no
@@ -192,14 +191,8 @@ def _oracle_item(st: states.TwoQubitState) -> dict:
 
 def _oracle_stack(sts: list) -> dict:
     """The oracle's moments of the states as one stack, by
-    `oracle.canonical_moments`. A library without the stacked oracle writes
-    its one-at-a-time moments here, so that `compare` gates the stack
-    against them."""
-    stacked = getattr(oracle, "canonical_moments", None)
-    if stacked is None:
-        moms = [_oracle_item(st) for st in sts]
-        return {"mean_f": [m["mean_f"] for m in moms], "delta": [m["delta"] for m in moms]}
-    mean, delta = stacked(np.array([st.rho for st in sts]))
+    `oracle.canonical_moments`."""
+    mean, delta = oracle.canonical_moments(np.array([st.rho for st in sts]))
     return {"mean_f": mean.tolist(), "delta": delta.tolist()}
 
 

@@ -143,10 +143,8 @@ def validate_stack(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, np.
     for i, rank, err in zip(live, linalg.rank(dens.eigenvalues).tolist(), dens.errors):
         outcomes[i] = rank if err is None else \
             ChannelValidationError(f"Choi matrix rejected: {err}")
-    choi = dens.rho
-    if len(live) < len(stack):  # members rejected before: zeros keep the rows aligned
-        choi = np.zeros((len(stack), 4, 4), dtype=complex)
-        choi[live] = dens.rho
+    choi = np.zeros((len(stack), 4, 4), dtype=complex)  # zero for members rejected before
+    choi[live] = dens.rho
     return stack, choi, outcomes, unitality
 
 

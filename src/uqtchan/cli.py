@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import acceptance, explorer, families
@@ -29,6 +30,16 @@ def _emit(text: str, path: str | None) -> None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _check_output(path: str | None) -> None:
+    """Fail now, not after the computation, if the file at path cannot be
+    opened for writing; keep an existing file, remove one this creates."""
+    if path:
+        created = not os.path.lexists(path)
+        open(path, "a", encoding="utf-8").close()
+        if created:
+            os.remove(path)
 
 
 def _two_fields(flag: str, form: str, text: str, sep: str, first=str) -> tuple:
@@ -58,6 +69,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_sweep(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = explorer.SweepSpec.from_jsonable(json.load(fh))
+    _check_output(args.output)
     result = explorer.run_sweep(spec)
     _emit(explorer.sweep_to_csv(result), args.output)
     if result.oracle_failures:
@@ -87,6 +99,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_search_uqt(args) -> int:
+    _check_output(args.output)
     rep = explorer.search_uqt(args.concurrence, args.budget, seed=args.seed)
     _emit(json.dumps(rep.to_jsonable(), indent=2) + "\n", args.output)
     return EXIT_OK

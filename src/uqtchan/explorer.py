@@ -388,9 +388,10 @@ MAX_HITS = 20
 
 
 def random_nonunital_channel(rng: np.random.Generator, rank: int) -> QubitChannel | None:
-    """One random rank-r candidate of search_uqt, drawn by
-    `channels.random_kraus` and validated alone: None if it is invalid or
-    unital by `channels.report`, the rule of the search's `unital` column."""
+    """One random rank-r channel drawn by `channels.random_kraus` and
+    validated alone: None if it is invalid or unital by `channels.report`
+    (search_uqt's rule). No library code calls it, since search_uqt draws
+    stacks; it stays because perfbench/tracing.py hooks it by name."""
     try:
         ch = channels.validate(channels.random_kraus(rng, rank), name=f"random_rank{rank}")
     except ChannelValidationError:

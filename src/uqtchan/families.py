@@ -710,31 +710,19 @@ class Block:
     errors: list
 
 
-def _param_value(family_id: str, name: str, value) -> float:
-    """A param value as a float by the rule of channels.json_number: a
-    ValueError naming the param for a bool, string, complex number,
-    sequence or an integer beyond the float range."""
-    try:
-        return channels.json_number(value)
-    except TypeError:
-        raise ValueError(f"{family_id}: {name} must be a real number, got {value!r}") from None
-    except OverflowError:
-        raise ValueError(f"{family_id}: {name} must be finite, got {value!r}") from None
-
-
 def checked_rows(family_id: str, columns: dict) -> Block:
     """Check and build N rows of one family as one block.
 
     `columns` maps each param name (or alias) to the sequence of its N row
-    values, in key order; a family without params has one row. The names
-    are resolved once per call, and a name error is every row's error. Each
-    value becomes a float by `_param_value`. The ParamSpec range checks run
-    as masks over the block, and the builder is called once, on the rows
-    that pass them; a Choi-defined family's rows share one kraus_from_choi.
-    A row's error is the first check it fails, in that order (of its values
-    the first that fails, in key order), with the text checked_build
-    raises; only failing rows get a text. Columns of unequal length are a
-    ValueError."""
+    values, in key order; a family without params has one row. The names are
+    resolved once per call, and a name error is every row's error. Each
+    value becomes a float by channels.json_number, or a ValueError naming
+    the param. The ParamSpec range checks run as masks over the block, and
+    the builder is called once, on the rows that pass them; a Choi-defined
+    family's rows share one kraus_from_choi. A row's error is the first
+    check it fails, in that order (of its values the first that fails, in
+    key order), with the text checked_build raises; only failing rows get a
+    text. Columns of unequal length are a ValueError."""
     fam = get_family(family_id)
     specs = fam.params
     lengths = {len(col) for col in columns.values()}
@@ -752,41 +740,35 @@ def checked_rows(family_id: str, columns: dict) -> Block:
         nums = []
         for i, v in enumerate(col):
             try:
-                nums.append(v if type(v) is float else _param_value(family_id, name, v))
-            except ValueError as exc:
+                nums.append(v if type(v) is float else channels.json_number(v))
+            except (TypeError, OverflowError) as exc:  # OverflowError: an int beyond the float range
                 nums.append(math.nan)
                 if errors[i] is None:
-                    errors[i] = ValueError(*exc.args)
+                    rule = "a real number" if isinstance(exc, TypeError) else "finite"
+                    errors[i] = ValueError(f"{family_id}: {name} must be {rule}, got {v!r}")
         values[:, places[name]] = nums
     lo, hi = fam.bounds
     rejected = ~((values >= lo) & (values <= hi))
-    if rejected.any():
-        for i, j in zip(*(ix.tolist() for ix in np.nonzero(rejected))):  # row by row, spec order
-            if errors[i] is None:  # the first spec a row breaks names its error
-                errors[i] = ValueError(specs[j].error(float(values[i, j]), family_id))
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(rejected))):  # row by row, spec order
+        if errors[i] is None:  # the first spec a row breaks names its error
+            errors[i] = ValueError(specs[j].error(float(values[i, j]), family_id))
     ok = [i for i, err in enumerate(errors) if err is None]
-    if len(ok) < n:
-        values = values[ok]
     with np.errstate(all="ignore"):  # a row that breaks a joint constraint may compute NaN
         ops, recorded, row_errors = fam.build(
-            **{spec.name: values[:, j] for j, spec in enumerate(specs)})
+            **{spec.name: values[ok, j] for j, spec in enumerate(specs)})
     for r, err in row_errors.items():
         errors[ok[r]] = err
     kept = [r for r in range(len(ok)) if r not in row_errors]  # the build's rows without error
-    if len(kept) < len(ok):
-        ops = ops[kept]
+    ops = ops[kept]
     if fam.choi:  # the checks above leave every Choi matrix finite and Hermitian
         ops = channels.kraus_from_choi(ops, fam.expected_rank)
-    if len(kept) == n == len(ops):  # every row built (a fixed example builds one row)
-        kraus, params = ops, recorded
-    else:
-        built = [ok[r] for r in kept]
-        kraus = np.zeros((n,) + ops.shape[1:], dtype=complex)
-        kraus[built] = ops
-        params = {}
-        for name, col in recorded.items():
-            params[name] = np.full(n, math.nan)
-            params[name][built] = col[kept]
+    built = [ok[r] for r in kept]
+    kraus = np.zeros((n,) + ops.shape[1:], dtype=complex)
+    kraus[built] = ops
+    params = {}
+    for name, col in recorded.items():
+        params[name] = np.full(n, math.nan)
+        params[name][built] = col[kept]
     kraus.setflags(write=False)
     return Block(kraus=kraus, params=params, errors=errors)
 

@@ -135,7 +135,9 @@ def test_sweep_csv_deterministic(tmp_path, capsys):
     assert len(lines) == 6
 
 
-def test_sweep_unwritable_output_exit_3(tmp_path, capsys):
+def test_sweep_unwritable_output_exit_3(tmp_path, capsys, monkeypatch):
+    # the output file fails before any row is computed
+    monkeypatch.setattr(explorer, "run_sweep", lambda spec: pytest.fail("ran the sweep"))
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"family": {"id": "dephasing"},
                                      "axes": [{"param": "p", "start": 0.1, "stop": 0.9,
@@ -219,11 +221,18 @@ def test_sweep_bad_initial_exit_3(tmp_path, capsys, initial):
 def test_sweep_spec_level_error_exit_3(tmp_path, capsys, family, initial, message):
     spec = {"family": {"id": family, "params": {"N": 0.5}}, "initial": initial,
             "axes": [{"param": "gamma", "start": 0.1, "stop": 0.9, "step": 0.2}]}
-    spec_path = tmp_path / "spec.json"
+    spec_path, out = tmp_path / "spec.json", tmp_path / "out.csv"
     spec_path.write_text(json.dumps(spec))
     assert main(["sweep", str(spec_path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+    # run_sweep rejects the spec before its first row: no output file is
+    # left, and an existing one is kept as it was
+    assert main(["sweep", str(spec_path), "-o", str(out)]) == 3
+    assert message in capsys.readouterr().err and not out.exists()
+    out.write_text("old")
+    assert main(["sweep", str(spec_path), "-o", str(out)]) == 3
+    assert out.read_text() == "old"
 
 
 @pytest.mark.parametrize("axis", [
@@ -547,7 +556,9 @@ def test_search_uqt_writes_report(tmp_path):
     assert "hits" in doc and "frontier" in doc
 
 
-def test_search_uqt_unwritable_output_exit_3(tmp_path, capsys):
+def test_search_uqt_unwritable_output_exit_3(tmp_path, capsys, monkeypatch):
+    # the output file fails before any sample is drawn
+    monkeypatch.setattr(explorer, "search_uqt", lambda *a, **k: pytest.fail("ran the search"))
     out = tmp_path / "no_such_dir" / "x.json"
     assert main(["search-uqt", "--concurrence", "0.45", "--budget", "3",
                  "-o", str(out)]) == 3

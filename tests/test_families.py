@@ -668,6 +668,30 @@ def test_block_path_equals_one_row_view(family_id):
     assert_block_rows_are_one_row_views(family_id, _edge_columns(family_id))
 
 
+@pytest.mark.parametrize("family_id", sorted(FAMILIES))
+def test_block_kraus_shape_is_the_familys_whichever_rows_fail(family_id):
+    # search_uqt places a lambda_tilde_nu block into a stack of four
+    # operators: a block has its family's operator count whether every row,
+    # some or none of them build, and a failed row is zeros and NaN params
+    fam = FAMILIES[family_id]
+    rng = np.random.default_rng(zlib.crc32(family_id.encode()))
+    points = [fam.sample_params(rng) for _ in range(3)]
+    failed = [{name: float("nan") for name in point} for point in points]
+    if fam.params:
+        blocks = [points, points[:2] + failed[2:], failed]
+        expected = [[None] * 3, [None, None, ValueError], [ValueError] * 3]
+    else:  # a fixed example's one row fails only by a name error
+        blocks, expected = [[{}], [{"p": 0.5}]], [[None], [ValueError]]
+    shapes = set()
+    for rows, kinds in zip(blocks, expected):
+        columns = _columns_of(rows)
+        block = families.checked_rows(family_id, columns)
+        assert [err if err is None else type(err) for err in block.errors] == kinds
+        assert_block_rows_are_one_row_views(family_id, columns)
+        shapes.add(block.kraus.shape[1:])
+    assert len(shapes) == 1
+
+
 @pytest.mark.parametrize("family_id,columns", [
     ("gadc", {"gamma": [0.3, 2.0, "x"], "x": [0.1, 0.2, 0.3]}),
     ("gadc", {"gamma": [0.3, 0.4]}),
