@@ -42,7 +42,8 @@ draw, threshold, verify, oracle), the identical and total item counts; then the
 name and largest float difference of every item that is not
 byte-identical, and the first 20 non-float differences. It exits 1 if a non-float
 value differs (type, key, order, length or value) or a float moves by more
-than 1e-12.
+than 1e-12. Either command exits 1, without a traceback, if its reader
+closes stdout early (`compare A B | head`).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import dataclasses
 import importlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -321,9 +323,13 @@ def main(argv=None) -> int:
     p.add_argument("a")
     p.add_argument("b")
     args = parser.parse_args(argv)
-    if args.command == "compare":
-        return compare(args.a, args.b)
-    return dump(args.out)
+    try:
+        code = compare(args.a, args.b) if args.command == "compare" else dump(args.out)
+        sys.stdout.flush()  # a closed pipe shows here, where it is caught
+    except BrokenPipeError:  # the reader, such as `head`, closed stdout: stop without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        return 1
+    return code
 
 
 def dump(out: str) -> int:

@@ -441,13 +441,14 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
     Gaussians too, from its own Philox stream, keyed on (seed mod 2**64, i)
     (`_sample_streams`: one Philox per call, re-keyed per sample). Samples
     go in blocks of SEARCH_BLOCK. Each sample is drawn in Python; the
-    block's random channels are decomposed by one `channels.isometry_kraus`
-    call per rank and its lambda_tilde_nu samples built by one checked_rows
-    call, then its candidates, one (n, 4, 2, 2) stack in sample order, are
-    classified by one `_classify`, as the lambda_star_nu candidate, one
-    checked_rows block, is once per call. A random candidate that validation
-    rejects or that `_classify` calls unital is skipped; a lambda_tilde_nu build
-    error, else a validation error, raises, the first in sample order. The
+    block's lambda_tilde_nu samples are built by one checked_rows call and
+    its random channels by one `channels.isometry_kraus` call per rank, and
+    its candidates, one stack in kind order (the lambda_tilde_nu rows, then
+    the random ones), are classified by one `_classify`, as the
+    lambda_star_nu candidate, one checked_rows block, is once per call. A
+    random candidate that validation rejects or that `_classify` calls
+    unital is skipped; a lambda_tilde_nu build error, else a validation
+    error, raises, the first in sample order. The
     first MAX_HITS distinct hits are reported. The frontier keeps up to ten
     non-UQT entries that no other dominates (deviation no larger, f_max no
     smaller; a deviation up to EPS_UQT, the zero of `verdicts`, counts as
@@ -485,43 +486,40 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
 
     sample_rng = _sample_streams(seed)
     for first in range(0, budget, SEARCH_BLOCK):
-        n = min(SEARCH_BLOCK, budget - first)
-        labels = {}  # sample -> (name, params) of its candidate
-        drawn = {}  # sample -> Gaussians of its random candidate
-        p2s = {}  # sample -> p2 of its lambda_tilde_nu candidate
-        for j in range(n):
-            rng = sample_rng(first + j)
-            kind = int(rng.integers(0, 4))
-            if kind in (0, 1):
-                rank = 3 if kind == 0 else 4
-                labels[j] = (f"random_rank{rank}", {})
-                drawn[j] = rng.normal(size=(2, 2 * rank, 2))
+        kinds, p2s, drawn = [], [], []  # per sample; per lambda_tilde_nu and random sample
+        for i in range(first, min(first + SEARCH_BLOCK, budget)):
+            rng = sample_rng(i)
+            kinds.append(kind := int(rng.integers(0, 4)))
+            if kind < 2:  # a random channel of rank 3 or 4
+                drawn.append(rng.normal(size=(2, 2 * (3 + kind), 2)))
             elif kind == 2:
-                p2s[j] = float(rng.uniform(1e-6, tilde_p2_max * (1.0 - 1e-9)))
-        block = families.checked_rows(
-            "lambda_tilde_nu", {"p1": [concurrence] * len(p2s), "p2": list(p2s.values())})
+                p2s.append(float(rng.uniform(1e-6, tilde_p2_max * (1.0 - 1e-9))))
+        m = len(p2s)
+        block = families.checked_rows("lambda_tilde_nu", {"p1": [concurrence] * m, "p2": p2s})
+        failed = [r for r, err in enumerate(block.errors) if err is not None]
+        if failed:  # the first build error, in sample order, popped: the frame keeps no
+            raise block.errors.pop(failed[0])  # reference to it (see families.Block)
+        randoms = channels.isometry_stack(drawn)
+        kraus = np.zeros((m + len(drawn), 4, 2, 2), dtype=complex)  # tilde rows, then random rows
+        kraus[:m] = block.kraus
+        kraus[m:, :randoms.shape[1]] = randoms
+        errors, cols = _classify(kraus, state.rho)
+        failed = [r for r in range(m) if errors[r] is not None]
+        if failed:  # the first lambda_tilde_nu validation error, in sample order
+            raise errors.pop(failed[0])  # popped, as above
+        # the valid members: every lambda_tilde_nu row, then the valid random rows
+        values = zip(cols["f_max"], cols["delta"], cols["uqt"], cols["unital"])
         recorded = {name: col.tolist() for name, col in block.params.items()}
-        for r, (j, err) in enumerate(zip(p2s, block.errors)):
-            if err is not None:
-                raise err  # the first build error, in sample order
-            labels[j] = ("lambda_tilde_nu", {name: col[r] for name, col in recorded.items()})
-        kraus = np.zeros((n, 4, 2, 2), dtype=complex)  # by sample; assembled by kind
-        kraus[list(p2s)] = block.kraus
-        randoms = channels.isometry_stack(list(drawn.values()))
-        kraus[list(drawn), :randoms.shape[1]] = randoms
-        errors, cols = _classify(kraus[sorted(labels)], state.rho)  # every sample but a star
-        outcomes = iter(errors)  # one per sample in labels, in sample order
-        values = zip(cols["f_max"], cols["delta"], cols["uqt"], cols["unital"])  # valid samples
-        entries = []
-        for j in range(n):
-            if j not in labels:
-                entries.append(star)
-            elif (err := next(outcomes)) is None:
-                f_max, delta, uqt, unital = next(values)
-                if not (unital and j in drawn):  # a random candidate called unital is skipped
-                    entries.append(as_entry(*labels[j], f_max, delta, uqt))
-            elif j not in drawn:  # a random candidate that validation rejects is skipped
-                raise err  # a lambda_tilde_nu validation error, the first in sample order
+        tilde = [as_entry("lambda_tilde_nu", {name: col[r] for name, col in recorded.items()},
+                          *next(values)[:3]) for r in range(m)]
+        random = []  # None where validation rejects the candidate or calls it unital
+        for kind, err in zip([kind for kind in kinds if kind < 2], errors[m:]):
+            f_max, delta, uqt, unital = next(values) if err is None else (None, None, None, True)
+            random.append(None if unital else
+                          as_entry(f"random_rank{3 + kind}", {}, f_max, delta, uqt))
+        tilde, random = iter(tilde), iter(random)  # merged back into sample order, by kind
+        merged = (star if kind == 3 else next(tilde if kind == 2 else random) for kind in kinds)
+        entries = [entry for entry in merged if entry is not None]
         for entry in entries:
             if entry["uqt"] and len(hits) < MAX_HITS and entry not in hits:
                 hits.append(entry)

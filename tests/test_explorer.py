@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -773,6 +775,14 @@ def test_search_frontier_counts_rounding_noise_deviation_as_zero():
             assert _zero_spread(a) <= _zero_spread(b) and a["f_max"] < b["f_max"]
 
 
+def _widen_search_p2_window(monkeypatch, wide):
+    """Widen the p2 window of search_uqt's lambda_tilde_nu draws to (0, wide)."""
+    windows = iter([wide])  # the search's one call; the builders see the true window
+    true_window = families.lambda_tilde_p2_max
+    monkeypatch.setattr(families, "lambda_tilde_p2_max",
+                        lambda p1: next(windows, None) or true_window(p1))
+
+
 def test_search_raises_the_first_lambda_tilde_build_error_in_sample_order(monkeypatch):
     # with the search's p2 window widened to (0, 2), most lambda_tilde_nu
     # draws fail to build; the block's one checked_rows call must raise the
@@ -789,13 +799,98 @@ def test_search_raises_the_first_lambda_tilde_build_error_in_sample_order(monkey
                 break
     with pytest.raises(ValueError) as first:
         families.checked_build("lambda_tilde_nu", p1=c, p2=p2)
-    windows = iter([wide])  # the search's one call; the builders see the true window
-    true_window = families.lambda_tilde_p2_max
-    monkeypatch.setattr(families, "lambda_tilde_p2_max",
-                        lambda p1: next(windows, None) or true_window(p1))
+    _widen_search_p2_window(monkeypatch, wide)
     with pytest.raises(ValueError) as raised:
         search_uqt(c, explorer.SEARCH_BLOCK, seed=7)
     assert (type(raised.value), str(raised.value)) == (type(first.value), str(first.value))
+
+
+def _block_p2s(c, seed):
+    """The p2 of each lambda_tilde_nu sample of a search's first block, in
+    sample order."""
+    p2s = []
+    for i in range(explorer.SEARCH_BLOCK):
+        rng = _sample_rng(seed, i)
+        if int(rng.integers(0, 4)) == 2:
+            p2s.append(float(rng.uniform(1e-6, families.lambda_tilde_p2_max(c) * (1.0 - 1e-9))))
+    return p2s
+
+
+def _scale_tilde_rows_above(monkeypatch, cut):
+    """Wrap lambda_tilde_nu's builder so that a row of p2 above `cut` builds
+    its Kraus operators times 1 + p2: not trace preserving, with a
+    completeness residual (1 + p2)^2 - 1 that names the row."""
+    fam = families.FAMILIES["lambda_tilde_nu"]
+
+    def build(p1, p2):
+        ops, recorded, errors = fam.build(p1=p1, p2=p2)
+        scale = np.where(p2 > cut, 1.0 + p2, 1.0)
+        return ops * scale[:, None, None, None], recorded, errors
+    monkeypatch.setitem(families.FAMILIES, "lambda_tilde_nu", dataclasses.replace(fam, build=build))
+
+
+def test_search_raises_the_first_lambda_tilde_validation_error_in_sample_order(monkeypatch):
+    # the rows above the median p2 of the block build but fail validation;
+    # the search must raise the error of the first of them
+    c = 0.45
+    p2s = _block_p2s(c, seed=7)
+    cut = float(np.median(p2s))
+    _scale_tilde_rows_above(monkeypatch, cut)
+    first, second = [p2 for p2 in p2s if p2 > cut][:2]
+    texts = []
+    for p2 in (first, second):
+        with pytest.raises(channels.ChannelValidationError) as expected:
+            families.noise_channel("lambda_tilde_nu", p1=c, p2=p2)
+        texts.append(str(expected.value))
+    assert texts[0] != texts[1]
+    with pytest.raises(channels.ChannelValidationError) as raised:
+        search_uqt(c, explorer.SEARCH_BLOCK, seed=7)
+    assert str(raised.value) == texts[0]
+
+
+def test_search_skips_random_candidates_that_validation_rejects(monkeypatch):
+    # every rank-4 draw builds 1.1 times an isometry's Kraus operators, so
+    # validation rejects every rank-4 candidate: each is skipped, none raises
+    def entries():
+        doc = search_uqt(0.2, budget=150, seed=11).to_jsonable()
+        return [e["channel"] for e in doc["hits"] + doc["frontier"]]
+    assert {"random_rank3", "random_rank4"} <= set(entries())
+    real = channels.isometry_kraus
+    monkeypatch.setattr(channels, "isometry_kraus",
+                        lambda g: real(g) * (1.1 if g.shape[-2] == 8 else 1.0))
+    assert "random_rank3" in entries() and "random_rank4" not in entries()
+
+
+@pytest.mark.parametrize("fault", ["build", "validation"])
+def test_search_error_frees_the_search_frame_without_the_collector(monkeypatch, fault):
+    # a raised error that a name or container of the search frame still
+    # holds ties the frame, and the blocks it holds, into a reference cycle
+    # with the error's traceback; dropped, the error must free them at once
+    c = 0.45
+    if fault == "build":
+        _widen_search_p2_window(monkeypatch, 2.0)
+    else:
+        _scale_tilde_rows_above(monkeypatch, 0.0)
+    blocks = []
+    real = families.checked_rows
+
+    def spy(family_id, columns):
+        block = real(family_id, columns)
+        blocks.append(weakref.ref(block))
+        return block
+    monkeypatch.setattr(families, "checked_rows", spy)
+    gc.disable()
+    try:
+        try:
+            search_uqt(c, explorer.SEARCH_BLOCK, seed=7)
+        except ValueError:
+            pass
+        else:
+            pytest.fail("the search raised no error")
+        alive = [ref() is not None for ref in blocks]
+    finally:
+        gc.enable()
+    assert alive == [False, False]  # the lambda_star_nu block and the lambda_tilde_nu block
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -149,6 +149,21 @@ def test_compare_references_compare_runs_without_the_library(tmp_path):
                                             "largest float difference: 0"]
 
 
+def test_compare_references_stops_quietly_when_its_reader_closes_stdout(tmp_path):
+    # `compare A B | head -n 1`: 20,000 moved items print far more than a
+    # pipe holds, so the writes after the reader is gone fail
+    a = {f"grid family{i}": [0.5] for i in range(20000)}
+    (tmp_path / "a.json").write_text(json.dumps(a))
+    (tmp_path / "b.json").write_text(json.dumps({name: [0.5 + 2.0**-52] for name in a}))
+    with subprocess.Popen([sys.executable, str(SCRIPTS / "compare_references.py"), "compare",
+                           "a.json", "b.json"], cwd=tmp_path, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "items: 20000\n"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (1, "")
+
+
 @pytest.mark.parametrize("path,value", [
     (("sweep", "rows", 0, 2), 0.9 + 2e-12),  # a float moved beyond 1e-12
     (("sweep", "rows", 0, 3), False),  # a verdict
