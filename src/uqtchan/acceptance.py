@@ -31,15 +31,13 @@ def _random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _raise_first(outcomes) -> None:
+def _raise_first(outcomes: list) -> None:
     """Raise the error of a stack's first rejected member as its one-member
-    path would: an exception outcome, or a density_stack message. A rejected
-    member's Choi matrix is zero, and T = 0 would read as "not UQT-useful"."""
-    for out in outcomes:
-        if isinstance(out, str):
-            raise ValueError(out)
-        if isinstance(out, Exception):
-            raise out
+    path would, popped from the list: no frame keeps a reference to it. A
+    rejected member's Choi matrix is zero, and T = 0 would read as "not UQT-useful"."""
+    rejected = [i for i, out in enumerate(outcomes) if isinstance(out, Exception)]
+    if rejected:
+        raise outcomes.pop(rejected[0])
 
 
 def _validated(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
@@ -54,7 +52,7 @@ def _densities(matrices) -> np.ndarray:
     """The density matrices of states.density_stack, as from_density stores
     them, raising the first rejected member's error."""
     dens = states.density_stack(matrices)
-    _raise_first(dens.errors)
+    _raise_first([ValueError(err) for err in dens.errors if err is not None])
     return dens.rho
 
 
@@ -216,10 +214,8 @@ def _pauli_grid_has_uqt(c: float, n_grid: int = 200) -> bool:
     psi = states.pure_state_from_concurrence(c)
     # conjugated states (I x sigma_i) rho (I x sigma_i): channel output is
     # their p-weighted mix, so the correlation data is linear in the weights
-    t_parts = []
-    for sig in linalg.PAULIS:
-        t_parts.append(channels.apply_to_bob(psi, channels.validate([sig])).hs.t_mat)
-    t_parts = np.array(t_parts)
+    paulis = np.array(linalg.PAULIS)[:, None]  # four one-operator channels
+    t_parts = states.hs_decompose(_densities(channels.bob_action(psi.rho, paulis))).t_mat
 
     p0g, p1g = np.meshgrid(np.linspace(0.0, 1.0, n_grid), np.linspace(0.0, 0.5, n_grid))
     # stratum A: p1 = p2, p3 = 1 - p0 - 2 p1

@@ -149,7 +149,7 @@ def _classify_rows(family_id: str, columns: dict, initial: str | TwoQubitState
     block = families.checked_rows(family_id, columns)
     if isinstance(initial, str):  # "matched"; concurrence 1.0 for a failed row
         c = block.params[families.MATCHED_CONCURRENCE_PARAM[family_id]]
-        rho = states.pure_densities_from_concurrence(np.where(np.isnan(c), 1.0, c).tolist())
+        rho = states.pure_densities_from_concurrence(np.where(np.isnan(c), 1.0, c))
     else:
         rho = initial.rho
     rejected, cols = _classify(block.kraus, rho)

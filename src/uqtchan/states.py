@@ -147,55 +147,52 @@ def from_density(m) -> TwoQubitState:
     return TwoQubitState(rho=rho, hs=hs_decompose(rho))
 
 
-def _ket_density(psi) -> np.ndarray:
-    """|v><v| of the ket psi normalized to v, before from_density's checks."""
-    v = np.asarray(psi, dtype=complex).reshape(4)
-    v = v / np.sqrt(np.vdot(v, v).real)
-    return np.outer(v, v.conj())
+def _ket_densities(kets) -> np.ndarray:
+    """|v><v| of each ket of an (N, 4) stack normalized to v, before
+    from_density's checks: each norm by one stacked @, the bits of np.vdot."""
+    v = np.asarray(kets, dtype=complex)
+    v = v / np.sqrt((v.conj()[:, None, :] @ v[:, :, None])[:, :, 0].real)
+    return v[:, :, None] * v.conj()[:, None, :]
 
 
 def from_ket(psi) -> TwoQubitState:
-    """Two-qubit pure state from a 4-component ket (normalized internally)."""
-    return from_density(_ket_density(psi))
-
-
-def _psi_a_ket(a: float) -> np.ndarray:
-    """The ket sqrt(a)|00> + sqrt(1-a)|11>, a checked to lie in [1/2, 1)."""
-    if not 0.5 <= a < 1.0:
-        raise ValueError(f"a must lie in [1/2, 1), got {a!r}")
-    return np.array([np.sqrt(a), 0.0, 0.0, np.sqrt(1.0 - a)], dtype=complex)
-
-
-def pure_state(a: float) -> TwoQubitState:
-    """|Psi_a> = sqrt(a)|00> + sqrt(1-a)|11> with 1/2 <= a < 1.
-
-    a = 1/2 gives the first Bell state; concurrence is 2 sqrt(a(1-a)).
-    """
-    return from_ket(_psi_a_ket(a))
-
-
-def _a_of_concurrence(c: float) -> float:
-    """The larger Schmidt weight a of the |Psi_a> with concurrence c."""
-    if not 0.0 < c <= 1.0:
-        raise ValueError(f"concurrence must lie in (0, 1], got {c!r}")
-    return min((1.0 + np.sqrt(1.0 - c * c)) / 2.0, np.nextafter(1.0, 0.0))
-
-
-def pure_state_from_concurrence(c: float) -> TwoQubitState:
-    """|Psi_a> with the larger Schmidt weight chosen so that C(|Psi_a>) = c."""
-    return pure_state(_a_of_concurrence(c))
+    """Two-qubit pure state from a 4-component ket (normalized internally):
+    the one-member view of `_ket_densities`."""
+    return from_density(_ket_densities(np.reshape(psi, (1, 4)))[0])
 
 
 def pure_densities(a_values) -> np.ndarray:
-    """|Psi_a><Psi_a| of pure_state(a) for each a, as one (N, 4, 4) stack,
-    without from_density's checks and scaling."""
-    return np.array([_ket_density(_psi_a_ket(a)) for a in a_values],
-                    dtype=complex).reshape(-1, 4, 4)
+    """|Psi_a><Psi_a| of |Psi_a> = sqrt(a)|00> + sqrt(1-a)|11> for each a in
+    [1/2, 1), one (N, 4, 4) stack without from_density's checks and scaling;
+    a ValueError names the first other a."""
+    a = np.asarray(a_values, dtype=float).reshape(-1)
+    bad = ~((0.5 <= a) & (a < 1.0))  # NaN is bad
+    if bad.any():
+        raise ValueError(f"a must lie in [1/2, 1), got {a[bad][0].tolist()!r}")
+    weights = np.stack([a, 0.0 * a, 0.0 * a, 1.0 - a], axis=1)  # of |00>, |01>, |10>, |11>
+    return _ket_densities(np.sqrt(weights))
 
 
 def pure_densities_from_concurrence(cs) -> np.ndarray:
-    """`pure_densities` of the |Psi_a> of pure_state_from_concurrence(c) for each c."""
-    return pure_densities([_a_of_concurrence(c) for c in cs])
+    """`pure_densities` of the |Psi_a> of concurrence c and the larger Schmidt
+    weight a for each c in (0, 1]; a ValueError names the first other c."""
+    c = np.asarray(cs, dtype=float).reshape(-1)
+    bad = ~((0.0 < c) & (c <= 1.0))
+    if bad.any():
+        raise ValueError(f"concurrence must lie in (0, 1], got {c[bad][0].tolist()!r}")
+    return pure_densities(np.minimum((1.0 + np.sqrt(1.0 - c * c)) / 2.0, np.nextafter(1.0, 0.0)))
+
+
+def pure_state(a: float) -> TwoQubitState:
+    """|Psi_a> for one a in [1/2, 1): the one-member view of `pure_densities`;
+    a = 1/2 gives the first Bell state, and the concurrence is 2 sqrt(a(1-a))."""
+    return from_density(pure_densities([a])[0])
+
+
+def pure_state_from_concurrence(c: float) -> TwoQubitState:
+    """|Psi_a> with the larger Schmidt weight chosen so that C(|Psi_a>) = c:
+    the one-member view of `pure_densities_from_concurrence`."""
+    return from_density(pure_densities_from_concurrence([c])[0])
 
 
 _BELL_STATES = tuple(from_ket(k) for k in BELL_KETS)

@@ -7,9 +7,11 @@ one-member paths (`random_kraus`, `validate`, `from_density`, `profile`,
 `concurrence`, `canonicalize`, `numeric_moments`, `teleport_output`)."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -308,3 +310,43 @@ def test_a_bad_family_member_fails_criterion_4(monkeypatch, change, detail):
     result = acceptance.run_criterion(4)
     assert result.passed is False
     assert result.detail.startswith(detail)
+
+
+
+def _raise_a_gadc_build_error():
+    block = families.checked_rows("gadc", {"gamma": [0.5, 2.0], "N": [0.5, 0.5]})
+    acceptance._raise_first(block.errors)
+
+
+@pytest.mark.parametrize("module,name,fail", [
+    (channels, "validate_stack", lambda: acceptance._validated(np.array([[2.0 * np.eye(2)]]))),
+    (states, "density_stack",
+     lambda: acceptance._densities(np.diag([0.7, 0.5, -0.1, -0.1])[None])),
+    (families, "checked_rows", _raise_a_gadc_build_error),
+], ids=["validate_stack", "density_stack", "checked_rows"])
+def test_a_raised_stack_error_is_freed_without_the_collector(monkeypatch, module, name, fail):
+    # a raised error that a list in a frame of its traceback still held would
+    # form a cycle with that traceback, alive until the collector ran, and
+    # keep the stack that made it alive too (the Kraus array of a
+    # validate_stack result, else the result itself)
+    real, stacks, errors = getattr(module, name), [], []
+
+    def spy(*args):
+        out = real(*args)
+        stacks.append(weakref.ref(out[0] if isinstance(out, tuple) else out))
+        return out
+    monkeypatch.setattr(module, name, spy)
+    gc.disable()
+    try:
+        try:
+            fail()
+        except channels.ChannelValidationError as exc:  # plain ValueErrors take no weak reference
+            errors.append(weakref.ref(exc))
+        except ValueError:
+            pass
+        else:
+            pytest.fail("no error was raised")
+        alive = [ref() is not None for ref in stacks + errors]
+    finally:
+        gc.enable()
+    assert len(stacks) == 1 and not any(alive)

@@ -229,6 +229,23 @@ def test_axis_validation():
         Axis("p", 1.0, 0.0, 0.1).values()
 
 
+def test_axis_count_absorbs_the_rounding_of_its_span():
+    # 0.3 / 0.1 is 2.9999999999999996, which floors to 2 without the 1e-9
+    axis = Axis("p", 0.0, 0.3, 0.1)
+    assert (axis.stop - axis.start) / axis.step < 3.0
+    assert axis.count() == 4 and len(axis.values()) == 4
+
+
+def test_sweep_reads_a_unitality_residual_within_eps_cptp_as_unital():
+    # gadc at N = 1/2 + 1e-10 has a unitality residual of about 6e-11: within
+    # EPS_CPTP, but not within 1e-12, so the row must read unital as report does
+    ch = families.noise_channel("gadc", gamma=0.3, N=0.5 + 1e-10)
+    assert 1e-12 < ch.unitality_residual <= channels.EPS_CPTP
+    assert channels.report(ch).unital
+    result = run_sweep(make_spec("gadc", {"N": 0.5 + 1e-10}, [("gamma", 0.3, 0.3, 0.1)]))
+    assert [row[result.header.index("unital")] for row in result.rows] == [True]
+
+
 def assert_same_results(got, expected, where="value"):
     """Every non-float value, type, key and order equal; floats equal to
     within 1e-12, rounding of a different but equivalent computation."""
@@ -967,6 +984,20 @@ def test_search_uqt_reports_each_hit_once():
     names = [h["channel"] for h in rep.hits]
     assert names.count("lambda_star_nu") == 1
     assert all(a != b for i, a in enumerate(rep.hits) for b in rep.hits[i + 1:])
+
+
+def test_search_reports_at_most_max_hits_distinct_hits():
+    # this search finds more than MAX_HITS distinct hits and reports exactly MAX_HITS
+    hits = search_uqt(0.6, budget=1000, seed=1).hits
+    assert len(hits) == explorer.MAX_HITS == 20
+    assert all(a != b for i, a in enumerate(hits) for b in hits[i + 1:])
+
+
+def test_search_reports_at_most_ten_frontier_entries():
+    # the untruncated front of this search has 17 entries
+    frontier = search_uqt(0.2, budget=300, seed=1).frontier
+    assert len(frontier) == 10
+    assert all(a["f_max"] < b["f_max"] for a, b in zip(frontier, frontier[1:]))
 
 
 def test_search_skips_random_candidates_that_land_on_unital_channels(monkeypatch):

@@ -56,6 +56,12 @@ def test_from_density_rejects_negative():
         from_density(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
 
 
+def test_density_stack_rejects_an_eigenvalue_just_below_minus_psd_tol():
+    # the smallest eigenvalue -5e-9 is below -PSD_TOL = -1e-9 but above -1e-8
+    dens = states.density_stack(np.diag([0.5 + 5e-9, 0.3, 0.2, -5e-9])[None])
+    assert dens.errors == ("density matrix has negative eigenvalue -5.000e-09",)
+
+
 def test_from_density_rejects_non_hermitian():
     m = np.diag([0.25] * 4).astype(complex)
     m[0, 1] = 1e-3
@@ -219,6 +225,82 @@ def test_concurrences_of_pure_states_follow_the_formula():
     rho = np.array([pure_state(x).rho for x in a])
     assert np.array_equal(states.density_stack(states.pure_densities(a)).rho, rho)
     assert np.max(np.abs(states.concurrences(rho) - 2.0 * np.sqrt(a * (1.0 - a)))) <= 1e-14
+
+
+def _ket_density_reference(psi):
+    """The per-ket loop the stacked builders replaced: the ket normalized by
+    np.vdot, then np.outer."""
+    v = np.asarray(psi, dtype=complex).reshape(4)
+    v = v / np.sqrt(np.vdot(v, v).real)
+    return np.outer(v, v.conj())
+
+
+def _psi_a_reference(a):
+    """|Psi_a><Psi_a| of one a in [1/2, 1)."""
+    return _ket_density_reference(np.array([np.sqrt(a), 0.0, 0.0, np.sqrt(1.0 - a)], dtype=complex))
+
+
+def _a_of_concurrence_reference(c):
+    """The larger Schmidt weight of the |Psi_a> with concurrence c in (0, 1]."""
+    return min((1.0 + np.sqrt(1.0 - c * c)) / 2.0, np.nextafter(1.0, 0.0))
+
+
+def test_pure_densities_match_the_per_ket_loop_bit_for_bit():
+    rng = np.random.default_rng(30)
+    a = np.concatenate([[0.5, np.nextafter(1.0, 0.0)], rng.uniform(0.5, 1.0, 10_000)])
+    ref = np.array([_psi_a_reference(x) for x in a.tolist()])
+    assert states.pure_densities(a).tobytes() == ref.tobytes()
+    assert states.pure_densities(a.tolist()).tobytes() == ref.tobytes()
+    # c in (0, 1], with c = 1 and a c small enough that a rounds to 1
+    c = np.concatenate([[1.0, 1e-12], 1.0 - rng.uniform(0.0, 1.0, 10_000)])
+    ref = np.array([_psi_a_reference(_a_of_concurrence_reference(x)) for x in c.tolist()])
+    assert states.pure_densities_from_concurrence(c).tobytes() == ref.tobytes()
+    assert states.pure_densities_from_concurrence(c.tolist()).tobytes() == ref.tobytes()
+
+
+def test_from_ket_and_bell_states_match_the_per_ket_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for psi in rng.normal(size=(1000, 4)) + 1j * rng.normal(size=(1000, 4)):
+        ref = from_density(_ket_density_reference(psi))
+        got = states.from_ket(psi)
+        assert got.rho.tobytes() == ref.rho.tobytes()
+        assert got.hs.t_mat.tobytes() == ref.hs.t_mat.tobytes()
+    for k, ket in enumerate(states.BELL_KETS, start=1):
+        ref = from_density(_ket_density_reference(ket))
+        assert bell_state(k).rho.tobytes() == ref.rho.tobytes()
+
+
+def test_one_pure_state_equals_its_stack_member_bit_for_bit():
+    rng = np.random.default_rng(32)
+    a = rng.uniform(0.5, 1.0, 300)
+    c = 1.0 - rng.uniform(0.0, 1.0, 300)
+    for values, one, stack in ((a, pure_state, states.pure_densities),
+                               (c, pure_state_from_concurrence,
+                                states.pure_densities_from_concurrence)):
+        members = states.density_stack(stack(values)).rho
+        for x, member in zip(values.tolist(), members):
+            assert one(x).rho.tobytes() == member.tobytes()
+
+
+@pytest.mark.parametrize("build,value,text", [
+    (pure_state, 0.4, "a must lie in [1/2, 1), got 0.4"),
+    (pure_state, 1.0, "a must lie in [1/2, 1), got 1.0"),
+    (pure_state, float("nan"), "a must lie in [1/2, 1), got nan"),
+    (pure_state_from_concurrence, 0.0, "concurrence must lie in (0, 1], got 0.0"),
+    (pure_state_from_concurrence, 1.5, "concurrence must lie in (0, 1], got 1.5"),
+])
+def test_pure_state_errors_keep_their_one_state_text(build, value, text):
+    with pytest.raises(ValueError) as info:
+        build(value)
+    assert str(info.value) == text
+
+
+def test_pure_density_stacks_name_their_first_bad_value():
+    with pytest.raises(ValueError, match=r"got 0\.3$"):
+        states.pure_densities([0.6, 0.3, 1.2])
+    with pytest.raises(ValueError, match=r"got -0\.5$"):
+        states.pure_densities_from_concurrence(np.array([0.5, -0.5, 2.0]))
+    assert states.pure_densities([]).shape == (0, 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +475,15 @@ def test_profile_delta_range(rng):
         if prof.formula_valid:
             assert 0.0 <= prof.delta <= 0.5
             assert prof.uqt == (prof.useful and prof.universal)
+
+
+def test_verdicts_need_equal_magnitudes_besides_a_small_deviation():
+    # delta = 7.5e-10 is within EPS_UQT, but a1 - a3 = 5e-9 is not: neither
+    # universal nor uqt, though useful
+    v = verdicts(-np.diag([0.5 + 5e-9, 0.5, 0.5])[None])
+    assert v.delta[0] <= states.EPS_UQT < v.abs_t[0, 0] - v.abs_t[0, 2]
+    assert v.useful.tolist() == [True]
+    assert v.universal.tolist() == [False] and v.uqt.tolist() == [False]
 
 
 def _density_of_rank(rng, r, dim=4):
