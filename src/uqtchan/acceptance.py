@@ -111,15 +111,25 @@ def criterion_rank2_never_uqt() -> tuple[bool, str]:
     return hits == 0, f"{hits}/1000 rank-2 channels produced a UQT-useful state"
 
 
+def _profiles(family_id: str, columns: dict, rho: np.ndarray) -> tuple[dict, list]:
+    """A block of catalog rows' recorded params (name -> (N,) floats) and the
+    `states.profiles` of rho (one density matrix, or one per row) after each
+    row's channel, as one stack; raises the first build or validation error."""
+    block = families.checked_rows(family_id, columns)
+    _raise_first(block.errors)
+    final = _densities(channels.bob_action(rho, _validated(block.kraus)[0]))
+    return block.params, states.profiles(states.hs_decompose(final).t_mat)
+
+
 def criterion_werner_threshold() -> tuple[bool, str]:
-    """Usefulness of the Werner output flips at p = 1/2 (bisection 1e-8), and
-    the Werner family gives UQT states with vanishing deviation above it."""
+    """Usefulness of the Werner output flips at p = 1/2 (bisection 1e-8), and the
+    Werner family gives UQT Choi states (one stack) with vanishing deviation above it."""
     res = explorer.find_threshold("werner", "p", (0.3, 0.9), "useful", tol=1e-8)
     err = abs(res.critical_value - 0.5)
     ok = err <= 1e-8
     details = [f"threshold err {err:.2e}"]
-    for p in (0.6, 0.8, 0.95):
-        prof = states.profile(channels.choi(families.werner(p)))
+    ps = (0.6, 0.8, 0.95)
+    for p, prof in zip(ps, _profiles("werner", {"p": ps}, states.bell_state(1).rho)[1]):
         ok &= prof.uqt and prof.delta <= 1e-12
         details.append(f"p={p}: uqt={prof.uqt} delta {_within(prof.delta, 1e-12)}")
     return ok, "; ".join(details)
@@ -151,7 +161,7 @@ def criterion_nonunital_uqt_families() -> tuple[bool, str]:
         worst["abs_t"] = max(worst["abs_t"], float(np.max(np.abs(v.abs_t - t[:, None]))))
         worst["delta"] = max(worst["delta"], float(np.max(v.delta)))
         worst["f"] = max(worst["f"], float(np.max(np.abs(v.f_max - (1.0 + t) / 2.0))))
-        vals = linalg.hermitian_eig(choi).eigenvalues
+        vals = linalg.hermitian_eigenvalues(choi)
         strict = np.all(vals[:, :want_rank - 1] > vals[:, 1:want_rank], axis=1)
         unital = unitality <= channels.EPS_CPTP
         bad = unital | (np.array(ranks) != want_rank) | ~strict | ~v.uqt
@@ -188,11 +198,11 @@ def criterion_named_examples() -> tuple[bool, str]:
 
 def criterion_gadc_law_threshold() -> tuple[bool, str]:
     """Generalized amplitude damping on a Bell input matches its closed forms
-    to 1e-12 and loses usefulness at gamma = 2(sqrt(2)-1) (1e-8)."""
-    bell = states.bell_state(1)
+    to 1e-12 (one stack) and loses usefulness at gamma = 2(sqrt(2)-1) (1e-8)."""
+    gammas = (0.1, 0.5, 0.82)
+    _, profs = _profiles("gadc", {"gamma": gammas, "N": [0.7] * 3}, states.bell_state(1).rho)
     worst = 0.0
-    for gamma in (0.1, 0.5, 0.82):
-        prof = states.profile(channels.apply_to_bob(bell, families.gadc(gamma, 0.7)))
+    for gamma, prof in zip(gammas, profs):
         root = np.sqrt(1.0 - gamma)
         f_ref = 0.5 + (2.0 * root + (1.0 - gamma)) / 6.0
         d_ref = root * (1.0 - root) / (3.0 * S5)
@@ -232,18 +242,15 @@ def _pauli_grid_has_uqt(c: float, n_grid: int = 200) -> bool:
 
 
 def criterion_unital_pure_uqt() -> tuple[bool, str]:
-    """The matched Pauli mixture makes |Psi_a> UQT-useful for concurrences
-    above 1/2, while a 200x200 grid of Pauli mixtures finds none at C = 0.45."""
-    ok = True
-    details = []
-    for c in (0.55, 0.7, 0.9):
-        lo, hi = families.uqt_unital_p0_window(c)
-        ch = families.uqt_unital_for_pure(c, (lo + hi) / 2.0)
-        prof = states.profile(channels.apply_to_bob(states.pure_state_from_concurrence(c), ch))
-        ok &= prof.uqt and prof.delta <= 1e-12
-        details.append(f"C={c}: uqt={prof.uqt}")
+    """The matched Pauli mixture makes |Psi_a> UQT-useful for concurrences above
+    1/2 (one stack), while a 200x200 grid of Pauli mixtures finds none at C = 0.45."""
+    cs = (0.55, 0.7, 0.9)
+    p0s = [(lo + hi) / 2.0 for lo, hi in map(families.uqt_unital_p0_window, cs)]
+    rho = _densities(states.pure_densities_from_concurrence(cs))
+    profs = _profiles("uqt_unital_for_pure", {"c": cs, "p0": p0s}, rho)[1]
     found = _pauli_grid_has_uqt(0.45)
-    ok &= not found
+    ok = all(prof.uqt and prof.delta <= 1e-12 for prof in profs) and not found
+    details = [f"C={c}: uqt={prof.uqt}" for c, prof in zip(cs, profs)]
     details.append(f"grid search at C=0.45 found UQT: {found}")
     return ok, "; ".join(details)
 
@@ -289,42 +296,38 @@ _NOISE_POINTS: dict[str, tuple[dict, dict]] = {
 _NOISE_UQT_YES = ("depolarizing_m", "depolarizing_nm")
 
 
-def _noise_closed_forms(fam: str, ch: channels.QubitChannel) -> tuple[float, float]:
-    p = ch.params.get("p")
+def _noise_closed_forms(fam: str, params: dict) -> tuple[float, float]:
+    """F and deviation of the Bell output of a noise row, from its recorded params."""
+    p = params.get("p")
     if fam in ("depolarizing_m",):
         return 1.0 - 2.0 * p / 3.0, 0.0
     if fam == "depolarizing_nm":
-        alpha = ch.params["alpha"]
-        return 1.0 - (2.0 * p / 3.0) * (1.0 + 3.0 * alpha * (1.0 - p)), 0.0
+        return 1.0 - (2.0 * p / 3.0) * (1.0 + 3.0 * params["alpha"] * (1.0 - p)), 0.0
     if fam in ("dephasing_m", "pln_m", "oun_m", "pln_nm", "oun_nm", "rtn_nm"):
-        f, d = _dephasing_law(1.0 - p)  # identity weight is 1 - p here
-        return f, d
+        return _dephasing_law(1.0 - p)  # identity weight is 1 - p here
     if fam == "dephasing_nm":
-        alpha = ch.params["alpha"]
-        f, d = _dephasing_law(1.0 - p * (1.0 + alpha * (1.0 - p)))
-        return f, d
+        return _dephasing_law(1.0 - p * (1.0 + params["alpha"] * (1.0 - p)))
     if fam in ("adc_m", "adc_nm"):
         root = np.sqrt(1.0 - p)
         return 0.5 + (2.0 * root + 1.0 - p) / 6.0, root * (1.0 - root) / (3.0 * S5)
     if fam == "unruh":
-        cr = np.cos(ch.params["r"])
+        cr = np.cos(params["r"])
         return 0.5 + (cr * cr + 2.0 * cr) / 6.0, (cr - cr * cr) / (3.0 * S5)
     raise ValueError(fam)
 
 
 def criterion_noise_catalog() -> tuple[bool, str]:
     """Each of the 12 physical-noise rows matches its closed-form fidelity and
-    deviation at two in-range points to 1e-10, and only the two depolarizing
-    rows ever leave the Bell output UQT-useful."""
+    deviation at two in-range points (one stack) to 1e-10, and only the two
+    depolarizing rows ever leave the Bell output UQT-useful."""
     bell = states.bell_state(1)
     ok = True
     worst = 0.0
     bad = []
     for fam, points in _NOISE_POINTS.items():
-        for params in points:
-            ch = families.noise_channel(fam, **params)
-            prof = states.profile(channels.apply_to_bob(bell, ch))
-            f_ref, d_ref = _noise_closed_forms(fam, ch)
+        recorded, profs = _profiles(fam, {k: [pt[k] for pt in points] for k in points[0]}, bell.rho)
+        for r, (params, prof) in enumerate(zip(points, profs)):
+            f_ref, d_ref = _noise_closed_forms(fam, {k: float(v[r]) for k, v in recorded.items()})
             err = max(abs(prof.f_max - f_ref), abs(prof.delta - d_ref))
             worst = max(worst, err)
             want_uqt = fam in _NOISE_UQT_YES

@@ -107,8 +107,8 @@ def final_correlations(rho: np.ndarray, choi_coef: np.ndarray) -> np.ndarray:
 
 def validate_stack(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
     """Check a ready (N, k, 2, 2) Kraus stack, each member as `validate`
-    checks one, with one Choi contraction and one hermitian_eig for all of
-    them; completeness and unitality are read off the marginals of the
+    checks one, with one Choi contraction and one hermitian_eigenvalues for
+    all of them; completeness and unitality are read off the marginals of the
     trace-1 Choi matrix J, 2 Tr_B J = (sum K^dag K)^T and 2 Tr_A J = sum K K^dag.
 
     Returns the read-only stack, a non-finite member zeroed (a zero
@@ -138,7 +138,7 @@ def validate_stack(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, np.
                 f"completeness violated: ||sum K^dag K - I||_max = {res:.3e}", residual=res)
     live = [i for i, out in enumerate(outcomes) if out is None]
     # completeness bounds every Kraus entry by about 1, so each Choi matrix is
-    # finite and Hermitian to rounding and hermitian_eig rejects none of them
+    # finite and Hermitian to rounding: the eigensolver's gate rejects none
     dens = states.density_stack(j[live])
     for i, rank, err in zip(live, linalg.rank(dens.eigenvalues).tolist(), dens.errors):
         outcomes[i] = rank if err is None else \

@@ -7,7 +7,7 @@ draws from its own Philox stream keyed on the pair (seed mod 2**64, i), one
 Philox per search re-keyed for each sample, so reports are reproducible
 byte for byte for a given spec and seed and different seeds give
 independent streams. One row engine classifies a sweep's SWEEP_BLOCK grid
-rows as one stack and a threshold's points one by one; a search's
+rows as one stack and a threshold's points in tree blocks; a search's
 SEARCH_BLOCK candidates, random channels among them (one
 `channels.isometry_kraus` QR per rank per block), are classified by the
 same helper, which applies each channel once, when it validates it, and
@@ -33,6 +33,8 @@ MAX_GRID_ROWS = 10**6
 #: grid rows of a sweep validated, applied and classified together; a
 #: constant, so the stacks, and the memory, stay the same size for any grid
 SWEEP_BLOCK = 1024
+#: bisection steps per threshold block, which holds every midpoint they could visit
+TREE_LEVELS = 4
 
 PREDICATES = ("useful", "universal", "uqt")
 
@@ -316,13 +318,15 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
     The bracket must be two finite increasing numbers and tol a finite positive
     number (bool is no number here), fixed a dict or None, the predicate (one of
     PREDICATES) must differ at the two bracket endpoints, and no fixed param may
-    name `param`, directly or by alias; else, or at a point that builds no
-    channel, SweepSpecError is raised. Bisection stops at width tol, or sooner
-    when no float lies strictly inside the bracket. For the matched-concurrence
-    families the initial state defaults to the matched |Psi_a>; for
-    lambda_tilde_nu swept in concurrence, p2 is placed at the midpoint of its
-    useful window when that window is non-empty (any valid p2 below threshold
-    leaves the predicate false).
+    name `param`, directly or by alias; else, or at a point on the path that
+    builds no channel, SweepSpecError is raised. Bisection stops at width tol,
+    or sooner when no float lies strictly inside the bracket. The ends, then
+    all midpoints of the next TREE_LEVELS steps, go as one block each; the
+    steps read only their path's rows, so the result is that of one step at
+    a time, bit for bit. For the matched-concurrence families the initial
+    state defaults to the matched |Psi_a>; for lambda_tilde_nu swept in
+    concurrence, p2 is placed at the midpoint of its useful window when that
+    window is non-empty (any valid p2 below threshold leaves the predicate false).
     """
     try:
         lo, hi = (channels.json_number(x) for x in bracket)
@@ -346,33 +350,47 @@ def find_threshold(family_id: str, param: str, bracket: tuple[float, float],
         initial = ("matched" if family_id in families.MATCHED_CONCURRENCE_IDS else "bell1")
     initial = _resolve_initial(initial, family_id)
 
-    def point_columns(x: float) -> dict:
-        columns = {**fixed, name: [x]}
+    def point_columns(xs: list) -> dict:
+        columns = {**{key: col * len(xs) for key, col in fixed.items()}, name: xs}
         if family_id == "lambda_tilde_nu" and "p2" not in fixed and name == "p1":
             # outside (0, 1), p1's range check rejects x whatever p2 is
-            lo, hi = (1.0 / (3.0 * x), families.lambda_tilde_p2_max(x)) if 0.0 < x < 1.0 else (0, 1)
-            columns["p2"] = [(lo + hi) / 2.0 if lo < hi else 0.5 * hi]
+            windows = [(1.0 / (3.0 * x), families.lambda_tilde_p2_max(x)) if 0.0 < x < 1.0
+                       else (0, 1) for x in xs]
+            columns["p2"] = [(lo + hi) / 2.0 if lo < hi else 0.5 * hi for lo, hi in windows]
         return columns
 
-    def value(x: float) -> bool:  # classified as a sweep row is, as a block of one row
-        (error,), cols, *_ = _classify_rows(family_id, point_columns(x), initial)
-        if error:
-            raise SweepSpecError(f"{param} = {x!r}: {error}")
-        return cols[predicate][0]
+    rows: dict = {}  # x -> its predicate value or its row's error text, once classified
 
-    v_lo, v_hi = value(lo), value(hi)
+    def classify(xs: list) -> None:  # the points, classified as sweep rows are, as one block
+        errors, cols, *_ = _classify_rows(family_id, point_columns(xs), initial)
+        values = iter(cols[predicate])
+        rows.update({x: err or next(values) for x, err in zip(xs, errors)})
+
+    def verdict(x: float) -> bool:  # a failed row raises only when read
+        if isinstance(rows[x], str):
+            raise SweepSpecError(f"{param} = {x!r}: {rows[x]}")
+        return rows[x]
+
+    def split(lo: float, hi: float) -> float | None:  # None at width tol or adjacent floats
+        mid = (lo + hi) / 2.0
+        return mid if hi - lo > tol and lo < mid < hi else None
+
+    def midpoints(lo: float, hi: float, levels: int):  # all the next `levels` steps could visit
+        if levels and (mid := split(lo, hi)) is not None:
+            yield mid
+            yield from midpoints(lo, mid, levels - 1)
+            yield from midpoints(mid, hi, levels - 1)
+
+    classify([lo, hi])
+    v_lo, v_hi = verdict(lo), verdict(hi)
     if v_lo == v_hi:
         raise SweepSpecError(
             f"predicate {predicate!r} is {v_lo} at both bracket endpoints "
             f"[{lo}, {hi}]; no threshold to bisect")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent floats
-        if value(mid) == v_lo:
-            lo = mid
-        else:
-            hi = mid
+    while block := list(midpoints(lo, hi, TREE_LEVELS)):
+        classify(block)  # the steps read the rows on their path, no other
+        while (mid := split(lo, hi)) in rows:
+            lo, hi = (mid, hi) if verdict(mid) == v_lo else (lo, mid)
     return ThresholdResult(param=param, critical_value=(lo + hi) / 2.0,
                            bracket_width=hi - lo, predicate=predicate, low=lo, high=hi)
 

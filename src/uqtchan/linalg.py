@@ -1,8 +1,8 @@
 """Dense complex linear algebra for one- and two-qubit operators.
 
 Everything operates on plain numpy arrays of shape (2, 2) or (4, 4); the
-Hermitian eigensolver also takes a stack of them, shape (..., n, n). It is
-the finite and Hermitian gate plus one LAPACK call (np.linalg.eigh);
+Hermitian eigensolvers also take a stack of them, shape (..., n, n): one finite
+and Hermitian gate, then np.linalg.eigh where an eigenbasis is read, eigvalsh elsewhere;
 `canonical_eigenvectors` fixes the eigenbases of a stack where Kraus
 operators are built from them, so they do not depend on the LAPACK build.
 """
@@ -82,26 +82,35 @@ def rank(eigenvalues) -> int | np.ndarray:
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
-def hermitian_eig(m) -> EigenDecomp:
-    """Eigendecomposition of a Hermitian 2x2 or 4x4 matrix, or of every
-    matrix of a stack (..., n, n), by one LAPACK call on the Hermitian part.
-
-    Rejects non-finite entries and non-Hermitian input with ValueError; for
-    a stack, one bad member rejects the whole stack. A matrix gets the same
-    decomposition alone as inside a stack.
-    """
+def _hermitian_part(m) -> np.ndarray:
+    """(M + M^dag) / 2 of a 2x2 or 4x4 matrix or stack (..., n, n) that passes the gate: a
+    non-finite entry or ||M - M^dag||_max > EPS_HERM raises ValueError, for a whole stack."""
     a = _as_square(m)
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    res = float(np.abs(a - dagger(a)).max(initial=0.0))  # ||M - M^dag||_max, 0 if empty
+    res = float(np.abs(a - dagger(a)).max(initial=0.0))  # 0 if empty
     if res > EPS_HERM:
         raise ValueError(f"matrix is not Hermitian within {EPS_HERM:g} (residual {res:.3e})")
-    vals, vecs = np.linalg.eigh((a + dagger(a)) / 2.0)
+    return (a + dagger(a)) / 2.0
+
+
+def hermitian_eig(m) -> EigenDecomp:
+    """Eigendecomposition of a Hermitian 2x2 or 4x4 matrix or stack by one eigh call on
+    `_hermitian_part`; a matrix gets the same decomposition alone as inside a stack."""
+    vals, vecs = np.linalg.eigh(_hermitian_part(m))
     vals = vals[..., ::-1].copy()
     vecs = vecs[..., ::-1].copy()
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return EigenDecomp(eigenvalues=vals, eigenvectors=vecs)
+
+
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """`hermitian_eig`'s eigenvalues alone, (..., n), descending and read-only, by one
+    eigvalsh call, which computes no eigenvectors; the same alone as inside a stack."""
+    vals = np.linalg.eigvalsh(_hermitian_part(m))[..., ::-1].copy()
+    vals.setflags(write=False)
+    return vals
 
 
 def _eigenspace_basis(q: np.ndarray) -> np.ndarray:
@@ -147,4 +156,4 @@ def canonical_eigenvectors(eigenvalues, eigenvectors) -> np.ndarray:
 
 def numeric_rank(m) -> int:
     """`rank` of the spectrum of a Hermitian PSD matrix (0 for the zero matrix)."""
-    return rank(hermitian_eig(m).eigenvalues)
+    return rank(hermitian_eigenvalues(m))

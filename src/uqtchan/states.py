@@ -104,10 +104,10 @@ class DensityStack:
 
 
 def density_stack(m) -> DensityStack:
-    """Check a stack (N, 4, 4) of density matrices with one hermitian_eig
-    call and scale each to trace 1.
+    """Check a stack (N, 4, 4) of density matrices with one
+    hermitian_eigenvalues call and scale each to trace 1.
 
-    hermitian_eig rejects the whole stack if a member is non-finite or
+    hermitian_eigenvalues rejects the whole stack if a member is non-finite or
     non-Hermitian; callers stack matrices that are both by construction.
     A member's trace must be 1 within TRACE_TOL and its spectrum, scaled to
     trace 1, non-negative within PSD_TOL. The stored rho is the Hermitian
@@ -116,7 +116,7 @@ def density_stack(m) -> DensityStack:
     rho = np.ascontiguousarray(m, dtype=complex)  # the trace sums in memory order
     if rho.ndim != 3 or rho.shape[1:] != (4, 4):
         raise ValueError(f"expected a stack of 4x4 matrices, got shape {rho.shape}")
-    eigenvalues = linalg.hermitian_eig(rho).eigenvalues
+    eigenvalues = linalg.hermitian_eigenvalues(rho)
     traces = rho.trace(axis1=1, axis2=2).real
     bad_trace = np.abs(traces - 1.0) > TRACE_TOL
     tr = np.where(bad_trace, 1.0, traces)  # never divide by a rejected, possibly zero, trace
@@ -134,7 +134,7 @@ def density_stack(m) -> DensityStack:
 def from_density(m) -> TwoQubitState:
     """Validate a 4x4 density matrix; attach its Pauli decomposition.
 
-    The one-member view of `density_stack`: hermitian_eig rejects
+    The one-member view of `density_stack`: hermitian_eigenvalues rejects
     non-finite and non-Hermitian input, and the trace and PSD checks raise
     ValueError; the stored rho is the Hermitian part scaled to trace 1."""
     rho = np.asarray(m, dtype=complex)

@@ -580,6 +580,102 @@ def test_threshold_arguments_end_in_a_result_or_a_spec_error(data, family_id):
     assert res.bracket_width <= tol or res.high == np.nextafter(res.low, np.inf)
 
 
+def serial_threshold(family_id, param, bracket, predicate, tol=1e-8, fixed=None, initial=None):
+    """The bisection one step at a time, each midpoint classified as a block
+    of one row: the reference for find_threshold's tree blocks."""
+    lo, hi = bracket
+    fixed = {key: [value] for key, value in (fixed or {}).items()}
+    *_, name = families.resolve_keys(family_id, [*fixed, param])
+    if initial is None:
+        initial = "matched" if family_id in families.MATCHED_CONCURRENCE_IDS else "bell1"
+    initial = explorer._resolve_initial(initial, family_id)
+
+    def value(x):
+        columns = {**fixed, name: [x]}
+        if family_id == "lambda_tilde_nu" and "p2" not in fixed and name == "p1":
+            a, b = (1.0 / (3.0 * x), families.lambda_tilde_p2_max(x)) if 0.0 < x < 1.0 else (0, 1)
+            columns["p2"] = [(a + b) / 2.0 if a < b else 0.5 * b]
+        (error,), cols, *_ = explorer._classify_rows(family_id, columns, initial)
+        if error:
+            raise SweepSpecError(f"{param} = {x!r}: {error}")
+        return cols[predicate][0]
+
+    v_lo, v_hi = value(lo), value(hi)
+    assert v_lo != v_hi
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break
+        if value(mid) == v_lo:
+            lo = mid
+        else:
+            hi = mid
+    return explorer.ThresholdResult(param=param, critical_value=(lo + hi) / 2.0,
+                                    bracket_width=hi - lo, predicate=predicate, low=lo, high=hi)
+
+
+_TREE_CASES = [(*case[:5], tol) for tol in (1e-8, 1e-20)
+               for case in load_script("run_threshold_suite").CASES]
+_TREE_CASES += [("lambda_star_nu", "C", (0.05, 0.99), "uqt", {}, 1e-12),
+                ("dephasing", "p", (0.5, 1.0), "useful", {}, 1e-8, "pure:0.7")]
+
+
+@pytest.mark.parametrize("case", _TREE_CASES,
+                         ids=[f"{c[0]}-{c[5]:g}" + (f"-{c[6]}" if len(c) > 6 else "")
+                              for c in _TREE_CASES])
+def test_threshold_tree_blocks_give_the_serial_result(case):
+    family_id, param, bracket, predicate, fixed, tol, *initial = case
+    args = (family_id, param, bracket, predicate, tol, fixed, *initial)
+    got, want = find_threshold(*args), serial_threshold(*args)
+    assert [x.hex() for x in (got.low, got.high, got.critical_value, got.bracket_width)] \
+        == [x.hex() for x in (want.low, want.high, want.critical_value, want.bracket_width)]
+    assert got == want
+
+
+def _werner_failing_between(monkeypatch, low, high):
+    """Make every werner row with p strictly inside (low, high) a row error."""
+    fam = families.FAMILIES["werner"]
+
+    def build(p):
+        kraus, recorded, errors = fam.build(p)
+        errors.update({r: ValueError(f"werner: planted failure at p = {x!r}")
+                       for r, x in enumerate(p.tolist()) if low < x < high})
+        return kraus, recorded, errors
+    monkeypatch.setitem(families.FAMILIES, "werner", dataclasses.replace(fam, build=build))
+
+
+def test_threshold_ignores_a_failed_row_off_the_path(monkeypatch):
+    # the first tree block holds 0.825, inside the window, for any TREE_LEVELS
+    # >= 3, and the steps from (0.3, 0.9) never go above 0.6
+    want = find_threshold("werner", "p", (0.3, 0.9), "useful")
+    _werner_failing_between(monkeypatch, 0.80, 0.85)
+    with pytest.raises(SweepSpecError, match="planted failure"):
+        find_threshold("werner", "p", (0.3, 0.825), "useful")  # the check is live
+    assert find_threshold("werner", "p", (0.3, 0.9), "useful") == want
+
+
+def test_threshold_raises_the_serial_error_of_a_failed_row_on_the_path(monkeypatch):
+    _werner_failing_between(monkeypatch, 0.59, 0.61)
+    with pytest.raises(SweepSpecError) as serial:
+        serial_threshold("werner", "p", (0.3, 0.9), "useful")
+    with pytest.raises(SweepSpecError) as tree:
+        find_threshold("werner", "p", (0.3, 0.9), "useful")
+    assert str(tree.value) == str(serial.value) == "p = 0.6: werner: planted failure at p = 0.6"
+
+
+def test_threshold_takes_a_few_tree_blocks(monkeypatch):
+    blocks = []
+    classify = explorer._classify_rows
+
+    def spy(family_id, columns, initial):
+        blocks.append(len(columns["p"]))
+        return classify(family_id, columns, initial)
+    monkeypatch.setattr(explorer, "_classify_rows", spy)
+    find_threshold("werner", "p", (0.3, 0.9), "useful")
+    assert len(blocks) <= 8  # one row per step would be 28 blocks
+    assert blocks[0] == 2 and max(blocks) <= 2 ** explorer.TREE_LEVELS - 1
+
+
 # ---------------------------------------------------------------------------
 # randomized search
 # ---------------------------------------------------------------------------

@@ -287,6 +287,56 @@ def test_eig_stack_rejects_one_bad_member(rng, defect, match):
         linalg.hermitian_eig(stack)
 
 
+def _states_of_each_rank(rng, per_rank=1000):
+    """per_rank trace-1 states of each rank 1-4, g g^dag / Tr for a 4 x rank
+    complex Gaussian g, then I/4, a Bell state and diag(1/2, 1/2, 0, 0)."""
+    mats = []
+    for rank in (1, 2, 3, 4):
+        g = rng.normal(size=(per_rank, 4, rank)) + 1j * rng.normal(size=(per_rank, 4, rank))
+        rho = g @ g.conj().swapaxes(1, 2)
+        mats.append(rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None])
+    bell = np.zeros((4, 4), dtype=complex)
+    bell[np.ix_([0, 3], [0, 3])] = 0.5
+    mats.append(np.array([I4 / 4, bell, np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)]))
+    return np.concatenate(mats)
+
+
+def test_eigenvalues_match_the_eigendecomposition(rng):
+    stack = _states_of_each_rank(rng)
+    vals = linalg.hermitian_eigenvalues(stack)
+    ref = linalg.hermitian_eig(stack).eigenvalues
+    assert vals.shape == ref.shape == (4003, 4) and not vals.flags.writeable
+    assert np.max(np.abs(vals - ref)) <= 1e-15
+    assert np.array_equal(linalg.rank(vals), linalg.rank(ref))
+    assert linalg.rank(vals).tolist() == [1] * 1000 + [2] * 1000 + [3] * 1000 + [4] * 1000 \
+        + [4, 1, 2]
+
+
+def test_eigenvalues_of_a_matrix_alone_are_its_eigenvalues_in_a_stack(rng):
+    stack = np.concatenate([_states_of_each_rank(rng, per_rank=5), _spectrum_stack(rng)])
+    vals = linalg.hermitian_eigenvalues(stack)
+    for m, v in zip(stack, vals):
+        assert linalg.hermitian_eigenvalues(m).tobytes() == v.tobytes()
+    assert linalg.hermitian_eigenvalues(SX).tolist() == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("defect", ["nan", "skew"])
+def test_eigenvalues_share_the_gate_of_the_eigendecomposition(rng, defect):
+    stack = _spectrum_stack(rng)
+    if defect == "nan":
+        stack[2, 1, 1] = np.nan
+    else:
+        stack[2, 0, 1] += 1e-6
+    texts = []
+    for solver in (linalg.hermitian_eig, linalg.hermitian_eigenvalues):
+        for m in (stack, stack[2]):
+            with pytest.raises(ValueError) as info:
+                solver(m)
+            texts.append(str(info.value))
+    assert len(set(texts)) == 1
+    assert texts[0].startswith("matrix has non-finite" if defect == "nan" else "matrix is not Hermitian")
+
+
 def test_partial_trace_stack(rng):
     stack = np.array([random_density(rng, 4) for _ in range(5)])
     for keep in (1, 2):
