@@ -41,6 +41,9 @@ _PAULI_STACK = np.array(PAULIS)
 _PROJ = np.array([np.outer(k, k.conj()) for k in BELL_KETS]).reshape(4, 2, 2, 2, 2)
 _REGISTER = np.einsum("kyzia,kcb,kde->iycdabze", _PROJ, np.array(CORRECTIONS),
                       np.array(CORRECTIONS).conj()).reshape(2, 2, 2, 2, 16)
+#: the protocol's Pauli response W[r, (i j)] = Tr(sigma_i L[sigma_j]) per entry r of rho,
+#: (16, 4, 4) as (16, 16): G = Re(rho W) for every shared state
+_RESPONSE = np.einsum("icd,jxy,xydcr->rij", _PAULI_STACK, _PAULI_STACK, _REGISTER).reshape(16, 16)
 #: (sigma_i sigma_x sigma_j)[a, d], i, j = 1..3, as (9, 16): the SU(2) lift with O left open
 _LIFT = np.einsum("iab,xbc,jcd->ijxad", _PAULI_STACK[1:], _PAULI_STACK,
                   _PAULI_STACK[1:]).reshape(9, 16)
@@ -93,7 +96,7 @@ class QuadratureSpec:
 #: exact, built once: f^2 has degree 4 in the Bloch vector, and 3 Gauss-Legendre
 #: nodes (exact to degree 5) times 5 phi points (to harmonic 4) integrate it
 EXACT_RULE = QuadratureSpec(3, 5).nodes()
-for _m in (_PAULI_STACK, _REGISTER, _LIFT, *EXACT_RULE):
+for _m in (_PAULI_STACK, _REGISTER, _RESPONSE, _LIFT, *EXACT_RULE):
     _m.setflags(write=False)
 
 
@@ -105,8 +108,8 @@ class NumericMoments:
 
 def fidelities(rho: np.ndarray, bloch: np.ndarray) -> np.ndarray:
     """Protocol fidelities (N, Q) through shared states (N, 4, 4) for input Bloch
-    vectors (Q, 3): (1, n) G (1, n)^T / 4 with G_ij = Tr(sigma_i L[sigma_j])."""
-    g = np.einsum("iab,njba->nij", _PAULI_STACK, _protocol(rho, _PAULI_STACK)).real
+    vectors (Q, 3): (1, n) G (1, n)^T / 4, G = Re(rho W) by one product per member."""
+    g = (rho.reshape(len(rho), 1, 16) @ _RESPONSE).real.reshape(len(rho), 4, 4)
     v = np.column_stack([np.ones(len(bloch)), bloch])
     return 0.25 * np.einsum("qi,nij,qj->nq", v, g, v)
 
@@ -136,8 +139,9 @@ def numeric_moments(shared: TwoQubitState, quad: QuadratureSpec | None = None) -
 def _su2_from_rotation(o: np.ndarray) -> np.ndarray:
     """Lift proper rotations O (..., 3, 3) to SU(2): with sigma'_j = sum_i O_ij
     sigma_i and sigma'_0 = I, sum_j sigma'_j X sigma_j = 2 Tr(U^dag X) U for
-    every X; the Pauli X with the largest sum, scaled to det 1, is U up to sign."""
-    sums = _PAULI_STACK + (o.reshape(o.shape[:-2] + (9,)) @ _LIFT).reshape(o.shape[:-2] + (4, 2, 2))
+    every X; the Pauli X with the largest sum, scaled to det 1, is U up to sign.
+    One product per member: BLAS would spread a large stack's 2-D product over threads."""
+    sums = _PAULI_STACK + (o.reshape(o.shape[:-2] + (1, 9)) @ _LIFT).reshape(o.shape[:-2] + (4, 2, 2))
     best = np.argmax(np.linalg.norm(sums, axis=(-2, -1)), axis=-1)
     m = np.take_along_axis(sums, best[..., None, None, None], axis=-3)[..., 0, :, :]
     return m / np.sqrt(np.linalg.det(m))[..., None, None]
@@ -156,13 +160,14 @@ def canonical_densities(rho: np.ndarray, t_mat: np.ndarray
     # T = U diag(s) V^T: the proper rotations diag(f) U^T and diag(g) V^T give
     # T_C = diag(s1, -s2, -det(U) det(V) s3), whose exact factor parities are
     # sign(det T) where s3 > 0, also when det T underflows
-    det_u, det_v = np.round(np.linalg.det(u_svd)), np.round(np.linalg.det(vt_svd))
-    ones = np.ones_like(det_u)
-    f = np.stack([ones, ones, det_u], axis=-1)
-    g = np.stack([ones, -ones, -det_v], axis=-1)
-
-    u1 = _su2_from_rotation(f[:, :, None] * u_svd.swapaxes(-1, -2))
-    u2 = _su2_from_rotation(g[:, :, None] * vt_svd)
+    uv = np.stack((u_svd.swapaxes(-1, -2), vt_svd))  # U^T and V^T, (2, N, 3, 3)
+    a, b, c, d, e, f, g, h, i = uv.reshape(2, -1, 9).transpose(2, 0, 1)
+    # det U and det V, exactly +-1: the rounded triple product of the rows
+    det = np.round(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
+    signs = np.ones(uv.shape[:-1])  # f = (1, 1, det U) and g = (1, -1, -det V)
+    signs[1, :, 1:] = -1.0
+    signs[..., 2] *= det
+    u1, u2 = _su2_from_rotation(signs[..., None] * uv)
     # np.kron(u1, u2) of each member, by broadcasting: the same bits as np.kron
     big = (u1[:, :, None, :, None] * u2[:, None, :, None, :]).reshape(-1, 4, 4)
     out = big @ rho @ dagger(big)

@@ -117,18 +117,19 @@ def density_stack(m) -> DensityStack:
     if rho.ndim != 3 or rho.shape[1:] != (4, 4):
         raise ValueError(f"expected a stack of 4x4 matrices, got shape {rho.shape}")
     eigenvalues = linalg.hermitian_eigenvalues(rho)
-    traces = rho.trace(axis1=1, axis2=2).real
+    traces = rho.diagonal(0, 1, 2).sum(axis=1).real  # the trace, without its dispatch
     bad_trace = np.abs(traces - 1.0) > TRACE_TOL
     tr = np.where(bad_trace, 1.0, traces)  # never divide by a rejected, possibly zero, trace
     vals = eigenvalues / tr[:, None]
     vals.setflags(write=False)
-    errors = tuple(
-        f"density matrix trace {t!r} differs from 1 beyond {TRACE_TOL:g}" if bad
-        else f"density matrix has negative eigenvalue {low:.3e}" if low < -PSD_TOL else None
-        for t, bad, low in zip(traces.tolist(), bad_trace.tolist(), vals[:, -1].tolist()))
+    low = vals[:, -1]
+    errors = [None] * len(rho)
+    for i in (bad_trace | (low < -PSD_TOL)).nonzero()[0].tolist():  # the rejected members only
+        errors[i] = f"density matrix trace {traces[i].item()!r} differs from 1 beyond {TRACE_TOL:g}" \
+            if bad_trace[i] else f"density matrix has negative eigenvalue {low[i].item():.3e}"
     rho = (rho + rho.conj().swapaxes(1, 2)) / (2.0 * tr)[:, None, None]
     rho.setflags(write=False)
-    return DensityStack(rho=rho, eigenvalues=vals, errors=errors)
+    return DensityStack(rho=rho, eigenvalues=vals, errors=tuple(errors))
 
 
 def from_density(m) -> TwoQubitState:

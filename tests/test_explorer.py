@@ -3,14 +3,19 @@ import gc
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtchan import channels, cli, explorer, families, oracle, states
+import uqtchan
+from uqtchan import acceptance, channels, cli, explorer, families, oracle, states
 from uqtchan.explorer import (
     CSV_FIELDS,
     Axis,
@@ -378,6 +383,98 @@ def test_sweep_oracle_counts_a_final_state_it_rejects(monkeypatch, tmp_path, cap
     path.write_text(json.dumps(doc))
     assert cli.main(["sweep", str(path)]) == 4
     assert "error: 1 oracle disagreements" in capsys.readouterr().err
+
+
+def _random_rows(rank, count=12, seed=7):
+    """Literal final states of random complex rank-`rank` channels on random
+    mixed inputs, and their f_max and delta columns from the transfer-matrix
+    classifier, which never calls bob_action."""
+    rng = np.random.default_rng(seed + rank)
+    rho = np.array([acceptance._random_density_matrix(rng) for _ in range(count)])
+    stack, choi, _, _ = channels.validate_stack(channels.isometry_stack(
+        [rng.normal(size=(2, 2 * rank, 2)) for _ in range(count)]))
+    cols = states.profile_columns(states.verdicts(
+        channels.final_correlations(rho, states.pauli_coefficients(choi))))
+    assert any(cols["formula_valid"])
+    return rho, stack, cols["f_max"], cols["delta"]
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_oracle_catches_a_wrong_channel_action(monkeypatch, rank):
+    # K^T in place of K^dag, and K* in place of K so the output stays a
+    # state: on complex Kraus operators and inputs this is another channel,
+    # whose final states the protocol simulation tells apart
+    rho, stack, f_max, delta = _random_rows(rank)
+    assert explorer.oracle_disagreements(channels.bob_action(rho, stack), f_max, delta) == 0
+    real = channels.bob_action
+    monkeypatch.setattr(channels, "bob_action", lambda rho, ks: real(rho, np.conj(ks)))
+    assert explorer.oracle_disagreements(channels.bob_action(rho, stack), f_max, delta) > 0
+
+
+def test_oracle_catches_a_wrong_pauli_response(monkeypatch):
+    # the response rebuilt with the corrections of outcomes 2 and 4 swapped:
+    # every sweep row through a Bell state and some random rows disagree
+    corrections = np.array(oracle.CORRECTIONS)[[0, 3, 2, 1]]
+    register = np.einsum("kyzia,kcb,kde->iycdabze", oracle._PROJ, corrections,
+                         corrections.conj()).reshape(2, 2, 2, 2, 16)
+    paulis = oracle._PAULI_STACK
+    response = np.einsum("icd,jxy,xydcr->rij", paulis, paulis, register).reshape(16, 16)
+    assert not np.array_equal(response, oracle._RESPONSE)
+    spec = make_spec("gadc", {"N": 0.1}, [("gamma", 0.0, 0.9, 0.1)])
+    rho, stack, f_max, delta = _random_rows(4)
+    assert run_sweep(spec).oracle_failures == 0
+    monkeypatch.setattr(oracle, "_RESPONSE", response)
+    assert run_sweep(spec).oracle_failures == 10
+    assert explorer.oracle_disagreements(channels.bob_action(rho, stack), f_max, delta) > 0
+
+
+def test_sweep_of_error_rows_only_checks_an_empty_oracle_stack():
+    spec = make_spec("gadc", {"N": 0.2}, [("gamma", 1.1, 1.3, 0.1)])
+    result = run_sweep(spec)
+    assert len(result.rows) == 3 and all(row[-1] for row in result.rows)
+    assert result.oracle_failures == 0
+
+
+#: run_sweep on a 64 x 32 gadc grid, two SWEEP_BLOCK blocks, after a warm-up,
+#: three times: the least process CPU time and the wall time of that run
+_CPU_SCRIPT = """
+import json, time
+from uqtchan import explorer
+spec = explorer.SweepSpec.from_jsonable({"family": {"id": "gadc"}, "initial": "bell1", "axes": [
+    {"param": "gamma", "start": 0.0, "stop": 0.63, "step": 0.01},
+    {"param": "N", "start": 0.0, "stop": 0.31, "step": 0.01}]})
+explorer.run_sweep(explorer.SweepSpec.from_jsonable({"family": {"id": "gadc", "params": {"N": 0.1}},
+    "initial": "bell1", "axes": [{"param": "gamma", "start": 0.0, "stop": 0.63, "step": 0.01}]}))
+runs = []
+for _ in range(3):
+    wall, cpu = time.perf_counter(), time.process_time()
+    rows = len(explorer.run_sweep(spec).rows)
+    runs.append((time.process_time() - cpu, time.perf_counter() - wall, rows))
+print(json.dumps(min(runs)))
+"""
+
+
+def _sweep_cpu(pin):
+    env = {key: value for key, value in os.environ.items()
+           if not key.endswith(("_NUM_THREADS", "_MAXIMUM_THREADS"))}
+    if pin:
+        env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = str(Path(uqtchan.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _CPU_SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_sweep_keeps_to_one_cpu_without_pinned_blas_threads():
+    # with the BLAS thread variables unset, as for a command-line user, no
+    # product of a sweep is large enough for OpenBLAS to split it across
+    # threads: the process CPU time stays near the wall time, and near the
+    # CPU time of a run pinned to one thread
+    cpu, wall, rows = _sweep_cpu(pin=False)
+    pinned_cpu, _, _ = _sweep_cpu(pin=True)
+    assert rows == 2048
+    assert cpu <= 1.4 * wall and cpu <= 1.4 * pinned_cpu
 
 
 def test_sweep_blocks_match_one_row_blocks(monkeypatch):

@@ -204,8 +204,8 @@ def _einsum_su2_from_rotation(o):
 
 
 def test_su2_lift_of_a_stack_keeps_each_members_bits(rng):
-    # one (N, 9) @ (9, 16) product: every prefix of the stack and every
-    # member alone has the stack's bits, within 1e-15 of the einsum
+    # one (1, 9) @ (9, 16) product per member: every prefix of the stack and
+    # every member alone has the stack's bits, within 1e-15 of the einsum
     o = np.array([rotation_of_unitary(random_unitary(rng)) for _ in range(300)])
     stacked = oracle._su2_from_rotation(o)
     for n in (1, 2, 3, 8, 33, 266):
@@ -357,6 +357,26 @@ def test_stack_members_equal_their_one_member_views_bit_for_bit(rng):
         assert v1.tobytes() == u1[i].tobytes() and v2.tobytes() == u2[i].tobytes()
         mom = numeric_moments(st, QuadratureSpec(8, 16))
         assert (mom.mean_f, mom.delta) == (mean[i], delta[i])
+
+
+def test_pauli_response_is_the_protocol_on_the_four_paulis(rng):
+    # G = Re(rho W) of the constant response against G_ij = Tr(sigma_i L[sigma_j])
+    # of the literal protocol, for each member alone and inside the stack;
+    # the fidelities of a member alone have its bits in the stack
+    sts = stack_states(rng)
+    rho = np.array([s.rho for s in sts])
+    paulis = oracle._PAULI_STACK
+    blochs = np.array([random_bloch(rng) for _ in range(6)])
+    v = np.column_stack([np.ones(len(blochs)), blochs])
+    stacked = oracle.fidelities(rho, blochs)
+    response = oracle._RESPONSE.reshape(16, 4, 4)
+    for m, st in enumerate(sts):
+        g_ref = np.einsum("iab,jba->ij", paulis, oracle._protocol(st.rho[None], paulis)[0]).real
+        for one in (st.rho, rho[m]):
+            assert np.max(np.abs(np.einsum("r,rij->ij", one.reshape(16), response).real - g_ref)) <= 1e-15
+        alone = oracle.fidelities(st.rho[None], blochs)[0]
+        assert alone.tobytes() == stacked[m].tobytes()
+        assert np.max(np.abs(alone - 0.25 * np.einsum("qi,ij,qj->q", v, g_ref, v))) <= 1e-15
 
 
 def test_exact_rule_agrees_with_the_64_by_64_rule(rng):

@@ -62,6 +62,25 @@ def test_density_stack_rejects_an_eigenvalue_just_below_minus_psd_tol():
     assert dens.errors == ("density matrix has negative eigenvalue -5.000e-09",)
 
 
+def test_density_stack_names_each_rejected_member_in_place():
+    # rejected members first, in the middle and last, each with the text
+    # from_density raises for it alone; every other member reads None
+    good = [I4 / 4, bell_state(2).rho, pure_state(0.8).rho]
+    bad = [I4 / 2, np.diag([0.7, 0.5, -0.1, -0.1]), np.diag([0.5 + 5e-9, 0.3, 0.2, -5e-9]),
+           I4 * (0.25 + 1e-9)]
+    stack = [bad[0], good[0], good[1], bad[1], good[2], bad[2], bad[3]]
+    expected = ["density matrix trace 2.0 differs from 1 beyond 1e-10", None, None,
+                "density matrix has negative eigenvalue -1.000e-01", None,
+                "density matrix has negative eigenvalue -5.000e-09",
+                "density matrix trace 1.000000004 differs from 1 beyond 1e-10"]
+    assert states.density_stack(np.array(stack, dtype=complex)).errors == tuple(expected)
+    for m, text in zip(stack, expected):
+        if text is not None:
+            with pytest.raises(ValueError) as info:
+                from_density(m)
+            assert str(info.value) == text
+
+
 def test_from_density_rejects_non_hermitian():
     m = np.diag([0.25] * 4).astype(complex)
     m[0, 1] = 1e-3
