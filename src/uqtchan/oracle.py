@@ -164,7 +164,7 @@ def canonical_densities(rho: np.ndarray, t_mat: np.ndarray
     a, b, c, d, e, f, g, h, i = uv.reshape(2, -1, 9).transpose(2, 0, 1)
     # det U and det V, exactly +-1: the rounded triple product of the rows
     det = np.round(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
-    signs = np.ones(uv.shape[:-1])  # f = (1, 1, det U) and g = (1, -1, -det V)
+    signs = np.ones(uv.shape[:-1])  # rows f = (1, 1, det U) and g = (1, -1, -det V) above
     signs[1, :, 1:] = -1.0
     signs[..., 2] *= det
     u1, u2 = _su2_from_rotation(signs[..., None] * uv)
