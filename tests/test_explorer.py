@@ -436,7 +436,7 @@ def test_sweep_of_error_rows_only_checks_an_empty_oracle_stack():
 
 
 #: run_sweep on a 64 x 32 gadc grid, two SWEEP_BLOCK blocks, after a warm-up,
-#: three times: the least process CPU time and the wall time of that run
+#: five times: the least process CPU time and the wall time of that run
 _CPU_SCRIPT = """
 import json, time
 from uqtchan import explorer
@@ -446,7 +446,7 @@ spec = explorer.SweepSpec.from_jsonable({"family": {"id": "gadc"}, "initial": "b
 explorer.run_sweep(explorer.SweepSpec.from_jsonable({"family": {"id": "gadc", "params": {"N": 0.1}},
     "initial": "bell1", "axes": [{"param": "gamma", "start": 0.0, "stop": 0.63, "step": 0.01}]}))
 runs = []
-for _ in range(3):
+for _ in range(5):
     wall, cpu = time.perf_counter(), time.process_time()
     rows = len(explorer.run_sweep(spec).rows)
     runs.append((time.process_time() - cpu, time.perf_counter() - wall, rows))
