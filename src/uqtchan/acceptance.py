@@ -31,20 +31,19 @@ def _random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _raise_first(outcomes: list) -> None:
-    """Raise the error of a stack's first rejected member as its one-member
-    path would, popped from the list: no frame keeps a reference to it. A
-    rejected member's Choi matrix is zero, and T = 0 would read as "not UQT-useful"."""
-    rejected = [i for i, out in enumerate(outcomes) if isinstance(out, Exception)]
+def _raise_first(errors: list, cls: type = ValueError) -> None:
+    """Raise cls(text) of a stack's first rejected member, as its one-member path
+    would: a rejected member's Choi matrix is zero, and T = 0 would read as "not UQT-useful"."""
+    rejected = [err for err in errors if err is not None]
     if rejected:
-        raise outcomes.pop(rejected[0])
+        raise cls(rejected[0])
 
 
-def _validated(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
+def _validated(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, list, list, np.ndarray]:
     """channels.validate_stack of a (N, k, 2, 2) Kraus stack, raising the first
-    rejected member's error; returns its four values unchanged."""
+    rejected member's ChannelValidationError; returns its six values unchanged."""
     checked = channels.validate_stack(kraus)
-    _raise_first(checked[2])
+    _raise_first(checked[3], channels.ChannelValidationError)
     return checked
 
 
@@ -52,7 +51,7 @@ def _densities(matrices) -> np.ndarray:
     """The density matrices of states.density_stack, as from_density stores
     them, raising the first rejected member's error."""
     dens = states.density_stack(matrices)
-    _raise_first([ValueError(err) for err in dens.errors if err is not None])
+    _raise_first(dens.errors)
     return dens.rho
 
 
@@ -155,7 +154,7 @@ def criterion_nonunital_uqt_families() -> tuple[bool, str]:
     for kind, want_rank, columns in (("rank4", 4, rank4), ("rank3", 3, rank3)):
         block = families.checked_rows(f"uqt_nonunital_{kind}", columns)
         _raise_first(block.errors)
-        _, choi, ranks, unitality = _validated(block.kraus)
+        _, choi, ranks, _, _, unitality = _validated(block.kraus)
         t = block.params["t"]
         v = states.verdicts(states.hs_decompose(choi).t_mat)
         worst["abs_t"] = max(worst["abs_t"], float(np.max(np.abs(v.abs_t - t[:, None]))))

@@ -106,7 +106,8 @@ def final_correlations(rho: np.ndarray, choi_coef: np.ndarray) -> np.ndarray:
     return final[:, 1:, 1:] / final[:, :1, :1]
 
 
-def validate_stack(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
+def validate_stack(kraus: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, list, list, list, np.ndarray]:
     """Check a ready (N, k, 2, 2) Kraus stack, each member as `validate`
     checks one, with one Choi contraction and one hermitian_eigenvalues for
     all of them; completeness and unitality are read off the marginals of the
@@ -115,9 +116,10 @@ def validate_stack(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, np.
     Returns the read-only stack, a non-finite member zeroed (a zero
     operator changes neither completeness nor the Choi matrix); the
     members' trace-1 Choi matrices (N, 4, 4) as from_density stores them,
-    zero for a member rejected before that; per member its Choi rank or
-    the ChannelValidationError of `validate`; and per member of the returned
-    stack its unitality residual ||sum K K^dag - I||_max.
+    zero for a member rejected before that, and their ranks; per member the
+    error text `validate` raises, or None, and the residual that error
+    carries, None but for a completeness failure (NaN on overflow); and per
+    member of the returned stack its unitality residual ||sum K K^dag - I||_max.
     """
     if not isinstance(kraus, np.ndarray) or kraus.ndim != 4 or kraus.shape[2:] != (2, 2) \
             or not 1 <= kraus.shape[1] <= MAX_KRAUS:
@@ -125,28 +127,28 @@ def validate_stack(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, np.
     finite = np.isfinite(kraus).all(axis=(1, 2, 3))
     stack = np.where(finite[:, None, None, None], kraus, 0.0).astype(complex, copy=False)
     stack.setflags(write=False)
-    error = "Kraus operator has non-finite entries"
-    outcomes = [None if ok else ChannelValidationError(error) for ok in finite.tolist()]
+    errors = [None if ok else "Kraus operator has non-finite entries" for ok in finite.tolist()]
     # finite entries may still overflow: their residuals read NaN and fail below
     with np.errstate(over="ignore", invalid="ignore"):
         j = choi_matrix(stack)
         m = j.reshape(-1, 2, 2, 2, 2)  # [n, a, b, c, d]: Alice a, c and Bob b, d
         complete = np.abs(2.0 * (m[:, :, 0, :, 0] + m[:, :, 1, :, 1]) - I2).max(axis=(1, 2))
         unitality = np.abs(2.0 * (m[:, 0, :, 0] + m[:, 1, :, 1]) - I2).max(axis=(1, 2))
-    for i, res in enumerate(complete.tolist()):
-        if outcomes[i] is None and not res <= EPS_COMPLETE:
-            outcomes[i] = ChannelValidationError(
-                f"completeness violated: ||sum K^dag K - I||_max = {res:.3e}", residual=res)
-    live = [i for i, out in enumerate(outcomes) if out is None]
+    incomplete = finite & ~(complete <= EPS_COMPLETE)
+    residuals = [res if bad else None for res, bad in zip(complete.tolist(), incomplete.tolist())]
+    for i in np.flatnonzero(incomplete).tolist():
+        errors[i] = f"completeness violated: ||sum K^dag K - I||_max = {residuals[i]:.3e}"
+    live = [i for i, err in enumerate(errors) if err is None]
     # completeness bounds every Kraus entry by about 1, so each Choi matrix is
     # finite and Hermitian to rounding: the eigensolver's gate rejects none
     dens = states.density_stack(j[live])
-    for i, rank, err in zip(live, linalg.rank(dens.eigenvalues).tolist(), dens.errors):
-        outcomes[i] = rank if err is None else \
-            ChannelValidationError(f"Choi matrix rejected: {err}")
+    for i, err in zip(live, dens.errors):
+        errors[i] = None if err is None else f"Choi matrix rejected: {err}"
     choi = np.zeros((len(stack), 4, 4), dtype=complex)  # zero for members rejected before
     choi[live] = dens.rho
-    return stack, choi, outcomes, unitality
+    ranks = np.zeros(len(stack), dtype=int)
+    ranks[live] = linalg.rank(dens.eigenvalues)
+    return stack, choi, ranks.tolist(), errors, residuals, unitality
 
 
 def validate(kraus_list, name: str = "channel", params: dict | None = None) -> QubitChannel:
@@ -157,11 +159,11 @@ def validate(kraus_list, name: str = "channel", params: dict | None = None) -> Q
     Up to 8 operators are accepted (over-complete input is fine);
     orthogonalize() reduces any channel to its minimal set.
     """
-    stack, _, outcomes, unitality = validate_stack(_kraus_array(kraus_list)[None])
-    if isinstance(outcomes[0], ChannelValidationError):
-        raise outcomes.pop()  # popped: this frame keeps no reference to the error
+    stack, _, ranks, errors, residuals, unitality = validate_stack(_kraus_array(kraus_list)[None])
+    if errors[0] is not None:
+        raise ChannelValidationError(errors[0], residual=residuals[0])
     return QubitChannel(kraus=stack[0], name=name, params=dict(params or {}),
-                        choi_rank=outcomes[0], unitality_residual=float(unitality[0]))
+                        choi_rank=ranks[0], unitality_residual=float(unitality[0]))
 
 
 def apply(ch: QubitChannel, x) -> np.ndarray:

@@ -124,18 +124,17 @@ def _classify(kraus, rho: np.ndarray) -> tuple[list, dict]:
     state of Bob's half of rho (one 4x4 density matrix, or one per member)
     after each valid channel, as one stack, read off the Choi matrices of
     validate_stack by `channels.final_correlations`; no final state is
-    built. Returns per member the ChannelValidationError of `validate`, or
-    None; and the `states.profile_columns` of one `verdicts` call on the
-    valid members, in member order, with their "choi_rank" and "unital"
-    columns, unital meaning a unitality residual, as validate_stack reads it
-    off the Choi matrix, within EPS_CPTP, the rule of `channels.report`."""
-    _, choi, outcomes, unitality = channels.validate_stack(kraus)
-    errors = [out if isinstance(out, ChannelValidationError) else None for out in outcomes]
+    built. Returns per member the error text `validate` raises, or None;
+    and the `states.profile_columns` of one `verdicts` call on the valid
+    members, in member order, with their "choi_rank" and "unital" columns,
+    unital meaning a unitality residual, as validate_stack reads it off the
+    Choi matrix, within EPS_CPTP, the rule of `channels.report`."""
+    _, choi, ranks, errors, _, unitality = channels.validate_stack(kraus)
     valid = [i for i, err in enumerate(errors) if err is None]
     coef = states.pauli_coefficients(choi)
     t_mat = channels.final_correlations(rho if rho.ndim == 2 else rho[valid], coef[valid])
     columns = states.profile_columns(states.verdicts(t_mat))
-    columns["choi_rank"] = [outcomes[i] for i in valid]
+    columns["choi_rank"] = [ranks[i] for i in valid]
     columns["unital"] = (unitality[valid] <= channels.EPS_CPTP).tolist()
     return errors, columns
 
@@ -155,9 +154,7 @@ def _classify_rows(family_id: str, columns: dict, initial: str | TwoQubitState
     else:
         rho = initial.rho
     rejected, cols = _classify(block.kraus, rho)
-    # a row that failed to build is invalid too, with its build error
-    errors = [str(built) if built is not None else None if err is None else str(err)
-              for built, err in zip(block.errors, rejected)]
+    errors = [built or err for built, err in zip(block.errors, rejected)]
     return errors, cols, block, rho
 
 
@@ -514,17 +511,17 @@ def search_uqt(concurrence: float, budget: int, seed: int = 0) -> SearchReport:
                 p2s.append(float(rng.uniform(1e-6, tilde_p2_max * (1.0 - 1e-9))))
         m = len(p2s)
         block = families.checked_rows("lambda_tilde_nu", {"p1": [concurrence] * m, "p2": p2s})
-        failed = [r for r, err in enumerate(block.errors) if err is not None]
-        if failed:  # the first build error, in sample order, popped: the frame keeps no
-            raise block.errors.pop(failed[0])  # reference to it (see families.Block)
+        failed = [err for err in block.errors if err is not None]
+        if failed:  # the first build error, in sample order
+            raise ValueError(failed[0])
         randoms = channels.isometry_stack(drawn)
         kraus = np.zeros((m + len(drawn), 4, 2, 2), dtype=complex)  # tilde rows, then random rows
         kraus[:m] = block.kraus
         kraus[m:, :randoms.shape[1]] = randoms
         errors, cols = _classify(kraus, state.rho)
-        failed = [r for r in range(m) if errors[r] is not None]
+        failed = [err for err in errors[:m] if err is not None]
         if failed:  # the first lambda_tilde_nu validation error, in sample order
-            raise errors.pop(failed[0])  # popped, as above
+            raise ChannelValidationError(failed[0])
         # the valid members: every lambda_tilde_nu row, then the valid random rows
         values = zip(cols["f_max"], cols["delta"], cols["uqt"], cols["unital"])
         recorded = {name: col.tolist() for name, col in block.params.items()}

@@ -6,10 +6,10 @@ Each family is declared once, next to an array builder. The builder takes
 the family's params as equal-length float arrays, one entry per row, and
 returns the rows' raw Kraus operators as one (n, k, 2, 2) array (a Choi
 family: its Choi matrices, (n, 4, 4)), the params to record as arrays, and
-the error of each row that breaks a constraint spanning several params.
+the error text of each row that breaks a constraint spanning several params.
 `checked_rows` is the one validation site: it turns each param into a
-float, rejects a non-finite or out-of-range one with a ValueError naming
-it, and calls the builder once on the rows that pass. `checked_build` and
+float, gives a non-finite or out-of-range one an error text naming it,
+and calls the builder once on the rows that pass. `checked_build` and
 `noise_channel` are its one-row views, and public constructors return
 noise_channel(<id>, ...), so direct and catalog calls agree.
 Time-parameterized noise families take their raw constants plus a time t
@@ -77,7 +77,7 @@ class Family:
     family_id: str
     params: tuple[ParamSpec, ...]
     #: builder: checked param arrays -> (raw Kraus stack or Choi stack, params
-    #: to record as arrays, {row: ValueError} of rows breaking a joint constraint)
+    #: to record as arrays, {row: error text} of rows breaking a joint constraint)
     build: Callable[..., tuple[np.ndarray, dict, dict]]
     doc: str
     expected_unital: bool | None = None
@@ -85,6 +85,7 @@ class Family:
     sampler: Callable | None = None
     choi: bool = False  #: build returns the Choi matrix; Kraus: its expected_rank eigenpairs
     sparse: bool = False  #: a row's Kraus list omits its zero operators (zero Pauli weights)
+    error: type = ValueError  #: what checked_build raises for a row the builder rejects
 
     @functools.cached_property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -118,14 +119,14 @@ FAMILIES: dict[str, Family] = {}
 
 
 def _family(family_id: str, params: tuple[ParamSpec, ...], doc: str, *,
-            unital: bool | None = None, rank: int | None = None,
-            sampler: Callable | None = None, choi: bool = False, sparse: bool = False):
+            unital: bool | None = None, rank: int | None = None, sampler: Callable | None = None,
+            choi: bool = False, sparse: bool = False, error: type = ValueError):
     """Declare a catalog family around its array builder. The decorated name
     becomes the public constructor: it takes the builder's arguments and
     returns noise_channel(family_id, ...) on them."""
     def declare(build: Callable[..., tuple]) -> Callable[..., QubitChannel]:
         FAMILIES[family_id] = Family(family_id, params, build, doc, unital, rank, sampler, choi,
-                                     sparse)
+                                     sparse, error)
         signature = inspect.signature(build)
 
         @functools.wraps(build)
@@ -135,10 +136,10 @@ def _family(family_id: str, params: tuple[ParamSpec, ...], doc: str, *,
     return declare
 
 
-def _row_errors(mask: np.ndarray, text: str, *columns, error=ValueError) -> dict:
-    """{row: error(text)} for each row that mask sets, the text formatted with
-    the row's entries of columns as Python floats; other rows get no text."""
-    return {i: error(text.format(*(float(c[i]) for c in columns)))
+def _row_errors(mask: np.ndarray, text: str, *columns) -> dict:
+    """{row: text} for each row that mask sets, the text formatted with the
+    row's entries of columns as Python floats; other rows get no text."""
+    return {i: text.format(*(float(c[i]) for c in columns))
             for i in np.flatnonzero(mask).tolist()}
 
 
@@ -228,7 +229,7 @@ def lambda_u4_weights(p: float) -> tuple[float, float, float, float]:
 @_family("lambda_u4", (ParamSpec("p", 0.0, 1.0, low_open=True, high_open=True),),
          "one-parameter rank-4 unital family; removes deviation on matched |Psi_a>",
          unital=True, rank=4, sampler=lambda rng: {"p": float(rng.uniform(0.501, 0.999))},
-         sparse=True)
+         sparse=True, error=ChannelValidationError)
 def lambda_u4(p: float):
     """Rank-four unital channel with weights lambda_u4_weights(p), 1/2 <= p < 1.
 
@@ -237,7 +238,7 @@ def lambda_u4(p: float):
     w = lambda_u4_weights(p)
     kraus, _, errors = _pauli(*w)
     errors.update(_row_errors(w[3] < 0.0, "no CPTP map for p < 1/2: Choi weight {:.6g} is negative",
-                              w[3], error=ChannelValidationError))
+                              w[3]))
     return kraus, {"p": p}, errors
 
 
@@ -693,7 +694,6 @@ def resolve_complete(family_id: str, keys) -> list[str]:
     return names
 
 
-
 @dataclass(frozen=True)
 class Block:
     """`checked_rows` of N rows of one family.
@@ -701,13 +701,14 @@ class Block:
     kraus: the rows' raw Kraus operators, one read-only (N, k, 2, 2) stack,
     with a zero operator where a row's Kraus list omits one and all zeros
     for a failed row; params: the params to record, name -> (N,) floats,
-    NaN for a failed row; errors: per row None, or its ValueError without a
-    traceback (which would tie the frame that made it, and with it the
-    block, into a reference cycle)."""
+    NaN for a failed row; errors: per row its error text, or None; joint:
+    the rows whose text is the builder's (a joint constraint), which
+    checked_build raises as the family's `error`, and any other a ValueError."""
 
     kraus: np.ndarray
     params: dict
     errors: list
+    joint: set
 
 
 def checked_rows(family_id: str, columns: dict) -> Block:
@@ -716,7 +717,7 @@ def checked_rows(family_id: str, columns: dict) -> Block:
     `columns` maps each param name (or alias) to the sequence of its N row
     values, in key order; a family without params has one row. The names are
     resolved once per call, and a name error is every row's error. Each
-    value becomes a float by channels.json_number, or a ValueError naming
+    value becomes a float by channels.json_number, or gives an error naming
     the param. The ParamSpec range checks run as masks over the block, and
     the builder is called once, on the rows that pass them; a Choi-defined
     family's rows share one kraus_from_choi. A row's error is the first
@@ -734,7 +735,7 @@ def checked_rows(family_id: str, columns: dict) -> Block:
         names = resolve_complete(family_id, columns)
         errors: list = [None] * n
     except ValueError as exc:
-        names, errors = [], [ValueError(*exc.args) for _ in range(n)]
+        names, errors = [], [str(exc)] * n
     places = {spec.name: j for j, spec in enumerate(specs)}
     for name, col in zip(names, columns.values()):
         nums = []
@@ -745,13 +746,13 @@ def checked_rows(family_id: str, columns: dict) -> Block:
                 nums.append(math.nan)
                 if errors[i] is None:
                     rule = "a real number" if isinstance(exc, TypeError) else "finite"
-                    errors[i] = ValueError(f"{family_id}: {name} must be {rule}, got {v!r}")
+                    errors[i] = f"{family_id}: {name} must be {rule}, got {v!r}"
         values[:, places[name]] = nums
     lo, hi = fam.bounds
     rejected = ~((values >= lo) & (values <= hi))
     for i, j in zip(*(ix.tolist() for ix in np.nonzero(rejected))):  # row by row, spec order
         if errors[i] is None:  # the first spec a row breaks names its error
-            errors[i] = ValueError(specs[j].error(float(values[i, j]), family_id))
+            errors[i] = specs[j].error(float(values[i, j]), family_id)
     ok = [i for i, err in enumerate(errors) if err is None]
     with np.errstate(all="ignore"):  # a row that breaks a joint constraint may compute NaN
         ops, recorded, row_errors = fam.build(
@@ -770,16 +771,16 @@ def checked_rows(family_id: str, columns: dict) -> Block:
         params[name] = np.full(n, math.nan)
         params[name][built] = col[kept]
     kraus.setflags(write=False)
-    return Block(kraus=kraus, params=params, errors=errors)
+    return Block(kraus=kraus, params=params, errors=errors, joint={ok[r] for r in row_errors})
 
 
 def checked_build(family_id: str, **params) -> tuple[np.ndarray, dict]:
     """The one-row view of checked_rows: a catalog family's raw Kraus
     operators, the row's own list (a Pauli mixture omits its zero-weight
-    operators), and its params to record, not yet validated; raises its error."""
+    operators), and its params to record, not yet validated; raises its error (see Block)."""
     block = checked_rows(family_id, {key: [value] for key, value in params.items()})
     if block.errors[0] is not None:
-        raise block.errors.pop()  # popped: this frame keeps no reference to the error
+        raise (get_family(family_id).error if 0 in block.joint else ValueError)(block.errors[0])
     kraus = block.kraus[0]
     if get_family(family_id).sparse:
         kraus = kraus[kraus.any(axis=(1, 2))]

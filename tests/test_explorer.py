@@ -391,7 +391,7 @@ def _random_rows(rank, count=12, seed=7):
     classifier, which never calls bob_action."""
     rng = np.random.default_rng(seed + rank)
     rho = np.array([acceptance._random_density_matrix(rng) for _ in range(count)])
-    stack, choi, _, _ = channels.validate_stack(channels.isometry_stack(
+    stack, choi, *_ = channels.validate_stack(channels.isometry_stack(
         [rng.normal(size=(2, 2 * rank, 2)) for _ in range(count)]))
     cols = states.profile_columns(states.verdicts(
         channels.final_correlations(rho, states.pauli_coefficients(choi))))
@@ -735,7 +735,7 @@ def _werner_failing_between(monkeypatch, low, high):
 
     def build(p):
         kraus, recorded, errors = fam.build(p)
-        errors.update({r: ValueError(f"werner: planted failure at p = {x!r}")
+        errors.update({r: f"werner: planted failure at p = {x!r}"
                        for r, x in enumerate(p.tolist()) if low < x < high})
         return kraus, recorded, errors
     monkeypatch.setitem(families.FAMILIES, "werner", dataclasses.replace(fam, build=build))
@@ -777,6 +777,56 @@ def test_threshold_takes_a_few_tree_blocks(monkeypatch):
 # randomized search
 # ---------------------------------------------------------------------------
 
+def _texts(errors, n):
+    """Whether errors holds n members, each an error text or None."""
+    return len(errors) == n and all(err is None or type(err) is str for err in errors)
+
+
+def test_every_stack_carries_error_texts_per_member():
+    # one mixed stack of every source of error: non-finite, incomplete and
+    # overflowing Kraus lists, and a lambda_u4 block with a row below p = 1/2,
+    # a row out of range and a value that is no number; each stack carries
+    # per member a text or None (and a rank), never an exception object
+    overflowing = np.array([[[1e200, 1e200], [1e200, -1e200]]])
+    lists = [[np.eye(2)], [np.full((2, 2), np.nan)], [1.01 * np.eye(2)], overflowing]
+    u4 = {"p": [0.7, 0.3, 2.0, "x"]}
+    block = families.checked_rows("lambda_u4", u4)
+    assert _texts(block.errors, 4) and [err is None for err in block.errors] == [True] + [False] * 3
+    assert block.errors[1].startswith("no CPTP map") and block.joint == {1}
+    kraus = np.concatenate([kraus_stack(lists, 4), block.kraus])
+    _, _, ranks, errors, residuals, _ = channels.validate_stack(kraus)
+    assert _texts(errors, 8) and [err is None for err in errors] == [True, False, False, False,
+                                                                     True, False, False, False]
+    assert all(type(rank) is int for rank in ranks)
+    assert all(res is None or type(res) is float for res in residuals)
+    bell = states.bell_state(1)
+    assert _texts(explorer._classify(kraus, bell.rho)[0], 8)
+    # a density stack with a negative spectrum and a trace off 1
+    dens = states.density_stack([bell.rho, np.diag([0.7, 0.5, -0.1, -0.1]), 2.0 * bell.rho])
+    assert _texts(dens.errors, 3) and [err is None for err in dens.errors] == [True, False, False]
+    # a name error, every row's, and a builder's joint constraint (Pauli weights summing to 1.5)
+    assert _texts(families.checked_rows("lambda_u4", {"q": [0.7, 0.3]}).errors, 2)
+    pauli = {"p0": [1.0, 0.5], "p1": [0.0, 0.5], "p2": [0.0, 0.5], "p3": [0.0, 0.0]}
+    assert families.checked_rows("pauli_mixture", pauli).joint == {1}
+    for family_id, columns in (("lambda_u4", u4), ("lambda_u4", {"q": [0.7]}),
+                               ("pauli_mixture", pauli)):
+        n = len(next(iter(columns.values())))
+        assert _texts(explorer._classify_rows(family_id, columns, bell)[0], n)
+    # every builder's {row: text}, on sampled rows and rows scaled off their ranges
+    joint = set()
+    for family_id, fam in families.FAMILIES.items():
+        rng = np.random.default_rng(5)
+        rows = [fam.sample_params(rng) for _ in range(4)]
+        rows += [{k: v * f for k, v in row.items()} for row in rows for f in (0.4, 2.5)]
+        with np.errstate(all="ignore"):
+            _, _, built = fam.build(**{s.name: np.array([r[s.name] for r in rows])
+                                       for s in fam.params})
+        assert all(type(r) is int and type(err) is str for r, err in built.items())
+        joint |= {family_id} if built else set()
+    assert {"pauli_mixture", "uqt_unital_for_pure", "uqt_nonunital_rank4", "lambda_tilde_nu",
+            "lambda_u4", "depolarizing_nm"} <= joint
+
+
 def test_classified_unitality_residual_is_the_kraus_residual():
     # read off Bob's marginal of the Choi stack, it is ||sum K K^dag - I||_max
     # of each member to rounding: unitaries and gadc at N = 1/2 are unital
@@ -785,7 +835,7 @@ def test_classified_unitality_residual_is_the_kraus_residual():
     lists += [families.noise_channel("gadc", gamma=0.3, N=n).kraus for n in (0.0, 0.5, 0.9)]
     errors, cols = explorer._classify(kraus_stack(lists), states.bell_state(1).rho)
     assert errors == [None] * len(lists) and all(type(r) is int for r in cols["choi_rank"])
-    residual = channels.validate_stack(kraus_stack(lists))[3]
+    residual = channels.validate_stack(kraus_stack(lists))[5]
     expected = np.array([unitality_residual(kraus) for kraus in lists])
     assert np.max(np.abs(residual - expected)) <= 1e-15
     assert (residual <= channels.EPS_CPTP).tolist() == cols["unital"] \

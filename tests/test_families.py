@@ -587,21 +587,22 @@ def _columns_of(rows):
 
 def assert_block_rows_are_one_row_views(family_id, columns):
     """Row by row, checked_rows of the columns equals checked_build of the
-    row alone: the same error type and text, or the same recorded params
-    and the same Kraus operators, where the one-row view of a Pauli mixture
-    omits the zero operators that the block keeps."""
+    row alone: the error text it raises, of the family's `error` class for
+    a joint constraint and ValueError for any other check, or the same
+    recorded params and the same Kraus operators, where the one-row view of
+    a Pauli mixture omits the zero operators that the block keeps."""
     rows = _rows_of(columns)
     block = families.checked_rows(family_id, columns)
     assert len(block.errors) == len(rows) and not block.kraus.flags.writeable
+    assert all(block.errors[i] is not None for i in block.joint)
     assert all(col.shape == (len(rows),) for col in block.params.values())
     for i, row in enumerate(rows):
         got = block.kraus[i]
         try:
             kraus, recorded = families.checked_build(family_id, **row)
         except ValueError as exc:
-            err = block.errors[i]
-            assert (type(err), str(err)) == (type(exc), str(exc))
-            assert err.__traceback__ is None
+            assert block.errors[i] == str(exc)
+            assert type(exc) is (FAMILIES[family_id].error if i in block.joint else ValueError)
             assert not got.any() and all(np.isnan(col[i]) for col in block.params.values())
             continue
         assert block.errors[i] is None
@@ -679,9 +680,9 @@ def test_block_kraus_shape_is_the_familys_whichever_rows_fail(family_id):
     failed = [{name: float("nan") for name in point} for point in points]
     if fam.params:
         blocks = [points, points[:2] + failed[2:], failed]
-        expected = [[None] * 3, [None, None, ValueError], [ValueError] * 3]
+        expected = [[None] * 3, [None, None, str], [str] * 3]
     else:  # a fixed example's one row fails only by a name error
-        blocks, expected = [[{}], [{"p": 0.5}]], [[None], [ValueError]]
+        blocks, expected = [[{}], [{"p": 0.5}]], [[None], [str]]
     shapes = set()
     for rows, kinds in zip(blocks, expected):
         columns = _columns_of(rows)
@@ -704,7 +705,7 @@ def test_a_name_error_is_every_rows_error(family_id, columns):
     with pytest.raises(ValueError) as exc:
         families.checked_build(family_id, **_rows_of(columns)[0])
     block = families.checked_rows(family_id, columns)
-    assert [str(err) for err in block.errors] == [str(exc.value)] * len(_rows_of(columns))
+    assert block.errors == [str(exc.value)] * len(_rows_of(columns))
     assert not block.kraus.any() and len(block.kraus) == len(block.errors)
     assert all(np.isnan(col).all() for col in block.params.values())
     assert_block_rows_are_one_row_views(family_id, columns)
@@ -740,12 +741,12 @@ def test_param_that_is_no_real_number_is_rejected_by_name(value):
     with pytest.raises(ValueError, match=r"^gadc: N must be (a real number|finite), got "):
         noise_channel("gadc", gamma=0.3, N=value)
     block = families.checked_rows("gadc", {"gamma": [0.3, 0.3], "N": [0.1, value]})
-    assert block.errors[0] is None and str(block.errors[1]).startswith("gadc: N must be")
+    assert block.errors[0] is None and block.errors[1].startswith("gadc: N must be")
     # the first value in the row's key order names the error
     with pytest.raises(ValueError, match="^gadc: gamma must be"):
         noise_channel("gadc", gamma=value, N=value)
     block = families.checked_rows("gadc", {"gamma": [0.3, value], "N": [value, value]})
-    assert [str(err).split(" must")[0] for err in block.errors] == ["gadc: N", "gadc: gamma"]
+    assert [err.split(" must")[0] for err in block.errors] == ["gadc: N", "gadc: gamma"]
 
 
 def test_real_number_types_are_accepted_as_floats():
@@ -763,6 +764,27 @@ def test_real_number_types_are_accepted_as_floats():
 def test_direct_calls_get_the_catalog_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("family_id,params,error", [
+    ("pauli_mixture", {"p0": 0.5, "p1": 0.5, "p2": 0.5, "p3": 0.0}, ValueError),
+    ("uqt_unital_for_pure", {"c": 0.8, "p0": 0.1}, ValueError),
+    ("uqt_nonunital_rank4", {"s1": 0.9, "s2": 0.0, "s3": 0.0, "t": 0.5}, ValueError),
+    ("lambda_tilde_nu", {"p1": 0.5, "p2": 0.99}, ValueError),
+    ("pln_nm", {"G": 1.0, "g": 1e100, "t": 1e100}, ValueError),
+    ("rtn_nm", {"g": 1.0, "omega": 2.0, "t": 2.0}, ValueError),
+    ("depolarizing_nm", {"alpha": 1.0, "p": 0.5}, ValueError),
+    ("lambda_u4", {"p": 0.3}, ChannelValidationError),
+], ids=["pauli sum", "p0 window", "rank4 |s|", "tilde p2", "time-law overflow",
+        "time law outside [0, 1]", "depolarizing_nm 3 alpha p", "lambda_u4 below 1/2"])
+def test_a_joint_constraint_raises_its_familys_class(family_id, params, error):
+    # the builder rejects the row, whose params each lie in range, and
+    # checked_build raises the family's `error` class with the block's text
+    with pytest.raises(ValueError) as exc:
+        families.checked_build(family_id, **params)
+    assert type(exc.value) is error is FAMILIES[family_id].error
+    block = families.checked_rows(family_id, {key: [value] for key, value in params.items()})
+    assert block.joint == {0} and block.errors == [str(exc.value)]
 
 
 @pytest.mark.parametrize("family_id,params,name", [
