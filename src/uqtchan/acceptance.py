@@ -23,12 +23,17 @@ S5 = np.sqrt(5.0)
 # random generators (seeded by the criteria)
 # ---------------------------------------------------------------------------
 
+def _gaussian_densities(gs: np.ndarray) -> np.ndarray:
+    """The trace-1 density matrices g g^dag / Tr(g g^dag) of g = gs[..., 0] + i gs[..., 1],
+    for real Gaussians gs (..., 2, 4, 4), before from_density's checks and scaling."""
+    g = gs[..., 0, :, :] + 1j * gs[..., 1, :, :]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / rho.diagonal(0, -2, -1).sum(axis=-1).real[..., None, None]
+
+
 def _random_density_matrix(rng: np.random.Generator) -> np.ndarray:
-    """A random trace-1 density matrix g g^dag / Tr(g g^dag), g complex Gaussian,
-    before from_density's checks and scaling."""
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    """A random density matrix: `_gaussian_densities` of one draw, its real part first."""
+    return _gaussian_densities(rng.normal(size=(2, 4, 4)))
 
 
 def _raise_first(errors: list, cls: type = ValueError) -> None:
@@ -361,15 +366,16 @@ def criterion_monotonicity() -> tuple[bool, str]:
     """Concurrence never increases under a channel on Bob's qubit (500 random
     state/channel pairs), and for pure inputs the maximal fidelity of the
     final state never exceeds the initial one (500 pairs), tolerance 1e-10.
-    Each half draws its pairs in turn, a channel as the Gaussians of a
-    random_kraus draw, then decomposes them once per rank
+    Each half draws its pairs in turn, a state or channel as Gaussians (a
+    channel's those of a random_kraus draw), then builds the states as one
+    stack (`_gaussian_densities`), decomposes the channels once per rank
     (`channels.isometry_stack`) and classifies them as one stack."""
     rng = np.random.default_rng(1618)
-    mats, draws = [], []
+    gaussians, draws = [], []
     for _ in range(500):
-        mats.append(_random_density_matrix(rng))
+        gaussians.append(rng.normal(size=(2, 4, 4)))
         draws.append(rng.normal(size=(2, 2 * int(rng.integers(1, 5)), 2)))
-    initial = _densities(mats)
+    initial = _densities(_gaussian_densities(np.array(gaussians)))
     final = _densities(channels.bob_action(initial, _validated(channels.isometry_stack(draws))[0]))
     worst_c = float(np.max(states.concurrences(final) - states.concurrences(initial)))
     a_values, draws = [], []

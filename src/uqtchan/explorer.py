@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels, families, oracle, states
+from . import channels, families, linalg, oracle, states
 from .channels import ChannelValidationError, QubitChannel
 from .families import FamilySpec
 from .states import TeleportProfile, TwoQubitState
@@ -109,14 +109,23 @@ def oracle_check(final: TwoQubitState, prof: TeleportProfile) -> tuple[bool, dic
 
 
 def oracle_disagreements(final: np.ndarray, f_max: list, delta: list) -> int:
-    """How many literal final states (N, 4, 4) `states.density_stack` rejects or
-    the protocol simulation (`oracle.canonical_moments`) contradicts beyond
-    ORACLE_TOL in f_max or delta; a None (no closed form) contradicts nothing."""
-    dens = states.density_stack(final)
+    """How many literal final states (N, 4, 4) are non-finite or not Hermitian
+    within linalg.EPS_HERM, `states.density_stack` rejects, or the protocol
+    simulation (`oracle.canonical_moments`) contradicts beyond ORACLE_TOL in
+    f_max or delta; a None (no closed form) contradicts nothing. Only the
+    finite Hermitian members go on to density_stack, whose gate would
+    reject the whole stack for one other member."""
+    final = np.asarray(final, dtype=complex)
+    ok = np.isfinite(final).all(axis=(1, 2))
+    finite = final[ok]
+    ok[ok] = np.abs(finite - linalg.dagger(finite)).max(axis=(1, 2), initial=0.0) <= linalg.EPS_HERM
+    dens = states.density_stack(final[ok])
     mean, dev = oracle.canonical_moments(dens.rho)
-    f_max, delta = np.array(f_max, float), np.array(delta, float)  # None is NaN: never > tol
+    # None is NaN: never > tol
+    f_max, delta = np.array(f_max, float)[ok], np.array(delta, float)[ok]
     bad = (np.abs(mean - f_max) > ORACLE_TOL) | (np.abs(dev - delta) > ORACLE_TOL)
-    return int(np.count_nonzero(bad | np.array([e is not None for e in dens.errors], bool)))
+    rejected = np.array([e is not None for e in dens.errors], bool)
+    return int(np.count_nonzero(~ok) + np.count_nonzero(bad | rejected))
 
 
 def _classify(kraus, rho: np.ndarray) -> tuple[list, dict]:

@@ -228,6 +228,43 @@ def concurrence(state: TwoQubitState) -> float:
     return float(concurrences(state.rho[None])[0])
 
 
+_DELTA_SCALE = 3.0 * np.sqrt(10.0)
+#: an exactly diagonal T whose largest |t_ii| lies in this range gets its
+#: singular values without LAPACK; dgesdd rescales only below ~1e-138 and
+#: above ~1e138, where its bits can differ from the sorted |t_ii|
+_DIAG_RANGE = (1e-100, 1e100)
+
+
+def _singular_values(t_mat: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(t_mat, compute_uv=False) of a stack (..., 3, 3), bit for bit.
+
+    A member whose six off-diagonal entries are zero (either sign) and whose
+    largest |t_ii| lies in _DIAG_RANGE gets its |t_ii| sorted descending:
+    on such a matrix dgesdd's bidiagonal reduction changes nothing (every
+    reflector is the identity) and dlasq1, with all off-diagonals zero,
+    returns |d| sorted by dlasrt. Every other member, NaN and inf ones too,
+    goes to LAPACK; a stack whose members all take one path is not split.
+    """
+    nonzero = np.count_nonzero(t_mat)  # NaN counts
+    # a member with six zero off-diagonals leaves at most size - 6 nonzero entries
+    if nonzero > t_mat.size - 6 or t_mat.dtype != np.float64:
+        return np.linalg.svd(t_mat, compute_uv=False)
+    mags = np.abs(t_mat.diagonal(0, -2, -1))
+    mags.sort()  # NaN sorts last: a NaN member's largest is NaN
+    largest = mags[..., -1]
+    lo, hi = _DIAG_RANGE
+    if nonzero == np.count_nonzero(mags) and lo <= largest.min() and largest.max() <= hi:
+        return mags[..., ::-1]
+    fast = (np.count_nonzero(t_mat, axis=(-2, -1)) == np.count_nonzero(mags, axis=-1)) \
+        & (lo <= largest) & (largest <= hi)
+    if not fast.any():
+        return np.linalg.svd(t_mat, compute_uv=False)
+    mags = mags[..., ::-1]
+    slow = ~fast
+    mags[slow] = np.linalg.svd(t_mat[slow], compute_uv=False)
+    return mags
+
+
 def verdicts(t_mat: np.ndarray) -> TeleportProfile:
     """Classify correlation matrices (..., 3, 3) into one TeleportProfile of arrays.
 
@@ -239,21 +276,23 @@ def verdicts(t_mat: np.ndarray) -> TeleportProfile:
     (zero deviation), useful for universal teleportation (uqt) iff both and
     min|t_ii| > 1/3; a state with det T > 0 is none of these.
     """
-    abs_t = np.linalg.svd(t_mat, compute_uv=False)
+    abs_t = _singular_values(np.asarray(t_mat))
     abs_t.setflags(write=False)
     a1, a2, a3 = abs_t[..., 0], abs_t[..., 1], abs_t[..., 2]
     # a masked negative det is -0.0; adding 0.0 makes it 0.0 (np.where would
     # turn one state's scalars into slower 0-d arrays)
     det_t = np.linalg.det(t_mat) * (a3 > ZERO_CORR * np.maximum(1.0, a1)) + 0.0
     f_max = (1.0 + (a1 + a2 + a3) / 3.0) / 2.0
+    spread = a1 - a3
     # np.square, not ** 2: a float64 scalar's ** 2 is libm pow, which can
     # round differently from the x * x of an array, so a state alone would
     # get another last digit than inside a stack
-    delta = np.sqrt(np.square(a1 - a2) + np.square(a1 - a3) + np.square(a2 - a3)) \
-        / (3.0 * np.sqrt(10.0))
+    delta = np.sqrt(np.square(a1 - a2) + np.square(spread) + np.square(a2 - a3)) / _DELTA_SCALE
     valid = det_t <= 0.0
     useful = valid & (f_max > 2.0 / 3.0 + EPS_CLS)
-    universal = valid & (a1 - a3 <= EPS_UQT) & (delta <= EPS_UQT)
+    # each difference is at most the spread, so delta <= spread / sqrt(30),
+    # rounding included: a spread within EPS_UQT is also a zero deviation
+    universal = valid & (spread <= EPS_UQT)
     return TeleportProfile(f_max=f_max, delta=delta, det_t=det_t, abs_t=abs_t, useful=useful,
                            universal=universal, uqt=useful & universal & (a3 > 1.0 / 3.0 + EPS_CLS),
                            formula_valid=valid)

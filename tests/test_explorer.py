@@ -385,6 +385,44 @@ def test_sweep_oracle_counts_a_final_state_it_rejects(monkeypatch, tmp_path, cap
     assert "error: 1 oracle disagreements" in capsys.readouterr().err
 
 
+def test_sweep_oracle_counts_a_final_state_that_is_not_hermitian(monkeypatch, tmp_path, capsys):
+    # K^T in place of K^dag: on the complex Kraus operators of the rank-4
+    # family with s2 != 0 (K^T = K^dag for real ones) the literal final
+    # states are not Hermitian; each is one disagreement, and the sweep
+    # still writes every row
+    doc = {"family": {"id": "uqt_nonunital_rank4", "params": {"s1": 0.1, "s2": 0.15, "s3": 0.05}},
+           "initial": "bell1", "axes": [{"param": "t", "start": 0.4, "stop": 0.8, "step": 0.1}]}
+    assert run_sweep(SweepSpec.from_jsonable(doc)).oracle_failures == 0
+
+    def bob_action(rho, ks):
+        lifted = np.einsum("ab,...kcd->...kacbd", np.eye(2), ks).reshape(ks.shape[:-2] + (4, 4))
+        return np.einsum("...kij,...jl,...kml->...im", lifted, rho, lifted)  # sum_k A rho A^T
+
+    monkeypatch.setattr(channels, "bob_action", bob_action)
+    result = run_sweep(SweepSpec.from_jsonable(doc))
+    assert [row[-1] for row in result.rows] == [""] * 5
+    assert result.oracle_failures == 5
+    path, out = tmp_path / "spec.json", tmp_path / "sweep.csv"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["sweep", str(path), "-o", str(out)]) == 4
+    assert "error: 5 oracle disagreements" in capsys.readouterr().err
+    assert out.read_text() == explorer.sweep_to_csv(result)
+    assert len(out.read_text().splitlines()) == 6
+
+
+def test_oracle_disagreements_count_non_finite_and_non_hermitian_members():
+    rho, stack, f_max, delta = _random_rows(3)
+    final = channels.bob_action(rho, stack).copy()
+    assert explorer.oracle_disagreements(final, f_max, delta) == 0
+    final[2, 0, 1] += 1e-9  # beyond EPS_HERM
+    final[5, 3, 3] = np.nan
+    final[7, 1, 2] = np.inf
+    assert explorer.oracle_disagreements(final, f_max, delta) == 3
+    final[9] *= 2.0  # Hermitian, but density_stack rejects its trace
+    assert explorer.oracle_disagreements(final, f_max, delta) == 4
+    assert explorer.oracle_disagreements(final[[2, 5]], f_max[2:6:3], delta[2:6:3]) == 2
+
+
 def _random_rows(rank, count=12, seed=7):
     """Literal final states of random complex rank-`rank` channels on random
     mixed inputs, and their f_max and delta columns from the transfer-matrix

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqtchan import acceptance, channels, explorer, families, states
@@ -503,6 +503,75 @@ def test_verdicts_need_equal_magnitudes_besides_a_small_deviation():
     assert v.delta[0] <= states.EPS_UQT < v.abs_t[0, 0] - v.abs_t[0, 2]
     assert v.useful.tolist() == [True]
     assert v.universal.tolist() == [False] and v.uqt.tolist() == [False]
+
+
+# a diagonal T whose largest |t_ii| is 1e-150 LAPACK rescales, and its
+# singular values differ from the sorted |t_ii| in the last digit
+_RESCALED = np.diag([1e-150, 3e-151, 7e-152])
+_DIAGONAL_SCALES = (1.0, 0.25, 1e-20, 1e20, 1e-100, np.nextafter(1e-100, 0.0), 1e100,
+                    np.nextafter(1e100, np.inf), 1e-150, 1e102)  # det T stays finite
+
+
+@st.composite
+def _diagonal_t(draw):
+    """An exactly diagonal T: zero and -0.0 entries and ties among its
+    |t_ii|, off-diagonal zeros of either sign, and a largest |t_ii| of
+    one of _DIAGONAL_SCALES, inside and just outside the range where
+    verdicts skips LAPACK."""
+    d = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.3]),
+                                         st.floats(-1.0, 1.0)), min_size=3, max_size=3)))
+    largest = np.max(np.abs(d))
+    if largest > 0.0:
+        d = d / largest * draw(st.sampled_from(_DIAGONAL_SCALES))
+    t = np.reshape(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=9, max_size=9)), (3, 3))
+    t[np.diag_indices(3)] = d
+    return t
+
+
+_GENERAL_T = st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9).map(
+    lambda v: np.reshape(v, (3, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_diagonal_t(), _GENERAL_T, st.just(np.zeros((3, 3))), st.just(_RESCALED)),
+                min_size=1, max_size=8))
+@example([_RESCALED])
+@example([np.diag([0.5, -0.25, 0.0]), -np.diag([0.3, 0.3, 0.7]), np.diag([1e-100, -1e-101, 0.0])])
+@example([np.diag([0.5, -0.25, 0.0]), np.eye(3) + np.diag([1e-300, 1e-300], 1), _RESCALED,
+          np.zeros((3, 3)), -np.diag([0.0, 0.6, 0.6])])  # all -0.0 off-diagonals
+def test_verdicts_of_diagonal_and_general_members_have_lapack_bits(members):
+    # an exactly diagonal T skips LAPACK: its magnitudes must still be the
+    # bits np.linalg.svd gives it alone, in any stack, and its fields those
+    # of its one-state profile
+    t = np.array(members)
+    v = verdicts(t)
+    for i, ti in enumerate(t):
+        assert v.abs_t[i].tobytes() == np.linalg.svd(ti, compute_uv=False).tobytes(), ti
+        one = profile(states.TwoQubitState(rho=I4 / 4, hs=states.HSDecomposition(
+            r_vec=np.zeros(3), s_vec=np.zeros(3), t_mat=ti)))
+        assert one.abs_t.tobytes() == v.abs_t[i].tobytes()
+        assert one.det_t == v.det_t[i] and type(one.det_t) is float
+        closed = (v.f_max[i], v.delta[i]) if v.formula_valid[i] else (None, None)
+        assert (one.f_max, one.delta) == closed
+        for key in ("useful", "universal", "uqt", "formula_valid"):
+            assert getattr(one, key) is bool(getattr(v, key)[i])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_verdicts_of_a_non_finite_diagonal_member_are_lapacks(bad):
+    # NaN raises LinAlgError and inf reads as NaN magnitudes, alone and in a
+    # stack of diagonal members, as np.linalg.svd has it
+    t = np.array([np.diag([0.5, 0.2, 0.1]), np.diag([bad, 0.5, 0.2]), np.diag([0.3, 0.3, 0.3])])
+    for stack in (t, t[1:2]):
+        if np.isnan(bad):
+            for fn in (verdicts, lambda x: np.linalg.svd(x, compute_uv=False)):
+                with pytest.raises(np.linalg.LinAlgError):
+                    fn(stack)
+        else:
+            with np.errstate(invalid="ignore"):  # det T = inf times a False mask
+                abs_t = verdicts(stack).abs_t
+            assert np.isnan(abs_t).any()
+            assert abs_t.tobytes() == np.linalg.svd(stack, compute_uv=False).tobytes()
 
 
 def _density_of_rank(rng, r, dim=4):
