@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import os
@@ -193,8 +194,12 @@ def _oracle_item(st: states.TwoQubitState) -> dict:
 
 def _oracle_stack(sts: list) -> dict:
     """The oracle's moments of the states as one stack, by
-    `oracle.canonical_moments`."""
-    mean, delta = oracle.canonical_moments(np.array([st.rho for st in sts]))
+    `oracle.canonical_moments` of their Pauli coefficients (of their density
+    matrices in library versions whose canonical_moments takes `rho`, so that
+    a dump of an older commit still compares)."""
+    rho = np.array([st.rho for st in sts])
+    older = "rho" in inspect.signature(oracle.canonical_moments).parameters
+    mean, delta = oracle.canonical_moments(rho if older else states.pauli_coefficients(rho))
     return {"mean_f": mean.tolist(), "delta": delta.tolist()}
 
 

@@ -96,13 +96,14 @@ def criterion_dephasing_bell_law() -> tuple[bool, str]:
     block = families.checked_rows("dephasing", {"p": ps})
     _raise_first(block.errors)
     final = _densities(channels.bob_action(states.bell_state(1).rho, _validated(block.kraus)[0]))
-    v = states.verdicts(states.hs_decompose(final).t_mat)
-    mean, dev = oracle.canonical_moments(final)
+    coef = states.pauli_coefficients(final)
+    v = states.verdicts(coef[:, 1:, 1:])
+    mean, dev = oracle.canonical_moments(coef)
     f_ref, d_ref = np.array([_dephasing_law(p) for p in ps]).T
     worst_formula = float(np.max(np.abs([v.f_max - f_ref, v.delta - d_ref])))
     worst_oracle = float(np.max(np.abs([mean - f_ref, dev - d_ref])))
     ok = worst_formula <= 1e-12 and worst_oracle <= 1e-6
-    return ok, f"max formula err {worst_formula:.2e} (tol 1e-12), oracle err {worst_oracle:.2e} (tol 1e-6)"
+    return ok, f"max formula err {_within(worst_formula, 1e-12)}, oracle err {_within(worst_oracle, 1e-6)}"
 
 
 def criterion_rank2_never_uqt() -> tuple[bool, str]:
@@ -215,7 +216,7 @@ def criterion_gadc_law_threshold() -> tuple[bool, str]:
                                   tol=1e-8, fixed={"N": 0.7})
     thr_err = abs(res.critical_value - 2.0 * (np.sqrt(2.0) - 1.0))
     ok = worst <= 1e-12 and thr_err <= 1e-8
-    return ok, f"max closed-form err {worst:.2e} (tol 1e-12), threshold err {thr_err:.2e} (tol 1e-8)"
+    return ok, f"max closed-form err {_within(worst, 1e-12)}, threshold err {thr_err:.2e} (tol 1e-8)"
 
 
 def _pauli_grid_has_uqt(c: float, n_grid: int = 200) -> bool:
@@ -338,7 +339,7 @@ def criterion_noise_catalog() -> tuple[bool, str]:
             if err > 1e-10 or prof.uqt != want_uqt:
                 ok = False
                 bad.append(f"{fam}{params}: err={err:.1e} uqt={prof.uqt} want {want_uqt}")
-    detail = f"12 rows x 2 points, max closed-form err {worst:.2e} (tol 1e-10)"
+    detail = f"12 rows x 2 points, max closed-form err {_within(worst, 1e-10)}"
     if bad:
         detail += "; " + "; ".join(bad)
     return ok, detail
@@ -350,16 +351,16 @@ def criterion_oracle_equivalence() -> tuple[bool, str]:
     Bell state reproduces 50 random inputs with fidelity 1 (1e-12). The states,
     drawn in turn, and the inputs, drawn next, each go through as one stack."""
     rng = np.random.default_rng(424242)
-    rho = _densities([_det_negative_matrix(rng) for _ in range(100)])
-    v = states.verdicts(states.hs_decompose(rho).t_mat)
-    mean, dev = oracle.canonical_moments(rho)
+    coef = states.pauli_coefficients(_densities([_det_negative_matrix(rng) for _ in range(100)]))
+    v = states.verdicts(coef[:, 1:, 1:])
+    mean, dev = oracle.canonical_moments(coef)
     worst = float(np.max(np.abs([mean - v.f_max, dev - v.delta])))
     blochs = [n / np.linalg.norm(n) for n in (rng.normal(size=3) for _ in range(50))]
     rho_in = oracle._bloch_to_rho(blochs)
     out = oracle._protocol(states.bell_state(1).rho[None], rho_in)[0]
     worst_fid = float(np.max(np.abs(1.0 - np.einsum("nab,nba->n", rho_in, out).real)))
     ok = worst <= 1e-6 and worst_fid <= 1e-12
-    return ok, f"max |formula - quadrature| {worst:.2e} (tol 1e-6); Bell infidelity {worst_fid:.2e} (tol 1e-12)"
+    return ok, f"max |formula - quadrature| {_within(worst, 1e-6)}; Bell infidelity {_within(worst_fid, 1e-12)}"
 
 
 def criterion_monotonicity() -> tuple[bool, str]:
@@ -390,8 +391,8 @@ def criterion_monotonicity() -> tuple[bool, str]:
     skipped = int(np.count_nonzero(~v1.formula_valid))
     worst_f = float(np.max(v1.f_max - v0.f_max, initial=-np.inf, where=v1.formula_valid))
     ok = worst_c <= 1e-10 and worst_f <= 1e-10
-    return ok, (f"max concurrence increase {worst_c:.2e}, max fidelity increase "
-                f"{worst_f:.2e} (tol 1e-10; {skipped} det(T)>=0 finals skipped)")
+    return ok, (f"max concurrence increase {_within(worst_c, 1e-10)}, max fidelity increase "
+                f"{_within(worst_f, 1e-10)} ({skipped} det(T)>=0 finals skipped)")
 
 
 # ---------------------------------------------------------------------------

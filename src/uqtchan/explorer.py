@@ -120,7 +120,7 @@ def oracle_disagreements(final: np.ndarray, f_max: list, delta: list) -> int:
     finite = final[ok]
     ok[ok] = np.abs(finite - linalg.dagger(finite)).max(axis=(1, 2), initial=0.0) <= linalg.EPS_HERM
     dens = states.density_stack(final[ok])
-    mean, dev = oracle.canonical_moments(dens.rho)
+    mean, dev = oracle.canonical_moments(states.pauli_coefficients(dens.rho))
     # None is NaN: never > tol
     f_max, delta = np.array(f_max, float)[ok], np.array(delta, float)[ok]
     bad = (np.abs(mean - f_max) > ORACLE_TOL) | (np.abs(dev - delta) > ORACLE_TOL)

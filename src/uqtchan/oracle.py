@@ -6,20 +6,21 @@ Three pieces:
   (Bell measurement on the input qubit and Alice's half, Pauli correction
   on Bob's half),
 * Haar quadrature of the fidelity moments over all pure input states,
-* canonicalization of a two-qubit state by local unitaries so that the
-  standard protocol achieves the maximal average fidelity.
+* canonicalization by local rotations so that the standard protocol
+  achieves the maximal average fidelity.
 
 The correction for outcome k is the Pauli relating the k-th Bell state to
 the first one, so the protocol teleports perfectly through |Phi_1>. In this
 gauge the protocol's mean fidelity through a state with diagonal correlation
 matrix diag(d1, d2, d3) is (1 + (d1 - d2 + d3)/3) / 2; the canonical sign
-pattern below maximizes it, reproducing the closed forms computed by
-states.profile.
+pattern below maximizes it, reproducing the closed forms of states.profile.
+The quadrature reads the protocol off a state's Pauli coefficients C, which
+the sweep oracle rotates by the canonical SO(3) pair; only `canonicalize`,
+which returns the local unitaries, lifts the pair to SU(2).
 
 Each piece takes a stack of N shared states; teleport_output, numeric_moments
 and canonicalize are one-member views. All computations are pure functions of
-their inputs; quadrature sums use a fixed node order, so results do not depend
-on any execution schedule.
+their inputs; quadrature sums use a fixed node order.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import I2, PAULIS, SX, SZ, dagger
-from .states import BELL_KETS, TwoQubitState, hs_decompose
+from .states import BELL_KETS, TwoQubitState, hs_decompose, pauli_coefficients
 
 #: corrections for Bell outcomes 1..4: the Pauli m_k with |Phi_k> = (m_k x I)|Phi_1>
 CORRECTIONS = (I2, SX, SZ @ SX, SZ)
@@ -41,9 +42,10 @@ _PAULI_STACK = np.array(PAULIS)
 _PROJ = np.array([np.outer(k, k.conj()) for k in BELL_KETS]).reshape(4, 2, 2, 2, 2)
 _REGISTER = np.einsum("kyzia,kcb,kde->iycdabze", _PROJ, np.array(CORRECTIONS),
                       np.array(CORRECTIONS).conj()).reshape(2, 2, 2, 2, 16)
-#: the protocol's Pauli response W[r, (i j)] = Tr(sigma_i L[sigma_j]) per entry r of rho,
-#: (16, 4, 4) as (16, 16): G = Re(rho W) for every shared state
-_RESPONSE = np.einsum("icd,jxy,xydcr->rij", _PAULI_STACK, _PAULI_STACK, _REGISTER).reshape(16, 16)
+#: the protocol's response Tr(sigma_i L[sigma_j]) per entry r = (a b, z e) of rho, read in the
+#: Pauli basis rho = sum_kl C_kl sigma_k x sigma_l / 4: P[(k l), (i j)] (16, 16), G = C P
+_RESPONSE = (np.einsum("kaz,lbe->klabze", _PAULI_STACK, _PAULI_STACK).reshape(16, 16) @ np.einsum(
+    "icd,jxy,xydcr->rij", _PAULI_STACK, _PAULI_STACK, _REGISTER).reshape(16, 16)).real / 4.0
 #: (sigma_i sigma_x sigma_j)[a, d], i, j = 1..3, as (9, 16): the SU(2) lift with O left open
 _LIFT = np.einsum("iab,xbc,jcd->ijxad", _PAULI_STACK[1:], _PAULI_STACK,
                   _PAULI_STACK[1:]).reshape(9, 16)
@@ -106,21 +108,22 @@ class NumericMoments:
     delta: float
 
 
-def fidelities(rho: np.ndarray, bloch: np.ndarray) -> np.ndarray:
-    """Protocol fidelities (N, Q) through shared states (N, 4, 4) for input Bloch
-    vectors (Q, 3): (1, n) G (1, n)^T / 4, G = Re(rho W) by one product per member."""
-    g = (rho.reshape(len(rho), 1, 16) @ _RESPONSE).real.reshape(len(rho), 4, 4)
+def fidelities(coef: np.ndarray, bloch: np.ndarray) -> np.ndarray:
+    """Protocol fidelities (N, Q) through shared states of `pauli_coefficients` C
+    (N, 4, 4) for input Bloch vectors (Q, 3): (1, n) G (1, n)^T / 4, G = C P by one
+    product per member."""
+    g = (coef.reshape(len(coef), 1, 16) @ _RESPONSE).reshape(len(coef), 4, 4)
     v = np.column_stack([np.ones(len(bloch)), bloch])
     return 0.25 * np.einsum("qi,nij,qj->nq", v, g, v)
 
 
-def moments(rho: np.ndarray, rule: tuple[np.ndarray, np.ndarray] = EXACT_RULE
+def moments(coef: np.ndarray, rule: tuple[np.ndarray, np.ndarray] = EXACT_RULE
             ) -> tuple[np.ndarray, np.ndarray]:
-    """Haar mean of the protocol fidelity and its spread through shared states
-    (N, 4, 4) by a (weights, bloch) rule; the spread is the root of the centered
-    moment, as second moment - mean**2 cancels to ~1e-8 noise at zero spread."""
+    """Haar mean of the protocol fidelity and its spread through shared states of
+    Pauli coefficients (N, 4, 4) by a (weights, bloch) rule; the spread is the root
+    of the centered moment, as second moment - mean**2 cancels to ~1e-8 at zero spread."""
     weights, bloch = rule
-    f = fidelities(rho, bloch)
+    f = fidelities(coef, bloch)
     # row sums: numpy's pairwise summation, the same for a row alone or in a stack
     mean = (f * weights).sum(axis=-1)
     return mean, np.sqrt((np.square(f - mean[:, None]) * weights).sum(axis=-1))
@@ -128,7 +131,7 @@ def moments(rho: np.ndarray, rule: tuple[np.ndarray, np.ndarray] = EXACT_RULE
 
 def numeric_moments(shared: TwoQubitState, quad: QuadratureSpec | None = None) -> NumericMoments:
     """`moments` of one shared state by `quad` (64 x 64 by default)."""
-    mean, delta = moments(shared.rho[None], (quad or QuadratureSpec()).nodes())
+    mean, delta = moments(pauli_coefficients(shared.rho[None]), (quad or QuadratureSpec()).nodes())
     return NumericMoments(mean_f=float(mean[0]), delta=float(delta[0]))
 
 
@@ -147,15 +150,12 @@ def _su2_from_rotation(o: np.ndarray) -> np.ndarray:
     return m / np.sqrt(np.linalg.det(m))[..., None, None]
 
 
-def canonical_densities(rho: np.ndarray, t_mat: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rotate density matrices (N, 4, 4), as from_density stores them, with
-    correlation matrices T (N, 3, 3) by local unitaries: the read-only rho_C
-    and U1, U2 (N, 2, 2), rho_C = (U1 x U2) rho (U1 x U2)^dag, by one batched
-    SVD. T of rho_C is diagonal, magnitudes descending, with the signs that
-    maximize the protocol mean (1 + (d1 - d2 + d3)/3)/2 over rotations: the
-    printed all-negative (det <= 0) / two-largest-negative (det > 0) pattern
-    conjugated by diag(-1, 1, -1), i.e. by sigma_2 on one side."""
+def _canonical_rotations(t_mat: np.ndarray) -> np.ndarray:
+    """The proper rotations O_A, O_B (2, N, 3, 3), by one batched SVD, that take
+    correlation matrices T (N, 3, 3) to T_C = O_A T O_B^T: diagonal, magnitudes
+    descending, signs maximizing the protocol mean (1 + (d1 - d2 + d3)/3)/2 over
+    rotations, i.e. the printed all-negative (det <= 0) / two-largest-negative
+    (det > 0) pattern conjugated by diag(-1, 1, -1) (sigma_2 on one side)."""
     u_svd, _, vt_svd = np.linalg.svd(t_mat)
     # T = U diag(s) V^T: the proper rotations diag(f) U^T and diag(g) V^T give
     # T_C = diag(s1, -s2, -det(U) det(V) s3), whose exact factor parities are
@@ -167,7 +167,16 @@ def canonical_densities(rho: np.ndarray, t_mat: np.ndarray
     signs = np.ones(uv.shape[:-1])  # rows f = (1, 1, det U) and g = (1, -1, -det V) above
     signs[1, :, 1:] = -1.0
     signs[..., 2] *= det
-    u1, u2 = _su2_from_rotation(signs[..., None] * uv)
+    return signs[..., None] * uv
+
+
+def canonical_densities(rho: np.ndarray, t_mat: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rotate density matrices (N, 4, 4), as from_density stores them, with
+    correlation matrices T (N, 3, 3) by local unitaries: the read-only rho_C
+    and U1, U2 (N, 2, 2), rho_C = (U1 x U2) rho (U1 x U2)^dag, the SU(2) lifts
+    of the `_canonical_rotations` of T."""
+    u1, u2 = _su2_from_rotation(_canonical_rotations(t_mat))
     # np.kron(u1, u2) of each member, by broadcasting: the same bits as np.kron
     big = (u1[:, :, None, :, None] * u2[:, None, :, None, :]).reshape(-1, 4, 4)
     out = big @ rho @ dagger(big)
@@ -177,11 +186,14 @@ def canonical_densities(rho: np.ndarray, t_mat: np.ndarray
     return out, u1, u2
 
 
-def canonical_moments(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle of density matrices (N, 4, 4), as from_density stores them:
-    the `moments` of their canonical forms by the exact rule, which equal
-    f_max and delta where det T <= 0."""
-    return moments(canonical_densities(rho, hs_decompose(rho).t_mat)[0])
+def canonical_moments(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle of shared states of `pauli_coefficients` C (N, 4, 4): the exact
+    `moments` of C_C = diag(1, O_A) C diag(1, O_B)^T by the `_canonical_rotations`
+    of T = C[:, 1:, 1:], which equal f_max and delta where det T <= 0."""
+    rot = np.zeros((2, len(coef), 4, 4))
+    rot[:, :, 0, 0] = 1.0
+    rot[:, :, 1:, 1:] = _canonical_rotations(coef[:, 1:, 1:])
+    return moments(rot[0] @ coef @ rot[1].swapaxes(-1, -2))
 
 
 def canonicalize(state: TwoQubitState) -> tuple[TwoQubitState, tuple[np.ndarray, np.ndarray]]:

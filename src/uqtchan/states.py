@@ -265,6 +265,7 @@ def _singular_values(t_mat: np.ndarray) -> np.ndarray:
     return mags
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verdicts(t_mat: np.ndarray) -> TeleportProfile:
     """Classify correlation matrices (..., 3, 3) into one TeleportProfile of arrays.
 
@@ -274,7 +275,8 @@ def verdicts(t_mat: np.ndarray) -> TeleportProfile:
     magnitude is zero by ZERO_CORR, so its sign does not follow
     rounding. Useful iff F > 2/3, universal iff the |t_ii| are all equal
     (zero deviation), useful for universal teleportation (uqt) iff both and
-    min|t_ii| > 1/3; a state with det T > 0 is none of these.
+    min|t_ii| > 1/3; a state with det T > 0 is none of these. A NaN member
+    raises LinAlgError; an inf member reads NaN, an overflow inf, without a warning.
     """
     abs_t = _singular_values(np.asarray(t_mat))
     abs_t.setflags(write=False)

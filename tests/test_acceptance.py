@@ -10,7 +10,6 @@ import dataclasses
 import gc
 import itertools
 import json
-import re
 import weakref
 
 import numpy as np
@@ -115,8 +114,9 @@ def _reference_monotonicity():
             continue
         worst_f = max(worst_f, prof1.f_max - prof0.f_max)
     ok = worst_c <= 1e-10 and worst_f <= 1e-10
-    return ok, (f"max concurrence increase {worst_c:.2e}, max fidelity increase "
-                f"{worst_f:.2e} (tol 1e-10; {skipped} det(T)>=0 finals skipped)")
+    within = acceptance._within
+    return ok, (f"max concurrence increase {within(worst_c, 1e-10)}, max fidelity increase "
+                f"{within(worst_f, 1e-10)} ({skipped} det(T)>=0 finals skipped)")
 
 
 def _reference_dephasing_bell_law():
@@ -161,18 +161,29 @@ def _reference_oracle_equivalence():
     return worst <= 1e-6 and worst_fid <= 1e-12, (worst, worst_fid), drawn, state_after
 
 
-def test_criterion_1_agrees_with_its_scalar_reference():
+def _record_within(monkeypatch):
+    """The (value, tol) pairs that acceptance._within prints from now on."""
+    printed, real = [], acceptance._within
+    monkeypatch.setattr(acceptance, "_within", lambda value, tol: printed.append((value, tol))
+                        or real(value, tol))
+    return printed
+
+
+def test_criterion_1_agrees_with_its_scalar_reference(monkeypatch):
+    printed = _record_within(monkeypatch)
     result = acceptance.run_criterion(1)
     passed, errors = _reference_dephasing_bell_law()
-    printed = [float(x) for x in re.findall(r"err (\S+) \(tol", result.detail)]
-    assert result.passed == passed and len(printed) == 2
-    assert max(printed) <= 1e-15 and max(errors) <= 1e-15  # both at rounding level
+    assert result.passed == passed and [tol for _, tol in printed] == [1e-12, 1e-6]
+    assert result.detail == "max formula err <= 1e-12, oracle err <= 1e-06"
+    # both at rounding level
+    assert max(value for value, _ in printed) <= 1e-15 and max(errors) <= 1e-15
 
 
-def test_criterion_10_draws_what_the_scalar_loop_draws():
+def test_criterion_10_draws_what_the_scalar_loop_draws(monkeypatch):
     # the same 100 accepted states, the same stream after them for the Bell
     # inputs, and moments at rounding level against the closed forms, as
     # the scalar loop through the 64 x 64 rule finds them
+    printed = _record_within(monkeypatch)
     result = acceptance.run_criterion(10)
     passed, errors, drawn, state_after = _reference_oracle_equivalence()
     rng = np.random.default_rng(424242)
@@ -180,9 +191,9 @@ def test_criterion_10_draws_what_the_scalar_loop_draws():
     for st, m in zip(drawn, mats):
         assert states.from_density(m).rho.tobytes() == st.rho.tobytes()
     assert rng.bit_generator.state == state_after
-    printed = [float(x) for x in re.findall(r"(\S+) \(tol", result.detail)]
-    assert result.passed == passed and len(printed) == 2
-    assert max(printed) <= 1e-15 and max(errors) <= 1e-15
+    assert result.passed == passed and [tol for _, tol in printed] == [1e-6, 1e-12]
+    assert result.detail == "max |formula - quadrature| <= 1e-06; Bell infidelity <= 1e-12"
+    assert max(value for value, _ in printed) <= 1e-15 and max(errors) <= 1e-15
 
 
 REFERENCES = {2: _reference_rank2_never_uqt, 4: _reference_nonunital_uqt_families,
@@ -199,9 +210,14 @@ def _as_result(func):
 
 
 @pytest.mark.parametrize("index", sorted(REFERENCES), ids=lambda i: acceptance.CRITERIA[i - 1][0])
-def test_stacked_criterion_matches_its_scalar_reference(index):
+def test_stacked_criterion_matches_its_scalar_reference(monkeypatch, index):
+    # the same text, and the same values where the text prints only a tolerance
+    printed = _record_within(monkeypatch)
     result = acceptance.run_criterion(index)
+    stacked = printed[:]
+    printed.clear()
     assert (result.passed, result.detail) == _as_result(REFERENCES[index])
+    assert printed == stacked
 
 
 # ---------------------------------------------------------------------------

@@ -449,14 +449,21 @@ def test_oracle_catches_a_wrong_channel_action(monkeypatch, rank):
     assert explorer.oracle_disagreements(channels.bob_action(rho, stack), f_max, delta) > 0
 
 
-def test_oracle_catches_a_wrong_pauli_response(monkeypatch):
-    # the response rebuilt with the corrections of outcomes 2 and 4 swapped:
-    # every sweep row through a Bell state and some random rows disagree
-    corrections = np.array(oracle.CORRECTIONS)[[0, 3, 2, 1]]
+def _pauli_response(corrections):
+    """The oracle's Pauli-basis response, rebuilt from the register of the
+    protocol with these corrections."""
     register = np.einsum("kyzia,kcb,kde->iycdabze", oracle._PROJ, corrections,
                          corrections.conj()).reshape(2, 2, 2, 2, 16)
     paulis = oracle._PAULI_STACK
-    response = np.einsum("icd,jxy,xydcr->rij", paulis, paulis, register).reshape(16, 16)
+    per_entry = np.einsum("icd,jxy,xydcr->rij", paulis, paulis, register).reshape(16, 16)
+    return (np.einsum("kaz,lbe->klabze", paulis, paulis).reshape(16, 16) @ per_entry).real / 4.0
+
+
+def test_oracle_catches_a_wrong_pauli_response(monkeypatch):
+    # the response rebuilt with the corrections of outcomes 2 and 4 swapped:
+    # every sweep row through a Bell state and some random rows disagree
+    assert _pauli_response(np.array(oracle.CORRECTIONS)).tobytes() == oracle._RESPONSE.tobytes()
+    response = _pauli_response(np.array(oracle.CORRECTIONS)[[0, 3, 2, 1]])
     assert not np.array_equal(response, oracle._RESPONSE)
     spec = make_spec("gadc", {"N": 0.1}, [("gamma", 0.0, 0.9, 0.1)])
     rho, stack, f_max, delta = _random_rows(4)
@@ -464,6 +471,36 @@ def test_oracle_catches_a_wrong_pauli_response(monkeypatch):
     monkeypatch.setattr(oracle, "_RESPONSE", response)
     assert run_sweep(spec).oracle_failures == 10
     assert explorer.oracle_disagreements(channels.bob_action(rho, stack), f_max, delta) > 0
+
+
+def _dropped_b_signs(rotations):
+    """The canonical sign rule without the -1 on O_B's last two rows."""
+    out = rotations.copy()
+    out[1, :, 1:] *= -1.0
+    return out
+
+
+def _improper_a(rotations):
+    """O_A with its last row negated: det O_A = -1."""
+    out = rotations.copy()
+    out[0, :, 2] *= -1.0
+    return out
+
+
+@pytest.mark.parametrize("mutant", [_dropped_b_signs, _improper_a], ids=["dropped-b-signs", "improper-a"])
+def test_oracle_catches_a_wrong_canonical_rotation(monkeypatch, mutant):
+    # the oracle rotates the Pauli coefficients by whatever the rotations
+    # are; a wrong sign rule or an improper rotation moves the moments off
+    # the closed forms on a gadc sweep through a Bell state and on random rows
+    spec = make_spec("gadc", {"N": 0.1}, [("gamma", 0.0, 0.9, 0.1)])
+    rho, stack, f_max, delta = _random_rows(4)
+    final = channels.bob_action(rho, stack)
+    assert run_sweep(spec).oracle_failures == 0
+    assert explorer.oracle_disagreements(final, f_max, delta) == 0
+    real = oracle._canonical_rotations
+    monkeypatch.setattr(oracle, "_canonical_rotations", lambda t_mat: mutant(real(t_mat)))
+    assert run_sweep(spec).oracle_failures > 0
+    assert explorer.oracle_disagreements(final, f_max, delta) > 0
 
 
 def test_sweep_of_error_rows_only_checks_an_empty_oracle_stack():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from uqtchan import channels, families, linalg, oracle, states
 from uqtchan.linalg import I2, SX, SY, SZ
@@ -26,7 +28,7 @@ def random_bloch(rng):
 
 
 def fidelity_on_bloch(shared, bloch):
-    return oracle.fidelities(shared.rho[None], bloch)[0]
+    return oracle.fidelities(states.pauli_coefficients(shared.rho[None]), bloch)[0]
 
 
 def rotation_of_unitary(u):
@@ -346,7 +348,7 @@ def test_stack_members_equal_their_one_member_views_bit_for_bit(rng):
     transfer = oracle._protocol(rho, oracle._PAULI_STACK)
     canonical, u1, u2 = oracle.canonical_densities(rho, t_mat)
     rule = QuadratureSpec(8, 16).nodes()
-    mean, delta = oracle.moments(rho, rule)
+    mean, delta = oracle.moments(states.pauli_coefficients(rho), rule)
     for i, st in enumerate(sts):
         for j, n in enumerate(blochs):
             assert teleport_output(st, n).tobytes() == outputs[i, j].tobytes()
@@ -360,21 +362,25 @@ def test_stack_members_equal_their_one_member_views_bit_for_bit(rng):
 
 
 def test_pauli_response_is_the_protocol_on_the_four_paulis(rng):
-    # G = Re(rho W) of the constant response against G_ij = Tr(sigma_i L[sigma_j])
+    # G = C P of the constant Pauli-basis response against G_ij = Tr(sigma_i L[sigma_j])
     # of the literal protocol, for each member alone and inside the stack;
     # the fidelities of a member alone have its bits in the stack
     sts = stack_states(rng)
-    rho = np.array([s.rho for s in sts])
+    coef = states.pauli_coefficients(np.array([s.rho for s in sts]))
     paulis = oracle._PAULI_STACK
     blochs = np.array([random_bloch(rng) for _ in range(6)])
     v = np.column_stack([np.ones(len(blochs)), blochs])
-    stacked = oracle.fidelities(rho, blochs)
+    stacked = oracle.fidelities(coef, blochs)
     response = oracle._RESPONSE.reshape(16, 4, 4)
+    # the protocol reads C_00 and the diagonal of T, with weights 2, 2, -2, 2
+    nonzero = np.nonzero(oracle._RESPONSE)
+    assert nonzero[0].tolist() == nonzero[1].tolist() == [0, 5, 10, 15]
+    assert np.max(np.abs(oracle._RESPONSE[nonzero] - [2.0, 2.0, -2.0, 2.0])) <= 1e-15
     for m, st in enumerate(sts):
         g_ref = np.einsum("iab,jba->ij", paulis, oracle._protocol(st.rho[None], paulis)[0]).real
-        for one in (st.rho, rho[m]):
-            assert np.max(np.abs(np.einsum("r,rij->ij", one.reshape(16), response).real - g_ref)) <= 1e-15
-        alone = oracle.fidelities(st.rho[None], blochs)[0]
+        for one in (states.pauli_coefficients(st.rho), coef[m]):
+            assert np.max(np.abs(np.einsum("r,rij->ij", one.reshape(16), response) - g_ref)) <= 1e-15
+        alone = oracle.fidelities(states.pauli_coefficients(st.rho[None]), blochs)[0]
         assert alone.tobytes() == stacked[m].tobytes()
         assert np.max(np.abs(alone - 0.25 * np.einsum("qi,ij,qj->q", v, g_ref, v))) <= 1e-15
 
@@ -385,7 +391,7 @@ def test_exact_rule_agrees_with_the_64_by_64_rule(rng):
     rho = np.array([s.rho for s in sts])
     canonical = oracle.canonical_densities(rho, np.array([s.hs.t_mat for s in sts]))[0]
     assert oracle.EXACT_RULE[0].shape == (15,) and not oracle.EXACT_RULE[1].flags.writeable
-    for stack in (rho, canonical):
+    for stack in map(states.pauli_coefficients, (rho, canonical)):
         exact = oracle.moments(stack)
         fine = oracle.moments(stack, QuadratureSpec().nodes())
         assert np.max(np.abs(np.subtract(exact, fine))) <= 1e-14
@@ -394,11 +400,60 @@ def test_exact_rule_agrees_with_the_64_by_64_rule(rng):
 def test_canonical_moments_equal_the_closed_forms(rng):
     sts = stack_states(rng)
     rho = np.array([s.rho for s in sts])
-    mean, delta = oracle.canonical_moments(rho)
+    mean, delta = oracle.canonical_moments(states.pauli_coefficients(rho))
     for st, m, d in zip(sts, mean, delta):
         prof = profile(st)
         if prof.formula_valid:
             assert abs(m - prof.f_max) <= 1e-14 and abs(d - prof.delta) <= 1e-14
+
+
+def _drawn_state(kind, seed, x):
+    """A shared state of one kind, scrambled by random local unitaries: a
+    random density of rank 1 to 4 (det T of either sign), a product state
+    (det T = 0), a Werner state of Bell weight x (three equal magnitudes;
+    det T < 0, = 0 or > 0 as x >, = or < 1/4), a final state of the rank-4
+    family on bell1 (three equal magnitudes), or I/4 plus a random T of
+    scale 10**(-300 - 8x), near underflow."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        rho = random_rank_density(rng, 1 + seed % 4)
+    elif kind == "product":
+        rho = np.kron(random_density(rng, 2), random_density(rng, 2))
+    elif kind == "werner":
+        rho = sum(w * bell_state(k).rho for w, k in zip((x, *[(1 - x) / 3] * 3), (1, 2, 3, 4)))
+    elif kind == "rank4":
+        params = families.FAMILIES["uqt_nonunital_rank4"].sample_params(rng)
+        rho = channels.apply_to_bob(bell_state(1), families.uqt_nonunital_rank4(**params)).rho
+    else:
+        t = rng.normal(size=(3, 3)) * 10.0 ** (-300.0 - 8.0 * x)
+        rho = (np.eye(4) + np.einsum("ij,ijab->ab", t, states._PP[1:, 1:])) / 4.0
+    u = np.kron(random_unitary(rng), random_unitary(rng))
+    return from_density(u @ rho @ u.conj().T)
+
+
+_KINDS = st.sampled_from(["random", "product", "werner", "rank4", "tiny"])
+
+
+@given(st.lists(st.tuples(_KINDS, st.integers(0, 2**32 - 1), st.floats(0.0, 1.0)), min_size=1, max_size=6))
+@example([("werner", 1, 0.25), ("werner", 2, 0.1), ("werner", 3, 0.9), ("rank4", 4, 0.0),
+          ("product", 5, 0.0), ("tiny", 6, 1.0), ("random", 7, 0.0)])
+def test_canonical_moments_equal_the_moments_of_the_unitary_canonical_form(draws):
+    # rotating the Pauli coefficients by the proper rotations gives the
+    # moments of the state rotated by their SU(2) lifts, member by member
+    sts = [_drawn_state(*draw) for draw in draws]
+    coef = states.pauli_coefficients(np.array([s.rho for s in sts]))
+    mean, delta = oracle.canonical_moments(coef)
+    rotations = oracle._canonical_rotations(coef[:, 1:, 1:])
+    # orthogonal, as far as LAPACK's SVD factors are (up to 2.7e-15 seen on
+    # 200,000 random 3x3 matrices), and proper: the third row is the cross
+    # product of the first two (det +1; np.linalg.det's LU adds rounding of its own)
+    assert np.max(np.abs(rotations @ rotations.swapaxes(-1, -2) - np.eye(3))) <= 4e-15
+    cross = np.cross(rotations[..., 0, :], rotations[..., 1, :])
+    assert np.max(np.abs(cross - rotations[..., 2, :])) <= 4e-15
+    for i, shared in enumerate(sts):
+        canon, _ = canonicalize(shared)
+        want_mean, want_delta = oracle.moments(states.pauli_coefficients(canon.rho[None]))
+        assert abs(mean[i] - want_mean[0]) <= 1e-15 and abs(delta[i] - want_delta[0]) <= 1e-15
 
 
 def test_a_stack_of_inputs_teleports_perfectly_through_bell1(rng):

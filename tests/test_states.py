@@ -557,21 +557,28 @@ def test_verdicts_of_diagonal_and_general_members_have_lapack_bits(members):
             assert getattr(one, key) is bool(getattr(v, key)[i])
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e140, -1e140])
 def test_verdicts_of_a_non_finite_diagonal_member_are_lapacks(bad):
-    # NaN raises LinAlgError and inf reads as NaN magnitudes, alone and in a
-    # stack of diagonal members, as np.linalg.svd has it
+    # NaN raises LinAlgError and inf reads as NaN magnitudes and a NaN det T,
+    # alone and in a stack of diagonal members, as np.linalg.svd has it; a
+    # det T that overflows is inf of its sign. No case warns, and the suite
+    # makes a warning an error
     t = np.array([np.diag([0.5, 0.2, 0.1]), np.diag([bad, 0.5, 0.2]), np.diag([0.3, 0.3, 0.3])])
+    if abs(bad) == 1e140:
+        t[1] = np.diag([bad, 1e140, 1e140])  # |det T| = 1e420
     for stack in (t, t[1:2]):
         if np.isnan(bad):
             for fn in (verdicts, lambda x: np.linalg.svd(x, compute_uv=False)):
                 with pytest.raises(np.linalg.LinAlgError):
                     fn(stack)
+            continue
+        v = verdicts(stack)
+        assert v.abs_t.tobytes() == np.linalg.svd(stack, compute_uv=False).tobytes()
+        det = v.det_t[-2 if len(stack) > 1 else 0]
+        if np.isinf(bad):
+            assert np.isnan(v.abs_t).any() and np.isnan(det)
         else:
-            with np.errstate(invalid="ignore"):  # det T = inf times a False mask
-                abs_t = verdicts(stack).abs_t
-            assert np.isnan(abs_t).any()
-            assert abs_t.tobytes() == np.linalg.svd(stack, compute_uv=False).tobytes()
+            assert det == np.copysign(np.inf, bad)
 
 
 def _density_of_rank(rng, r, dim=4):
