@@ -109,8 +109,8 @@ def final_correlations(rho: np.ndarray, choi_coef: np.ndarray) -> np.ndarray:
 def validate_stack(kraus: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, list, list, list, np.ndarray]:
     """Check a ready (N, k, 2, 2) Kraus stack, each member as `validate`
-    checks one, with one Choi contraction and one hermitian_eigenvalues for
-    all of them; completeness and unitality are read off the marginals of the
+    checks one, with one Choi contraction and one `states.density_stack`, certifying rank 4
+    where it can, for all of them; completeness and unitality are read off the marginals of the
     trace-1 Choi matrix J, 2 Tr_B J = (sum K^dag K)^T and 2 Tr_A J = sum K K^dag.
 
     Returns the read-only stack, a non-finite member zeroed (a zero
@@ -140,14 +140,16 @@ def validate_stack(kraus: np.ndarray
         errors[i] = f"completeness violated: ||sum K^dag K - I||_max = {residuals[i]:.3e}"
     live = [i for i, err in enumerate(errors) if err is None]
     # completeness bounds every Kraus entry by about 1, so each Choi matrix is
-    # finite and Hermitian to rounding: the eigensolver's gate rejects none
-    dens = states.density_stack(j[live])
+    # finite and Hermitian to rounding: the gate rejects none. lambda_min > 2 RANK_TOL tr >=
+    # 2 RANK_TOL lambda_max certifies rank 4, tried only if no live member has a zero operator
+    full = stack.shape[1] >= 4 and stack.any(axis=(2, 3)).all(axis=1)[finite & ~incomplete].all()
+    dens = states.density_stack(j[live], 2.0 * linalg.RANK_TOL if full else None)
     for i, err in zip(live, dens.errors):
         errors[i] = None if err is None else f"Choi matrix rejected: {err}"
     choi = np.zeros((len(stack), 4, 4), dtype=complex)  # zero for members rejected before
     choi[live] = dens.rho
     ranks = np.zeros(len(stack), dtype=int)
-    ranks[live] = linalg.rank(dens.eigenvalues)
+    ranks[live] = 4 if dens.spectra is None else linalg.rank(dens.eigenvalues)
     return stack, choi, ranks.tolist(), errors, residuals, unitality
 
 

@@ -2,7 +2,8 @@
 
 Everything operates on plain numpy arrays of shape (2, 2) or (4, 4); the
 Hermitian eigensolvers also take a stack of them, shape (..., n, n): one finite
-and Hermitian gate, then np.linalg.eigh where an eigenbasis is read, eigvalsh elsewhere;
+and Hermitian gate, `hermitian_part`, then np.linalg.eigh where an eigenbasis is read,
+eigvalsh where a spectrum is, one Cholesky where only a lower bound is (`spectra_above`);
 `canonical_eigenvectors` fixes the eigenbases of a stack where Kraus
 operators are built from them, so they do not depend on the LAPACK build.
 """
@@ -82,7 +83,7 @@ def rank(eigenvalues) -> int | np.ndarray:
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
-def _hermitian_part(m) -> np.ndarray:
+def hermitian_part(m) -> np.ndarray:
     """(M + M^dag) / 2 of a 2x2 or 4x4 matrix or stack (..., n, n) that passes the gate: a
     non-finite entry or ||M - M^dag||_max > EPS_HERM raises ValueError, for a whole stack."""
     a = _as_square(m)
@@ -96,8 +97,8 @@ def _hermitian_part(m) -> np.ndarray:
 
 def hermitian_eig(m) -> EigenDecomp:
     """Eigendecomposition of a Hermitian 2x2 or 4x4 matrix or stack by one eigh call on
-    `_hermitian_part`; a matrix gets the same decomposition alone as inside a stack."""
-    vals, vecs = np.linalg.eigh(_hermitian_part(m))
+    `hermitian_part`; a matrix gets the same decomposition alone as inside a stack."""
+    vals, vecs = np.linalg.eigh(hermitian_part(m))
     vals = vals[..., ::-1].copy()
     vecs = vecs[..., ::-1].copy()
     vals.setflags(write=False)
@@ -105,12 +106,30 @@ def hermitian_eig(m) -> EigenDecomp:
     return EigenDecomp(eigenvalues=vals, eigenvectors=vecs)
 
 
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """`hermitian_eig`'s eigenvalues alone, (..., n), descending and read-only, by one
-    eigvalsh call, which computes no eigenvectors; the same alone as inside a stack."""
-    vals = np.linalg.eigvalsh(_hermitian_part(m))[..., ::-1].copy()
+def spectra(h) -> np.ndarray:
+    """Eigenvalues (..., n) of `hermitian_part`'s output h, descending and read-only, by
+    one eigvalsh call, which computes no eigenvectors; the same alone as inside a stack."""
+    vals = np.linalg.eigvalsh(h)[..., ::-1].copy()
     vals.setflags(write=False)
     return vals
+
+
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """`hermitian_eig`'s eigenvalues alone: the `spectra` of `hermitian_part`."""
+    return spectra(hermitian_part(m))
+
+
+def spectra_above(h, floor) -> bool:
+    """True if one np.linalg.cholesky factors h - floor I, h `hermitian_part`'s output
+    (..., n, n) and floor (...,): a backward-stable certificate (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.3) that every eigenvalue exceeds
+    its floor to within about 1e-15 ||h||. numpy raises for the whole stack, so False
+    means "not certified", not that a member fails."""
+    try:
+        np.linalg.cholesky(h - floor[..., None, None] * (I4 if h.shape[-1] == 4 else I2))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _eigenspace_basis(q: np.ndarray) -> np.ndarray:

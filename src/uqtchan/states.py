@@ -10,7 +10,7 @@ correlation magnitudes) and sign(det T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,49 +95,58 @@ def hs_decompose(rho: np.ndarray) -> HSDecomposition:
 @dataclass(frozen=True)
 class DensityStack:
     """`density_stack` of N matrices: per member the rho from_density stores
-    and its eigenvalues, and the message from_density raises for it or None
-    if it is accepted; a rejected member's rho and eigenvalues mean nothing."""
+    and the message from_density raises for it or None if it is accepted; a
+    rejected member's rho and eigenvalues mean nothing."""
 
     rho: np.ndarray  # (N, 4, 4)
-    eigenvalues: np.ndarray  # (N, 4), descending
     errors: tuple[str | None, ...]
+    herm: np.ndarray = field(repr=False)  # (N, 4, 4) the gate's Hermitian part, unscaled
+    tr: np.ndarray = field(repr=False)  # (N,) the trace each member is scaled by
+    spectra: np.ndarray | None = field(repr=False)  # (N, 4) the check's; None if certified
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """(N, 4), descending, scaled with rho: computed when read if the check certified them."""
+        spectra = linalg.spectra(self.herm) if self.spectra is None else self.spectra
+        return spectra / self.tr[:, None]
 
 
-def density_stack(m) -> DensityStack:
-    """Check a stack (N, 4, 4) of density matrices with one
-    hermitian_eigenvalues call and scale each to trace 1.
+def density_stack(m, floor: float | None = -PSD_TOL / 2) -> DensityStack:
+    """Check a stack (N, 4, 4) of density matrices and scale each to trace 1.
 
-    hermitian_eigenvalues rejects the whole stack if a member is non-finite or
-    non-Hermitian; callers stack matrices that are both by construction.
+    linalg.hermitian_part rejects the whole stack if a member is non-finite
+    or non-Hermitian; callers stack matrices that are both by construction.
     A member's trace must be 1 within TRACE_TOL and its spectrum, scaled to
-    trace 1, non-negative within PSD_TOL. The stored rho is the Hermitian
-    part scaled to trace 1, its eigenvalues scaled with it.
+    trace 1, non-negative within PSD_TOL: read only if `linalg.spectra_above`
+    does not certify every scaled spectrum above floor (None: no try; a floor
+    >= -PSD_TOL/2 keeps a 5e-10 margin). The stored rho is the Hermitian part
+    scaled to trace 1.
     """
     rho = np.ascontiguousarray(m, dtype=complex)  # the trace sums in memory order
     if rho.ndim != 3 or rho.shape[1:] != (4, 4):
         raise ValueError(f"expected a stack of 4x4 matrices, got shape {rho.shape}")
-    eigenvalues = linalg.hermitian_eigenvalues(rho)
+    herm = linalg.hermitian_part(rho)
     traces = rho.diagonal(0, 1, 2).sum(axis=1).real  # the trace, without its dispatch
     bad_trace = np.abs(traces - 1.0) > TRACE_TOL
     tr = np.where(bad_trace, 1.0, traces)  # never divide by a rejected, possibly zero, trace
-    vals = eigenvalues / tr[:, None]
-    vals.setflags(write=False)
-    low = vals[:, -1]
+    spectra = None if floor is not None and linalg.spectra_above(herm, floor * tr) \
+        else linalg.spectra(herm)
+    low = np.zeros(len(rho)) if spectra is None else spectra[:, -1] / tr  # certified: none low
     errors = [None] * len(rho)
     for i in (bad_trace | (low < -PSD_TOL)).nonzero()[0].tolist():  # the rejected members only
         errors[i] = f"density matrix trace {traces[i].item()!r} differs from 1 beyond {TRACE_TOL:g}" \
             if bad_trace[i] else f"density matrix has negative eigenvalue {low[i].item():.3e}"
     rho = (rho + rho.conj().swapaxes(1, 2)) / (2.0 * tr)[:, None, None]
     rho.setflags(write=False)
-    return DensityStack(rho=rho, eigenvalues=vals, errors=tuple(errors))
+    return DensityStack(rho=rho, errors=tuple(errors), herm=herm, tr=tr, spectra=spectra)
 
 
 def from_density(m) -> TwoQubitState:
     """Validate a 4x4 density matrix; attach its Pauli decomposition.
 
-    The one-member view of `density_stack`: hermitian_eigenvalues rejects
-    non-finite and non-Hermitian input, and the trace and PSD checks raise
-    ValueError; the stored rho is the Hermitian part scaled to trace 1."""
+    The one-member view of `density_stack`, whose certificate spares the
+    eigenvalues: its gate rejects non-finite and non-Hermitian input, and the trace and
+    PSD checks raise ValueError; the stored rho is the Hermitian part scaled to trace 1."""
     rho = np.asarray(m, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
@@ -265,7 +274,7 @@ def _singular_values(t_mat: np.ndarray) -> np.ndarray:
     return mags
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def verdicts(t_mat: np.ndarray) -> TeleportProfile:
     """Classify correlation matrices (..., 3, 3) into one TeleportProfile of arrays.
 
@@ -275,8 +284,8 @@ def verdicts(t_mat: np.ndarray) -> TeleportProfile:
     magnitude is zero by ZERO_CORR, so its sign does not follow
     rounding. Useful iff F > 2/3, universal iff the |t_ii| are all equal
     (zero deviation), useful for universal teleportation (uqt) iff both and
-    min|t_ii| > 1/3; a state with det T > 0 is none of these. A NaN member
-    raises LinAlgError; an inf member reads NaN, an overflow inf, without a warning.
+    min|t_ii| > 1/3; a state with det T > 0 is none of these. A NaN member raises
+    LinAlgError; inf reads NaN and an overflow inf, and neither, nor a subnormal det pivot, warns.
     """
     abs_t = _singular_values(np.asarray(t_mat))
     abs_t.setflags(write=False)

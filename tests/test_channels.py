@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqtchan import acceptance, channels, families, linalg, states
@@ -283,6 +283,68 @@ def test_validation_errors_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+#: Pauli-channel weights, the Choi spectrum of sqrt(p_i) sigma_i: the smallest
+#: at RANK_TOL * (largest) and at 2 RANK_TOL, each times (1 -+ 1e-3), exactly 0
+#: (ranks 1 to 3), generic, and a sum off 1 that fails completeness
+_WEIGHTS = tuple((0.7, 0.2, 0.1 - low, low) for low in (
+    0.7 * linalg.RANK_TOL * (1 - 1e-3), 0.7 * linalg.RANK_TOL * (1 + 1e-3),
+    2 * linalg.RANK_TOL * (1 - 1e-3), 2 * linalg.RANK_TOL * (1 + 1e-3), 0.05)) + (
+    (1.0, 0.0, 0.0, 0.0), (0.6, 0.0, 0.0, 0.4), (0.5, 0.3, 0.2, 0.0), (0.5, 0.3, 0.2, 1e-9))
+
+
+def _edge_kraus(kind: int, seed: int) -> np.ndarray:
+    """The four operators sqrt(p_i) sigma_i of _WEIGHTS[kind], for odd seeds
+    mixed by a unitary drawn from seed: the same channel by four nonzero
+    operators, an over-complete list where its Choi rank is below 4."""
+    ops = np.sqrt(_WEIGHTS[kind])[:, None, None] * np.array(SIGMA)
+    return ops if seed % 2 == 0 else \
+        np.einsum("ab,bij->aij", random_unitary(np.random.default_rng(seed), 4), ops)
+
+
+def _reference_validate_stack(kraus):
+    """validate_stack's Choi matrices, ranks and errors read off every
+    member's eigenvalues, in plain numpy."""
+    j = channels.choi_matrix(kraus)
+    m = j.reshape(-1, 2, 2, 2, 2)
+    complete = np.abs(2.0 * (m[:, :, 0, :, 0] + m[:, :, 1, :, 1]) - I2).max(axis=(1, 2), initial=0.0)
+    live = complete <= channels.EPS_COMPLETE
+    errors = [None if ok else f"completeness violated: ||sum K^dag K - I||_max = {res:.3e}"
+              for ok, res in zip(live.tolist(), complete.tolist())]
+    traces = j.diagonal(0, 1, 2).sum(axis=1).real
+    vals = np.linalg.eigvalsh((j + j.conj().swapaxes(1, 2)) / 2.0)[:, ::-1] / traces[:, None]
+    lmax = vals[:, :1]
+    ranks = (vals > linalg.RANK_TOL * lmax).sum(axis=1) * (lmax[:, 0] > linalg.RANK_TOL)
+    for i in np.flatnonzero(live & (vals[:, -1] < -states.PSD_TOL)).tolist():
+        errors[i] = f"Choi matrix rejected: density matrix has negative eigenvalue {vals[i, -1]:.3e}"
+    choi = (j + j.conj().swapaxes(1, 2)) / (2.0 * traces)[:, None, None]
+    return np.where(live[:, None, None], choi, 0.0), np.where(live, ranks, 0).tolist(), errors
+
+
+@given(st.lists(st.tuples(st.integers(0, len(_WEIGHTS) - 1), st.integers(0, 2**32 - 1)),
+                max_size=6))
+@example([])
+@example([(4, 0), (6, 1), (3, 3)])  # an over-complete rank-2 member takes the stack to eigvalsh
+@settings(max_examples=300)
+def test_validate_stack_keeps_the_eigenvalue_rule(members):
+    kraus = np.array([_edge_kraus(kind, seed) for kind, seed in members]).reshape(-1, 4, 2, 2)
+    _, choi_stack, ranks, errors, _, _ = channels.validate_stack(kraus)
+    ref_choi, ref_ranks, ref_errors = _reference_validate_stack(kraus)
+    assert (ranks, errors) == (ref_ranks, ref_errors)
+    assert choi_stack.tobytes() == ref_choi.tobytes()
+
+
+def test_an_over_complete_rank_2_list_reads_rank_2_alone_and_among_full_rank_rows():
+    # four nonzero operators of a rank-2 channel: the rank-4 certificate is
+    # tried, fails, and the eigenvalues give the rank
+    ops = _edge_kraus(6, 1)
+    assert np.abs(ops).max(axis=(1, 2)).min() > 0.1
+    assert validate(ops).choi_rank == 2
+    gadc = families.checked_rows("gadc", {"gamma": [0.2, 0.5, 0.8], "N": [0.3, 0.6, 0.9]}).kraus
+    assert channels.validate_stack(gadc)[2] == [4, 4, 4]
+    stack = np.concatenate([gadc[:2], ops[None], gadc[2:]])
+    assert channels.validate_stack(stack)[2] == [4, 4, 2, 4]
 
 
 def test_random_kraus_is_a_channel_of_its_rank():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uqtchan
-from uqtchan import acceptance, channels, cli, explorer, families, oracle, states
+from uqtchan import acceptance, channels, cli, explorer, families, linalg, oracle, states
 from uqtchan.explorer import (
     CSV_FIELDS,
     Axis,
@@ -550,6 +550,51 @@ def test_sweep_keeps_to_one_cpu_without_pinned_blas_threads():
     pinned_cpu, _, _ = _sweep_cpu(pin=True)
     assert rows == 2048
     assert cpu <= 1.4 * wall and cpu <= 1.4 * pinned_cpu
+
+
+def _count_checks(monkeypatch):
+    """Count np.linalg.eigvalsh calls and record the floors of the Cholesky certificates."""
+    counts = {"eigvalsh": 0, "floors": []}
+    eigvalsh, spectra_above = np.linalg.eigvalsh, linalg.spectra_above
+
+    def counted_eigvalsh(h):
+        counts["eigvalsh"] += 1
+        return eigvalsh(h)
+
+    def recorded_spectra_above(h, floor):
+        counts["floors"].append(floor)
+        return spectra_above(h, floor)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(linalg, "spectra_above", recorded_spectra_above)
+    return counts
+
+
+@pytest.mark.parametrize("family_id, params, axes, initial", [
+    ("gadc", {}, [("gamma", 0.1, 0.9, 0.1), ("N", 0.1, 0.9, 0.1)], "bell1"),
+    ("uqt_nonunital_rank4", {"s3": 0.05},
+     [("s1", -0.3, 0.3, 0.1), ("s2", -0.3, 0.3, 0.1), ("t", 0.4, 0.8, 0.2)], "pure:0.8"),
+], ids=["gadc-bell1", "rank4-pure"])
+def test_full_rank_sweep_blocks_read_no_spectrum(monkeypatch, family_id, params, axes, initial):
+    # every channel of these blocks has Choi rank 4 and every final state
+    # passes the PSD check with room to spare: the Cholesky certificates
+    # answer both checks, and no eigenvalue is computed
+    counts = _count_checks(monkeypatch)
+    result = run_sweep(make_spec(family_id, params, axes, initial=initial))
+    assert counts["eigvalsh"] == 0
+    assert any((floor > 0).all() for floor in counts["floors"])  # the rank certificate ran
+    ranks = [row[1 + len(axes) + CSV_FIELDS.index("choi_rank")] for row in result.rows
+             if row[-1] == ""]  # the rows in range
+    assert len(ranks) >= 50 and set(ranks) == {4}
+
+
+def test_a_search_block_tries_no_rank_certificate(monkeypatch):
+    # a block with a zero-padded rank-3 candidate cannot have Choi rank 4
+    # everywhere: validate_stack goes to the eigenvalues without a Cholesky
+    counts = _count_checks(monkeypatch)
+    search_uqt(0.45, 3 * explorer.SEARCH_BLOCK, seed=1)
+    assert counts["eigvalsh"] >= 3
+    assert all((floor <= 0).all() for floor in counts["floors"])
 
 
 def test_sweep_blocks_match_one_row_blocks(monkeypatch):

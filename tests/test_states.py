@@ -239,6 +239,54 @@ def test_density_stack_bits_do_not_depend_on_the_layout():
     assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes() and got.errors == ref.errors
 
 
+#: trace-1 spectra whose smallest eigenvalue sits at the edges of the PSD rule
+#: (-PSD_TOL * (1 -+ 1e-3)), of the certificate's floor (-PSD_TOL/2), exactly
+#: at 0 (pure, rank 2 and 3), clearly below, and off trace 1 or at trace 0
+_SPECTRA = tuple((0.5, 0.3, 0.2 - low, low) for low in (
+    -states.PSD_TOL * (1 + 1e-3), -states.PSD_TOL * (1 - 1e-3),
+    -states.PSD_TOL / 2 * (1 + 1e-3), -states.PSD_TOL / 2 * (1 - 1e-3), 1e-12, 0.1, -0.1)) + (
+    (1.0, 0.0, 0.0, 0.0), (0.6, 0.4, 0.0, 0.0), (0.5, 0.3, 0.2, 0.0),
+    (0.5, 0.3, 0.2 + 3e-10, 0.0), (0.0, 0.0, 0.0, 0.0))
+
+
+def _edge_density(kind: int, seed: int) -> np.ndarray:
+    """_SPECTRA[kind] in a basis drawn from seed, or in the computational basis
+    (exact zeros) for every third seed."""
+    u = np.eye(4) if seed % 3 == 0 else random_unitary(np.random.default_rng(seed), 4)
+    return (u * np.array(_SPECTRA[kind])) @ u.conj().T
+
+
+def _reference_density_stack(m):
+    """density_stack's rule read off every member's eigenvalues, in plain numpy:
+    the stored rho, the eigenvalues scaled with it and the error texts."""
+    rho = np.ascontiguousarray(m, dtype=complex)
+    vals = np.linalg.eigvalsh((rho + rho.conj().swapaxes(1, 2)) / 2.0)[:, ::-1]
+    traces = rho.diagonal(0, 1, 2).sum(axis=1).real
+    bad = np.abs(traces - 1.0) > states.TRACE_TOL
+    tr = np.where(bad, 1.0, traces)
+    vals = vals / tr[:, None]
+    errors = tuple(
+        f"density matrix trace {t!r} differs from 1 beyond {states.TRACE_TOL:g}" if b
+        else f"density matrix has negative eigenvalue {low:.3e}" if low < -states.PSD_TOL else None
+        for t, b, low in zip(traces.tolist(), bad.tolist(), vals[:, -1].tolist()))
+    return (rho + rho.conj().swapaxes(1, 2)) / (2.0 * tr)[:, None, None], vals, errors
+
+
+@given(st.lists(st.tuples(st.integers(0, len(_SPECTRA) - 1), st.integers(0, 2**32 - 1)),
+                max_size=6))
+@example([])
+@example([(2, 1), (4, 2), (7, 3)])  # one member below the certificate's floor takes the stack
+@settings(max_examples=300)
+def test_density_stack_keeps_the_eigenvalue_rule(members):
+    m = np.array([_edge_density(kind, seed) for kind, seed in members]).reshape(-1, 4, 4)
+    rho, vals, errors = _reference_density_stack(m)
+    dens = states.density_stack(m)
+    assert dens.errors == errors
+    assert dens.rho.tobytes() == rho.tobytes() and dens.eigenvalues.tobytes() == vals.tobytes()
+    for i in range(len(m)):  # alone, where a member may be certified that the stack is not
+        assert states.density_stack(m[i:i + 1]).errors == errors[i:i + 1]
+
+
 def test_concurrences_of_pure_states_follow_the_formula():
     a = np.array([0.5, 0.55, 0.6, 0.75, 0.9, 0.99, 1.0 - 1e-6])
     rho = np.array([pure_state(x).rho for x in a])
@@ -539,6 +587,8 @@ _GENERAL_T = st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9).map(
 @example([np.diag([0.5, -0.25, 0.0]), -np.diag([0.3, 0.3, 0.7]), np.diag([1e-100, -1e-101, 0.0])])
 @example([np.diag([0.5, -0.25, 0.0]), np.eye(3) + np.diag([1e-300, 1e-300], 1), _RESCALED,
           np.zeros((3, 3)), -np.diag([0.0, 0.6, 0.6])])  # all -0.0 off-diagonals
+# np.linalg.det's LU pivots on the subnormal entry and divides by zero
+@example([np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.225073858507e-311, 1.0, 1.0]])])
 def test_verdicts_of_diagonal_and_general_members_have_lapack_bits(members):
     # an exactly diagonal T skips LAPACK: its magnitudes must still be the
     # bits np.linalg.svd gives it alone, in any stack, and its fields those
