@@ -115,11 +115,11 @@ def validate_stack(kraus: np.ndarray
 
     Returns the read-only stack, a non-finite member zeroed (a zero
     operator changes neither completeness nor the Choi matrix); the
-    members' trace-1 Choi matrices (N, 4, 4) as from_density stores them,
-    zero for a member rejected before that, and their ranks; per member the
-    error text `validate` raises, or None, and the residual that error
-    carries, None but for a completeness failure (NaN on overflow); and per
-    member of the returned stack its unitality residual ||sum K K^dag - I||_max.
+    members' trace-1 Choi matrices (N, 4, 4) as from_density stores them, zero for a
+    member rejected before that, and their ranks, 4 where certified, else read off the
+    check's eigenvalues; per member the error text `validate` raises, or None, and the
+    residual that error carries, None but for a completeness failure (NaN on overflow);
+    and per member of the returned stack its unitality residual ||sum K K^dag - I||_max.
     """
     if not isinstance(kraus, np.ndarray) or kraus.ndim != 4 or kraus.shape[2:] != (2, 2) \
             or not 1 <= kraus.shape[1] <= MAX_KRAUS:
@@ -149,7 +149,7 @@ def validate_stack(kraus: np.ndarray
     choi = np.zeros((len(stack), 4, 4), dtype=complex)  # zero for members rejected before
     choi[live] = dens.rho
     ranks = np.zeros(len(stack), dtype=int)
-    ranks[live] = 4 if dens.spectra is None else linalg.rank(dens.eigenvalues)
+    ranks[live] = 4 if dens.eigenvalues is None else linalg.rank(dens.eigenvalues)
     return stack, choi, ranks.tolist(), errors, residuals, unitality
 
 

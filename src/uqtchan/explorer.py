@@ -140,8 +140,8 @@ def _classify(kraus, rho: np.ndarray) -> tuple[list, dict]:
     Choi matrix, within EPS_CPTP, the rule of `channels.report`."""
     _, choi, ranks, errors, _, unitality = channels.validate_stack(kraus)
     valid = [i for i, err in enumerate(errors) if err is None]
-    coef = states.pauli_coefficients(choi)
-    t_mat = channels.final_correlations(rho if rho.ndim == 2 else rho[valid], coef[valid])
+    coef = states.pauli_coefficients(choi[valid])
+    t_mat = channels.final_correlations(rho if rho.ndim == 2 else rho[valid], coef)
     columns = states.profile_columns(states.verdicts(t_mat))
     columns["choi_rank"] = [ranks[i] for i in valid]
     columns["unital"] = (unitality[valid] <= channels.EPS_CPTP).tolist()

@@ -89,10 +89,11 @@ def hermitian_part(m) -> np.ndarray:
     a = _as_square(m)
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    res = float(np.abs(a - dagger(a)).max(initial=0.0))  # 0 if empty
+    adj = dagger(a)
+    res = float(np.abs(a - adj).max(initial=0.0))  # 0 if empty
     if res > EPS_HERM:
         raise ValueError(f"matrix is not Hermitian within {EPS_HERM:g} (residual {res:.3e})")
-    return (a + dagger(a)) / 2.0
+    return (a + adj) / 2.0
 
 
 def hermitian_eig(m) -> EigenDecomp:

@@ -10,7 +10,7 @@ correlation magnitudes) and sign(det T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,15 +100,7 @@ class DensityStack:
 
     rho: np.ndarray  # (N, 4, 4)
     errors: tuple[str | None, ...]
-    herm: np.ndarray = field(repr=False)  # (N, 4, 4) the gate's Hermitian part, unscaled
-    tr: np.ndarray = field(repr=False)  # (N,) the trace each member is scaled by
-    spectra: np.ndarray | None = field(repr=False)  # (N, 4) the check's; None if certified
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """(N, 4), descending, scaled with rho: computed when read if the check certified them."""
-        spectra = linalg.spectra(self.herm) if self.spectra is None else self.spectra
-        return spectra / self.tr[:, None]
+    eigenvalues: np.ndarray | None  # (N, 4) the check read, scaled with rho; None if certified
 
 
 def density_stack(m, floor: float | None = -PSD_TOL / 2) -> DensityStack:
@@ -119,8 +111,8 @@ def density_stack(m, floor: float | None = -PSD_TOL / 2) -> DensityStack:
     A member's trace must be 1 within TRACE_TOL and its spectrum, scaled to
     trace 1, non-negative within PSD_TOL: read only if `linalg.spectra_above`
     does not certify every scaled spectrum above floor (None: no try; a floor
-    >= -PSD_TOL/2 keeps a 5e-10 margin). The stored rho is the Hermitian part
-    scaled to trace 1.
+    >= -PSD_TOL/2 keeps a 5e-10 margin). The stored rho is the gate's Hermitian part
+    over the trace: halving is exact, so the bits are those of (M + M^dag) / (2 tr).
     """
     rho = np.ascontiguousarray(m, dtype=complex)  # the trace sums in memory order
     if rho.ndim != 3 or rho.shape[1:] != (4, 4):
@@ -129,16 +121,16 @@ def density_stack(m, floor: float | None = -PSD_TOL / 2) -> DensityStack:
     traces = rho.diagonal(0, 1, 2).sum(axis=1).real  # the trace, without its dispatch
     bad_trace = np.abs(traces - 1.0) > TRACE_TOL
     tr = np.where(bad_trace, 1.0, traces)  # never divide by a rejected, possibly zero, trace
-    spectra = None if floor is not None and linalg.spectra_above(herm, floor * tr) \
-        else linalg.spectra(herm)
-    low = np.zeros(len(rho)) if spectra is None else spectra[:, -1] / tr  # certified: none low
+    vals = None if floor is not None and linalg.spectra_above(herm, floor * tr) \
+        else linalg.spectra(herm) / tr[:, None]
+    low = np.zeros(len(rho)) if vals is None else vals[:, -1]  # certified: none low
     errors = [None] * len(rho)
     for i in (bad_trace | (low < -PSD_TOL)).nonzero()[0].tolist():  # the rejected members only
         errors[i] = f"density matrix trace {traces[i].item()!r} differs from 1 beyond {TRACE_TOL:g}" \
             if bad_trace[i] else f"density matrix has negative eigenvalue {low[i].item():.3e}"
-    rho = (rho + rho.conj().swapaxes(1, 2)) / (2.0 * tr)[:, None, None]
+    rho = herm / tr[:, None, None]
     rho.setflags(write=False)
-    return DensityStack(rho=rho, errors=tuple(errors), herm=herm, tr=tr, spectra=spectra)
+    return DensityStack(rho=rho, errors=tuple(errors), eigenvalues=vals)
 
 
 def from_density(m) -> TwoQubitState:

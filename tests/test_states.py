@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uqtchan import acceptance, channels, explorer, families, states
+from uqtchan import acceptance, channels, explorer, families, linalg, states
 from uqtchan.linalg import I4, PAULIS
 from uqtchan.states import (
     bell_state,
@@ -235,8 +235,10 @@ def test_density_stack_bits_do_not_depend_on_the_layout():
         rng.normal(size=(2, 2 * int(rng.integers(1, 5)), 2))
     stack = np.array(mats)
     ref, got = states.density_stack(stack), states.density_stack(np.asfortranarray(stack))
-    assert got.rho.tobytes() == ref.rho.tobytes()
-    assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes() and got.errors == ref.errors
+    assert got.rho.tobytes() == ref.rho.tobytes() and got.errors == ref.errors
+    assert got.eigenvalues is None and ref.eigenvalues is None  # certified: no spectrum read
+    ref, got = (states.density_stack(m, floor=None) for m in (stack, np.asfortranarray(stack)))
+    assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
 
 
 #: trace-1 spectra whose smallest eigenvalue sits at the edges of the PSD rule
@@ -258,7 +260,8 @@ def _edge_density(kind: int, seed: int) -> np.ndarray:
 
 def _reference_density_stack(m):
     """density_stack's rule read off every member's eigenvalues, in plain numpy:
-    the stored rho, the eigenvalues scaled with it and the error texts."""
+    the stored rho, the eigenvalues scaled with it, the error texts and the
+    traces the members are scaled by."""
     rho = np.ascontiguousarray(m, dtype=complex)
     vals = np.linalg.eigvalsh((rho + rho.conj().swapaxes(1, 2)) / 2.0)[:, ::-1]
     traces = rho.diagonal(0, 1, 2).sum(axis=1).real
@@ -269,7 +272,7 @@ def _reference_density_stack(m):
         f"density matrix trace {t!r} differs from 1 beyond {states.TRACE_TOL:g}" if b
         else f"density matrix has negative eigenvalue {low:.3e}" if low < -states.PSD_TOL else None
         for t, b, low in zip(traces.tolist(), bad.tolist(), vals[:, -1].tolist()))
-    return (rho + rho.conj().swapaxes(1, 2)) / (2.0 * tr)[:, None, None], vals, errors
+    return (rho + rho.conj().swapaxes(1, 2)) / (2.0 * tr)[:, None, None], vals, errors, tr
 
 
 @given(st.lists(st.tuples(st.integers(0, len(_SPECTRA) - 1), st.integers(0, 2**32 - 1)),
@@ -279,10 +282,14 @@ def _reference_density_stack(m):
 @settings(max_examples=300)
 def test_density_stack_keeps_the_eigenvalue_rule(members):
     m = np.array([_edge_density(kind, seed) for kind, seed in members]).reshape(-1, 4, 4)
-    rho, vals, errors = _reference_density_stack(m)
+    rho, vals, errors, tr = _reference_density_stack(m)
     dens = states.density_stack(m)
-    assert dens.errors == errors
-    assert dens.rho.tobytes() == rho.tobytes() and dens.eigenvalues.tobytes() == vals.tobytes()
+    assert dens.errors == errors and dens.rho.tobytes() == rho.tobytes()
+    # the spectrum is read, with its plain numpy bits, exactly where the certificate fails
+    certified = linalg.spectra_above(linalg.hermitian_part(m), -states.PSD_TOL / 2 * tr)
+    assert (dens.eigenvalues is None) == certified
+    assert certified or dens.eigenvalues.tobytes() == vals.tobytes()
+    assert states.density_stack(m, floor=None).eigenvalues.tobytes() == vals.tobytes()
     for i in range(len(m)):  # alone, where a member may be certified that the stack is not
         assert states.density_stack(m[i:i + 1]).errors == errors[i:i + 1]
 
